@@ -22,11 +22,12 @@ interactive), QA programs come from fixed seeds, estimation runs serial
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 from ...alignment.search_space import build_alignment_search_spaces
 from ...alignment.weights import build_phase_cag
+from ...distribution.search_space import DistributionOptions
 from ...machine.params import IPSC860, MachineParams
 from ...obs import tracing
 from ...obs.tracing import span as obs_span
@@ -62,6 +63,14 @@ BENCH_SIZES: Dict[str, int] = {
 
 #: pinned processor count for every benchmark
 BENCH_NPROCS = 8
+
+#: the program whose selection stage is also timed over the widened
+#: (CYCLIC / BLOCK-CYCLIC / multi-dim) search space, as
+#: ``stage:selection_ilp/<program>-extended``, and the processor count it
+#: runs at: there the residual component has 17 phases of up to 14
+#: candidates, so elimination-table width is what the time depends on
+EXTENDED_PROGRAM = "tomcatv"
+EXTENDED_NPROCS = 2
 
 #: fixed seeds of the generated QA-corpus batch
 QA_SEEDS = (0, 1, 2, 3)
@@ -267,6 +276,16 @@ def build_suite(
         )
         if include_e2e:
             cases.append(_e2e_case(prep))
+        if name == EXTENDED_PROGRAM and "selection_ilp" in wanted_stages:
+            extended = PreparedProgram(
+                f"{name}-extended", prep.source,
+                replace(config, nprocs=EXTENDED_NPROCS,
+                        distributions=DistributionOptions.extended()),
+            )
+            cases.extend(
+                c for c in _stage_cases(extended)
+                if c.stage == "selection_ilp"
+            )
     if include_e2e and include_qa:
         cases.append(_qa_corpus_case(config, qa_seeds))
     return sorted(cases, key=lambda c: c.bench_id)
@@ -292,7 +311,8 @@ def run_suite(
 
 
 __all__ = [
-    "BENCH_NPROCS", "BENCH_SIZES", "BenchCase", "PreparedProgram",
+    "BENCH_NPROCS", "BENCH_SIZES", "BenchCase", "EXTENDED_NPROCS",
+    "EXTENDED_PROGRAM", "PreparedProgram",
     "QA_SEEDS", "STAGE_NAMES", "bench_source", "build_suite",
     "default_bench_config", "run_suite",
 ]

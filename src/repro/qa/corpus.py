@@ -6,7 +6,8 @@ Each corpus case is a pair of files in one directory:
 * ``<name>.json`` — metadata: generator seed + config, the check that
   motivated the case ("seed" for curated coverage cases, otherwise the
   failing check's kind), a human-readable detail string, and the pipeline
-  parameters it should be replayed with.
+  parameters it should be replayed with (``nprocs``, and
+  ``distributions`` when not the prototype's 1-D BLOCK space).
 
 ``tests/corpus/`` is the committed corpus; every divergence the fuzzer
 ever finds gets minimized and committed there so it runs as a regression
@@ -21,6 +22,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional
 
 from ..resilience.atomic import atomic_write_json, atomic_write_text
+from ..tool.assistant import AssistantConfig
 from .generator import GeneratorConfig
 
 #: the committed regression corpus, relative to the repo root
@@ -42,6 +44,14 @@ class CorpusCase:
     @property
     def nprocs(self) -> int:
         return int(self.meta.get("nprocs", 4))
+
+    @property
+    def config(self) -> AssistantConfig:
+        """The pipeline parameters the case replays with."""
+        return AssistantConfig.from_dict({
+            "nprocs": self.nprocs,
+            "distributions": self.meta.get("distributions"),
+        })
 
     @property
     def seed(self) -> Optional[int]:

@@ -31,7 +31,7 @@ from ..frontend.printer import format_program
 from ..obs.tracing import add_event as obs_event, span as obs_span
 from ..perf.estimator import estimate_search_spaces
 from ..selection.ilp import select_layouts
-from ..selection.presolve import presolve_selection
+from ..selection.presolve import eliminate_component, presolve_selection
 from ..tool.assistant import AssistantConfig, AssistantResult, run_assistant
 from . import metamorphic as mm
 from . import oracles
@@ -54,6 +54,11 @@ ALL_CHECKS = (
     "scale-trip-counts",
     "unused-array",
 )
+
+
+#: forced-small elimination table caps the ``selection-presolve`` check
+#: replays every case under (generated graphs have 2-4 candidates a phase)
+_SMALL_TABLE_CAPS = (4, 8, 16, 32, 64)
 
 
 @dataclass
@@ -231,6 +236,18 @@ def _presolve_divergence(
     if fast.objective != oracle_cost:
         return (f"presolved objective {fast.objective!r} != exhaustive "
                 f"optimum {oracle_cost!r}")
+    # Shrink the table cap until the descending order overflows, so the
+    # width-aware order and its tie rule face the same certificate.
+    for cap in _SMALL_TABLE_CAPS:
+        for comp in pre.components:
+            solved = eliminate_component(pre, comp, table_cap=cap)
+            certificate = {p: oracle_sel[p] for p in comp}
+            if solved is not None and solved != certificate:
+                return (
+                    f"elimination under table_cap={cap} selects "
+                    f"{solved} but the oracle certificate has "
+                    f"{certificate}"
+                )
     return None
 
 

@@ -29,6 +29,7 @@ from ..ilp import (
 from ..obs import tracing
 from ..resilience.deadline import remaining_budget
 from ..resilience.degrade import note_degradation
+from ..resilience.errors import DeadlineExceeded
 from .layout_graph import DataLayoutGraph
 from .presolve import (
     build_component_model,
@@ -264,6 +265,8 @@ def _select_presolved(
     if budget is not None and budget <= 0:
         return None
     start = time.perf_counter()
+    ilp_components = 0
+    optimal = True
     with tracing.span(
         "ilp.presolve", name="layout-selection", variables=nvars
     ) as psp:
@@ -271,58 +274,71 @@ def _select_presolved(
         psp.set_attr("fixed", len(pre.fixed))
         psp.set_attr("pruned", pre.pruned)
         psp.set_attr("components", len(pre.components))
-    selection: Dict[int, int] = dict(pre.fixed)
-    optimal = True
-    for comp in pre.components:
-        budget = remaining_budget()
-        if budget is not None and budget <= 0:
-            return _greedy_degraded(
-                graph, allowed, nvars, ncons,
-                "deadline expired during presolve; "
-                "greedy one-pass selection",
-            )
-        solved = eliminate_component(pre, comp)
-        if solved is not None:
-            selection.update(solved)
-            continue
-        # Elimination table too large: solve the component as a reduced
-        # ILP (same candidate costs, conditioned), warm-started when a
-        # previous selection is available.
-        model = build_component_model(pre, comp)
-        seed = None if warm_start is None else _warm_values(
-            model, warm_start
-        )
-        sub = ilp_solve(model, backend=backend, warm_start=seed)
-        if sub.has_incumbent:
-            for p in comp:
-                for c in pre.active[p]:
-                    if sub.values.get(_x(p, c)) == 1:
-                        selection[p] = c
-                        break
-                else:  # pragma: no cover - guaranteed by exactly-one
-                    raise AssertionError(f"no candidate chosen for {p}")
-            if not sub.is_optimal:
-                optimal = False
-                note_degradation(
-                    "selection", "incumbent",
-                    f"solver stopped at {sub.status}; "
-                    f"using best incumbent",
+        selection: Dict[int, int] = dict(pre.fixed)
+        for comp in pre.components:
+            try:
+                solved = eliminate_component(pre, comp)
+            except DeadlineExceeded:
+                return _greedy_degraded(
+                    graph, allowed, nvars, ncons,
+                    "deadline expired during elimination; "
+                    "greedy one-pass selection",
                 )
-        elif sub.status == "unknown":
-            return _greedy_degraded(
-                graph, allowed, nvars, ncons,
-                "no incumbent within budget; greedy one-pass selection",
+            if solved is not None:
+                selection.update(solved)
+                continue
+            # No elimination order fits the table cap: solve the
+            # component as a reduced ILP (same candidate costs,
+            # conditioned), warm-started when a previous selection is
+            # available.
+            ilp_components += 1
+            model = build_component_model(pre, comp)
+            seed = None if warm_start is None else _warm_values(
+                model, warm_start
             )
-        else:
-            # Exactly-one rows make the model feasible by construction.
-            raise RuntimeError(f"selection ILP {sub.status}")
+            sub = ilp_solve(model, backend=backend, warm_start=seed)
+            if sub.has_incumbent:
+                for p in comp:
+                    for c in pre.active[p]:
+                        if sub.values.get(_x(p, c)) == 1:
+                            selection[p] = c
+                            break
+                    else:  # pragma: no cover - guaranteed by exactly-one
+                        raise AssertionError(
+                            f"no candidate chosen for {p}"
+                        )
+                if not sub.is_optimal:
+                    optimal = False
+                    note_degradation(
+                        "selection", "incumbent",
+                        f"solver stopped at {sub.status}; "
+                        f"using best incumbent",
+                    )
+            elif sub.status == "unknown":
+                return _greedy_degraded(
+                    graph, allowed, nvars, ncons,
+                    "no incumbent within budget; "
+                    "greedy one-pass selection",
+                )
+            else:
+                # Exactly-one rows make the model feasible by
+                # construction.
+                raise RuntimeError(f"selection ILP {sub.status}")
+        psp.set_attr(
+            "eliminated", len(pre.components) - ilp_components
+        )
+        psp.set_attr("reordered", pre.reordered)
+        psp.set_attr("ilp_components", ilp_components)
+        psp.set_attr("max_table", pre.max_table)
     evaluated = graph.evaluate(selection)
     solution = Solution(
         status="optimal" if optimal else "time_limit",
         objective=evaluated,
         values=_solution_values(graph, selection),
         stats=SolveStats(
-            backend=f"{backend}+presolve",
+            # a solver only ran if some component overflowed the tables
+            backend=f"{backend}+presolve" if ilp_components
+            else "elimination",
             wall_time=time.perf_counter() - start,
         ),
     )

@@ -15,30 +15,41 @@ data layout graph itself:
 
 What survives is a residual graph whose connected components are solved
 independently — by exact **min-sum variable elimination** (nonserial
-dynamic programming over elimination buckets) when the tables stay
-small, falling back to a reduced component ILP otherwise.
+dynamic programming over elimination buckets), whose cost is exponential
+only in the induced width of the elimination order.  A reduced component
+ILP is the fallback when no order tried keeps its tables under
+``TABLE_CAP``.
 
 Canonical tie-breaking: components eliminate phases in descending index
 order and backtrack ascending, taking the *first* argmin at every step.
 That yields the lexicographically smallest selection vector among the
 optima — exactly the assignment the branch-bound backend's
-lexicographically-greatest 0-1 rule decodes to — so the fast path, the
-ILP path, and warm-started re-solves all agree bit for bit.
+lexicographically-greatest 0-1 rule decodes to.  When that order's
+tables overflow, a greedy min-table order is used instead; it returns
+the same vector because a tie-free backtrack proves the optimum unique,
+and a tie triggers ascending conditioning (see
+:func:`eliminate_component`).  So the fast path, the ILP path, and
+warm-started re-solves all agree bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
 from ..ilp import MINIMIZE, ZeroOneModel
+from ..resilience.deadline import current_deadline
 from .layout_graph import DataLayoutGraph
 
-#: largest elimination-bucket tensor (elements) before a component falls
-#: back to the ILP — nonserial DP is exponential in the bucket scope.
-TABLE_CAP = 65536
+#: largest elimination-bucket tensor in elements, for either order.
+#: The limit is memory, not time (a 12M-element bucket takes 0.2 s, the
+#: solver seconds): 2**19 float64 is 4 MiB, and a component holds its
+#: recorded buckets (measured <= 2.4x the largest) plus one operand,
+#: about 15 MiB beside a ~105 MiB process.
+TABLE_CAP = 1 << 19
 
 
 @dataclass
@@ -58,6 +69,11 @@ class SelectionPresolve:
     components: List[List[int]]
     #: number of (phase, candidate) pairs pruned by dead-end elimination
     pruned: int = 0
+    #: elimination bookkeeping, updated by :func:`eliminate_component`:
+    #: the largest bucket table built (elements) and the number of
+    #: components solved in the width-aware order
+    max_table: int = 0
+    reordered: int = 0
 
     def component_edges(
         self, comp: List[int]
@@ -119,15 +135,11 @@ def presolve_selection(
     fixed: Dict[int, int] = {}
     pruned = 0
 
-    def incident(p: int) -> List[Tuple[Tuple[int, int], bool]]:
-        """Matrix keys touching ``p`` (True when ``p`` is the row axis)."""
-        out = []
-        for key in matrices:
-            if key[0] == p:
-                out.append((key, True))
-            elif key[1] == p:
-                out.append((key, False))
-        return out
+    #: phase -> live matrix keys touching it, in ``matrices`` order
+    incident: Dict[int, List[Tuple[int, int]]] = {p: [] for p in node}
+    for key in matrices:
+        incident[key[0]].append(key)
+        incident[key[1]].append(key)
 
     changed = True
     while changed:
@@ -137,11 +149,11 @@ def presolve_selection(
             if len(active[p]) != 1:
                 continue
             c = active[p][0]
-            for key, is_row in incident(p):
+            for key in incident.pop(p):
                 matrix = matrices.pop(key)
+                is_row = key[0] == p
                 q = key[1] if is_row else key[0]
-                if q in fixed:
-                    continue  # constant cost; the evaluator charges it
+                incident[q].remove(key)
                 node[q] = node[q] + (matrix[c, :] if is_row
                                      else matrix[:, c])
             fixed[p] = c
@@ -154,7 +166,8 @@ def presolve_selection(
             if m < 2:
                 continue
             diff = node[p][cands][:, None] - node[p][cands][None, :]
-            for key, is_row in incident(p):
+            for key in incident[p]:
+                is_row = key[0] == p
                 q = key[1] if is_row else key[0]
                 sub = matrices[key][np.ix_(cands, active[q])] if is_row \
                     else matrices[key][np.ix_(active[q], cands)].T
@@ -215,6 +228,77 @@ def _align(arr: "np.ndarray", scope: Tuple[int, ...],
     return arr.reshape(shape)
 
 
+def _elimination_order(
+    scopes: List[Tuple[int, ...]],
+    sizes: Dict[int, int],
+    order: Optional[List[int]] = None,
+    last: Optional[int] = None,
+) -> Tuple[List[int], int]:
+    """Simulate bucket elimination over factor ``scopes``: the order
+    followed and its largest bucket table in elements.  Without
+    ``order``, each step takes the phase whose bucket table is smallest
+    (largest index on ties) and ``last`` is kept for the end."""
+    live = [frozenset(scope) for scope in scopes]
+
+    def bucket(q: int) -> Tuple[int, frozenset]:
+        members = frozenset().union(*(s for s in live if q in s))
+        return math.prod(sizes[p] for p in members), members
+
+    remaining = set(sizes)
+    out: List[int] = []
+    widest = 0
+    while remaining:
+        q = order[len(out)] if order is not None else min(
+            remaining - {last} or remaining,
+            key=lambda p: (bucket(p)[0], -p),
+        )
+        size, members = bucket(q)
+        widest = max(widest, size)
+        live = [s for s in live if q not in s] + [members - {q}]
+        remaining.discard(q)
+        out.append(q)
+    return out, widest
+
+
+def _eliminate(
+    factors: List[Tuple[Tuple[int, ...], "np.ndarray"]],
+    sizes: Dict[int, int],
+    order: List[int],
+) -> Tuple[Dict[int, int], Set[int]]:
+    """Min-sum eliminate ``order``, then backtrack in reverse taking the
+    first argmin at every step: the position chosen per phase, and the
+    phases whose argmin was tied."""
+    deadline = current_deadline()
+    #: per eliminated phase: (phase, remaining scope, bucket tensor with
+    #: the phase's axis last)
+    record: List[Tuple[int, Tuple[int, ...], np.ndarray]] = []
+    for q in order:
+        if deadline is not None:
+            deadline.check("selection elimination")
+        bucket = [f for f in factors if q in f[0]]
+        factors = [f for f in factors if q not in f[0]]
+        target: Tuple[int, ...] = tuple(sorted(
+            {p for scope, _ in bucket for p in scope}
+        ))
+        combined = np.zeros(tuple(sizes[p] for p in target))
+        for scope, arr in sorted(bucket, key=lambda f: f[0]):
+            combined = combined + _align(arr, scope, target)
+        axis = target.index(q)
+        rest = target[:axis] + target[axis + 1:]
+        record.append((q, rest, np.moveaxis(combined, axis, -1)))
+        if rest:
+            factors.append((rest, combined.min(axis=axis)))
+
+    local: Dict[int, int] = {}
+    tied: Set[int] = set()
+    for q, rest, tensor in reversed(record):
+        vector = tensor[tuple(local[r] for r in rest)]
+        local[q] = int(np.argmin(vector))
+        if np.count_nonzero(vector == vector[local[q]]) > 1:
+            tied.add(q)
+    return local, tied
+
+
 def eliminate_component(
     pre: SelectionPresolve,
     comp: List[int],
@@ -223,49 +307,54 @@ def eliminate_component(
     """Exactly solve one residual component by variable elimination.
 
     Returns the optimal candidate position per phase under the canonical
-    tie-break, or ``None`` when an elimination bucket would exceed
-    ``table_cap`` elements (the caller then solves the component as a
-    reduced ILP).
+    tie-break, or ``None`` when neither elimination order keeps its
+    buckets within ``table_cap`` elements (the caller then solves the
+    component as a reduced ILP).  Raises ``DeadlineExceeded`` between
+    buckets once the request deadline has passed.
     """
     domain = {p: pre.active[p] for p in comp}
+    sizes = {p: len(domain[p]) for p in comp}
     factors: List[Tuple[Tuple[int, ...], np.ndarray]] = [
         ((p,), pre.node[p][domain[p]]) for p in comp
     ]
     factors.extend(
         ((p, q), sub) for p, q, sub in pre.component_edges(comp)
     )
+    scopes = [scope for scope, _ in factors]
 
-    #: per eliminated phase: (phase, remaining scope, bucket tensor with
-    #: the phase's axis last)
-    record: List[Tuple[int, Tuple[int, ...], np.ndarray]] = []
-    for q in sorted(comp, reverse=True):
-        bucket = [f for f in factors if q in f[0]]
-        factors = [f for f in factors if q not in f[0]]
-        target: Tuple[int, ...] = tuple(sorted(
-            {p for scope, _ in bucket for p in scope}
-        ))
-        # q is the largest remaining phase, so it owns the last axis.
-        size = 1
-        for p in target:
-            size *= len(domain[p])
-        if size > table_cap:
+    # Descending order, ascending first-argmin backtracking: the
+    # lexicographically smallest optimum, ties or not.
+    order, widest = _elimination_order(
+        scopes, sizes, order=sorted(comp, reverse=True)
+    )
+    if widest <= table_cap:
+        pre.max_table = max(pre.max_table, widest)
+        local, _ = _eliminate(factors, sizes, order)
+        return {p: domain[p][local[p]] for p in comp}
+
+    # Greedy order (``last=None``): canonical only when no argmin is
+    # tied, which proves the optimum unique.  After a tie, condition
+    # phases in ascending order: eliminated last, a phase's first argmin
+    # is its value in the smallest optimum; fix it (a one-candidate
+    # axis) and go on until the rest follows without ties.
+    for last in [None, *sorted(comp)]:
+        order, widest = _elimination_order(scopes, sizes, last=last)
+        if widest > table_cap:
             return None
-        combined = np.zeros(tuple(len(domain[p]) for p in target))
-        for scope, arr in sorted(bucket, key=lambda f: f[0]):
-            combined = combined + _align(arr, scope, target)
-        rest = target[:-1]
-        record.append((q, rest, combined))
-        if rest:
-            factors.append((rest, combined.min(axis=-1)))
-
-    # Backtrack in ascending phase order: at each step the first argmin
-    # is the smallest candidate achieving the component optimum given
-    # the already-assigned earlier phases — the lexicographically
-    # smallest optimum overall.
-    local: Dict[int, int] = {}
-    for q, rest, tensor in reversed(record):
-        vector = tensor[tuple(local[r] for r in rest)]
-        local[q] = int(np.argmin(vector))
+        pre.max_table = max(pre.max_table, widest)
+        local, tied = _eliminate(factors, sizes, order)
+        if tied <= {last}:
+            break
+        if last is not None:
+            keep = local[last]
+            domain[last] = domain[last][keep:keep + 1]
+            sizes[last] = 1
+            factors = [
+                (scope, arr if last not in scope else np.take(
+                    arr, [keep], axis=scope.index(last)))
+                for scope, arr in factors
+            ]
+    pre.reordered += 1
     return {p: domain[p][local[p]] for p in comp}
 
 

@@ -77,9 +77,7 @@ class TestCorpusEquivalence:
         "case", CORPUS, ids=[case.name for case in CORPUS]
     )
     def test_batched_equals_scalar_on_corpus(self, case):
-        result = run_assistant(
-            case.source, AssistantConfig(nprocs=case.nprocs)
-        )
+        result = run_assistant(case.source, case.config)
         scalar, batched = both_modes(result)
         assert_estimates_identical(scalar, batched, case.name)
 

@@ -15,10 +15,14 @@ The regression contract (the reason these are not approximate checks):
 
 from __future__ import annotations
 
+import functools
+import math
 import os
+import random
 
 import pytest
 
+from repro.distribution.search_space import DistributionOptions
 from repro.ilp import (
     MAXIMIZE,
     MINIMIZE,
@@ -26,6 +30,8 @@ from repro.ilp import (
     presolve_model,
     solve as ilp_solve,
 )
+from repro.obs import tracing
+from repro.obs.events import spans_by_name
 from repro.programs import PROGRAMS
 from repro.qa import load_corpus
 from repro.qa.oracles import (
@@ -33,9 +39,13 @@ from repro.qa.oracles import (
     exact_best_selection,
     selection_combination_count,
 )
-from repro.qa.runner import run_fuzz
+from repro.qa.runner import _presolve_divergence, run_fuzz
+from repro.resilience.deadline import Deadline
+from repro.resilience.degrade import collecting
 from repro.selection import ilp as selection_ilp
+from repro.selection import presolve as selection_presolve
 from repro.selection.ilp import select_layouts
+from repro.selection.layout_graph import DataLayoutGraph, LayoutEdge
 from repro.selection.presolve import (
     TABLE_CAP,
     build_component_model,
@@ -193,9 +203,7 @@ def small_graphs():
     """(name, graph) pairs within the exhaustive oracle's reach."""
     out = []
     for case in CORPUS:
-        result = run_assistant(
-            case.source, AssistantConfig(nprocs=case.nprocs)
-        )
+        result = run_assistant(case.source, case.config)
         if (selection_combination_count(result.graph)
                 <= MAX_SELECTION_COMBINATIONS):
             out.append((case.name, result.graph))
@@ -292,7 +300,7 @@ class TestEliminationFallback:
             pytest.skip("presolve fixed every phase outright")
 
     def test_default_cap_is_generous(self):
-        assert TABLE_CAP == 65536
+        assert TABLE_CAP == 1 << 19  # 4 MiB of float64
 
     def test_component_model_matches_elimination(self, adi_assistant):
         graph = adi_assistant.graph
@@ -311,6 +319,128 @@ class TestEliminationFallback:
                         break
 
 
+def random_layout_graph(rng: random.Random) -> DataLayoutGraph:
+    """3-10 phases of 2-5 candidates within brute-force reach, remap
+    edges between random phase pairs, every cost from {0, 1, 2} so that
+    exactly tied optima are the rule."""
+    while True:
+        sizes = [rng.randint(2, 5) for _ in range(rng.randint(3, 10))]
+        if math.prod(sizes) <= 2500:
+            break
+    node_costs = {
+        p: [float(rng.randint(0, 2)) for _ in range(n)]
+        for p, n in enumerate(sizes)
+    }
+    edges = []
+    for p in range(len(sizes)):
+        for q in range(p + 1, len(sizes)):
+            if rng.random() < 0.45:
+                src, dst = (p, q) if rng.random() < 0.5 else (q, p)
+                costs = {
+                    (i, j): float(cost)
+                    for i in range(sizes[src]) for j in range(sizes[dst])
+                    if (cost := rng.randint(0, 2))
+                }
+                edges.append(LayoutEdge(src, dst, costs))
+    return DataLayoutGraph(
+        phases=(), pcfg=None, estimates=None, node_costs=node_costs,
+        edges=edges, transitions={},
+    )
+
+
+class TestWidthAwareElimination:
+    def test_every_order_returns_the_lexicographic_minimum(
+        self, monkeypatch
+    ):
+        """Descending order, greedy order with its uniqueness
+        certificate, tie canonicalisation and the ILP fallback (forced
+        by shrinking the cap) all return the brute-force
+        lexicographically smallest optimum, bitwise."""
+        conditioned = []
+        plan = selection_presolve._elimination_order
+
+        def spy(scopes, sizes, order=None, last=None):
+            if last is not None:
+                conditioned.append(last)
+            return plan(scopes, sizes, order=order, last=last)
+
+        monkeypatch.setattr(selection_presolve, "_elimination_order", spy)
+        rng = random.Random(1995)
+        reordered = 0
+        for case in range(60):
+            graph = random_layout_graph(rng)
+            cost, oracle = exact_best_selection(graph)
+            slow = select_layouts(
+                graph, presolve=False, backend="branch-bound"
+            )
+            assert slow.selection == oracle, case
+            pre = presolve_selection(graph)
+            for cap in (4, 8, 16, 32, 64, 128, TABLE_CAP):
+                for comp in pre.components:
+                    solved = eliminate_component(pre, comp, table_cap=cap)
+                    if solved is not None:
+                        assert solved == {p: oracle[p] for p in comp}, (
+                            case, cap
+                        )
+            reordered += pre.reordered
+            # end to end, with and without the ILP fallback forced
+            for cap in (0, TABLE_CAP):
+                monkeypatch.setattr(
+                    selection_ilp, "eliminate_component",
+                    functools.partial(eliminate_component, table_cap=cap),
+                )
+                fast = select_layouts(graph, backend="branch-bound")
+                assert fast.selection == oracle, (case, cap)
+                assert fast.objective == cost == slow.objective
+        # the generator must reach the reordered path and its tie rule
+        assert reordered > 0
+        assert conditioned
+
+    @pytest.mark.parametrize("name", ["tomcatv", "shallow"])
+    def test_extended_space_needs_no_solver(self, name):
+        config = AssistantConfig(
+            nprocs=2, distributions=DistributionOptions.extended()
+        )
+        tracing.start_trace("test")
+        try:
+            result = run_assistant(PROGRAMS[name].source(), config)
+        finally:
+            trace = tracing.finish_trace()
+        assert result.selection.solution.stats.backend == "elimination"
+        assert not [
+            span for span in spans_by_name(trace, "ilp.solve")
+            if span["attrs"]["name"] == "layout-selection:residual"
+        ]
+        (span,) = [
+            span for span in spans_by_name(trace, "ilp.presolve")
+            if span["attrs"]["name"] == "layout-selection"
+        ]
+        attrs = span["attrs"]
+        assert attrs["eliminated"] == attrs["components"] > 0
+        assert attrs["ilp_components"] == 0
+        assert 0 < attrs["max_table"] <= TABLE_CAP
+        slow = select_layouts(result.graph, presolve=False)
+        assert result.selection.selection == slow.selection
+        assert result.selection.objective == slow.objective
+
+    def test_deadline_between_buckets_degrades_to_greedy(
+        self, adi_assistant, monkeypatch
+    ):
+        # The budget runs out at the first elimination bucket, after
+        # the entry check and the presolve have passed.
+        monkeypatch.setattr(
+            selection_presolve, "current_deadline",
+            lambda: Deadline(1e-9),
+        )
+        with collecting() as notes:
+            result = select_layouts(adi_assistant.graph)
+        assert not result.optimal
+        assert [(n.stage, n.reason) for n in notes] == [
+            ("selection", "greedy-fallback")
+        ]
+        assert "elimination" in notes[0].detail
+
+
 class TestFuzzWiring:
     def test_selection_presolve_check_is_registered(self):
         report = run_fuzz(
@@ -318,3 +448,10 @@ class TestFuzzWiring:
         )
         assert report.ok, report.summary()
         assert report.checks_run.get("selection-presolve") == 5
+
+    def test_check_replays_the_corpus_under_small_table_caps(self):
+        # includes the extended() seed, whose residual component the
+        # forced-small caps solve in the greedy order
+        for case in CORPUS:
+            result = run_assistant(case.source, case.config)
+            assert _presolve_divergence(result, "scipy") is None, case.name

@@ -13,7 +13,7 @@ from repro.alignment.weights import build_phase_cag
 from repro.frontend.parser import parse_source
 from repro.frontend.printer import format_program
 from repro.qa import check_alignment, check_selection, load_corpus
-from repro.tool.assistant import AssistantConfig, run_assistant
+from repro.tool.assistant import run_assistant
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "corpus")
 CORPUS = load_corpus(CORPUS_DIR)
@@ -48,17 +48,13 @@ class TestCorpusReplay:
         assert format_program(program) == case.source
 
     def test_full_pipeline_runs(self, case):
-        result = run_assistant(case.source, AssistantConfig(
-            nprocs=case.nprocs
-        ))
+        result = run_assistant(case.source, case.config)
         assert len(result.partition.phases) >= 1
         assert result.selection.selection
         assert result.selection.objective >= 0.0
 
     def test_oracles_still_agree(self, case):
-        result = run_assistant(case.source, AssistantConfig(
-            nprocs=case.nprocs
-        ))
+        result = run_assistant(case.source, case.config)
         d = result.template.rank
         for phase in result.partition.phases:
             cag = build_phase_cag(phase, result.symbols)
