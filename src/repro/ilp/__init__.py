@@ -3,7 +3,10 @@
 from typing import Dict, Optional
 
 from ..obs.tracing import span as _obs_span
-from ..resilience.deadline import remaining_budget as _remaining_budget
+from ..resilience.deadline import (
+    checkpoint as _checkpoint,
+    remaining_budget as _remaining_budget,
+)
 from ..resilience.faults import fault_point as _fault_point
 from . import branch_bound, scipy_backend
 from .model import (
@@ -39,7 +42,8 @@ def solve(
     Any request deadline in scope clamps ``time_limit`` to the budget
     actually remaining, making every solve *anytime*: past the budget
     the backends return their best incumbent (status ``time_limit`` /
-    ``node_limit``) or ``unknown``, never block the request.
+    ``node_limit``) or ``unknown``, never block the request.  Past the
+    deadline's hard limit the solve does not start at all.
 
     With ``presolve``, constraint propagation fixes forced variables
     first (see :mod:`repro.ilp.presolve`) and the backend only sees the
@@ -56,6 +60,7 @@ def solve(
             f"unknown backend {backend!r}; available: {sorted(BACKENDS)}"
         ) from None
     _fault_point("ilp.solve")
+    _checkpoint("ilp.solve")
     budget = _remaining_budget()
     if budget is not None:
         time_limit = budget if time_limit is None else min(time_limit, budget)

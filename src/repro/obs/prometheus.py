@@ -348,15 +348,6 @@ def render_prometheus(
             "Current AIMD concurrency limit",
         ).add(limiter.get("limit", 0))
         registry.family(
-            "admission_usable_limit", "gauge",
-            "Concurrency limit minus live zombie workers",
-        ).add(limiter.get("usable", 0))
-        registry.family(
-            "admission_zombie_workers", "gauge",
-            "Timed-out worker threads still burning a core "
-            "(uncancellable futures)",
-        ).add(limiter.get("zombies", 0))
-        registry.family(
             "admission_draining", "gauge",
             "1 while the service refuses new work to drain",
         ).add(1 if admission.get("draining") else 0)

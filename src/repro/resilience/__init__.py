@@ -9,8 +9,9 @@ the rest of the repo uses to guarantee that posture:
 - :mod:`repro.resilience.faults` — a seeded, deterministic
   fault-injection registry (no-op when no plan is armed) threaded
   through the cache, worker pool, service protocol, and ILP solvers;
-- :mod:`repro.resilience.deadline` — a request deadline/budget carried
-  in a context variable, consumed by the solvers to turn them *anytime*;
+- :mod:`repro.resilience.deadline` — a request deadline carried in a
+  context variable: a soft budget the solvers consume to turn *anytime*,
+  and a hard limit that cancels the request at cooperative checkpoints;
 - :mod:`repro.resilience.degrade` — per-request degradation accounting:
   any fallback path notes itself here so the response, provenance, and
   metrics all carry an explicit ``degraded`` flag;
@@ -44,6 +45,7 @@ from .atomic import (
 from .breaker import Backoff, CircuitBreaker
 from .deadline import (
     Deadline,
+    checkpoint,
     current_deadline,
     deadline_scope,
     remaining_budget,
@@ -60,6 +62,7 @@ from .errors import (
     DeadlineExceeded,
     InjectedFault,
     OverloadedError,
+    RequestTimeout,
     ResilienceError,
     ShuttingDownError,
 )
@@ -89,6 +92,7 @@ __all__ = [
     "InjectedFault",
     "KNOWN_SITES",
     "OverloadedError",
+    "RequestTimeout",
     "ResilienceError",
     "ShuttingDownError",
     "Ticket",
@@ -99,6 +103,7 @@ __all__ = [
     "atomic_write_text",
     "checksum_unwrap",
     "checksum_wrap",
+    "checkpoint",
     "collecting",
     "corrupt_point",
     "current_deadline",

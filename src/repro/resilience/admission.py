@@ -9,10 +9,9 @@ Three cooperating pieces guard the service's front door:
   cannot poison the baseline) and compares each completed request
   against it: latency within ``tolerance``× the floor earns an additive
   increase (+1 per ~limit samples), latency beyond it — or a timeout —
-  costs a multiplicative decrease.  *Zombie* workers (threads abandoned
-  by a request-timeout that cannot be cancelled) are subtracted from
-  the usable limit so admission decisions see true load, not nominal
-  capacity;
+  costs a multiplicative decrease.  A request runs on one thread from
+  admission to release, so the limit is the concurrency admission can
+  grant and ``in_flight`` is the number of threads at work;
 
 - :class:`AdmissionController` — a bounded queue plus the limiter.  A
   request is admitted immediately when a concurrency slot is free,
@@ -91,7 +90,6 @@ class AdaptiveConcurrencyLimiter:
         self._lock = threading.Lock()
         self._limit = float(initial_limit)
         self._baseline: Optional[float] = None
-        self._zombies = 0
         self.increases_total = 0
         self.decreases_total = 0
 
@@ -136,21 +134,6 @@ class AdaptiveConcurrencyLimiter:
             self.decreases_total += 1
         self._limit = decreased
 
-    # -- zombie accounting -----------------------------------------------
-
-    def note_zombie(self) -> int:
-        """A worker thread was abandoned (timed-out future that cannot
-        be cancelled); it still burns a core, so the usable limit
-        shrinks until :meth:`zombie_done`."""
-        with self._lock:
-            self._zombies += 1
-            return self._zombies
-
-    def zombie_done(self) -> int:
-        with self._lock:
-            self._zombies = max(self._zombies - 1, 0)
-            return self._zombies
-
     # -- reading ---------------------------------------------------------
 
     @property
@@ -158,25 +141,10 @@ class AdaptiveConcurrencyLimiter:
         with self._lock:
             return int(self._limit)
 
-    @property
-    def zombies(self) -> int:
-        with self._lock:
-            return self._zombies
-
-    def usable(self) -> int:
-        """The concurrency admission may actually grant right now: the
-        AIMD limit minus live zombie workers, never below one (the
-        service must always drain eventually)."""
-        with self._lock:
-            return max(int(self._limit) - self._zombies, 1)
-
     def describe(self) -> Dict[str, Any]:
         with self._lock:
-            usable = max(int(self._limit) - self._zombies, 1)
             return {
                 "limit": int(self._limit),
-                "usable": usable,
-                "zombies": self._zombies,
                 "min_limit": self.min_limit,
                 "max_limit": self.max_limit,
                 "tolerance": self.tolerance,
@@ -247,18 +215,18 @@ class AdmissionController:
     def _predicted_wait_locked(self) -> float:
         """Expected queue wait for one more arrival: zero when a slot is
         free, else Little's-law-style ``waiters * service / servers``."""
-        usable = self.limiter.usable()
-        if self._in_flight < usable and self._queued == 0:
+        limit = self.limiter.limit
+        if self._in_flight < limit and self._queued == 0:
             return 0.0
         service = self._service_ewma or DEFAULT_SERVICE_ESTIMATE_S
-        return (self._queued + 1) * service / max(usable, 1)
+        return (self._queued + 1) * service / limit
 
     def _retry_after_locked(self) -> float:
         return max(self._predicted_wait_locked(), MIN_RETRY_AFTER_S)
 
     def _brownout_locked(self) -> bool:
-        usable = self.limiter.usable()
-        if self._in_flight / max(usable, 1) >= self.brownout_utilization:
+        if (self._in_flight / self.limiter.limit
+                >= self.brownout_utilization):
             return True
         # a non-closed breaker means a dependency (pool, cache disk) is
         # already degraded: prefer fast labeled-degraded answers now
@@ -326,7 +294,7 @@ class AdmissionController:
             waited = False
             self._queued += 1
             try:
-                while self._in_flight >= self.limiter.usable():
+                while self._in_flight >= self.limiter.limit:
                     if self._draining:
                         self._counters["rejected_draining"] += 1
                         raise ShuttingDownError("service is draining")
@@ -385,18 +353,6 @@ class AdmissionController:
             self.limiter.on_timeout()
         else:
             self.limiter.on_sample(seconds, ok=ok)
-
-    # -- zombie pass-through ---------------------------------------------
-
-    def note_zombie(self) -> int:
-        return self.limiter.note_zombie()
-
-    def zombie_done(self) -> int:
-        remaining = self.limiter.zombie_done()
-        with self._cond:
-            # a zombie finishing restores usable capacity: wake waiters
-            self._cond.notify_all()
-        return remaining
 
     # -- drain -----------------------------------------------------------
 

@@ -35,6 +35,17 @@ class DeadlineExceeded(ResilienceError):
     kind = "deadline"
 
 
+class RequestTimeout(ResilienceError):
+    """The request's hard limit passed; raised on the request's own
+    thread at the cooperative checkpoint (``stopped_at``) that saw it."""
+
+    kind = "timeout"
+
+    def __init__(self, message: str, stopped_at: str):
+        super().__init__(message)
+        self.stopped_at = stopped_at
+
+
 class CircuitOpenError(ResilienceError):
     """A circuit breaker rejected the call while open."""
 

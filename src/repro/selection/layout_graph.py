@@ -26,10 +26,14 @@ from ..frontend.symbols import ArraySymbol, SymbolTable
 from ..obs import tracing
 from ..perf.estimator import EstimatedCandidate, EstimationResult
 from ..perf.training import TrainingDatabase
+from ..resilience.deadline import current_deadline
 
 #: mass below this fraction of the initial flow is dropped during
 #: absorbed-flow propagation (guards against non-referencing cycles)
 _MASS_EPS = 1e-9
+
+#: worklist pops between two looks at the request's hard limit
+_CHECK_STRIDE = 4096
 
 
 def array_transitions(
@@ -42,9 +46,13 @@ def array_transitions(
     Computed by absorbing flow: each referencing phase emits its out-edge
     frequencies; mass travels through non-referencing phases (split
     proportionally to edge frequencies) until absorbed by a referencing
-    phase or lost at the program exit.
+    phase or lost at the program exit.  A request deadline in scope is
+    consulted every ``_CHECK_STRIDE`` pops, so a pathological PCFG
+    cannot outrun the request's hard limit.
     """
     graph = pcfg.graph
+    deadline = current_deadline()
+    pops = 0
     out: Dict[str, List[Tuple[int, int, float]]] = {}
     for array, refs in referencing.items():
         transitions: Dict[Tuple[int, int], float] = {}
@@ -60,6 +68,10 @@ def array_transitions(
             guard = _MASS_EPS * initial
             while worklist:
                 node, mass = worklist.pop()
+                if deadline is not None:
+                    pops += 1
+                    if pops % _CHECK_STRIDE == 0:
+                        deadline.checkpoint("graph.transitions")
                 if mass <= guard:
                     continue
                 if isinstance(node, int) and node in refs:

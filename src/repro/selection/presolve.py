@@ -274,7 +274,7 @@ def _eliminate(
     record: List[Tuple[int, Tuple[int, ...], np.ndarray]] = []
     for q in order:
         if deadline is not None:
-            deadline.check("selection elimination")
+            deadline.check("selection.elimination")
         bucket = [f for f in factors if q in f[0]]
         factors = [f for f in factors if q not in f[0]]
         target: Tuple[int, ...] = tuple(sorted(
@@ -309,8 +309,9 @@ def eliminate_component(
     Returns the optimal candidate position per phase under the canonical
     tie-break, or ``None`` when neither elimination order keeps its
     buckets within ``table_cap`` elements (the caller then solves the
-    component as a reduced ILP).  Raises ``DeadlineExceeded`` between
-    buckets once the request deadline has passed.
+    component as a reduced ILP).  Between buckets, raises
+    ``DeadlineExceeded`` once the request's budget has passed and
+    ``RequestTimeout`` once its hard limit has.
     """
     domain = {p: pre.active[p] for p in comp}
     sizes = {p: len(domain[p]) for p in comp}

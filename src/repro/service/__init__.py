@@ -22,7 +22,6 @@ from .cache import StageCache, StageKeys
 from .errors import (
     ConnectionIdleError,
     JobTimeoutError,
-    RequestTimeoutError,
     RequestValidationError,
     ServiceError,
     WorkerPoolError,
@@ -59,7 +58,6 @@ __all__ = [
     "LoadtestConfig",
     "LoadtestReport",
     "Metrics",
-    "RequestTimeoutError",
     "RequestValidationError",
     "RetryBudget",
     "RetryPolicy",

@@ -21,12 +21,6 @@ class RequestValidationError(ServiceError):
     kind = "bad-request"
 
 
-class RequestTimeoutError(ServiceError):
-    """The whole request exceeded its deadline."""
-
-    kind = "timeout"
-
-
 class JobTimeoutError(ServiceError):
     """A single worker job exceeded its per-job deadline."""
 

@@ -10,7 +10,8 @@ Built on :mod:`concurrent.futures`.  Three kinds:
 - ``serial``: plain in-process loop, the final fallback and the
   reference behavior.
 
-Robustness contract: per-job timeouts (``job_timeout``), bounded retries
+Robustness contract: per-job timeouts (``job_timeout``, clamped to the
+hard limit of the request deadline in scope), bounded retries
 on transient executor failures (``retries``) paced by an injectable
 exponential :class:`~repro.resilience.breaker.Backoff` (disabled by
 default so tests stay fast), a circuit breaker that drops straight to
@@ -27,6 +28,7 @@ import threading
 from concurrent.futures import (
     CancelledError,
     Executor,
+    Future,
     ProcessPoolExecutor,
     ThreadPoolExecutor,
     TimeoutError as FuturesTimeoutError,
@@ -35,6 +37,7 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from ..obs import tracing
 from ..resilience.breaker import Backoff, CircuitBreaker
+from ..resilience.deadline import current_deadline
 from ..resilience.errors import InjectedFault
 from ..resilience.faults import fault_point
 from .errors import JobTimeoutError
@@ -192,22 +195,7 @@ class WorkerPool:
             self.breaker.record_failure()
             self._rebuild(executor)
             return self._run_batch_degraded(jobs)
-        results: List[Any] = [None] * len(jobs)
-        failures = 0
-        for i, future in enumerate(futures):
-            try:
-                fault_point("pool.result")
-                results[i] = future.result(timeout=self.job_timeout).value
-            except FuturesTimeoutError:
-                future.cancel()
-                raise JobTimeoutError(
-                    f"job {i} exceeded {self.job_timeout}s in "
-                    f"{self.active_kind} pool"
-                )
-            except _RETRIABLE as exc:
-                failures += 1
-                self.breaker.record_failure()
-                results[i] = self._retry_job(jobs[i], executor, exc)
+        results, failures = self._gather(jobs, futures, executor)
         if failures == 0:
             self.breaker.record_success()
         return results
@@ -217,21 +205,51 @@ class WorkerPool:
         if executor is None:
             return [run_job(job).value for job in jobs]
         futures = [executor.submit(run_job, job) for job in jobs]
-        out = []
-        for i, future in enumerate(futures):
-            try:
-                fault_point("pool.result")
-                out.append(future.result(timeout=self.job_timeout).value)
-            except FuturesTimeoutError:
+        return self._gather(jobs, futures, executor)[0]
+
+    def _gather(self, jobs, futures,
+                executor: Executor) -> Tuple[List[Any], int]:
+        """Wait for a submitted batch in input order, retrying the jobs
+        whose wait failed; returns the values and the failure count."""
+        values: List[Any] = []
+        failures = 0
+        try:
+            for job, future in zip(jobs, futures):
+                try:
+                    values.append(self._wait(future, job))
+                except _RETRIABLE as exc:
+                    failures += 1
+                    self.breaker.record_failure()
+                    values.append(self._retry_job(job, executor, exc))
+        finally:
+            # a no-op on finished futures; when a timeout ended the
+            # batch early it takes the queued rest off the workers
+            for future in futures:
                 future.cancel()
-                raise JobTimeoutError(
-                    f"job {i} exceeded {self.job_timeout}s in "
-                    f"{self.active_kind} pool"
-                )
-            except _RETRIABLE as exc:
-                self.breaker.record_failure()
-                out.append(self._retry_job(jobs[i], executor, exc))
-        return out
+        return values, failures
+
+    def _wait(self, future: Future, job) -> Any:
+        """The one wait on a pool future: bounded by ``job_timeout``
+        and by the hard limit of the request deadline in scope, so a
+        hung worker ends in a typed ``timeout`` and cannot pin the
+        calling thread."""
+        timeout = self.job_timeout
+        deadline = current_deadline()
+        if deadline is not None:
+            hard = deadline.hard_remaining()
+            if hard is not None and (timeout is None or hard < timeout):
+                timeout = hard
+        try:
+            fault_point("pool.result")
+            return future.result(timeout=timeout).value
+        except FuturesTimeoutError:
+            future.cancel()
+            if deadline is not None:
+                deadline.checkpoint("pool.result")
+            raise JobTimeoutError(
+                f"job {job.index} exceeded {self.job_timeout}s in "
+                f"{self.active_kind} pool"
+            )
 
     def _retry_job(self, job, broken: Optional[Executor],
                    cause: BaseException) -> Any:
@@ -242,26 +260,21 @@ class WorkerPool:
         or a cancellation means the executor itself is healthy, so the
         job is resubmitted to it as-is.
         """
-        rebuild = isinstance(cause, TRANSIENT_EXECUTOR_ERRORS)
         for attempt in range(self.retries):
             self.backoff.wait(attempt)
-            executor = self._rebuild(broken) if rebuild else self._ensure()
+            executor = (
+                self._rebuild(broken)
+                if isinstance(cause, TRANSIENT_EXECUTOR_ERRORS)
+                else self._ensure()
+            )
             if executor is None:
                 break
             try:
-                fault_point("pool.result")
-                return executor.submit(run_job, job).result(
-                    timeout=self.job_timeout
-                ).value
-            except FuturesTimeoutError:
-                raise JobTimeoutError(
-                    f"job {job.index} exceeded {self.job_timeout}s on retry"
-                )
+                return self._wait(executor.submit(run_job, job), job)
             except _RETRIABLE as exc:
                 self.breaker.record_failure()
-                rebuild = isinstance(exc, TRANSIENT_EXECUTOR_ERRORS)
+                cause = exc
                 broken = executor
-                continue
         # graceful degradation: the job is pure, so running it here
         # yields the same value the pool would have produced
         self.degradations += 1

@@ -4,7 +4,11 @@ The wire format is JSON, one object per line (newline-delimited JSON
 over TCP).  Every request carries an ``op``:
 
 - ``analyze``  — run the framework, return selected layouts (pass
-  ``"trace": true`` to also receive the request's span trace);
+  ``"trace": true`` to also receive the request's span trace).
+  ``deadline_s`` is the soft solver budget: past it the answer comes
+  back labelled degraded.  Past the server's hard request timeout the
+  reply is a typed ``timeout`` error whose text names the checkpoint
+  that stopped the request (``stage:estimation``, ``pool.result``, ...);
 - ``stats``    — observability snapshot (counters, cache, histograms,
   sliding windows, telemetry);
 - ``metrics``  — the same registry as Prometheus text exposition;
@@ -15,7 +19,7 @@ over TCP).  Every request carries an ``op``:
   optional ``type`` filter);
 - ``ping``     — liveness probe;
 - ``health``   — liveness plus overload state: admission queue depth,
-  adaptive concurrency limit, zombie workers, drain status;
+  adaptive concurrency limit, drain status;
 - ``ready``    — readiness probe: ``ready: false`` once the service is
   draining (load balancers stop routing here) or saturated;
 - ``shutdown`` — graceful drain, then stop the server (optional

@@ -11,6 +11,12 @@ Two layers:
   Independent requests fan out across connection threads while sharing
   one stage cache, one metrics registry, and one worker pool.
 
+A request stays on the thread that read it from the socket, from decode
+to reply.  Its one :class:`~repro.resilience.deadline.Deadline` carries
+the soft solver budget and the hard request timeout; past the latter
+the next cooperative checkpoint ends the request with a typed
+``timeout`` reply.
+
 Overload protection sits between the two: every ``analyze`` passes the
 :class:`~repro.resilience.admission.AdmissionController` before any
 work starts.  Requests the controller cannot serve in time are shed
@@ -29,11 +35,6 @@ import socket
 import socketserver
 import threading
 import time
-from concurrent.futures import (
-    Future,
-    ThreadPoolExecutor,
-    TimeoutError as FuturesTimeoutError,
-)
 from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -43,11 +44,12 @@ from ..obs.prometheus import render_prometheus
 from ..obs.slo import Objective, SLOValidationError, evaluate_objectives
 from ..obs.telemetry import emit as emit_event
 from ..resilience.admission import AdmissionController
-from ..resilience.deadline import Deadline, deadline_scope
+from ..resilience.deadline import Deadline, checkpoint, deadline_scope
 from ..resilience.degrade import collecting, noted_count
 from ..resilience.errors import (
     InjectedFault,
     OverloadedError,
+    RequestTimeout,
     ShuttingDownError,
 )
 from ..resilience.faults import fault_point
@@ -61,7 +63,7 @@ from ..tool.assistant import (
     stage_selection,
 )
 from .cache import StageCache, StageKeys
-from .errors import ConnectionIdleError, RequestTimeoutError, ServiceError
+from .errors import ConnectionIdleError, ServiceError
 from .metrics import Metrics
 from .pool import WorkerPool
 from .protocol import (
@@ -165,6 +167,7 @@ class LayoutService:
         timings: List[StageTiming] = []
 
         def run_stage(name: str, key: str, compute):
+            checkpoint(f"stage:{name}")
             with tracing.span("service.stage", stage=name) as stage_span:
                 start = perf_counter()
                 hit, value = (self.cache.load(name, key) if use_cache
@@ -243,29 +246,12 @@ class LayoutService:
         """The solver time budget for one request: the explicit
         ``deadline_s`` if given, else a soft fraction of the hard
         request timeout (leaving headroom to build the degraded
-        response before the hard cutoff kills the thread)."""
+        response before the hard limit cancels the request)."""
         if request.deadline_s is not None:
             return request.deadline_s
         if self.request_timeout is not None:
             return self.request_timeout * SOFT_DEADLINE_FRACTION
         return None
-
-    def _note_zombie(self, future: "Future") -> None:
-        """A timed-out pipeline thread cannot be cancelled once running
-        (the per-request executor's future is already executing): count
-        it as a zombie so the limiter's usable concurrency shrinks, and
-        reclaim the slot whenever the abandoned work finally finishes."""
-        zombies = self.admission.note_zombie()
-        self.metrics.inc("zombie_workers_total")
-        self.metrics.set_gauge("zombie_workers", zombies)
-
-        def _reclaim(_future: "Future") -> None:
-            remaining = self.admission.zombie_done()
-            self.metrics.set_gauge("zombie_workers", remaining)
-
-        # if the future never started (cancelled in shutdown), or
-        # already finished, the callback fires immediately — no zombie
-        future.add_done_callback(_reclaim)
 
     def analyze(self, request: LayoutRequest) -> LayoutResponse:
         """Serve one analyze request (deadline-bounded, never raises).
@@ -273,9 +259,8 @@ class LayoutService:
         Every request runs under its own tracer: span durations feed the
         ``span_seconds`` aggregates in the metrics registry, and the
         full trace is attached to the response when the request asked
-        for it.  The tracer — like the deadline and the degradation
-        collector — is activated *inside* the pipeline thread
-        (ContextVars do not cross threads on their own)."""
+        for it.  Tracer, deadline and degradation collector are scoped
+        to the pipeline call on the caller's thread."""
         self.metrics.inc("requests_total")
         start = perf_counter()
         # Detail events (per-candidate estimates, CAG edges) only when
@@ -322,75 +307,44 @@ class LayoutService:
                 else min(effective_budget, self.brownout_budget_s)
             )
         deadline = (
-            Deadline(effective_budget)
+            Deadline(effective_budget, hard_s=self.request_timeout)
             if effective_budget is not None else None
         )
 
-        def pipeline() -> Tuple[
-            AssistantResult, List[StageTiming], List[Dict[str, Any]]
-        ]:
-            with tracing.activate(tracer):
-                with deadline_scope(deadline), collecting() as events:
+        served_ok = False
+        timed_out = False
+        try:
+            try:
+                with tracing.activate(tracer), deadline_scope(deadline), \
+                        collecting() as events:
                     with tracing.span(
                         "request",
                         request_id=request.request_id or "",
                         program=request.program or "<source>",
                     ):
                         result, timings = self._run_pipeline(request)
-                    return result, timings, [e.to_dict() for e in events]
-
-        served_ok = False
-        timed_out = False
-        try:
-            try:
-                try:
-                    if self.request_timeout is not None:
-                        executor = ThreadPoolExecutor(max_workers=1)
-                        try:
-                            future = executor.submit(pipeline)
-                            result, timings, degradations = future.result(
-                                timeout=self.request_timeout
-                            )
-                        finally:
-                            executor.shutdown(
-                                wait=False, cancel_futures=True
-                            )
-                    else:
-                        result, timings, degradations = pipeline()
-                except FuturesTimeoutError:
-                    timed_out = True
-                    self._note_zombie(future)
-                    self.metrics.inc("requests_failed")
+                degradations = [e.to_dict() for e in events]
+            except Exception as exc:
+                # RequestTimeout is the hard limit firing at a
+                # checkpoint; release() hands it to the limiter as its
+                # strongest congestion signal
+                timed_out = isinstance(exc, RequestTimeout)
+                self.metrics.inc("requests_failed")
+                if timed_out:
                     self.metrics.inc("requests_timeout")
-                    logger.warning(
-                        "request %s timed out after %ss",
-                        request.request_id or "<anonymous>",
-                        self.request_timeout,
-                    )
-                    self._record_analyze(
-                        request, tracer, perf_counter() - start,
-                        ok=False, error_kind="timeout",
-                    )
-                    return LayoutResponse.failure(
-                        RequestTimeoutError(
-                            f"request exceeded {self.request_timeout}s"
-                        ),
-                        request_id=request.request_id,
-                    )
-                except Exception as exc:
-                    self.metrics.inc("requests_failed")
-                    logger.warning(
-                        "request %s failed: %s",
-                        request.request_id or "<anonymous>", exc,
-                    )
-                    self._record_analyze(
-                        request, tracer, perf_counter() - start,
-                        ok=False,
-                        error_kind=getattr(exc, "kind", "internal"),
-                    )
-                    return LayoutResponse.failure(
-                        exc, request_id=request.request_id
-                    )
+                logger.warning(
+                    "request %s failed: %s",
+                    request.request_id or "<anonymous>", exc,
+                )
+                self._record_analyze(
+                    request, tracer, perf_counter() - start,
+                    ok=False,
+                    error_kind=getattr(exc, "kind", "internal"),
+                    stopped_at=getattr(exc, "stopped_at", None),
+                )
+                return LayoutResponse.failure(
+                    exc, request_id=request.request_id
+                )
             finally:
                 self._fold_trace(tracer)
             served_ok = True
@@ -435,6 +389,7 @@ class LayoutService:
         ok: bool,
         degraded: bool = False,
         error_kind: Optional[str] = None,
+        stopped_at: Optional[str] = None,
     ) -> None:
         """Feed one finished analyze into the sliding window, the event
         log, and the tail sampler (which serializes the trace only when
@@ -445,7 +400,7 @@ class LayoutService:
         self.telemetry.record_request(
             "analyze", seconds, ok=ok, degraded=degraded,
             request_id=request.request_id, error_kind=error_kind,
-            tracer=tracer,
+            stopped_at=stopped_at, tracer=tracer,
         )
 
     def _fold_trace(self, tracer: tracing.Tracer) -> None:
@@ -502,8 +457,6 @@ class LayoutService:
         self.metrics.set_gauge("admission_shed_total",
                                admission["shed_total"])
         self.metrics.set_gauge("admission_limit", limiter["limit"])
-        self.metrics.set_gauge("admission_usable", limiter["usable"])
-        self.metrics.set_gauge("zombie_workers", limiter["zombies"])
         self.metrics.set_gauge(
             "admission_draining", 1 if admission["draining"] else 0
         )
@@ -546,6 +499,7 @@ class LayoutService:
         try:
             fault_point("service.request")
         except InjectedFault as exc:
+            self.metrics.inc("requests_total")
             self.metrics.inc("requests_failed")
             if op in OPS:
                 self.metrics.observe_op(op, 0.0, ok=False)
@@ -649,6 +603,7 @@ class LayoutService:
                 "in_flight": admission["in_flight"],
                 "queue_depth": admission["queue_depth"],
             }
+        self.metrics.inc("requests_total")
         self.metrics.inc("requests_failed")
         logger.warning("rejecting unknown op %r", op)
         return {"ok": False, "error": f"unknown op {op!r}",

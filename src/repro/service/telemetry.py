@@ -176,10 +176,12 @@ class ServiceTelemetry:
         degraded: bool = False,
         request_id: Optional[str] = None,
         error_kind: Optional[str] = None,
+        stopped_at: Optional[str] = None,
         tracer: Optional[tracing.Tracer] = None,
     ) -> None:
         """One completed service operation: write its event, and (for
-        traced ops) run the tail-sampling decision."""
+        traced ops) run the tail-sampling decision.  ``stopped_at`` is
+        the checkpoint at which a hard timeout ended the request."""
         attrs: Dict[str, Any] = {
             "op": op,
             "seconds": seconds,
@@ -190,6 +192,8 @@ class ServiceTelemetry:
             attrs["request_id"] = request_id
         if error_kind:
             attrs["error_kind"] = error_kind
+        if stopped_at:
+            attrs["stopped_at"] = stopped_at
         if tracer is not None:
             # The tracer is already deactivated by the time the request
             # is recorded, so the join key is stamped explicitly.

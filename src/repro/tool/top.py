@@ -111,9 +111,7 @@ def _admission_section(stats: Mapping[str, Any]) -> List[str]:
     lines = [
         f"admission {state}"
         f"   in-flight {admission.get('in_flight', 0)}"
-        f"/{limiter.get('usable', '?')}"
-        f" (limit {limiter.get('limit', '?')}"
-        f", zombies {limiter.get('zombies', 0)})"
+        f"/{limiter.get('limit', '?')}"
         f"   queued {admission.get('queue_depth', 0)}"
         f"/{admission.get('max_queue', '?')}"
     ]

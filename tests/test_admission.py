@@ -95,36 +95,6 @@ class TestLimiterAimd:
         assert limiter.limit == 7
 
 
-class TestLimiterZombies:
-    def test_zombies_shrink_usable_capacity(self):
-        limiter = AdaptiveConcurrencyLimiter(initial_limit=4)
-        assert limiter.usable() == 4
-        limiter.note_zombie()
-        assert limiter.usable() == 3
-        assert limiter.zombies == 1
-        limiter.zombie_done()
-        assert limiter.usable() == 4
-
-    def test_usable_never_drops_below_one(self):
-        limiter = AdaptiveConcurrencyLimiter(initial_limit=2)
-        for _ in range(5):
-            limiter.note_zombie()
-        assert limiter.usable() == 1
-
-    def test_zombie_done_never_goes_negative(self):
-        limiter = AdaptiveConcurrencyLimiter()
-        assert limiter.zombie_done() == 0
-
-    def test_describe_reports_the_full_state(self):
-        limiter = AdaptiveConcurrencyLimiter(initial_limit=4)
-        limiter.note_zombie()
-        state = limiter.describe()
-        assert state["limit"] == 4
-        assert state["usable"] == 3
-        assert state["zombies"] == 1
-        assert state["baseline_s"] is None
-
-
 class TestAdmission:
     def test_free_slot_admits_immediately(self):
         ctrl = AdmissionController(
@@ -236,6 +206,21 @@ class TestAdmission:
         ticket = ctrl.try_acquire()
         assert ticket.brownout
         ctrl.release(ticket, 0.01)
+
+    def test_a_timeout_cuts_the_capacity_admission_grants(self):
+        ctrl = AdmissionController(
+            limiter=AdaptiveConcurrencyLimiter(initial_limit=2)
+        )
+        first, second = ctrl.try_acquire(), ctrl.try_acquire()
+        ctrl.release(first, 0.01, timed_out=True)
+        # limit 2 -> 1: the slot the timed-out request gave back is not
+        # granted again while the other request is still running
+        assert ctrl.limiter.limit == 1
+        with pytest.raises(OverloadedError):
+            ctrl.try_acquire(budget_s=0.05)
+        ctrl.release(second, 0.01)
+        ctrl.release(ctrl.try_acquire(budget_s=0.05), 0.01)
+        assert ctrl.describe()["in_flight"] == 0
 
     def test_service_time_ewma_learns_from_releases(self):
         ctrl = AdmissionController()

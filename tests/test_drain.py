@@ -1,7 +1,7 @@
 """Graceful drain and its neighbors: in-flight work finishing under a
 drain, typed ``shutting-down`` rejections, the durable drain record in
 the event log, health/ready ops, the connection idle timeout (slowloris
-guard), and zombie-worker accounting after request timeouts."""
+guard), and what a request that hits its hard timeout leaves behind."""
 
 from __future__ import annotations
 
@@ -17,6 +17,8 @@ from repro.service import (
     WorkerPool,
     send_request,
 )
+from repro.service import server as server_module
+from repro.tool.assistant import stage_partition
 
 REQUEST = {
     "op": "analyze",
@@ -59,6 +61,38 @@ class TestServiceDrain:
         assert report["drained"] is False
         assert report["in_flight"] == 1
         service.admission.release(ticket, 0.01)
+
+    def test_drain_reports_a_running_request_until_it_returns(
+        self, service, monkeypatch
+    ):
+        entered, proceed = threading.Event(), threading.Event()
+
+        def held_partition(*args):
+            entered.set()
+            assert proceed.wait(timeout=30)
+            return stage_partition(*args)
+
+        monkeypatch.setattr(server_module, "stage_partition", held_partition)
+        responses = []
+        worker = threading.Thread(
+            target=lambda: responses.append(
+                service.analyze_dict(dict(REQUEST))
+            )
+        )
+        worker.start()
+        try:
+            assert entered.wait(timeout=30)
+            report = service.drain(deadline_s=0.05)
+            assert report["drained"] is False
+            assert report["in_flight"] == 1
+        finally:
+            proceed.set()
+            worker.join(timeout=30)
+        assert not worker.is_alive()
+        assert responses[0]["ok"]
+        report = service.drain(deadline_s=0.05)
+        assert report["drained"] is True
+        assert report["in_flight"] == 0
 
     def test_new_work_is_rejected_typed_during_drain(self, service):
         service.begin_drain()
@@ -154,27 +188,54 @@ class TestConnectionIdleTimeout:
 
 
 class TestZombieWorkers:
-    def test_timed_out_request_is_tracked_and_reclaimed(self):
+    """There are none: a request that hits its hard timeout holds no
+    slot, no thread and no CPU once its typed reply is out."""
+
+    def test_timed_out_request_leaves_nothing_behind(self):
         service = LayoutService(
             pool=WorkerPool(kind="serial"),
             use_cache=False,
             request_timeout=1e-6,
         )
         try:
-            resp = service.analyze_dict(dict(REQUEST, deadline_s=None))
-            assert not resp["ok"]
+            threads = threading.active_count()
+            for _ in range(50):
+                resp = service.analyze_dict(dict(REQUEST))
+                assert not resp["ok"]
+                assert resp["error_kind"] == "timeout"
+                assert service.admission.describe()["in_flight"] == 0
+            assert threading.active_count() == threads
+            assert service.metrics.counter("requests_timeout") == 50
+            # the first checkpoint already saw the expired limit
+            assert service.metrics.snapshot()["stage_seconds"] == {}
+        finally:
+            service.close()
+
+    def test_no_stage_runs_after_the_expired_checkpoint(self, monkeypatch):
+        def slow_partition(*args):
+            time.sleep(0.3)
+            return stage_partition(*args)
+
+        monkeypatch.setattr(server_module, "stage_partition", slow_partition)
+        service = LayoutService(
+            pool=WorkerPool(kind="serial"),
+            use_cache=False,
+            request_timeout=0.2,
+        )
+        try:
+            resp = service.analyze_dict(dict(REQUEST, request_id="late"))
             assert resp["error_kind"] == "timeout"
-            assert service.metrics.counter("zombie_workers_total") == 1
-            # the abandoned pipeline thread eventually finishes and the
-            # done-callback reclaims the usable-concurrency slot
-            deadline = time.monotonic() + 30.0
-            while time.monotonic() < deadline:
-                if service.metrics.gauge("zombie_workers") == 0 \
-                        and service.admission.limiter.zombies == 0:
-                    break
-                time.sleep(0.05)
-            assert service.metrics.gauge("zombie_workers") == 0
-            assert service.admission.limiter.zombies == 0
+            # the reply and the event both say where the request stopped
+            assert "stage:alignment" in resp["error"]
+            event = service.telemetry.events.tail(type="service.request")[-1]
+            assert event["attrs"]["stopped_at"] == "stage:alignment"
+            assert event["attrs"]["request_id"] == "late"
+            assert len(
+                service.telemetry.events.tail(type="deadline.expired")
+            ) == 1
+            ran = set(service.metrics.snapshot()["stage_seconds"])
+            assert ran == {"frontend", "partition"}
+            assert service.admission.describe()["in_flight"] == 0
         finally:
             service.close()
 

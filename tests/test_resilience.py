@@ -12,6 +12,7 @@ import pytest
 
 from repro.ilp import ZeroOneModel, solve
 from repro.ilp.branch_bound import solve as bb_solve
+from repro.obs import telemetry
 from repro.resilience import (
     Backoff,
     CircuitBreaker,
@@ -21,10 +22,12 @@ from repro.resilience import (
     FaultPlan,
     FaultSpec,
     InjectedFault,
+    RequestTimeout,
     atomic_write_bytes,
     atomic_write_json,
     checksum_unwrap,
     checksum_wrap,
+    checkpoint,
     collecting,
     current_deadline,
     deadline_scope,
@@ -166,6 +169,50 @@ class TestDeadline:
     def test_budget_must_be_positive(self):
         with pytest.raises(ValueError):
             Deadline(0.0)
+        with pytest.raises(ValueError):
+            Deadline(1.0, hard_s=0.0)
+
+    def test_checkpoint_is_free_without_a_hard_limit(self):
+        checkpoint("nowhere")  # no deadline in scope
+        deadline = Deadline(1e-9)
+        assert deadline.hard_remaining() is None
+        with deadline_scope(deadline):
+            checkpoint("soft budget only")
+
+    def test_hard_limit_raises_the_typed_timeout_at_a_checkpoint(self):
+        deadline = Deadline(60.0, hard_s=1e-9)
+        assert deadline.hard_remaining() == 0.0
+        with deadline_scope(deadline):
+            with pytest.raises(RequestTimeout) as err:
+                checkpoint("stage:alignment")
+        assert err.value.kind == "timeout"
+        assert err.value.stopped_at == "stage:alignment"
+        assert "stage:alignment" in str(err.value)
+        # check() is a checkpoint first, a budget test second
+        with pytest.raises(RequestTimeout):
+            deadline.check("selection.elimination")
+
+    def test_budget_never_outlasts_the_hard_limit(self):
+        deadline = Deadline(60.0, hard_s=0.5)
+        assert deadline.remaining() <= 0.5
+        assert 0.0 < deadline.hard_remaining() <= 0.5
+
+    def test_expiry_is_reported_once_whoever_sees_it(self):
+        seen = []
+
+        def sink(type_, attrs):
+            seen.append(type_)
+
+        telemetry.install_sink(sink)
+        try:
+            deadline = Deadline(60.0, hard_s=1e-9)
+            for _ in range(3):
+                with pytest.raises(RequestTimeout):
+                    deadline.checkpoint("pool.result")
+            assert deadline.expired()
+        finally:
+            telemetry.remove_sink(sink)
+        assert seen == ["deadline.expired"]
 
 
 # -- backoff and circuit breaker ---------------------------------------
@@ -681,8 +728,10 @@ class TestServiceDegradedPath:
         with LayoutService(pool=WorkerPool(kind="serial")) as service:
             with faults.armed(plan):
                 response = service.handle({"op": "ping"})
+            counters = service.stats()["counters"]
         assert response["ok"] is False
         assert response["error_kind"] == "injected-fault"
+        assert counters["requests_failed"] == counters["requests_total"] == 1
 
     def test_deadline_validation(self):
         from repro.service.errors import RequestValidationError

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.machine import IPSC860
+from repro.resilience import Deadline, RequestTimeout, deadline_scope
 from repro.selection import (
     array_transitions,
     best_static_selection,
@@ -18,6 +19,7 @@ from repro.selection import (
     select_layouts,
     static_selections,
 )
+from repro.selection import layout_graph
 from repro.selection.layout_graph import DataLayoutGraph, LayoutEdge
 
 
@@ -247,3 +249,17 @@ class TestArrayTransitions:
             out_mass[src] = out_mass.get(src, 0.0) + freq
         for src, mass in out_mass.items():
             assert mass <= pcfg.phase_frequency(src) + 1e-6
+
+    def test_deadline_checks_leave_every_mass_bit_identical(
+        self, adi_assistant, monkeypatch
+    ):
+        pcfg = adi_assistant.pcfg
+        referencing = {"a": {0, 2, 3}, "x": {1, 5}}
+        plain = array_transitions(pcfg, referencing)
+        monkeypatch.setattr(layout_graph, "_CHECK_STRIDE", 1)
+        with deadline_scope(Deadline(60.0, hard_s=60.0)):
+            assert array_transitions(pcfg, referencing) == plain
+        with deadline_scope(Deadline(60.0, hard_s=1e-9)):
+            with pytest.raises(RequestTimeout) as err:
+                array_transitions(pcfg, referencing)
+        assert err.value.stopped_at == "graph.transitions"

@@ -12,6 +12,7 @@ from repro.machine.params import IPSC860
 from repro.perf.estimator import estimate_search_spaces
 from repro.perf.training import cached_training_database
 from repro.programs.registry import PROGRAMS
+from repro.resilience import Deadline, RequestTimeout, deadline_scope
 from repro.service import JobTimeoutError, WorkerPool
 from repro.tool.assistant import (
     AssistantConfig,
@@ -130,6 +131,15 @@ class TestWorkerPoolRobustness:
                         job_timeout=0.05) as pool:
             with pytest.raises(JobTimeoutError):
                 pool.run_jobs(_sleepy, [(5.0,)])
+
+    def test_hung_worker_cannot_outlast_the_request_hard_limit(self):
+        with WorkerPool(kind="thread", max_workers=1) as pool:
+            start = time.perf_counter()
+            with deadline_scope(Deadline(30.0, hard_s=0.05)):
+                with pytest.raises(RequestTimeout) as err:
+                    pool.run_jobs(_sleepy, [(1.0,), (1.0,)])
+            assert time.perf_counter() - start < 0.9
+        assert err.value.stopped_at == "pool.result"
 
     def test_pool_rebuilds_after_shutdown(self):
         pool = WorkerPool(kind="thread", max_workers=2)

@@ -4,9 +4,13 @@ wire, parity with a direct ``analyze`` run, stats, and the CLI client."""
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
+from repro.obs import tracing
+from repro.programs.registry import PROGRAMS
+from repro.qa.generator import GeneratorConfig, generate_program
 from repro.service import (
     LayoutServer,
     LayoutService,
@@ -50,6 +54,10 @@ class TestProtocolOps:
         resp = send_request({"op": "frobnicate"}, host, port)
         assert not resp["ok"]
         assert resp["error_kind"] == "bad-request"
+        counters = send_request(
+            {"op": "stats"}, host, port
+        )["stats"]["counters"]
+        assert 1 <= counters["requests_failed"] <= counters["requests_total"]
 
     def test_validation_error(self, endpoint):
         host, port = endpoint
@@ -163,6 +171,79 @@ class TestRequestDeadline:
             service.close()
         assert not resp["ok"]
         assert resp["error_kind"] == "timeout"
+
+    def test_configured_timeout_does_not_change_the_answer(self):
+        def answer(request_timeout):
+            with LayoutService(
+                pool=WorkerPool(kind="serial"), use_cache=False,
+                request_timeout=request_timeout,
+            ) as service:
+                resp = service.analyze_dict(dict(REQUEST))
+            for timing in resp["stage_timings"]:
+                del timing["seconds"]
+            return resp
+
+        assert answer(None) == answer(30)
+
+    def test_request_trace_is_separate_from_an_outer_trace(self):
+        outer = tracing.Tracer(name="outer")
+        with LayoutService(
+            pool=WorkerPool(kind="serial"), use_cache=False,
+            request_timeout=30,
+        ) as service:
+            with tracing.activate(outer), tracing.span("caller"):
+                response = service.analyze(
+                    LayoutRequest.from_dict(dict(REQUEST, trace=True))
+                )
+                assert tracing.active_tracer() is outer
+        assert response.ok
+        assert [s["name"] for s in outer.to_dict()["spans"]] == ["caller"]
+        trace = response.trace
+        assert trace["trace_id"] != outer.trace_id
+        names = [s["name"] for s in trace["spans"]]
+        assert "caller" not in names
+        assert names.count("request") == 1
+        assert names.count("service.stage") == 6
+        # self-contained: every parent is a span of the same trace
+        ids = {s["span_id"] for s in trace["spans"]}
+        assert all(
+            s["parent_id"] is None or s["parent_id"] in ids
+            for s in trace["spans"]
+        )
+
+    @pytest.mark.parametrize(
+        "name", ["adi", "erlebacher", "shallow", "tomcatv", "seed-1114"]
+    )
+    def test_timeout_reply_arrives_on_time(self, name):
+        """The reply to a request that cannot finish is late by at most
+        the longest stretch between two checkpoints: within twice the
+        timeout plus 50 ms."""
+        if name in PROGRAMS:
+            payload = {"program": name, "size": PROGRAMS[name].default_size}
+        else:
+            # minutes of absorbed-flow packet chasing when left alone
+            payload = {
+                "source": generate_program(1114, GeneratorConfig()).source
+            }
+        payload.update(op="analyze", procs=4, use_cache=False)
+        with LayoutService(
+            pool=WorkerPool(kind="serial"), use_cache=False
+        ) as service:
+            if name in PROGRAMS:
+                service.analyze_dict(dict(payload))  # warm the process
+                start = time.perf_counter()
+                assert service.analyze_dict(dict(payload))["ok"]
+                untimed = time.perf_counter() - start
+            else:
+                untimed = float("inf")
+            service.request_timeout = min(untimed / 2, 0.5)
+            start = time.perf_counter()
+            resp = service.analyze_dict(dict(payload))
+            seconds = time.perf_counter() - start
+        assert seconds <= 2 * service.request_timeout + 0.05
+        # a limit that passes inside the last stretch of the last stage
+        # meets no checkpoint, and the finished answer is returned
+        assert resp["ok"] or resp["error_kind"] == "timeout"
 
     def test_shutdown_op(self, tmp_path):
         service = LayoutService(pool=WorkerPool(kind="serial"))
