@@ -50,6 +50,7 @@ from .report import (
 )
 from .suite import (
     BENCH_SIZES,
+    GRAPH_STAGE,
     QA_SEEDS,
     STAGE_NAMES,
     BenchCase,
@@ -61,8 +62,8 @@ from .timer import Measurement, mad, measure, measure_memory, median
 
 __all__ = [
     "BENCH_SCHEMA", "BENCH_SIZES", "BenchCase", "BenchInputError",
-    "BenchValidationError", "Measurement", "ProfileResult", "QA_SEEDS",
-    "RegressionReport", "STAGE_NAMES", "Thresholds", "Verdict",
+    "BenchValidationError", "GRAPH_STAGE", "Measurement", "ProfileResult",
+    "QA_SEEDS", "RegressionReport", "STAGE_NAMES", "Thresholds", "Verdict",
     "append_run", "bench_path", "build_suite", "compare_results",
     "default_bench_config", "discover", "format_compare",
     "format_profile", "format_run", "latest_results", "load_bench_file",

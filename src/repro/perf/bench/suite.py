@@ -10,6 +10,10 @@ Two benchmark kinds:
   ``cag_build`` is deliberately a *sub*-measurement of ``alignment_ilp``
   (the search-space heuristic rebuilds per-phase CAGs internally);
   stage timings are comparable run-over-run, not disjoint.
+  ``stage:layout_graph/<program>`` is the same kind of sub-measurement
+  of ``selection_ilp`` — the data layout graph build without the 0-1
+  solve — and ``stage:layout_graph/qa-hotloop`` times it on a generated
+  program whose absorbed flow runs through a hot control loop.
 - **end-to-end benchmarks** (``e2e/<program>``) time ``run_assistant``
   whole, plus ``e2e/qa-corpus``: a fixed-seed batch of generated fuzz
   programs, exercising the many-small-programs service shape.
@@ -34,6 +38,7 @@ from ...obs.tracing import span as obs_span
 from ...service.telemetry import TailSampler
 from ...programs.registry import PROGRAMS
 from ...qa.generator import GeneratorConfig, generate_program
+from ...selection.layout_graph import build_layout_graph
 from ...tool.assistant import (
     AssistantConfig,
     run_assistant,
@@ -51,6 +56,9 @@ STAGE_NAMES = (
     "parse", "partition", "cag_build", "alignment_ilp", "distribution",
     "estimation", "selection_ilp",
 )
+
+#: the data layout graph build, timed on its own beside the seven
+GRAPH_STAGE = "layout_graph"
 
 #: pinned per-program bench problem sizes (smallest grid size each, so
 #: the whole suite runs in seconds; changing these invalidates baselines)
@@ -74,6 +82,11 @@ EXTENDED_NPROCS = 2
 
 #: fixed seeds of the generated QA-corpus batch
 QA_SEEDS = (0, 1, 2, 3)
+
+#: ``GeneratorConfig()`` seed of ``stage:layout_graph/qa-hotloop``: array
+#: ``a`` is used by the last phase of a control loop whose first two
+#: phases do not touch it and loop on themselves 21 and 189 times
+HOTLOOP_SEED = 1413
 
 
 def default_bench_config(
@@ -132,7 +145,8 @@ def bench_source(name: str, size: Optional[int] = None) -> str:
 
 
 def _stage_cases(prep: PreparedProgram) -> List[BenchCase]:
-    """The seven per-stage benchmarks of one prepared program."""
+    """The per-stage benchmarks of one prepared program: the seven
+    stages and the layout-graph build."""
     config = prep.config
 
     def run_parse() -> None:
@@ -168,6 +182,12 @@ def _stage_cases(prep: PreparedProgram) -> List[BenchCase]:
             prep.db, config,
         )
 
+    def run_layout_graph() -> None:
+        build_layout_graph(
+            prep.partition.phases, prep.pcfg, prep.estimates,
+            prep.symbols, prep.db, config.nprocs,
+        )
+
     thunks = {
         "parse": run_parse,
         "partition": run_partition,
@@ -176,6 +196,7 @@ def _stage_cases(prep: PreparedProgram) -> List[BenchCase]:
         "distribution": run_distribution,
         "estimation": run_estimation,
         "selection_ilp": run_selection_ilp,
+        GRAPH_STAGE: run_layout_graph,
     }
     return [
         BenchCase(
@@ -183,9 +204,9 @@ def _stage_cases(prep: PreparedProgram) -> List[BenchCase]:
             kind="stage",
             program=prep.name,
             stage=stage,
-            fn=thunks[stage],
+            fn=fn,
         )
-        for stage in STAGE_NAMES
+        for stage, fn in thunks.items()
     ]
 
 
@@ -256,11 +277,12 @@ def build_suite(
     """Collect the benchmark suite (preparation runs here, untimed)."""
     config = config or default_bench_config()
     names = list(programs) if programs else sorted(BENCH_SIZES)
-    wanted_stages = tuple(stages) if stages else STAGE_NAMES
-    unknown = sorted(set(wanted_stages) - set(STAGE_NAMES))
+    known_stages = STAGE_NAMES + (GRAPH_STAGE,)
+    wanted_stages = tuple(stages) if stages else known_stages
+    unknown = sorted(set(wanted_stages) - set(known_stages))
     if unknown:
         raise ValueError(
-            f"unknown stages {unknown}; known: {list(STAGE_NAMES)}"
+            f"unknown stages {unknown}; known: {list(known_stages)}"
         )
     cases: List[BenchCase] = []
     for name in names:
@@ -288,6 +310,15 @@ def build_suite(
             )
     if include_e2e and include_qa:
         cases.append(_qa_corpus_case(config, qa_seeds))
+    if include_qa and GRAPH_STAGE in wanted_stages:
+        hotloop = PreparedProgram(
+            "qa-hotloop",
+            generate_program(HOTLOOP_SEED, GeneratorConfig()).source,
+            replace(config, nprocs=4),
+        )
+        cases.extend(
+            c for c in _stage_cases(hotloop) if c.stage == GRAPH_STAGE
+        )
     return sorted(cases, key=lambda c: c.bench_id)
 
 
@@ -312,7 +343,7 @@ def run_suite(
 
 __all__ = [
     "BENCH_NPROCS", "BENCH_SIZES", "BenchCase", "EXTENDED_NPROCS",
-    "EXTENDED_PROGRAM", "PreparedProgram",
+    "EXTENDED_PROGRAM", "GRAPH_STAGE", "PreparedProgram",
     "QA_SEEDS", "STAGE_NAMES", "bench_source", "build_suite",
     "default_bench_config", "run_suite",
 ]

@@ -9,15 +9,24 @@ Remapping follows **lazy** semantics (matching the SPMD code generator):
 an array is remapped when it is next *used* under a different layout, so
 remap edges connect, per array, each referencing phase to the next phase
 referencing that array — phases in between that do not touch the array do
-not pin its layout.  Transition frequencies are absorbed-flow masses on
-the PCFG (a loop back-edge makes the last and first referencing phases of
-the loop adjacent, charging per-iteration remaps correctly).
+not pin its layout.  A remap edge's transition frequency is the expected
+number of control transfers from one referencing phase to the next: the
+PCFG read as an absorbing Markov chain in which the array's referencing
+phases and the program exit absorb and every other phase passes mass on
+in proportion to its out-edge frequencies (a loop back-edge makes the
+last and first referencing phases of the loop adjacent, charging
+per-iteration remaps correctly).  Mass that reaches the exit before
+another use of the array is *lost at exit*: it prices no remap.
+:func:`array_transitions` solves for the frequencies exactly, one linear
+system per distinct set of referencing phases.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
+
+import numpy as np
 
 from ..analysis.pcfg import ENTRY, EXIT, PCFG
 from ..analysis.phases import Phase
@@ -26,14 +35,7 @@ from ..frontend.symbols import ArraySymbol, SymbolTable
 from ..obs import tracing
 from ..perf.estimator import EstimatedCandidate, EstimationResult
 from ..perf.training import TrainingDatabase
-from ..resilience.deadline import current_deadline
-
-#: mass below this fraction of the initial flow is dropped during
-#: absorbed-flow propagation (guards against non-referencing cycles)
-_MASS_EPS = 1e-9
-
-#: worklist pops between two looks at the request's hard limit
-_CHECK_STRIDE = 4096
+from ..resilience.deadline import checkpoint
 
 
 def array_transitions(
@@ -41,55 +43,92 @@ def array_transitions(
     referencing: Dict[str, set],
 ) -> Dict[str, List[Tuple[int, int, float]]]:
     """For every array, the expected number of direct control transfers
-    from each referencing phase to the *next* referencing phase.
+    from each referencing phase to the *next* referencing phase, as
+    sorted ``(src, dst, freq)`` triples.
 
-    Computed by absorbing flow: each referencing phase emits its out-edge
-    frequencies; mass travels through non-referencing phases (split
-    proportionally to edge frequencies) until absorbed by a referencing
-    phase or lost at the program exit.  A request deadline in scope is
-    consulted every ``_CHECK_STRIDE`` pops, so a pathological PCFG
-    cannot outrun the request's hard limit.
+    The answer depends on the set of referencing phases only, so arrays
+    referenced by the same phases share one :func:`_absorbed_flow`; a
+    request deadline in scope is consulted once per distinct set.
     """
-    graph = pcfg.graph
-    deadline = current_deadline()
-    pops = 0
+    edges = {
+        node: {succ: data["freq"] for succ, data in successors.items()}
+        for node, successors in pcfg.graph.adjacency()
+    }
+    solved: Dict[frozenset, List[Tuple[int, int, float]]] = {}
     out: Dict[str, List[Tuple[int, int, float]]] = {}
     for array, refs in referencing.items():
-        transitions: Dict[Tuple[int, int], float] = {}
-        for src in sorted(refs):
-            if src not in graph:
-                continue
-            # Initial mass: src's outgoing edge frequencies.
-            worklist: List[Tuple[object, float]] = [
-                (v, data["freq"])
-                for _, v, data in graph.out_edges(src, data=True)
-            ]
-            initial = sum(m for _, m in worklist) or 1.0
-            guard = _MASS_EPS * initial
-            while worklist:
-                node, mass = worklist.pop()
-                if deadline is not None:
-                    pops += 1
-                    if pops % _CHECK_STRIDE == 0:
-                        deadline.checkpoint("graph.transitions")
-                if mass <= guard:
-                    continue
-                if isinstance(node, int) and node in refs:
-                    key = (src, node)
-                    transitions[key] = transitions.get(key, 0.0) + mass
-                    continue
-                if node == EXIT:
-                    continue
-                edges = list(graph.out_edges(node, data=True))
-                total = sum(d["freq"] for _, _, d in edges)
-                if total <= 0.0:
-                    continue
-                for _, succ, data in edges:
-                    worklist.append((succ, mass * data["freq"] / total))
-        out[array] = sorted(
-            (src, dst, freq) for (src, dst), freq in transitions.items()
-        )
+        key = frozenset(refs)
+        if key not in solved:
+            checkpoint("graph.transitions")
+            solved[key] = _absorbed_flow(edges, key)
+        out[array] = list(solved[key])
     return out
+
+
+def _absorbed_flow(
+    edges: Dict[object, Dict[object, float]], refs: frozenset
+) -> List[Tuple[int, int, float]]:
+    """Absorption frequencies of the chain whose absorbing states are the
+    phases in ``refs`` and the program exit.
+
+    Each referencing phase emits its out-edge frequencies.  The other
+    phases that mass can enter are the transient states: mass in one
+    moves along an out-edge with probability edge frequency over the
+    node's out-frequency.  With ``Q`` the transient-to-transient and
+    ``R`` the transient-to-referencing block of those probabilities,
+    ``X = (I - Q)^-1 R`` is the share of the mass entering a transient
+    phase that each referencing phase absorbs; the rest is lost at exit.
+    A transient phase that reaches no referencing phase loses all its
+    mass: clearing its row of ``Q`` keeps ``I - Q`` non-singular, and a
+    share is zero exactly where no path exists.
+    """
+    sources = sorted(src for src in refs if src in edges)
+    column = {dst: j for j, dst in enumerate(sources)}
+    row: Dict[object, int] = {}
+    pending = [v for src in sources for v in edges[src]]
+    while pending:
+        node = pending.pop()
+        if node in refs or node == EXIT or node in row:
+            continue
+        row[node] = len(row)
+        pending.extend(edges[node])
+
+    shares: List[List[float]] = []
+    if row:
+        q = np.zeros((len(row), len(row)))
+        r = np.zeros((len(row), len(sources)))
+        for node, i in row.items():
+            total = sum(edges[node].values())
+            for succ, freq in edges[node].items():
+                if succ in row:
+                    q[i, row[succ]] = freq / total
+                elif succ in column:
+                    r[i, column[succ]] = freq / total
+        # Which referencing phases each transient phase can reach: k
+        # squarings cover paths of 2**k hops (0/1 counts, so a zero is
+        # structural, not a cancellation).
+        hop = np.eye(len(row)) + (q > 0.0)
+        for _ in range(len(row).bit_length()):
+            hop = np.minimum(hop @ hop, 1.0)
+        reach = hop @ r > 0.0
+        q[~reach.any(axis=1)] = 0.0
+        x = np.linalg.solve(np.eye(len(row)) - q, r)
+        shares = np.where(reach, x, 0.0).tolist()  # plain floats
+
+    transitions: List[Tuple[int, int, float]] = []
+    for src in sources:
+        absorbed = [0.0] * len(sources)
+        for succ, freq in edges[src].items():
+            if succ in column:
+                absorbed[column[succ]] += freq
+            elif succ in row:
+                for j, share in enumerate(shares[row[succ]]):
+                    absorbed[j] += freq * share
+        transitions.extend(
+            (src, dst, freq) for dst, freq in zip(sources, absorbed)
+            if freq > 0.0
+        )
+    return transitions
 
 
 @dataclass

@@ -41,7 +41,7 @@ from repro.perf.bench import (
     run_suite,
     validate_bench_file,
 )
-from repro.perf.bench.suite import STAGE_NAMES
+from repro.perf.bench.suite import GRAPH_STAGE, STAGE_NAMES
 from repro.service.metrics import Metrics
 from repro.tool.cli import main as cli_main
 
@@ -278,9 +278,20 @@ class TestSuite:
         cases = build_suite(programs=["tomcatv"], sizes={"tomcatv": 32},
                             include_e2e=False, include_qa=False)
         stages = {c.stage for c in cases}
-        assert stages == set(STAGE_NAMES)
+        # ... and the layout-graph build, a part of selection_ilp
+        assert stages == set(STAGE_NAMES) | {GRAPH_STAGE}
         assert len(STAGE_NAMES) == 7
         assert all(c.bench_id.startswith("stage:") for c in cases)
+
+    def test_layout_graph_stage_selects_programs_and_the_hot_loop(self):
+        cases = build_suite(programs=["adi"], sizes={"adi": 32},
+                            stages=[GRAPH_STAGE])
+        assert [c.bench_id for c in cases] == [
+            "e2e/adi", "e2e/qa-corpus",
+            "stage:layout_graph/adi", "stage:layout_graph/qa-hotloop",
+        ]
+        results = run_suite(cases[2:], repeats=1, warmup=0, memory=False)
+        assert all(m.min_s > 0 for m in results.values())
 
     def test_suite_ids_are_sorted_and_deterministic(self):
         cases = build_suite(programs=["tomcatv"], sizes={"tomcatv": 32})

@@ -19,7 +19,6 @@ from repro.selection import (
     select_layouts,
     static_selections,
 )
-from repro.selection import layout_graph
 from repro.selection.layout_graph import DataLayoutGraph, LayoutEdge
 
 
@@ -251,12 +250,11 @@ class TestArrayTransitions:
             assert mass <= pcfg.phase_frequency(src) + 1e-6
 
     def test_deadline_checks_leave_every_mass_bit_identical(
-        self, adi_assistant, monkeypatch
+        self, adi_assistant
     ):
         pcfg = adi_assistant.pcfg
         referencing = {"a": {0, 2, 3}, "x": {1, 5}}
         plain = array_transitions(pcfg, referencing)
-        monkeypatch.setattr(layout_graph, "_CHECK_STRIDE", 1)
         with deadline_scope(Deadline(60.0, hard_s=60.0)):
             assert array_transitions(pcfg, referencing) == plain
         with deadline_scope(Deadline(60.0, hard_s=1e-9)):
