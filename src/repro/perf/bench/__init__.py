@@ -51,6 +51,7 @@ from .report import (
 from .suite import (
     BENCH_SIZES,
     GRAPH_STAGE,
+    HANDLE_LAYER,
     QA_SEEDS,
     STAGE_NAMES,
     BenchCase,
@@ -62,7 +63,8 @@ from .timer import Measurement, mad, measure, measure_memory, median
 
 __all__ = [
     "BENCH_SCHEMA", "BENCH_SIZES", "BenchCase", "BenchInputError",
-    "BenchValidationError", "GRAPH_STAGE", "Measurement", "ProfileResult",
+    "BenchValidationError", "GRAPH_STAGE", "HANDLE_LAYER",
+    "Measurement", "ProfileResult",
     "QA_SEEDS", "RegressionReport", "STAGE_NAMES", "Thresholds", "Verdict",
     "append_run", "bench_path", "build_suite", "compare_results",
     "default_bench_config", "discover", "format_compare",

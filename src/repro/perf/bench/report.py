@@ -26,14 +26,15 @@ def _row(result: ResultLike) -> Mapping[str, Any]:
 
 def format_run(results: Mapping[str, ResultLike]) -> str:
     """Fixed-width table of one suite run."""
+    width = max([32, *map(len, results)])
     lines = [
-        f"{'benchmark':<32} {'min':>10} {'median':>10} {'mad':>9} "
+        f"{'benchmark':<{width}} {'min':>10} {'median':>10} {'mad':>9} "
         f"{'peak mem':>10} {'reps':>5}"
     ]
     for bench_id in sorted(results):
         row = _row(results[bench_id])
         lines.append(
-            f"{bench_id:<32} {row['min_s'] * 1e3:>8.2f}ms "
+            f"{bench_id:<{width}} {row['min_s'] * 1e3:>8.2f}ms "
             f"{row['median_s'] * 1e3:>8.2f}ms "
             f"{row['mad_s'] * 1e3:>7.2f}ms "
             f"{row.get('peak_bytes', 0) / 1024:>6.0f}KiB "
@@ -44,8 +45,9 @@ def format_run(results: Mapping[str, ResultLike]) -> str:
 
 def format_compare(report: RegressionReport) -> str:
     """Comparison table plus a one-line gate verdict."""
+    width = max([32, *(len(v.bench_id) for v in report.verdicts)])
     lines = [
-        f"{'benchmark':<32} {'baseline':>10} {'current':>10} "
+        f"{'benchmark':<{width}} {'baseline':>10} {'current':>10} "
         f"{'ratio':>7}  status"
     ]
     for v in report.verdicts:
@@ -55,7 +57,8 @@ def format_compare(report: RegressionReport) -> str:
             "new", "missing"
         ) else "-"
         lines.append(
-            f"{v.bench_id:<32} {base:>10} {cur:>10} {ratio:>7}  {v.status}"
+            f"{v.bench_id:<{width}} {base:>10} {cur:>10} {ratio:>7}  "
+            f"{v.status}"
         )
     regressions = report.regressions
     if regressions:

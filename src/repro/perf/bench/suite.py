@@ -17,6 +17,12 @@ Two benchmark kinds:
 - **end-to-end benchmarks** (``e2e/<program>``) time ``run_assistant``
   whole, plus ``e2e/qa-corpus``: a fixed-seed batch of generated fuzz
   programs, exercising the many-small-programs service shape.
+- **layer benchmarks** (``layer:service.handle/<path>/<program>``) time
+  one ``analyze`` request through ``LayoutService.handle`` — protocol,
+  admission, cache, metrics, telemetry and all — on its three cache
+  paths: ``cold`` (empty cache: every stage computed and stored),
+  ``warm-mem`` (the answer comes out of the memory LRU) and
+  ``warm-disk`` (memory tier dropped first: read, checksum, unpickle).
 
 Everything is deterministic by construction: bench sizes are pinned per
 program (the smallest grid size from EXPERIMENTS.md, so a full run stays
@@ -26,7 +32,10 @@ interactive), QA programs come from fixed seeds, estimation runs serial
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import shutil
+import tempfile
+from dataclasses import asdict, dataclass, replace
+from functools import lru_cache
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 from ...alignment.search_space import build_alignment_search_spaces
@@ -35,6 +44,8 @@ from ...distribution.search_space import DistributionOptions
 from ...machine.params import IPSC860, MachineParams
 from ...obs import tracing
 from ...obs.tracing import span as obs_span
+from ...service.pool import WorkerPool
+from ...service.server import LayoutService
 from ...service.telemetry import TailSampler
 from ...programs.registry import PROGRAMS
 from ...qa.generator import GeneratorConfig, generate_program
@@ -59,6 +70,10 @@ STAGE_NAMES = (
 
 #: the data layout graph build, timed on its own beside the seven
 GRAPH_STAGE = "layout_graph"
+
+#: whole requests through ``LayoutService.handle``, by cache path;
+#: selectable with ``--stages`` like a stage, dropped by ``--no-e2e``
+HANDLE_LAYER = "service.handle"
 
 #: pinned per-program bench problem sizes (smallest grid size each, so
 #: the whole suite runs in seconds; changing these invalidates baselines)
@@ -102,7 +117,7 @@ class BenchCase:
     """One runnable benchmark: a stable ID plus a zero-arg thunk."""
 
     bench_id: str
-    kind: str  # "stage" | "e2e"
+    kind: str  # "stage" | "e2e" | "layer"
     program: str
     stage: Optional[str]
     fn: Callable[[], Any]
@@ -243,6 +258,62 @@ def _e2e_case(prep: PreparedProgram) -> BenchCase:
     )
 
 
+@lru_cache(maxsize=None)
+def _handle_service(program: str):
+    """One engine per program and process, and the scratch cache
+    directory it works in (held here, so it goes away with the
+    interpreter); estimation runs serial, as everywhere in this suite."""
+    scratch = tempfile.TemporaryDirectory(prefix=f"repro-bench-{program}-")
+    return scratch, LayoutService(
+        cache_dir=scratch.name, pool=WorkerPool(kind="serial")
+    )
+
+
+def _handle_cases(prep: PreparedProgram) -> List[BenchCase]:
+    """One request's whole way through the service, per cache path."""
+    name = prep.name
+    _, service = _handle_service(name)
+    payload = {
+        "op": "analyze", "source": prep.source,
+        "procs": prep.config.nprocs,
+        "machine": asdict(prep.config.machine),
+        "backend": prep.config.ilp_backend,
+    }
+
+    def handle(hits: int) -> None:
+        reply = service.handle(dict(payload))
+        if not reply.get("ok") or reply["degraded"] \
+                or reply["cache_hits"] != hits:
+            raise RuntimeError(f"{name}: not the path to time: {reply}")
+
+    def run_cold() -> None:
+        shutil.rmtree(service.cache.root, ignore_errors=True)
+        service.cache.clear_memory()
+        handle(0)
+
+    def run_warm_mem() -> None:
+        handle(1)
+
+    def run_warm_disk() -> None:
+        service.cache.clear_memory()
+        handle(1)
+
+    # every path leaves the answer stored in both tiers, so the cases
+    # run in any order and any subset
+    run_cold()
+    thunks = {
+        "cold": run_cold, "warm-mem": run_warm_mem,
+        "warm-disk": run_warm_disk,
+    }
+    return [
+        BenchCase(
+            bench_id=f"layer:{HANDLE_LAYER}/{path}/{name}",
+            kind="layer", program=name, stage=HANDLE_LAYER, fn=fn,
+        )
+        for path, fn in thunks.items()
+    ]
+
+
 def _qa_corpus_case(config: AssistantConfig,
                     seeds: Sequence[int]) -> BenchCase:
     """One benchmark that runs the whole pipeline over a fixed-seed batch
@@ -277,7 +348,7 @@ def build_suite(
     """Collect the benchmark suite (preparation runs here, untimed)."""
     config = config or default_bench_config()
     names = list(programs) if programs else sorted(BENCH_SIZES)
-    known_stages = STAGE_NAMES + (GRAPH_STAGE,)
+    known_stages = STAGE_NAMES + (GRAPH_STAGE, HANDLE_LAYER)
     wanted_stages = tuple(stages) if stages else known_stages
     unknown = sorted(set(wanted_stages) - set(known_stages))
     if unknown:
@@ -298,6 +369,8 @@ def build_suite(
         )
         if include_e2e:
             cases.append(_e2e_case(prep))
+            if HANDLE_LAYER in wanted_stages:
+                cases.extend(_handle_cases(prep))
         if name == EXTENDED_PROGRAM and "selection_ilp" in wanted_stages:
             extended = PreparedProgram(
                 f"{name}-extended", prep.source,
@@ -343,7 +416,8 @@ def run_suite(
 
 __all__ = [
     "BENCH_NPROCS", "BENCH_SIZES", "BenchCase", "EXTENDED_NPROCS",
-    "EXTENDED_PROGRAM", "GRAPH_STAGE", "PreparedProgram",
+    "EXTENDED_PROGRAM", "GRAPH_STAGE", "HANDLE_LAYER",
+    "PreparedProgram",
     "QA_SEEDS", "STAGE_NAMES", "bench_source", "build_suite",
     "default_bench_config", "run_suite",
 ]

@@ -197,8 +197,9 @@ class ChaosReport:
 def _analyze_twice(
     cache_dir: str, request: Dict[str, Any]
 ) -> Dict[str, Any]:
-    """Run one request twice on a fresh service (second pass exercises
-    the disk-cache load path); returns the final response dict."""
+    """Run one request twice on a fresh service, dropping the memory
+    tier in between so the second pass really reads the disk entries
+    (``store`` fills the LRU too); returns the final response dict."""
     from ..service.pool import WorkerPool
     from ..service.server import LayoutService
 
@@ -207,6 +208,7 @@ def _analyze_twice(
         pool=WorkerPool(kind="thread", max_workers=2),
     ) as service:
         service.handle(dict(request))
+        service.cache.clear_memory()
         return service.handle(dict(request))
 
 

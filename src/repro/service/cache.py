@@ -2,8 +2,14 @@
 
 Every pipeline stage's output is stored under a key derived from the
 *content* that determines it — never from object identity or wall-clock
-time.  The keying scheme is a hash chain along the pipeline:
+time.  The keying scheme is a hash chain along the pipeline, with one
+shortcut across it:
 
+- ``answer``       <- sha256 of the raw source text + the hash of the
+  whole config (``AssistantConfig.to_key``).  Not a link of the chain:
+  its value is what a reply carries (predicted time, static-or-dynamic,
+  the serialized layouts) and its key is known before any work, so the
+  service looks it up first and a repeated request loads nothing else;
 - ``frontend``     <- sha256 of the raw source text (the only content
   available before parsing);
 - ``program key``  <- sha256 of the *normalized* program (the pretty
@@ -21,6 +27,11 @@ Machine and compiler parameters enter the chain only at the estimation
 stage, so swapping machines reuses everything up to and including the
 distribution stage; changing nprocs invalidates from the distribution
 stage down; editing only branch probabilities keeps the frontend hit.
+Each of these misses ``answer`` too (any config field is in its key),
+and so does a whitespace edit, which then misses ``frontend``, hits the
+five normalized-key stages and stores an answer of its own.  A request
+with ``use_cache: false`` goes round all seven: nothing looked up,
+nothing stored.
 
 Storage is two-level: a small in-memory LRU in front of one pickle file
 per entry (``<root>/<stage>/<key>.pkl``).  On-disk entries carry a
@@ -40,6 +51,7 @@ import os
 import pickle
 import threading
 from collections import OrderedDict
+from functools import cached_property
 from typing import Any, Dict, Optional, Tuple
 
 from ..frontend.printer import format_program
@@ -81,21 +93,38 @@ class StageKeys:
 
     def __init__(self, source: str, config: AssistantConfig):
         self.config = config
-        cfg = config.to_dict()
-        self._branch = _canonical({
-            "branch_probability": cfg["branch_probability"],
-            "branch_prob_overrides": cfg["branch_prob_overrides"],
-        })
-        self._backend = cfg["ilp_backend"]
-        self._dist = _canonical(cfg["distributions"])
-        self._compiler = _canonical(cfg["compiler"])
-        self._nprocs = str(cfg["nprocs"])
-        self._machine = machine_cache_key(config.machine)
-
-        self.frontend = _sha256("frontend", CACHE_VERSION, source)
+        self._source = source
         # downstream keys need the normalized program; they are derived
         # lazily once the frontend stage has produced it.
         self.program_key: Optional[str] = None
+
+    @cached_property
+    def answer(self) -> str:
+        """Known before any work: raw source + the whole config."""
+        return _sha256(
+            "answer", CACHE_VERSION, self._source, self.config.to_key()
+        )
+
+    @cached_property
+    def frontend(self) -> str:
+        return _sha256("frontend", CACHE_VERSION, self._source)
+
+    @cached_property
+    def _parts(self) -> Dict[str, str]:
+        """What each stage key takes from the config; an answer hit
+        never gets here."""
+        cfg = self.config.to_dict()
+        return {
+            "branch": _canonical({
+                "branch_probability": cfg["branch_probability"],
+                "branch_prob_overrides": cfg["branch_prob_overrides"],
+            }),
+            "backend": cfg["ilp_backend"],
+            "dist": _canonical(cfg["distributions"]),
+            "compiler": _canonical(cfg["compiler"]),
+            "nprocs": str(cfg["nprocs"]),
+            "machine": machine_cache_key(self.config.machine),
+        }
 
     def bind_program(self, program) -> None:
         """Derive the normalized-AST key once the frontend stage ran (or
@@ -111,27 +140,31 @@ class StageKeys:
 
     @property
     def partition(self) -> str:
-        return _sha256("partition", self._require_program(), self._branch)
+        program = self._require_program()
+        return _sha256("partition", program, self._parts["branch"])
 
     @property
     def alignment(self) -> str:
-        return _sha256("alignment", self.partition, self._backend)
+        return _sha256("alignment", self.partition, self._parts["backend"])
 
     @property
     def distribution(self) -> str:
+        part = self._parts
         return _sha256(
-            "distribution", self.alignment, self._nprocs, self._dist
+            "distribution", self.alignment, part["nprocs"], part["dist"]
         )
 
     @property
     def estimation(self) -> str:
+        part = self._parts
         return _sha256(
-            "estimation", self.distribution, self._machine, self._compiler
+            "estimation", self.distribution, part["machine"],
+            part["compiler"],
         )
 
     @property
     def selection(self) -> str:
-        return _sha256("selection", self.estimation, self._backend)
+        return _sha256("selection", self.estimation, self._parts["backend"])
 
     def key_for(self, stage: str) -> str:
         return getattr(self, stage)

@@ -210,6 +210,19 @@ def serialize_layout(layout: DataLayout) -> Dict[str, Any]:
     }
 
 
+def answer_of(result: AssistantResult) -> Dict[str, Any]:
+    """What a reply carries of a result, and all the ``answer`` cache
+    stage stores: plain JSON-safe values, no analysis objects."""
+    return {
+        "predicted_total_us": result.predicted_total_us,
+        "is_dynamic": result.is_dynamic,
+        "layouts": {
+            str(idx): serialize_layout(layout)
+            for idx, layout in sorted(result.selected_layouts.items())
+        },
+    }
+
+
 @dataclass
 class LayoutResponse:
     """The answer to an ``analyze`` request."""
@@ -244,21 +257,32 @@ class LayoutResponse:
         request_id: Optional[str] = None,
         degradations: Optional[List[Dict[str, Any]]] = None,
     ) -> "LayoutResponse":
+        return cls.from_answer(
+            answer_of(result), timings, request_id, degradations
+        )
+
+    @classmethod
+    def from_answer(
+        cls,
+        answer: Mapping[str, Any],
+        timings: List[StageTiming],
+        request_id: Optional[str] = None,
+        degradations: Optional[List[Dict[str, Any]]] = None,
+    ) -> "LayoutResponse":
+        """The one way a successful reply is built: from the answer
+        value, whether it was computed or came out of the cache (whose
+        memory tier shares it with later replies: read, never mutate)."""
         degradations = degradations or []
+        hits = sum(1 for t in timings if t.cache_hit)
         return cls(
             ok=True,
             request_id=request_id,
-            predicted_total_us=result.predicted_total_us,
-            is_dynamic=result.is_dynamic,
-            layouts={
-                str(idx): serialize_layout(layout)
-                for idx, layout in sorted(result.selected_layouts.items())
-            },
             stage_timings=timings,
-            cache_hits=sum(1 for t in timings if t.cache_hit),
-            cache_misses=sum(1 for t in timings if not t.cache_hit),
+            cache_hits=hits,
+            cache_misses=len(timings) - hits,
             degraded=bool(degradations),
             degradations=degradations,
+            **answer,
         )
 
     @classmethod

@@ -72,6 +72,7 @@ from .protocol import (
     LayoutResponse,
     RetryPolicy,
     StageTiming,
+    answer_of,
 )
 from .telemetry import ServiceTelemetry
 
@@ -159,27 +160,37 @@ class LayoutService:
 
     def _run_pipeline(
         self, request: LayoutRequest
-    ) -> Tuple[AssistantResult, List[StageTiming]]:
+    ) -> Tuple[Dict[str, Any], List[StageTiming]]:
+        """The reply's content (:func:`answer_of`) and what each stage
+        took.  The ``answer`` stage is looked up first, under a key known
+        before any work; the six analysis stages run only when it
+        misses."""
         source = request.resolve_source()
         config = request.resolve_config()
         keys = StageKeys(source, config)
         use_cache = self.use_cache and request.use_cache
         timings: List[StageTiming] = []
+        clean = noted_count()
 
-        def run_stage(name: str, key: str, compute):
+        def keep(name: str, key: str, value) -> None:
+            # Never cache anything computed after a degradation: a stage
+            # fed a heuristic upstream output is as tainted as the stage
+            # that fell back, and a later request with a full budget
+            # must recompute both, not inherit them.
+            if use_cache and noted_count() == clean:
+                self.cache.store(name, key, value)
+
+        def run_stage(name: str, key: str, compute=None):
+            """Load or compute one stage; with no ``compute`` a miss
+            stays a miss (``None``)."""
             checkpoint(f"stage:{name}")
             with tracing.span("service.stage", stage=name) as stage_span:
                 start = perf_counter()
                 hit, value = (self.cache.load(name, key) if use_cache
                               else (False, None))
-                if not hit:
-                    before = noted_count()
+                if not hit and compute is not None:
                     value = compute()
-                    # Never cache a degraded stage output: a later
-                    # request with a full budget must recompute it, not
-                    # inherit this request's heuristic fallback.
-                    if use_cache and noted_count() == before:
-                        self.cache.store(name, key, value)
+                    keep(name, key, value)
                 seconds = perf_counter() - start
                 stage_span.set_attr("cache_hit", hit)
             timings.append(
@@ -189,6 +200,12 @@ class LayoutService:
             self.metrics.record_cache(name, hit)
             return value
 
+        if use_cache:
+            # nothing computes an answer but the six stages below: on a
+            # miss they run and the answer is kept once they are through
+            answer = run_stage("answer", keys.answer)
+            if answer is not None:
+                return answer, timings
         program, symbols = run_stage(
             "frontend", keys.frontend, lambda: stage_frontend(source)
         )
@@ -222,7 +239,7 @@ class LayoutService:
                 partition, pcfg, estimates, symbols, db, config
             ),
         )
-        result = AssistantResult(
+        answer = answer_of(AssistantResult(
             config=config,
             program=program,
             symbols=symbols,
@@ -235,8 +252,9 @@ class LayoutService:
             graph=graph,
             selection=selection,
             db=db,
-        )
-        return result, timings
+        ))
+        keep("answer", keys.answer, answer)
+        return answer, timings
 
     # -- request handling ------------------------------------------------
 
@@ -322,7 +340,7 @@ class LayoutService:
                         request_id=request.request_id or "",
                         program=request.program or "<source>",
                     ):
-                        result, timings = self._run_pipeline(request)
+                        answer, timings = self._run_pipeline(request)
                 degradations = [e.to_dict() for e in events]
             except Exception as exc:
                 # RequestTimeout is the hard limit firing at a
@@ -373,8 +391,8 @@ class LayoutService:
             request, tracer, seconds,
             ok=True, degraded=bool(degradations),
         )
-        response = LayoutResponse.from_result(
-            result, timings, request_id=request.request_id,
+        response = LayoutResponse.from_answer(
+            answer, timings, request_id=request.request_id,
             degradations=degradations,
         )
         if request.trace:

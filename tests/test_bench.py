@@ -41,7 +41,7 @@ from repro.perf.bench import (
     run_suite,
     validate_bench_file,
 )
-from repro.perf.bench.suite import GRAPH_STAGE, STAGE_NAMES
+from repro.perf.bench.suite import GRAPH_STAGE, HANDLE_LAYER, STAGE_NAMES
 from repro.service.metrics import Metrics
 from repro.tool.cli import main as cli_main
 
@@ -292,6 +292,22 @@ class TestSuite:
         ]
         results = run_suite(cases[2:], repeats=1, warmup=0, memory=False)
         assert all(m.min_s > 0 for m in results.values())
+
+    def test_handle_layer_times_the_three_cache_paths(self):
+        cases = build_suite(programs=["adi"], sizes={"adi": 32},
+                            stages=[HANDLE_LAYER], include_qa=False)
+        assert [c.bench_id for c in cases] == ["e2e/adi"] + [
+            f"layer:service.handle/{path}/adi"
+            for path in ("cold", "warm-disk", "warm-mem")
+        ]
+        layer = [c for c in cases if c.kind == "layer"]
+        assert not build_suite(programs=["adi"], sizes={"adi": 32},
+                               stages=[HANDLE_LAYER], include_e2e=False)
+        # any order, any subset: each thunk checks it got its own path
+        results = run_suite(layer[::-1] + layer[1:2], repeats=2, warmup=0,
+                            memory=False)
+        cold, disk, mem = (results[c.bench_id].min_s for c in layer)
+        assert cold > disk and cold > mem > 0
 
     def test_suite_ids_are_sorted_and_deterministic(self):
         cases = build_suite(programs=["tomcatv"], sizes={"tomcatv": 32})

@@ -14,10 +14,13 @@ from repro.resilience.chaos import (
     TYPED_ERROR_KINDS,
     ChaosReport,
     CaseResult,
+    _analyze_twice,
     _classify,
+    _request,
     build_plan,
     run_chaos,
 )
+from repro.resilience.faults import FaultSpec, armed
 from repro.tool.cli import main
 
 
@@ -112,6 +115,25 @@ class TestCampaign:
         summary = report.summary()
         assert "invariant held" in summary
         assert report.to_dict()["total"] == 8
+
+    def test_second_pass_reads_the_disk_under_fire(self, tmp_path):
+        """``store`` fills the memory LRU too, so without dropping it the
+        second pass never hands ``corrupt_point("cache.load")`` a blob."""
+        request = _request("erlebacher", 4)
+        reference = _analyze_twice(str(tmp_path / "ref"), request)
+        assert [t["stage"] for t in reference["stage_timings"]] == ["answer"]
+        assert reference["cache_hits"] == 1
+        plan = FaultPlan(seed=1, specs=[FaultSpec("cache.load", "corrupt")])
+        with armed(plan) as injector:
+            response = _analyze_twice(str(tmp_path / "hit"), request)
+            assert injector.fired_count() == 7  # answer + six stages
+        assert _classify(response, reference) == ("ok", "")
+        assert response["cache_hits"] == 0
+        moved = sorted(
+            p.parent.name for p in (tmp_path / "hit").rglob("*.quarantined")
+        )
+        assert moved == ["alignment", "answer", "distribution",
+                         "estimation", "frontend", "partition", "selection"]
 
     def test_campaign_respects_wall_clock_budget(self):
         report = run_chaos(

@@ -1,5 +1,6 @@
 """Stage-cache correctness: identical answers, the specified hit/miss
-pattern under config edits, and graceful recovery from corruption."""
+pattern under config edits, graceful recovery from corruption, and the
+``answer`` stage that serves a repeated request before any other."""
 
 from __future__ import annotations
 
@@ -9,7 +10,12 @@ import threading
 import pytest
 
 from repro.machine.params import IPSC860, MACHINES, MachineParams
+from repro.obs.prometheus import parse_prometheus_text
 from repro.perf.training import cached_training_database, machine_cache_key
+from repro.resilience.admission import (
+    AdaptiveConcurrencyLimiter,
+    AdmissionController,
+)
 from repro.service import LayoutService, WorkerPool
 from repro.tool.assistant import AssistantConfig
 
@@ -115,6 +121,176 @@ class TestCacheCorrectness:
         resp = service.analyze_dict(dict(REQUEST, use_cache=False))
         assert resp["ok"]
         assert resp["cache_hits"] == 0
+
+
+ANSWER_FIELDS = ("layouts", "predicted_total_us", "is_dynamic")
+STAGES = ("frontend", "partition", "alignment", "distribution",
+          "estimation", "selection")
+
+
+def _answer(resp: dict) -> dict:
+    assert resp["ok"], resp
+    return {name: resp[name] for name in ANSWER_FIELDS}
+
+
+def _only_an_answer_hit(resp: dict) -> bool:
+    return (_stage_hits(resp) == {"answer": True}
+            and (resp["cache_hits"], resp["cache_misses"]) == (1, 0))
+
+
+def _answer_files(service) -> list:
+    folder = os.path.join(service.cache.root, "answer")
+    return sorted(os.listdir(folder)) if os.path.isdir(folder) else []
+
+
+class TestAnswerStage:
+    @pytest.mark.parametrize("machine", ["ipsc860", "paragon"])
+    @pytest.mark.parametrize("procs", [4, 16])
+    @pytest.mark.parametrize(
+        "program", ["adi", "erlebacher", "tomcatv", "shallow"]
+    )
+    def test_hit_equals_cold_reply(self, tmp_path, program, procs, machine):
+        request = {"op": "analyze", "program": program, "size": 32,
+                   "maxiter": 2, "procs": procs, "machine": machine}
+        cache_dir = str(tmp_path / "cache")
+        with LayoutService(cache_dir=cache_dir,
+                           pool=WorkerPool(kind="serial")) as svc:
+            cold = svc.analyze_dict(dict(request))
+            assert _stage_hits(cold) == dict.fromkeys(
+                ("answer",) + STAGES, False
+            )
+            from_memory = svc.analyze_dict(dict(request))
+            svc.cache.clear_memory()
+            from_disk = svc.analyze_dict(dict(request))
+        with LayoutService(cache_dir=cache_dir,
+                           pool=WorkerPool(kind="serial")) as svc:
+            restarted = svc.analyze_dict(dict(request))
+        for warm in (from_memory, from_disk, restarted):
+            assert _only_an_answer_hit(warm)
+            assert not warm["degraded"]
+            assert _answer(warm) == _answer(cold)
+
+    def test_key_takes_raw_source_and_whole_config(self, service):
+        from repro.service import LayoutRequest, StageKeys
+
+        def key(**changes):
+            request = LayoutRequest.from_dict(dict(REQUEST, **changes))
+            return StageKeys(
+                request.resolve_source(), request.resolve_config()
+            ).answer
+
+        assert key() == key()
+        others = [key(procs=8), key(machine="paragon"), key(size=48),
+                  key(backend="branch-bound")]
+        assert len({key(), *others}) == 5
+
+    def test_whitespace_edit_stores_its_own_answer(self, service):
+        from repro.programs.registry import PROGRAMS
+
+        source = PROGRAMS["adi"].source(n=32, maxiter=2)
+        base = {"op": "analyze", "source": source, "procs": 4}
+        first = service.analyze_dict(dict(base))
+        edited = dict(base, source=source.replace("\n", "\n\n", 1))
+        hits = _stage_hits(service.analyze_dict(dict(edited)))
+        assert not hits["answer"] and not hits["frontend"]
+        assert all(hits[s] for s in STAGES[1:])
+        assert len(_answer_files(service)) == 2
+        again = service.analyze_dict(dict(edited))
+        assert _only_an_answer_hit(again)
+        assert _answer(again) == _answer(first)
+
+    def test_corrupt_answer_is_quarantined_and_stored_again(self, service):
+        first = service.analyze_dict(dict(REQUEST))
+        (name,) = _answer_files(service)
+        path = os.path.join(service.cache.root, "answer", name)
+        with open(path, "wb") as handle:
+            handle.write(b"\x00garbage, not a pickle")
+        service.cache.clear_memory()
+        resp = service.analyze_dict(dict(REQUEST))
+        hits = _stage_hits(resp)
+        assert not hits.pop("answer")
+        assert hits == dict.fromkeys(STAGES, True)
+        assert _answer(resp) == _answer(first)
+        assert service.cache.quarantined_total == 1
+        assert _answer_files(service) == [name, name + ".quarantined"]
+        service.cache.clear_memory()
+        assert _only_an_answer_hit(service.analyze_dict(dict(REQUEST)))
+
+    def test_no_cache_neither_reads_nor_writes_it(self, service):
+        uncached = dict(REQUEST, use_cache=False)
+        first = service.analyze_dict(dict(uncached))
+        assert _stage_hits(first) == dict.fromkeys(STAGES, False)
+        assert _answer_files(service) == []
+        service.analyze_dict(dict(REQUEST))  # now there is one to read
+        assert _stage_hits(service.analyze_dict(dict(uncached))) == \
+            dict.fromkeys(STAGES, False)
+        per_stage = service.stats()["cache"]["per_stage"]
+        assert per_stage["answer"] == {"hits": 0, "misses": 1}
+
+    def test_degraded_request_stores_no_answer(self, service):
+        request = dict(REQUEST, program="tomcatv", size=128)
+        degraded = service.analyze_dict(dict(request, deadline_s=0.01))
+        assert degraded["ok"] and degraded["degraded"]
+        assert _answer_files(service) == []
+        exact = service.analyze_dict(dict(request))
+        assert not exact["degraded"]
+        assert not _stage_hits(exact)["answer"]
+        assert len(_answer_files(service)) == 1
+
+    def test_degraded_stage_taints_everything_after_it(self, service):
+        """A stage computed *from* a degraded upstream output is as
+        unfit to cache as the stage that fell back."""
+        request = dict(REQUEST, program="tomcatv", size=128)
+        degraded = service.analyze_dict(dict(request, deadline_s=0.01))
+        first = degraded["degradations"][0]["stage"]
+        assert first == "alignment"
+        clean_prefix = STAGES[:STAGES.index(first)]
+        hits = _stage_hits(service.analyze_dict(dict(request)))
+        assert {s for s, hit in hits.items() if hit} == set(clean_prefix)
+
+    def test_brownout_request_with_cached_answer_is_exact(self, tmp_path):
+        one_slot = AdmissionController(
+            limiter=AdaptiveConcurrencyLimiter(initial_limit=1, max_limit=1)
+        )  # every admitted request is at full utilization: brownout
+        with LayoutService(cache_dir=str(tmp_path / "cache"),
+                           pool=WorkerPool(kind="serial"),
+                           admission=one_slot,
+                           brownout_budget_s=60.0) as svc:
+            request = dict(REQUEST, program="tomcatv", size=128)
+            exact = svc.analyze_dict(dict(request))
+            assert not exact["degraded"]
+            svc.brownout_budget_s = 0.001  # far too short to solve in
+            assert svc.analyze_dict(dict(request, procs=8))["degraded"]
+            cached = svc.analyze_dict(dict(request))
+            assert _only_an_answer_hit(cached)
+            assert not cached["degraded"]
+            assert _answer(cached) == _answer(exact)
+            assert svc.metrics.snapshot()["counters"][
+                "requests_brownout"] == 3
+
+    def test_trace_of_a_hit_holds_the_answer_stage_span(self, service):
+        service.analyze_dict(dict(REQUEST))
+        resp = service.analyze_dict(dict(REQUEST, trace=True))
+        assert _only_an_answer_hit(resp)
+        stages = [s for s in resp["trace"]["spans"]
+                  if s["name"] == "service.stage"]
+        assert [s["attrs"] for s in stages] == [
+            {"stage": "answer", "cache_hit": True}
+        ]
+
+    def test_stats_and_prometheus_carry_the_answer_stage(self, service):
+        service.analyze_dict(dict(REQUEST))
+        service.analyze_dict(dict(REQUEST))
+        stats = service.stats()
+        assert stats["cache"]["per_stage"]["answer"] == \
+            {"hits": 1, "misses": 1}
+        assert stats["cache"]["disk_entries"]["answer"] == 1
+        assert stats["stage_seconds"]["answer"]["count"] == 2
+        samples = parse_prometheus_text(service.prometheus())
+        label = (("stage", "answer"),)
+        assert samples["repro_stage_cache_hits_total", label] == 1.0
+        assert samples["repro_stage_cache_misses_total", label] == 1.0
+        assert samples["repro_stage_seconds_count", label] == 2.0
 
 
 class TestConfigRoundTrip:
