@@ -23,18 +23,33 @@ point the same way (the paper notes the direction only affects constraint
 count, not correctness).
 
 Objective: maximize ``sum_e sum_k e_k * weight(e)``.
+
+:func:`resolve_conflicts` answers an instance without building that
+model whenever a bounded enumeration of its feasible set
+(:mod:`repro.alignment.enumeration`) proves the optimal cut unique; the
+model and the 0-1 solver remain the path for ties, for instances past
+the enumeration cap, and for the ``presolve=False`` reference.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..ilp import MAXIMIZE, Solution, ZeroOneModel, solve as ilp_solve
+from ..ilp import (
+    MAXIMIZE, Solution, SolveStats, ZeroOneModel, solve as ilp_solve,
+)
 from ..obs.tracing import add_event as obs_event, span as obs_span
+from ..resilience.deadline import checkpoint, remaining_budget
 from ..resilience.degrade import note_degradation
+from ..resilience.faults import fault_point
+from . import enumeration
 from .cag import CAG, Node
 from .lattice import Partitioning
+
+#: ``SolveStats.backend`` of a resolution answered without a solver
+ENUMERATION_BACKEND = "enumeration"
 
 
 def _node_var(node: Node, k: int) -> str:
@@ -63,12 +78,42 @@ class AlignmentILP:
         return self.model.num_constraints
 
 
-def build_alignment_model(cag: CAG, d: int, name: str = "alignment") -> AlignmentILP:
-    """Translate a CAG + template rank ``d`` into the appendix 0-1 model."""
+def _check_rank(cag: CAG, d: int) -> None:
     if any(dim >= d for _a, dim in cag.nodes):
         raise ValueError(
             f"CAG contains a dimension index >= template rank {d}"
         )
+
+
+def _directed_edges(cag: CAG) -> List[Tuple[Node, Node, float]]:
+    """Edge-direction normalization: every edge oriented from the
+    lexicographically smaller array to the larger one."""
+    directed: List[Tuple[Node, Node, float]] = []
+    for (a, b), weight in sorted(cag.weights.items()):
+        src, dst = (a, b) if a[0] <= b[0] else (b, a)
+        directed.append((src, dst, weight))
+    return directed
+
+
+def model_size(cag: CAG, d: int) -> Tuple[int, int]:
+    """(variables, constraints) of the appendix model for ``cag``,
+    counted from the CAG without building the model."""
+    directed = _directed_edges(cag)
+    ranks: Dict[str, int] = {}
+    for array, _dim in cag.nodes:
+        ranks[array] = ranks.get(array, 0) + 1
+    groups = sum(1 for rank in ranks.values() if rank >= 2)  # type2
+    groups += len({(dst, src[0]) for src, dst, _w in directed})  # IN
+    groups += len({(src, dst[0]) for src, dst, _w in directed})  # OUT
+    return (
+        d * (len(cag.nodes) + len(directed)),
+        len(cag.nodes) + d * groups,
+    )
+
+
+def build_alignment_model(cag: CAG, d: int, name: str = "alignment") -> AlignmentILP:
+    """Translate a CAG + template rank ``d`` into the appendix 0-1 model."""
+    _check_rank(cag, d)
     model = ZeroOneModel(name=name, sense=MAXIMIZE)
 
     nodes = sorted(cag.nodes)
@@ -76,12 +121,7 @@ def build_alignment_model(cag: CAG, d: int, name: str = "alignment") -> Alignmen
     for node in nodes:
         arrays.setdefault(node[0], []).append(node)
 
-    # Edge-direction normalization: orient every edge from the
-    # lexicographically smaller array to the larger one.
-    directed: List[Tuple[Node, Node, float]] = []
-    for (a, b), weight in sorted(cag.weights.items()):
-        src, dst = (a, b) if a[0] <= b[0] else (b, a)
-        directed.append((src, dst, weight))
+    directed = _directed_edges(cag)
 
     # Variables.
     for node in nodes:
@@ -209,6 +249,72 @@ def greedy_orientation(cag: CAG, d: int) -> Dict[Node, int]:
     return assignment
 
 
+def _enumerated_solution(
+    cag: CAG, d: int, assignment: Dict[Node, int], stats: SolveStats
+) -> Solution:
+    """The appendix model's solution for a node assignment: every node
+    and edge switch, and the satisfied weight as the objective."""
+    values: Dict[str, int] = {}
+    for node in sorted(cag.nodes):
+        for k in range(d):
+            values[_node_var(node, k)] = int(assignment[node] == k)
+    objective = 0.0
+    for src, dst, weight in _directed_edges(cag):
+        inside = assignment[src] == assignment[dst]
+        for k in range(d):
+            values[_edge_var(src, dst, k)] = int(
+                inside and assignment[src] == k
+            )
+        if inside:
+            objective += weight
+    return Solution(
+        status="optimal", objective=objective, values=values, stats=stats
+    )
+
+
+def _solve_model(
+    cag: CAG, d: int, name: str, backend: str, presolve: bool,
+    warm_start: Optional[Dict[str, int]],
+) -> Tuple[Solution, Dict[Node, int]]:
+    """Build the appendix model, run the 0-1 solver on it and decode the
+    node assignment — the solver's incumbent, or the greedy orientation
+    when a deadline left it none (both noted as degradations)."""
+    ilp = build_alignment_model(cag, d, name=name)
+    solution = ilp_solve(
+        ilp.model, backend=backend, presolve=presolve,
+        warm_start=warm_start,
+    )
+    if solution.has_incumbent:
+        assignment: Dict[Node, int] = {}
+        for node in cag.nodes:
+            for k in range(d):
+                if solution.values.get(_node_var(node, k)) == 1:
+                    assignment[node] = k
+                    break
+        if not solution.is_optimal:
+            note_degradation(
+                "alignment", "incumbent",
+                f"solver stopped at {solution.status}; "
+                f"using best incumbent for {name!r}",
+            )
+    elif solution.status == "unknown":
+        # Budget expired before any incumbent: fall back to the
+        # greedy orientation heuristic.
+        assignment = greedy_orientation(cag, d)
+        note_degradation(
+            "alignment", "greedy-fallback",
+            f"no incumbent within budget; greedy orientation "
+            f"for {name!r}",
+        )
+    else:
+        # The model is feasible by construction (identity alignment
+        # always satisfies it); a proven "infeasible" is a solver bug.
+        raise RuntimeError(
+            f"alignment ILP unexpectedly {solution.status} for {name!r}"
+        )
+    return solution, assignment
+
+
 def resolve_conflicts(
     cag: CAG, d: int, backend: str = "scipy", name: str = "alignment",
     presolve: bool = True,
@@ -218,52 +324,64 @@ def resolve_conflicts(
     ``cag`` for a ``d``-dimensional template.
 
     Returns the conflict-free CAG obtained by removing the minimum-weight
-    set of partition-crossing edges, as chosen by the 0-1 solver.  With
-    ``presolve`` (the default) constraint propagation fixes forced
-    switch variables before the backend runs — for rank-1 templates the
-    whole model usually collapses without a solver call; the solution is
-    identical either way.  ``warm_start`` seeds a branch-bound solve
-    with a known feasible variable assignment.  If a request deadline
-    cut the solve short, the best incumbent (or the greedy orientation)
-    is used instead and the resolution is flagged ``optimal=False`` with
-    a degradation note.
+    set of partition-crossing edges.  The instance is first enumerated
+    (:func:`~repro.alignment.enumeration.enumerate_optimum`, at most
+    ``VISIT_CAP`` search nodes); if exactly one cut-edge set reaches the
+    optimal weight it is the answer of every exact method and is
+    returned at once (``path`` ``direct``), with the canonical
+    assignment and the appendix model's sizes and switch values, but
+    without building the model.  Otherwise the appendix model goes to
+    the 0-1 solver, whose pick is then the answer:
+
+    * ``tie`` — two or more cut sets share the optimal weight;
+    * ``overflow`` — the enumeration cap was exceeded;
+    * ``reference`` — no enumeration was attempted: ``presolve=False``
+      (the reference switch of ``qa/`` and the equivalence tests), or a
+      request deadline with no budget left, which degrades below.
+
+    On the solver path ``presolve`` lets constraint propagation fix
+    forced switch variables before the backend runs, and ``warm_start``
+    seeds a branch-bound solve with a known feasible variable
+    assignment; the solution is identical either way.  If a request
+    deadline cut the solve short, the best incumbent (or the greedy
+    orientation) is used instead and the resolution is flagged
+    ``optimal=False`` with a degradation note.  The ``ilp.solve`` fault
+    site and deadline checkpoint fire once per resolution on every
+    path.
     """
     with obs_span("alignment.resolve", name=name, template_rank=d) as sp:
-        ilp = build_alignment_model(cag, d, name=name)
-        sp.set_attr("variables", ilp.num_variables)
-        sp.set_attr("constraints", ilp.num_constraints)
-        solution = ilp_solve(
-            ilp.model, backend=backend, presolve=presolve,
-            warm_start=warm_start,
-        )
-        optimal = solution.is_optimal
-        if solution.has_incumbent:
-            assignment: Dict[Node, int] = {}
-            for node in cag.nodes:
-                for k in range(d):
-                    if solution.values.get(_node_var(node, k)) == 1:
-                        assignment[node] = k
-                        break
-            if not optimal:
-                note_degradation(
-                    "alignment", "incumbent",
-                    f"solver stopped at {solution.status}; "
-                    f"using best incumbent for {name!r}",
-                )
-        elif solution.status == "unknown":
-            # Budget expired before any incumbent: fall back to the
-            # greedy orientation heuristic.
-            assignment = greedy_orientation(cag, d)
-            note_degradation(
-                "alignment", "greedy-fallback",
-                f"no incumbent within budget; greedy orientation "
-                f"for {name!r}",
+        _check_rank(cag, d)
+        num_variables, num_constraints = model_size(cag, d)
+        sp.set_attr("variables", num_variables)
+        sp.set_attr("constraints", num_constraints)
+        path = "reference"
+        budget = remaining_budget()
+        if presolve and (budget is None or budget > 0.0):
+            start = time.perf_counter()
+            found = enumeration.enumerate_optimum(
+                cag, d, enumeration.VISIT_CAP
             )
+            elapsed = time.perf_counter() - start
+            sp.set_attr("assignments", found.visited)
+            sp.set_attr("optima", found.optima)
+            if found.assignment is None:
+                path = "overflow"
+            elif found.optima > 1:
+                path = "tie"
+            else:
+                path = "direct"
+        sp.set_attr("path", path)
+        if path == "direct":
+            fault_point("ilp.solve")
+            checkpoint("ilp.solve")
+            assignment = found.assignment
+            solution = _enumerated_solution(cag, d, assignment, SolveStats(
+                backend=ENUMERATION_BACKEND, wall_time=elapsed,
+                nodes=found.visited,
+            ))
         else:
-            # The model is feasible by construction (identity alignment
-            # always satisfies it); a proven "infeasible" is a solver bug.
-            raise RuntimeError(
-                f"alignment ILP unexpectedly {solution.status} for {name!r}"
+            solution, assignment = _solve_model(
+                cag, d, name, backend, presolve, warm_start
             )
         cut_keys = []
         cut_weight = 0.0
@@ -289,7 +407,7 @@ def resolve_conflicts(
         assignment=assignment,
         cut_weight=cut_weight,
         solution=solution,
-        num_variables=ilp.num_variables,
-        num_constraints=ilp.num_constraints,
-        optimal=optimal,
+        num_variables=num_variables,
+        num_constraints=num_constraints,
+        optimal=solution.is_optimal,
     )

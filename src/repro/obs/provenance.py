@@ -34,6 +34,23 @@ def _array_of(node_text: str) -> str:
     return node_text.partition("[")[0]
 
 
+def _resolution_path(conflict: Mapping[str, Any]) -> str:
+    """How a conflict resolution was decided, from the ``path`` of its
+    ``alignment.resolve`` span."""
+    path = conflict.get("path")
+    if path is None:  # a trace recorded before the span carried it
+        return ""
+    if path == "direct":
+        return (f"; unique optimum by enumeration, "
+                f"{conflict.get('assignments')} assignments visited")
+    if path == "tie":
+        return (f"; chosen by the 0-1 solver among "
+                f"{conflict.get('optima')} tied optimal cuts")
+    if path == "overflow":
+        return "; by the 0-1 solver, enumeration cap exceeded"
+    return "; by the 0-1 solver"
+
+
 def build_provenance(trace: Mapping[str, Any]) -> Dict[str, Any]:
     """Distill a recorded trace into the decision-provenance report."""
     report: Dict[str, Any] = {
@@ -143,12 +160,17 @@ def build_provenance(trace: Mapping[str, Any]) -> Dict[str, Any]:
             if name:
                 array_entry(name)["cag_edges"].append(edge)
 
-    for _span, event in iter_events(trace, "alignment.cut"):
+    for span, event in iter_events(trace, "alignment.cut"):
         attrs = event.get("attrs", {})
+        # the enclosing span is the resolution's alignment.resolve
+        resolve = (span or {}).get("attrs", {})
         report["conflicts"].append({
             "name": attrs.get("name"),
             "cut_edges": attrs.get("cut_edges", []),
             "cut_weight": attrs.get("cut_weight"),
+            "path": resolve.get("path"),
+            "assignments": resolve.get("assignments"),
+            "optima": resolve.get("optima"),
         })
 
     for _span, event in iter_events(trace, "alignment.import"):
@@ -291,7 +313,8 @@ def format_provenance(report: Mapping[str, Any]) -> str:
             cut = ", ".join(conflict.get("cut_edges", [])) or "(none)"
             lines.append(
                 f"  {conflict.get('name')}: cut {cut} "
-                f"(weight {conflict.get('cut_weight')})"
+                f"(weight {conflict.get('cut_weight')}"
+                f"{_resolution_path(conflict)})"
             )
 
     imports = report.get("imports", [])

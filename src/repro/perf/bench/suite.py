@@ -14,6 +14,9 @@ Two benchmark kinds:
   of ``selection_ilp`` — the data layout graph build without the 0-1
   solve — and ``stage:layout_graph/qa-hotloop`` times it on a generated
   program whose absorbed flow runs through a hot control loop.
+  ``stage:alignment_ilp/qa-tied`` is the alignment stage of a generated
+  program one of whose three conflict resolutions is tied: enumeration,
+  then the hand-off to the 0-1 solver.
 - **end-to-end benchmarks** (``e2e/<program>``) time ``run_assistant``
   whole, plus ``e2e/qa-corpus``: a fixed-seed batch of generated fuzz
   programs, exercising the many-small-programs service shape.
@@ -102,6 +105,13 @@ QA_SEEDS = (0, 1, 2, 3)
 #: ``a`` is used by the last phase of a control loop whose first two
 #: phases do not touch it and loop on themselves 21 and 189 times
 HOTLOOP_SEED = 1413
+
+#: ``GeneratorConfig()`` seed of ``stage:alignment_ilp/qa-tied``: all 108
+#: assignments of its ``phase1`` CAG are optimal, under six different
+#: cuts, so that resolution enumerates and then hands the choice to the
+#: 0-1 solver — the price of a tie hand-off (its two import resolutions
+#: are unique and start no solver)
+TIED_SEED = 1251
 
 
 def default_bench_config(
@@ -383,15 +393,18 @@ def build_suite(
             )
     if include_e2e and include_qa:
         cases.append(_qa_corpus_case(config, qa_seeds))
-    if include_qa and GRAPH_STAGE in wanted_stages:
-        hotloop = PreparedProgram(
-            "qa-hotloop",
-            generate_program(HOTLOOP_SEED, GeneratorConfig()).source,
-            replace(config, nprocs=4),
-        )
-        cases.extend(
-            c for c in _stage_cases(hotloop) if c.stage == GRAPH_STAGE
-        )
+    for name, seed, stage in (
+        ("qa-hotloop", HOTLOOP_SEED, GRAPH_STAGE),
+        ("qa-tied", TIED_SEED, "alignment_ilp"),
+    ):
+        if include_qa and stage in wanted_stages:
+            generated = PreparedProgram(
+                name, generate_program(seed, GeneratorConfig()).source,
+                replace(config, nprocs=4),
+            )
+            cases.extend(
+                c for c in _stage_cases(generated) if c.stage == stage
+            )
     return sorted(cases, key=lambda c: c.bench_id)
 
 
@@ -418,6 +431,6 @@ __all__ = [
     "BENCH_NPROCS", "BENCH_SIZES", "BenchCase", "EXTENDED_NPROCS",
     "EXTENDED_PROGRAM", "GRAPH_STAGE", "HANDLE_LAYER",
     "PreparedProgram",
-    "QA_SEEDS", "STAGE_NAMES", "bench_source", "build_suite",
+    "QA_SEEDS", "STAGE_NAMES", "TIED_SEED", "bench_source", "build_suite",
     "default_bench_config", "run_suite",
 ]

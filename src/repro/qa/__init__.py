@@ -31,8 +31,10 @@ from .oracles import (
     best_alignment,
     best_selection,
     check_alignment,
+    check_resolution,
     check_selection,
     enumerate_alignments,
+    optimal_cuts,
     satisfied_weight,
     selection_combination_count,
 )
@@ -56,6 +58,7 @@ __all__ = [
     "check_alignment",
     "check_array_renaming",
     "check_loop_var_relabeling",
+    "check_resolution",
     "check_selection",
     "check_trip_count_scaling",
     "check_unused_array",
@@ -64,6 +67,7 @@ __all__ = [
     "load_corpus",
     "minimize_program",
     "normalize_program",
+    "optimal_cuts",
     "prune_declarations",
     "rename_identifiers",
     "run_fuzz",

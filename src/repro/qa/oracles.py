@@ -17,6 +17,13 @@ and re-evaluates to the claimed objective.  Instances larger than the
 enumeration limits are skipped (reported as ``None``), keeping the oracle
 honest about its scope.
 
+:func:`check_alignment` checks the appendix model and the solver;
+:func:`check_resolution` checks what the pipeline actually runs,
+:func:`~repro.alignment.ilp.resolve_conflicts`, whose unique instances
+never reach that model: the same objective and certificate properties,
+agreement with the ``presolve=False`` reference path, and the
+uniqueness certificate itself (a tied instance must go to the solver).
+
 The ``build``/``solve`` hooks exist so the mutation tests can inject a
 deliberately corrupted model and prove the differential check catches it.
 """
@@ -25,10 +32,17 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import (
+    Callable, Dict, FrozenSet, Iterator, List, Optional, Tuple,
+)
 
 from ..alignment.cag import CAG, Node
-from ..alignment.ilp import AlignmentILP, build_alignment_model
+from ..alignment.ilp import (
+    ENUMERATION_BACKEND,
+    AlignmentILP,
+    build_alignment_model,
+    resolve_conflicts,
+)
 from ..ilp import Solution, solve as ilp_solve
 from ..selection.ilp import SelectionILP, build_selection_model
 from ..selection.layout_graph import DataLayoutGraph
@@ -39,6 +53,11 @@ MAX_ALIGNMENT_ASSIGNMENTS = 50_000
 MAX_SELECTION_COMBINATIONS = 50_000
 
 _TOL = 1e-6
+#: cut weights this close, relative to the CAG's total weight, are the
+#: same number up to rounding: the instance is tied
+_EXACT_TIE = 1e-9
+
+Edge = Tuple[Node, Node]
 
 
 @dataclass(frozen=True)
@@ -196,6 +215,118 @@ def check_alignment(
             detail="ILP optimum differs from exhaustive optimum",
             ilp_objective=solution.objective,
             oracle_objective=oracle_value,
+        )
+    return None
+
+
+def optimal_cuts(
+    cag: CAG, d: int
+) -> Tuple[float, List[Tuple[float, FrozenSet[Edge]]]]:
+    """Exhaustive optimum of the alignment problem and every distinct
+    cut-edge set within ``_TOL`` (relative) of it, as (weight, cut)
+    pairs, best first."""
+    by_cut: Dict[FrozenSet[Edge], float] = {}
+    for assignment in enumerate_alignments(cag, d):
+        cut = frozenset(
+            key for key in cag.weights
+            if assignment[key[0]] != assignment[key[1]]
+        )
+        if cut not in by_cut:
+            by_cut[cut] = satisfied_weight(cag, assignment)
+    best = max(by_cut.values())
+    near = [
+        (value, cut) for cut, value in by_cut.items()
+        if value >= best - _TOL * max(1.0, abs(best))
+    ]
+    near.sort(key=lambda pair: (-pair[0], sorted(pair[1])))
+    return best, near
+
+
+def check_resolution(
+    cag: CAG,
+    d: int,
+    backend: str = "scipy",
+) -> Optional[Divergence]:
+    """Differentially check conflict resolution as the pipeline runs it.
+
+    ``resolve_conflicts(cag, d)`` (the direct path wherever it applies)
+    is held against brute force and against
+    ``resolve_conflicts(..., presolve=False)``, the model-and-solver
+    reference:
+
+    * its objective equals the exhaustive optimum, and its certificate
+      is a full, type-2-safe assignment that re-evaluates to it;
+    * ``resolved`` is conflict-free and is the CAG minus exactly the
+      edges the assignment cuts;
+    * both paths cut the same weight, and the same edge set whenever
+      no other cut comes within ``_TOL`` of the optimum;
+    * an instance with two exactly tied optimal cuts was not answered
+      by enumeration — the choice among ties is the solver's.
+    """
+    if any(dim >= d for _a, dim in cag.nodes):
+        return None  # not a valid instance for rank d
+    if alignment_assignment_count(cag, d) > MAX_ALIGNMENT_ASSIGNMENTS:
+        return None
+    fast = resolve_conflicts(cag, d, backend=backend)
+    reference = resolve_conflicts(cag, d, backend=backend, presolve=False)
+    oracle_value, near = optimal_cuts(cag, d)
+    tol = max(_TOL, _TOL * abs(oracle_value))
+
+    def diverged(detail: str) -> Divergence:
+        return Divergence(
+            kind="alignment", detail=detail,
+            ilp_objective=fast.solution.objective,
+            oracle_objective=oracle_value,
+        )
+
+    if not (fast.optimal and reference.optimal):
+        return diverged(
+            f"resolution not optimal (status {fast.solution.status!r}, "
+            f"reference {reference.solution.status!r})"
+        )
+    assignment = fast.assignment
+    if set(assignment) != set(cag.nodes) or not all(
+        0 <= part < d for part in assignment.values()
+    ):
+        return diverged("certificate is not a full assignment")
+    if len({(array, part) for (array, _dim), part in assignment.items()}) \
+            != len(assignment):
+        return diverged(
+            "certificate puts two dimensions of one array in one partition"
+        )
+    certificate_value = satisfied_weight(cag, assignment)
+    if abs(certificate_value - fast.solution.objective) > tol:
+        return diverged(
+            "certificate weight does not match the claimed objective "
+            f"(certificate={certificate_value!r})"
+        )
+    if abs(certificate_value - oracle_value) > tol:
+        return diverged("resolution differs from the exhaustive optimum")
+    cut = frozenset(cag.weights) - frozenset(fast.resolved.weights)
+    if fast.resolved.has_conflict() or cut != frozenset(
+        key for key in cag.weights
+        if assignment[key[0]] != assignment[key[1]]
+    ):
+        return diverged("resolved CAG is not the input minus the cut")
+    if abs(fast.cut_weight - reference.cut_weight) > tol:
+        return diverged(
+            f"direct path cuts {fast.cut_weight!r}, the reference path "
+            f"{reference.cut_weight!r}"
+        )
+    reference_cut = (
+        frozenset(cag.weights) - frozenset(reference.resolved.weights)
+    )
+    if len(near) == 1 and cut != reference_cut:
+        return diverged(
+            f"unique optimum, yet the paths cut {sorted(cut)} and "
+            f"{sorted(reference_cut)}"
+        )
+    exact = _EXACT_TIE * max(1.0, sum(abs(w) for w in cag.weights.values()))
+    tied = sum(1 for value, _cut in near if value >= oracle_value - exact)
+    if tied > 1 and fast.solution.stats.backend == ENUMERATION_BACKEND:
+        return diverged(
+            f"{tied} optimal cuts tie, yet enumeration answered without "
+            "the solver"
         )
     return None
 

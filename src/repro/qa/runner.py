@@ -5,9 +5,10 @@ For every case seed the runner
 1. generates a random program (``generator``) and property-checks the
    printer↔parser round trip;
 2. runs the full assistant pipeline on it (a crash is itself a failure);
-3. differentially checks the per-phase alignment ILPs and the selection
-   ILP against the brute-force oracles (``oracles``), skipping instances
-   beyond the enumeration limits;
+3. differentially checks the per-phase alignment ILPs, every conflict
+   resolution the pipeline performs (phase CAGs and import merges) and
+   the selection ILP against the brute-force oracles (``oracles``),
+   skipping instances beyond the enumeration limits;
 4. runs the metamorphic pipeline invariants (``metamorphic``);
 5. on any failure, greedily minimizes the program under the same failing
    check (``minimize``) and serializes the repro case (``corpus``).
@@ -24,6 +25,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
+from ..alignment.cag import CAG
+from ..alignment.search_space import dominance_factor
 from ..alignment.weights import build_phase_cag
 from ..frontend import ast
 from ..frontend.parser import parse_source
@@ -128,9 +131,24 @@ def _alignment_divergence(
     result: AssistantResult, backend: str,
     report: Optional[FuzzReport] = None,
 ) -> Optional[str]:
+    """The appendix model on every phase CAG, and conflict resolution as
+    the pipeline runs it on every CAG the pipeline resolves: the
+    conflicting phase CAGs and the conflicting import merges."""
     d = result.template.rank
-    for phase in result.partition.phases:
-        cag = build_phase_cag(phase, result.symbols)
+    # (where, CAG, whether the appendix model is checked on it too)
+    cags = [
+        (f"phase {phase.index}", build_phase_cag(phase, result.symbols),
+         True)
+        for phase in result.partition.phases
+    ]
+    classes = result.alignment_spaces.classes
+    cags += [
+        (f"import {source.name}->{sink.name}", CAG.merge(
+            source.cag.scaled(dominance_factor(sink.cag)), sink.cag
+        ), False)
+        for sink in classes for source in classes if source is not sink
+    ]
+    for where, cag, check_model in cags:
         if (
             oracles.alignment_assignment_count(cag, d)
             > oracles.MAX_ALIGNMENT_ASSIGNMENTS
@@ -138,9 +156,13 @@ def _alignment_divergence(
             if report is not None:
                 report.skip("alignment-oracle")
             continue
-        divergence = oracles.check_alignment(cag, d, backend=backend)
+        divergence = None
+        if check_model:
+            divergence = oracles.check_alignment(cag, d, backend=backend)
+        if divergence is None and cag.has_conflict():
+            divergence = oracles.check_resolution(cag, d, backend=backend)
         if divergence is not None:
-            return f"phase {phase.index}: {divergence}"
+            return f"{where}: {divergence}"
     return None
 
 

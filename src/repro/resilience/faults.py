@@ -18,7 +18,9 @@ The instrumented sites (grep for the literal strings)::
     pool.result      collecting one job result from the executor
     service.request  protocol dispatch of one decoded request
     server.reply     writing a response line back to the socket
-    ilp.solve        entry of every 0-1 solve (both backends)
+    ilp.solve        every 0-1 solve (both backends) and every alignment
+                     resolution answered by enumeration: once per
+                     resolution, whichever path answers it
 
 ``cache.load`` and ``cache.store`` are also *corruption* points: a
 ``corrupt`` spec there mangles the byte payload instead of raising, to

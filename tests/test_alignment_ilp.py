@@ -1,10 +1,28 @@
 """Alignment 0-1 formulation tests — including the paper's appendix
-example (Figure 8) and backend cross-checks."""
+example (Figure 8), backend cross-checks, and the solver-free direct
+path of ``resolve_conflicts`` against its model-and-solver reference."""
+
+import random
 
 import pytest
 
+from repro.alignment import enumeration
 from repro.alignment.cag import CAG
-from repro.alignment.ilp import build_alignment_model, resolve_conflicts
+from repro.alignment.enumeration import enumerate_optimum
+from repro.alignment.ilp import (
+    ENUMERATION_BACKEND,
+    build_alignment_model,
+    model_size,
+    resolve_conflicts,
+)
+from repro.obs import tracing
+from repro.obs.events import spans_by_name
+from repro.programs import PROGRAMS
+from repro.qa import enumerate_alignments, optimal_cuts, satisfied_weight
+from repro.resilience import faults
+from repro.resilience.deadline import Deadline, deadline_scope
+from repro.resilience.faults import FaultPlan, FaultSpec
+from repro.tool import AssistantConfig, run_assistant
 
 
 def figure8_cag():
@@ -114,3 +132,262 @@ def test_tomcatv_conflict_pair_sizes_match(tomcatv_assistant):
     assert res[0].num_variables == res[1].num_variables
     assert res[0].num_constraints == res[1].num_constraints
     assert res[0].cut_weight != res[1].cut_weight
+
+
+# -- the direct path ----------------------------------------------------
+
+
+def traced(fn, *args, **kwargs):
+    """(result, trace) of one call recorded under a fresh tracer."""
+    tracing.start_trace("test")
+    try:
+        result = fn(*args, **kwargs)
+    finally:
+        trace = tracing.finish_trace()
+    return result, trace
+
+
+def resolve_span(trace):
+    (span,) = spans_by_name(trace, "alignment.resolve")
+    return span["attrs"]
+
+
+def cut_of(cag, resolution):
+    return frozenset(cag.weights) - frozenset(resolution.resolved.weights)
+
+
+def random_cag(seed):
+    """A small CAG with integer weights 1..4, so that ties are common:
+    d in {2, 3}, 2-4 arrays of rank 1..d, up to 8 edges."""
+    rng = random.Random(seed)
+    d = rng.choice((2, 3))
+    cag = CAG()
+    for i in range(rng.randint(2, 4)):
+        cag.add_array(f"a{i}", rng.randint(1, d))
+    nodes = sorted(cag.nodes)
+    for _ in range(rng.randint(1, 8)):
+        a, b = rng.sample(nodes, 2)
+        if a[0] != b[0]:
+            cag.add_undirected_edge(a, b, float(rng.randint(1, 4)))
+    return cag, d
+
+
+def coupled_cag():
+    """Array ``a``'s two dimensions sit in different edge-components
+    ({a0, b0} and {a1, c0}) and both want partition 0 — only type 2,
+    which no edge path carries, keeps them apart."""
+    cag = CAG()
+    cag.add_array("a", 2)
+    cag.add_array("b", 2)
+    cag.add_array("c", 2)
+    cag.add_undirected_edge(("a", 0), ("b", 0), 5.0)
+    cag.add_undirected_edge(("a", 1), ("c", 0), 3.0)
+    return cag
+
+
+def tied_cag():
+    """x0 pulled equally toward both dimensions of y: two optimal cuts."""
+    cag = CAG()
+    cag.add_array("y", 2)
+    cag.add_undirected_edge(("x", 0), ("y", 0), 2.0)
+    cag.add_undirected_edge(("x", 0), ("y", 1), 2.0)
+    return cag
+
+
+class TestDirectPath:
+    def test_figure8_is_answered_by_enumeration(self):
+        cag = figure8_cag()
+        res, trace = traced(resolve_conflicts, cag, d=2)
+        attrs = resolve_span(trace)
+        assert attrs["path"] == "direct"
+        assert attrs["optima"] == 1
+        assert attrs["assignments"] == res.solution.stats.nodes > 0
+        assert spans_by_name(trace, "ilp.solve") == []
+        assert res.solution.stats.backend == ENUMERATION_BACKEND
+        assert res.optimal and res.solution.is_optimal
+        assert res.cut_weight == pytest.approx(4.0)
+        assert cut_of(cag, res) == {(("x", 1), ("y", 0))}
+        # the canonical relabeling: smallest partitions first
+        assert res.assignment == {
+            ("x", 0): 0, ("x", 1): 1, ("y", 0): 0, ("y", 1): 1,
+        }
+
+    def test_direct_solution_is_a_solution_of_the_appendix_model(self):
+        cag = figure8_cag()
+        res = resolve_conflicts(cag, d=2)
+        ilp = build_alignment_model(cag, 2)
+        assert set(res.solution.values) == set(ilp.model.variables)
+        assert ilp.model.is_feasible(res.solution.values)
+        assert ilp.model.objective_value(res.solution.values) \
+            == res.solution.objective == 20.0
+        assert (res.num_variables, res.num_constraints) == (14, 16)
+
+    def test_reference_switch_builds_and_solves_the_model(self):
+        res, trace = traced(
+            resolve_conflicts, figure8_cag(), d=2, presolve=False
+        )
+        assert resolve_span(trace)["path"] == "reference"
+        assert "assignments" not in resolve_span(trace)
+        assert len(spans_by_name(trace, "ilp.solve")) == 1
+        assert res.solution.stats.backend != ENUMERATION_BACKEND
+        assert res.cut_weight == pytest.approx(4.0)
+
+    def test_tied_instance_goes_to_the_solver(self):
+        cag = tied_cag()
+        res, trace = traced(resolve_conflicts, cag, d=2)
+        attrs = resolve_span(trace)
+        assert (attrs["path"], attrs["optima"]) == ("tie", 2)
+        assert len(spans_by_name(trace, "ilp.solve")) == 1
+        ref = resolve_conflicts(cag, d=2, presolve=False)
+        assert cut_of(cag, res) == cut_of(cag, ref)
+
+    def test_type2_couples_dimensions_across_edge_components(self):
+        cag = coupled_cag()
+        assert len(cag.components()) > 3  # a0 and a1 are not connected
+        res, trace = traced(resolve_conflicts, cag, d=2)
+        assert resolve_span(trace)["path"] == "direct"
+        assert res.assignment[("a", 0)] != res.assignment[("a", 1)]
+        assert res.cut_weight == 0.0
+        assert res.solution.objective == 8.0
+        ref = resolve_conflicts(cag, d=2, presolve=False)
+        assert res.partitioning == ref.partitioning
+
+    def test_overflow_falls_back_and_still_answers(self, monkeypatch):
+        cag = figure8_cag()
+        full = enumerate_optimum(cag, 2)
+        monkeypatch.setattr(enumeration, "VISIT_CAP", full.visited - 1)
+        res, trace = traced(resolve_conflicts, cag, d=2)
+        attrs = resolve_span(trace)
+        assert (attrs["path"], attrs["optima"]) == ("overflow", 0)
+        assert len(spans_by_name(trace, "ilp.solve")) == 1
+        assert res.optimal
+        assert cut_of(cag, res) == {(("x", 1), ("y", 0))}
+        # one more visit and the enumeration completes
+        monkeypatch.setattr(enumeration, "VISIT_CAP", full.visited)
+        _res, trace = traced(resolve_conflicts, cag, d=2)
+        assert resolve_span(trace)["path"] == "direct"
+
+    def test_rank_check_is_kept(self):
+        cag = CAG()
+        cag.add_array("a", 3)
+        with pytest.raises(ValueError):
+            resolve_conflicts(cag, d=2)
+
+    @pytest.mark.parametrize("block", range(8))
+    def test_direct_equals_reference_on_random_cags(self, block):
+        for seed in range(block * 40, (block + 1) * 40):
+            cag, d = random_cag(seed)
+            built = build_alignment_model(cag, d)
+            assert model_size(cag, d) == (
+                built.num_variables, built.num_constraints
+            ), seed
+            fast = resolve_conflicts(cag, d)
+            ref = resolve_conflicts(cag, d, presolve=False)
+            assert fast.cut_weight == pytest.approx(ref.cut_weight), seed
+            assert not fast.resolved.has_conflict(), seed
+            if not cag.weights:
+                continue
+            _best, near = optimal_cuts(cag, d)
+            direct = fast.solution.stats.backend == ENUMERATION_BACKEND
+            assert direct == (len(near) == 1), seed
+            # unique: the one cut; tied: the solver's pick, which is
+            # what the reference path picks too
+            assert cut_of(cag, fast) == cut_of(cag, ref), seed
+            if direct:
+                assert cut_of(cag, fast) == near[0][1], seed
+
+    def test_enumeration_reports_the_lexicographically_smallest_optimum(
+        self,
+    ):
+        for seed in range(60):
+            cag, d = random_cag(seed)
+            if not cag.weights:
+                continue
+            found = enumerate_optimum(cag, d)
+            best, _near = optimal_cuts(cag, d)
+            nodes = sorted(cag.nodes)
+            smallest = min(
+                tuple(a[n] for n in nodes)
+                for a in enumerate_alignments(cag, d)
+                if satisfied_weight(cag, a) == best
+            )
+            assert tuple(found.assignment[n] for n in nodes) == smallest
+
+
+class TestFaultSiteAndDeadlineParity:
+    """``ilp.solve`` — fault point and checkpoint — fires exactly once
+    per resolution, whichever path answers it."""
+
+    CASES = [
+        ("direct", figure8_cag, {}),
+        ("tie", tied_cag, {}),
+        ("reference", figure8_cag, {"presolve": False}),
+    ]
+
+    @pytest.mark.parametrize("path,make,kwargs", CASES)
+    def test_fault_point_fires_once(self, path, make, kwargs):
+        plan = FaultPlan(seed=3, specs=[
+            FaultSpec(site="ilp.solve", mode="delay", delay_s=0.0),
+        ])
+        with faults.armed(plan) as injector:
+            _res, trace = traced(resolve_conflicts, make(), d=2, **kwargs)
+        assert resolve_span(trace)["path"] == path
+        assert [site for site, _m, _d in injector.log] == ["ilp.solve"]
+
+    @pytest.mark.parametrize("path,make,kwargs", CASES)
+    def test_checkpoint_fires_once(self, path, make, kwargs):
+        labels = []
+
+        class Recording(Deadline):
+            __slots__ = ()
+
+            def checkpoint(self, label):
+                labels.append(label)
+                super().checkpoint(label)
+
+        with deadline_scope(Recording(60.0, hard_s=120.0)):
+            _res, trace = traced(resolve_conflicts, make(), d=2, **kwargs)
+        assert resolve_span(trace)["path"] == path
+        assert labels == ["ilp.solve"]
+
+    def test_injected_error_reaches_the_direct_path(self):
+        from repro.resilience.errors import InjectedFault
+
+        plan = FaultPlan(seed=3, specs=[FaultSpec(site="ilp.solve")])
+        with faults.armed(plan):
+            with pytest.raises(InjectedFault):
+                resolve_conflicts(figure8_cag(), d=2)
+
+    def test_spent_budget_skips_the_enumeration(self):
+        with deadline_scope(Deadline(1e-9)):
+            res, trace = traced(resolve_conflicts, figure8_cag(), d=2)
+        assert resolve_span(trace)["path"] == "reference"
+        assert res.optimal is False
+
+
+# -- the paper programs -------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "program", ["adi", "erlebacher", "shallow", "tomcatv"]
+)
+def test_paper_programs_start_no_solver_at_1d_block(program):
+    result, trace = traced(
+        run_assistant, PROGRAMS[program].source(),
+        AssistantConfig(nprocs=8),
+    )
+    assert spans_by_name(trace, "ilp.solve") == []
+    resolves = spans_by_name(trace, "alignment.resolve")
+    assert len(resolves) == len(result.alignment_spaces.resolutions)
+    assert all(s["attrs"]["path"] == "direct" for s in resolves)
+
+
+def test_tomcatv_resolutions_keep_the_appendix_model_sizes(
+    tomcatv_assistant,
+):
+    first, second = tomcatv_assistant.alignment_spaces.resolutions
+    for res in (first, second):
+        assert (res.num_variables, res.num_constraints) == (64, 104)
+        assert res.solution.stats.backend == ENUMERATION_BACKEND
+        assert 0 < res.solution.stats.nodes <= 64
+    assert first.solution.objective != second.solution.objective

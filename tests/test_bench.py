@@ -13,6 +13,8 @@ import os
 
 import pytest
 
+from repro.obs import tracing
+from repro.obs.events import spans_by_name
 from repro.obs.prometheus import parse_prometheus_text
 from repro.perf.bench import (
     BENCH_SCHEMA,
@@ -292,6 +294,29 @@ class TestSuite:
         ]
         results = run_suite(cases[2:], repeats=1, warmup=0, memory=False)
         assert all(m.min_s > 0 for m in results.values())
+
+    def test_alignment_stage_adds_the_tied_generated_case(self):
+        cases = build_suite(programs=["adi"], sizes={"adi": 32},
+                            stages=["alignment_ilp"], include_e2e=False)
+        assert [c.bench_id for c in cases] == [
+            "stage:alignment_ilp/adi", "stage:alignment_ilp/qa-tied",
+        ]
+        # the case is what it says: phase1's resolution is handed over on
+        # a tie, the two import resolutions are answered by enumeration
+        tracing.start_trace("test")
+        try:
+            cases[1].fn()
+        finally:
+            trace = tracing.finish_trace()
+        assert [
+            (s["attrs"]["name"], s["attrs"]["path"], s["attrs"]["optima"])
+            for s in spans_by_name(trace, "alignment.resolve")
+        ] == [
+            ("phase1", "tie", 6),
+            ("import:class1->class0", "direct", 1),
+            ("import:class0->class1", "direct", 1),
+        ]
+        assert len(spans_by_name(trace, "ilp.solve")) == 1
 
     def test_handle_layer_times_the_three_cache_paths(self):
         cases = build_suite(programs=["adi"], sizes={"adi": 32},

@@ -21,6 +21,7 @@ from repro.obs.events import (
 from repro.obs.log import configure_logging, get_logger
 from repro.obs.prometheus import parse_prometheus_text, render_prometheus
 from repro.obs.provenance import build_provenance, format_provenance
+from repro.programs import PROGRAMS
 from repro.service import LayoutService, WorkerPool
 from repro.service.metrics import Histogram, Metrics
 from repro.service.protocol import LayoutRequest
@@ -371,6 +372,43 @@ class TestPipelineInstrumentation:
         text = format_provenance(report)
         assert "decision provenance" in text
         assert "phase 0" in text
+
+    def test_provenance_accounts_for_alignment_without_a_solver_span(self):
+        """tomcatv's two conflict resolutions start no solver; the
+        report names how each cut was decided from the
+        ``alignment.resolve`` span alone."""
+        source = PROGRAMS["tomcatv"].source(n=32, maxiter=2)
+        tracing.start_trace("test")
+        try:
+            run_assistant(source, AssistantConfig(nprocs=4))
+        finally:
+            trace = tracing.finish_trace()
+        assert spans_by_name(trace, "ilp.solve") == []
+        report = build_provenance(trace)
+        assert report["ilp_solves"] == []
+        assert len(report["conflicts"]) == 2
+        for conflict in report["conflicts"]:
+            assert conflict["path"] == "direct"
+            assert conflict["optima"] == 1
+            assert conflict["assignments"] > 0
+        text = format_provenance(report)
+        assert text.count("unique optimum by enumeration") == 2
+
+    def test_provenance_names_a_solver_decided_tie(self):
+        from repro.alignment.cag import CAG
+        from repro.alignment.ilp import resolve_conflicts
+
+        cag = CAG()
+        cag.add_array("y", 2)
+        cag.add_undirected_edge(("x", 0), ("y", 0), 2.0)
+        cag.add_undirected_edge(("x", 0), ("y", 1), 2.0)
+        tracing.start_trace("test")
+        try:
+            resolve_conflicts(cag, d=2, name="tied")
+        finally:
+            trace = tracing.finish_trace()
+        text = format_provenance(build_provenance(trace))
+        assert "chosen by the 0-1 solver among 2 tied optimal cuts" in text
 
 
 # ---------------------------------------------------------------------------

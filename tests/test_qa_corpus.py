@@ -9,10 +9,14 @@ import os
 
 import pytest
 
+from repro.alignment import enumeration
+from repro.alignment.ilp import ENUMERATION_BACKEND
 from repro.alignment.weights import build_phase_cag
 from repro.frontend.parser import parse_source
 from repro.frontend.printer import format_program
-from repro.qa import check_alignment, check_selection, load_corpus
+from repro.qa import (
+    check_alignment, check_resolution, check_selection, load_corpus,
+)
 from repro.tool.assistant import run_assistant
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "corpus")
@@ -60,5 +64,25 @@ class TestCorpusReplay:
             cag = build_phase_cag(phase, result.symbols)
             divergence = check_alignment(cag, d)
             assert divergence is None, f"{case.name}: {divergence}"
+            divergence = check_resolution(cag, d)
+            assert divergence is None, f"{case.name}: {divergence}"
         divergence = check_selection(result.graph)
         assert divergence is None, f"{case.name}: {divergence}"
+
+    def test_answer_is_the_solver_paths_answer(self, case, monkeypatch):
+        """Enumeration changes no answer: with a zero visit cap every
+        resolution overflows to the model and the solver, as before the
+        direct path existed, and the pipeline selects the same thing."""
+        fast = run_assistant(case.source, case.config)
+        monkeypatch.setattr(enumeration, "VISIT_CAP", 0)
+        solved = run_assistant(case.source, case.config)
+        assert all(
+            res.solution.stats.backend != ENUMERATION_BACKEND
+            for res in solved.alignment_spaces.resolutions
+        )
+        assert [r.partitioning for r in fast.alignment_spaces.resolutions] \
+            == [r.partitioning for r in solved.alignment_spaces.resolutions]
+        assert fast.alignment_spaces.per_phase \
+            == solved.alignment_spaces.per_phase
+        assert fast.selection.selection == solved.selection.selection
+        assert fast.predicted_total_us == solved.predicted_total_us

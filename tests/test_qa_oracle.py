@@ -1,8 +1,11 @@
 """Differential-oracle tests: brute force vs ILP on both NP-complete
 cores, plus the mutation tests proving the oracles catch injected bugs."""
 
+import dataclasses
+
 import pytest
 
+from repro.alignment import enumeration
 from repro.alignment.cag import CAG
 from repro.alignment.ilp import build_alignment_model
 from repro.alignment.weights import build_phase_cag
@@ -14,6 +17,7 @@ from repro.qa import (
     best_alignment,
     best_selection,
     check_alignment,
+    check_resolution,
     check_selection,
     enumerate_alignments,
     generate_program,
@@ -133,6 +137,13 @@ class TestOracleScopeGuards:
         assert check_alignment(cag, d=2) is None  # dim 2 >= d
 
 
+def first_optimum_only(cag, d, cap, real=enumeration.enumerate_optimum):
+    """A wrong direct solver: what non-strict pruning does — a branch
+    that merely ties the incumbent is dropped, so the enumeration sees
+    one optimum where there are several and answers on its own."""
+    return dataclasses.replace(real(cag, d, cap), optima=1)
+
+
 class TestMutationKilling:
     """A deliberately injected objective-coefficient bug must be caught
     by the differential oracle (the PR's acceptance criterion)."""
@@ -188,6 +199,66 @@ class TestMutationKilling:
         assert isinstance(divergence, Divergence)
         assert divergence.kind == "alignment"
         assert check_alignment(cag, 2) is None
+
+    def test_direct_solver_that_drops_a_tie_is_caught(self, monkeypatch):
+        # b0 is pulled equally toward both dimensions of a: two optimal
+        # cuts, so the choice belongs to the solver.
+        cag = make_cag(
+            {"a": 2, "b": 1},
+            {(("a", 0), ("b", 0)): 2.0, (("a", 1), ("b", 0)): 2.0},
+        )
+        assert check_resolution(cag, 2) is None
+        monkeypatch.setattr(
+            enumeration, "enumerate_optimum", first_optimum_only
+        )
+        divergence = check_resolution(cag, 2)
+        assert isinstance(divergence, Divergence)
+        assert "tie" in divergence.detail
+
+    def test_direct_solver_that_ignores_type2_across_components_is_caught(
+        self, monkeypatch
+    ):
+        # a0 and a1 lie in different edge-components and both would
+        # like partition 0; only type 2 couples them.
+        cag = make_cag(
+            {"a": 2, "b": 2, "c": 2},
+            {(("a", 0), ("b", 0)): 5.0, (("a", 1), ("c", 0)): 3.0},
+        )
+        assert check_resolution(cag, 2) is None
+        real = enumeration.enumerate_optimum
+
+        def per_edge_component(whole, d, cap):
+            assignment = {}
+            for component in whole.components():
+                part = CAG(nodes=set(component), weights={
+                    key: w for key, w in whole.weights.items()
+                    if key[0] in component
+                })
+                assignment.update(real(part, d, cap).assignment)
+            return enumeration.Enumeration(assignment, visited=1, optima=1)
+
+        monkeypatch.setattr(
+            enumeration, "enumerate_optimum", per_edge_component
+        )
+        divergence = check_resolution(cag, 2)
+        assert isinstance(divergence, Divergence)
+        assert "two dimensions of one array" in divergence.detail
+
+    def test_resolution_check_runs_under_the_fuzz_alignment_oracle(
+        self, monkeypatch
+    ):
+        from repro.qa import run_fuzz
+
+        clean = run_fuzz(cases=30, seed=1000, checks=["alignment-oracle"],
+                         minimize=False)
+        assert clean.ok, clean.summary()
+        monkeypatch.setattr(
+            enumeration, "enumerate_optimum", first_optimum_only
+        )
+        broken = run_fuzz(cases=30, seed=1000, checks=["alignment-oracle"],
+                          minimize=False)
+        assert not broken.ok
+        assert all(f.check == "alignment-oracle" for f in broken.failures)
 
 
 class TestGeneratorDeterminism:
