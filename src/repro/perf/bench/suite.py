@@ -23,8 +23,8 @@ Two benchmark kinds:
 - **layer benchmarks** (``layer:service.handle/<path>/<program>``) time
   one ``analyze`` request through ``LayoutService.handle`` — protocol,
   admission, cache, metrics, telemetry and all — on its three cache
-  paths: ``cold`` (empty cache: every stage computed and stored),
-  ``warm-mem`` (the answer comes out of the memory LRU) and
+  paths: ``cold`` (empty cache: one ``answer`` miss, ``run_assistant``,
+  one store), ``warm-mem`` (the answer comes out of the memory LRU) and
   ``warm-disk`` (memory tier dropped first: read, checksum, unpickle).
 
 Everything is deterministic by construction: bench sizes are pinned per

@@ -224,10 +224,13 @@ def _presolve_divergence(
     result: AssistantResult, backend: str,
     report: Optional[FuzzReport] = None,
 ) -> Optional[str]:
-    """Presolve soundness: the graph-presolve path must reproduce the
-    unpresolved ILP's canonical selection and objective exactly, and
-    every presolve-fixed phase must carry the same candidate in the
-    brute-force oracle's optimal certificate."""
+    """Presolve soundness against the brute-force certificate: the
+    graph-presolve path must reach the exhaustive optimum exactly, with
+    the oracle's selection or an equal-objective one, and every
+    presolve-fixed phase must carry the certificate's candidate.  The
+    unpresolved solve is held to its own contract only: HiGHS stops at
+    any incumbent inside its 1e-4 relative gap, so among candidates
+    1e-9 apart it may return any."""
     graph = result.graph
     if (
         oracles.selection_combination_count(graph)
@@ -238,15 +241,20 @@ def _presolve_divergence(
         return None
     if not graph.node_costs:
         return None
-    ref = select_layouts(graph, backend=backend, presolve=False)
-    fast = select_layouts(graph, backend=backend, presolve=True)
-    if fast.selection != ref.selection:
-        return (f"presolved selection {fast.selection} != "
-                f"unpresolved {ref.selection}")
-    if fast.objective != ref.objective:
-        return (f"presolved objective {fast.objective!r} != "
-                f"unpresolved {ref.objective!r}")
     oracle_cost, oracle_sel = oracles.exact_best_selection(graph)
+    fast = select_layouts(graph, backend=backend, presolve=True)
+    if fast.objective != oracle_cost:
+        return (f"presolved objective {fast.objective!r} != exhaustive "
+                f"optimum {oracle_cost!r}")
+    if graph.evaluate(fast.selection) != oracle_cost:
+        return (f"presolved selection {fast.selection} is not the "
+                f"optimum {oracle_sel} nor an equal-objective one")
+    ref = select_layouts(graph, backend=backend, presolve=False)
+    if not oracle_cost <= ref.objective <= oracle_cost + 1e-4 * abs(
+        oracle_cost
+    ):
+        return (f"unpresolved objective {ref.objective!r} is outside the "
+                f"solver's gap above the optimum {oracle_cost!r}")
     pre = presolve_selection(graph)
     for phase_index, cand in sorted(pre.fixed.items()):
         if oracle_sel.get(phase_index) != cand:
@@ -255,9 +263,6 @@ def _presolve_divergence(
                 f"{cand} but the oracle certificate selects "
                 f"{oracle_sel.get(phase_index)}"
             )
-    if fast.objective != oracle_cost:
-        return (f"presolved objective {fast.objective!r} != exhaustive "
-                f"optimum {oracle_cost!r}")
     # Shrink the table cap until the descending order overflows, so the
     # width-aware order and its tie rule face the same certificate.
     for cap in _SMALL_TABLE_CAPS:

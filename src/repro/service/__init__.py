@@ -4,7 +4,7 @@ The paper frames the framework as an interactive data layout assistant;
 this package turns the one-shot CLI pipeline into a long-lived service:
 
 - :mod:`server`   — the :class:`LayoutService` engine and TCP front end;
-- :mod:`cache`    — content-addressed per-stage result cache;
+- :mod:`cache`    — content-addressed result cache (one entry a reply);
 - :mod:`pool`     — resilient ``concurrent.futures`` worker pool;
 - :mod:`jobs`     — the pure-function job boundary workers execute;
 - :mod:`metrics`  — counters, cache stats, wall-time histograms, and

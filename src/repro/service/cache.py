@@ -1,37 +1,17 @@
-"""Content-addressed, per-stage result cache.
+"""Content-addressed result cache.
 
-Every pipeline stage's output is stored under a key derived from the
-*content* that determines it — never from object identity or wall-clock
-time.  The keying scheme is a hash chain along the pipeline, with one
-shortcut across it:
+The service keeps one kind of entry, ``answer``: what a reply carries
+(predicted time, static-or-dynamic, the serialized layouts) under
+sha256 of the raw source text + the hash of the whole config
+(``AssistantConfig.to_key``).  The key is known before any work, so the
+service looks it up first; a miss is ``run_assistant`` from the source,
+then one store.  Any change to source or config — a whitespace edit
+included — is another key.
 
-- ``answer``       <- sha256 of the raw source text + the hash of the
-  whole config (``AssistantConfig.to_key``).  Not a link of the chain:
-  its value is what a reply carries (predicted time, static-or-dynamic,
-  the serialized layouts) and its key is known before any work, so the
-  service looks it up first and a repeated request loads nothing else;
-- ``frontend``     <- sha256 of the raw source text (the only content
-  available before parsing);
-- ``program key``  <- sha256 of the *normalized* program (the pretty
-  printer's canonical rendering of the inlined AST), computed after the
-  frontend stage.  Downstream keys chain from this, so two sources that
-  differ only in whitespace or comments share every later stage;
-- ``partition``    <- program key + branch-probability settings;
-- ``alignment``    <- partition key + ILP backend;
-- ``distribution`` <- alignment key + nprocs + distribution options;
-- ``estimation``   <- distribution key + machine parameters + compiler
-  options;
-- ``selection``    <- estimation key + ILP backend.
-
-Machine and compiler parameters enter the chain only at the estimation
-stage, so swapping machines reuses everything up to and including the
-distribution stage; changing nprocs invalidates from the distribution
-stage down; editing only branch probabilities keeps the frontend hit.
-Each of these misses ``answer`` too (any config field is in its key),
-and so does a whitespace edit, which then misses ``frontend``, hits the
-five normalized-key stages and stores an answer of its own.  A request
-with ``use_cache: false`` goes round all seven: nothing looked up,
-nothing stored.
+:class:`StageKeys` also derives six per-stage keys chained from the
+normalized program (``bind_program``), and :class:`StageCache` is keyed
+``(stage, key)``; the service uses neither for anything but ``answer``.
+They stay because ``bench/servicerun.py`` walks them.
 
 Storage is two-level: a small in-memory LRU in front of one pickle file
 per entry (``<root>/<stage>/<key>.pkl``).  On-disk entries carry a

@@ -2,14 +2,14 @@
 
 Two layers:
 
-- :class:`LayoutService` — the in-process engine.  It runs the six
-  assistant stages with per-stage caching, per-stage wall-time metrics,
-  pooled estimation, and a per-request deadline.  Tests and embedders
+- :class:`LayoutService` — the in-process engine: an answer cache in
+  front of ``run_assistant`` with pooled estimation, per-stage
+  wall-time metrics, and a per-request deadline.  Tests and embedders
   use it directly;
 - :class:`LayoutServer` — a threaded TCP front end speaking the
   newline-delimited JSON protocol of :mod:`repro.service.protocol`.
   Independent requests fan out across connection threads while sharing
-  one stage cache, one metrics registry, and one worker pool.
+  one cache, one metrics registry, and one worker pool.
 
 A request stays on the thread that read it from the socket, from decode
 to reply.  Its one :class:`~repro.resilience.deadline.Deadline` carries
@@ -53,15 +53,7 @@ from ..resilience.errors import (
     ShuttingDownError,
 )
 from ..resilience.faults import fault_point
-from ..tool.assistant import (
-    AssistantResult,
-    stage_alignment,
-    stage_distribution,
-    stage_estimation,
-    stage_frontend,
-    stage_partition,
-    stage_selection,
-)
+from ..tool.assistant import STAGES, run_assistant
 from .cache import StageCache, StageKeys
 from .errors import ConnectionIdleError, ServiceError
 from .metrics import Metrics
@@ -107,7 +99,8 @@ logger = get_logger("repro.service")
 
 
 class LayoutService:
-    """The long-lived analysis engine behind the protocol."""
+    """The long-lived analysis engine behind the protocol: look the
+    answer up, on a miss run the assistant and keep its answer."""
 
     def __init__(
         self,
@@ -156,104 +149,45 @@ class LayoutService:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    # -- the staged pipeline ---------------------------------------------
+    # -- the pipeline ------------------------------------------------------
 
     def _run_pipeline(
         self, request: LayoutRequest
     ) -> Tuple[Dict[str, Any], List[StageTiming]]:
-        """The reply's content (:func:`answer_of`) and what each stage
-        took.  The ``answer`` stage is looked up first, under a key known
-        before any work; the six analysis stages run only when it
-        misses."""
+        """The reply's content (:func:`answer_of`) and its
+        ``stage_timings``: the ``answer`` lookup, under a key known
+        before any work, and on a miss the six stages of
+        :func:`run_assistant`, timed by their own ``stage:*`` spans."""
         source = request.resolve_source()
         config = request.resolve_config()
-        keys = StageKeys(source, config)
         use_cache = self.use_cache and request.use_cache
         timings: List[StageTiming] = []
         clean = noted_count()
-
-        def keep(name: str, key: str, value) -> None:
-            # Never cache anything computed after a degradation: a stage
-            # fed a heuristic upstream output is as tainted as the stage
-            # that fell back, and a later request with a full budget
-            # must recompute both, not inherit them.
-            if use_cache and noted_count() == clean:
-                self.cache.store(name, key, value)
-
-        def run_stage(name: str, key: str, compute=None):
-            """Load or compute one stage; with no ``compute`` a miss
-            stays a miss (``None``)."""
-            checkpoint(f"stage:{name}")
-            with tracing.span("service.stage", stage=name) as stage_span:
+        if use_cache:
+            key = StageKeys(source, config).answer
+            checkpoint("stage:answer")
+            with tracing.span("service.stage", stage="answer") as stage_span:
                 start = perf_counter()
-                hit, value = (self.cache.load(name, key) if use_cache
-                              else (False, None))
-                if not hit and compute is not None:
-                    value = compute()
-                    keep(name, key, value)
+                hit, answer = self.cache.load("answer", key)
                 seconds = perf_counter() - start
                 stage_span.set_attr("cache_hit", hit)
-            timings.append(
-                StageTiming(stage=name, seconds=seconds, cache_hit=hit)
-            )
-            self.metrics.observe_stage(name, seconds)
-            self.metrics.record_cache(name, hit)
-            return value
-
-        if use_cache:
-            # nothing computes an answer but the six stages below: on a
-            # miss they run and the answer is kept once they are through
-            answer = run_stage("answer", keys.answer)
-            if answer is not None:
+            timings.append(StageTiming("answer", seconds, hit))
+            self.metrics.observe_stage("answer", seconds)
+            self.metrics.record_cache("answer", hit)
+            if hit:
                 return answer, timings
-        program, symbols = run_stage(
-            "frontend", keys.frontend, lambda: stage_frontend(source)
+        answer = answer_of(
+            run_assistant(source, config, job_runner=self.pool.run_jobs)
         )
-        keys.bind_program(program)
-        partition, pcfg, template = run_stage(
-            "partition", keys.partition,
-            lambda: stage_partition(program, symbols, config),
+        # A degraded answer is never kept: a later request with a full
+        # budget must compute the exact one, not inherit the fallback.
+        if use_cache and noted_count() == clean:
+            self.cache.store("answer", key, answer)
+        spans = tracing.active_tracer().durations_by_name()
+        timings.extend(
+            StageTiming(stage, spans[f"stage:{stage}"][0], False)
+            for stage in STAGES
         )
-        alignment_spaces = run_stage(
-            "alignment", keys.alignment,
-            lambda: stage_alignment(
-                partition, pcfg, symbols, template, config
-            ),
-        )
-        layout_spaces = run_stage(
-            "distribution", keys.distribution,
-            lambda: stage_distribution(
-                partition, alignment_spaces, template, symbols, config
-            ),
-        )
-        estimates, db = run_stage(
-            "estimation", keys.estimation,
-            lambda: stage_estimation(
-                partition, layout_spaces, symbols, config,
-                job_runner=self.pool.run_jobs,
-            ),
-        )
-        graph, selection = run_stage(
-            "selection", keys.selection,
-            lambda: stage_selection(
-                partition, pcfg, estimates, symbols, db, config
-            ),
-        )
-        answer = answer_of(AssistantResult(
-            config=config,
-            program=program,
-            symbols=symbols,
-            partition=partition,
-            pcfg=pcfg,
-            template=template,
-            alignment_spaces=alignment_spaces,
-            layout_spaces=layout_spaces,
-            estimates=estimates,
-            graph=graph,
-            selection=selection,
-            db=db,
-        ))
-        keep("answer", keys.answer, answer)
         return answer, timings
 
     # -- request handling ------------------------------------------------
@@ -422,11 +356,17 @@ class LayoutService:
         )
 
     def _fold_trace(self, tracer: tracing.Tracer) -> None:
-        """Fold a request trace's span durations into the registry so
-        the Prometheus exposition carries pipeline span aggregates."""
+        """Fold a request trace's span durations into the registry:
+        every span into the span aggregates, the ``stage:*`` ones into
+        the stage histograms too (whatever ran, also of a request that
+        failed) — the durations the reply's ``stage_timings`` carry."""
         for name, durations in tracer.durations_by_name().items():
             for seconds in durations:
                 self.metrics.observe_span(name, seconds)
+                if name.startswith("stage:"):
+                    self.metrics.observe_stage(
+                        name.removeprefix("stage:"), seconds
+                    )
 
     def analyze_dict(self, payload: Dict[str, Any]) -> Dict[str, Any]:
         try:

@@ -11,10 +11,12 @@ framework is designed for an interactive tool, so search spaces can be
 inspected and edited before re-running selection.
 
 The run is decomposed into six *stages* (frontend, partition, alignment,
-distribution, estimation, selection), each an independently callable,
-independently cacheable pure function of its inputs; ``run_assistant``
-is simply their composition.  The layout service (``repro.service``)
-times and caches each stage separately.
+distribution, estimation, selection), each an independently callable
+pure function of its inputs under a ``stage:<name>`` span, behind a
+cooperative ``checkpoint("stage:<name>")`` (a hard-expired
+``deadline_scope`` ends the run there; free with none in scope).
+``run_assistant`` is their composition, and what the layout service
+(``repro.service``) runs on a cache miss.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ from ..perf.estimator import (
     estimate_search_spaces,
 )
 from ..perf.training import TrainingDatabase, cached_training_database
+from ..resilience.deadline import checkpoint
 from ..selection.ilp import SelectionResult, select_layouts
 from ..selection.layout_graph import DataLayoutGraph, build_layout_graph
 
@@ -221,8 +224,7 @@ class AssistantResult:
 
 
 # ---------------------------------------------------------------------------
-# The six stages.  Each is a pure function of its arguments; the service
-# caches each one under a content-derived key (see repro/service/cache.py).
+# The six stages.  Each is a pure function of its arguments.
 
 #: stage names, in pipeline order
 STAGES = (
@@ -238,6 +240,7 @@ def stage_frontend(source: str) -> Tuple[ast.Program, SymbolTable]:
     framework itself is intra-procedural, like the paper's prototype, but
     the tool performs the inlining its authors did by hand.
     """
+    checkpoint("stage:frontend")
     with obs_span("stage:frontend", source_bytes=len(source)) as sp:
         with obs_span("frontend.parse"):
             program = parse_source_file(source)
@@ -253,6 +256,7 @@ def stage_partition(
     program: ast.Program, symbols: SymbolTable, config: AssistantConfig
 ) -> Tuple[PhasePartition, PCFG, Template]:
     """Phase partitioning, PCFG construction, template determination."""
+    checkpoint("stage:partition")
     with obs_span("stage:partition") as sp:
         with obs_span("partition.phases"):
             partition = partition_phases(
@@ -278,6 +282,7 @@ def stage_alignment(
     config: AssistantConfig,
 ) -> AlignmentSearchSpaces:
     """Per-phase alignment search spaces (intra-phase CAG optimization)."""
+    checkpoint("stage:alignment")
     with obs_span("stage:alignment", backend=config.ilp_backend) as sp:
         spaces = build_alignment_search_spaces(
             partition.phases, pcfg, symbols, template,
@@ -300,6 +305,7 @@ def stage_distribution(
     config: AssistantConfig,
 ) -> LayoutSearchSpaces:
     """Candidate data-layout search spaces (alignment x distribution)."""
+    checkpoint("stage:distribution")
     with obs_span("stage:distribution", nprocs=config.nprocs) as sp:
         spaces = build_layout_search_spaces(
             partition.phases, alignment_spaces, template, symbols,
@@ -318,6 +324,7 @@ def stage_estimation(
     job_runner: Optional[JobRunner] = None,
 ) -> Tuple[EstimationResult, TrainingDatabase]:
     """Price every candidate of every phase against the training sets."""
+    checkpoint("stage:estimation")
     with obs_span(
         "stage:estimation", parallel=job_runner is not None
     ) as sp:
@@ -344,6 +351,7 @@ def stage_selection(
     config: AssistantConfig,
 ) -> Tuple[DataLayoutGraph, SelectionResult]:
     """Build the data layout graph and solve the 0-1 selection problem."""
+    checkpoint("stage:selection")
     with obs_span("stage:selection", backend=config.ilp_backend) as sp:
         graph = build_layout_graph(
             partition.phases, pcfg, estimates, symbols, db, config.nprocs

@@ -43,7 +43,12 @@ from repro.perf.bench import (
     run_suite,
     validate_bench_file,
 )
-from repro.perf.bench.suite import GRAPH_STAGE, HANDLE_LAYER, STAGE_NAMES
+from repro.perf.bench.suite import (
+    GRAPH_STAGE,
+    HANDLE_LAYER,
+    STAGE_NAMES,
+    _handle_service,
+)
 from repro.service.metrics import Metrics
 from repro.tool.cli import main as cli_main
 
@@ -333,6 +338,9 @@ class TestSuite:
                             memory=False)
         cold, disk, mem = (results[c.bench_id].min_s for c in layer)
         assert cold > disk and cold > mem > 0
+        # cold is one miss and one store: the answer, nothing beside it
+        _, service = _handle_service("adi")
+        assert service.cache.entry_count() == {"answer": 1}
 
     def test_suite_ids_are_sorted_and_deterministic(self):
         cases = build_suite(programs=["tomcatv"], sizes={"tomcatv": 32})

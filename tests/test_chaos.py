@@ -21,6 +21,7 @@ from repro.resilience.chaos import (
     run_chaos,
 )
 from repro.resilience.faults import FaultSpec, armed
+from repro.service import LayoutService, WorkerPool
 from repro.tool.cli import main
 
 
@@ -126,14 +127,24 @@ class TestCampaign:
         plan = FaultPlan(seed=1, specs=[FaultSpec("cache.load", "corrupt")])
         with armed(plan) as injector:
             response = _analyze_twice(str(tmp_path / "hit"), request)
-            assert injector.fired_count() == 7  # answer + six stages
+            assert injector.fired_count() == 1  # the one entry there is
         assert _classify(response, reference) == ("ok", "")
         assert response["cache_hits"] == 0
         moved = sorted(
             p.parent.name for p in (tmp_path / "hit").rglob("*.quarantined")
         )
-        assert moved == ["alignment", "answer", "distribution",
-                         "estimation", "frontend", "partition", "selection"]
+        assert moved == ["answer"]
+
+    def test_a_cold_pass_meets_one_load_and_one_store(self, tmp_path):
+        plan = FaultPlan(seed=1, specs=[
+            FaultSpec("cache.*", "delay", delay_s=0.0),
+        ])
+        with LayoutService(cache_dir=str(tmp_path / "cold"),
+                           pool=WorkerPool(kind="serial")) as service:
+            with armed(plan) as injector:
+                assert service.handle(_request("erlebacher", 4))["ok"]
+        assert [site for site, _mode, _detail in injector.log] == \
+            ["cache.load", "cache.store"]
 
     def test_campaign_respects_wall_clock_budget(self):
         report = run_chaos(

@@ -17,7 +17,7 @@ from repro.service import (
     WorkerPool,
     send_request,
 )
-from repro.service import server as server_module
+from repro.tool import assistant as assistant_module
 from repro.tool.assistant import stage_partition
 
 REQUEST = {
@@ -72,7 +72,9 @@ class TestServiceDrain:
             assert proceed.wait(timeout=30)
             return stage_partition(*args)
 
-        monkeypatch.setattr(server_module, "stage_partition", held_partition)
+        monkeypatch.setattr(
+            assistant_module, "stage_partition", held_partition
+        )
         responses = []
         worker = threading.Thread(
             target=lambda: responses.append(
@@ -213,10 +215,14 @@ class TestZombieWorkers:
 
     def test_no_stage_runs_after_the_expired_checkpoint(self, monkeypatch):
         def slow_partition(*args):
+            # the stage's own checkpoint passes, then the limit does
+            result = stage_partition(*args)
             time.sleep(0.3)
-            return stage_partition(*args)
+            return result
 
-        monkeypatch.setattr(server_module, "stage_partition", slow_partition)
+        monkeypatch.setattr(
+            assistant_module, "stage_partition", slow_partition
+        )
         service = LayoutService(
             pool=WorkerPool(kind="serial"),
             use_cache=False,

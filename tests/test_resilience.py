@@ -12,7 +12,7 @@ import pytest
 
 from repro.ilp import ZeroOneModel, solve
 from repro.ilp.branch_bound import solve as bb_solve
-from repro.obs import telemetry
+from repro.obs import telemetry, tracing
 from repro.resilience import (
     Backoff,
     CircuitBreaker,
@@ -40,12 +40,13 @@ from repro.resilience import (
 from repro.resilience import faults
 from repro.service.cache import StageCache
 from repro.service.pool import WorkerPool
-from repro.service.protocol import LayoutRequest
+from repro.service.protocol import LayoutRequest, answer_of
 from repro.service.server import (
     MAX_REQUEST_BYTES,
     LayoutServer,
     LayoutService,
 )
+from repro.tool.assistant import STAGES, AssistantConfig, run_assistant
 
 
 # -- fault injection ----------------------------------------------------
@@ -213,6 +214,51 @@ class TestDeadline:
         finally:
             telemetry.remove_sink(sink)
         assert seen == ["deadline.expired"]
+
+
+class TestLibraryCheckpoints:
+    """The ``stage:*`` checkpoints are ``run_assistant``'s own: any
+    caller under a ``deadline_scope`` gets them, not just the service."""
+
+    CONFIG = AssistantConfig(nprocs=4)
+
+    def test_expired_hard_limit_stops_before_the_first_stage(
+        self, adi_small_source
+    ):
+        tracer = tracing.Tracer()
+        with tracing.activate(tracer), \
+                deadline_scope(Deadline(1.0, hard_s=1e-9)):
+            with pytest.raises(RequestTimeout) as err:
+                run_assistant(adi_small_source, self.CONFIG)
+        assert err.value.stopped_at == "stage:frontend"
+        # the checkpoint sits before the stage's span: nothing ran
+        assert [s.name for s in tracer.spans] == ["pipeline"]
+
+    def test_every_stage_is_a_checkpoint_in_pipeline_order(
+        self, adi_small_source
+    ):
+        labels = []
+
+        class Recording(Deadline):
+            __slots__ = ()
+
+            def checkpoint(self, label):
+                labels.append(label)
+                super().checkpoint(label)
+
+        with deadline_scope(Recording(60.0, hard_s=120.0)):
+            run_assistant(adi_small_source, self.CONFIG)
+        assert [l for l in labels if l.startswith("stage:")] == \
+            [f"stage:{stage}" for stage in STAGES]
+
+    def test_a_deadline_in_scope_does_not_change_the_result(
+        self, adi_small_source, adi_assistant
+    ):
+        with deadline_scope(Deadline(60.0, hard_s=120.0)):
+            timed = run_assistant(adi_small_source, self.CONFIG)
+        assert answer_of(timed) == answer_of(adi_assistant)
+        assert timed.selection.selection == adi_assistant.selection.selection
+        assert timed.estimates.per_phase == adi_assistant.estimates.per_phase
 
 
 # -- backoff and circuit breaker ---------------------------------------

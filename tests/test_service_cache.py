@@ -1,6 +1,6 @@
-"""Stage-cache correctness: identical answers, the specified hit/miss
-pattern under config edits, graceful recovery from corruption, and the
-``answer`` stage that serves a repeated request before any other."""
+"""Answer-cache correctness: identical answers, one entry per distinct
+request, graceful recovery from corruption, and nothing behind the
+``answer`` entry — a miss of it is ``run_assistant``."""
 
 from __future__ import annotations
 
@@ -16,8 +16,16 @@ from repro.resilience.admission import (
     AdaptiveConcurrencyLimiter,
     AdmissionController,
 )
-from repro.service import LayoutService, WorkerPool
-from repro.tool.assistant import AssistantConfig
+from repro.programs.registry import PROGRAMS
+from repro.service import (
+    LayoutRequest,
+    LayoutService,
+    StageCache,
+    StageKeys,
+    WorkerPool,
+)
+from repro.service.protocol import answer_of
+from repro.tool.assistant import AssistantConfig, run_assistant
 
 REQUEST = {
     "op": "analyze",
@@ -65,40 +73,6 @@ class TestCacheCorrectness:
         assert second["cache_hits"] == len(second["stage_timings"])
         assert second["layouts"] == first["layouts"]
 
-    def test_changed_nprocs_hits_upstream_stages(self, service):
-        service.analyze_dict(dict(REQUEST))
-        resp = service.analyze_dict(dict(REQUEST, procs=8))
-        hits = _stage_hits(resp)
-        assert hits["frontend"] and hits["partition"] and hits["alignment"]
-        assert not hits["distribution"]
-        assert not hits["estimation"]
-        assert not hits["selection"]
-
-    def test_changed_machine_misses_only_estimation_down(self, service):
-        service.analyze_dict(dict(REQUEST))
-        resp = service.analyze_dict(dict(REQUEST, machine="paragon"))
-        hits = _stage_hits(resp)
-        assert hits["frontend"] and hits["partition"]
-        assert hits["alignment"] and hits["distribution"]
-        assert not hits["estimation"]
-        assert not hits["selection"]
-
-    def test_whitespace_edit_hits_downstream_stages(self, service):
-        from repro.programs.registry import PROGRAMS
-
-        source = PROGRAMS["adi"].source(n=32, maxiter=2)
-        base = {"op": "analyze", "source": source, "procs": 4}
-        service.analyze_dict(dict(base))
-        edited = source.replace("\n", "\n\n", 1)  # comment-free reformat
-        resp = service.analyze_dict(dict(base, source=edited))
-        hits = _stage_hits(resp)
-        # the raw-text frontend key misses, but the normalized-AST chain
-        # makes every later stage hit
-        assert not hits["frontend"]
-        assert all(hits[s] for s in
-                   ("partition", "alignment", "distribution",
-                    "estimation", "selection"))
-
     def test_corrupted_cache_file_recomputes(self, service, tmp_path):
         first = service.analyze_dict(dict(REQUEST))
         root = service.cache.root
@@ -109,11 +83,11 @@ class TestCacheCorrectness:
                 with open(os.path.join(stage_dir, name), "wb") as handle:
                     handle.write(b"\x00garbage, not a pickle")
                 corrupted += 1
-        assert corrupted >= 6
+        assert corrupted == 1
         service.cache.clear_memory()
         resp = service.analyze_dict(dict(REQUEST))
         assert resp["ok"]
-        assert resp["cache_hits"] == 0  # every entry was damaged
+        assert resp["cache_hits"] == 0  # the one entry was damaged
         assert resp["layouts"] == first["layouts"]
 
     def test_no_cache_request_never_hits(self, service):
@@ -171,8 +145,6 @@ class TestAnswerStage:
             assert _answer(warm) == _answer(cold)
 
     def test_key_takes_raw_source_and_whole_config(self, service):
-        from repro.service import LayoutRequest, StageKeys
-
         def key(**changes):
             request = LayoutRequest.from_dict(dict(REQUEST, **changes))
             return StageKeys(
@@ -185,19 +157,16 @@ class TestAnswerStage:
         assert len({key(), *others}) == 5
 
     def test_whitespace_edit_stores_its_own_answer(self, service):
-        from repro.programs.registry import PROGRAMS
-
         source = PROGRAMS["adi"].source(n=32, maxiter=2)
         base = {"op": "analyze", "source": source, "procs": 4}
         first = service.analyze_dict(dict(base))
         edited = dict(base, source=source.replace("\n", "\n\n", 1))
-        hits = _stage_hits(service.analyze_dict(dict(edited)))
-        assert not hits["answer"] and not hits["frontend"]
-        assert all(hits[s] for s in STAGES[1:])
+        resp = service.analyze_dict(dict(edited))
+        assert _stage_hits(resp) == dict.fromkeys(("answer",) + STAGES, False)
         assert len(_answer_files(service)) == 2
         again = service.analyze_dict(dict(edited))
         assert _only_an_answer_hit(again)
-        assert _answer(again) == _answer(first)
+        assert _answer(again) == _answer(resp) == _answer(first)
 
     def test_corrupt_answer_is_quarantined_and_stored_again(self, service):
         first = service.analyze_dict(dict(REQUEST))
@@ -207,9 +176,7 @@ class TestAnswerStage:
             handle.write(b"\x00garbage, not a pickle")
         service.cache.clear_memory()
         resp = service.analyze_dict(dict(REQUEST))
-        hits = _stage_hits(resp)
-        assert not hits.pop("answer")
-        assert hits == dict.fromkeys(STAGES, True)
+        assert _stage_hits(resp) == dict.fromkeys(("answer",) + STAGES, False)
         assert _answer(resp) == _answer(first)
         assert service.cache.quarantined_total == 1
         assert _answer_files(service) == [name, name + ".quarantined"]
@@ -231,22 +198,11 @@ class TestAnswerStage:
         request = dict(REQUEST, program="tomcatv", size=128)
         degraded = service.analyze_dict(dict(request, deadline_s=0.01))
         assert degraded["ok"] and degraded["degraded"]
-        assert _answer_files(service) == []
+        assert os.listdir(service.cache.root) == []
         exact = service.analyze_dict(dict(request))
         assert not exact["degraded"]
-        assert not _stage_hits(exact)["answer"]
+        assert exact["cache_hits"] == 0
         assert len(_answer_files(service)) == 1
-
-    def test_degraded_stage_taints_everything_after_it(self, service):
-        """A stage computed *from* a degraded upstream output is as
-        unfit to cache as the stage that fell back."""
-        request = dict(REQUEST, program="tomcatv", size=128)
-        degraded = service.analyze_dict(dict(request, deadline_s=0.01))
-        first = degraded["degradations"][0]["stage"]
-        assert first == "alignment"
-        clean_prefix = STAGES[:STAGES.index(first)]
-        hits = _stage_hits(service.analyze_dict(dict(request)))
-        assert {s for s, hit in hits.items() if hit} == set(clean_prefix)
 
     def test_brownout_request_with_cached_answer_is_exact(self, tmp_path):
         one_slot = AdmissionController(
@@ -291,6 +247,107 @@ class TestAnswerStage:
         assert samples["repro_stage_cache_hits_total", label] == 1.0
         assert samples["repro_stage_cache_misses_total", label] == 1.0
         assert samples["repro_stage_seconds_count", label] == 2.0
+
+
+class TestOneEntryPerRequest:
+    """Nothing is cached but the answer: a miss is ``run_assistant``
+    from the source text, whatever else the directory holds."""
+
+    def test_cold_request_stores_once_under_answer(
+        self, service, monkeypatch
+    ):
+        stored = []
+        store = StageCache.store
+
+        def counting(cache, stage, key, value):
+            stored.append(stage)
+            store(cache, stage, key, value)
+
+        monkeypatch.setattr(StageCache, "store", counting)
+        assert service.analyze_dict(dict(REQUEST))["ok"]
+        assert stored == ["answer"]
+        assert os.listdir(service.cache.root) == ["answer"]
+        (entry,) = _answer_files(service)
+        assert entry.endswith(".pkl")
+        assert list(service.stats()["cache"]["per_stage"]) == ["answer"]
+
+    @pytest.mark.parametrize("change", ["procs", "machine", "whitespace"])
+    def test_changed_request_is_computed_from_the_source(
+        self, service, change
+    ):
+        source = PROGRAMS["adi"].source(n=32, maxiter=2)
+        base = {"op": "analyze", "source": source, "procs": 4}
+        changed = dict(base, **{
+            "procs": {"procs": 8},
+            "machine": {"machine": "paragon"},
+            "whitespace": {"source": source.replace("\n", "\n\n", 1)},
+        }[change])
+        service.analyze_dict(dict(base))
+        resp = service.analyze_dict(dict(changed))
+        assert resp["cache_hits"] == 0
+        assert _stage_hits(resp) == dict.fromkeys(("answer",) + STAGES, False)
+        assert len(_answer_files(service)) == 2
+        request = LayoutRequest.from_dict(changed)
+        direct = run_assistant(
+            request.resolve_source(), request.resolve_config()
+        )
+        assert _answer(resp) == answer_of(direct)
+
+    def test_stage_folders_of_an_older_cache_are_never_opened(
+        self, tmp_path, monkeypatch
+    ):
+        """A directory written before the six stage entries went: the
+        answer is served from ``answer/``; the rest is dead weight."""
+        root = str(tmp_path / "cache")
+        request = LayoutRequest.from_dict(dict(REQUEST))
+        source, config = request.resolve_source(), request.resolve_config()
+        result = run_assistant(source, config)
+        keys = StageKeys(source, config)
+        keys.bind_program(result.program)
+        older = StageCache(root)
+        for stage in STAGES:
+            older.store(stage, keys.key_for(stage), b"stage output")
+        older.store("answer", keys.answer, answer_of(result))
+        before = older.entry_count()
+        assert before == dict.fromkeys(("answer",) + STAGES, 1)
+
+        loaded = []
+        load = StageCache.load
+
+        def recording(cache, stage, key):
+            loaded.append(stage)
+            return load(cache, stage, key)
+
+        monkeypatch.setattr(StageCache, "load", recording)
+        with LayoutService(cache_dir=root,
+                           pool=WorkerPool(kind="serial")) as svc:
+            hit = svc.analyze_dict(dict(REQUEST))
+            assert _only_an_answer_hit(hit)
+            assert _answer(hit) == answer_of(result)
+            other = svc.analyze_dict(dict(REQUEST, procs=8))
+            assert other["ok"] and other["cache_hits"] == 0
+        assert loaded == ["answer", "answer"]
+        # one more answer, nothing else written or moved aside
+        assert older.entry_count() == dict(before, answer=2)
+
+    @pytest.mark.parametrize("use_cache", [True, False])
+    def test_stage_timings_are_the_trace_spans_durations(
+        self, service, use_cache
+    ):
+        resp = service.analyze_dict(
+            dict(REQUEST, trace=True, use_cache=use_cache)
+        )
+        spans = {s["name"]: s["duration_us"] for s in resp["trace"]["spans"]}
+        timed = {t["stage"]: t["seconds"] for t in resp["stage_timings"]}
+        assert ("answer" in timed) == use_cache
+        timed.pop("answer", None)
+        assert timed == {
+            stage: spans[f"stage:{stage}"] / 1e6 for stage in STAGES
+        }
+        hists = service.stats()["stage_seconds"]
+        for stage in STAGES:
+            assert hists[stage]["count"] == 1
+            assert hists[stage]["sum"] == timed[stage]
 
 
 class TestConfigRoundTrip:

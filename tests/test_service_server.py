@@ -205,7 +205,10 @@ class TestRequestDeadline:
         names = [s["name"] for s in trace["spans"]]
         assert "caller" not in names
         assert names.count("request") == 1
-        assert names.count("service.stage") == 6
+        # no cache, no lookup span: the six stages under one pipeline
+        assert names.count("service.stage") == 0
+        assert names.count("pipeline") == 1
+        assert sum(n.startswith("stage:") for n in names) == 6
         # self-contained: every parent is a span of the same trace
         ids = {s["span_id"] for s in trace["spans"]}
         assert all(
@@ -258,7 +261,7 @@ class TestRequestDeadline:
             raise AssertionError("the slow stage ran to its end")
 
         monkeypatch.setattr(
-            "repro.service.server.stage_distribution", slow_stage
+            "repro.tool.assistant.stage_distribution", slow_stage
         )
         with LayoutService(
             pool=WorkerPool(kind="serial"), use_cache=False,
