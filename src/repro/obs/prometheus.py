@@ -157,6 +157,11 @@ def render_prometheus(
         "degraded_total", "counter",
         "Requests answered with a labeled-degraded (non-optimal) result",
     ).add(stats.get("counters", {}).get("requests_degraded", 0))
+    registry.family(
+        "requests_joined_total", "counter",
+        "Requests answered by waiting for another's compute of the "
+        "same answer key",
+    ).add(stats.get("counters", {}).get("requests_joined", 0))
 
     cache = stats.get("cache", {})
     registry.family(
@@ -253,6 +258,14 @@ def render_prometheus(
             "eventlog_bad_lines_total", "counter",
             "Corrupt or truncated event-log lines skipped on read",
         ).add(events.get("bad_lines_total", 0))
+        registry.family(
+            "eventlog_syncs_total", "counter",
+            "fsyncs of the event log (each covers a burst of lines)",
+        ).add(events.get("syncs_total", 0))
+        registry.family(
+            "eventlog_unsynced_lines", "gauge",
+            "Event-log lines flushed to the OS that no fsync covers yet",
+        ).add(events.get("unsynced_lines", 0))
     sampler = telemetry.get("sampler") or {}
     if sampler:
         registry.family(

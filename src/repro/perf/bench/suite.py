@@ -22,10 +22,18 @@ Two benchmark kinds:
   programs, exercising the many-small-programs service shape.
 - **layer benchmarks** (``layer:service.handle/<path>/<program>``) time
   one ``analyze`` request through ``LayoutService.handle`` — protocol,
-  admission, cache, metrics, telemetry and all — on its three cache
-  paths: ``cold`` (empty cache: one ``answer`` miss, ``run_assistant``,
-  one store), ``warm-mem`` (the answer comes out of the memory LRU) and
-  ``warm-disk`` (memory tier dropped first: read, checksum, unpickle).
+  cache, metrics, telemetry and all, admission too when it computes —
+  on its cache paths: ``cold`` (empty cache: one ``answer`` miss,
+  ``run_assistant``, one store), ``warm-mem`` (the answer comes out of
+  the memory LRU), ``warm-disk`` (memory tier dropped first: read,
+  checksum, unpickle) and ``warm-served`` (the memory hit as ``repro
+  serve --telemetry-dir`` answers it; see :data:`HANDLE_LAYER` for who
+  sends what to which log).  Beside them, selected with the same stage
+  name: ``layer:service.join/<program>`` — two threads send one fresh
+  request at once and the case ends when both are answered, which is
+  one compute if the second joins the first and two if it does not —
+  and ``layer:eventlog.record/{memory,durable}``, one
+  ``service.request`` line into the event log a reply waits for.
 
 Everything is deterministic by construction: bench sizes are pinned per
 program (the smallest grid size from EXPERIMENTS.md, so a full run stays
@@ -35,8 +43,10 @@ interactive), QA programs come from fixed seeds, estimation runs serial
 
 from __future__ import annotations
 
+import os
 import shutil
 import tempfile
+import threading
 from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
@@ -44,12 +54,13 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 from ...alignment.search_space import build_alignment_search_spaces
 from ...alignment.weights import build_phase_cag
 from ...distribution.search_space import DistributionOptions
-from ...machine.params import IPSC860, MachineParams
+from ...machine.params import IPSC860, MACHINES, MachineParams
 from ...obs import tracing
+from ...obs.telemetry import EventLog
 from ...obs.tracing import span as obs_span
 from ...service.pool import WorkerPool
 from ...service.server import LayoutService
-from ...service.telemetry import TailSampler
+from ...service.telemetry import ServiceTelemetry, TailSampler
 from ...programs.registry import PROGRAMS
 from ...qa.generator import GeneratorConfig, generate_program
 from ...selection.layout_graph import build_layout_graph
@@ -75,7 +86,14 @@ STAGE_NAMES = (
 GRAPH_STAGE = "layout_graph"
 
 #: whole requests through ``LayoutService.handle``, by cache path;
-#: selectable with ``--stages`` like a stage, dropped by ``--no-e2e``
+#: selectable with ``--stages`` like a stage, dropped by ``--no-e2e``.
+#: ``cold``, ``warm-mem`` and ``warm-disk`` send the source text and the
+#: machine as a parameter dict to a service whose event log is the
+#: memory-only ring — what an embedder does.  ``warm-served`` sends what
+#: a client of ``repro serve`` does — the program's name with ``size``
+#: and ``procs``, machine by registry name — to a service that writes
+#: its event log to disk, under default admission: the hit that the repo
+#: benchmark's ``service-warm`` measures over a socket.
 HANDLE_LAYER = "service.handle"
 
 #: pinned per-program bench problem sizes (smallest grid size each, so
@@ -269,36 +287,57 @@ def _e2e_case(prep: PreparedProgram) -> BenchCase:
 
 
 @lru_cache(maxsize=None)
-def _handle_service(program: str):
-    """One engine per program and process, and the scratch cache
-    directory it works in (held here, so it goes away with the
-    interpreter); estimation runs serial, as everywhere in this suite."""
+def _handle_service(program: str, served: bool = False):
+    """One engine per program and process, and the scratch directory it
+    works in (held here, so it goes away with the interpreter);
+    estimation runs serial, as everywhere in this suite.  ``served``:
+    the event log is on disk, as under ``repro serve --telemetry-dir``."""
     scratch = tempfile.TemporaryDirectory(prefix=f"repro-bench-{program}-")
+    telemetry = ServiceTelemetry(
+        events_dir=os.path.join(scratch.name, "events")
+    ) if served else None
     return scratch, LayoutService(
-        cache_dir=scratch.name, pool=WorkerPool(kind="serial")
+        cache_dir=os.path.join(scratch.name, "cache"),
+        pool=WorkerPool(kind="serial"), telemetry=telemetry,
     )
 
 
-def _handle_cases(prep: PreparedProgram) -> List[BenchCase]:
-    """One request's whole way through the service, per cache path."""
+def _handle_cases(prep: PreparedProgram, size: int) -> List[BenchCase]:
+    """One request's whole way through the service, per cache path, and
+    a duplicate pair's."""
     name = prep.name
+    config = prep.config
     _, service = _handle_service(name)
+    _, served = _handle_service(name, served=True)
     payload = {
         "op": "analyze", "source": prep.source,
-        "procs": prep.config.nprocs,
-        "machine": asdict(prep.config.machine),
-        "backend": prep.config.ilp_backend,
+        "procs": config.nprocs,
+        "machine": asdict(config.machine),
+        "backend": config.ilp_backend,
+    }
+    by_name = MACHINES.get(config.machine.name) == config.machine
+    served_payload = {
+        "op": "analyze", "program": name, "size": size,
+        "procs": config.nprocs, "backend": config.ilp_backend,
+        "machine": config.machine.name if by_name else payload["machine"],
     }
 
-    def handle(hits: int) -> None:
-        reply = service.handle(dict(payload))
-        if not reply.get("ok") or reply["degraded"] \
-                or reply["cache_hits"] != hits:
+    def handle(hits: Optional[int], engine=service, payload=payload):
+        """One request; ``hits`` names the cache path it must take (an
+        exact answer off that path), ``None`` takes any ``ok`` reply."""
+        reply = engine.handle(dict(payload))
+        if not reply.get("ok") or hits is not None and (
+            reply["degraded"] or reply["cache_hits"] != hits
+        ):
             raise RuntimeError(f"{name}: not the path to time: {reply}")
+        return reply
 
-    def run_cold() -> None:
+    def empty_cache() -> None:
         shutil.rmtree(service.cache.root, ignore_errors=True)
         service.cache.clear_memory()
+
+    def run_cold() -> None:
+        empty_cache()
         handle(0)
 
     def run_warm_mem() -> None:
@@ -308,12 +347,31 @@ def _handle_cases(prep: PreparedProgram) -> List[BenchCase]:
         service.cache.clear_memory()
         handle(1)
 
+    def run_warm_served() -> None:
+        handle(1, served, served_payload)
+
+    def run_join() -> None:
+        empty_cache()
+        first: List[Any] = []
+        other = threading.Thread(target=lambda: first.append(handle(None)))
+        other.start()
+        second = handle(None)
+        other.join()
+        if not first:
+            raise RuntimeError(f"{name}: one of the pair got no answer")
+        # one of a pair that both computed may have done so under
+        # brownout; two exact answers are one answer
+        exact = not (first[0]["degraded"] or second["degraded"])
+        if exact and first[0]["layouts"] != second["layouts"]:
+            raise RuntimeError(f"{name}: the pair disagrees")
+
     # every path leaves the answer stored in both tiers, so the cases
     # run in any order and any subset
     run_cold()
+    handle(None, served, served_payload)
     thunks = {
         "cold": run_cold, "warm-mem": run_warm_mem,
-        "warm-disk": run_warm_disk,
+        "warm-disk": run_warm_disk, "warm-served": run_warm_served,
     }
     return [
         BenchCase(
@@ -321,6 +379,32 @@ def _handle_cases(prep: PreparedProgram) -> List[BenchCase]:
             kind="layer", program=name, stage=HANDLE_LAYER, fn=fn,
         )
         for path, fn in thunks.items()
+    ] + [BenchCase(
+        bench_id=f"layer:service.join/{name}",
+        kind="layer", program=name, stage=HANDLE_LAYER, fn=run_join,
+    )]
+
+
+@lru_cache(maxsize=None)
+def _event_logs():
+    """The scratch directory and the two logs of the ``eventlog.record``
+    cases, held for the life of the interpreter."""
+    scratch = tempfile.TemporaryDirectory(prefix="repro-bench-eventlog-")
+    return scratch, {"memory": EventLog(), "durable": EventLog(scratch.name)}
+
+
+def _eventlog_cases() -> List[BenchCase]:
+    """One ``service.request`` line, as the service writes it for a hit,
+    into the memory-only ring and into a log on disk."""
+    attrs = {"op": "analyze", "seconds": 1e-4, "ok": True,
+             "degraded": False, "request_id": "bench", "tier": "answer"}
+    return [
+        BenchCase(
+            bench_id=f"layer:eventlog.record/{kind}", kind="layer",
+            program="eventlog", stage=HANDLE_LAYER,
+            fn=lambda log=log: log.record("service.request", attrs),
+        )
+        for kind, log in _event_logs()[1].items()
     ]
 
 
@@ -380,7 +464,7 @@ def build_suite(
         if include_e2e:
             cases.append(_e2e_case(prep))
             if HANDLE_LAYER in wanted_stages:
-                cases.extend(_handle_cases(prep))
+                cases.extend(_handle_cases(prep, size))
         if name == EXTENDED_PROGRAM and "selection_ilp" in wanted_stages:
             extended = PreparedProgram(
                 f"{name}-extended", prep.source,
@@ -391,6 +475,8 @@ def build_suite(
                 c for c in _stage_cases(extended)
                 if c.stage == "selection_ilp"
             )
+    if include_e2e and HANDLE_LAYER in wanted_stages:
+        cases.extend(_eventlog_cases())
     if include_e2e and include_qa:
         cases.append(_qa_corpus_case(config, qa_seeds))
     for name, seed, stage in (

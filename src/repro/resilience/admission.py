@@ -11,7 +11,10 @@ Three cooperating pieces guard the service's front door:
   increase (+1 per ~limit samples), latency beyond it — or a timeout —
   costs a multiplicative decrease.  A request runs on one thread from
   admission to release, so the limit is the concurrency admission can
-  grant and ``in_flight`` is the number of threads at work;
+  grant and ``in_flight`` is the number of threads at work.  The
+  service admits only requests that compute (an answer-cache hit and a
+  request joining another's compute take no ticket), so every sample
+  is a compute and the floor is the no-load cost of one;
 
 - :class:`AdmissionController` — a bounded queue plus the limiter.  A
   request is admitted immediately when a concurrency slot is free,
@@ -31,7 +34,8 @@ Three cooperating pieces guard the service's front door:
   controller into rejection mode (typed
   :class:`~repro.resilience.errors.ShuttingDownError`), wakes queued
   waiters, and :meth:`wait_idle` blocks until in-flight work completes
-  or the drain deadline expires.
+  or the drain deadline expires.  Work a drain must wait for but that
+  holds no ticket is bracketed by :meth:`enter` / :meth:`leave`.
 
 Everything is thread-safe behind one condition variable, clocks are
 injectable for deterministic tests, and every shed / brownout flip /
@@ -196,6 +200,7 @@ class AdmissionController:
         self._clock = clock
         self._cond = threading.Condition()
         self._in_flight = 0
+        self._in_progress = 0
         self._queued = 0
         self._draining = False
         self._brownout_active = False
@@ -356,6 +361,22 @@ class AdmissionController:
 
     # -- drain -----------------------------------------------------------
 
+    def enter(self) -> bool:
+        """Count one request in progress, ticketed or not, until its
+        :meth:`leave`, so that :meth:`wait_idle` waits for it; returns
+        whether the controller is open (not draining).  One critical
+        section: a request that saw it open is counted before a drain
+        that begins afterwards looks."""
+        with self._cond:
+            self._in_progress += 1
+            return not self._draining
+
+    def leave(self) -> None:
+        with self._cond:
+            self._in_progress -= 1
+            if not self._in_progress:
+                self._cond.notify_all()
+
     @property
     def draining(self) -> bool:
         with self._cond:
@@ -376,11 +397,12 @@ class AdmissionController:
         )
 
     def wait_idle(self, timeout_s: float) -> bool:
-        """Block until no request is in flight, or ``timeout_s`` runs
-        out; returns whether the controller went idle in time."""
+        """Block until no request is in flight or in progress, or
+        ``timeout_s`` runs out; returns whether the controller went
+        idle in time."""
         give_up_at = self._clock() + max(timeout_s, 0.0)
         with self._cond:
-            while self._in_flight > 0:
+            while self._in_flight > 0 or self._in_progress > 0:
                 remaining = give_up_at - self._clock()
                 if remaining <= 0:
                     return False
@@ -398,6 +420,7 @@ class AdmissionController:
             )
             return {
                 "in_flight": self._in_flight,
+                "in_progress": self._in_progress,
                 "queue_depth": self._queued,
                 "max_queue": self.max_queue,
                 "max_queue_wait_s": self.max_queue_wait_s,

@@ -68,6 +68,12 @@ def _canonical(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def answer_key(source: str, config_key: str) -> str:
+    """The ``answer`` entry's key: raw source text + the hash of the
+    whole config (``AssistantConfig.to_key()``)."""
+    return _sha256("answer", CACHE_VERSION, source, config_key)
+
+
 class StageKeys:
     """The hash chain for one request (source + config)."""
 
@@ -81,9 +87,7 @@ class StageKeys:
     @cached_property
     def answer(self) -> str:
         """Known before any work: raw source + the whole config."""
-        return _sha256(
-            "answer", CACHE_VERSION, self._source, self.config.to_key()
-        )
+        return answer_key(self._source, self.config.to_key())
 
     @cached_property
     def frontend(self) -> str:

@@ -37,15 +37,18 @@ Client-side overload hygiene lives here too: :class:`RetryBudget`
 
 from __future__ import annotations
 
+import json
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional
+from functools import lru_cache
+from typing import Any, Dict, List, Mapping, Optional, Union
 
 from ..distribution.layouts import DataLayout
 from ..machine.params import MACHINES
 from ..programs.registry import PROGRAMS
 from ..resilience.breaker import Backoff
 from ..tool.assistant import AssistantConfig, AssistantResult
+from .cache import answer_key
 from .errors import RequestValidationError
 
 #: ops a server understands
@@ -57,6 +60,44 @@ _ANALYZE_FIELDS = {
     "op", "request_id", "program", "source", "size", "dtype", "maxiter",
     "procs", "machine", "backend", "use_cache", "trace", "deadline_s",
 }
+
+
+#: entries in each of the two memos below: a few hundred distinct
+#: (program, size) and (procs, machine) pairs cover an exploring client,
+#: and a full memo is about a megabyte of source text
+_MEMO_ENTRIES = 256
+
+
+@lru_cache(maxsize=_MEMO_ENTRIES, typed=True)
+def _program_source(program: str, n: int, dtype: str,
+                    maxiter: Optional[int]) -> str:
+    """A registry program's source text (``maxiter`` is ``None`` for a
+    program without a time loop, so it cannot split the memo)."""
+    kwargs: Dict[str, Any] = {"n": n, "dtype": dtype}
+    if maxiter is not None:
+        kwargs["maxiter"] = maxiter
+    return PROGRAMS[program].source_fn(**kwargs)
+
+
+def _config_of(procs: int, machine: Union[str, Mapping[str, Any]],
+               backend: str) -> AssistantConfig:
+    if isinstance(machine, str):
+        machine = MACHINES[machine]
+    return AssistantConfig.from_dict({
+        "nprocs": procs, "machine": machine, "ilp_backend": backend,
+    })
+
+
+@lru_cache(maxsize=_MEMO_ENTRIES, typed=True)
+def _config_key(procs: int, machine: str, backend: str) -> str:
+    """``to_key()`` of the config a request resolves to, memoised on the
+    request's *values* — ``machine`` is a registry name or the canonical
+    JSON of a parameter dict — never on an ``AssistantConfig`` instance,
+    which its holder may mutate."""
+    return _config_of(
+        procs, machine if machine in MACHINES else json.loads(machine),
+        backend,
+    ).to_key()
 
 
 @dataclass
@@ -165,23 +206,31 @@ class LayoutRequest:
         if self.source is not None:
             return self.source
         spec = PROGRAMS[self.program]
-        kwargs: Dict[str, Any] = {
-            "n": self.size or spec.default_size,
-            "dtype": self.dtype or spec.default_dtype,
-        }
-        if spec.has_time_loop:
-            kwargs["maxiter"] = self.maxiter
-        return spec.source_fn(**kwargs)
+        return _program_source(
+            self.program,
+            self.size or spec.default_size,
+            self.dtype or spec.default_dtype,
+            self.maxiter if spec.has_time_loop else None,
+        )
 
     def resolve_config(self) -> AssistantConfig:
+        """A fresh config per call: the caller may mutate it."""
+        return _config_of(self.procs, self.machine, self.backend)
+
+    def answer_key(self) -> str:
+        """The ``answer`` cache key of this request — the bytes of
+        ``StageKeys(resolve_source(), resolve_config()).answer`` —
+        from memoised parts: a repeated request regenerates no source
+        text and serializes no config."""
         machine = self.machine
-        if isinstance(machine, str):
-            machine = MACHINES[machine]
-        return AssistantConfig.from_dict({
-            "nprocs": self.procs,
-            "machine": machine,
-            "ilp_backend": self.backend,
-        })
+        if not isinstance(machine, str):
+            machine = json.dumps(
+                machine, sort_keys=True, separators=(",", ":")
+            )
+        return answer_key(
+            self.resolve_source(),
+            _config_key(self.procs, machine, self.backend),
+        )
 
 
 @dataclass

@@ -12,20 +12,25 @@ Two layers:
   one cache, one metrics registry, and one worker pool.
 
 A request stays on the thread that read it from the socket, from decode
-to reply.  Its one :class:`~repro.resilience.deadline.Deadline` carries
-the soft solver budget and the hard request timeout; past the latter
-the next cooperative checkpoint ends the request with a typed
-``timeout`` reply.
+to reply, and is served by the first of three tiers that can:
 
-Overload protection sits between the two: every ``analyze`` passes the
-:class:`~repro.resilience.admission.AdmissionController` before any
-work starts.  Requests the controller cannot serve in time are shed
-with a typed ``overloaded`` error (plus ``retry_after_s``) instead of
-queueing into latency collapse; requests admitted under brownout get a
-clamped solver budget so the existing anytime/greedy fallbacks return
-fast labeled-degraded answers; a draining service refuses new work
-with a typed ``shutting-down`` rejection while in-flight requests
-finish under the drain deadline.
+1. **answer** — the reply's content is cached under the request's key;
+2. **join** — another request (the *leader*) is already computing that
+   key: wait for it, then take the hit;
+3. **compute** — everything else passes the
+   :class:`~repro.resilience.admission.AdmissionController` first.
+   Requests it cannot serve in time are shed with a typed
+   ``overloaded`` error (plus ``retry_after_s``) instead of queueing
+   into latency collapse; requests admitted under brownout get a
+   clamped solver budget so the anytime/greedy fallbacks return fast
+   labeled-degraded answers.  The request's one
+   :class:`~repro.resilience.deadline.Deadline` carries the soft solver
+   budget and the hard request timeout; past the latter the next
+   cooperative checkpoint ends it with a typed ``timeout`` reply.
+
+A draining service refuses new work, hits included, with a typed
+``shutting-down`` rejection while every analyze in progress, ticketed
+or not, finishes under the drain deadline.
 """
 
 from __future__ import annotations
@@ -43,8 +48,8 @@ from ..obs.log import get_logger
 from ..obs.prometheus import render_prometheus
 from ..obs.slo import Objective, SLOValidationError, evaluate_objectives
 from ..obs.telemetry import emit as emit_event
-from ..resilience.admission import AdmissionController
-from ..resilience.deadline import Deadline, checkpoint, deadline_scope
+from ..resilience.admission import AdmissionController, Ticket
+from ..resilience.deadline import Deadline, deadline_scope
 from ..resilience.degrade import collecting, noted_count
 from ..resilience.errors import (
     InjectedFault,
@@ -138,6 +143,10 @@ class LayoutService:
         )
         self.telemetry.install()
         self.objectives = list(objectives or [])
+        # the join table: answer key -> set when the request computing
+        # it (its leader) is done, stored or not
+        self._leaders: Dict[str, threading.Event] = {}
+        self._leaders_lock = threading.Lock()
 
     def close(self) -> None:
         self.pool.shutdown()
@@ -148,47 +157,6 @@ class LayoutService:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    # -- the pipeline ------------------------------------------------------
-
-    def _run_pipeline(
-        self, request: LayoutRequest
-    ) -> Tuple[Dict[str, Any], List[StageTiming]]:
-        """The reply's content (:func:`answer_of`) and its
-        ``stage_timings``: the ``answer`` lookup, under a key known
-        before any work, and on a miss the six stages of
-        :func:`run_assistant`, timed by their own ``stage:*`` spans."""
-        source = request.resolve_source()
-        config = request.resolve_config()
-        use_cache = self.use_cache and request.use_cache
-        timings: List[StageTiming] = []
-        clean = noted_count()
-        if use_cache:
-            key = StageKeys(source, config).answer
-            checkpoint("stage:answer")
-            with tracing.span("service.stage", stage="answer") as stage_span:
-                start = perf_counter()
-                hit, answer = self.cache.load("answer", key)
-                seconds = perf_counter() - start
-                stage_span.set_attr("cache_hit", hit)
-            timings.append(StageTiming("answer", seconds, hit))
-            self.metrics.observe_stage("answer", seconds)
-            self.metrics.record_cache("answer", hit)
-            if hit:
-                return answer, timings
-        answer = answer_of(
-            run_assistant(source, config, job_runner=self.pool.run_jobs)
-        )
-        # A degraded answer is never kept: a later request with a full
-        # budget must compute the exact one, not inherit the fallback.
-        if use_cache and noted_count() == clean:
-            self.cache.store("answer", key, answer)
-        spans = tracing.active_tracer().durations_by_name()
-        timings.extend(
-            StageTiming(stage, spans[f"stage:{stage}"][0], False)
-            for stage in STAGES
-        )
-        return answer, timings
 
     # -- request handling ------------------------------------------------
 
@@ -205,168 +173,234 @@ class LayoutService:
             return self.request_timeout * SOFT_DEADLINE_FRACTION
         return None
 
-    def analyze(self, request: LayoutRequest) -> LayoutResponse:
-        """Serve one analyze request (deadline-bounded, never raises).
+    # -- the three tiers ----------------------------------------------------
 
-        Every request runs under its own tracer: span durations feed the
-        ``span_seconds`` aggregates in the metrics registry, and the
-        full trace is attached to the response when the request asked
-        for it.  Tracer, deadline and degradation collector are scoped
-        to the pipeline call on the caller's thread."""
-        self.metrics.inc("requests_total")
-        start = perf_counter()
-        # Detail events (per-candidate estimates, CAG edges) only when
-        # the client explicitly asked for the trace; the always-on
-        # production tracer records structure and summary attrs so its
-        # overhead stays inside the tail-sampling budget.
-        tracer = tracing.Tracer(name="request", detail=request.trace)
-        budget_s = self._request_budget(request)
+    def _lookup(
+        self, key: str, timings: List[StageTiming]
+    ) -> Optional[Dict[str, Any]]:
+        """One ``answer`` lookup under a key known before any work,
+        timed into ``timings``, the stage histogram and the cache
+        counters; ``None`` on a miss."""
+        with tracing.span("service.stage", stage="answer") as stage_span:
+            start = perf_counter()
+            hit, answer = self.cache.load("answer", key)
+            seconds = perf_counter() - start
+            stage_span.set_attr("cache_hit", hit)
+        timings.append(StageTiming("answer", seconds, hit))
+        self.metrics.observe_stage("answer", seconds)
+        self.metrics.record_cache("answer", hit)
+        return answer if hit else None
 
-        # Admission first: a request the controller predicts cannot be
-        # served within its own budget is shed before any work starts.
-        try:
-            ticket = self.admission.try_acquire(budget_s)
-        except (OverloadedError, ShuttingDownError) as exc:
-            self.metrics.inc("requests_failed")
-            self.metrics.inc("requests_shed")
-            logger.warning(
-                "request %s shed: %s",
-                request.request_id or "<anonymous>", exc,
+    def _lead(self, key: str) -> bool:
+        """Tier 2.  True: nothing is computing ``key``, and this request
+        leads it from now until :meth:`analyze` lets go.  False: another
+        request was, and is done — what it kept is an ordinary hit now.
+        The wait is bounded by the follower's own hard timeout."""
+        with self._leaders_lock:
+            done = self._leaders.get(key)
+            if done is None:
+                self._leaders[key] = threading.Event()
+                return True
+        if not done.wait(self.request_timeout):
+            raise RequestTimeout(
+                f"request exceeded {self.request_timeout:g}s "
+                "(stopped at join)", stopped_at="join",
             )
-            self._record_analyze(
-                request, tracer, perf_counter() - start,
-                ok=False, error_kind=exc.kind,
-            )
-            return LayoutResponse.failure(
-                exc, request_id=request.request_id
-            )
+        return False
 
-        # Whatever the request queued for came out of its own budget;
-        # under brownout the budget is clamped so the anytime solvers
-        # take their labeled greedy fallbacks instead of queue-building.
-        effective_budget = budget_s
-        if effective_budget is not None:
+    def _compute(
+        self, request: LayoutRequest, key: Optional[str],
+        timings: List[StageTiming],
+    ) -> Dict[str, Any]:
+        """Tier 3's work: :func:`run_assistant`, its six stages timed by
+        their own ``stage:*`` spans, and one store of the reply's
+        content (:func:`answer_of`) when the request has a ``key``."""
+        clean = noted_count()
+        answer = answer_of(run_assistant(
+            request.resolve_source(), request.resolve_config(),
+            job_runner=self.pool.run_jobs,
+        ))
+        # A degraded answer is never kept: a later request with a full
+        # budget must compute the exact one, not inherit the fallback.
+        if key is not None and noted_count() == clean:
+            self.cache.store("answer", key, answer)
+        spans = tracing.active_tracer().durations_by_name()
+        timings.extend(
+            StageTiming(stage, spans[f"stage:{stage}"][0], False)
+            for stage in STAGES
+        )
+        return answer
+
+    def _deadline(
+        self, budget_s: Optional[float], ticket: Ticket
+    ) -> Optional[Deadline]:
+        """The admitted request's deadline.  Whatever it queued for came
+        out of its own budget; under brownout (counted here) the budget
+        is clamped so the anytime solvers take their labeled greedy
+        fallbacks instead of queue-building."""
+        if budget_s is not None:
             # the floor only guards against queue wait eating the whole
             # budget; it must never *raise* an explicitly tiny deadline
-            effective_budget = max(
-                effective_budget - ticket.waited_s,
-                min(effective_budget, MIN_EFFECTIVE_BUDGET_S),
+            budget_s = max(
+                budget_s - ticket.waited_s,
+                min(budget_s, MIN_EFFECTIVE_BUDGET_S),
             )
         if ticket.brownout:
             self.metrics.inc("requests_brownout")
-            effective_budget = (
-                self.brownout_budget_s if effective_budget is None
-                else min(effective_budget, self.brownout_budget_s)
+            budget_s = (
+                self.brownout_budget_s if budget_s is None
+                else min(budget_s, self.brownout_budget_s)
             )
-        deadline = (
-            Deadline(effective_budget, hard_s=self.request_timeout)
-            if effective_budget is not None else None
-        )
+        if budget_s is None:
+            return None
+        return Deadline(budget_s, hard_s=self.request_timeout)
 
-        served_ok = False
-        timed_out = False
+    def analyze(self, request: LayoutRequest) -> LayoutResponse:
+        """Serve one analyze request (never raises) by the first tier
+        that can.  A hit skips what only a compute needs — ticket,
+        deadline, degradation collector, and the tracer unless the
+        client asked for its trace — and teaches the limiter nothing.
+        A follower waits under its own hard timeout and then takes the
+        hit, or computes if its leader kept nothing (failed, timed out,
+        degraded).  A compute runs admitted, under a deadline and a
+        tracer whose spans feed the registry, and stores its answer.
+        Draining, or with ``use_cache: false``, there is only that."""
+        self.metrics.inc("requests_total")
+        start = perf_counter()
+        admission = self.admission  # read per request: embedders swap it
+        cached = admission.enter() and self.use_cache and request.use_cache
+        # Detail events (per-candidate estimates, CAG edges) only for a
+        # client that asked for its trace; a compute otherwise gets the
+        # always-on tracer: structure and summary attrs, so that its
+        # overhead stays inside the tail-sampling budget.
+        tracer = (
+            tracing.Tracer(name="request", detail=True)
+            if request.trace else None
+        )
+        tier, key, leading, answer = "answer", None, False, None
+        timings: List[StageTiming] = []
+        degradations: List[Dict[str, Any]] = []
         try:
-            try:
-                with tracing.activate(tracer), deadline_scope(deadline), \
-                        collecting() as events:
-                    with tracing.span(
+            if cached:
+                with tracing.activate(tracer):
+                    key = request.answer_key()
+                    answer = self._lookup(key, timings)
+                    if answer is None:
+                        tier = "join"
+                        leading = self._lead(key)
+                        if not leading:
+                            timings = []
+                            answer = self._lookup(key, timings)
+            if answer is None:
+                # Admission sheds, before any work starts, a request it
+                # predicts cannot be served within its own budget; only
+                # computes get here, so its limiter samples nothing else.
+                tier = "compute"
+                tracer = tracer or tracing.Tracer(name="request", detail=False)
+                budget_s = self._request_budget(request)
+                ticket = admission.try_acquire(budget_s)
+                admitted, served_ok, timed_out = perf_counter(), False, False
+                try:
+                    with tracing.activate(tracer), deadline_scope(
+                        self._deadline(budget_s, ticket)
+                    ), collecting() as events, tracing.span(
                         "request",
                         request_id=request.request_id or "",
                         program=request.program or "<source>",
                     ):
-                        answer, timings = self._run_pipeline(request)
-                degradations = [e.to_dict() for e in events]
-            except Exception as exc:
-                # RequestTimeout is the hard limit firing at a
-                # checkpoint; release() hands it to the limiter as its
-                # strongest congestion signal
-                timed_out = isinstance(exc, RequestTimeout)
-                self.metrics.inc("requests_failed")
-                if timed_out:
-                    self.metrics.inc("requests_timeout")
+                        answer = self._compute(request, key, timings)
+                    degradations = [e.to_dict() for e in events]
+                    served_ok = True
+                except RequestTimeout:
+                    # the hard limit firing at a checkpoint: the
+                    # limiter's strongest congestion signal
+                    timed_out = True
+                    raise
+                finally:
+                    admission.release(
+                        ticket, perf_counter() - admitted,
+                        ok=served_ok, timed_out=timed_out,
+                    )
+            self.metrics.inc("requests_ok")
+            if tier == "join":
+                self.metrics.inc("requests_joined")
+            if degradations:
+                self.metrics.inc("requests_degraded")
                 logger.warning(
-                    "request %s failed: %s",
-                    request.request_id or "<anonymous>", exc,
+                    "request %s degraded: %s",
+                    request.request_id or "<anonymous>",
+                    "; ".join(
+                        f"{d['stage']}:{d['reason']}" for d in degradations
+                    ),
                 )
-                self._record_analyze(
-                    request, tracer, perf_counter() - start,
-                    ok=False,
-                    error_kind=getattr(exc, "kind", "internal"),
-                    stopped_at=getattr(exc, "stopped_at", None),
-                )
-                return LayoutResponse.failure(
-                    exc, request_id=request.request_id
-                )
-            finally:
-                self._fold_trace(tracer)
-            served_ok = True
-        finally:
-            # service time (excluding queue wait) feeds the limiter's
-            # AIMD loop and the controller's wait predictions
-            self.admission.release(
-                ticket,
-                max(perf_counter() - start - ticket.waited_s, 0.0),
-                ok=served_ok,
-                timed_out=timed_out,
+            seconds = perf_counter() - start
+            self.metrics.observe_stage("request", seconds)
+            self._record_analyze(
+                request, tracer, seconds, tier,
+                ok=True, degraded=bool(degradations),
             )
-        self.metrics.inc("requests_ok")
-        if degradations:
-            self.metrics.inc("requests_degraded")
+            response = LayoutResponse.from_answer(
+                answer, timings, request_id=request.request_id,
+                degradations=degradations,
+            )
+            if request.trace:
+                response.trace = tracer.to_dict()
+            return response
+        except Exception as exc:
+            shed = isinstance(exc, (OverloadedError, ShuttingDownError))
+            self.metrics.inc("requests_failed")
+            if shed:
+                self.metrics.inc("requests_shed")
+            if isinstance(exc, RequestTimeout):
+                self.metrics.inc("requests_timeout")
             logger.warning(
-                "request %s degraded: %s",
-                request.request_id or "<anonymous>",
-                "; ".join(
-                    f"{d['stage']}:{d['reason']}" for d in degradations
-                ),
+                "request %s %s: %s", request.request_id or "<anonymous>",
+                "shed" if shed else "failed", exc,
             )
-        seconds = perf_counter() - start
-        self.metrics.observe_stage("request", seconds)
-        self._record_analyze(
-            request, tracer, seconds,
-            ok=True, degraded=bool(degradations),
-        )
-        response = LayoutResponse.from_answer(
-            answer, timings, request_id=request.request_id,
-            degradations=degradations,
-        )
-        if request.trace:
-            response.trace = tracer.to_dict()
-        return response
+            self._record_analyze(
+                request, tracer, perf_counter() - start, tier, ok=False,
+                error_kind=getattr(exc, "kind", "internal"),
+                stopped_at=getattr(exc, "stopped_at", None),
+            )
+            return LayoutResponse.failure(
+                exc, request_id=request.request_id
+            )
+        finally:
+            # followers first, then whoever waits for the service to
+            # go idle: this request's event is written by now
+            if leading:
+                with self._leaders_lock:
+                    self._leaders.pop(key).set()
+            admission.leave()
 
     def _record_analyze(
-        self,
-        request: LayoutRequest,
-        tracer: tracing.Tracer,
-        seconds: float,
-        ok: bool,
-        degraded: bool = False,
+        self, request: LayoutRequest, tracer: Optional[tracing.Tracer],
+        seconds: float, tier: str, ok: bool, degraded: bool = False,
         error_kind: Optional[str] = None,
         stopped_at: Optional[str] = None,
     ) -> None:
-        """Feed one finished analyze into the sliding window, the event
-        log, and the tail sampler (which serializes the trace only when
-        it decides to keep it)."""
+        """Feed one finished analyze into the sliding window and the
+        event log, and what it traced — whatever ran, also of a request
+        that failed — into the registry: every span into the span
+        aggregates, the ``stage:*`` ones into the stage histograms too
+        (the durations the reply's ``stage_timings`` carry).  The tail
+        sampler serializes the trace only when it decides to keep it."""
+        if tracer is not None:
+            for name, durations in tracer.durations_by_name().items():
+                for span_s in durations:
+                    self.metrics.observe_span(name, span_s)
+                    if name.startswith("stage:"):
+                        self.metrics.observe_stage(
+                            name.removeprefix("stage:"), span_s
+                        )
         self.metrics.observe_op(
             "analyze", seconds, ok=ok, degraded=degraded
         )
         self.telemetry.record_request(
             "analyze", seconds, ok=ok, degraded=degraded,
             request_id=request.request_id, error_kind=error_kind,
-            stopped_at=stopped_at, tracer=tracer,
+            stopped_at=stopped_at, tracer=tracer, tier=tier,
         )
-
-    def _fold_trace(self, tracer: tracing.Tracer) -> None:
-        """Fold a request trace's span durations into the registry:
-        every span into the span aggregates, the ``stage:*`` ones into
-        the stage histograms too (whatever ran, also of a request that
-        failed) — the durations the reply's ``stage_timings`` carry."""
-        for name, durations in tracer.durations_by_name().items():
-            for seconds in durations:
-                self.metrics.observe_span(name, seconds)
-                if name.startswith("stage:"):
-                    self.metrics.observe_stage(
-                        name.removeprefix("stage:"), seconds
-                    )
 
     def analyze_dict(self, payload: Dict[str, Any]) -> Dict[str, Any]:
         try:
@@ -578,10 +612,10 @@ class LayoutService:
         self, deadline_s: float = DEFAULT_DRAIN_DEADLINE_S
     ) -> Dict[str, Any]:
         """Begin (or continue) draining and wait — bounded by
-        ``deadline_s`` — for in-flight work to finish.  The drain
-        outcome is recorded in the telemetry event log (every event
-        line is flushed/fsync'd as written, so the record is durable
-        before this returns)."""
+        ``deadline_s`` — for every analyze in progress, ticketed or
+        not, to finish.  The drain outcome is recorded in the telemetry
+        event log and the log synced, so the record is durable before
+        this returns."""
         start = perf_counter()
         self.begin_drain()
         drained = self.admission.wait_idle(deadline_s)
@@ -590,7 +624,9 @@ class LayoutService:
             "drained": drained,
             "waited_s": round(perf_counter() - start, 4),
             "deadline_s": deadline_s,
-            "in_flight": admission["in_flight"],
+            # ticket holders, and whoever is mid-reply without one
+            "in_flight": max(admission["in_flight"],
+                             admission["in_progress"]),
             "rejected_draining":
                 admission["counters"]["rejected_draining"],
         }
@@ -600,6 +636,7 @@ class LayoutService:
                 deadline_s, report["in_flight"],
             )
         emit_event("service.drain", phase="end", **report)
+        self.telemetry.events.sync()
         return report
 
 

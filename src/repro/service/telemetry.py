@@ -4,8 +4,12 @@ sampler, wired into one object the :class:`LayoutService` owns.
 Two pieces:
 
 - :class:`TailSampler` — decides *after* a request completes whether
-  its span tree is worth keeping.  Slow, degraded, and errored requests
-  are always kept (those are the traces an operator opens), plus a
+  its span tree is worth keeping.  It is offered the requests that have
+  one: computes, and whatever a client sent with ``trace: true``; an
+  answer hit and a joined request run under no tracer, so there is
+  nothing to keep (their ``service.request`` events say which tier
+  served them).  Slow, degraded, and errored requests are always
+  kept (those are the traces an operator opens), plus a
   deterministic 1-in-K sample of healthy traffic (``int(trace_id, 16)
   % K == 0`` — reproducible across runs and across processes sharing
   the trace ID, with no RNG state).  The crucial property is that the
@@ -178,10 +182,13 @@ class ServiceTelemetry:
         error_kind: Optional[str] = None,
         stopped_at: Optional[str] = None,
         tracer: Optional[tracing.Tracer] = None,
+        tier: Optional[str] = None,
     ) -> None:
         """One completed service operation: write its event, and (for
         traced ops) run the tail-sampling decision.  ``stopped_at`` is
-        the checkpoint at which a hard timeout ended the request."""
+        the checkpoint at which a hard timeout ended the request,
+        ``tier`` the one of ``answer`` / ``join`` / ``compute`` at
+        which an analyze ended."""
         attrs: Dict[str, Any] = {
             "op": op,
             "seconds": seconds,
@@ -194,6 +201,8 @@ class ServiceTelemetry:
             attrs["error_kind"] = error_kind
         if stopped_at:
             attrs["stopped_at"] = stopped_at
+        if tier:
+            attrs["tier"] = tier
         if tracer is not None:
             # The tracer is already deactivated by the time the request
             # is recorded, so the join key is stamped explicitly.

@@ -147,7 +147,10 @@ def _telemetry_section(stats: Mapping[str, Any]) -> List[str]:
     return [
         f"events    {events.get('events_total', 0)} logged"
         f"   rotations {events.get('rotations_total', 0)}"
-        f"   bad lines {events.get('bad_lines_total', 0)}",
+        f"   bad lines {events.get('bad_lines_total', 0)}"
+        f"   syncs {events.get('syncs_total', 0)}"
+        f" ({events.get('unsynced_lines', 0)} lines unsynced)"
+        f"   joined {stats.get('counters', {}).get('requests_joined', 0)}",
         f"traces    kept {kept}/{total} ({kept_pct})   by reason: "
         f"{reason_text}",
     ]

@@ -324,23 +324,43 @@ class TestSuite:
         assert len(spans_by_name(trace, "ilp.solve")) == 1
 
     def test_handle_layer_times_the_three_cache_paths(self):
+        """...and, since there is one, the served hit, the event log
+        record it waits for, and a duplicate pair."""
         cases = build_suite(programs=["adi"], sizes={"adi": 32},
                             stages=[HANDLE_LAYER], include_qa=False)
-        assert [c.bench_id for c in cases] == ["e2e/adi"] + [
+        assert [c.bench_id for c in cases] == [
+            "e2e/adi",
+            "layer:eventlog.record/durable",
+            "layer:eventlog.record/memory",
+        ] + [
             f"layer:service.handle/{path}/adi"
-            for path in ("cold", "warm-disk", "warm-mem")
-        ]
+            for path in ("cold", "warm-disk", "warm-mem", "warm-served")
+        ] + ["layer:service.join/adi"]
         layer = [c for c in cases if c.kind == "layer"]
         assert not build_suite(programs=["adi"], sizes={"adi": 32},
                                stages=[HANDLE_LAYER], include_e2e=False)
         # any order, any subset: each thunk checks it got its own path
         results = run_suite(layer[::-1] + layer[1:2], repeats=2, warmup=0,
                             memory=False)
-        cold, disk, mem = (results[c.bench_id].min_s for c in layer)
+        durable, memory, cold, disk, mem, served, join = (
+            results[c.bench_id].min_s for c in layer
+        )
         assert cold > disk and cold > mem > 0
+        assert cold > served > memory > 0 and durable > 0
+        # a duplicate joins the compute in flight: one compute, not two
+        assert join < 1.7 * cold
         # cold is one miss and one store: the answer, nothing beside it
         _, service = _handle_service("adi")
         assert service.cache.entry_count() == {"answer": 1}
+        assert service.admission.describe()["counters"]["admitted"] == \
+            service.metrics.snapshot()["cache"]["per_stage"]["answer"][
+                "misses"] - service.metrics.counter("requests_joined")
+        # the served hit: named program, event log on disk, no ticket
+        _, served_service = _handle_service("adi", served=True)
+        assert served_service.telemetry.events.root is not None
+        tickets = served_service.admission.describe()["counters"]
+        layer[5].fn()
+        assert served_service.admission.describe()["counters"] == tickets
 
     def test_suite_ids_are_sorted_and_deterministic(self):
         cases = build_suite(programs=["tomcatv"], sizes={"tomcatv": 32})

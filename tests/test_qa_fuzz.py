@@ -54,6 +54,99 @@ class TestTransforms:
                 assert violation is None, f"seed {seed} {name}: {violation}"
 
 
+class TestTripCountScalingPrecondition:
+    """Seed 427: two constant rows of a BLOCK-distributed dimension
+    share a processor at one block size and not at another, so that
+    phase may get cheaper as ``n`` grows; every other phase may not."""
+
+    CONFIG = AssistantConfig(nprocs=4)
+
+    @staticmethod
+    def _corpus_case():
+        import os
+
+        from repro.qa import load_corpus
+
+        corpus = load_corpus(os.path.join(os.path.dirname(__file__),
+                                          "corpus"))
+        return next(c for c in corpus
+                    if c.name == "seed-0427-constant-rows")
+
+    def test_the_estimate_falls_and_the_check_knows_why(self):
+        from repro.frontend.printer import format_program
+        from repro.qa.metamorphic import (
+            check_trip_count_scaling,
+            pins_two_constant_subscripts,
+        )
+        from repro.tool.assistant import run_assistant
+
+        case = self._corpus_case()
+        assert case.kind == "scale-trip-counts" and case.seed == 427
+        program = parse_source(case.source)
+        base = run_assistant(case.source, self.CONFIG)
+        doubled = run_assistant(
+            format_program(scale_size_parameter(program, 2)), self.CONFIG
+        )
+        # rows 1 and 3: different processors at n=8 @4, one at n=16
+        assert min(doubled.graph.node_costs[0]) \
+            < min(base.graph.node_costs[0])
+        assert [pins_two_constant_subscripts(p)
+                for p in base.partition.phases] == [True]
+        assert check_trip_count_scaling(program, self.CONFIG) is None
+        # the whole generated program, of which phase 0 is that phase
+        full = generate_program(427)
+        assert check_trip_count_scaling(full.program, self.CONFIG) is None
+
+    @pytest.mark.parametrize("rhs, exempt", [
+        ("a(3, j + 2, k - 1)", True),   # the corpus case itself
+        ("a(1, j + 2, k - 1)", False),  # one constant row
+        ("a(k, 3, j)", False),  # another dimension of the same array
+        ("b(k, 3, j)", True),  # of another array: may be aligned to it
+    ])
+    def test_what_counts_as_two_pinned_rows(self, rhs, exempt):
+        from repro.qa.metamorphic import pins_two_constant_subscripts
+        from repro.tool.assistant import run_assistant
+
+        source = self._corpus_case().source.replace(
+            "real a(n, n, n)", "real a(n, n, n), b(n, n, n)"
+        ).replace("a(3, j + 2, k - 1)", rhs)
+        result = run_assistant(source, self.CONFIG)
+        assert [pins_two_constant_subscripts(p)
+                for p in result.partition.phases] == [exempt]
+
+    def test_a_genuinely_shrinking_phase_still_fires(self):
+        """The check's runner answers the doubled program with the
+        result of the *halved* one: every phase got cheaper, none of
+        them pins two constants, and the check says so."""
+        from repro.frontend.printer import format_program
+        from repro.qa.metamorphic import (
+            check_trip_count_scaling,
+            pins_two_constant_subscripts,
+        )
+        from repro.tool.assistant import run_assistant
+
+        case = generate_program(0, GeneratorConfig(size=16))
+        base_source = format_program(case.program)
+        halved = base_source.replace(
+            "parameter (n = 16)", "parameter (n = 8)"
+        )
+        assert halved != base_source
+
+        def shrinking(source, config):
+            if source == base_source:
+                return run_assistant(source, config)
+            return run_assistant(halved, config)
+
+        base = run_assistant(base_source, self.CONFIG)
+        assert not all(pins_two_constant_subscripts(p)
+                       for p in base.partition.phases)
+        violation = check_trip_count_scaling(
+            case.program, self.CONFIG, runner=shrinking
+        )
+        assert violation is not None and "cheaper" in violation
+        assert check_trip_count_scaling(case.program, self.CONFIG) is None
+
+
 class TestRunner:
     def test_clean_campaign(self):
         report = run_fuzz(seed=0, cases=8)

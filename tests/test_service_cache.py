@@ -221,8 +221,11 @@ class TestAnswerStage:
             assert _only_an_answer_hit(cached)
             assert not cached["degraded"]
             assert _answer(cached) == _answer(exact)
+            # the two computes were admitted, under brownout; the hit
+            # took no ticket, so there was no budget to clamp
             assert svc.metrics.snapshot()["counters"][
-                "requests_brownout"] == 3
+                "requests_brownout"] == 2
+            assert one_slot.describe()["counters"]["admitted"] == 2
 
     def test_trace_of_a_hit_holds_the_answer_stage_span(self, service):
         service.analyze_dict(dict(REQUEST))

@@ -8,6 +8,9 @@ from __future__ import annotations
 import json
 import logging
 import os
+import sys
+import threading
+import time
 
 import pytest
 
@@ -17,6 +20,7 @@ from repro.obs.prometheus import parse_prometheus_text, render_prometheus
 from repro.obs.telemetry import (
     CURRENT_SEGMENT,
     EVENT_SCHEMA,
+    SYNC_COALESCE_S,
     EventLog,
     EventValidationError,
     emit,
@@ -188,6 +192,186 @@ class TestEventLog:
     def test_rejects_tiny_max_bytes(self):
         with pytest.raises(ValueError):
             EventLog(max_bytes=10)
+
+
+class TestSyncBehind:
+    """Durable logs: the line is flushed before ``record`` returns, the
+    fsync follows on the syncer thread, ``sync()`` is the barrier."""
+
+    @pytest.fixture()
+    def fsyncs(self, monkeypatch):
+        """Thread idents of every ``os.fsync`` the event log makes."""
+        calls = []
+        real = os.fsync
+
+        def counted(fd):
+            calls.append(threading.get_ident())
+            return real(fd)
+
+        monkeypatch.setattr("repro.obs.telemetry.os.fsync", counted)
+        return calls
+
+    @staticmethod
+    def _unsynced(log) -> int:
+        return log.describe()["unsynced_lines"]
+
+    def _wait_synced(self, log, within_s: float) -> float:
+        start = time.perf_counter()
+        while self._unsynced(log):
+            assert time.perf_counter() - start < within_s, "never synced"
+            time.sleep(0.001)
+        return time.perf_counter() - start
+
+    def test_record_never_fsyncs_on_the_callers_thread(
+        self, tmp_path, fsyncs
+    ):
+        with EventLog(tmp_path) as log:
+            for i in range(50):
+                log.record("tick", {"i": i})
+                # flushed: a reader (or a kill -9) finds it at once
+            events, bad = read_event_log(tmp_path)
+            assert bad == 0 and len(events) == 50
+            assert threading.get_ident() not in fsyncs
+            self._wait_synced(log, 5.0)
+        # nothing was owed at close, so that synced nothing either
+        assert fsyncs and threading.get_ident() not in fsyncs
+
+    def test_an_idle_line_is_synced_within_the_bound(self, tmp_path, fsyncs):
+        assert 0 < SYNC_COALESCE_S <= 0.05
+        with EventLog(tmp_path) as log:
+            log.record("lonely")
+            assert self._unsynced(log) == 1
+            # the coalescing interval plus one fsync (and CI slack)
+            self._wait_synced(log, SYNC_COALESCE_S + 1.0)
+            assert log.describe()["syncs_total"] == 1
+            # nothing written since: the syncer sleeps
+            time.sleep(3 * SYNC_COALESCE_S)
+            assert len(fsyncs) == 1
+
+    def test_a_burst_shares_its_fsyncs(self, tmp_path):
+        with EventLog(tmp_path) as log:
+            for i in range(200):
+                log.record("tick", {"i": i})
+            self._wait_synced(log, SYNC_COALESCE_S + 1.0)
+            assert 1 <= log.describe()["syncs_total"] <= 50
+
+    def test_sync_is_a_barrier(self, tmp_path, fsyncs):
+        with EventLog(tmp_path) as log:
+            for i in range(5):
+                log.record("tick", {"i": i})
+            log.sync()
+            assert self._unsynced(log) == 0
+            assert threading.get_ident() in fsyncs
+            before = len(fsyncs)
+            log.sync()  # nothing owed: no fsync
+            assert len(fsyncs) == before
+
+    def test_close_syncs_and_ends_the_syncer(self, tmp_path, fsyncs):
+        threads = threading.active_count()
+        log = EventLog(tmp_path)
+        log.record("last words")
+        assert threading.active_count() == threads + 1
+        log.close()
+        assert self._unsynced(log) == 0
+        assert len(fsyncs) == 1
+        assert threading.active_count() == threads
+        # a late record reopens the log, syncer included
+        log.record("afterthought")
+        log.close()
+        assert self._unsynced(log) == 0
+        assert threading.active_count() == threads
+        events, bad = read_event_log(tmp_path)
+        assert bad == 0
+        assert [e["type"] for e in events] == ["last words", "afterthought"]
+
+    def test_rotation_syncs_the_segment_it_renames(
+        self, tmp_path, monkeypatch
+    ):
+        owed_at_rename = []
+        real = os.replace
+
+        def checked(src, dst):
+            owed_at_rename.append(log._written - log._synced)
+            return real(src, dst)
+
+        monkeypatch.setattr("repro.obs.telemetry.os.replace", checked)
+        with EventLog(tmp_path, max_bytes=1024, max_files=100) as log:
+            for i in range(100):
+                log.record("tick", {"i": i, "pad": "x" * 40})
+            assert log.rotations_total > 0
+            assert owed_at_rename == [0] * log.rotations_total
+        assert self._unsynced(log) == 0
+        events, bad = read_event_log(tmp_path)
+        assert bad == 0
+        assert [e["seq"] for e in events] == list(range(1, 101))
+
+    def test_memory_only_and_fsync_false_start_no_thread(self, tmp_path):
+        threads = threading.active_count()
+        with EventLog() as ring, EventLog(tmp_path, fsync=False) as log:
+            for i in range(10):
+                ring.record("tick", {"i": i})
+                log.record("tick", {"i": i})
+            assert threading.active_count() == threads
+            for described in (ring.describe(), log.describe()):
+                assert described["unsynced_lines"] == 0
+                assert described["syncs_total"] == 0
+            ring.sync()
+            log.sync()
+
+    def test_writers_and_barriers_at_once_lose_nothing(self, tmp_path):
+        """More writers than cores, switching often, against explicit
+        barriers and rotation: every event is on disk exactly once and
+        nothing is left owed."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        log = EventLog(tmp_path, max_bytes=4096, max_files=1000)
+        try:
+            def write(worker: int) -> None:
+                for i in range(100):
+                    log.record("tick", {"w": worker, "i": i})
+                    if i % 25 == 0:
+                        log.sync()
+
+            writers = [threading.Thread(target=write, args=(w,))
+                       for w in range(6)]
+            for thread in writers:
+                thread.start()
+            for thread in writers:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+            log.close()
+        assert self._unsynced(log) == 0
+        events, bad = read_event_log(tmp_path)
+        assert bad == 0
+        assert [e["seq"] for e in events] == list(range(1, 601))
+        assert {(e["attrs"]["w"], e["attrs"]["i"]) for e in events} == {
+            (w, i) for w in range(6) for i in range(100)
+        }
+
+    def test_drain_leaves_nothing_unsynced(self, tmp_path):
+        from repro.service import LayoutService, WorkerPool
+
+        request = {"op": "analyze", "program": "adi", "size": 8,
+                   "maxiter": 2, "procs": 4}
+        with LayoutService(
+            pool=WorkerPool(kind="serial"),
+            telemetry=ServiceTelemetry(events_dir=str(tmp_path)),
+        ) as service:
+            for _ in range(3):
+                assert service.handle(dict(request))["ok"]
+            service.drain(deadline_s=5.0)
+            described = service.telemetry.events.describe()
+            assert described["unsynced_lines"] == 0
+            assert described["syncs_total"] >= 1
+            events, bad = read_event_log(tmp_path)
+        assert bad == 0
+        assert events[-1]["type"] == "service.drain"
+        assert events[-1]["attrs"]["phase"] == "end"
+        assert [e["attrs"]["tier"] for e in events
+                if e["type"] == "service.request"] == \
+            ["compute", "answer", "answer"]
 
 
 class TestSinkRegistry:
@@ -437,6 +621,26 @@ class TestSubMillisecondHistograms:
         }
         text = render_prometheus(stats)
         samples = parse_prometheus_text(text)
+        # the syncer and the join table, where the old counters are
+        stats["telemetry"]["events"].update(
+            syncs_total=5, unsynced_lines=2
+        )
+        stats["counters"]["requests_joined"] = 3
+        grown = render_prometheus(stats)
+        new_samples = parse_prometheus_text(grown)
+        assert new_samples[("repro_eventlog_syncs_total", ())] == 5.0
+        assert new_samples[("repro_eventlog_unsynced_lines", ())] == 2.0
+        assert new_samples[("repro_requests_joined_total", ())] == 3.0
+        # ...and every other line is what it was, byte for byte
+        added = ("repro_eventlog_syncs_total", "repro_requests_joined_total",
+                 "repro_eventlog_unsynced_lines",
+                 'repro_counter_total{name="requests_joined"}')
+
+        def others(exposition: str) -> list:
+            return [line for line in exposition.splitlines()
+                    if not any(name in line for name in added)]
+
+        assert others(grown) == others(text)
         assert samples[("repro_eventlog_events_total", ())] == 7.0
         assert samples[("repro_trace_kept_total", ())] == 2.0
         assert samples[
