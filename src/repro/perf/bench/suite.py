@@ -26,23 +26,30 @@ Two benchmark kinds:
   on its cache paths: ``cold`` (empty cache: one ``answer`` miss,
   ``run_assistant``, one store), ``warm-mem`` (the answer comes out of
   the memory LRU), ``warm-disk`` (memory tier dropped first: read,
-  checksum, unpickle) and ``warm-served`` (the memory hit as ``repro
-  serve --telemetry-dir`` answers it; see :data:`HANDLE_LAYER` for who
-  sends what to which log).  Beside them, selected with the same stage
-  name: ``layer:service.join/<program>`` — two threads send one fresh
-  request at once and the case ends when both are answered, which is
-  one compute if the second joins the first and two if it does not —
-  and ``layer:eventlog.record/{memory,durable}``, one
-  ``service.request`` line into the event log a reply waits for.
+  checksum, unpickle), and ``cold-served`` / ``warm-served`` (the miss
+  and the memory hit as ``repro serve --telemetry-dir`` answers them;
+  see :data:`HANDLE_LAYER` for who sends what to which log).  Beside
+  them, selected with the same stage name:
+  ``layer:service.join/<program>`` — two threads send one fresh request
+  at once and the case ends when both are answered, which is one
+  compute if the second joins the first and two if it does not — and
+  ``layer:eventlog.record/{memory,durable}``, one ``service.request``
+  line into the event log a reply waits for.  Under a stage name of
+  their own, ``layer:estimation.runner/{in-thread,process}/<program>``:
+  the estimation stage with no job runner, and through a warmed
+  2-worker process pool — the crossing the service's in-thread default
+  does not make, recorded to show what it would cost.
 
 Everything is deterministic by construction: bench sizes are pinned per
 program (the smallest grid size from EXPERIMENTS.md, so a full run stays
-interactive), QA programs come from fixed seeds, estimation runs serial
-(no worker pool), and benchmarks are collected in sorted order.
+interactive), QA programs come from fixed seeds, estimation runs as
+served (on the calling thread), and benchmarks are collected in sorted
+order.
 """
 
 from __future__ import annotations
 
+import atexit
 import os
 import shutil
 import tempfile
@@ -89,12 +96,17 @@ GRAPH_STAGE = "layout_graph"
 #: selectable with ``--stages`` like a stage, dropped by ``--no-e2e``.
 #: ``cold``, ``warm-mem`` and ``warm-disk`` send the source text and the
 #: machine as a parameter dict to a service whose event log is the
-#: memory-only ring — what an embedder does.  ``warm-served`` sends what
-#: a client of ``repro serve`` does — the program's name with ``size``
-#: and ``procs``, machine by registry name — to a service that writes
-#: its event log to disk, under default admission: the hit that the repo
-#: benchmark's ``service-warm`` measures over a socket.
+#: memory-only ring — what an embedder does.  ``cold-served`` and
+#: ``warm-served`` send what a client of ``repro serve`` does — the
+#: program's name with ``size`` and ``procs``, machine by registry name
+#: — to a service that writes its event log to disk, under default
+#: admission: the miss and the hit that the repo benchmark's
+#: ``service-open`` and ``service-warm`` measure over a socket.
 HANDLE_LAYER = "service.handle"
+
+#: the estimation stage by who runs its batch: the calling thread, or a
+#: process pool; selected and dropped like :data:`HANDLE_LAYER`
+RUNNER_LAYER = "estimation.runner"
 
 #: pinned per-program bench problem sizes (smallest grid size each, so
 #: the whole suite runs in seconds; changing these invalidates baselines)
@@ -170,8 +182,14 @@ class PreparedProgram:
             self.partition, self.alignment_spaces, self.template,
             self.symbols, config,
         )
-        self.estimates, self.db = stage_estimation(
-            self.partition, self.layout_spaces, self.symbols, config
+        self.estimates, self.db = self.estimate()
+
+    def estimate(self, job_runner=None):
+        """The estimation stage on the prepared inputs: on the calling
+        thread, or with its batch handed to ``job_runner``."""
+        return stage_estimation(
+            self.partition, self.layout_spaces, self.symbols, self.config,
+            job_runner=job_runner,
         )
 
 
@@ -214,11 +232,6 @@ def _stage_cases(prep: PreparedProgram) -> List[BenchCase]:
             prep.symbols, config,
         )
 
-    def run_estimation() -> None:
-        stage_estimation(
-            prep.partition, prep.layout_spaces, prep.symbols, config
-        )
-
     def run_selection_ilp() -> None:
         stage_selection(
             prep.partition, prep.pcfg, prep.estimates, prep.symbols,
@@ -237,7 +250,7 @@ def _stage_cases(prep: PreparedProgram) -> List[BenchCase]:
         "cag_build": run_cag_build,
         "alignment_ilp": run_alignment_ilp,
         "distribution": run_distribution,
-        "estimation": run_estimation,
+        "estimation": prep.estimate,
         "selection_ilp": run_selection_ilp,
         GRAPH_STAGE: run_layout_graph,
     }
@@ -289,16 +302,16 @@ def _e2e_case(prep: PreparedProgram) -> BenchCase:
 @lru_cache(maxsize=None)
 def _handle_service(program: str, served: bool = False):
     """One engine per program and process, and the scratch directory it
-    works in (held here, so it goes away with the interpreter);
-    estimation runs serial, as everywhere in this suite.  ``served``:
-    the event log is on disk, as under ``repro serve --telemetry-dir``."""
+    works in (held here, so it goes away with the interpreter); no pool
+    is handed in, so a miss is computed wherever the default puts it.
+    ``served``: the event log is on disk, as under ``repro serve
+    --telemetry-dir``."""
     scratch = tempfile.TemporaryDirectory(prefix=f"repro-bench-{program}-")
     telemetry = ServiceTelemetry(
         events_dir=os.path.join(scratch.name, "events")
     ) if served else None
     return scratch, LayoutService(
-        cache_dir=os.path.join(scratch.name, "cache"),
-        pool=WorkerPool(kind="serial"), telemetry=telemetry,
+        cache_dir=os.path.join(scratch.name, "cache"), telemetry=telemetry,
     )
 
 
@@ -332,13 +345,17 @@ def _handle_cases(prep: PreparedProgram, size: int) -> List[BenchCase]:
             raise RuntimeError(f"{name}: not the path to time: {reply}")
         return reply
 
-    def empty_cache() -> None:
-        shutil.rmtree(service.cache.root, ignore_errors=True)
-        service.cache.clear_memory()
+    def empty_cache(engine=service) -> None:
+        shutil.rmtree(engine.cache.root, ignore_errors=True)
+        engine.cache.clear_memory()
 
     def run_cold() -> None:
         empty_cache()
         handle(0)
+
+    def run_cold_served() -> None:
+        empty_cache(served)
+        handle(0, served, served_payload)
 
     def run_warm_mem() -> None:
         handle(1)
@@ -371,7 +388,8 @@ def _handle_cases(prep: PreparedProgram, size: int) -> List[BenchCase]:
     handle(None, served, served_payload)
     thunks = {
         "cold": run_cold, "warm-mem": run_warm_mem,
-        "warm-disk": run_warm_disk, "warm-served": run_warm_served,
+        "warm-disk": run_warm_disk,
+        "cold-served": run_cold_served, "warm-served": run_warm_served,
     }
     return [
         BenchCase(
@@ -383,6 +401,38 @@ def _handle_cases(prep: PreparedProgram, size: int) -> List[BenchCase]:
         bench_id=f"layer:service.join/{name}",
         kind="layer", program=name, stage=HANDLE_LAYER, fn=run_join,
     )]
+
+
+@lru_cache(maxsize=None)
+def _process_pool() -> WorkerPool:
+    """The pool of the ``estimation.runner/process`` cases: one a
+    process, built when the first of them is, shut down with the
+    interpreter."""
+    pool = WorkerPool(kind="process", max_workers=2)
+    atexit.register(pool.shutdown)
+    return pool
+
+
+def _runner_cases(prep: PreparedProgram) -> List[BenchCase]:
+    """The estimation stage priced on the calling thread and through the
+    process pool, whose workers the untimed first batch starts."""
+    pool = _process_pool()
+
+    def run_process() -> None:
+        prep.estimate(pool.run_jobs)
+        if pool.active_kind != "process":
+            raise RuntimeError(f"not the pool to time: {pool.describe()}")
+
+    run_process()
+    return [
+        BenchCase(
+            bench_id=f"layer:{RUNNER_LAYER}/{runner}/{prep.name}",
+            kind="layer", program=prep.name, stage=RUNNER_LAYER, fn=fn,
+        )
+        for runner, fn in (
+            ("in-thread", prep.estimate), ("process", run_process),
+        )
+    ]
 
 
 @lru_cache(maxsize=None)
@@ -442,7 +492,7 @@ def build_suite(
     """Collect the benchmark suite (preparation runs here, untimed)."""
     config = config or default_bench_config()
     names = list(programs) if programs else sorted(BENCH_SIZES)
-    known_stages = STAGE_NAMES + (GRAPH_STAGE, HANDLE_LAYER)
+    known_stages = STAGE_NAMES + (GRAPH_STAGE, HANDLE_LAYER, RUNNER_LAYER)
     wanted_stages = tuple(stages) if stages else known_stages
     unknown = sorted(set(wanted_stages) - set(known_stages))
     if unknown:
@@ -465,6 +515,8 @@ def build_suite(
             cases.append(_e2e_case(prep))
             if HANDLE_LAYER in wanted_stages:
                 cases.extend(_handle_cases(prep, size))
+            if RUNNER_LAYER in wanted_stages:
+                cases.extend(_runner_cases(prep))
         if name == EXTENDED_PROGRAM and "selection_ilp" in wanted_stages:
             extended = PreparedProgram(
                 f"{name}-extended", prep.source,
@@ -516,7 +568,7 @@ def run_suite(
 __all__ = [
     "BENCH_NPROCS", "BENCH_SIZES", "BenchCase", "EXTENDED_NPROCS",
     "EXTENDED_PROGRAM", "GRAPH_STAGE", "HANDLE_LAYER",
-    "PreparedProgram",
+    "PreparedProgram", "RUNNER_LAYER",
     "QA_SEEDS", "STAGE_NAMES", "TIED_SEED", "bench_source", "build_suite",
     "default_bench_config", "run_suite",
 ]

@@ -1,12 +1,12 @@
-"""The layout service: a batched, cached, parallel analysis server.
+"""The layout service: a cached analysis server, one thread a request.
 
 The paper frames the framework as an interactive data layout assistant;
 this package turns the one-shot CLI pipeline into a long-lived service:
 
 - :mod:`server`   — the :class:`LayoutService` engine and TCP front end;
 - :mod:`cache`    — content-addressed result cache (one entry a reply);
-- :mod:`pool`     — resilient ``concurrent.futures`` worker pool;
-- :mod:`jobs`     — the pure-function job boundary workers execute;
+- :mod:`pool`     — opt-in worker pool (default ``serial``: unused);
+- :mod:`jobs`     — the pure-function job boundary its workers execute;
 - :mod:`metrics`  — counters, cache stats, wall-time histograms, and
   per-op sliding windows;
 - :mod:`protocol` — JSON request/response schemas plus client-side

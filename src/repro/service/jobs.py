@@ -6,9 +6,9 @@ an argument tuple, tagged with its submission index.  Workers return
 index, so the combined output is a deterministic function of the inputs
 regardless of worker scheduling, pool kind, or retries.
 
-The estimation stage is the one hot fan-out today (one job per phase,
-see :func:`repro.perf.estimator.estimate_phase_candidates`), but the
-boundary is generic — anything pure and picklable can go through it.
+The estimation stage is the one fan-out (a job per chunk of phases,
+:func:`repro.perf.batch.estimate_phase_batch`), but the boundary is
+generic — anything pure and picklable can go through it.
 """
 
 from __future__ import annotations

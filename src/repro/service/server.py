@@ -3,13 +3,11 @@
 Two layers:
 
 - :class:`LayoutService` — the in-process engine: an answer cache in
-  front of ``run_assistant`` with pooled estimation, per-stage
-  wall-time metrics, and a per-request deadline.  Tests and embedders
-  use it directly;
+  front of ``run_assistant``, per-stage wall-time metrics, and a
+  per-request deadline.  Tests and embedders use it directly;
 - :class:`LayoutServer` — a threaded TCP front end speaking the
   newline-delimited JSON protocol of :mod:`repro.service.protocol`.
-  Independent requests fan out across connection threads while sharing
-  one cache, one metrics registry, and one worker pool.
+  Connection threads share one cache and one metrics registry.
 
 A request stays on the thread that read it from the socket, from decode
 to reply, and is served by the first of three tiers that can:
@@ -216,9 +214,11 @@ class LayoutService:
         their own ``stage:*`` spans, and one store of the reply's
         content (:func:`answer_of`) when the request has a ``key``."""
         clean = noted_count()
+        # only a pool that was asked for is handed the estimation batch
+        pooled = self.pool.requested_kind != "serial"
         answer = answer_of(run_assistant(
             request.resolve_source(), request.resolve_config(),
-            job_runner=self.pool.run_jobs,
+            job_runner=self.pool.run_jobs if pooled else None,
         ))
         # A degraded answer is never kept: a later request with a full
         # budget must compute the exact one, not inherit the fallback.
@@ -419,9 +419,9 @@ class LayoutService:
         # Mirror pool health into gauges so silent process -> thread ->
         # serial fallbacks surface in every exposition of the registry.
         self.metrics.set_gauge("pool_degradations", pool["degradations"])
-        self.metrics.set_gauge(
-            "pool_active_serial", 1 if pool["active_kind"] == "serial" else 0
-        )
+        self.metrics.set_gauge("pool_active_serial", int(
+            "serial" == pool["active_kind"] != pool["requested_kind"]
+        ))
         # Breaker state as gauges: 0 closed, 1 open, 0.5 half-open.
         state_value = {"closed": 0.0, "open": 1.0, "half-open": 0.5}
         for label, breaker in (("pool", pool["breaker"]),

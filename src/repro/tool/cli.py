@@ -198,13 +198,11 @@ def cmd_stats(args: argparse.Namespace) -> int:
     in-process service and print its metrics registry."""
     import json
 
-    from ..service import LayoutService, WorkerPool
+    from ..service import LayoutService
     from ..service.protocol import LayoutRequest
     from .report import format_service_stats
 
-    with LayoutService(
-        pool=WorkerPool(kind="serial"), use_cache=False
-    ) as service:
+    with LayoutService(use_cache=False) as service:
         request = LayoutRequest.from_dict({
             "program": args.program if not args.file else None,
             "source": (open(args.file, encoding="utf-8").read()
@@ -242,6 +240,15 @@ def cmd_compare(args: argparse.Namespace) -> int:
         measure_scheme(scheme, result, source)
     print(format_schemes(schemes))
     return 0
+
+
+#: interpreter switch interval of a ``repro serve`` process.  Misses are
+#: computed on request threads, and at CPython's default 5 ms every GIL
+#: hand-off to a thread that only has to accept, decode or shed waits
+#: behind each running compute: offered twice its capacity the server
+#: then queues connections for seconds in front of admission where it
+#: should shed them within milliseconds.
+SERVE_SWITCH_INTERVAL_S = 0.0005
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
@@ -334,11 +341,14 @@ def cmd_serve(args: argparse.Namespace) -> int:
         len(objectives or []),
         initial, max_limit, args.admission_max_queue,
     )
+    switch_interval = sys.getswitchinterval()
+    sys.setswitchinterval(SERVE_SWITCH_INTERVAL_S)
     try:
         server.serve_forever()
     except KeyboardInterrupt:  # pragma: no cover - interactive only
         pass
     finally:
+        sys.setswitchinterval(switch_interval)
         server.server_close()
         service.close()
     return 0
@@ -1105,7 +1115,12 @@ def main(argv: Optional[List[str]] = None) -> int:
                          help="persist the stage cache here "
                               "(omit for memory-only)")
     p_serve.add_argument("--pool", choices=["process", "thread", "serial"],
-                         default="process", help="worker pool kind")
+                         default="serial",
+                         help="where estimation batches run: serial "
+                              "(default) on the request's thread; "
+                              "process/thread only pay above ~25 ms of "
+                              "in-thread pricing per request, see "
+                              "BENCH_in_thread.json")
     p_serve.add_argument("--workers", type=int,
                          help="worker count (default: cpu count)")
     p_serve.add_argument("--job-timeout", type=float,

@@ -46,8 +46,10 @@ from repro.perf.bench import (
 from repro.perf.bench.suite import (
     GRAPH_STAGE,
     HANDLE_LAYER,
+    RUNNER_LAYER,
     STAGE_NAMES,
     _handle_service,
+    _process_pool,
 )
 from repro.service.metrics import Metrics
 from repro.tool.cli import main as cli_main
@@ -334,7 +336,8 @@ class TestSuite:
             "layer:eventlog.record/memory",
         ] + [
             f"layer:service.handle/{path}/adi"
-            for path in ("cold", "warm-disk", "warm-mem", "warm-served")
+            for path in ("cold-served", "cold", "warm-disk", "warm-mem",
+                         "warm-served")
         ] + ["layer:service.join/adi"]
         layer = [c for c in cases if c.kind == "layer"]
         assert not build_suite(programs=["adi"], sizes={"adi": 32},
@@ -342,11 +345,11 @@ class TestSuite:
         # any order, any subset: each thunk checks it got its own path
         results = run_suite(layer[::-1] + layer[1:2], repeats=2, warmup=0,
                             memory=False)
-        durable, memory, cold, disk, mem, served, join = (
+        durable, memory, cold_served, cold, disk, mem, served, join = (
             results[c.bench_id].min_s for c in layer
         )
         assert cold > disk and cold > mem > 0
-        assert cold > served > memory > 0 and durable > 0
+        assert cold_served > served > memory > 0 and durable > 0
         # a duplicate joins the compute in flight: one compute, not two
         assert join < 1.7 * cold
         # cold is one miss and one store: the answer, nothing beside it
@@ -359,8 +362,41 @@ class TestSuite:
         _, served_service = _handle_service("adi", served=True)
         assert served_service.telemetry.events.root is not None
         tickets = served_service.admission.describe()["counters"]
-        layer[5].fn()
+        layer[6].fn()
         assert served_service.admission.describe()["counters"] == tickets
+        # the served miss takes one, and is computed where the default
+        # puts it: nobody hands these engines a pool
+        layer[2].fn()
+        assert served_service.admission.describe()["counters"][
+            "admitted"] == tickets["admitted"] + 1
+        assert served_service.pool.requested_kind == "serial"
+        assert served_service.pool._executor is None
+
+    def test_runner_layer_times_estimation_both_ways(self):
+        cases = build_suite(programs=["adi"], sizes={"adi": 32},
+                            stages=[RUNNER_LAYER], include_qa=False)
+        assert [c.bench_id for c in cases] == [
+            "e2e/adi",
+            "layer:estimation.runner/in-thread/adi",
+            "layer:estimation.runner/process/adi",
+        ]
+        assert not build_suite(programs=["adi"], sizes={"adi": 32},
+                               stages=[RUNNER_LAYER], include_e2e=False)
+        # the pool is warm before anything is timed, and is the one pool
+        pool = _process_pool()
+        assert pool.active_kind == "process" and pool._executor is not None
+        tracing.start_trace("test")
+        try:
+            for case in cases[1:]:
+                case.fn()
+        finally:
+            trace = tracing.finish_trace()
+        assert [
+            (s["attrs"]["parallel"], s["attrs"]["jobs"])
+            for s in spans_by_name(trace, "estimation.fanout")
+        ] == [(False, 9), (True, 5)]
+        assert len(spans_by_name(trace, "pool:estimate_phase_batch")) == 1
+        assert _process_pool() is pool and pool.degradations == 0
 
     def test_suite_ids_are_sorted_and_deterministic(self):
         cases = build_suite(programs=["tomcatv"], sizes={"tomcatv": 32})

@@ -1,9 +1,13 @@
 """The three-tier request path: the answer key from memoised parts, a
 hit that takes no ticket, a duplicate that joins the compute in flight,
-and a drain that waits for both."""
+a drain that waits for both — and where a miss is computed: on the
+request's own thread, unless a pool was handed in."""
 
 from __future__ import annotations
 
+import multiprocessing
+import signal
+import sys
 import threading
 import time
 from dataclasses import asdict
@@ -12,16 +16,23 @@ import pytest
 
 from repro.machine.params import MACHINES
 from repro.obs import tracing
+from repro.perf import batch as batch_module
 from repro.programs.registry import PROGRAMS
+from repro.resilience import faults
+from repro.resilience.faults import FaultPlan, FaultSpec
 from repro.service import (
     LayoutRequest,
+    LayoutServer,
     LayoutService,
     StageKeys,
     WorkerPool,
 )
+from repro.service import pool as pool_module
 from repro.service import protocol
 from repro.tool import assistant as assistant_module
+from repro.tool import cli
 from repro.tool.assistant import stage_partition
+from repro.tool.top import format_top
 
 REQUEST = {
     "op": "analyze",
@@ -485,3 +496,157 @@ class TestServiceOpenShapedMix:
             for r in fresh
         )
         assert admission["limiter"]["baseline_s"] >= fastest
+
+
+def _spans(reply: dict, prefix: str) -> list:
+    return [s for s in reply["trace"]["spans"]
+            if s["name"].startswith(prefix)]
+
+
+def _cold(service, program: str) -> dict:
+    """One traced miss; small enough that all four programs take ~0.1 s."""
+    reply = service.analyze_dict({
+        "op": "analyze", "program": program, "size": 16, "maxiter": 2,
+        "procs": 4, "trace": True,
+    })
+    assert reply["ok"] and not reply["degraded"]
+    assert reply["cache_hits"] == 0
+    return reply
+
+
+class TestWhereAMissIsComputed:
+    def test_every_default_is_serial(self):
+        assert WorkerPool().requested_kind == "serial"
+        with LayoutService() as service:
+            assert service.pool.requested_kind == "serial"
+
+    def test_serve_without_pool_flag_is_one_process(self, monkeypatch):
+        """``repro serve`` as its parser builds it, stopped where it
+        would start accepting: one cold request, then a look around."""
+        seen = {}
+
+        def look_around(server) -> None:
+            seen["switch_interval"] = sys.getswitchinterval()
+            children = set(multiprocessing.active_children())
+            seen["reply"] = server.service.handle(dict(REQUEST, size=20))
+            seen["stats"] = server.service.stats()
+            seen["born"] = set(multiprocessing.active_children()) - children
+
+        monkeypatch.setattr(LayoutServer, "serve_forever", look_around)
+        # the SIGTERM handler and the stderr log handler belong to a
+        # real server process, not to whichever test runs this first
+        monkeypatch.setattr(signal, "signal", lambda *args: None)
+        monkeypatch.setattr(cli, "configure_logging", lambda level: None)
+        ours = sys.getswitchinterval()
+        assert cli.main(["serve", "--port", "0"]) == 0
+        # computes share the interpreter with the threads that accept
+        # and shed: those get their turn quickly, and only while serving
+        assert seen["switch_interval"] == pytest.approx(
+            cli.SERVE_SWITCH_INTERVAL_S) and sys.getswitchinterval() == ours
+        assert seen["reply"]["ok"] and seen["born"] == set()
+        pool = seen["stats"]["pool"]
+        assert pool["requested_kind"] == pool["active_kind"] == "serial"
+        assert pool["degradations"] == 0
+        assert seen["stats"]["gauges"]["pool_active_serial"] == 0
+        assert "serial (requested serial)" in format_top(seen["stats"])
+
+    @pytest.mark.parametrize("program", sorted(PROGRAMS))
+    def test_a_default_miss_never_leaves_its_thread(self, program):
+        children = set(multiprocessing.active_children())
+        with LayoutService() as service:
+            reply = _cold(service, program)
+            assert service.pool._executor is None
+        assert set(multiprocessing.active_children()) <= children
+        assert _spans(reply, "pool:") == []
+        (fanout,) = _spans(reply, "estimation.fanout")
+        assert fanout["attrs"] == {
+            "jobs": len(reply["layouts"]), "parallel": False,
+        }
+
+    def test_a_process_pool_answers_bit_for_bit_the_same(self):
+        with LayoutService() as service:
+            here = [_cold(service, program) for program in sorted(PROGRAMS)]
+        with LayoutService(
+            pool=WorkerPool(kind="process", max_workers=2)
+        ) as service:
+            there = [_cold(service, program) for program in sorted(PROGRAMS)]
+            assert service.pool.active_kind == "process"
+        assert [_answer(r) for r in there] == [_answer(r) for r in here]
+
+    def test_a_pool_handed_in_is_dispatched_to(self):
+        """Chaos's ``pool.submit`` / ``pool.result`` faults fire only if
+        the service really crosses the pool it was given."""
+        with LayoutService() as service:
+            exact = _answer(_cold(service, "adi"))
+        plan = FaultPlan(seed=3, specs=[
+            FaultSpec(site="pool.submit", times=1),
+        ])
+        with LayoutService(
+            pool=WorkerPool(kind="thread", max_workers=2)
+        ) as service:
+            with faults.armed(plan) as injector:
+                faulted = _cold(service, "adi")
+            clean = _cold(service, "erlebacher")
+            injected = service.telemetry.events.tail(type="fault.injected")
+        assert injector.fired_count() == 1
+        assert [e["attrs"]["site"] for e in injected] == ["pool.submit"]
+        assert _answer(faulted) == exact
+        for reply in (faulted, clean):
+            (crossing,) = _spans(reply, "pool:")
+            assert crossing["name"] == "pool:estimate_phase_batch"
+            assert crossing["attrs"]["requested_kind"] == "thread"
+            (fanout,) = _spans(reply, "estimation.fanout")
+            assert fanout["attrs"]["parallel"] is True
+
+    def test_a_default_miss_times_out_at_an_in_thread_checkpoint(
+        self, monkeypatch
+    ):
+        """Pricing that outlasts the hard limit is noticed at the next
+        stage's checkpoint; there is no ``pool.result`` wait to end."""
+        naps = []
+
+        def napping(*args):
+            if naps:
+                time.sleep(naps.pop())
+            return price(*args)
+
+        price = batch_module.estimate_phase_candidates_batched
+        monkeypatch.setattr(
+            batch_module, "estimate_phase_candidates_batched", napping
+        )
+        with LayoutService(use_cache=False) as service:
+            # untimed first: the training database is built once a process
+            assert service.analyze_dict(dict(REQUEST))["ok"]
+            service.request_timeout = 0.3
+            naps.append(0.4)
+            reply = service.analyze_dict(dict(REQUEST, request_id="late"))
+            event = service.telemetry.events.tail(type="service.request")[-1]
+        assert reply["error_kind"] == "timeout"
+        assert event["attrs"]["request_id"] == "late"
+        assert event["attrs"]["stopped_at"] == "stage:selection"
+
+    def test_pool_active_serial_means_fell_back(self, monkeypatch):
+        def gauge(service) -> int:
+            _cold(service, "adi")
+            return service.stats()["gauges"]["pool_active_serial"]
+
+        with LayoutService(pool=WorkerPool(kind="serial")) as service:
+            assert gauge(service) == 0
+        with LayoutService(
+            pool=WorkerPool(kind="thread", max_workers=2)
+        ) as service:
+            assert gauge(service) == 0
+            assert service.pool.active_kind == "thread"
+
+        def unbuildable(*args, **kwargs):
+            raise OSError("no pools in this sandbox")
+
+        monkeypatch.setattr(pool_module, "ProcessPoolExecutor", unbuildable)
+        monkeypatch.setattr(pool_module, "ThreadPoolExecutor", unbuildable)
+        with LayoutService(pool=WorkerPool(kind="process")) as service:
+            assert gauge(service) == 1
+            pool = service.stats()["pool"]
+            assert pool["active_kind"] == "serial"
+            assert pool["degradations"] >= 1
+            assert 'repro_pool_active_kind{kind="serial"} 1' in \
+                service.prometheus()
