@@ -12,15 +12,15 @@ kinds.  On top of the span stream:
 - :mod:`events`     — the JSON trace format and its schema validator;
 - :mod:`chrome`     — Chrome trace-event (``chrome://tracing``) export;
 - :mod:`provenance` — the ``repro explain`` decision-provenance report;
-- :mod:`prometheus` — Prometheus text exposition of the service
-  metrics registry (counters, cache, histograms with quantiles, pool
-  health, span aggregates);
+- :mod:`prometheus` — the ``FAMILIES`` table that declares every
+  signal of the ``stats`` snapshot for exposition, and the Prometheus
+  text rendering that walks it;
 - :mod:`log`        — the ``repro`` logger hierarchy behind
   ``--log-level``;
 - :mod:`telemetry`  — the append-only NDJSON event log (rotation,
   crash-tolerant reads) and the process-wide ``emit`` sink registry;
-- :mod:`window`     — sliding-window latency sketches (time-bucketed
-  ring of mergeable geometric-bucket quantile sketches);
+- :mod:`window`     — the one distribution type (a mergeable
+  geometric-bucket quantile sketch) and the sliding windows built of it;
 - :mod:`slo`        — declarative objectives, error budgets, and
   burn-rate alerting over the windows.
 

@@ -1,17 +1,21 @@
 """Prometheus text exposition of the service observability snapshot.
 
-:func:`render_prometheus` folds everything the service knows — request
-counters, per-stage cache hit/miss counts, stage and span wall-time
-histograms (with bucket-derived p50/p95/p99 quantile gauges), worker
-pool health (active kind, degradation count), and disk cache sizes —
-into one text-format registry, the output of both the service's
-``metrics`` protocol op and the one-shot ``stats --prometheus`` CLI.
+The ``stats`` snapshot tree (:meth:`LayoutService.stats`) is the one
+place a signal lives; :data:`FAMILIES` is the one place it is declared
+for exposition — name, type, help, where in the tree, which label — and
+:func:`render_prometheus` is a walk over that table.  A family is
+emitted iff the top-level section its path starts in is present, so a
+snapshot that carries only ``bench_seconds`` (the ``repro bench``
+harness) claims nothing about a service; under a present section a
+missing leaf reads 0 and a ``None`` one emits no sample.  The output is
+what the service's ``metrics`` protocol op, ``stats --prometheus`` and
+``bench run --prometheus`` print.
 
-Histogram quantiles cannot ride on the histogram family itself in the
-text format, so they are exposed as sibling ``*_quantile`` gauge
-families (``repro_stage_seconds_quantile{stage="frontend",
-quantile="0.95"}``), computed from the cumulative buckets by
-:meth:`repro.service.metrics.Histogram.quantile`.
+Quantiles cannot ride on a histogram family in the text format, so they
+are sibling ``*_quantile`` gauge families
+(``repro_stage_seconds_quantile{stage="frontend",quantile="0.95"}``),
+read from the same :class:`~repro.obs.window.LogBucketSketch` that
+counted the buckets.
 
 :func:`parse_prometheus_text` is a small reference parser used by the
 tests and the CI smoke job to prove the exposition stays parseable.
@@ -21,7 +25,9 @@ from __future__ import annotations
 
 import math
 import re
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import (
+    Any, Dict, Iterator, List, Mapping, NamedTuple, Tuple, Union,
+)
 
 _METRIC_RE = re.compile(
     r"^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)"
@@ -30,8 +36,192 @@ _METRIC_RE = re.compile(
 )
 _LABEL_RE = re.compile(r'([a-zA-Z_][a-zA-Z0-9_]*)="((?:[^"\\]|\\.)*)"')
 
-#: quantiles exposed for every histogram family
+#: quantiles exposed for every distribution
 QUANTILE_KEYS = (("0.5", "p50"), ("0.95", "p95"), ("0.99", "p99"))
+
+#: the candidates of the one-hot ``repro_pool_active_kind``
+POOL_KINDS = ("process", "thread", "serial")
+
+#: how a breaker's state reads as a number
+BREAKER_STATE = {"closed": 0.0, "half-open": 0.5, "open": 1.0}
+
+
+class Family(NamedTuple):
+    """One exposition family and where its samples sit in the snapshot.
+
+    ``path`` is dotted; a ``*`` key fans out over the section's sorted
+    keys and binds ``label`` to each.  A tuple of paths reads several
+    places; a ``{label value: path}`` mapping enumerates ``label``.
+    ``label`` written ``breaker=name`` takes its value from the leaf's
+    sibling ``name``.  ``shape`` says how the leaf becomes samples:
+    ``value`` as is, ``sketch`` a series' buckets / sum / count,
+    ``quantiles`` one sample per :data:`QUANTILE_KEYS`, ``one-hot`` a
+    1 beside the matching :data:`POOL_KINDS`, ``state`` through
+    :data:`BREAKER_STATE`."""
+
+    name: str
+    type: str
+    help: str
+    path: Union[str, Tuple[str, ...], Mapping[str, str]]
+    label: str = ""
+    shape: str = "value"
+
+    @property
+    def labels(self) -> Tuple[str, ...]:
+        """Every label name a sample of this family carries."""
+        own = (self.label.partition("=")[0],) if self.label else ()
+        extra = {"sketch": ("le",), "quantiles": ("quantile",)}
+        return own + extra.get(self.shape, ())
+
+    @property
+    def paths(self) -> Tuple[Tuple[Any, str], ...]:
+        """``(enumerated label value or None, dotted path)`` pairs."""
+        if isinstance(self.path, str):
+            return ((None, self.path),)
+        if isinstance(self.path, Mapping):
+            return tuple(self.path.items())
+        return tuple((None, path) for path in self.path)
+
+
+def _series(name: str, what: str, section: str, label: str) -> List[Family]:
+    """A sketch section's histogram family and its quantile sibling."""
+    return [
+        Family(name, "histogram", f"Wall time of {what} (seconds)",
+               f"{section}.*", label, "sketch"),
+        Family(f"{name}_quantile", "gauge",
+               f"Bucket-derived quantiles of {name}",
+               f"{section}.*.quantiles", label, "quantiles"),
+    ]
+
+
+_BREAKERS = ("pool.breaker", "cache.breaker")
+
+FAMILIES: Tuple[Family, ...] = (
+    Family("repro_uptime_seconds", "gauge",
+           "Seconds since the metrics registry was created",
+           "uptime_seconds"),
+    Family("repro_counter_total", "counter", "Service event counters",
+           "counters.*", "name"),
+    # first-class beside the generic counter row, to alert on directly
+    Family("repro_degraded_total", "counter",
+           "Requests answered with a labeled-degraded (non-optimal) result",
+           "counters.requests_degraded"),
+    Family("repro_requests_joined_total", "counter",
+           "Requests answered by waiting for another's compute of the "
+           "same answer key", "counters.requests_joined"),
+    Family("repro_cache_hits_total", "counter",
+           "Stage cache hits (all stages)", "cache.hits"),
+    Family("repro_cache_misses_total", "counter",
+           "Stage cache misses (all stages)", "cache.misses"),
+    Family("repro_stage_cache_hits_total", "counter",
+           "Stage cache hits per stage", "cache.per_stage.*.hits", "stage"),
+    Family("repro_stage_cache_misses_total", "counter",
+           "Stage cache misses per stage", "cache.per_stage.*.misses",
+           "stage"),
+    Family("repro_cache_disk_entries", "gauge",
+           "Persisted cache entries per stage", "cache.disk_entries.*",
+           "stage"),
+    *_series("repro_stage_seconds", "pipeline stages", "stage_seconds",
+             "stage"),
+    *_series("repro_span_seconds", "trace spans", "span_seconds", "span"),
+    *_series("repro_bench_seconds", "benchmark repetitions",
+             "bench_seconds", "bench"),
+    Family("repro_bench_min_seconds", "gauge", "Min-of-N benchmark time",
+           "bench.*.min_s", "bench"),
+    Family("repro_bench_peak_bytes", "gauge",
+           "Peak allocation delta of one repetition",
+           "bench.*.peak_bytes", "bench"),
+    # the sliding windows: what the series above never forget, these do
+    Family("repro_window_qps", "gauge",
+           "Requests per second over the sliding window, per op",
+           "window.ops.*.full.qps", "op"),
+    Family("repro_window_requests", "gauge",
+           "Requests observed inside the sliding window, per op",
+           "window.ops.*.full.count", "op"),
+    Family("repro_window_error_rate", "gauge",
+           "Error fraction over the sliding window, per op",
+           "window.ops.*.full.error_rate", "op"),
+    Family("repro_window_degraded_rate", "gauge",
+           "Labeled-degraded fraction over the sliding window, per op",
+           "window.ops.*.full.degraded_rate", "op"),
+    Family("repro_window_seconds_quantile", "gauge",
+           "Sketch-derived latency quantiles over the sliding window",
+           "window.ops.*.full.quantiles", "op", "quantiles"),
+    Family("repro_eventlog_events_total", "counter",
+           "Events written to the structured event log",
+           "telemetry.events.events_total"),
+    Family("repro_eventlog_rotations_total", "counter",
+           "Event-log segment rotations", "telemetry.events.rotations_total"),
+    Family("repro_eventlog_bad_lines_total", "counter",
+           "Corrupt or truncated event-log lines skipped on read",
+           "telemetry.events.bad_lines_total"),
+    Family("repro_eventlog_syncs_total", "counter",
+           "fsyncs of the event log (each covers a burst of lines)",
+           "telemetry.events.syncs_total"),
+    Family("repro_eventlog_unsynced_lines", "gauge",
+           "Event-log lines flushed to the OS that no fsync covers yet",
+           "telemetry.events.unsynced_lines"),
+    Family("repro_trace_kept_total", "counter",
+           "Traces retained by the tail sampler",
+           "telemetry.sampler.kept_total"),
+    Family("repro_trace_dropped_total", "counter",
+           "Traces discarded by the tail sampler",
+           "telemetry.sampler.dropped_total"),
+    Family("repro_trace_kept_by_reason_total", "counter",
+           "Traces retained by the tail sampler, per retention reason",
+           "telemetry.sampler.kept_by_reason.*", "reason"),
+    Family("repro_pool_degradations_total", "counter",
+           "Worker pool degradations (process -> thread -> serial)",
+           "pool.degradations"),
+    Family("repro_pool_active_kind", "gauge",
+           "1 for the worker pool kind currently active",
+           "pool.active_kind", "kind", "one-hot"),
+    Family("repro_pool_max_workers", "gauge", "Configured worker count",
+           "pool.max_workers"),
+    Family("repro_breaker_state", "gauge",
+           "Circuit breaker state (0 closed, 0.5 half-open, 1 open)",
+           tuple(f"{b}.state" for b in _BREAKERS), "breaker=name", "state"),
+    Family("repro_breaker_opens_total", "counter",
+           "Times each circuit breaker tripped open",
+           tuple(f"{b}.opens_total" for b in _BREAKERS), "breaker=name"),
+    Family("repro_breaker_rejections_total", "counter",
+           "Calls rejected by an open circuit breaker",
+           tuple(f"{b}.rejections_total" for b in _BREAKERS),
+           "breaker=name"),
+    Family("repro_cache_quarantined_total", "counter",
+           "Corrupt cache entries moved aside (self-healing)",
+           "cache.quarantined_total"),
+    Family("repro_admission_in_flight", "gauge",
+           "Requests currently admitted and executing",
+           "admission.in_flight"),
+    Family("repro_admission_queue_depth", "gauge",
+           "Requests waiting in the bounded admission queue",
+           "admission.queue_depth"),
+    Family("repro_admission_limit", "gauge",
+           "Current AIMD concurrency limit", "admission.limiter.limit"),
+    Family("repro_admission_draining", "gauge",
+           "1 while the service refuses new work to drain",
+           "admission.draining"),
+    Family("repro_admission_brownout", "gauge",
+           "1 while admitted requests run with a clamped "
+           "(labeled-degraded) budget", "admission.brownout"),
+    Family("repro_admission_shed_total", "counter",
+           "Requests shed with a typed overloaded error, by reason",
+           {"deadline": "admission.counters.shed_deadline",
+            "queue-full": "admission.counters.shed_queue_full",
+            "wait-timeout": "admission.counters.shed_wait_timeout"},
+           "reason"),
+    Family("repro_admission_rejected_draining_total", "counter",
+           "Requests refused with a typed shutting-down error",
+           "admission.counters.rejected_draining"),
+    Family("repro_admission_brownout_admitted_total", "counter",
+           "Requests admitted under brownout (clamped budget)",
+           "admission.counters.brownout_admitted"),
+    Family("repro_admission_limit_changes_total", "counter",
+           "AIMD limit adjustments, by direction",
+           {"increase": "admission.limiter.increases_total",
+            "decrease": "admission.limiter.decreases_total"}, "direction"),
+)
 
 
 def _escape(value: str) -> str:
@@ -44,8 +234,6 @@ def _escape(value: str) -> str:
 
 
 def _fmt_value(value: Any) -> str:
-    if value is None:
-        return "NaN"
     number = float(value)
     if math.isinf(number):
         return "+Inf" if number > 0 else "-Inf"
@@ -54,350 +242,78 @@ def _fmt_value(value: Any) -> str:
     return repr(number)
 
 
-class _Family:
-    """One metric family: TYPE/HELP header plus its samples."""
+def _sample(name: str, labels: Mapping[str, Any], value: Any) -> str:
+    inner = ",".join(
+        f'{key}="{_escape(labels[key])}"' for key in sorted(labels)
+    )
+    return f"{name}{'{' + inner + '}' if inner else ''} {_fmt_value(value)}"
 
-    def __init__(self, name: str, kind: str, help_text: str):
-        self.name = name
-        self.kind = kind
-        self.help_text = help_text
-        self.samples: List[Tuple[str, Dict[str, str], Any]] = []
 
-    def add(self, value: Any, suffix: str = "", **labels: Any) -> None:
-        self.samples.append(
-            (suffix, {k: str(v) for k, v in labels.items()}, value)
-        )
+def _leaves(
+    node: Mapping[str, Any], keys: List[str], label: str,
+    labels: Dict[str, Any],
+) -> Iterator[Tuple[Dict[str, Any], Mapping[str, Any], Any]]:
+    """Every ``(labels, section, leaf)`` that ``keys`` reaches under
+    ``node``; a ``*`` key binds ``label`` to each key it fans out over."""
+    key, rest = keys[0], keys[1:]
+    if key == "*":
+        children = [({**labels, label: k}, v) for k, v in sorted(node.items())]
+    else:
+        children = [(labels, node.get(key, 0))]
+    for child_labels, child in children:
+        if not rest:
+            yield child_labels, node, child
+        elif isinstance(child, Mapping):
+            yield from _leaves(child, rest, label, child_labels)
 
-    def render(self) -> List[str]:
-        lines = [
-            f"# HELP {self.name} {self.help_text}",
-            f"# TYPE {self.name} {self.kind}",
+
+def _samples(
+    family: Family, stats: Mapping[str, Any]
+) -> Iterator[Tuple[str, Dict[str, Any], Any]]:
+    """``(suffix, labels, value)`` of every sample of one family."""
+    label, _, sibling = family.label.partition("=")
+    for fixed, path in family.paths:
+        keys = path.split(".")
+        if keys[0] not in stats:
+            continue
+        enumerated = {} if fixed is None else {label: fixed}
+        for labels, section, leaf in _leaves(stats, keys, label, enumerated):
+            if leaf is None:
+                continue
+            if sibling:
+                labels = {**labels, label: section.get(sibling, "")}
+            if family.shape == "sketch":
+                for le, cumulative in leaf.get("buckets", {}).items():
+                    yield "_bucket", {**labels, "le": le}, cumulative
+                yield "_sum", labels, leaf.get("sum", 0.0)
+                yield "_count", labels, leaf.get("count", 0)
+            elif family.shape == "quantiles":
+                for quantile, key in QUANTILE_KEYS:
+                    if leaf.get(key) is not None:
+                        yield "", {**labels, "quantile": quantile}, leaf[key]
+            elif family.shape == "one-hot":
+                for kind in POOL_KINDS:
+                    yield "", {**labels, label: kind}, int(leaf == kind)
+            elif family.shape == "state":
+                yield "", labels, BREAKER_STATE.get(leaf, 0.0)
+            else:
+                yield "", labels, leaf
+
+
+def render_prometheus(stats: Mapping[str, Any]) -> str:
+    """Render a :meth:`LayoutService.stats` snapshot as Prometheus text:
+    one walk over :data:`FAMILIES`."""
+    lines: List[str] = []
+    for family in FAMILIES:
+        samples = [
+            _sample(family.name + suffix, labels, value)
+            for suffix, labels, value in _samples(family, stats)
         ]
-        for suffix, labels, value in self.samples:
-            label_txt = ""
-            if labels:
-                inner = ",".join(
-                    f'{k}="{_escape(v)}"' for k, v in sorted(labels.items())
-                )
-                label_txt = "{" + inner + "}"
-            lines.append(
-                f"{self.name}{suffix}{label_txt} {_fmt_value(value)}"
-            )
-        return lines
-
-
-class Registry:
-    """An ordered set of metric families under one namespace."""
-
-    def __init__(self, namespace: str = "repro"):
-        self.namespace = namespace
-        self._families: Dict[str, _Family] = {}
-
-    def family(self, name: str, kind: str, help_text: str) -> _Family:
-        full = f"{self.namespace}_{name}"
-        if full not in self._families:
-            self._families[full] = _Family(full, kind, help_text)
-        return self._families[full]
-
-    def render(self) -> str:
-        lines: List[str] = []
-        for family in self._families.values():
-            if family.samples:
-                lines.extend(family.render())
-        return "\n".join(lines) + "\n"
-
-
-def _add_histogram(
-    registry: Registry,
-    base: str,
-    help_text: str,
-    label_name: str,
-    label_value: str,
-    snap: Mapping[str, Any],
-) -> None:
-    """Emit one labeled histogram plus its quantile gauges."""
-    hist = registry.family(base, "histogram", help_text)
-    labels = {label_name: label_value}
-    for le, cumulative in snap.get("buckets", {}).items():
-        hist.add(cumulative, suffix="_bucket", le=le, **labels)
-    hist.add(snap.get("sum", 0.0), suffix="_sum", **labels)
-    hist.add(snap.get("count", 0), suffix="_count", **labels)
-
-    quantiles = snap.get("quantiles") or {}
-    if quantiles:
-        qfam = registry.family(
-            f"{base}_quantile", "gauge",
-            f"Bucket-derived quantiles of {registry.namespace}_{base}",
-        )
-        for q_label, key in QUANTILE_KEYS:
-            if key in quantiles:
-                qfam.add(quantiles[key], quantile=q_label, **labels)
-
-
-def render_prometheus(
-    stats: Mapping[str, Any], namespace: str = "repro"
-) -> str:
-    """Render a :meth:`LayoutService.stats` snapshot as Prometheus text."""
-    registry = Registry(namespace)
-
-    registry.family(
-        "uptime_seconds", "gauge", "Seconds since the metrics registry "
-        "was created",
-    ).add(stats.get("uptime_seconds", 0.0))
-
-    counters = registry.family(
-        "counter_total", "counter", "Service event counters",
-    )
-    for name, value in sorted(stats.get("counters", {}).items()):
-        counters.add(value, name=name)
-
-    # Degraded responses get a first-class family (beyond the generic
-    # counter row) so dashboards can alert on it directly.
-    registry.family(
-        "degraded_total", "counter",
-        "Requests answered with a labeled-degraded (non-optimal) result",
-    ).add(stats.get("counters", {}).get("requests_degraded", 0))
-    registry.family(
-        "requests_joined_total", "counter",
-        "Requests answered by waiting for another's compute of the "
-        "same answer key",
-    ).add(stats.get("counters", {}).get("requests_joined", 0))
-
-    cache = stats.get("cache", {})
-    registry.family(
-        "cache_hits_total", "counter", "Stage cache hits (all stages)",
-    ).add(cache.get("hits", 0))
-    registry.family(
-        "cache_misses_total", "counter", "Stage cache misses (all stages)",
-    ).add(cache.get("misses", 0))
-    per_stage_hits = registry.family(
-        "stage_cache_hits_total", "counter", "Stage cache hits per stage",
-    )
-    per_stage_misses = registry.family(
-        "stage_cache_misses_total", "counter",
-        "Stage cache misses per stage",
-    )
-    for stage, slot in sorted(cache.get("per_stage", {}).items()):
-        per_stage_hits.add(slot.get("hits", 0), stage=stage)
-        per_stage_misses.add(slot.get("misses", 0), stage=stage)
-    disk = registry.family(
-        "cache_disk_entries", "gauge", "Persisted cache entries per stage",
-    )
-    for stage, count in sorted(cache.get("disk_entries", {}).items()):
-        disk.add(count, stage=stage)
-
-    for stage, snap in sorted(stats.get("stage_seconds", {}).items()):
-        _add_histogram(
-            registry, "stage_seconds",
-            "Wall time of pipeline stages (seconds)",
-            "stage", stage, snap,
-        )
-    for name, snap in sorted(stats.get("span_seconds", {}).items()):
-        _add_histogram(
-            registry, "span_seconds",
-            "Wall time of trace spans (seconds)",
-            "span", name, snap,
-        )
-    for name, snap in sorted(stats.get("bench_seconds", {}).items()):
-        _add_histogram(
-            registry, "bench_seconds",
-            "Wall time of benchmark repetitions (seconds)",
-            "bench", name, snap,
-        )
-
-    # Sliding-window view: per-op rates and quantiles over the last N
-    # minutes (the lifetime histograms above never forget; these do).
-    window_ops = (stats.get("window") or {}).get("ops", {})
-    if window_ops:
-        qps = registry.family(
-            "window_qps", "gauge",
-            "Requests per second over the sliding window, per op",
-        )
-        requests = registry.family(
-            "window_requests", "gauge",
-            "Requests observed inside the sliding window, per op",
-        )
-        error_rate = registry.family(
-            "window_error_rate", "gauge",
-            "Error fraction over the sliding window, per op",
-        )
-        degraded_rate = registry.family(
-            "window_degraded_rate", "gauge",
-            "Labeled-degraded fraction over the sliding window, per op",
-        )
-        window_q = registry.family(
-            "window_seconds_quantile", "gauge",
-            "Sketch-derived latency quantiles over the sliding window",
-        )
-        for op, entry in sorted(window_ops.items()):
-            full = entry.get("full", {})
-            qps.add(full.get("qps", 0.0), op=op)
-            requests.add(full.get("count", 0), op=op)
-            error_rate.add(full.get("error_rate", 0.0), op=op)
-            degraded_rate.add(full.get("degraded_rate", 0.0), op=op)
-            quantiles = full.get("quantiles") or {}
-            for q_label, key in QUANTILE_KEYS:
-                if quantiles.get(key) is not None:
-                    window_q.add(
-                        quantiles[key], op=op, quantile=q_label
-                    )
-
-    # Telemetry plumbing health: event-log and trace-sampler counters.
-    telemetry = stats.get("telemetry") or {}
-    events = telemetry.get("events") or {}
-    if events:
-        registry.family(
-            "eventlog_events_total", "counter",
-            "Events written to the structured event log",
-        ).add(events.get("events_total", 0))
-        registry.family(
-            "eventlog_rotations_total", "counter",
-            "Event-log segment rotations",
-        ).add(events.get("rotations_total", 0))
-        registry.family(
-            "eventlog_bad_lines_total", "counter",
-            "Corrupt or truncated event-log lines skipped on read",
-        ).add(events.get("bad_lines_total", 0))
-        registry.family(
-            "eventlog_syncs_total", "counter",
-            "fsyncs of the event log (each covers a burst of lines)",
-        ).add(events.get("syncs_total", 0))
-        registry.family(
-            "eventlog_unsynced_lines", "gauge",
-            "Event-log lines flushed to the OS that no fsync covers yet",
-        ).add(events.get("unsynced_lines", 0))
-    sampler = telemetry.get("sampler") or {}
-    if sampler:
-        registry.family(
-            "trace_kept_total", "counter",
-            "Traces retained by the tail sampler",
-        ).add(sampler.get("kept_total", 0))
-        registry.family(
-            "trace_dropped_total", "counter",
-            "Traces discarded by the tail sampler",
-        ).add(sampler.get("dropped_total", 0))
-        reasons = registry.family(
-            "trace_kept_by_reason_total", "counter",
-            "Traces retained by the tail sampler, per retention reason",
-        )
-        for reason, count in sorted(
-            (sampler.get("kept_by_reason") or {}).items()
-        ):
-            reasons.add(count, reason=reason)
-
-    gauges = registry.family("gauge", "gauge", "Service gauges")
-    for name, value in sorted(stats.get("gauges", {}).items()):
-        gauges.add(value, name=name)
-
-    pool = stats.get("pool", {})
-    if pool:
-        registry.family(
-            "pool_degradations_total", "counter",
-            "Worker pool degradations (process -> thread -> serial)",
-        ).add(pool.get("degradations", 0))
-        active = registry.family(
-            "pool_active_kind", "gauge",
-            "1 for the worker pool kind currently active",
-        )
-        for kind in ("process", "thread", "serial"):
-            active.add(
-                1 if pool.get("active_kind") == kind else 0, kind=kind
-            )
-        if pool.get("max_workers") is not None:
-            registry.family(
-                "pool_max_workers", "gauge",
-                "Configured worker count",
-            ).add(pool["max_workers"])
-
-    # Circuit breakers (worker pool + cache disk), when present.
-    breakers = []
-    if pool.get("breaker"):
-        breakers.append(pool["breaker"])
-    if cache.get("breaker"):
-        breakers.append(cache["breaker"])
-    if breakers:
-        state = registry.family(
-            "breaker_state", "gauge",
-            "Circuit breaker state (0 closed, 0.5 half-open, 1 open)",
-        )
-        opens = registry.family(
-            "breaker_opens_total", "counter",
-            "Times each circuit breaker tripped open",
-        )
-        rejections = registry.family(
-            "breaker_rejections_total", "counter",
-            "Calls rejected by an open circuit breaker",
-        )
-        state_value = {"closed": 0.0, "half-open": 0.5, "open": 1.0}
-        for breaker in breakers:
-            name = breaker.get("name", "")
-            state.add(
-                state_value.get(breaker.get("state"), 0.0), breaker=name
-            )
-            opens.add(breaker.get("opens_total", 0), breaker=name)
-            rejections.add(
-                breaker.get("rejections_total", 0), breaker=name
-            )
-    if cache.get("quarantined_total") is not None:
-        registry.family(
-            "cache_quarantined_total", "counter",
-            "Corrupt cache entries moved aside (self-healing)",
-        ).add(cache.get("quarantined_total", 0))
-
-    # Admission control: queue, adaptive limiter, shed/brownout state.
-    admission = stats.get("admission") or {}
-    if admission:
-        limiter = admission.get("limiter") or {}
-        registry.family(
-            "admission_in_flight", "gauge",
-            "Requests currently admitted and executing",
-        ).add(admission.get("in_flight", 0))
-        registry.family(
-            "admission_queue_depth", "gauge",
-            "Requests waiting in the bounded admission queue",
-        ).add(admission.get("queue_depth", 0))
-        registry.family(
-            "admission_limit", "gauge",
-            "Current AIMD concurrency limit",
-        ).add(limiter.get("limit", 0))
-        registry.family(
-            "admission_draining", "gauge",
-            "1 while the service refuses new work to drain",
-        ).add(1 if admission.get("draining") else 0)
-        registry.family(
-            "admission_brownout", "gauge",
-            "1 while admitted requests run with a clamped "
-            "(labeled-degraded) budget",
-        ).add(1 if admission.get("brownout") else 0)
-        shed = registry.family(
-            "admission_shed_total", "counter",
-            "Requests shed with a typed overloaded error, by reason",
-        )
-        counters = admission.get("counters") or {}
-        for reason, key in (
-            ("deadline", "shed_deadline"),
-            ("queue-full", "shed_queue_full"),
-            ("wait-timeout", "shed_wait_timeout"),
-        ):
-            shed.add(counters.get(key, 0), reason=reason)
-        registry.family(
-            "admission_rejected_draining_total", "counter",
-            "Requests refused with a typed shutting-down error",
-        ).add(counters.get("rejected_draining", 0))
-        registry.family(
-            "admission_brownout_admitted_total", "counter",
-            "Requests admitted under brownout (clamped budget)",
-        ).add(counters.get("brownout_admitted", 0))
-        changes = registry.family(
-            "admission_limit_changes_total", "counter",
-            "AIMD limit adjustments, by direction",
-        )
-        changes.add(limiter.get("increases_total", 0),
-                    direction="increase")
-        changes.add(limiter.get("decreases_total", 0),
-                    direction="decrease")
-
-    return registry.render()
+        if samples:
+            lines.append(f"# HELP {family.name} {family.help}")
+            lines.append(f"# TYPE {family.name} {family.type}")
+            lines.extend(samples)
+    return "\n".join(lines) + "\n"
 
 
 def parse_prometheus_text(

@@ -206,7 +206,7 @@ class Tracer:
 
     def durations_by_name(self) -> Dict[str, List[float]]:
         """Span durations in seconds, grouped by span name (the feed for
-        the service's span-aggregate histograms)."""
+        the service's ``span_seconds`` series)."""
         out: Dict[str, List[float]] = {}
         with self._lock:
             for record in self._spans:

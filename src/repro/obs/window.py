@@ -1,9 +1,11 @@
 """Sliding-window latency statistics: compact mergeable sketches in a
 time-bucketed ring.
 
-The lifetime histograms in :mod:`repro.service.metrics` answer "what has
-this process ever seen"; operators of a long-lived service need "what is
-happening *now*".  This module provides that view with two pieces:
+One distribution type backs every latency the service keeps: the
+lifetime series of :mod:`repro.service.metrics` ("what has this process
+ever seen") hold one sketch each, the sliding windows ("what is
+happening *now*") a ring of them, so a quantile means the same thing in
+a scrape, in ``repro top`` and in an SLO verdict.  Two pieces:
 
 - :class:`LogBucketSketch` — a sparse geometric-bucket quantile sketch.
   Values land in bucket ``floor(log(v / MIN) / log(GAMMA))``, so any
@@ -12,7 +14,9 @@ happening *now*".  This module provides that view with two pieces:
   minute-long requests share one 100-slot structure.  Sketches with the
   same parameters merge by bucket-wise addition, which is exact: merging
   two sketches is indistinguishable from observing both value streams
-  into one.
+  into one.  :meth:`LogBucketSketch.snapshot` is the series' entry in
+  the ``stats`` tree; its cumulative ``le`` counts sit on :data:`LADDER`,
+  a fixed stride of the sketch's own bucket bounds, so they are exact.
 - :class:`WindowedOpStats` — a ring of ``buckets`` time slots of
   ``bucket_s`` seconds each (default 60 x 10s = a 10-minute window).
   Each slot holds one sketch plus ok/error/degraded counts; observing
@@ -47,6 +51,13 @@ SKETCH_GAMMA = 1.2
 #: bucket index cap: SKETCH_MIN * GAMMA**SKETCH_BUCKETS ~ 8e2 seconds,
 #: far past any request the service would ever answer
 SKETCH_BUCKETS = 112
+
+#: the exposition ladder publishes a cumulative count at every
+#: LADDER_STRIDE-th bucket bound: 19 rungs x2.99 apart from 1 us to
+#: 356 s, seven of them sub-millisecond.  Rungs are bucket bounds, never
+#: round numbers read through :meth:`LogBucketSketch.count_le` — its
+#: midpoint rule misplaces up to a quarter of a rung's samples.
+LADDER_STRIDE = 6
 
 _LOG_GAMMA = math.log(SKETCH_GAMMA)
 
@@ -159,6 +170,24 @@ class LogBucketSketch:
             "p99": self.quantile(0.99),
         }
 
+    def snapshot(self) -> Dict[str, Any]:
+        """The series as the ``stats`` tree carries it: exact moments,
+        cumulative ``le`` counts on :data:`LADDER`, sketch quantiles."""
+        buckets = {
+            label: sum(n for i, n in self.counts.items() if i <= rung)
+            for label, rung in LADDER
+        }
+        buckets["+Inf"] = self.count
+        return {
+            "count": self.count,
+            "sum": self.total,
+            "mean": self.mean,
+            "min": self.min,
+            "max": self.max,
+            "buckets": buckets,
+            "quantiles": self.quantiles(),
+        }
+
     def to_dict(self) -> Dict[str, Any]:
         return {
             "schema": SKETCH_SCHEMA,
@@ -186,6 +215,12 @@ class LogBucketSketch:
         sketch.max = data.get("max")
         return sketch
 
+
+#: the ladder as ``(le label, bucket index)``, smallest rung first
+LADDER = tuple(
+    (f"{LogBucketSketch.bucket_upper(index):g}", index)
+    for index in range(0, SKETCH_BUCKETS + 1, LADDER_STRIDE)
+)
 
 #: default ring geometry: 60 slots x 10 s = a 10-minute window
 DEFAULT_BUCKET_S = 10.0

@@ -13,7 +13,7 @@ The measurement substrate every performance PR is judged against:
   at the repo root;
 - :mod:`regress` — the threshold-based regression detector behind
   ``repro bench gate``;
-- :mod:`report` — terminal tables and the Prometheus/histogram export.
+- :mod:`report` — terminal tables and the Prometheus export.
 
 Driven by the ``repro bench`` CLI subcommand (``run`` / ``compare`` /
 ``gate`` / ``profile``).

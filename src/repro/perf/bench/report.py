@@ -3,9 +3,9 @@
 Text tables for the terminal, plus the bridge into the observability
 stack: every repetition of every benchmark is folded into the service's
 :class:`~repro.service.metrics.Metrics` registry as a
-``bench_seconds``-family histogram (the same shape as the request-path
+``bench_seconds``-family series (the same sketch as the request-path
 ``span_seconds`` aggregates), which then renders through the one
-Prometheus exposition in :mod:`repro.obs.prometheus`.
+Prometheus exposition table in :mod:`repro.obs.prometheus`.
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ def format_compare(report: RegressionReport) -> str:
 def results_to_metrics(
     results: Mapping[str, ResultLike], metrics: Optional[Metrics] = None
 ) -> Metrics:
-    """Fold every repetition into ``bench_seconds`` histograms."""
+    """Fold every repetition into ``bench_seconds`` series."""
     metrics = metrics or Metrics()
     for bench_id in sorted(results):
         row = _row(results[bench_id])
@@ -86,40 +86,17 @@ def results_to_metrics(
     return metrics
 
 
-def render_bench_prometheus(
-    results: Mapping[str, ResultLike], namespace: str = "repro"
-) -> str:
-    """Bench results as Prometheus text exposition (histograms plus
-    per-benchmark min/peak-memory gauges)."""
-    metrics = results_to_metrics(results)
-    snapshot = metrics.snapshot()
-    # The bench registry has no service counters/uptime to report.
-    stats = {"bench_seconds": snapshot["bench_seconds"]}
-    text = render_prometheus(stats, namespace=namespace)
-    extra = [
-        f"# HELP {namespace}_bench_min_seconds Min-of-N benchmark time",
-        f"# TYPE {namespace}_bench_min_seconds gauge",
-    ]
-    for bench_id in sorted(results):
-        row = _row(results[bench_id])
-        label = bench_id.replace("\\", "\\\\").replace('"', '\\"')
-        extra.append(
-            f'{namespace}_bench_min_seconds{{bench="{label}"}} '
-            f"{row['min_s']!r}"
-        )
-    extra.extend([
-        f"# HELP {namespace}_bench_peak_bytes "
-        "Peak allocation delta of one repetition",
-        f"# TYPE {namespace}_bench_peak_bytes gauge",
-    ])
-    for bench_id in sorted(results):
-        row = _row(results[bench_id])
-        label = bench_id.replace("\\", "\\\\").replace('"', '\\"')
-        extra.append(
-            f'{namespace}_bench_peak_bytes{{bench="{label}"}} '
-            f"{int(row.get('peak_bytes', 0))}"
-        )
-    return text + "\n".join(extra) + "\n"
+def render_bench_prometheus(results: Mapping[str, ResultLike]) -> str:
+    """Bench results as Prometheus text exposition: the repetitions as
+    ``bench_seconds`` series plus each result row under ``bench`` (its
+    min and peak memory are table rows like any other signal).  The
+    snapshot has no service section, so the exposition claims none."""
+    return render_prometheus({
+        "bench_seconds": results_to_metrics(results).snapshot()[
+            "bench_seconds"
+        ],
+        "bench": {bench_id: _row(row) for bench_id, row in results.items()},
+    })
 
 
 __all__ = [

@@ -10,8 +10,9 @@ cache's disk) with the classic three-state machine:
   success closes the circuit, one failure re-opens it.
 
 Everything is injectable (clock, RNG, sleep) so tests are instantaneous
-and deterministic, and :meth:`CircuitBreaker.describe` feeds the state
-gauges exported by the service.
+and deterministic, and :meth:`CircuitBreaker.describe` is the breaker's
+block of the service's ``stats`` snapshot (exported as
+``repro_breaker_*``).
 """
 
 from __future__ import annotations

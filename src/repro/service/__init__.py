@@ -7,7 +7,7 @@ this package turns the one-shot CLI pipeline into a long-lived service:
 - :mod:`cache`    — content-addressed result cache (one entry a reply);
 - :mod:`pool`     — opt-in worker pool (default ``serial``: unused);
 - :mod:`jobs`     — the pure-function job boundary its workers execute;
-- :mod:`metrics`  — counters, cache stats, wall-time histograms, and
+- :mod:`metrics`  — counters, cache stats, wall-time series, and
   per-op sliding windows;
 - :mod:`protocol` — JSON request/response schemas plus client-side
   retry budgets/backoff honoring ``retry_after_s``;
@@ -41,6 +41,7 @@ from .server import (
     DEFAULT_PORT,
     LayoutServer,
     LayoutService,
+    check_objective_ops,
     send_request,
     send_request_with_retries,
 )
@@ -68,6 +69,7 @@ __all__ = [
     "StageTiming",
     "TailSampler",
     "WorkerPool",
+    "check_objective_ops",
     "run_loadtest",
     "send_request",
     "send_request_with_retries",

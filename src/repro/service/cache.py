@@ -271,8 +271,11 @@ class StageCache:
         return counts
 
     def describe(self) -> Dict[str, Any]:
-        """Resilience-facing state (breaker + quarantine counters)."""
+        """The cache's block of the ``stats`` tree: what is on disk and
+        the resilience state (breaker + quarantine counter)."""
         return {
+            "disk_entries": self.entry_count(),
+            "dir": self.root,
             "breaker": self.breaker.describe(),
             "quarantined_total": self.quarantined_total,
         }

@@ -1,103 +1,23 @@
 """Service observability: counters, per-stage cache stats, and wall-time
-histograms.
+distributions.
 
 Everything is in-process and thread-safe; a snapshot is a plain dict so
-it can travel over the wire protocol and be asserted on in tests.  The
-bucket layout follows the usual log-scale convention (Prometheus-style
-cumulative ``le`` buckets) over seconds.
+it can travel over the wire protocol and be asserted on in tests.  Every
+distribution — a lifetime series here, a sliding window's slot — is one
+:class:`~repro.obs.window.LogBucketSketch`, so a quantile is computed
+one way wherever it is read.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Tuple
 
-from ..obs.window import DEFAULT_FAST_S, WindowedOpStats
+from ..obs.window import DEFAULT_FAST_S, LogBucketSketch, WindowedOpStats
 
-#: histogram bucket upper bounds, in seconds (+inf is implicit).  The
-#: sub-millisecond bounds exist because batched estimation (PR 8) pushed
-#: several stage times under 1ms — without them every fast stage landed
-#: in one bucket and the derived quantiles were pure interpolation.
-DEFAULT_BUCKETS = (
-    1e-05, 5e-05, 0.0001, 0.00025, 0.0005,
-    0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0, 30.0, 60.0,
-)
-
-
-class Histogram:
-    """A fixed-bucket wall-time histogram (cumulative buckets)."""
-
-    def __init__(self, buckets: Tuple[float, ...] = DEFAULT_BUCKETS):
-        self.bounds = tuple(sorted(buckets))
-        self.counts = [0] * (len(self.bounds) + 1)
-        self.count = 0
-        self.total = 0.0
-        self.min: Optional[float] = None
-        self.max: Optional[float] = None
-
-    def observe(self, value: float) -> None:
-        self.count += 1
-        self.total += value
-        self.min = value if self.min is None else min(self.min, value)
-        self.max = value if self.max is None else max(self.max, value)
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                self.counts[i] += 1
-                return
-        self.counts[-1] += 1
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def quantile(self, q: float) -> Optional[float]:
-        """Bucket-derived quantile estimate (the ``histogram_quantile``
-        interpolation): find the bucket holding the target rank and
-        interpolate linearly inside it, clamped to the observed
-        min/max so tiny samples stay sane.  ``None`` when empty."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be in [0, 1], got {q}")
-        if self.count == 0:
-            return None
-        target = q * self.count
-        cumulative = 0
-        lower = 0.0
-        for bound, count in zip(self.bounds, self.counts):
-            cumulative += count
-            if count and cumulative >= target:
-                fraction = (target - (cumulative - count)) / count
-                value = lower + (bound - lower) * fraction
-                if self.min is not None:
-                    value = max(value, self.min)
-                if self.max is not None:
-                    value = min(value, self.max)
-                return value
-            lower = bound
-        # target rank lives in the +Inf bucket: the best finite answer
-        # is the observed maximum
-        return self.max
-
-    def snapshot(self) -> Dict[str, object]:
-        buckets = {}
-        cumulative = 0
-        for bound, count in zip(self.bounds, self.counts):
-            cumulative += count
-            buckets[f"{bound:g}"] = cumulative
-        buckets["+Inf"] = self.count
-        return {
-            "count": self.count,
-            "sum": self.total,
-            "mean": self.mean,
-            "min": self.min,
-            "max": self.max,
-            "buckets": buckets,
-            "quantiles": {
-                "p50": self.quantile(0.5),
-                "p95": self.quantile(0.95),
-                "p99": self.quantile(0.99),
-            },
-        }
+#: the lifetime series families, each a section of the snapshot
+SERIES_FAMILIES = ("stage_seconds", "span_seconds", "bench_seconds")
 
 
 class Metrics:
@@ -106,11 +26,8 @@ class Metrics:
     def __init__(self, clock: Callable[[], float] = time.monotonic) -> None:
         self._lock = threading.Lock()
         self._counters: Dict[str, int] = {}
-        self._gauges: Dict[str, float] = {}
         self._cache: Dict[str, Dict[str, int]] = {}
-        self._stage_seconds: Dict[str, Histogram] = {}
-        self._span_seconds: Dict[str, Histogram] = {}
-        self._bench_seconds: Dict[str, Histogram] = {}
+        self._series: Dict[Tuple[str, str], LogBucketSketch] = {}
         self._windows: Dict[str, WindowedOpStats] = {}
         self._clock = clock
         self.started_at = time.time()
@@ -125,45 +42,35 @@ class Metrics:
         with self._lock:
             self._counters[name] = self._counters.get(name, 0) + amount
 
-    def set_gauge(self, name: str, value: float) -> None:
-        """Set a point-in-time gauge (pool degradations, active kind...)."""
-        with self._lock:
-            self._gauges[name] = value
-
     def record_cache(self, stage: str, hit: bool) -> None:
         with self._lock:
             slot = self._cache.setdefault(stage, {"hits": 0, "misses": 0})
             slot["hits" if hit else "misses"] += 1
 
-    def observe_stage(self, stage: str, seconds: float) -> None:
+    def _observe(self, family: str, label: str, seconds: float) -> None:
         with self._lock:
-            hist = self._stage_seconds.get(stage)
-            if hist is None:
-                hist = self._stage_seconds[stage] = Histogram()
-            hist.observe(seconds)
+            sketch = self._series.get((family, label))
+            if sketch is None:
+                sketch = self._series[family, label] = LogBucketSketch()
+            sketch.observe(seconds)
+
+    def observe_stage(self, stage: str, seconds: float) -> None:
+        self._observe("stage_seconds", stage, seconds)
 
     def observe_span(self, name: str, seconds: float) -> None:
         """Fold one trace-span duration into the span aggregates."""
-        with self._lock:
-            hist = self._span_seconds.get(name)
-            if hist is None:
-                hist = self._span_seconds[name] = Histogram()
-            hist.observe(seconds)
+        self._observe("span_seconds", name, seconds)
 
     def observe_bench(self, name: str, seconds: float) -> None:
         """Fold one benchmark repetition into the bench aggregates (the
         ``repro bench`` harness exports its results through here)."""
-        with self._lock:
-            hist = self._bench_seconds.get(name)
-            if hist is None:
-                hist = self._bench_seconds[name] = Histogram()
-            hist.observe(seconds)
+        self._observe("bench_seconds", name, seconds)
 
     def observe_op(self, op: str, seconds: float, ok: bool = True,
                    degraded: bool = False) -> None:
         """Record one completed service operation into its sliding
-        window (the lifetime histograms are unaffected — windows answer
-        "now", histograms answer "ever")."""
+        window (the lifetime series are unaffected — windows answer
+        "now", series answer "ever")."""
         with self._lock:
             window = self._windows.get(op)
             if window is None:
@@ -177,10 +84,6 @@ class Metrics:
     def counter(self, name: str) -> int:
         with self._lock:
             return self._counters.get(name, 0)
-
-    def gauge(self, name: str) -> Optional[float]:
-        with self._lock:
-            return self._gauges.get(name)
 
     def _cache_totals_locked(self) -> Tuple[int, int]:
         """Sum cache hits/misses across stages (caller holds the lock)."""
@@ -212,14 +115,18 @@ class Metrics:
         )
         return {"window_s": window_s, "fast_s": fast_s, "ops": ops}
 
-    def snapshot(self) -> Dict[str, object]:
+    def snapshot(self) -> Dict[str, Any]:
         window = self.window_snapshot()
         with self._lock:
             hits, misses = self._cache_totals_locked()
+            series: Dict[str, Dict[str, Any]] = {
+                family: {} for family in SERIES_FAMILIES
+            }
+            for (family, label), sketch in sorted(self._series.items()):
+                series[family][label] = sketch.snapshot()
             return {
                 "uptime_seconds": self._clock() - self._started_monotonic,
                 "counters": dict(self._counters),
-                "gauges": dict(self._gauges),
                 "cache": {
                     "hits": hits,
                     "misses": misses,
@@ -228,17 +135,6 @@ class Metrics:
                         for stage, slot in sorted(self._cache.items())
                     },
                 },
-                "stage_seconds": {
-                    stage: hist.snapshot()
-                    for stage, hist in sorted(self._stage_seconds.items())
-                },
-                "span_seconds": {
-                    name: hist.snapshot()
-                    for name, hist in sorted(self._span_seconds.items())
-                },
-                "bench_seconds": {
-                    name: hist.snapshot()
-                    for name, hist in sorted(self._bench_seconds.items())
-                },
+                **series,
                 "window": window,
             }

@@ -9,9 +9,9 @@ over TCP).  Every request carries an ``op``:
   back labelled degraded.  Past the server's hard request timeout the
   reply is a typed ``timeout`` error whose text names the checkpoint
   that stopped the request (``stage:estimation``, ``pool.result``, ...);
-- ``stats``    — observability snapshot (counters, cache, histograms,
-  sliding windows, telemetry);
-- ``metrics``  — the same registry as Prometheus text exposition;
+- ``stats``    — observability snapshot (counters, cache, wall-time
+  series, sliding windows, and each component's ``describe()`` block);
+- ``metrics``  — the same snapshot as Prometheus text exposition;
 - ``slo``      — evaluate SLO objectives against the live sliding
   windows (the server's configured set, or ``"objectives": [...]``
   from the request);

@@ -101,6 +101,20 @@ DEFAULT_CONN_TIMEOUT_S = 300.0
 logger = get_logger("repro.service")
 
 
+def check_objective_ops(objectives: List[Objective]) -> None:
+    """Refuse an objective on an op the protocol does not have: the
+    window it names can never fill, so it would read ``no-data`` — and
+    pass — forever.  (Offline ``slo check --events`` takes its ops from
+    the log instead, so :mod:`repro.obs.slo` cannot know this list.)"""
+    for objective in objectives:
+        if objective.op not in OPS:
+            raise SLOValidationError(
+                f"objective {objective.name!r}: unknown op "
+                f"{objective.op!r}; the protocol's ops are "
+                f"{', '.join(OPS)}"
+            )
+
+
 class LayoutService:
     """The long-lived analysis engine behind the protocol: look the
     answer up, on a miss run the assistant and keep its answer."""
@@ -177,7 +191,7 @@ class LayoutService:
         self, key: str, timings: List[StageTiming]
     ) -> Optional[Dict[str, Any]]:
         """One ``answer`` lookup under a key known before any work,
-        timed into ``timings``, the stage histogram and the cache
+        timed into ``timings``, the stage series and the cache
         counters; ``None`` on a miss."""
         with tracing.span("service.stage", stage="answer") as stage_span:
             start = perf_counter()
@@ -382,7 +396,7 @@ class LayoutService:
         """Feed one finished analyze into the sliding window and the
         event log, and what it traced — whatever ran, also of a request
         that failed — into the registry: every span into the span
-        aggregates, the ``stage:*`` ones into the stage histograms too
+        aggregates, the ``stage:*`` ones into the stage series too
         (the durations the reply's ``stage_timings`` carry).  The tail
         sampler serializes the trace only when it decides to keep it."""
         if tracer is not None:
@@ -414,57 +428,14 @@ class LayoutService:
         return self.analyze(request).to_dict()
 
     def stats(self) -> Dict[str, Any]:
-        pool = self.pool.describe()
-        cache_state = self.cache.describe()
-        # Mirror pool health into gauges so silent process -> thread ->
-        # serial fallbacks surface in every exposition of the registry.
-        self.metrics.set_gauge("pool_degradations", pool["degradations"])
-        self.metrics.set_gauge("pool_active_serial", int(
-            "serial" == pool["active_kind"] != pool["requested_kind"]
-        ))
-        # Breaker state as gauges: 0 closed, 1 open, 0.5 half-open.
-        state_value = {"closed": 0.0, "open": 1.0, "half-open": 0.5}
-        for label, breaker in (("pool", pool["breaker"]),
-                               ("cache", cache_state["breaker"])):
-            self.metrics.set_gauge(
-                f"breaker_{label}_open",
-                state_value.get(breaker["state"], 0.0),
-            )
-            self.metrics.set_gauge(
-                f"breaker_{label}_opens_total", breaker["opens_total"]
-            )
-            self.metrics.set_gauge(
-                f"breaker_{label}_rejections_total",
-                breaker["rejections_total"],
-            )
-        self.metrics.set_gauge(
-            "cache_quarantined_total", cache_state["quarantined_total"]
-        )
-        admission = self.admission.describe()
-        limiter = admission["limiter"]
-        self.metrics.set_gauge("admission_in_flight",
-                               admission["in_flight"])
-        self.metrics.set_gauge("admission_queue_depth",
-                               admission["queue_depth"])
-        self.metrics.set_gauge("admission_shed_total",
-                               admission["shed_total"])
-        self.metrics.set_gauge("admission_limit", limiter["limit"])
-        self.metrics.set_gauge(
-            "admission_draining", 1 if admission["draining"] else 0
-        )
-        self.metrics.set_gauge(
-            "admission_brownout", 1 if admission["brownout"] else 0
-        )
+        """The one snapshot tree every reader walks (``top``, the
+        exposition table, the bench, CI): the registry's sections plus
+        each component's ``describe()`` block, each number once."""
         snapshot = self.metrics.snapshot()
-        snapshot["admission"] = admission
+        snapshot["cache"].update(self.cache.describe())
+        snapshot["admission"] = self.admission.describe()
         snapshot["telemetry"] = self.telemetry.describe()
-        snapshot["pool"] = pool
-        snapshot["cache"]["disk_entries"] = self.cache.entry_count()
-        snapshot["cache"]["dir"] = self.cache.root
-        snapshot["cache"]["breaker"] = cache_state["breaker"]
-        snapshot["cache"]["quarantined_total"] = (
-            cache_state["quarantined_total"]
-        )
+        snapshot["pool"] = self.pool.describe()
         return snapshot
 
     def prometheus(self) -> str:
@@ -538,6 +509,7 @@ class LayoutService:
                             "'objectives' must be a non-empty list"
                         )
                     objectives = [Objective.from_dict(o) for o in raw]
+                    check_objective_ops(objectives)
                 elif self.objectives:
                     objectives = None  # use the configured set
                 else:

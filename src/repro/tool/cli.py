@@ -200,7 +200,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
     from ..service import LayoutService
     from ..service.protocol import LayoutRequest
-    from .report import format_service_stats
+    from .top import format_top
 
     with LayoutService(use_cache=False) as service:
         request = LayoutRequest.from_dict({
@@ -223,7 +223,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         elif args.json:
             print(json.dumps(service.stats(), indent=2, sort_keys=True))
         else:
-            print(format_service_stats(service.stats()))
+            print(format_top(service.stats()))
     return 0
 
 
@@ -267,12 +267,14 @@ def cmd_serve(args: argparse.Namespace) -> int:
         ServiceTelemetry,
         TailSampler,
         WorkerPool,
+        check_objective_ops,
     )
 
     objectives = None
     if args.slo_file:
         try:
             objectives = load_objectives(args.slo_file)
+            check_objective_ops(objectives)
         except SLOValidationError as exc:
             logger.error("bad objectives file: %s", exc)
             return 2
@@ -409,7 +411,7 @@ def cmd_service(args: argparse.Namespace) -> int:
     import json
 
     from ..service import send_request
-    from .report import format_service_stats
+    from .top import format_top
 
     payload = {"op": args.action}
     if args.action == "shutdown" and args.drain_deadline is not None:
@@ -432,7 +434,7 @@ def cmd_service(args: argparse.Namespace) -> int:
         if args.json:
             print(json.dumps(resp["stats"], indent=2, sort_keys=True))
         else:
-            print(format_service_stats(resp["stats"]))
+            print(format_top(resp["stats"]))
     elif args.action == "metrics":
         print(resp["text"], end="")
     else:

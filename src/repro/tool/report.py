@@ -267,42 +267,3 @@ def format_service_response(resp: dict) -> str:
                 f"phase 0 shown)"
             )
     return "\n".join(lines)
-
-
-def format_service_stats(stats: dict) -> str:
-    """Render a ``service stats`` snapshot."""
-    counters = stats.get("counters", {})
-    cache = stats.get("cache", {})
-    pool = stats.get("pool", {})
-    lines = [
-        f"uptime: {stats.get('uptime_seconds', 0.0):.1f} s",
-        f"requests: {counters.get('requests_total', 0)} total, "
-        f"{counters.get('requests_ok', 0)} ok, "
-        f"{counters.get('requests_failed', 0)} failed, "
-        f"{counters.get('requests_timeout', 0)} timed out",
-        f"cache: {cache.get('hits', 0)} hits, "
-        f"{cache.get('misses', 0)} misses "
-        f"(dir: {cache.get('dir') or 'memory-only'})",
-    ]
-    for stage, slot in sorted(cache.get("per_stage", {}).items()):
-        lines.append(
-            f"  {stage:<13s} {slot['hits']:>6} hits {slot['misses']:>6} misses"
-        )
-    lines.append(
-        f"pool: {pool.get('active_kind', '?')} "
-        f"(requested {pool.get('requested_kind', '?')}, "
-        f"{pool.get('degradations', 0)} degradations)"
-    )
-    stage_seconds = stats.get("stage_seconds", {})
-    if stage_seconds:
-        lines.append(
-            f"{'stage timings':<13s} {'count':>6} {'mean':>10} {'max':>10}"
-        )
-        for stage, hist in sorted(stage_seconds.items()):
-            mean_ms = hist["mean"] * 1000.0
-            max_ms = (hist["max"] or 0.0) * 1000.0
-            lines.append(
-                f"  {stage:<13s} {hist['count']:>4} "
-                f"{mean_ms:>8.2f}ms {max_ms:>8.2f}ms"
-            )
-    return "\n".join(lines)

@@ -6,10 +6,11 @@ repaints it every ``--interval`` seconds with an ANSI home+clear.  The
 formatter is side-effect free so tests can assert on the page without a
 terminal, and ``--once`` prints a single page for CI logs.
 
-Everything shown is windowed ("now"), not lifetime: per-op QPS and
-quantiles come from the sliding windows, the cache hit rate from the
-lifetime counters (labelled as such), breaker/pool state from their
-describe() blocks, and budget burn from the SLO engine.
+Per-op QPS and quantiles come from the sliding windows ("now"); the
+stage timings and the cache hit rate are lifetime (labelled as such),
+breaker/pool state comes from their describe() blocks, and budget burn
+from the SLO engine.  ``repro stats`` and ``repro service stats`` print
+the same page.
 """
 
 from __future__ import annotations
@@ -65,6 +66,25 @@ def _ops_section(window: Mapping[str, Any]) -> List[str]:
             f"{_pct(full.get('degraded_rate'))}"
         )
     return lines
+
+
+def _stages_section(stats: Mapping[str, Any]) -> List[str]:
+    stages = stats.get("stage_seconds") or {}
+    if not stages:
+        return []
+    lines = [
+        "stage timings (lifetime)",
+        "  stage         count  mean ms   p95 ms   max ms",
+    ]
+    for stage in sorted(stages):
+        series = stages[stage]
+        lines.append(
+            f"  {stage:<13s} {series.get('count', 0):5d}  "
+            f"{_ms(series.get('mean'))}  "
+            f"{_ms((series.get('quantiles') or {}).get('p95'))}  "
+            f"{_ms(series.get('max'))}"
+        )
+    return lines + [""]
 
 
 def _cache_section(stats: Mapping[str, Any]) -> List[str]:
@@ -210,6 +230,7 @@ def format_top(
     ]
     lines.extend(_ops_section(stats.get("window", {})))
     lines.append("")
+    lines.extend(_stages_section(stats))
     lines.extend(_cache_section(stats))
     lines.extend(_pool_section(stats))
     lines.extend(_admission_section(stats))

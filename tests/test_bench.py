@@ -487,11 +487,29 @@ class TestBenchMetricsExport:
             "repro_bench_peak_bytes", (("bench", "e2e/adi"),)
         )] == 1024.0
 
+    def test_exposition_claims_no_service(self):
+        """A bench run measured no uptime, no requests, no cache: its
+        exposition is the four bench families and nothing else."""
+        text = render_bench_prometheus(self.RESULTS)
+        families = {line.split()[2] for line in text.splitlines()
+                    if line.startswith("# TYPE ")}
+        assert families == {
+            "repro_bench_seconds", "repro_bench_seconds_quantile",
+            "repro_bench_min_seconds", "repro_bench_peak_bytes",
+        }
+        assert "repro_uptime_seconds" not in text
+        # one header per family: both gauges are rows of the one table
+        assert text.count("# HELP ") == 4
+
     def test_observe_bench_in_service_metrics(self):
         metrics = Metrics()
         metrics.observe_bench("b", 0.25)
-        snap = metrics.snapshot()
-        assert snap["bench_seconds"]["b"]["count"] == 1
+        series = metrics.snapshot()["bench_seconds"]["b"]
+        # the same sketch-backed series as a stage or a span
+        assert series["count"] == 1
+        assert series["min"] == series["max"] == 0.25
+        assert series["quantiles"]["p50"] == 0.25
+        assert series["buckets"]["+Inf"] == 1
 
 
 # ---------------------------------------------------------------------------

@@ -155,8 +155,10 @@ class TestCliClient:
                    "--host", host, "--port", str(port)])
         out = capsys.readouterr().out
         assert rc == 0
-        assert "requests:" in out
-        assert "cache:" in out
+        # the `top` page (the one text rendering of the snapshot)
+        assert out.startswith("repro top")
+        assert "requests " in out
+        assert "cache     hit rate" in out
         assert "stage timings" in out
 
 

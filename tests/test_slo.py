@@ -534,6 +534,44 @@ class TestLiveSLOAndTop:
         assert not resp["ok"]
         assert resp["error_kind"] == "bad-request"
 
+    def test_slo_op_refuses_an_op_the_protocol_lacks(self, live_endpoint):
+        """A misspelled op names a window that can never fill: it read
+        ``no-data`` — and passed — forever."""
+        from repro.service import send_request
+        from repro.service.protocol import OPS
+
+        host, port = live_endpoint
+        resp = send_request({
+            "op": "slo",
+            "objectives": [{"op": "analyse", "metric": "p99",
+                            "threshold_s": 0.001}],
+        }, host, port)
+        assert not resp["ok"]
+        assert resp["error_kind"] == "bad-request"
+        assert "'analyse'" in resp["error"]
+        assert all(op in resp["error"] for op in OPS)
+
+    def test_serve_refuses_a_misspelled_objective_at_startup(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.service import LayoutServer
+
+        def must_not_serve(*args, **kwargs):
+            raise AssertionError("serve started with a dead objective")
+
+        monkeypatch.setattr(LayoutServer, "__init__", must_not_serve)
+        code = main(["serve", "--port", "0", "--slo-file",
+                     self._objectives(tmp_path, op="analyse")])
+        assert code == 2
+
+    def test_offline_check_takes_its_ops_from_the_log(self, tmp_path):
+        # unchanged: an event log may carry ops this build does not serve
+        (tmp_path / "events").mkdir()
+        code = main(["slo", "check",
+                     "--objectives", self._objectives(tmp_path, "analyse"),
+                     "--events", str(tmp_path / "events")])
+        assert code == 0
+
     def test_events_op_returns_tail(self, live_endpoint):
         from repro.service import send_request
 

@@ -31,7 +31,8 @@ from repro.obs.telemetry import (
     validate_event,
     validate_event_log,
 )
-from repro.service.metrics import DEFAULT_BUCKETS, Metrics
+from repro.obs.window import LADDER, LogBucketSketch
+from repro.service.metrics import Metrics
 from repro.service.telemetry import ServiceTelemetry, TailSampler
 
 
@@ -590,19 +591,21 @@ class TestTraceContextFilter:
 
 class TestSubMillisecondHistograms:
     def test_sub_ms_bounds_present_and_sorted(self):
-        assert DEFAULT_BUCKETS[0] < 1e-3
-        assert sum(1 for b in DEFAULT_BUCKETS if b < 1e-3) >= 5
-        assert list(DEFAULT_BUCKETS) == sorted(DEFAULT_BUCKETS)
+        rungs = [LogBucketSketch.bucket_upper(index) for _, index in LADDER]
+        assert rungs[0] < 1e-3
+        assert sum(1 for rung in rungs if rung < 1e-3) >= 5
+        assert rungs == sorted(rungs)
+        # a label is its rung at six significant digits
+        assert [float(label) for label, _ in LADDER] == pytest.approx(
+            rungs, rel=1e-5)
 
     def test_fast_stages_land_in_distinct_buckets(self):
-        from repro.service.metrics import Histogram
-
-        hist = Histogram()
+        metrics = Metrics()
         for value in (2e-5, 8e-5, 4e-4, 8e-4):
-            hist.observe(value)
-        buckets = hist.snapshot()["buckets"]
-        # cumulative counts must differ across the sub-ms bounds —
-        # without the sub-ms buckets all four fell into one
+            metrics.observe_stage("fast", value)
+        buckets = metrics.snapshot()["stage_seconds"]["fast"]["buckets"]
+        # cumulative counts must differ across the sub-ms rungs — a
+        # ladder without them would put all four into one
         sub_ms = [count for bound, count in buckets.items()
                   if bound != "+Inf" and float(bound) <= 1e-3]
         assert len(set(sub_ms)) > 2
