@@ -13,7 +13,6 @@ from .comm import (
 from .spmd import (
     CompiledPhase,
     SPMDBuilder,
-    array_layout_signature,
     compile_phase,
     compile_program,
 )
@@ -22,5 +21,4 @@ __all__ = [
     "ShiftComm", "BroadcastComm", "GatherComm", "ReductionComm",
     "CommEvent", "PipelineSpec", "StmtPlan", "plan_statement",
     "CompiledPhase", "SPMDBuilder", "compile_phase", "compile_program",
-    "array_layout_signature",
 ]

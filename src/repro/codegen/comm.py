@@ -1,8 +1,14 @@
 """Communication classification for the compiler model.
 
 Given one assignment statement, its loop nest, and a candidate layout,
-decide — exactly as the target Fortran D compiler would — where
-communication is required and of which pattern:
+decide — exactly as the target Fortran D compiler would — how
+owner-computes partitions the iterations, where communication is
+required, and of which pattern.  Who owns an index, how long an owned
+run is and where a linear rank sits on the processor grid are the
+layout value's answers (:mod:`repro.distribution.layouts`): a
+:class:`PartitionDim` holds the ``DimDistribution`` of its template
+dimension and a :class:`StmtPlan` the layout's ``Distribution``, and
+nothing here branches on a distribution format.  The patterns:
 
 * **shift** — read offset by a constant along a distributed dimension
   (nearest-neighbour boundary exchange, message-vectorized out of the
@@ -30,11 +36,11 @@ its *first* array dimension fixed is strided and must be buffered.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..analysis.dependence import _pair_dependences
-from ..analysis.references import ArrayAccess
-from ..distribution.layouts import DataLayout, block_bounds, block_owner
+from ..analysis.references import ArrayAccess, LoopInfo
+from ..distribution.layouts import DataLayout, DimDistribution, Distribution
 from ..frontend.symbols import ArraySymbol, SymbolTable
 
 
@@ -131,10 +137,8 @@ class PartitionDim:
     distributed template dimension."""
 
     template_dim: int
-    procs: int
+    dist: DimDistribution  # the layout's distribution of template_dim
     extent: int  # extent of the write's array dimension aligned here
-    kind: str  # block | cyclic | block_cyclic
-    block: int  # ownership block size (0 = ceil(extent/procs), 1 = cyclic)
     #: loop variable indexing the dimension (None: fixed position)
     var: Optional[str]
     coeff: int
@@ -142,33 +146,18 @@ class PartitionDim:
     #: fixed position when var is None (a "localized" write)
     localized_index: Optional[int] = None
 
-    def ownership_block(self) -> int:
-        if self.kind == "block" and self.block == 0:
-            return -(-self.extent // self.procs)
-        return max(self.block, 1)
-
 
 @dataclass
 class StmtPlan:
-    """Everything the code generator / estimator needs for one statement.
-
-    The scalar ``partition_*`` fields describe the *primary* partitioned
-    dimension (the only one under the prototype's 1-D distributions);
-    ``partitions`` carries the full per-dimension picture for
-    multi-dimensional layouts, and ``grid`` the layout's whole processor
-    arrangement as ``(template_dim, procs)`` in template-dim order.
-    """
+    """Everything the code generator / estimator needs for one statement:
+    the owner-computes partitioning (one :class:`PartitionDim` per
+    distributed dimension of the written array), the communication it
+    requires, and the layout's distribution, whose grid places a linear
+    rank on each partitioned dimension."""
 
     write: ArrayAccess
     #: cost of one iteration of the statement body (microseconds)
     per_iter_cost: float
-    #: loop variable partitioned by owner-computes (None: not partitioned)
-    partition_var: Optional[str]
-    partition_dim: Optional[int]  # template dim of the partitioning
-    partition_coeff: int  # subscript coefficient a in a*v + c
-    partition_const: int
-    #: the write lands at one fixed position along the distributed dim
-    localized_owner_index: Optional[int]
     #: the write's array is not distributed: all processors execute it
     replicated_write: bool
     comms: List[CommEvent]
@@ -176,34 +165,8 @@ class StmtPlan:
     #: trips of all loops, outermost first: (var, trips)
     loop_trips: Tuple[Tuple[str, int], ...]
     guard_probability: float
-    #: distribution format of the partitioned dimension
-    partition_kind: str = "block"
-    #: ownership block size (BLOCK-CYCLIC block size; 1 for CYCLIC;
-    #: 0 means ceil(extent / procs), i.e. plain BLOCK)
-    partition_block: int = 0
-    #: all partitioned dimensions (multi-dimensional layouts)
+    distribution: Distribution
     partitions: Tuple[PartitionDim, ...] = ()
-    #: processor grid of the layout: (template_dim, procs) per
-    #: distributed template dimension, in template-dim order
-    grid: Tuple[Tuple[int, int], ...] = ()
-
-    # -- processor-grid helpers --------------------------------------------
-
-    def grid_coords(self, rank: int) -> Dict[int, int]:
-        """Decompose a linear rank into per-template-dim coordinates
-        (row-major over ``grid``)."""
-        coords: Dict[int, int] = {}
-        remaining = rank
-        for tdim, procs in reversed(self.grid):
-            coords[tdim] = remaining % procs
-            remaining //= procs
-        return coords
-
-    def grid_rank(self, coords: Dict[int, int]) -> int:
-        rank = 0
-        for tdim, procs in self.grid:
-            rank = rank * procs + coords.get(tdim, 0)
-        return rank
 
     def partition_for(self, tdim: int) -> Optional[PartitionDim]:
         for pd in self.partitions:
@@ -218,43 +181,40 @@ class StmtPlan:
         return total
 
     def other_iterations(self) -> int:
-        """Iterations of all loops except the partitioned one."""
+        """Iterations of all loops except the primary partitioned one
+        (the last partitioned dimension indexed by a loop variable)."""
+        primary = next(
+            (pd.var for pd in reversed(self.partitions)
+             if pd.var is not None),
+            None,
+        )
         total = 1
         for var, trips in self.loop_trips:
-            if var != self.partition_var:
+            if var != primary:
                 total *= trips
         return total
 
-    def ownership_block(self, extent: int, procs: int) -> int:
-        """Contiguously-owned run length along the partitioned dimension."""
-        if self.partition_kind == "block" and self.partition_block == 0:
-            return -(-extent // procs)
-        return max(self.partition_block, 1)
-
-    def partition_divisor(self) -> int:
+    def partition_divisor(self, skip_tdim: Optional[int] = None) -> int:
         """Product of processor counts over all variable-partitioned
-        dimensions (the parallelism owner-computes extracts)."""
+        dimensions (the parallelism owner-computes extracts), leaving
+        out the one on template dimension ``skip_tdim`` if given."""
         divisor = 1
         for pd in self.partitions:
-            if pd.var is not None:
-                divisor *= pd.procs
-        return max(divisor, 1)
+            if pd.var is not None and pd.template_dim != skip_tdim:
+                divisor *= pd.dist.procs
+        return divisor
 
     def local_iters_rank(self, rank: int) -> int:
-        """Exact per-processor iteration count for any grid shape."""
-        from ..distribution.layouts import owner_of_index
-
+        """Exact per-processor iteration count for any grid shape and
+        format, boundary-processor irregularity included."""
         total = self.total_iterations()
         if self.replicated_write or not self.partitions:
             return total
-        coords = self.grid_coords(rank)
+        coords = self.distribution.coords(rank)
         # Fixed-position dimensions: only the owning coordinate executes.
         for pd in self.partitions:
             if pd.var is None and pd.localized_index is not None:
-                owner = owner_of_index(
-                    pd.kind, pd.localized_index, pd.extent, pd.procs,
-                    pd.block,
-                )
+                owner = pd.dist.owner(pd.localized_index, pd.extent)
                 if coords.get(pd.template_dim, 0) != owner:
                     return 0
         local = 1
@@ -268,118 +228,37 @@ class StmtPlan:
             loop = next(
                 l for l in self.write.loops if l.var == var
             )
-            coord = coords.get(pd.template_dim, 0)
-            if pd.kind == "block":
-                lo, hi = block_bounds(coord, pd.extent, pd.procs)
-                count = _owned_iterations(
-                    loop.lo, loop.hi, loop.step, pd.coeff, pd.const, lo, hi
+            local *= sum(
+                _owned_iterations(loop, pd.coeff, pd.const, lo, hi)
+                for lo, hi in pd.dist.owned_runs(
+                    coords.get(pd.template_dim, 0), pd.extent
                 )
-            else:
-                count = _owned_iterations_interleaved(
-                    loop.lo, loop.hi, loop.step, pd.coeff, pd.const,
-                    pd.kind, coord, pd.extent, pd.procs, pd.block,
-                )
-            local *= count
-        return local
-
-    def local_iterations(self, proc: int, extent: int, procs: int) -> int:
-        """Exact per-processor iteration count under owner-computes,
-        including boundary-processor irregularity (BLOCK) and cyclic
-        interleaving (CYCLIC / BLOCK-CYCLIC)."""
-        from ..distribution.layouts import owner_of_index
-
-        if self.replicated_write:
-            return self.total_iterations()
-        if self.localized_owner_index is not None:
-            # Only the owner of the fixed index executes.
-            owner = owner_of_index(
-                self.partition_kind, self.localized_owner_index, extent,
-                procs, self.partition_block,
             )
-            return self.total_iterations() if owner == proc else 0
-        if self.partition_var is None:
-            return self.total_iterations()
-        local = 1
-        for var, trips in self.loop_trips:
-            if var != self.partition_var:
-                local *= trips
-                continue
-            loop = next(
-                l for l in self.write.loops if l.var == self.partition_var
-            )
-            if self.partition_kind == "block":
-                lo, hi = block_bounds(proc, extent, procs)
-                count = _owned_iterations(
-                    loop.lo, loop.hi, loop.step,
-                    self.partition_coeff, self.partition_const, lo, hi,
-                )
-            else:
-                count = _owned_iterations_interleaved(
-                    loop.lo, loop.hi, loop.step,
-                    self.partition_coeff, self.partition_const,
-                    self.partition_kind, proc, extent, procs,
-                    self.partition_block,
-                )
-            local *= count
         return local
 
 
 def _owned_iterations(
-    loop_lo: Optional[int],
-    loop_hi: Optional[int],
-    step: int,
-    coeff: int,
-    const: int,
-    block_lo: int,
-    block_hi: int,
+    loop: LoopInfo, coeff: int, const: int, run_lo: int, run_hi: int
 ) -> int:
-    """#{v in [loop_lo..loop_hi] (by step) : block_lo <= coeff*v + const <=
-    block_hi}."""
-    if loop_lo is None or loop_hi is None or coeff == 0:
+    """#{v the loop takes : run_lo <= coeff*v + const <= run_hi}.  The
+    loop's values are the lattice ``loop.lo + k*step`` between its
+    bounds, so a stepped loop is credited only the points it visits."""
+    if loop.lo is None or loop.hi is None or coeff == 0:
         return 0
-    lo, hi = sorted((loop_lo, loop_hi))
-    # Solve block_lo <= coeff*v + const <= block_hi for v.
+    # Solve run_lo <= coeff*v + const <= run_hi for v.
     if coeff > 0:
-        v_lo = -(-(block_lo - const) // coeff)  # ceil
-        v_hi = (block_hi - const) // coeff
+        v_lo = -(-(run_lo - const) // coeff)  # ceil
+        v_hi = (run_hi - const) // coeff
     else:
-        v_lo = -(-(block_hi - const) // coeff)
-        v_hi = (block_lo - const) // coeff
-    v_lo = max(v_lo, lo)
-    v_hi = min(v_hi, hi)
-    if v_hi < v_lo:
-        return 0
-    return (v_hi - v_lo) // abs(step or 1) + 1
-
-
-def _owned_iterations_interleaved(
-    loop_lo: Optional[int],
-    loop_hi: Optional[int],
-    step: int,
-    coeff: int,
-    const: int,
-    kind: str,
-    proc: int,
-    extent: int,
-    procs: int,
-    block: int,
-) -> int:
-    """#{v in the loop range : owner(coeff*v + const) == proc} under a
-    CYCLIC / BLOCK-CYCLIC format (exact, by enumeration — loop extents in
-    the supported programs are small)."""
-    from ..distribution.layouts import owner_of_index
-
-    if loop_lo is None or loop_hi is None:
-        return 0
-    lo, hi = sorted((loop_lo, loop_hi))
-    count = 0
-    for v in range(lo, hi + 1, abs(step or 1)):
-        idx = coeff * v + const
-        if 1 <= idx <= extent and owner_of_index(
-            kind, idx, extent, procs, block
-        ) == proc:
-            count += 1
-    return count
+        v_lo = -(-(run_hi - const) // coeff)
+        v_hi = (run_lo - const) // coeff
+    v_lo = max(v_lo, min(loop.lo, loop.hi))
+    v_hi = min(v_hi, max(loop.lo, loop.hi))
+    # Lattice points in [v_lo, v_hi], anchored at the loop's first value.
+    step = abs(loop.step or 1)
+    first = -(-(v_lo - loop.lo) // step)
+    last = (v_hi - loop.lo) // step
+    return max(last - first + 1, 0)
 
 
 def _slab_buffered(symbol: ArraySymbol, fixed_dim: int) -> bool:
@@ -416,110 +295,61 @@ def plan_statement(
     )
     guard = sample.guard_probability
 
-    dist_dims = layout.distribution.distributed_dims()
-    comms: List[CommEvent] = []
-    pipeline: Optional[PipelineSpec] = None
-
     if write is None:
         # Reduction into a scalar: everyone computes its local share of the
         # *reads*; partition by the first distributed read if possible.
+        partitions, partitioning_read = _partition_by_read(
+            reads, layout, symbols
+        )
         plan = StmtPlan(
-            write=sample,
+            # the read's loops serve local-iteration queries
+            write=partitioning_read or sample,
             per_iter_cost=per_iter_cost,
-            partition_var=None,
-            partition_dim=None,
-            partition_coeff=1,
-            partition_const=0,
-            localized_owner_index=None,
             replicated_write=False,
-            comms=[],
+            comms=[ReductionComm(nbytes=8)],
             pipeline=None,
             loop_trips=loop_trips,
             guard_probability=guard,
+            distribution=layout.distribution,
+            partitions=partitions,
         )
-        _partition_by_read(plan, reads, layout, symbols)
-        scalar_bytes = 8
-        plan.comms.append(ReductionComm(nbytes=scalar_bytes))
-        _plan_reads(plan, reads, layout, symbols, comms_out=plan.comms)
+        _plan_reads(plan, reads, layout, symbols)
         return plan
 
     wsym = symbols.array(write.array)
-    partition_var: Optional[str] = None
-    partition_dim: Optional[int] = None
-    partition_coeff, partition_const = 1, 0
-    partition_kind, partition_block = "block", 0
-    localized: Optional[int] = None
     wdist = layout.distributed_array_dims(write.array)
-    replicated_write = not wdist
-    grid = tuple(
-        (tdim, layout.distribution.dims[tdim].procs)
-        for tdim in layout.distribution.distributed_dims()
-    )
-
     partitions: List[PartitionDim] = []
-    for adim, tdim, procs_here in wdist:
+    for adim, tdim, _procs in wdist:
         sub = write.subscripts[adim]
-        dim_dist = layout.distribution.dims[tdim]
-        kind_here = dim_dist.kind
-        block_here = 1 if kind_here == "cyclic" else dim_dist.block
         var = sub.single_index_var()
         if var is not None and any(v == var for v, _ in loop_trips):
-            partitions.append(
-                PartitionDim(
-                    template_dim=tdim,
-                    procs=procs_here,
-                    extent=wsym.extents[adim],
-                    kind=kind_here,
-                    block=block_here,
-                    var=var,
-                    coeff=sub.coeff(var),
-                    const=sub.const,
-                )
-            )
-            # primary partition: used by the 1-D fast paths and reports
-            partition_var = var
-            partition_dim = tdim
-            partition_coeff = sub.coeff(var)
-            partition_const = sub.const
-            partition_kind = kind_here
-            partition_block = block_here
+            localized = None
         elif sub.is_constant():
-            partitions.append(
-                PartitionDim(
-                    template_dim=tdim,
-                    procs=procs_here,
-                    extent=wsym.extents[adim],
-                    kind=kind_here,
-                    block=block_here,
-                    var=None,
-                    coeff=0,
-                    const=sub.const,
-                    localized_index=sub.const,
-                )
+            var, localized = None, sub.const
+        else:
+            continue
+        partitions.append(
+            PartitionDim(
+                template_dim=tdim,
+                dist=layout.distribution.dims[tdim],
+                extent=wsym.extents[adim],
+                var=var,
+                coeff=sub.coeff(var) if var is not None else 0,
+                const=sub.const,
+                localized_index=localized,
             )
-            if partition_var is None:
-                localized = sub.const
-                partition_dim = tdim
-                partition_kind = kind_here
-                partition_block = block_here
+        )
 
     plan = StmtPlan(
         write=write,
         per_iter_cost=per_iter_cost,
-        partition_var=partition_var,
-        partition_dim=partition_dim,
-        partition_coeff=partition_coeff,
-        partition_const=partition_const,
-        localized_owner_index=localized,
-        replicated_write=replicated_write,
-        comms=comms,
+        replicated_write=not wdist,
+        comms=[],
         pipeline=None,
         loop_trips=loop_trips,
         guard_probability=guard,
-        partition_kind=partition_kind,
-        partition_block=partition_block,
+        distribution=layout.distribution,
         partitions=tuple(partitions),
-        grid=grid,
     )
 
     # Detect a flow dependence crossing a distributed dimension -> the
@@ -547,7 +377,7 @@ def plan_statement(
                         continue
                     other = var_of.get(var)
                     local_trips = (
-                        -(-trips // other.procs) if other is not None
+                        -(-trips // other.dist.procs) if other is not None
                         else trips
                     )
                     if seen_var:
@@ -564,14 +394,6 @@ def plan_statement(
                 coeff_sign = 1 if pd.coeff >= 0 else -1
                 direction = 1 if (w_sub.const - r_sub.const) * coeff_sign > 0 \
                     else -1
-                # CYCLIC / BLOCK-CYCLIC interleaving hands the dependence
-                # chain around the ring once per ownership block.
-                if pd.kind == "block":
-                    rounds = 1
-                else:
-                    rounds = max(
-                        -(-pd.extent // (pd.procs * max(pd.block, 1))), 1
-                    )
                 plan.pipeline = PipelineSpec(
                     array=write.array,
                     template_dim=pd.template_dim,
@@ -582,65 +404,51 @@ def plan_statement(
                     msg_bytes=max(msg_bytes, elem),
                     buffered=_slab_buffered(wsym, adim) and inner > 1,
                     direction=direction,
-                    rounds=rounds,
-                    chain_procs=pd.procs,
+                    # interleaved formats hand the dependence chain
+                    # around the ring once per owned run
+                    rounds=pd.dist.runs(pd.extent),
+                    chain_procs=pd.dist.procs,
                 )
                 break
             if plan.pipeline is not None:
                 break
 
-    _plan_reads(plan, reads, layout, symbols, comms_out=comms)
+    _plan_reads(plan, reads, layout, symbols)
     return plan
 
 
 def _partition_by_read(
-    plan: StmtPlan,
     reads: Sequence[ArrayAccess],
     layout: DataLayout,
     symbols: SymbolTable,
-) -> None:
+) -> Tuple[Tuple[PartitionDim, ...], Optional[ArrayAccess]]:
     """For scalar-target statements: partition iterations by the first
     distributed read array (the Fortran D reduction mapping), along every
-    grid dimension the read covers."""
-    plan.grid = tuple(
-        (tdim, layout.distribution.dims[tdim].procs)
-        for tdim in layout.distribution.distributed_dims()
-    )
+    grid dimension the read covers.  Returns the partitions and that
+    read, or ``((), None)`` when no read is distributed."""
     for read in reads:
         symbol = symbols.get(read.array)
         if not isinstance(symbol, ArraySymbol):
             continue
         partitions: List[PartitionDim] = []
-        for adim, tdim, procs in layout.distributed_array_dims(read.array):
+        for adim, tdim, _procs in layout.distributed_array_dims(read.array):
             sub = read.subscripts[adim]
-            dim_dist = layout.distribution.dims[tdim]
             var = sub.single_index_var()
             if var is None:
                 continue
             partitions.append(
                 PartitionDim(
                     template_dim=tdim,
-                    procs=procs,
+                    dist=layout.distribution.dims[tdim],
                     extent=symbol.extents[adim],
-                    kind=dim_dist.kind,
-                    block=1 if dim_dist.kind == "cyclic" else dim_dist.block,
                     var=var,
                     coeff=sub.coeff(var),
                     const=sub.const,
                 )
             )
         if partitions:
-            primary = partitions[-1]
-            plan.partition_var = primary.var
-            plan.partition_dim = primary.template_dim
-            plan.partition_coeff = primary.coeff
-            plan.partition_const = primary.const
-            plan.partition_kind = primary.kind
-            plan.partition_block = primary.block
-            plan.partitions = tuple(partitions)
-            # Reuse the read's loops for local-iteration queries.
-            plan.write = read
-            return
+            return tuple(partitions), read
+    return (), None
 
 
 def _plan_reads(
@@ -648,7 +456,6 @@ def _plan_reads(
     reads: Sequence[ArrayAccess],
     layout: DataLayout,
     symbols: SymbolTable,
-    comms_out: List[CommEvent],
 ) -> None:
     """Classify every read's communication requirement (vectorized +
     coalesced).
@@ -683,14 +490,10 @@ def _plan_reads(
             other_extent = symbol.element_count // symbol.extents[adim]
             extent = symbol.extents[adim]
             pd = plan.partition_for(tdim)
-            partitioned_here = pd is not None and pd.var is not None
-            #: processors local to every read slab (orthogonal grid axes
-            #: split the data, shrinking per-processor slabs)
-            other_divisor = 1
-            for pd2 in plan.partitions:
-                if pd2.template_dim != tdim and pd2.var is not None:
-                    other_divisor *= pd2.procs
-            if partitioned_here:
+            if pd is not None and pd.var is not None:
+                # Orthogonal grid axes split the data, shrinking
+                # per-processor slabs.
+                other_divisor = plan.partition_divisor(skip_tdim=tdim)
                 var = sub.single_index_var()
                 if var == pd.var:
                     if sub.coeff(var) == pd.coeff:
@@ -701,17 +504,17 @@ def _plan_reads(
                         if key in seen_keys:
                             continue  # message coalescing
                         seen_keys.add(key)
-                        # Boundary volume: |delta| elements per owned
-                        # contiguous run.  BLOCK owns one run; CYCLIC /
-                        # BLOCK-CYCLIC own extent/(P*b) runs each.
-                        run = pd.ownership_block()
+                        # Boundary volume: |delta| elements per run the
+                        # owner holds, over the runs the read's extent
+                        # spans (one under BLOCK).
+                        run = pd.dist.run(pd.extent)
                         runs = max(-(-extent // (procs * run)), 1)
                         boundary = min(abs(delta), run) * runs
                         nbytes = max(
                             boundary * other_extent * elem // other_divisor,
                             elem,
                         )
-                        comms_out.append(
+                        plan.comms.append(
                             ShiftComm(
                                 array=read.array,
                                 template_dim=tdim,
@@ -722,84 +525,51 @@ def _plan_reads(
                             )
                         )
                     else:
-                        _add_gather(plan, comms_out, seen_keys, read.array,
-                                    tdim, symbol, procs, "gather-coeff")
+                        _add_gather(plan, seen_keys, read.array, tdim,
+                                    symbol, procs, "gather-coeff")
                     continue
                 if sub.is_constant():
-                    key = (read.array, tdim, "bcast", sub.const)
-                    if key in seen_keys:
-                        continue
-                    seen_keys.add(key)
-                    comms_out.append(
-                        BroadcastComm(
-                            array=read.array,
-                            template_dim=tdim,
-                            nbytes=max(other_extent * elem // other_divisor,
-                                       elem),
-                            buffered=_slab_buffered(symbol, adim),
-                            procs=procs,
-                        )
-                    )
+                    nbytes = max(other_extent * elem // other_divisor, elem)
+                else:
+                    # Distributed dimension indexed by a non-partition
+                    # variable: transpose-like all-to-all (the classic
+                    # alignment-conflict penalty).
+                    _add_gather(plan, seen_keys, read.array, tdim, symbol,
+                                procs, "gather-misaligned")
                     continue
-                # Distributed dimension indexed by a non-partition
-                # variable: transpose-like all-to-all (the classic
-                # alignment-conflict penalty).
-                _add_gather(plan, comms_out, seen_keys, read.array, tdim,
-                            symbol, procs, "gather-misaligned")
-                continue
-            # Not partitioned along tdim.
-            localized_here = (
-                pd is not None and pd.localized_index is not None
-            )
-            if sub.is_constant() and localized_here:
-                # Both slabs sit on the same template dimension, so the
-                # same ownership map decides both owners.
-                from ..distribution.layouts import owner_of_index
-
-                read_owner = owner_of_index(
-                    pd.kind, sub.const, extent, procs, pd.block
-                )
-                write_owner = owner_of_index(
-                    pd.kind, pd.localized_index, extent, procs, pd.block
-                )
-                if read_owner == write_owner:
+            elif sub.is_constant():
+                # Not partitioned along tdim.  A localized write and the
+                # read sit on the same template dimension, so the same
+                # ownership map decides both owners.
+                if (
+                    pd is not None
+                    and pd.localized_index is not None
+                    and pd.dist.owner(sub.const, extent)
+                    == pd.dist.owner(pd.localized_index, extent)
+                ):
                     continue  # both slabs live on the same processor
-                key = (read.array, tdim, "bcast", sub.const)
-                if key in seen_keys:
-                    continue
-                seen_keys.add(key)
-                comms_out.append(
-                    BroadcastComm(
-                        array=read.array,
-                        template_dim=tdim,
-                        nbytes=other_extent * elem,
-                        buffered=_slab_buffered(symbol, adim),
-                        procs=procs,
-                    )
-                )
+                nbytes = other_extent * elem
+            else:
+                _add_gather(plan, seen_keys, read.array, tdim, symbol,
+                            procs, "gather-replicated")
                 continue
-            if sub.is_constant():
-                key = (read.array, tdim, "bcast", sub.const)
-                if key in seen_keys:
-                    continue
-                seen_keys.add(key)
-                comms_out.append(
-                    BroadcastComm(
-                        array=read.array,
-                        template_dim=tdim,
-                        nbytes=other_extent * elem,
-                        buffered=_slab_buffered(symbol, adim),
-                        procs=procs,
-                    )
-                )
+            key = (read.array, tdim, "bcast", sub.const)
+            if key in seen_keys:
                 continue
-            _add_gather(plan, comms_out, seen_keys, read.array, tdim,
-                        symbol, procs, "gather-replicated")
+            seen_keys.add(key)
+            plan.comms.append(
+                BroadcastComm(
+                    array=read.array,
+                    template_dim=tdim,
+                    nbytes=nbytes,
+                    buffered=_slab_buffered(symbol, adim),
+                    procs=procs,
+                )
+            )
 
 
 def _add_gather(
     plan: StmtPlan,
-    comms_out: List[CommEvent],
     seen_keys: set,
     array: str,
     tdim: int,
@@ -813,11 +583,8 @@ def _add_gather(
     seen_keys.add(key)
     # The array's true per-processor share: divide by every grid axis it
     # is distributed over (not just the one being gathered along).
-    divisor = procs
-    for pd2 in plan.partitions:
-        if pd2.template_dim != tdim and pd2.var is not None:
-            divisor *= pd2.procs
-    comms_out.append(
+    divisor = procs * plan.partition_divisor(skip_tdim=tdim)
+    plan.comms.append(
         GatherComm(
             array=array,
             template_dim=tdim,

@@ -36,7 +36,7 @@ from ..analysis.phases import (
     ScalarItem,
     Seq,
 )
-from ..distribution.layouts import DataLayout, block_bounds
+from ..distribution.layouts import DataLayout, needs_remap
 from ..frontend import ast
 from ..frontend.symbols import ArraySymbol, SymbolTable
 from ..machine.collectives import redistribute_time
@@ -97,18 +97,6 @@ def compile_phase(
     return CompiledPhase(phase_index=phase.index, layout=layout, plans=plans)
 
 
-def array_layout_signature(layout: DataLayout, array: str) -> Tuple:
-    """Behavioural layout identity of a single array (for remap detection)."""
-    dist = tuple(
-        (adim, layout.distribution.dims[tdim].kind,
-         layout.distribution.dims[tdim].procs,
-         layout.distribution.dims[tdim].block)
-        for adim, tdim, _p in layout.distributed_array_dims(array)
-    )
-    repl = tuple(p for _t, p in layout.replicated_over(array))
-    return (dist, repl)
-
-
 class SPMDBuilder:
     """Accumulates per-processor op lists plus the collective registry."""
 
@@ -150,56 +138,12 @@ class SPMDBuilder:
         self.remap_time_total += duration
         return duration
 
-    # -- processor-grid helpers ---------------------------------------------
-
-    @staticmethod
-    def _layout_grid(layout: DataLayout) -> List[Tuple[int, int]]:
-        return [
-            (tdim, layout.distribution.dims[tdim].procs)
-            for tdim in layout.distribution.distributed_dims()
-        ]
-
-    def _axis_groups(
-        self, layout: DataLayout, tdim: int
-    ) -> List[List[int]]:
-        """Rank groups along grid axis ``tdim``: one list of ranks (in
-        axis-coordinate order) per combination of the other axes'
-        coordinates.  A 1-D layout has one group: the whole machine."""
-        grid = self._layout_grid(layout)
-        if not any(t == tdim for t, _ in grid):
-            return [list(range(self.nprocs))]
-        others = [(t, p) for t, p in grid if t != tdim]
-        axis_procs = next(p for t, p in grid if t == tdim)
-
-        def rank_of(coords: dict) -> int:
-            rank = 0
-            for t, p in grid:
-                rank = rank * p + coords[t]
-            return rank
-
-        groups: List[List[int]] = []
-
-        def build(idx: int, coords: dict) -> None:
-            if idx == len(others):
-                group = []
-                for c in range(axis_procs):
-                    coords[tdim] = c
-                    group.append(rank_of(coords))
-                groups.append(group)
-                return
-            t, p = others[idx]
-            for c in range(p):
-                coords[t] = c
-                build(idx + 1, coords)
-
-        build(0, {})
-        return groups
-
     # -- phase emission -------------------------------------------------------
 
     def emit_phase(self, compiled: CompiledPhase) -> None:
         nprocs = self.nprocs
         layout = compiled.layout
+        axis_groups = layout.distribution.axis_groups
 
         # 1. Hoisted communication, coalesced across the whole phase.
         #    Each event involves the processor groups along its template
@@ -215,11 +159,11 @@ class SPMDBuilder:
             if isinstance(event, ShiftComm):
                 self._emit_shift(event, layout)
             elif isinstance(event, BroadcastComm):
-                for group in self._axis_groups(layout, event.template_dim):
+                for group in axis_groups(event.template_dim):
                     append_broadcast(self.programs, event.nbytes,
                                      buffered=event.buffered, ranks=group)
             elif isinstance(event, GatherComm):
-                for group in self._axis_groups(layout, event.template_dim):
+                for group in axis_groups(event.template_dim):
                     append_alltoall(self.programs, event.local_bytes,
                                     buffered=event.buffered, ranks=group)
             elif isinstance(event, ReductionComm):
@@ -248,7 +192,7 @@ class SPMDBuilder:
         flows from lower to higher blocks (read of ``v - d``), offset > 0
         the other way.  Orthogonal axes exchange independently."""
         step = 1 if event.offset < 0 else -1
-        for group in self._axis_groups(layout, event.template_dim):
+        for group in layout.distribution.axis_groups(event.template_dim):
             if len(group) <= 1:
                 continue
             for pos, proc in enumerate(group):
@@ -302,7 +246,7 @@ class SPMDBuilder:
         # (boundary loops can leave edge blocks empty at large P / small
         # n); the chain follows the sweep's flow direction: backward
         # sweeps start at the highest block.
-        for chain in self._axis_groups(layout, pipe.template_dim):
+        for chain in layout.distribution.axis_groups(pipe.template_dim):
             active = [p for p in chain if local_iters[p] > 0]
             if pipe.direction < 0:
                 active.reverse()
@@ -353,7 +297,7 @@ def compile_program(
         max_pipeline_stages=max_pipeline_stages,
     )
     compiled_cache: Dict[Tuple[int, int], CompiledPhase] = {}
-    current_sig: Dict[str, Tuple] = {}
+    current_layout: Dict[str, DataLayout] = {}
     branch_visits: Dict[int, int] = {}
 
     def phase_layout(idx: int) -> DataLayout:
@@ -382,11 +326,10 @@ def compile_program(
         for array in item.phase.arrays:
             if array not in covered:
                 continue
-            sig = array_layout_signature(layout, array)
-            prev = current_sig.get(array)
-            if prev is not None and prev != sig and prev[0]:
+            prev = current_layout.get(array)
+            if prev is not None and needs_remap(prev, layout, array):
                 builder.emit_remap(array)
-            current_sig[array] = sig
+            current_layout[array] = layout
         builder.emit_phase(compiled_cache[key])
 
     def walk(seq: Seq) -> None:

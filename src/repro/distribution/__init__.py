@@ -10,9 +10,7 @@ from .layouts import (
     DataLayout,
     DimDistribution,
     Distribution,
-    block_bounds,
-    block_owner,
-    cyclic_owner,
+    needs_remap,
 )
 
 __all__ = [
@@ -26,9 +24,7 @@ __all__ = [
     "CYCLIC",
     "BLOCK_CYCLIC",
     "SERIAL",
-    "block_bounds",
-    "block_owner",
-    "cyclic_owner",
+    "needs_remap",
 ]
 
 from .search_space import (

@@ -26,15 +26,7 @@ if TYPE_CHECKING:  # avoid the alignment <-> distribution import cycle
 from ..analysis.phases import Phase
 from ..frontend.symbols import ArraySymbol, SymbolTable
 from ..obs.tracing import span as obs_span
-from .layouts import (
-    BLOCK,
-    BLOCK_CYCLIC,
-    CYCLIC,
-    SERIAL,
-    DataLayout,
-    DimDistribution,
-    Distribution,
-)
+from .layouts import DataLayout, DimDistribution, Distribution
 from .template import Template
 
 
@@ -78,40 +70,27 @@ def enumerate_distributions(
 ) -> List[Distribution]:
     """All candidate distributions of the template over ``nprocs``."""
     rank = template.rank
-    out: List[Distribution] = []
+    formats: List[DimDistribution] = []
     if options.one_dim_block:
-        for dim in range(rank):
-            out.append(Distribution.one_dim_block(rank, dim, nprocs))
+        formats.append(DimDistribution(procs=nprocs))
     if options.one_dim_cyclic:
-        for dim in range(rank):
-            dims = tuple(
-                DimDistribution(kind=CYCLIC, procs=nprocs)
-                if d == dim
-                else DimDistribution(kind=SERIAL)
-                for d in range(rank)
-            )
-            out.append(Distribution(dims=dims))
+        formats.append(DimDistribution(procs=nprocs, block=1))
     for block in options.block_cyclic_sizes:
-        for dim in range(rank):
-            dims = tuple(
-                DimDistribution(kind=BLOCK_CYCLIC, procs=nprocs, block=block)
-                if d == dim
-                else DimDistribution(kind=SERIAL)
-                for d in range(rank)
-            )
-            out.append(Distribution(dims=dims))
+        if block < 1:
+            raise ValueError("block-cyclic needs a positive block size")
+        formats.append(DimDistribution(procs=nprocs, block=block))
+    out = [
+        Distribution.one_dim(rank, dim, fmt)
+        for fmt in formats
+        for dim in range(rank)
+    ]
     if options.multi_dim_grids and rank >= 2:
         for d1 in range(rank):
             for d2 in range(d1 + 1, rank):
                 for p1, p2 in _factor_pairs(nprocs):
-                    dims = []
-                    for d in range(rank):
-                        if d == d1:
-                            dims.append(DimDistribution(kind=BLOCK, procs=p1))
-                        elif d == d2:
-                            dims.append(DimDistribution(kind=BLOCK, procs=p2))
-                        else:
-                            dims.append(DimDistribution(kind=SERIAL))
+                    dims = [DimDistribution()] * rank
+                    dims[d1] = DimDistribution(procs=p1)
+                    dims[d2] = DimDistribution(procs=p2)
                     out.append(Distribution(dims=tuple(dims)))
     return out
 

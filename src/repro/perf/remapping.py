@@ -1,18 +1,17 @@
 """Remapping (dynamic redistribution) cost estimation.
 
 Dynamic data layouts pay an all-to-all redistribution whenever an array's
-layout changes between phases.  The estimator prices each changed array
-with the *transpose* training sets (redistributions pack strided slices,
-hence non-unit stride); moving *out of* a fully replicated layout is free
-because every processor already holds the data.
+layout changes between phases.  Which arrays change is the layout
+value's own answer (:func:`repro.distribution.layouts.needs_remap`);
+this module prices each of them with the *transpose* training sets
+(redistributions pack strided slices, hence non-unit stride).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Tuple
+from typing import Iterable, List
 
-from ..codegen.spmd import array_layout_signature
-from ..distribution.layouts import DataLayout
+from ..distribution.layouts import DataLayout, needs_remap
 from ..frontend.symbols import SymbolTable
 from .training import TrainingDatabase
 
@@ -22,21 +21,11 @@ def arrays_needing_remap(
     to_layout: DataLayout,
     arrays: Iterable[str],
 ) -> List[str]:
-    """Arrays (among ``arrays``) whose distribution differs between the
-    two layouts and whose source layout actually distributes data."""
-    out = []
-    for array in arrays:
-        try:
-            sig_from = array_layout_signature(from_layout, array)
-            sig_to = array_layout_signature(to_layout, array)
-        except KeyError:
-            continue  # array not covered by one of the layouts
-        if sig_from == sig_to:
-            continue
-        if not sig_from[0]:
-            continue  # leaving a replicated layout is free
-        out.append(array)
-    return out
+    """Arrays (among ``arrays``) remapped between the two layouts."""
+    return [
+        array for array in arrays
+        if needs_remap(from_layout, to_layout, array)
+    ]
 
 
 def remapping_cost(

@@ -32,14 +32,6 @@ def greedy_selection(graph: DataLayoutGraph) -> Tuple[Dict[int, int], float]:
     return selection, graph.evaluate(selection)
 
 
-def _distribution_signature(candidate) -> Tuple:
-    dist = candidate.candidate.layout.distribution
-    return tuple(
-        (d, dist.dims[d].kind, dist.dims[d].procs, dist.dims[d].block)
-        for d in dist.distributed_dims()
-    )
-
-
 def static_selections(
     graph: DataLayoutGraph,
 ) -> List[Tuple[Tuple, Dict[int, int], float]]:
@@ -51,7 +43,9 @@ def static_selections(
     for phase_index, cands in graph.estimates.per_phase.items():
         sigs: Dict[Tuple, List[int]] = {}
         for pos, cand in enumerate(cands):
-            sigs.setdefault(_distribution_signature(cand), []).append(pos)
+            sigs.setdefault(
+                cand.candidate.layout.distribution.signature, []
+            ).append(pos)
         per_phase_sigs[phase_index] = sigs
     common = None
     for sigs in per_phase_sigs.values():

@@ -30,7 +30,7 @@ import numpy as np
 
 from ..analysis.pcfg import ENTRY, EXIT, PCFG
 from ..analysis.phases import Phase
-from ..codegen.spmd import array_layout_signature
+from ..distribution.layouts import needs_remap
 from ..frontend.symbols import ArraySymbol, SymbolTable
 from ..obs import tracing
 from ..perf.estimator import EstimatedCandidate, EstimationResult
@@ -232,11 +232,10 @@ def _build_layout_graph(
             per_edge.setdefault((src, dst), []).append((array, freq))
 
     # Remap pricing is memoized: the transpose prediction depends only
-    # on the array (its local block size), and a candidate's signature
-    # for an array depends only on (candidate layout, array) — not on
-    # the edge — so both are computed once and reused across the i x j
-    # candidate pairs.  The accumulation order over ``array_freqs`` is
-    # unchanged, keeping edge costs bitwise-equal to the direct loop.
+    # on the array (its local block size), and whether a candidate pair
+    # remaps an array is read off the layouts' memoised identities.  The
+    # accumulation order over ``array_freqs`` is that of the direct
+    # loop, which keeps edge costs bitwise-equal to it.
     remap_cost: Dict[str, float] = {}
 
     def array_remap_cost(array: str) -> float:
@@ -250,36 +249,19 @@ def _build_layout_graph(
             )
         return cost
 
-    _MISSING = (None,)
-    sig_cache: Dict[Tuple[int, str], tuple] = {}
-
-    def signature(cand: EstimatedCandidate, array: str) -> tuple:
-        key = (id(cand), array)
-        sig = sig_cache.get(key)
-        if sig is None:
-            try:
-                sig = array_layout_signature(cand.candidate.layout, array)
-            except KeyError:
-                sig = _MISSING
-            sig_cache[key] = sig
-        return sig
-
     layout_edges: List[LayoutEdge] = []
     for (src, dst), array_freqs in sorted(per_edge.items()):
         edge = LayoutEdge(src_phase=src, dst_phase=dst)
         src_cands = estimates.per_phase[src]
         dst_cands = estimates.per_phase[dst]
         for i, src_cand in enumerate(src_cands):
+            src_layout = src_cand.candidate.layout
             for j, dst_cand in enumerate(dst_cands):
+                dst_layout = dst_cand.candidate.layout
                 cost = 0.0
                 for array, freq in array_freqs:
-                    sig_from = signature(src_cand, array)
-                    sig_to = signature(dst_cand, array)
-                    if sig_from is _MISSING or sig_to is _MISSING:
-                        continue
-                    if sig_from == sig_to or not sig_from[0]:
-                        continue
-                    cost += freq * array_remap_cost(array)
+                    if needs_remap(src_layout, dst_layout, array):
+                        cost += freq * array_remap_cost(array)
                 if cost > 0.0:
                     edge.costs[(i, j)] = cost
         if edge.costs:

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from ..codegen.spmd import array_layout_signature
 from ..distribution.layouts import Alignment, DataLayout
 from ..frontend import ast
 from ..frontend.printer import format_declaration, format_stmt
@@ -45,17 +44,7 @@ def _align_directive(array: str, alignment: Alignment,
 
 
 def _distribute_text(layout: DataLayout) -> str:
-    parts = []
-    for dim in layout.distribution.dims:
-        if not dim.is_distributed:
-            parts.append("*")
-        elif dim.kind == "block":
-            parts.append("block")
-        elif dim.kind == "cyclic":
-            parts.append("cyclic")
-        else:
-            parts.append(f"cyclic({dim.block})")
-    return ", ".join(parts)
+    return ", ".join(dim.format for dim in layout.distribution.dims)
 
 
 def write_hpf(result: AssistantResult) -> str:
@@ -77,7 +66,7 @@ def write_hpf(result: AssistantResult) -> str:
             if not isinstance(symbols.get(array), ArraySymbol):
                 continue
             try:
-                sig = array_layout_signature(layout, array)
+                sig = layout.array_identity(array)
                 alignment = layout.alignment_of(array)
             except KeyError:
                 continue

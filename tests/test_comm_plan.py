@@ -15,6 +15,7 @@ from repro.codegen.spmd import compile_phase
 from repro.distribution.layouts import (
     Alignment,
     DataLayout,
+    DimDistribution,
     Distribution,
 )
 from repro.distribution.template import Template
@@ -260,7 +261,7 @@ class TestReductionPlan:
         )
         compiled, _ = compiled_for(body, dist_dim=0)
         plan = compiled.plans[0]
-        assert plan.partition_var == "i"
+        assert [pd.var for pd in plan.partitions] == ["i"]
 
 
 class TestLocalIterations:
@@ -268,7 +269,7 @@ class TestLocalIterations:
         compiled, phase = compiled_for(STENCIL, dist_dim=0)
         plan = compiled.plans[0]
         # i runs 2..16 partitioned over 4 procs by blocks of 4
-        counts = [plan.local_iterations(p, 16, 4) for p in range(4)]
+        counts = [plan.local_iters_rank(p) for p in range(4)]
         assert counts == [3 * 16, 4 * 16, 4 * 16, 4 * 16]
         assert sum(counts) == plan.total_iterations()
 
@@ -279,7 +280,7 @@ class TestLocalIterations:
         )
         compiled, _ = compiled_for(body, dist_dim=0)
         plan = compiled.plans[0]
-        counts = [plan.local_iterations(p, 16, 4) for p in range(4)]
+        counts = [plan.local_iters_rank(p) for p in range(4)]
         assert counts == [16, 0, 0, 0]
 
     def test_replicated_write_everywhere(self):
@@ -291,5 +292,76 @@ class TestLocalIterations:
             body, dist_dim=1, alignments={"v": Alignment(axis_map=(0,))}
         )
         plan = compiled.plans[0]
-        counts = [plan.local_iterations(p, 16, 4) for p in range(4)]
+        counts = [plan.local_iters_rank(p) for p in range(4)]
         assert counts == [16, 16, 16, 16]
+
+
+class TestOwnedIterationsAgainstEnumeration:
+    """``local_iters_rank`` against plain enumeration of the loop, for
+    every format, stepped loops included: a loop's values sit on the
+    lattice ``lo + k*step``, and only those are credited."""
+
+    EXTENT = 12
+    #: (procs, block): BLOCK, CYCLIC, BLOCK-CYCLIC(3)
+    FORMATS = [(4, 0), (4, 1), (3, 0), (3, 1), (2, 3)]
+    #: subscript text and its value, keeping 1..6 / 1..12 in bounds
+    SUBSCRIPTS = {
+        "i": lambda i: i,
+        "13 - i": lambda i: 13 - i,
+        "2 * i - 1": lambda i: 2 * i - 1,
+    }
+
+    def plan_for(self, lo, hi, step, subscript, procs, block):
+        src = (
+            "program t\n      double precision x(12)\n      integer i\n"
+            f"      do i = {lo}, {hi}, {step}\n"
+            f"        x({subscript}) = 1.0\n      enddo\n      end\n"
+        )
+        prog = parse_source(src)
+        table = build_symbol_table(prog)
+        phase = partition_phases(prog, table).phases[0]
+        dist = Distribution.one_dim(1, 0, DimDistribution(procs, block))
+        layout = DataLayout.build(
+            Template(rank=1, extents=(self.EXTENT,)),
+            {"x": Alignment.canonical(1)}, dist,
+        )
+        return compile_phase(phase, layout, table, IPSC860).plans[0]
+
+    @pytest.mark.parametrize("step", [1, -1, 2, -2, 3, -3])
+    @pytest.mark.parametrize("subscript", sorted(SUBSCRIPTS))
+    def test_every_format(self, step, subscript):
+        index = self.SUBSCRIPTS[subscript]
+        top = 6 if subscript.startswith("2") else 12
+        for lo, hi in ((1, top), (2, top - 1), (3, top)):
+            if step < 0:
+                lo, hi = hi, lo
+            values = range(lo, hi + (1 if step > 0 else -1), step)
+            for procs, block in self.FORMATS:
+                dist = DimDistribution(procs, block)
+                plan = self.plan_for(lo, hi, step, subscript, procs, block)
+                expected = [
+                    sum(dist.owner(index(v), self.EXTENT) == rank
+                        for v in values)
+                    for rank in range(procs)
+                ]
+                counts = [plan.local_iters_rank(r) for r in range(procs)]
+                assert counts == expected, (lo, hi, step, procs, block)
+                assert sum(counts) == plan.total_iterations()
+
+    def test_the_issue_example(self):
+        """Extent 10 on 4 processors, ``do v = 1, 10, 2`` writing
+        ``a(v)``: block [4, 6] owns v = 5 only."""
+        src = (
+            "program t\n      double precision x(10)\n      integer i\n"
+            "      do i = 1, 10, 2\n        x(i) = 1.0\n      enddo\n"
+            "      end\n"
+        )
+        prog = parse_source(src)
+        table = build_symbol_table(prog)
+        phase = partition_phases(prog, table).phases[0]
+        layout = DataLayout.build(
+            Template(rank=1, extents=(10,)), {"x": Alignment.canonical(1)},
+            Distribution.one_dim_block(1, 0, 4),
+        )
+        plan = compile_phase(phase, layout, table, IPSC860).plans[0]
+        assert [plan.local_iters_rank(r) for r in range(4)] == [2, 1, 2, 0]

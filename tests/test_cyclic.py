@@ -7,16 +7,10 @@ from repro.analysis.phases import partition_phases
 from repro.codegen.comm import ShiftComm
 from repro.codegen.spmd import compile_phase, compile_program
 from repro.distribution.layouts import (
-    BLOCK_CYCLIC,
-    CYCLIC,
-    SERIAL,
     Alignment,
     DataLayout,
     DimDistribution,
     Distribution,
-    block_cyclic_owner,
-    cyclic_owner,
-    owner_of_index,
 )
 from repro.distribution.template import Template
 from repro.frontend import build_symbol_table, parse_source
@@ -46,25 +40,22 @@ def compiled_for(body, dist, procs=4):
         part, table, layout
 
 
-def one_dim(kind, dim, procs, block=0):
-    dims = tuple(
-        DimDistribution(kind=kind, procs=procs, block=block)
-        if d == dim else DimDistribution(kind=SERIAL)
-        for d in range(2)
-    )
-    return Distribution(dims=dims)
+#: ``block`` of the two formats that need no size
+BLOCK, CYCLIC = 0, 1
+
+
+def one_dim(block, dim, procs):
+    return Distribution.one_dim(2, dim, DimDistribution(procs, block))
+
+
+def rank_counts(plan, procs=4):
+    return [plan.local_iters_rank(p) for p in range(procs)]
 
 
 class TestOwnership:
-    def test_owner_of_index_dispatch(self):
-        assert owner_of_index("block", 5, 16, 4) == 1
-        assert owner_of_index("cyclic", 5, 16, 4) == cyclic_owner(5, 4)
-        assert owner_of_index("block_cyclic", 5, 16, 4, 2) == \
-            block_cyclic_owner(5, 2, 4)
-
     def test_block_cyclic_owner_pattern(self):
         # blocks of 2 over 3 procs: 1,2->0  3,4->1  5,6->2  7,8->0 ...
-        owners = [block_cyclic_owner(i, 2, 3) for i in range(1, 9)]
+        owners = [DimDistribution(3, 2).owner(i, 8) for i in range(1, 9)]
         assert owners == [0, 0, 1, 1, 2, 2, 0, 0]
 
     def test_cyclic_balances_iterations(self):
@@ -75,9 +66,7 @@ class TestOwnership:
         compiled, _p, _t, _l = compiled_for(
             body, one_dim(CYCLIC, 0, 4)
         )
-        plan = compiled.plans[0]
-        counts = [plan.local_iterations(p, 16, 4) for p in range(4)]
-        assert counts == [64, 64, 64, 64]
+        assert rank_counts(compiled.plans[0]) == [64, 64, 64, 64]
 
     def test_cyclic_balances_boundary_loops(self):
         """The load-balance advantage of CYCLIC: a shrinking iteration
@@ -88,13 +77,9 @@ class TestOwnership:
             "          a(i, j) = b(i, j)\n        enddo\n      enddo\n"
         )
         cyc, _p, _t, _l = compiled_for(body, one_dim(CYCLIC, 0, 4))
-        blk, _p, _t, _l = compiled_for(body, one_dim("block", 0, 4))
-        cyc_counts = [
-            cyc.plans[0].local_iterations(p, 16, 4) for p in range(4)
-        ]
-        blk_counts = [
-            blk.plans[0].local_iterations(p, 16, 4) for p in range(4)
-        ]
+        blk, _p, _t, _l = compiled_for(body, one_dim(BLOCK, 0, 4))
+        cyc_counts = rank_counts(cyc.plans[0])
+        blk_counts = rank_counts(blk.plans[0])
         assert max(cyc_counts) - min(cyc_counts) <= 16
         assert max(blk_counts) - min(blk_counts) == 64  # first block short
         assert sum(cyc_counts) == sum(blk_counts)
@@ -114,14 +99,14 @@ class TestShiftVolumes:
         return shift.nbytes
 
     def test_cyclic_shifts_every_element(self):
-        block = self.shift_bytes(one_dim("block", 0, 4))
+        block = self.shift_bytes(one_dim(BLOCK, 0, 4))
         cyclic = self.shift_bytes(one_dim(CYCLIC, 0, 4))
         # block: 1 boundary column; cyclic: every owned element remote
         assert cyclic == 4 * block
 
     def test_block_cyclic_interpolates(self):
-        block = self.shift_bytes(one_dim("block", 0, 4))
-        bc2 = self.shift_bytes(one_dim(BLOCK_CYCLIC, 0, 4, block=2))
+        block = self.shift_bytes(one_dim(BLOCK, 0, 4))
+        bc2 = self.shift_bytes(one_dim(2, 0, 4))
         cyclic = self.shift_bytes(one_dim(CYCLIC, 0, 4))
         assert block < bc2 < cyclic
 
@@ -138,7 +123,7 @@ class TestCyclicPipelines:
         pipe = compiled.plans[0].pipeline
         assert pipe is not None
         assert pipe.rounds == 4  # 16 elements / (4 procs * block 1)
-        blk, _p, _t, _l = compiled_for(self.SWEEP, one_dim("block", 0, 4))
+        blk, _p, _t, _l = compiled_for(self.SWEEP, one_dim(BLOCK, 0, 4))
         assert blk.plans[0].pipeline.rounds == 1
 
     def test_cyclic_sweep_slower_in_simulation(self):
@@ -159,7 +144,7 @@ class TestCyclicPipelines:
             ).makespan
 
         assert measure(one_dim(CYCLIC, 0, 4)) > \
-            measure(one_dim("block", 0, 4))
+            measure(one_dim(BLOCK, 0, 4))
 
     def test_estimator_agrees_cyclic_is_worse(self):
         from repro.machine import IPSC860 as params
@@ -167,7 +152,7 @@ class TestCyclicPipelines:
 
         db = cached_training_database(params)
         cyc, _p, _t, _l = compiled_for(self.SWEEP, one_dim(CYCLIC, 0, 4))
-        blk, _p, _t, _l = compiled_for(self.SWEEP, one_dim("block", 0, 4))
+        blk, _p, _t, _l = compiled_for(self.SWEEP, one_dim(BLOCK, 0, 4))
         assert price_phase(cyc, db, 4).total > price_phase(blk, db, 4).total
 
 

@@ -7,8 +7,6 @@ from repro.analysis.phases import partition_phases
 from repro.codegen.comm import ShiftComm
 from repro.codegen.spmd import compile_phase, compile_program
 from repro.distribution.layouts import (
-    BLOCK,
-    SERIAL,
     Alignment,
     DataLayout,
     DimDistribution,
@@ -26,13 +24,8 @@ DECLS = (
 )
 
 
-def grid_layout(p0, p1):
-    dims = (
-        DimDistribution(kind=BLOCK, procs=p0) if p0 > 1
-        else DimDistribution(kind=SERIAL),
-        DimDistribution(kind=BLOCK, procs=p1) if p1 > 1
-        else DimDistribution(kind=SERIAL),
-    )
+def grid_layout(p0, p1, b0=0, b1=0):
+    dims = (DimDistribution(p0, b0), DimDistribution(p1, b1))
     return DataLayout.build(
         template=Template(rank=2, extents=(16, 16)),
         alignments={n: Alignment.canonical(2) for n in ("a", "b")},
@@ -72,7 +65,7 @@ class TestPartitioning:
         plan = compiled.plans[0]
         assert len(plan.partitions) == 2
         assert plan.partition_divisor() == 4
-        assert plan.grid == ((0, 2), (1, 2))
+        assert plan.distribution.grid == ((0, 2), (1, 2))
 
     def test_local_iterations_split_both_ways(self):
         compiled, _p, _t = compiled_for(FULL, grid_layout(2, 2))
@@ -88,12 +81,29 @@ class TestPartitioning:
         assert sum(counts) == 256
         assert all(c == 32 for c in counts)
 
+    @pytest.mark.parametrize("body", [FULL, STENCIL2D, SWEEP])
+    @pytest.mark.parametrize("shape", [(2, 2), (4, 2), (3, 2), (4, 1)])
+    def test_ranks_share_out_every_iteration(self, body, shape):
+        """Owner-computes executes each in-bounds iteration exactly once,
+        whatever the format on either axis."""
+        for b0, b1 in ((0, 0), (1, 0), (0, 3), (2, 1)):
+            compiled, _p, _t = compiled_for(
+                body, grid_layout(*shape, b0=b0, b1=b1)
+            )
+            plan = compiled.plans[0]
+            counts = [
+                plan.local_iters_rank(r) for r in range(shape[0] * shape[1])
+            ]
+            assert sum(counts) == plan.total_iterations(), (b0, b1)
+
     def test_grid_coords_round_trip(self):
-        compiled, _p, _t = compiled_for(FULL, grid_layout(4, 2))
-        plan = compiled.plans[0]
+        """Linear ranks are row-major over the grid, and the groups
+        along an axis hold each rank once."""
+        dist = grid_layout(4, 2).distribution
         for rank in range(8):
-            coords = plan.grid_coords(rank)
-            assert plan.grid_rank(coords) == rank
+            assert dist.coords(rank) == {0: rank // 2, 1: rank % 2}
+        assert dist.axis_groups(0) == ((0, 2, 4, 6), (1, 3, 5, 7))
+        assert dist.axis_groups(1) == ((0, 1), (2, 3), (4, 5), (6, 7))
 
 
 class TestCommunication:

@@ -6,7 +6,6 @@ import pytest
 from repro.analysis.phases import partition_phases
 from repro.codegen.spmd import (
     SPMDBuilder,
-    array_layout_signature,
     compile_program,
 )
 from repro.distribution.layouts import (
@@ -101,13 +100,13 @@ class TestRemapInsertion:
 class TestLayoutSignature:
     def test_same_distribution_same_signature(self, env):
         _p, _t, _part, layout = env
-        assert array_layout_signature(layout(0), "a") == \
-            array_layout_signature(layout(0), "a")
+        assert layout(0).array_identity("a") == \
+            layout(0).array_identity("a")
 
     def test_different_dim_differs(self, env):
         _p, _t, _part, layout = env
-        assert array_layout_signature(layout(0), "a") != \
-            array_layout_signature(layout(1), "a")
+        assert layout(0).array_identity("a") != \
+            layout(1).array_identity("a")
 
 
 BRANCH_SRC = """
