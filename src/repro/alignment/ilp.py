@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..ilp import (
     MAXIMIZE, Solution, SolveStats, ZeroOneModel, solve as ilp_solve,
@@ -273,17 +273,13 @@ def _enumerated_solution(
 
 
 def _solve_model(
-    cag: CAG, d: int, name: str, backend: str, presolve: bool,
-    warm_start: Optional[Dict[str, int]],
+    cag: CAG, d: int, name: str, backend: str
 ) -> Tuple[Solution, Dict[Node, int]]:
     """Build the appendix model, run the 0-1 solver on it and decode the
     node assignment — the solver's incumbent, or the greedy orientation
     when a deadline left it none (both noted as degradations)."""
     ilp = build_alignment_model(cag, d, name=name)
-    solution = ilp_solve(
-        ilp.model, backend=backend, presolve=presolve,
-        warm_start=warm_start,
-    )
+    solution = ilp_solve(ilp.model, backend=backend)
     if solution.has_incumbent:
         assignment: Dict[Node, int] = {}
         for node in cag.nodes:
@@ -318,7 +314,6 @@ def _solve_model(
 def resolve_conflicts(
     cag: CAG, d: int, backend: str = "scipy", name: str = "alignment",
     presolve: bool = True,
-    warm_start: Optional[Dict[str, int]] = None,
 ) -> AlignmentResolution:
     """Optimally resolve the inter-dimensional alignment conflicts of
     ``cag`` for a ``d``-dimensional template.
@@ -339,15 +334,11 @@ def resolve_conflicts(
       (the reference switch of ``qa/`` and the equivalence tests), or a
       request deadline with no budget left, which degrades below.
 
-    On the solver path ``presolve`` lets constraint propagation fix
-    forced switch variables before the backend runs, and ``warm_start``
-    seeds a branch-bound solve with a known feasible variable
-    assignment; the solution is identical either way.  If a request
-    deadline cut the solve short, the best incumbent (or the greedy
-    orientation) is used instead and the resolution is flagged
-    ``optimal=False`` with a degradation note.  The ``ilp.solve`` fault
-    site and deadline checkpoint fire once per resolution on every
-    path.
+    If a request deadline cut the solve short, the best incumbent (or
+    the greedy orientation) is used instead and the resolution is
+    flagged ``optimal=False`` with a degradation note.  The
+    ``ilp.solve`` fault site and deadline checkpoint fire once per
+    resolution on every path.
     """
     with obs_span("alignment.resolve", name=name, template_rank=d) as sp:
         _check_rank(cag, d)
@@ -380,9 +371,7 @@ def resolve_conflicts(
                 nodes=found.visited,
             ))
         else:
-            solution, assignment = _solve_model(
-                cag, d, name, backend, presolve, warm_start
-            )
+            solution, assignment = _solve_model(cag, d, name, backend)
         cut_keys = []
         cut_weight = 0.0
         for (a, b), weight in cag.weights.items():

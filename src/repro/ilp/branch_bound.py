@@ -35,7 +35,7 @@ independent of which optimum the search happens to reach first.
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .model import MAXIMIZE, MINIMIZE, Solution, SolveStats, ZeroOneModel
 
@@ -152,7 +152,6 @@ def solve(
     model: ZeroOneModel,
     time_limit: Optional[float] = None,
     node_limit: int = 5_000_000,
-    warm_start: Optional[Dict[str, int]] = None,
 ) -> Solution:
     """Solve ``model`` exactly by implicit enumeration.
 
@@ -160,15 +159,6 @@ def solve(
     best incumbent found so far is returned with status ``time_limit``
     / ``node_limit`` (``unknown`` when no feasible point was reached),
     so deadline-bounded callers always get their best available answer.
-
-    ``warm_start`` optionally seeds the incumbent with a known feasible
-    assignment (e.g. the previous optimum along a remap chain), letting
-    the bound prune from node one.  Infeasible or partial warm starts
-    are silently ignored.  The canonical result is unchanged: pruning
-    still requires a strict bound deficit and tying complete assignments
-    still replace a lexicographically smaller incumbent, so the search
-    returns the same lexicographically-greatest optimum with or without
-    the seed.
     """
     prob = _Problem(model)
     n = prob.n
@@ -191,15 +181,6 @@ def solve(
     start = time.perf_counter()
     best_val = -float("inf")
     best_assign: Optional[List[int]] = None
-    if warm_start is not None and all(
-        warm_start.get(v) in (0, 1) for v in model.variables
-    ):
-        seed_values = {v: int(warm_start[v]) for v in model.variables}
-        if model.is_feasible(seed_values):
-            best_assign = [seed_values[v] for v in model.variables]
-            best_val = sum(
-                prob.obj[i] for i in range(n) if best_assign[i] == 1
-            )
     assign = [FREE] * n
     nodes = 0
 

@@ -18,15 +18,9 @@ from .model import MAXIMIZE, ModelError, Solution, SolveStats, ZeroOneModel
 
 
 def solve(
-    model: ZeroOneModel,
-    time_limit: Optional[float] = None,
-    warm_start: Optional[dict] = None,
+    model: ZeroOneModel, time_limit: Optional[float] = None
 ) -> Solution:
-    """Solve ``model`` to proven optimality with HiGHS.
-
-    ``warm_start`` is accepted for backend-interface uniformity but
-    ignored: ``scipy.optimize.milp`` exposes no incumbent-seeding hook.
-    """
+    """Solve ``model`` to proven optimality with HiGHS."""
     n = model.num_variables
     if n == 0:
         return Solution(

@@ -1,30 +1,31 @@
 """Batched (vectorized) candidate pricing for the execution model.
 
-The scalar path (:func:`repro.perf.execution_model.price_phase`) prices
-one candidate at a time, issuing one ``db.predict`` call — a dict lookup
-plus a scalar interpolation — per communication event.  For a phase with
-many candidates that is the estimator's hot loop.
+There is one execution model, :func:`repro.perf.execution_model.
+price_phase`, and it prices a compiled phase through whatever predictor
+it is handed.  Walked over the training database it is the scalar path:
+one ``db.predict`` call — a dict lookup plus a scalar interpolation — per
+communication event, the estimator's hot loop for a phase with many
+candidates.
 
-The batched path prices **all candidates of a phase in one batch**:
+The batched path prices **all candidates of a phase in one batch** by
+walking the same function twice:
 
-1. *collect* — replay the execution-model walk over every compiled
-   candidate with a recording predictor, producing the exact stream of
-   prediction requests the scalar path would issue (the stream is a pure
-   function of the compiled structure: even the coarse-grain pipeline
-   blocking search issues one statically known request per block
-   factor);
+1. *collect* — over a recording predictor, producing the exact stream of
+   prediction requests the scalar walk issues (the stream is a pure
+   function of the compiled structure: the coarse-grain blocking search
+   too issues one request per block factor, whatever the predictions);
 2. *price* — group the requests of the whole batch by training set
    (pattern, procs, stride, latency) into a :class:`CostTable` and
    evaluate each group with one vectorized
    :meth:`~repro.perf.training.TrainingSet.predict_many` call;
-3. *assemble* — replay the same walk with the precomputed values.
+3. *assemble* — over a predictor that replays the precomputed values.
 
-Because ``predict_many`` matches ``predict`` bit for bit and the
-assembly replays the scalar arithmetic in the scalar order, the batched
-estimates are **exactly** equal to the scalar ones — the property the
-equivalence suite (and the ``estimator-batch`` fuzz check) enforces.
-The scalar path stays available behind ``AssistantConfig``'s
-``estimation_mode="scalar"`` flag as the differential reference.
+Because ``predict_many`` matches ``predict`` bit for bit and both walks
+are the same code, the batched estimates are **exactly** equal to the
+scalar ones — the property the equivalence suite (and the
+``estimator-batch`` fuzz check) enforces.  The scalar path stays
+available behind ``AssistantConfig``'s ``estimation_mode="scalar"`` flag
+as the differential reference.
 """
 
 from __future__ import annotations
@@ -35,27 +36,12 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from ..analysis.phases import Phase
-from ..codegen.comm import (
-    BroadcastComm,
-    GatherComm,
-    ReductionComm,
-    ShiftComm,
-)
-from ..codegen.spmd import CompiledPhase
 from ..distribution.search_space import CandidateLayout
 from ..frontend.symbols import SymbolTable
 from ..machine.params import MachineParams
 from ..obs import tracing
 from .compiler_model import CompilerOptions, model_phase
-from .execution_model import (
-    LOOSELY_SYNCHRONOUS,
-    PIPELINED,
-    REDUCTION,
-    SEQUENTIALIZED,
-    PhaseEstimate,
-    _plan_compute,
-    _stride_of,
-)
+from .execution_model import price_phase
 from .training import TrainingDatabase
 
 #: one prediction request: the exact arguments of a ``db.predict`` call
@@ -90,123 +76,6 @@ class _Replay:
         value = self.values[self.pos]
         self.pos += 1
         return value
-
-
-def _pipeline_time_via(plan, predictor, nprocs: int,
-                       options: CompilerOptions) -> Tuple[float, str]:
-    """The execution model's pipeline closed form over a predictor.
-
-    Identical arithmetic to ``execution_model._pipeline_time`` except the
-    coarse-grain branch reuses the per-block-factor prediction for the
-    chosen factor instead of re-predicting it (``db.predict`` is
-    deterministic, so the value is the same double) — which makes the
-    request stream independent of the predicted values.
-    """
-    pipe = plan.pipeline
-    assert pipe is not None
-    stages = max(pipe.stages, 1) * max(pipe.rounds, 1)
-    iters = plan.total_iterations() * plan.guard_probability
-    divisor = max(plan.partition_divisor(), 1)
-    chain_procs = pipe.chain_procs or nprocs
-    chunk = (iters / divisor / stages) * plan.per_iter_cost
-    msg_bytes = pipe.msg_bytes
-    if options.coarse_grain_pipelining and stages > 1:
-        best = None
-        b = 1
-        while b <= stages:
-            t = predictor.predict(
-                "sendrecv", nprocs, msg_bytes * b,
-                stride=_stride_of(pipe.buffered), latency="low",
-            )
-            total = (stages / b + chain_procs - 1) * (chunk * b + t)
-            if best is None or total < best[0]:
-                best = (total, b, t)
-            b *= 2
-        assert best is not None
-        stages_eff = stages / best[1]
-        chunk_eff = chunk * best[1]
-        return (stages_eff + chain_procs - 1) * (chunk_eff + best[2]), \
-            PIPELINED
-    if stages == 1:
-        t_msg = predictor.predict(
-            "sendrecv", nprocs, msg_bytes,
-            stride=_stride_of(pipe.buffered), latency="high",
-        )
-        return chain_procs * (chunk + t_msg), SEQUENTIALIZED
-    t_msg = predictor.predict(
-        "sendrecv", nprocs, msg_bytes,
-        stride=_stride_of(pipe.buffered), latency="low",
-    )
-    return (stages + chain_procs - 1) * (chunk + t_msg), PIPELINED
-
-
-def _price_phase_via(predictor, compiled: CompiledPhase, nprocs: int,
-                     options: CompilerOptions) -> PhaseEstimate:
-    """``execution_model.price_phase`` with predictions routed through
-    ``predictor`` — the shared walk of the collect and assemble passes."""
-    estimate = PhaseEstimate(
-        phase_index=compiled.phase_index, exec_class=LOOSELY_SYNCHRONOUS
-    )
-    has_reduction = False
-
-    events = []
-    seen = set()
-    for plan in compiled.plans:
-        for event in plan.comms:
-            if options.message_coalescing:
-                if event in seen:
-                    continue
-                seen.add(event)
-            events.append((event, plan))
-
-    for event, plan in events:
-        if isinstance(event, ShiftComm):
-            procs = event.procs or nprocs
-            if options.message_vectorization:
-                estimate.communication += predictor.predict(
-                    "shift", procs, event.nbytes,
-                    stride=_stride_of(event.buffered), latency="high",
-                )
-            else:
-                count = max(plan.other_iterations(), 1)
-                elem = max(event.nbytes // max(plan.other_iterations(), 1), 1)
-                estimate.communication += count * predictor.predict(
-                    "shift", procs, elem, stride="unit", latency="high",
-                )
-        elif isinstance(event, BroadcastComm):
-            estimate.communication += predictor.predict(
-                "broadcast", event.procs or nprocs, event.nbytes,
-                stride=_stride_of(event.buffered), latency="high",
-            )
-        elif isinstance(event, GatherComm):
-            estimate.communication += predictor.predict(
-                "transpose", event.procs or nprocs, event.local_bytes,
-                stride=_stride_of(event.buffered), latency="high",
-            )
-        elif isinstance(event, ReductionComm):
-            has_reduction = True
-            estimate.communication += predictor.predict(
-                "reduction", nprocs, event.nbytes, latency="high"
-            ) + predictor.predict(
-                "broadcast", nprocs, event.nbytes, latency="high"
-            )
-
-    for plan in compiled.plans:
-        if plan.pipeline is not None:
-            time, klass = _pipeline_time_via(
-                plan, predictor, nprocs, options
-            )
-            estimate.pipeline += time
-            if estimate.exec_class == LOOSELY_SYNCHRONOUS or (
-                klass == SEQUENTIALIZED
-            ):
-                estimate.exec_class = klass
-        else:
-            estimate.compute += _plan_compute(plan, nprocs)
-
-    if has_reduction and estimate.exec_class == LOOSELY_SYNCHRONOUS:
-        estimate.exec_class = REDUCTION
-    return estimate
 
 
 @dataclass
@@ -283,7 +152,7 @@ def estimate_phase_candidates_batched(
         bounds: List[Tuple[int, int]] = []
         for comp in compiled:
             start = len(collector.requests)
-            _price_phase_via(collector, comp, nprocs, options)
+            price_phase(comp, collector, nprocs, options)
             bounds.append((start, len(collector.requests)))
         table = price_requests(db, collector.requests)
         sp.set_attr("requests", table.requests)
@@ -293,7 +162,7 @@ def estimate_phase_candidates_batched(
             candidates, compiled, bounds
         ):
             replay = _Replay(table.values, start)
-            estimate = _price_phase_via(replay, comp, nprocs, options)
+            estimate = price_phase(comp, replay, nprocs, options)
             assert replay.pos == end, "collect/assemble request mismatch"
             if tracing.detail_active():
                 tracing.add_event(

@@ -22,7 +22,7 @@ vs-measured gaps in Figures 4-7):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Protocol, Tuple
 
 from ..codegen.comm import (
     BroadcastComm,
@@ -33,12 +33,20 @@ from ..codegen.comm import (
 )
 from ..codegen.spmd import CompiledPhase
 from .compiler_model import CompilerOptions, FORTRAN_D_PROTOTYPE
-from .training import TrainingDatabase
 
 LOOSELY_SYNCHRONOUS = "loosely synchronous"
 PIPELINED = "pipelined"
 SEQUENTIALIZED = "sequentialized"
 REDUCTION = "reduction"
+
+
+class Predictor(Protocol):
+    """What the execution model asks of a cost source: the time of one
+    message pattern (:class:`~repro.perf.training.TrainingDatabase` is
+    one; :mod:`repro.perf.batch` has a recording and a replaying one)."""
+
+    def predict(self, pattern: str, procs: int, nbytes: int,
+                stride: str = "unit", latency: str = "high") -> float: ...
 
 
 @dataclass
@@ -80,7 +88,7 @@ def _plan_compute(plan: StmtPlan, nprocs: int) -> float:
 
 def _pipeline_time(
     plan: StmtPlan,
-    db: TrainingDatabase,
+    predictor: Predictor,
     nprocs: int,
     options: CompilerOptions,
 ) -> Tuple[float, str]:
@@ -101,34 +109,28 @@ def _pipeline_time(
     if options.coarse_grain_pipelining and stages > 1:
         # Future-work extension: block the pipeline by the factor that
         # minimizes the closed form (powers of two up to the stage count).
+        # One request per factor, whatever the predictions are.
         best = None
         b = 1
         while b <= stages:
-            t = db.predict(
+            t = predictor.predict(
                 "sendrecv", nprocs, msg_bytes * b,
                 stride=_stride_of(pipe.buffered), latency="low",
             )
             total = (stages / b + chain_procs - 1) * (chunk * b + t)
-            if best is None or total < best[0]:
-                best = (total, b)
+            if best is None or total < best:
+                best = total
             b *= 2
         assert best is not None
-        t_msg = db.predict(
-            "sendrecv", nprocs, msg_bytes * best[1],
-            stride=_stride_of(pipe.buffered), latency="low",
-        )
-        stages_eff = stages / best[1]
-        chunk_eff = chunk * best[1]
-        return (stages_eff + chain_procs - 1) * (chunk_eff + t_msg), \
-            PIPELINED
+        return best, PIPELINED
     if stages == 1:
-        t_msg = db.predict(
+        t_msg = predictor.predict(
             "sendrecv", nprocs, msg_bytes,
             stride=_stride_of(pipe.buffered), latency="high",
         )
         # Every processor along the chain computes its block in turn.
         return chain_procs * (chunk + t_msg), SEQUENTIALIZED
-    t_msg = db.predict(
+    t_msg = predictor.predict(
         "sendrecv", nprocs, msg_bytes,
         stride=_stride_of(pipe.buffered), latency="low",
     )
@@ -137,11 +139,16 @@ def _pipeline_time(
 
 def price_phase(
     compiled: CompiledPhase,
-    db: TrainingDatabase,
+    predictor: Predictor,
     nprocs: int,
     options: CompilerOptions = FORTRAN_D_PROTOTYPE,
 ) -> PhaseEstimate:
-    """Estimate one phase execution under one candidate layout."""
+    """Estimate one phase execution under one candidate layout.
+
+    The only walk over a compiled phase's communication events and
+    pipelines.  ``predictor`` prices each message: a
+    :class:`~repro.perf.training.TrainingDatabase` directly, or the
+    recording and replaying predictors of :mod:`repro.perf.batch`."""
     estimate = PhaseEstimate(
         phase_index=compiled.phase_index, exec_class=LOOSELY_SYNCHRONOUS
     )
@@ -163,7 +170,7 @@ def price_phase(
         if isinstance(event, ShiftComm):
             procs = event.procs or nprocs
             if options.message_vectorization:
-                estimate.communication += db.predict(
+                estimate.communication += predictor.predict(
                     "shift", procs, event.nbytes,
                     stride=_stride_of(event.buffered), latency="high",
                 )
@@ -172,31 +179,31 @@ def price_phase(
                 # the non-partitioned loops.
                 count = max(plan.other_iterations(), 1)
                 elem = max(event.nbytes // max(plan.other_iterations(), 1), 1)
-                estimate.communication += count * db.predict(
+                estimate.communication += count * predictor.predict(
                     "shift", procs, elem, stride="unit", latency="high",
                 )
         elif isinstance(event, BroadcastComm):
-            estimate.communication += db.predict(
+            estimate.communication += predictor.predict(
                 "broadcast", event.procs or nprocs, event.nbytes,
                 stride=_stride_of(event.buffered), latency="high",
             )
         elif isinstance(event, GatherComm):
-            estimate.communication += db.predict(
+            estimate.communication += predictor.predict(
                 "transpose", event.procs or nprocs, event.local_bytes,
                 stride=_stride_of(event.buffered), latency="high",
             )
         elif isinstance(event, ReductionComm):
             has_reduction = True
-            estimate.communication += db.predict(
+            estimate.communication += predictor.predict(
                 "reduction", nprocs, event.nbytes, latency="high"
-            ) + db.predict(
+            ) + predictor.predict(
                 "broadcast", nprocs, event.nbytes, latency="high"
             )
 
     # Compute + pipelines.
     for plan in compiled.plans:
         if plan.pipeline is not None:
-            time, klass = _pipeline_time(plan, db, nprocs, options)
+            time, klass = _pipeline_time(plan, predictor, nprocs, options)
             estimate.pipeline += time
             if estimate.exec_class == LOOSELY_SYNCHRONOUS or (
                 klass == SEQUENTIALIZED

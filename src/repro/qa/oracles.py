@@ -372,7 +372,7 @@ def exact_best_selection(
     within ``_TOL`` of the running minimum), this variant compares costs
     exactly, so first-wins enumeration order yields the
     lexicographically smallest exact optimum — the same certificate the
-    presolved and warm-started solvers promise.  Used by the presolve
+    presolved solve promises.  Used by the presolve
     soundness checks, which reason about candidates that appear in
     *every* exact optimum.
     """

@@ -43,22 +43,6 @@ from .generator import GeneratedCase, GeneratorConfig, generate_program, \
     normalize_program
 from .minimize import minimize_program
 
-#: every check the runner knows, in execution order
-ALL_CHECKS = (
-    "roundtrip",
-    "pipeline",
-    "alignment-oracle",
-    "selection-oracle",
-    "estimator-batch",
-    "selection-presolve",
-    "warm-start",
-    "rename-arrays",
-    "relabel-loop-vars",
-    "scale-trip-counts",
-    "unused-array",
-)
-
-
 #: forced-small elimination table caps the ``selection-presolve`` check
 #: replays every case under (generated graphs have 2-4 candidates a phase)
 _SMALL_TABLE_CAPS = (4, 8, 16, 32, 64)
@@ -182,7 +166,10 @@ def _selection_divergence(
     return None if divergence is None else str(divergence)
 
 
-def _estimator_batch_divergence(result: AssistantResult) -> Optional[str]:
+def _estimator_batch_divergence(
+    result: AssistantResult, backend: str,
+    report: Optional[FuzzReport] = None,
+) -> Optional[str]:
     """Property: the batched estimator equals the legacy scalar one,
     cost component by cost component, *bitwise* — not approximately."""
     scalar = estimate_search_spaces(
@@ -278,62 +265,19 @@ def _presolve_divergence(
     return None
 
 
-def _warm_start_divergence(
-    result: AssistantResult, backend: str,
-    report: Optional[FuzzReport] = None,
-) -> Optional[str]:
-    """Warm starts must never change the canonical answer: seeding the
-    solver with the optimum itself, or with a deliberately shifted
-    feasible selection, yields the identical result — on the default
-    backend and on branch-bound (the one that actually consumes
-    seeds)."""
-    graph = result.graph
-    if (
-        oracles.selection_combination_count(graph)
-        > oracles.MAX_SELECTION_COMBINATIONS
-    ):
-        if report is not None:
-            report.skip("warm-start")
-        return None
-    if not graph.node_costs:
-        return None
-    cold = select_layouts(graph, backend=backend, presolve=True)
-    shifted = {
-        p: (c + 1) % len(graph.node_costs[p])
-        for p, c in cold.selection.items()
-    }
-    small = (
-        oracles.selection_combination_count(graph) <= 2_000
-    )
-    seeds = [("optimal", cold.selection), ("shifted", shifted)]
-    for seed_name, seed in seeds:
-        for be in (backend, "branch-bound"):
-            warm = select_layouts(
-                graph, backend=be, presolve=True, warm_start=seed
-            )
-            if (warm.selection != cold.selection
-                    or warm.objective != cold.objective):
-                return (
-                    f"{seed_name} warm start on {be} changed the answer: "
-                    f"{warm.selection} ({warm.objective!r}) != "
-                    f"{cold.selection} ({cold.objective!r})"
-                )
-        if not small:
-            continue
-        # The unpresolved branch-bound model is the one place a seed
-        # truly steers the search; keep it to small instances.
-        full = select_layouts(
-            graph, backend="branch-bound", presolve=False, warm_start=seed
-        )
-        if (full.selection != cold.selection
-                or full.objective != cold.objective):
-            return (
-                f"{seed_name} warm start on the unpresolved "
-                f"branch-bound model changed the answer: "
-                f"{full.selection} ({full.objective!r}) != "
-                f"{cold.selection} ({cold.objective!r})"
-            )
-    return None
+#: the checks on a finished analysis, in execution order: name ->
+#: ``(result, backend, report)`` -> the divergence found, or ``None``
+RESULT_CHECKS: Dict[str, Callable[..., Optional[str]]] = {
+    "alignment-oracle": _alignment_divergence,
+    "selection-oracle": _selection_divergence,
+    "estimator-batch": _estimator_batch_divergence,
+    "selection-presolve": _presolve_divergence,
+}
+
+#: every check the runner knows, in execution order
+ALL_CHECKS = (
+    "roundtrip", "pipeline", *RESULT_CHECKS, *mm.METAMORPHIC_CHECKS,
+)
 
 
 def _failure_predicate(
@@ -357,16 +301,8 @@ def _failure_predicate(
                 return True
             return False
         result = run(program)
-        if check == "alignment-oracle":
-            return _alignment_divergence(result, backend) is not None
-        if check == "selection-oracle":
-            return _selection_divergence(result, backend) is not None
-        if check == "estimator-batch":
-            return _estimator_batch_divergence(result) is not None
-        if check == "selection-presolve":
-            return _presolve_divergence(result, backend) is not None
-        if check == "warm-start":
-            return _warm_start_divergence(result, backend) is not None
+        if check in RESULT_CHECKS:
+            return RESULT_CHECKS[check](result, backend) is not None
         checker = mm.METAMORPHIC_CHECKS.get(check)
         if checker is None:
             return False
@@ -485,31 +421,13 @@ def _run_case(
     except Exception as exc:  # a pipeline crash is a finding, not an abort
         return fail("pipeline", f"{type(exc).__name__}: {exc}")
 
-    if "alignment-oracle" in enabled:
-        report.count("alignment-oracle")
-        detail = _alignment_divergence(result, backend, report)
+    for name, check in RESULT_CHECKS.items():
+        if name not in enabled:
+            continue
+        report.count(name)
+        detail = check(result, backend, report)
         if detail is not None:
-            return fail("alignment-oracle", detail)
-    if "selection-oracle" in enabled:
-        report.count("selection-oracle")
-        detail = _selection_divergence(result, backend, report)
-        if detail is not None:
-            return fail("selection-oracle", detail)
-    if "estimator-batch" in enabled:
-        report.count("estimator-batch")
-        detail = _estimator_batch_divergence(result)
-        if detail is not None:
-            return fail("estimator-batch", detail)
-    if "selection-presolve" in enabled:
-        report.count("selection-presolve")
-        detail = _presolve_divergence(result, backend, report)
-        if detail is not None:
-            return fail("selection-presolve", detail)
-    if "warm-start" in enabled:
-        report.count("warm-start")
-        detail = _warm_start_divergence(result, backend, report)
-        if detail is not None:
-            return fail("warm-start", detail)
+            return fail(name, detail)
 
     for name, checker in mm.METAMORPHIC_CHECKS.items():
         if name not in enabled:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 from ..ilp import (
     MINIMIZE,
@@ -167,7 +167,7 @@ def _model_shape(
     graph: DataLayoutGraph, allowed: Optional[Dict[int, set]]
 ) -> Tuple[int, int]:
     """Variable/constraint counts of the full selection model, computed
-    without building it (reported by the presolve fast path)."""
+    without building it."""
     nvars = ncons = 0
     for phase_index, costs in graph.node_costs.items():
         nvars += len(costs)
@@ -180,26 +180,6 @@ def _model_shape(
         nvars += len(edge.costs)
         ncons += len(edge.costs)
     return nvars, ncons
-
-
-def _warm_values(
-    model: ZeroOneModel, warm_start: Dict[int, int]
-) -> Dict[str, int]:
-    """Expand a phase -> candidate warm start into model variable values
-    (``y`` variables take their indicator value, which is feasible)."""
-    values: Dict[str, int] = {}
-    for var in model.variables:
-        kind, rest = var.split(":", 1)
-        if kind == "x":
-            p, c = (int(t) for t in rest.split(":"))
-            values[var] = 1 if warm_start.get(p) == c else 0
-        else:
-            p, i, q, j = (int(t) for t in rest.split(":"))
-            values[var] = (
-                1 if warm_start.get(p) == i and warm_start.get(q) == j
-                else 0
-            )
-    return values
 
 
 def _solution_values(
@@ -247,23 +227,52 @@ def _greedy_degraded(
     )
 
 
+def _solver_selection(
+    model: ZeroOneModel,
+    backend: str,
+    candidates: Mapping[int, Iterable[int]],
+) -> Tuple[Solution, Optional[Dict[int, int]]]:
+    """The solver hand-off, for the full model and a component model
+    alike: solve, then read the chosen candidate of every phase of
+    ``candidates`` off the ``x`` variables.  An unproven incumbent is
+    noted as a degradation; the selection is ``None`` when the budget
+    ran out before the solver had any (the caller falls to greedy).
+    """
+    solution = ilp_solve(model, backend=backend)
+    if solution.status == "unknown":
+        return solution, None
+    if not solution.has_incumbent:
+        # Exactly-one rows make the model feasible by construction.
+        raise RuntimeError(f"selection ILP {solution.status}")
+    selection: Dict[int, int] = {}
+    for phase_index, positions in candidates.items():
+        for cand in positions:
+            if solution.values.get(_x(phase_index, cand)) == 1:
+                selection[phase_index] = cand
+                break
+        else:  # pragma: no cover - guaranteed by exactly-one
+            raise AssertionError(f"no candidate chosen for {phase_index}")
+    if not solution.is_optimal:
+        note_degradation(
+            "selection", "incumbent",
+            f"solver stopped at {solution.status}; using best incumbent",
+        )
+    return solution, selection
+
+
+_NO_INCUMBENT = "no incumbent within budget; greedy one-pass selection"
+
+
 def _select_presolved(
     graph: DataLayoutGraph,
     backend: str,
     allowed: Optional[Dict[int, set]],
-    warm_start: Optional[Dict[int, int]],
     nvars: int,
     ncons: int,
-) -> Optional[SelectionResult]:
-    """The presolve + exact-elimination fast path.
-
-    Returns ``None`` when the request budget is already spent (the
-    legacy path owns that degradation) — otherwise a complete
-    :class:`SelectionResult` equal to the legacy path's.
-    """
-    budget = remaining_budget()
-    if budget is not None and budget <= 0:
-        return None
+) -> SelectionResult:
+    """Graph presolve, then exact elimination of every residual
+    component; a component that fits no elimination order goes to the
+    solver as a reduced model."""
     start = time.perf_counter()
     ilp_components = 0
     optimal = True
@@ -284,46 +293,20 @@ def _select_presolved(
                     "deadline expired during elimination; "
                     "greedy one-pass selection",
                 )
-            if solved is not None:
-                selection.update(solved)
-                continue
-            # No elimination order fits the table cap: solve the
-            # component as a reduced ILP (same candidate costs,
-            # conditioned), warm-started when a previous selection is
-            # available.
-            ilp_components += 1
-            model = build_component_model(pre, comp)
-            seed = None if warm_start is None else _warm_values(
-                model, warm_start
-            )
-            sub = ilp_solve(model, backend=backend, warm_start=seed)
-            if sub.has_incumbent:
-                for p in comp:
-                    for c in pre.active[p]:
-                        if sub.values.get(_x(p, c)) == 1:
-                            selection[p] = c
-                            break
-                    else:  # pragma: no cover - guaranteed by exactly-one
-                        raise AssertionError(
-                            f"no candidate chosen for {p}"
-                        )
-                if not sub.is_optimal:
-                    optimal = False
-                    note_degradation(
-                        "selection", "incumbent",
-                        f"solver stopped at {sub.status}; "
-                        f"using best incumbent",
-                    )
-            elif sub.status == "unknown":
-                return _greedy_degraded(
-                    graph, allowed, nvars, ncons,
-                    "no incumbent within budget; "
-                    "greedy one-pass selection",
+            if solved is None:
+                # No elimination order fits the table cap: the same
+                # candidate costs, conditioned, as a reduced 0-1 model.
+                ilp_components += 1
+                sub, solved = _solver_selection(
+                    build_component_model(pre, comp), backend,
+                    {p: pre.active[p] for p in comp},
                 )
-            else:
-                # Exactly-one rows make the model feasible by
-                # construction.
-                raise RuntimeError(f"selection ILP {sub.status}")
+                if solved is None:
+                    return _greedy_degraded(
+                        graph, allowed, nvars, ncons, _NO_INCUMBENT
+                    )
+                optimal = optimal and sub.is_optimal
+            selection.update(solved)
         psp.set_attr(
             "eliminated", len(pre.components) - ilp_components
         )
@@ -352,29 +335,61 @@ def _select_presolved(
     )
 
 
+def _select_reference(
+    graph: DataLayoutGraph,
+    backend: str,
+    allowed: Optional[Dict[int, set]],
+    nvars: int,
+    ncons: int,
+) -> SelectionResult:
+    """The paper's formulation verbatim: the whole 0-1 model, solved."""
+    ilp = build_selection_model(graph, allowed=allowed)
+    solution, selection = _solver_selection(
+        ilp.model, backend,
+        {p: range(len(costs)) for p, costs in graph.node_costs.items()},
+    )
+    if selection is None:
+        return _greedy_degraded(graph, allowed, nvars, ncons, _NO_INCUMBENT)
+    evaluated = graph.evaluate(selection)
+    # Cross-check the ILP objective against the shared evaluator.
+    # (Skipped for incumbents: their y-variables may sit above the
+    # implied indicator values, inflating the reported objective;
+    # ``evaluated`` is authoritative either way.)
+    if solution.is_optimal and abs(evaluated - solution.objective) > max(
+        1e-6 * evaluated, 1e-3
+    ):
+        raise AssertionError(
+            f"ILP objective {solution.objective} != evaluated {evaluated}"
+        )
+    return SelectionResult(
+        selection=selection,
+        objective=evaluated,
+        solution=solution,
+        num_variables=nvars,
+        num_constraints=ncons,
+        optimal=solution.is_optimal,
+    )
+
+
 def select_layouts(
     graph: DataLayoutGraph,
     backend: str = "scipy",
     allowed: Optional[Dict[int, set]] = None,
     presolve: bool = True,
-    warm_start: Optional[Dict[int, int]] = None,
 ) -> SelectionResult:
     """Solve the selection problem to proven optimality.
 
     By default the graph-level presolve (dead-end elimination +
     conditioning, :mod:`repro.selection.presolve`) fixes most phases and
     the residual components are solved by exact variable elimination —
-    the full 0-1 model is only built when ``presolve=False`` or a
-    residual component outgrows the elimination tables.  Both paths
-    return the same canonical optimum.
-
-    ``warm_start`` (a previous phase -> candidate selection, e.g. along
-    a remap chain of re-solves) seeds any branch-bound solve with a
-    known incumbent; it never changes the result.
+    the full 0-1 model is only built when ``presolve=False``, and a
+    reduced one when a residual component outgrows the elimination
+    tables.  Both paths return the same canonical optimum.
 
     If a request deadline cuts the solve short, the best incumbent (or
     the greedy one-pass selection) is returned with ``optimal=False``
-    and a degradation note instead of an exception.
+    and a degradation note instead of an exception; with the budget
+    already spent on entry nothing is built or solved at all.
     """
     with tracing.span(
         "selection.solve", backend=backend, presolve=presolve
@@ -382,73 +397,21 @@ def select_layouts(
         nvars, ncons = _model_shape(graph, allowed)
         sp.set_attr("variables", nvars)
         sp.set_attr("constraints", ncons)
-        if presolve:
-            result = _select_presolved(
-                graph, backend, allowed, warm_start, nvars, ncons
+        budget = remaining_budget()
+        if budget is not None and budget <= 0:
+            result = _greedy_degraded(
+                graph, allowed, nvars, ncons,
+                "request budget already spent; greedy one-pass selection",
             )
-            if result is not None:
-                sp.set_attr("objective_us", result.objective)
-                sp.set_attr("optimal", result.optimal)
-                if tracing.detail_active():
-                    _record_provenance(graph, result.selection)
-                return result
-        ilp = build_selection_model(graph, allowed=allowed)
-        seed = None if warm_start is None else _warm_values(
-            ilp.model, warm_start
-        )
-        solution = ilp_solve(ilp.model, backend=backend, warm_start=seed)
-        optimal = solution.is_optimal
-        if solution.has_incumbent:
-            selection: Dict[int, int] = {}
-            for phase_index, costs in graph.node_costs.items():
-                for cand in range(len(costs)):
-                    if solution.values.get(_x(phase_index, cand)) == 1:
-                        selection[phase_index] = cand
-                        break
-                else:  # pragma: no cover - guaranteed by exactly-one
-                    raise AssertionError(
-                        f"no candidate chosen for {phase_index}"
-                    )
-            if not optimal:
-                note_degradation(
-                    "selection", "incumbent",
-                    f"solver stopped at {solution.status}; "
-                    f"using best incumbent",
-                )
-        elif solution.status == "unknown":
-            selection = greedy_selection(graph, allowed=allowed)
-            note_degradation(
-                "selection", "greedy-fallback",
-                "no incumbent within budget; greedy one-pass selection",
-            )
+        elif presolve:
+            result = _select_presolved(graph, backend, allowed, nvars, ncons)
         else:
-            # Exactly-one rows make the model feasible by construction.
-            raise RuntimeError(f"selection ILP {solution.status}")
-        evaluated = graph.evaluate(selection)
-        if optimal:
-            # Cross-check the ILP objective against the shared evaluator.
-            # (Skipped for incumbents: their y-variables may sit above
-            # the implied indicator values, inflating the reported
-            # objective; ``evaluated`` is authoritative either way.)
-            if abs(evaluated - solution.objective) > max(
-                1e-6 * evaluated, 1e-3
-            ):
-                raise AssertionError(
-                    f"ILP objective {solution.objective} != "
-                    f"evaluated {evaluated}"
-                )
-        sp.set_attr("objective_us", evaluated)
-        sp.set_attr("optimal", optimal)
+            result = _select_reference(graph, backend, allowed, nvars, ncons)
+        sp.set_attr("objective_us", result.objective)
+        sp.set_attr("optimal", result.optimal)
         if tracing.detail_active():
-            _record_provenance(graph, selection)
-    return SelectionResult(
-        selection=selection,
-        objective=evaluated,
-        solution=solution,
-        num_variables=ilp.num_variables,
-        num_constraints=ilp.num_constraints,
-        optimal=optimal,
-    )
+            _record_provenance(graph, result.selection)
+    return result
 
 
 def _record_provenance(

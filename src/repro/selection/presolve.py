@@ -28,8 +28,8 @@ lexicographically-greatest 0-1 rule decodes to.  When that order's
 tables overflow, a greedy min-table order is used instead; it returns
 the same vector because a tie-free backtrack proves the optimum unique,
 and a tie triggers ascending conditioning (see
-:func:`eliminate_component`).  So the fast path, the ILP path, and
-warm-started re-solves all agree bit for bit.
+:func:`eliminate_component`).  So the fast path and the ILP path agree
+bit for bit.
 """
 
 from __future__ import annotations
@@ -365,8 +365,8 @@ def build_component_model(
     """The reduced selection ILP of one residual component.
 
     Variables keep the full model's ``x:{phase}:{cand}`` naming (over
-    surviving candidates only, in the original insertion order) so warm
-    starts project directly, plus the usual ``y`` linking variables for
+    surviving candidates only, in the original insertion order) so one
+    decoder reads both, plus the usual ``y`` linking variables for
     positive remap entries; node costs are the *conditioned* ones.
     """
     model = ZeroOneModel(name="layout-selection:residual", sense=MINIMIZE)

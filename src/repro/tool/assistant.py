@@ -198,28 +198,14 @@ class AssistantResult:
                 return True
         return False
 
-    def reselect(self, allowed: Optional[Dict[int, Set[int]]] = None,
-                 warm_start: bool = True) -> SelectionResult:
+    def reselect(
+        self, allowed: Optional[Dict[int, Set[int]]] = None
+    ) -> SelectionResult:
         """Re-run the selection step, optionally restricted — the hook for
-        user edits of the search spaces.
-
-        By default the re-solve is warm-started from the current
-        selection (repaired onto ``allowed`` where it violates a
-        restriction), so walking a remap chain of edits re-prices from
-        the previous incumbent instead of from scratch.  Warm starts
-        never change the canonical result; ``warm_start=False`` opts
-        out.
-        """
-        seed: Optional[Dict[int, int]] = None
-        if warm_start:
-            seed = dict(self.selection.selection)
-            if allowed is not None:
-                for phase_index, positions in allowed.items():
-                    if positions and seed.get(phase_index) not in positions:
-                        seed[phase_index] = min(positions)
+        user edits of the search spaces."""
         return select_layouts(
             self.graph, backend=self.config.ilp_backend, allowed=allowed,
-            presolve=self.config.ilp_presolve, warm_start=seed,
+            presolve=self.config.ilp_presolve,
         )
 
 

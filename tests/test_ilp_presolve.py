@@ -1,5 +1,5 @@
-"""Presolve soundness: constraint propagation on 0-1 models, the
-graph-level selection presolve, and their agreement with the brute-force
+"""Presolve soundness: the graph-level selection presolve, the exact
+elimination of what it leaves, and their agreement with the brute-force
 oracles.
 
 The regression contract (the reason these are not approximate checks):
@@ -23,13 +23,7 @@ import random
 import pytest
 
 from repro.distribution.search_space import DistributionOptions
-from repro.ilp import (
-    MAXIMIZE,
-    MINIMIZE,
-    ZeroOneModel,
-    presolve_model,
-    solve as ilp_solve,
-)
+from repro.ilp import solve as ilp_solve
 from repro.obs import tracing
 from repro.obs.events import spans_by_name
 from repro.programs import PROGRAMS
@@ -56,143 +50,6 @@ from repro.tool.assistant import AssistantConfig, run_assistant
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "corpus")
 CORPUS = load_corpus(CORPUS_DIR)
-
-
-# ---------------------------------------------------------------------------
-# Model-level presolve (repro.ilp.presolve)
-
-
-class TestRowForcing:
-    def test_equality_row_forces_all_ones(self):
-        model = ZeroOneModel(name="t", sense=MINIMIZE)
-        model.add_var("x")
-        model.add_var("y")
-        model.add_constraint({"x": 1.0, "y": 1.0}, "==", 2.0)
-        model.set_objective({"x": 1.0, "y": 1.0})
-        pre = presolve_model(model)
-        assert pre.fixed == {"x": 1, "y": 1}
-        assert pre.solved
-
-    def test_upper_bound_zero_forces_all_zeros(self):
-        model = ZeroOneModel(name="t", sense=MINIMIZE)
-        model.add_var("x")
-        model.add_var("y")
-        model.add_constraint({"x": 1.0, "y": 1.0}, "<=", 0.0)
-        model.set_objective({"x": -1.0, "y": -1.0})
-        pre = presolve_model(model)
-        assert pre.fixed == {"x": 0, "y": 0}
-
-    def test_singleton_forbid_row(self):
-        # The selection model's ``forbid`` rows are singleton == 0.
-        model = ZeroOneModel(name="t", sense=MINIMIZE)
-        model.add_var("x")
-        model.add_var("y")
-        model.add_constraint({"x": 1.0}, "==", 0.0, name="forbid")
-        model.add_constraint({"x": 1.0, "y": 1.0}, "==", 1.0)
-        model.set_objective({"x": 0.0, "y": 5.0})
-        pre = presolve_model(model)
-        assert pre.fixed == {"x": 0, "y": 1}
-        assert pre.solved
-
-    def test_forcing_chains_propagate_to_fixpoint(self):
-        # x=1 forces y=0 (x+y<=1) which forces z=1 (y+z>=1).
-        model = ZeroOneModel(name="t", sense=MINIMIZE)
-        for v in ("x", "y", "z"):
-            model.add_var(v)
-        model.add_constraint({"x": 1.0}, ">=", 1.0)
-        model.add_constraint({"x": 1.0, "y": 1.0}, "<=", 1.0)
-        model.add_constraint({"y": 1.0, "z": 1.0}, ">=", 1.0)
-        model.set_objective({"x": 1.0, "y": 1.0, "z": 1.0})
-        pre = presolve_model(model)
-        assert pre.fixed == {"x": 1, "y": 0, "z": 1}
-
-    def test_infeasible_rows_detected(self):
-        model = ZeroOneModel(name="t", sense=MINIMIZE)
-        model.add_var("x")
-        model.add_constraint({"x": 1.0}, ">=", 1.0)
-        model.add_constraint({"x": 1.0}, "<=", 0.0)
-        model.set_objective({"x": 1.0})
-        pre = presolve_model(model)
-        assert pre.infeasible
-        solution = ilp_solve(model, presolve=True)
-        assert solution.status == "infeasible"
-        assert not solution.has_incumbent
-
-
-class TestRowRemovalAndObjectiveFixing:
-    def test_vacuous_rows_dropped(self):
-        model = ZeroOneModel(name="t", sense=MINIMIZE)
-        model.add_var("x")
-        model.add_var("y")
-        model.add_constraint({"x": 1.0, "y": 1.0}, "<=", 2.0)  # vacuous
-        model.add_constraint({"x": 1.0, "y": -1.0}, "<=", 0.0)  # binding
-        model.set_objective({"x": -1.0, "y": 1.0})
-        pre = presolve_model(model)
-        assert pre.rows_dropped == 1
-        assert pre.model.num_constraints == 1
-
-    def test_unconstrained_vars_fix_by_objective_sign(self):
-        model = ZeroOneModel(name="t", sense=MINIMIZE)
-        for v in ("a", "b", "c"):
-            model.add_var(v)
-        model.set_objective({"a": 3.0, "b": -2.0})  # c: no coefficient
-        pre = presolve_model(model)
-        # minimize: positive cost -> 0, negative cost -> 1,
-        # zero cost (tie) -> 1, the canonical branch-bound value.
-        assert pre.fixed == {"a": 0, "b": 1, "c": 1}
-        assert pre.solved
-        assert pre.trivial_solution().objective == -2.0
-
-    def test_maximize_flips_the_favourable_value(self):
-        model = ZeroOneModel(name="t", sense=MAXIMIZE)
-        model.add_var("a")
-        model.add_var("b")
-        model.set_objective({"a": 3.0, "b": -2.0})
-        pre = presolve_model(model)
-        assert pre.fixed == {"a": 1, "b": 0}
-
-    def test_expand_recomputes_objective_over_original(self):
-        model = ZeroOneModel(name="t", sense=MINIMIZE)
-        model.add_var("x")
-        model.add_var("y")
-        model.add_constraint({"x": 1.0}, "==", 1.0)
-        model.add_constraint({"x": 1.0, "y": 1.0}, "<=", 2.0)
-        model.set_objective({"x": 7.0, "y": 1.0})
-        pre = presolve_model(model)
-        assert pre.fixed.get("x") == 1
-        sub = ilp_solve(pre.model)
-        full = pre.expand(sub)
-        assert full.values["x"] == 1
-        assert full.objective == model.objective_value(full.values)
-
-
-class TestPresolvedSolvesMatchUnpresolved:
-    @pytest.mark.parametrize("backend", ["scipy", "branch-bound"])
-    def test_on_the_selection_model(self, adi_assistant, backend):
-        model = selection_ilp.build_selection_model(
-            adi_assistant.graph
-        ).model
-        plain = ilp_solve(model, backend=backend, presolve=False)
-        pres = ilp_solve(model, backend=backend, presolve=True)
-        assert pres.status == plain.status == "optimal"
-        assert pres.objective == plain.objective
-        assert pres.values == plain.values
-
-    @pytest.mark.parametrize("backend", ["scipy", "branch-bound"])
-    def test_on_a_knapsack_like_model(self, backend):
-        model = ZeroOneModel(name="t", sense=MAXIMIZE)
-        items = [("a", 4.0), ("b", 3.0), ("c", 2.0), ("d", 1.0)]
-        for v, _gain in items:
-            model.add_var(v)
-        model.add_constraint(
-            {v: 1.0 for v, _ in items}, "<=", 2.0
-        )
-        model.add_constraint({"a": 1.0, "b": 1.0}, "<=", 1.0)
-        model.set_objective(dict(items))
-        plain = ilp_solve(model, backend=backend, presolve=False)
-        pres = ilp_solve(model, backend=backend, presolve=True)
-        assert pres.objective == plain.objective == 6.0
-        assert pres.values == plain.values
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Layout selection tests: DLG, 0-1 optimum vs brute force, baselines,
-per-array transitions."""
+per-array transitions, restricted re-selection, deadline degradation."""
 
 import itertools
 
@@ -8,7 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.machine import IPSC860
+from repro.obs import tracing
+from repro.obs.events import spans_by_name
+from repro.programs import PROGRAMS
 from repro.resilience import Deadline, RequestTimeout, deadline_scope
+from repro.resilience.chaos import run_chaos
+from repro.resilience.degrade import collecting
 from repro.selection import (
     array_transitions,
     best_static_selection,
@@ -19,7 +24,9 @@ from repro.selection import (
     select_layouts,
     static_selections,
 )
+from repro.selection.ilp import greedy_selection as greedy_fallback
 from repro.selection.layout_graph import DataLayoutGraph, LayoutEdge
+from repro.tool.assistant import AssistantConfig, run_assistant
 
 
 def make_graph(node_costs, edges):
@@ -223,6 +230,68 @@ class TestStaticBaselines:
     def test_optimum_not_worse_than_static(self, adi_assistant):
         _sel, static_cost = best_static_selection(adi_assistant.graph)
         assert adi_assistant.selection.objective <= static_cost + 1e-6
+
+
+class TestReselect:
+    def test_narrowing_chain_equals_fresh_selection(self):
+        # Walk a chain of user edits, each forbidding the current
+        # choice of the first phase that still has an alternative.
+        result = run_assistant(
+            PROGRAMS["erlebacher"].source(n=16), AssistantConfig(nprocs=4)
+        )
+        graph = result.graph
+        allowed = {p: set(range(len(c))) for p, c in graph.node_costs.items()}
+        current = result.selection
+        for _ in range(3):
+            target = next(
+                p for p in sorted(allowed)
+                if allowed[p] - {current.selection[p]}
+            )
+            allowed[target] = allowed[target] - {current.selection[target]}
+            current = result.reselect(allowed=allowed)
+            fresh = select_layouts(graph, allowed=allowed)
+            assert current.selection == fresh.selection
+            assert current.objective == fresh.objective
+            for p, positions in allowed.items():
+                assert current.selection[p] in positions
+
+
+class TestDeadlineDegradation:
+    def test_spent_budget_degrades_before_any_model_is_built(
+        self, adi_assistant
+    ):
+        # an expired deadline yields a labeled greedy pass, nothing else
+        graph = adi_assistant.graph
+        deadline = Deadline(1e-9)
+        while not deadline.expired():
+            pass
+        for presolve in (True, False):
+            tracing.start_trace("test")
+            try:
+                with collecting() as notes, deadline_scope(deadline):
+                    result = select_layouts(graph, presolve=presolve)
+            finally:
+                trace = tracing.finish_trace()
+            # never a silent wrong answer: not optimal, and says so
+            assert not result.optimal
+            assert [(n.stage, n.reason) for n in notes] == [
+                ("selection", "greedy-fallback")
+            ]
+            assert result.selection == greedy_fallback(graph)
+            assert len(spans_by_name(trace, "selection.solve")) == 1
+            assert not spans_by_name(trace, "ilp.solve")
+            assert not spans_by_name(trace, "ilp.presolve")
+
+    def test_chaos_campaign_holds_the_invariant(self):
+        # Every chaos case runs the default (graph presolve) path under
+        # injected faults and deadline pressure: each answer is the
+        # canonical one, a labeled degradation or a typed error.
+        report = run_chaos(
+            cases=6, seed=321, programs=("erlebacher",),
+            case_timeout_s=120.0, procs=4,
+        )
+        assert len(report.cases) == 6
+        assert report.ok, report.summary()
 
 
 class TestArrayTransitions:
