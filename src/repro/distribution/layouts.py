@@ -238,12 +238,6 @@ class Distribution:
             rank //= procs
         return coords
 
-    def linear_rank(self, coords: Mapping[int, int]) -> int:
-        rank = 0
-        for tdim, procs in self.grid:
-            rank = rank * procs + coords.get(tdim, 0)
-        return rank
-
     @cached_property
     def _axis_groups(self) -> Dict[int, Tuple[Tuple[int, ...], ...]]:
         out = {}

@@ -26,7 +26,6 @@ from .execution_model import (
     PhaseEstimate,
     price_phase,
 )
-from .remapping import arrays_needing_remap, remapping_cost
 from .estimator import (
     EstimatedCandidate,
     EstimationResult,
@@ -39,6 +38,5 @@ __all__ = [
     "CompilerOptions", "FORTRAN_D_PROTOTYPE", "model_phase",
     "PhaseEstimate", "price_phase", "LOOSELY_SYNCHRONOUS", "PIPELINED",
     "SEQUENTIALIZED", "REDUCTION",
-    "arrays_needing_remap", "remapping_cost",
     "EstimatedCandidate", "EstimationResult", "estimate_search_spaces",
 ]

@@ -77,9 +77,6 @@ class RegressionReport:
     def ok(self) -> bool:
         return not self.regressions
 
-    def by_status(self, status: str) -> List[Verdict]:
-        return [v for v in self.verdicts if v.status == status]
-
     def to_dict(self) -> Dict[str, Any]:
         return {
             "ok": self.ok,

@@ -34,7 +34,6 @@ class CompilerOptions:
     message_vectorization: bool = True
     message_coalescing: bool = True
     coarse_grain_pipelining: bool = False
-    loop_interchange: bool = False  # modelled for completeness; unused
 
     @property
     def name(self) -> str:

@@ -1,8 +1,10 @@
 """Top-level performance estimation over candidate-layout search spaces.
 
 For every phase and every candidate layout in its search space, run the
-compiler model and price the result with the execution model; the output
-feeds the data layout graph of the selection step.
+compiler model and price the result with the execution model — one
+:func:`~repro.perf.execution_model.price_phase` walk per candidate over
+the training database, the only pricing path; the output feeds the data
+layout graph of the selection step.
 """
 
 from __future__ import annotations
@@ -96,15 +98,27 @@ def estimate_phase_candidates(
 JobRunner = Callable[[Callable[..., object], Sequence[Tuple]], List]
 
 
-#: estimation modes: "batched" prices each phase's candidates through the
-#: vectorized cost tables (the default); "scalar" is the legacy
-#: per-candidate loop, kept as the differential reference.
-ESTIMATION_MODES = ("batched", "scalar")
-
-#: upper bound on the number of worker jobs a batched fan-out submits;
+#: upper bound on the number of jobs a fan-out hands a job runner;
 #: phases are grouped into contiguous chunks so per-job fixed costs
-#: amortize (the scalar mode keeps its one-job-per-phase shape).
+#: (pickling the training database, span bookkeeping) amortize.
 _MAX_BATCH_JOBS = 8
+
+
+def estimate_phase_batch(
+    chunk: Sequence[Tuple[Phase, Sequence[CandidateLayout]]],
+    symbols: SymbolTable,
+    params: MachineParams,
+    db: TrainingDatabase,
+    nprocs: int,
+    options: CompilerOptions,
+) -> List[List[EstimatedCandidate]]:
+    """Pure chunk job: price several phases, in order, in one call."""
+    return [
+        estimate_phase_candidates(
+            phase, candidates, symbols, params, db, nprocs, options
+        )
+        for phase, candidates in chunk
+    ]
 
 
 def estimate_search_spaces(
@@ -115,73 +129,41 @@ def estimate_search_spaces(
     db: Optional[TrainingDatabase] = None,
     options: CompilerOptions = FORTRAN_D_PROTOTYPE,
     job_runner: Optional[JobRunner] = None,
-    mode: str = "batched",
 ) -> EstimationResult:
     """Price every candidate layout of every phase.
 
-    With ``job_runner`` the pricing fans out as independent jobs —
-    one per phase in ``scalar`` mode, one per contiguous phase chunk in
-    ``batched`` mode; without it the same jobs run serially.  All four
-    paths (mode x serial/parallel) produce bitwise-equal costs.
+    Without ``job_runner`` the phases are priced in order on the calling
+    thread; with one they go out as at most ``_MAX_BATCH_JOBS``
+    contiguous chunks through :func:`estimate_phase_batch`.  Both shapes
+    produce bitwise-equal costs.
     """
-    if mode not in ESTIMATION_MODES:
-        raise ValueError(
-            f"unknown estimation mode {mode!r}; "
-            f"available: {list(ESTIMATION_MODES)}"
-        )
-    from .batch import estimate_phase_batch, estimate_phase_candidates_batched
-
     db = db or cached_training_database(params)
     nprocs = spaces.nprocs
     phase_by_index = {p.index: p for p in phases}
     items = sorted(spaces.per_phase.items())
-    if mode == "batched":
-        pairs = [
-            (phase_by_index[idx], candidates) for idx, candidates in items
-        ]
-        if job_runner is None:
-            with tracing.span(
-                "estimation.fanout", jobs=len(pairs), parallel=False,
-            ):
-                results = [
-                    estimate_phase_candidates_batched(
-                        phase, candidates, symbols, params, db, nprocs,
-                        options,
-                    )
-                    for phase, candidates in pairs
-                ]
-        else:
-            chunk_size = -(-len(pairs) // _MAX_BATCH_JOBS) or 1
-            chunks = [
-                pairs[i:i + chunk_size]
-                for i in range(0, len(pairs), chunk_size)
-            ]
-            argtuples = [
-                (chunk, symbols, params, db, nprocs, options)
-                for chunk in chunks
-            ]
-            with tracing.span(
-                "estimation.fanout", jobs=len(chunks), parallel=True,
-            ):
-                chunked = job_runner(estimate_phase_batch, argtuples)
-            results = [est for chunk in chunked for est in chunk]
+    pairs = [(phase_by_index[idx], candidates) for idx, candidates in items]
+    if job_runner is None:
+        with tracing.span(
+            "estimation.fanout", jobs=len(pairs), parallel=False,
+        ):
+            results = estimate_phase_batch(
+                pairs, symbols, params, db, nprocs, options
+            )
     else:
+        chunk_size = -(-len(pairs) // _MAX_BATCH_JOBS) or 1
+        chunks = [
+            pairs[i:i + chunk_size]
+            for i in range(0, len(pairs), chunk_size)
+        ]
         argtuples = [
-            (phase_by_index[idx], candidates, symbols, params, db, nprocs,
-             options)
-            for idx, candidates in items
+            (chunk, symbols, params, db, nprocs, options)
+            for chunk in chunks
         ]
         with tracing.span(
-            "estimation.fanout",
-            jobs=len(argtuples),
-            parallel=job_runner is not None,
+            "estimation.fanout", jobs=len(chunks), parallel=True,
         ):
-            if job_runner is None:
-                results = [
-                    estimate_phase_candidates(*args) for args in argtuples
-                ]
-            else:
-                results = job_runner(estimate_phase_candidates, argtuples)
+            chunked = job_runner(estimate_phase_batch, argtuples)
+        results = [est for chunk in chunked for est in chunk]
     per_phase: Dict[int, List[EstimatedCandidate]] = {
         idx: estimates for (idx, _), estimates in zip(items, results)
     }

@@ -42,8 +42,9 @@ REDUCTION = "reduction"
 
 class Predictor(Protocol):
     """What the execution model asks of a cost source: the time of one
-    message pattern (:class:`~repro.perf.training.TrainingDatabase` is
-    one; :mod:`repro.perf.batch` has a recording and a replaying one)."""
+    message pattern.  :class:`~repro.perf.training.TrainingDatabase` is
+    the one the tool uses; the protocol is the seam tests substitute a
+    fake through."""
 
     def predict(self, pattern: str, procs: int, nbytes: int,
                 stride: str = "unit", latency: str = "high") -> float: ...
@@ -146,9 +147,8 @@ def price_phase(
     """Estimate one phase execution under one candidate layout.
 
     The only walk over a compiled phase's communication events and
-    pipelines.  ``predictor`` prices each message: a
-    :class:`~repro.perf.training.TrainingDatabase` directly, or the
-    recording and replaying predictors of :mod:`repro.perf.batch`."""
+    pipelines.  ``predictor`` prices each message (a
+    :class:`~repro.perf.training.TrainingDatabase`)."""
     estimate = PhaseEstimate(
         phase_index=compiled.phase_index, exec_class=LOOSELY_SYNCHRONOUS
     )

@@ -289,12 +289,6 @@ def generate_program(
 # ---------------------------------------------------------------------------
 
 
-def _strip_expr(expr: ast.Expr) -> ast.Expr:
-    """Expressions carry no positions; returned unchanged (hook kept for
-    symmetry and future node kinds)."""
-    return expr
-
-
 def _strip_stmt(stmt: ast.Stmt) -> ast.Stmt:
     if isinstance(stmt, ast.Assign):
         return ast.Assign(target=stmt.target, expr=stmt.expr)

@@ -32,7 +32,6 @@ from ..frontend import ast
 from ..frontend.parser import parse_source
 from ..frontend.printer import format_program
 from ..obs.tracing import add_event as obs_event, span as obs_span
-from ..perf.estimator import estimate_search_spaces
 from ..selection.ilp import select_layouts
 from ..selection.presolve import eliminate_component, presolve_selection
 from ..tool.assistant import AssistantConfig, AssistantResult, run_assistant
@@ -166,47 +165,6 @@ def _selection_divergence(
     return None if divergence is None else str(divergence)
 
 
-def _estimator_batch_divergence(
-    result: AssistantResult, backend: str,
-    report: Optional[FuzzReport] = None,
-) -> Optional[str]:
-    """Property: the batched estimator equals the legacy scalar one,
-    cost component by cost component, *bitwise* — not approximately."""
-    scalar = estimate_search_spaces(
-        result.partition.phases, result.layout_spaces, result.symbols,
-        result.config.machine, db=result.db,
-        options=result.config.compiler, mode="scalar",
-    )
-    batched = estimate_search_spaces(
-        result.partition.phases, result.layout_spaces, result.symbols,
-        result.config.machine, db=result.db,
-        options=result.config.compiler, mode="batched",
-    )
-    if sorted(scalar.per_phase) != sorted(batched.per_phase):
-        return "estimators priced different phase sets"
-    for idx in sorted(scalar.per_phase):
-        s_list = scalar.per_phase[idx]
-        b_list = batched.per_phase[idx]
-        if len(s_list) != len(b_list):
-            return (f"phase {idx}: {len(s_list)} scalar vs "
-                    f"{len(b_list)} batched candidates")
-        for pos, (s, b) in enumerate(zip(s_list, b_list)):
-            se, be = s.estimate, b.estimate
-            if (se.compute != be.compute
-                    or se.communication != be.communication
-                    or se.pipeline != be.pipeline
-                    or se.exec_class != be.exec_class):
-                return (
-                    f"phase {idx} candidate {pos}: scalar "
-                    f"(compute={se.compute!r}, comm={se.communication!r}, "
-                    f"pipeline={se.pipeline!r}, class={se.exec_class}) != "
-                    f"batched (compute={be.compute!r}, "
-                    f"comm={be.communication!r}, pipeline={be.pipeline!r}, "
-                    f"class={be.exec_class})"
-                )
-    return None
-
-
 def _presolve_divergence(
     result: AssistantResult, backend: str,
     report: Optional[FuzzReport] = None,
@@ -270,7 +228,6 @@ def _presolve_divergence(
 RESULT_CHECKS: Dict[str, Callable[..., Optional[str]]] = {
     "alignment-oracle": _alignment_divergence,
     "selection-oracle": _selection_divergence,
-    "estimator-batch": _estimator_batch_divergence,
     "selection-presolve": _presolve_divergence,
 }
 

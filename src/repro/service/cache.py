@@ -49,8 +49,9 @@ from ..resilience.faults import corrupt_point, fault_point
 from ..tool.assistant import AssistantConfig
 
 #: bump when a stage's output format changes incompatibly
-#: (v2: checksum footers on disk entries)
-CACHE_VERSION = "v2"
+#: (v2: checksum footers on disk entries; v3: two fields nothing read
+#: left the config dict, PR 23)
+CACHE_VERSION = "v3"
 
 #: in-memory LRU entries kept in front of the disk store
 _MEMORY_ENTRIES = 64

@@ -7,7 +7,7 @@ index, so the combined output is a deterministic function of the inputs
 regardless of worker scheduling, pool kind, or retries.
 
 The estimation stage is the one fan-out (a job per chunk of phases,
-:func:`repro.perf.batch.estimate_phase_batch`), but the boundary is
+:func:`repro.perf.estimator.estimate_phase_batch`), but the boundary is
 generic — anything pure and picklable can go through it.
 """
 

@@ -75,10 +75,6 @@ class AssistantConfig:
     ilp_backend: str = "scipy"
     branch_probability: float = DEFAULT_BRANCH_PROBABILITY
     branch_prob_overrides: Optional[Dict[int, float]] = None
-    #: "batched" prices all candidates of a phase through vectorized
-    #: cost tables; "scalar" is the legacy per-candidate loop, kept as
-    #: the differential reference (both are bitwise-equal).
-    estimation_mode: str = "batched"
     #: presolve + exact elimination before the selection/alignment ILPs;
     #: False forces the legacy full-model solves.
     ilp_presolve: bool = True
@@ -108,7 +104,6 @@ class AssistantConfig:
             "ilp_backend": self.ilp_backend,
             "branch_probability": self.branch_probability,
             "branch_prob_overrides": overrides,
-            "estimation_mode": self.estimation_mode,
             "ilp_presolve": self.ilp_presolve,
         }
 
@@ -148,7 +143,6 @@ class AssistantConfig:
                 data.get("branch_probability", DEFAULT_BRANCH_PROBABILITY)
             ),
             branch_prob_overrides=overrides,
-            estimation_mode=str(data.get("estimation_mode", "batched")),
             ilp_presolve=bool(data.get("ilp_presolve", True)),
         )
 
@@ -319,7 +313,6 @@ def stage_estimation(
         estimates = estimate_search_spaces(
             partition.phases, layout_spaces, symbols, config.machine,
             db=db, options=config.compiler, job_runner=job_runner,
-            mode=config.estimation_mode,
         )
         sp.set_attr(
             "candidates",

@@ -47,12 +47,6 @@ class Scheme:
     def measured_us(self) -> Optional[float]:
         return self.measurement.makespan_us if self.measurement else None
 
-    @property
-    def is_static(self) -> bool:
-        return self.name.startswith(STATIC_PREFIX) or self.name in (
-            "row", "column"
-        )
-
 
 def _static_allowed(result: AssistantResult, tdim: int
                     ) -> Optional[Dict[int, Set[int]]]:

@@ -16,7 +16,7 @@ import pytest
 
 from repro.machine.params import MACHINES
 from repro.obs import tracing
-from repro.perf import batch as batch_module
+from repro.perf import estimator as estimator_module
 from repro.programs.registry import PROGRAMS
 from repro.resilience import faults
 from repro.resilience.faults import FaultPlan, FaultSpec
@@ -610,9 +610,9 @@ class TestWhereAMissIsComputed:
                 time.sleep(naps.pop())
             return price(*args)
 
-        price = batch_module.estimate_phase_candidates_batched
+        price = estimator_module.estimate_phase_candidates
         monkeypatch.setattr(
-            batch_module, "estimate_phase_candidates_batched", napping
+            estimator_module, "estimate_phase_candidates", napping
         )
         with LayoutService(use_cache=False) as service:
             # untimed first: the training database is built once a process

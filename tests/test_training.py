@@ -1,8 +1,11 @@
 """Training-set database tests."""
 
+import random
+
+import numpy as np
 import pytest
 
-from repro.machine import IPSC860, PARAGON
+from repro.machine import IPSC860, MACHINES, PARAGON
 from repro.perf.training import (
     PATTERNS,
     TrainingKey,
@@ -93,3 +96,37 @@ class TestPrediction:
         # more partners, same local bytes: per-partner latency grows the
         # total even though the data volume is unchanged
         assert t32 > t4
+
+
+def interp_oracle(ts, nbytes):
+    """``TrainingSet.predict`` as it was written over ``np.interp``: the
+    reference the direct two-point formula is held to, bit for bit."""
+    nbytes = max(nbytes, 0)
+    xs = [s[0] for s in ts.samples]
+    ys = [s[1] for s in ts.samples]
+    if nbytes >= xs[-1]:
+        return max(ys[-1] + ts.beta * (nbytes - xs[-1]), 0.0)
+    if nbytes <= xs[0]:
+        return max(ys[0], 0.0)
+    return float(np.interp(nbytes, xs, ys))
+
+
+class TestInterpOracle:
+    @pytest.mark.parametrize("machine", sorted(MACHINES))
+    def test_predict_equals_np_interp_exactly(self, machine):
+        sets = cached_training_database(MACHINES[machine]).sets
+        rng = random.Random(f"interp-oracle:{machine}")
+        probed = 0
+        for key in sorted(sets, key=repr):
+            ts = sets[key]
+            knots = [x for x, _ in ts.samples]
+            sizes = {0, knots[-1] * 2, knots[-1] * 7 + 3}
+            for x in knots:
+                sizes.update((x - 1, x, x + 1))
+            sizes.update(rng.randrange(0, knots[-1] * 2) for _ in range(40))
+            for nbytes in sorted(sizes):
+                got = ts.predict(nbytes)
+                assert type(got) is float, (key, nbytes)
+                assert got == interp_oracle(ts, nbytes), (key, nbytes)
+                probed += 1
+        assert probed > 50 * len(sets)
