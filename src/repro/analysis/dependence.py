@@ -187,7 +187,7 @@ def scalar_reductions(phase: Phase) -> List[ast.Assign]:
         rhs_vars = {
             n.name for n in ast.walk_expr(stmt.expr) if isinstance(n, ast.Var)
         }
-        rhs_arrays = any(True for _ in ast.expr_array_refs(stmt.expr))
+        rhs_arrays = bool(ast.expr_array_refs(stmt.expr))
         if stmt.target.name in rhs_vars and rhs_arrays:
             out.append(stmt)
     return out

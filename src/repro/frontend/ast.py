@@ -19,7 +19,7 @@ diagnostics.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 
 # ---------------------------------------------------------------------------
@@ -272,12 +272,24 @@ def walk_stmts(stmts):
             yield from walk_stmts(stmt.else_body)
 
 
-def expr_array_refs(expr: Expr):
-    """Yield every :class:`ArrayRef` inside ``expr`` (including inside the
-    subscripts of other references)."""
-    for node in walk_expr(expr):
-        if isinstance(node, ArrayRef):
-            yield node
+def expr_array_refs(expr: Expr) -> List[ArrayRef]:
+    """Every :class:`ArrayRef` inside ``expr`` (including inside the
+    subscripts of other references), pre-order."""
+    refs: List[ArrayRef] = []
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, BinOp):
+            stack.append(node.right)
+            stack.append(node.left)
+        elif isinstance(node, ArrayRef):
+            refs.append(node)
+            stack.extend(reversed(node.subscripts))
+        elif isinstance(node, UnaryOp):
+            stack.append(node.operand)
+        elif isinstance(node, Call):
+            stack.extend(reversed(node.args))
+    return refs
 
 
 def stmt_exprs(stmt: Stmt):

@@ -15,8 +15,7 @@ bundled benchmark sources stay readable:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterator, List, Optional
+from typing import Iterator, List, NamedTuple, Optional
 
 
 class LexError(Exception):
@@ -36,29 +35,6 @@ NEWLINE = "NEWLINE"
 LABEL = "LABEL"
 EOF = "EOF"
 
-KEYWORDS = frozenset(
-    {
-        "program",
-        "end",
-        "enddo",
-        "endif",
-        "do",
-        "if",
-        "then",
-        "else",
-        "elseif",
-        "integer",
-        "real",
-        "double",
-        "precision",
-        "parameter",
-        "dimension",
-        "continue",
-        "implicit",
-        "none",
-    }
-)
-
 # Dotted operators mapped to canonical spellings.
 _DOT_OPS = {
     ".lt.": "<",
@@ -74,27 +50,34 @@ _DOT_OPS = {
     ".false.": ".false.",
 }
 
+_DOTTED = r"\.(?:lt|le|gt|ge|eq|ne|and|or|not|true|false)\."
+
+# One match per token, leading blanks included; the group that matched
+# (``lastindex``) is the token's kind.  Only REAL and INT start alike, so
+# only their order matters.  ``1.eq.`` is the integer 1 and a dotted
+# operator, not the REAL ``1.``.
 _TOKEN_RE = re.compile(
-    r"""
-    (?P<dotop>\.(?:lt|le|gt|ge|eq|ne|and|or|not|true|false)\.)
-  | (?P<real>(?:\d+\.\d*|\.\d+|\d+)(?:[edED][+-]?\d+)|\d+\.\d*|\.\d+)
-  | (?P<int>\d+)
-  | (?P<name>[A-Za-z][A-Za-z0-9_]*)
-  | (?P<op>\*\*|<=|>=|==|/=|[-+*/(),=<>:])
-  | (?P<ws>[ \t]+)
-    """,
+    rf"""[ \t]*(?:
+      ([a-z][a-z0-9_]*)                                  # 1 name
+    | (\*\*|<=|>=|==|/=|[-+*/(),=<>:])                   # 2 operator
+    | ({_DOTTED})                                        # 3 dotted operator
+    | ((?:\d+\.\d*|\.\d+|\d+)[ed][+-]?\d+                # 4 real
+       | \d+(?!{_DOTTED})\.\d* | \.\d+)
+    | (\d+)                                              # 5 integer
+    | (.)                                                # 6 anything else
+    )""",
     re.VERBOSE | re.IGNORECASE,
 )
+_KINDS = (None, NAME, OP, OP, REAL, INT)
+
+# A leading integer followed by a statement (which begins with a letter).
+_LABEL_RE = re.compile(r"\s*(\d+)\s+[A-Za-z]")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     value: str
     line: int
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Token({self.kind}, {self.value!r}, line={self.line})"
 
 
 def _logical_lines(source: str) -> Iterator[tuple[int, str]]:
@@ -130,38 +113,25 @@ def tokenize(source: str) -> List[Token]:
     A leading integer on a line is emitted as a LABEL token.
     """
     tokens: List[Token] = []
+    append = tokens.append
+    new = tuple.__new__  # Token(...) without NamedTuple's Python-level __new__
     for lineno, text in _logical_lines(source):
         pos = 0
-        first_on_line = True
-        stripped = text.lstrip()
-        # Statement label: integer at start of line followed by a
-        # statement (which always begins with a letter).
-        label_match = re.match(r"(\d+)\s+[A-Za-z]", stripped)
-        if label_match:
-            tokens.append(Token(LABEL, label_match.group(1), lineno))
-            pos = text.index(label_match.group(1)) + len(label_match.group(1))
-            first_on_line = False
-        while pos < len(text):
-            match = _TOKEN_RE.match(text, pos)
-            if match is None:
-                raise LexError(f"unexpected character {text[pos]!r}", lineno)
-            pos = match.end()
-            if match.lastgroup == "ws":
-                continue
-            value = match.group()
-            if match.lastgroup == "dotop":
-                tokens.append(Token(OP, _DOT_OPS[value.lower()], lineno))
-            elif match.lastgroup == "real":
-                tokens.append(Token(REAL, value, lineno))
-            elif match.lastgroup == "int":
-                tokens.append(Token(INT, value, lineno))
-            elif match.lastgroup == "name":
-                tokens.append(Token(NAME, value.lower(), lineno))
-            elif match.lastgroup == "op":
-                tokens.append(Token(OP, value, lineno))
-            first_on_line = False
-        del first_on_line
-        tokens.append(Token(NEWLINE, "\n", lineno))
+        label = _LABEL_RE.match(text)
+        if label:
+            append(new(Token, (LABEL, label.group(1), lineno)))
+            pos = label.end(1)
+        for match in _TOKEN_RE.finditer(text, pos):
+            group = match.lastindex
+            value = match.group(group)
+            if group == 1:
+                value = value.lower()
+            elif group == 3:
+                value = _DOT_OPS[value.lower()]
+            elif group == 6:
+                raise LexError(f"unexpected character {value!r}", lineno)
+            append(new(Token, (_KINDS[group], value, lineno)))
+        append(Token(NEWLINE, "\n", lineno))
     last_line = tokens[-1].line if tokens else 1
-    tokens.append(Token(EOF, "", last_line))
+    append(Token(EOF, "", last_line))
     return tokens

@@ -20,9 +20,10 @@ Grammar (statements end at NEWLINE):
                  | IF "(" expr ")" assign          (logical IF)
     assign      := (name | array-ref) "=" expr
 
-Expression precedence (loosest to tightest):
-``.or.`` < ``.and.`` < ``.not.`` < relational < additive < multiplicative
-< unary sign < ``**`` (right-associative).
+Expressions are parsed by one precedence-climbing loop.  Precedence
+(loosest to tightest): ``.or.`` < ``.and.`` < ``.not.`` < relational (one
+per operand, not chained) < additive < multiplicative < unary sign <
+``**`` (right-associative).
 """
 
 from __future__ import annotations
@@ -41,7 +42,23 @@ class ParseError(Exception):
         self.token = token
 
 
-_RELATIONAL = {"<", "<=", ">", ">=", "==", "/="}
+#: precedence levels, loosest first: ``.or.``, ``.and.``, prefix ``.not.``,
+#: relational, additive, multiplicative, prefix sign, ``**``
+_OR, _AND, _NOT, _REL, _ADD, _MUL, _SIGN, _POW = range(1, 9)
+_PREFIX = {".not.": _NOT, "+": _SIGN, "-": _SIGN}
+#: binary operator -> (its precedence, the least precedence of its right
+#: operand): one above its own for left-associative operators, the
+#: prefix sign's for ``**``
+_BINARY = {
+    ".or.": (_OR, _AND),
+    ".and.": (_AND, _NOT),
+    **dict.fromkeys(("<", "<=", ">", ">=", "==", "/="), (_REL, _ADD)),
+    "+": (_ADD, _MUL),
+    "-": (_ADD, _MUL),
+    "*": (_MUL, _SIGN),
+    "/": (_MUL, _SIGN),
+    "**": (_POW, _SIGN),
+}
 _DECL_HEADS = {"integer", "real", "double", "dimension", "parameter", "implicit"}
 
 
@@ -51,21 +68,19 @@ class Parser:
     def __init__(self, tokens: List[Token]):
         self._tokens = tokens
         self._pos = 0
+        self._tok = tokens[0]  # the current token, kept by ``_advance``
 
     # -- token helpers ----------------------------------------------------
 
-    @property
-    def _cur(self) -> Token:
-        return self._tokens[self._pos]
-
     def _advance(self) -> Token:
-        tok = self._cur
+        tok = self._tok
         if tok.kind != EOF:
             self._pos += 1
+            self._tok = self._tokens[self._pos]
         return tok
 
     def _check(self, kind: str, value: Optional[str] = None) -> bool:
-        tok = self._cur
+        tok = self._tok
         return tok.kind == kind and (value is None or tok.value == value)
 
     def _accept(self, kind: str, value: Optional[str] = None) -> Optional[Token]:
@@ -76,12 +91,12 @@ class Parser:
     def _expect(self, kind: str, value: Optional[str] = None) -> Token:
         if not self._check(kind, value):
             want = value if value is not None else kind
-            raise ParseError(f"expected {want!r}", self._cur)
+            raise ParseError(f"expected {want!r}", self._tok)
         return self._advance()
 
     def _skip_newlines(self) -> None:
-        while self._accept(NEWLINE):
-            pass
+        while self._tok.kind == NEWLINE:
+            self._advance()
 
     # -- program ----------------------------------------------------------
 
@@ -96,20 +111,20 @@ class Parser:
         program: Optional[ast.Program] = None
         subroutines: List[ast.Subroutine] = []
         self._skip_newlines()
-        while self._cur.kind != EOF:
+        while self._tok.kind != EOF:
             if self._check(NAME, "program"):
                 if program is not None:
-                    raise ParseError("duplicate PROGRAM unit", self._cur)
+                    raise ParseError("duplicate PROGRAM unit", self._tok)
                 program = self._parse_program_unit()
             elif self._check(NAME, "subroutine"):
                 subroutines.append(self._parse_subroutine_unit())
             else:
                 raise ParseError(
-                    "expected PROGRAM or SUBROUTINE", self._cur
+                    "expected PROGRAM or SUBROUTINE", self._tok
                 )
             self._skip_newlines()
         if program is None:
-            raise ParseError("no PROGRAM unit in file", self._cur)
+            raise ParseError("no PROGRAM unit in file", self._tok)
         return ast.SourceFile(
             program=program, subroutines=tuple(subroutines)
         )
@@ -151,7 +166,7 @@ class Parser:
     def _parse_declaration_block(self) -> List[ast.Declaration]:
         self._skip_newlines()
         declarations: List[ast.Declaration] = []
-        while self._cur.kind == NAME and self._cur.value in _DECL_HEADS:
+        while self._tok.kind == NAME and self._tok.value in _DECL_HEADS:
             decl = self._parse_declaration()
             if decl is not None:
                 declarations.append(decl)
@@ -226,7 +241,7 @@ class Parser:
         stmts: List[ast.Stmt] = []
         while True:
             self._skip_newlines()
-            tok = self._cur
+            tok = self._tok
             if tok.kind == EOF:
                 break
             if tok.kind == NAME and tok.value in stop:
@@ -240,17 +255,17 @@ class Parser:
                 return tuple(stmts)
             self._expect(NEWLINE)
         if stop_label is not None:
-            raise ParseError(f"missing statement label {stop_label}", self._cur)
+            raise ParseError(f"missing statement label {stop_label}", self._tok)
         return tuple(stmts)
 
     def _parse_statement(self) -> ast.Stmt:
-        tok = self._cur
+        tok = self._tok
         if tok.kind != NAME:
             raise ParseError("expected statement", tok)
         if tok.value == "do":
             return self._parse_do()
         if tok.value == "if":
-            return self._parse_if()
+            return self._parse_if(self._advance())
         if tok.value == "continue":
             self._advance()
             return ast.Continue(line=tok.line)
@@ -274,7 +289,7 @@ class Parser:
     def _parse_do(self) -> ast.Do:
         do_tok = self._expect(NAME, "do")
         label: Optional[int] = None
-        if self._cur.kind == INT:
+        if self._tok.kind == INT:
             label = int(self._advance().value)
         var = self._expect(NAME).value
         self._expect(OP, "=")
@@ -295,8 +310,9 @@ class Parser:
             line=do_tok.line,
         )
 
-    def _parse_if(self) -> ast.If:
-        if_tok = self._expect(NAME, "if")
+    def _parse_if(self, if_tok: Token) -> ast.If:
+        """The rest of an IF whose keyword ``if_tok`` (``IF``, or the
+        ``ELSEIF`` of an enclosing chain) has been consumed."""
         self._expect(OP, "(")
         cond = self._parse_expr()
         self._expect(OP, ")")
@@ -309,10 +325,8 @@ class Parser:
         then_body = self._parse_stmt_block(stop={"else", "elseif", "endif"})
         else_body: Tuple[ast.Stmt, ...] = ()
         if self._check(NAME, "elseif"):
-            elif_tok = self._advance()
-            self._pos -= 1  # re-parse as a fresh IF by rewriting the token
-            self._tokens[self._pos] = Token(NAME, "if", elif_tok.line)
-            else_body = (self._parse_if(),)
+            # The chain's rest is a nested IF in the else branch.
+            else_body = (self._parse_if(self._advance()),)
             return ast.If(
                 cond=cond, then_body=then_body, else_body=else_body,
                 line=if_tok.line,
@@ -326,7 +340,7 @@ class Parser:
         )
 
     def _parse_assign(self) -> ast.Assign:
-        tok = self._cur
+        tok = self._tok
         target = self._parse_primary()
         if not isinstance(target, (ast.Var, ast.ArrayRef)):
             raise ParseError("invalid assignment target", tok)
@@ -336,62 +350,39 @@ class Parser:
 
     # -- expressions --------------------------------------------------------
 
-    def _parse_expr(self) -> ast.Expr:
-        return self._parse_or()
+    def _parse_expr(self, min_prec: int = _OR) -> ast.Expr:
+        """Precedence climbing: an operand, then every binary operator of
+        precedence at least ``min_prec`` with its right operand.
 
-    def _parse_or(self) -> ast.Expr:
-        left = self._parse_and()
-        while self._accept(OP, ".or."):
-            left = ast.BinOp(op=".or.", left=left, right=self._parse_and())
-        return left
-
-    def _parse_and(self) -> ast.Expr:
-        left = self._parse_not()
-        while self._accept(OP, ".and."):
-            left = ast.BinOp(op=".and.", left=left, right=self._parse_not())
-        return left
-
-    def _parse_not(self) -> ast.Expr:
-        if self._accept(OP, ".not."):
-            return ast.UnaryOp(op=".not.", operand=self._parse_not())
-        return self._parse_relational()
-
-    def _parse_relational(self) -> ast.Expr:
-        left = self._parse_additive()
-        if self._cur.kind == OP and self._cur.value in _RELATIONAL:
-            op = self._advance().value
-            return ast.BinOp(op=op, left=left, right=self._parse_additive())
-        return left
-
-    def _parse_additive(self) -> ast.Expr:
-        left = self._parse_multiplicative()
-        while self._cur.kind == OP and self._cur.value in ("+", "-"):
-            op = self._advance().value
-            left = ast.BinOp(op=op, left=left, right=self._parse_multiplicative())
-        return left
-
-    def _parse_multiplicative(self) -> ast.Expr:
-        left = self._parse_unary()
-        while self._cur.kind == OP and self._cur.value in ("*", "/"):
-            op = self._advance().value
-            left = ast.BinOp(op=op, left=left, right=self._parse_unary())
-        return left
-
-    def _parse_unary(self) -> ast.Expr:
-        if self._cur.kind == OP and self._cur.value in ("+", "-"):
-            op = self._advance().value
-            return ast.UnaryOp(op=op, operand=self._parse_unary())
-        return self._parse_power()
-
-    def _parse_power(self) -> ast.Expr:
-        base = self._parse_primary()
-        if self._accept(OP, "**"):
-            # Right-associative: recurse through unary so -x ** -y parses.
-            return ast.BinOp(op="**", left=base, right=self._parse_unary())
-        return base
+        After an operator of precedence ``p`` only looser ones may extend
+        the result — a relational one not even its own level, so
+        ``a < b < c`` stops before the second ``<`` — which keeps the
+        shape of the grammar's eight levels: ``.not.`` takes a whole
+        relational, and ``**`` binds right to left through unary sign."""
+        tok = self._tok
+        prec = _PREFIX.get(tok.value) if tok.kind == OP else None
+        if prec is not None and prec >= min_prec:
+            self._advance()
+            left = ast.UnaryOp(op=tok.value, operand=self._parse_expr(prec))
+            ceiling = prec
+        else:
+            left = self._parse_primary()
+            ceiling = _POW + 1
+        while True:
+            tok = self._tok
+            if tok.kind != OP or tok.value not in _BINARY:
+                return left
+            prec, right_prec = _BINARY[tok.value]
+            if not min_prec <= prec < ceiling:
+                return left
+            self._advance()
+            left = ast.BinOp(
+                op=tok.value, left=left, right=self._parse_expr(right_prec)
+            )
+            ceiling = prec if prec == _REL else prec + 1
 
     def _parse_primary(self) -> ast.Expr:
-        tok = self._cur
+        tok = self._tok
         if tok.kind == INT:
             self._advance()
             return ast.IntLit(int(tok.value))

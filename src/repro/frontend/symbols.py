@@ -9,6 +9,7 @@ sources declare everything).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -24,34 +25,38 @@ class SymbolError(Exception):
 
 @dataclass(frozen=True)
 class ArraySymbol:
-    """A declared array: name, element type, and per-dimension bounds."""
+    """A declared array: name, element type, and per-dimension bounds.
+
+    ``extents``, ``element_count`` and ``total_bytes`` are derived once,
+    at construction; the symbol's identity (``==``, ``hash``, ``repr``,
+    what it pickles to) is its three fields alone.
+    """
 
     name: str
     dtype: str
     bounds: Tuple[Tuple[int, int], ...]  # inclusive (lo, hi) per dimension
+
+    def __post_init__(self) -> None:
+        extents = tuple(hi - lo + 1 for lo, hi in self.bounds)
+        count = math.prod(extents)
+        object.__setattr__(self, "extents", extents)
+        object.__setattr__(self, "element_count", count)
+        object.__setattr__(self, "total_bytes", count * DTYPE_BYTES[self.dtype])
+
+    def __getstate__(self) -> dict:
+        return {"name": self.name, "dtype": self.dtype, "bounds": self.bounds}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.__post_init__()
 
     @property
     def rank(self) -> int:
         return len(self.bounds)
 
     @property
-    def extents(self) -> Tuple[int, ...]:
-        return tuple(hi - lo + 1 for lo, hi in self.bounds)
-
-    @property
-    def element_count(self) -> int:
-        count = 1
-        for extent in self.extents:
-            count *= extent
-        return count
-
-    @property
     def element_bytes(self) -> int:
         return DTYPE_BYTES[self.dtype]
-
-    @property
-    def total_bytes(self) -> int:
-        return self.element_count * self.element_bytes
 
 
 @dataclass(frozen=True)

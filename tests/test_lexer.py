@@ -143,10 +143,54 @@ class TestLabels:
 class TestErrors:
     def test_unexpected_character(self):
         with pytest.raises(LexError) as err:
-            tokenize("x = #")
-        assert "line 1" in str(err.value)
+            tokenize("x =   #")
+        assert str(err.value) == "line 1: unexpected character '#'"
 
     def test_error_reports_line(self):
         with pytest.raises(LexError) as err:
             tokenize("ok = 1\nbad ?")
         assert err.value.line == 2
+
+
+class TestDottedOperatorAfterInteger:
+    """An integer directly followed by a dotted operator is an INT: the
+    ``.`` starts the operator, it is not the REAL ``1.``."""
+
+    def test_compound_condition_without_blanks(self):
+        assert values("if (i.eq.1.and.j.eq.2) x = 1") == [
+            "if", "(", "i", "==", "1", ".and.", "j", "==", "2", ")",
+            "x", "=", "1",
+        ]
+
+    def test_integer_on_the_left(self):
+        toks = tokenize("if (1.eq.n) x = 1")
+        assert [(t.kind, t.value) for t in toks[2:5]] == [
+            (INT, "1"), (OP, "=="), (NAME, "n"),
+        ]
+
+    @pytest.mark.parametrize("text", ["1.LT.n", "1.true.", "2.Or.x"])
+    def test_any_spelling(self, text):
+        assert tokenize(text)[0] == (INT, text[0], 1)
+
+    @pytest.mark.parametrize("text,value", [
+        ("1.e5", "1.e5"), ("3.d0", "3.d0"), ("2.", "2."), ("2.*y", "2."),
+        ("8..false.", "8."),
+    ])
+    def test_reals_are_unchanged(self, text, value):
+        tok = tokenize(text)[0]
+        assert (tok.kind, tok.value) == (REAL, value)
+
+
+class TestTokenValue:
+    def test_real_text_keeps_its_case(self):
+        assert values("X = 1.5E3 + 2.5D0") == ["x", "=", "1.5E3", "+", "2.5D0"]
+
+    def test_a_letter_that_lowers_to_two_shifts_nothing(self):
+        # "İ".lower() is two characters: tokens come from the line as
+        # written, not from positions in a lower-cased copy
+        assert values("İ = 1.5E3") == ["i̇", "=", "1.5E3"]
+
+    def test_token_is_a_named_tuple(self):
+        tok = tokenize("x")[0]
+        assert (tok.kind, tok.value, tok.line) == (NAME, "x", 1)
+        assert tok == (NAME, "x", 1) and tok == Token(NAME, "x", 1)

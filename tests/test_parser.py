@@ -3,7 +3,8 @@
 import pytest
 
 from repro.frontend import ast
-from repro.frontend.parser import ParseError, parse_source
+from repro.frontend.lexer import tokenize
+from repro.frontend.parser import ParseError, Parser, parse_source
 
 
 def parse_body(stmts_text, decls="      integer i, j, k, n\n"):
@@ -228,3 +229,63 @@ class TestWalkHelpers:
             for r in ast.expr_array_refs(sub)
         ]
         assert [r.name for r in subs_refs] == ["b"]
+
+
+def parse_condition(cond_text):
+    return parse_body(f"      if ({cond_text}) k = 1\n")[0].cond
+
+
+class TestOperatorGrammar:
+    """The precedence-climbing loop keeps the grammar's three quirks."""
+
+    def test_not_takes_a_relational_not_a_conjunction(self):
+        cond = parse_condition(".not. i .gt. 0 .and. j .gt. 0")
+        assert cond.op == ".and."
+        assert isinstance(cond.left, ast.UnaryOp) and cond.left.op == ".not."
+        assert cond.left.operand.op == ">"
+
+    def test_not_binds_looser_than_and_operands(self):
+        cond = parse_condition(".not. i .and. j")
+        assert cond == ast.BinOp(
+            ".and.", ast.UnaryOp(".not.", ast.Var("i")), ast.Var("j")
+        )
+
+    @pytest.mark.parametrize("cond", ["i < j < k", "i .and. j < k < n"])
+    def test_relationals_do_not_chain(self, cond):
+        with pytest.raises(ParseError, match=r"expected '\)' \(at '<'\)"):
+            parse_condition(cond)
+
+    def test_power_right_side_goes_through_unary_minus(self):
+        expr = parse_expr("-i ** -j")
+        assert expr == ast.UnaryOp("-", ast.BinOp(
+            "**", ast.Var("i"), ast.UnaryOp("-", ast.Var("j"))
+        ))
+
+    def test_sign_binds_tighter_than_product(self):
+        assert parse_expr("-i * j") == ast.BinOp(
+            "*", ast.UnaryOp("-", ast.Var("i")), ast.Var("j")
+        )
+
+    def test_not_inside_arithmetic_is_an_error(self):
+        with pytest.raises(ParseError, match="expected expression"):
+            parse_expr("i + .not. j")
+
+
+class TestElseifLeavesTokensAlone:
+    SOURCE = (
+        "program t\n      integer i, j\n"
+        "      if (i .gt. 0) then\n        j = 1\n"
+        "      elseif (i .lt. 0) then\n        j = 2\n"
+        "      endif\n      end\n"
+    )
+
+    def test_a_token_list_parses_twice(self):
+        tokens = tokenize(self.SOURCE)
+        before = list(tokens)
+        first = Parser(tokens).parse_file()
+        assert tokens == before
+        assert Parser(tokens).parse_file() == first
+
+    def test_nested_if_carries_the_elseif_line(self):
+        (node,) = parse_source(self.SOURCE).body
+        assert node.else_body[0].line == 5

@@ -1,10 +1,15 @@
 """Symbol table unit tests."""
 
+import hashlib
+import math
+import pickle
+
 import pytest
 
 from repro.frontend import ast
 from repro.frontend.parser import parse_source
 from repro.frontend.symbols import (
+    DTYPE_BYTES,
     ArraySymbol,
     ScalarSymbol,
     SymbolError,
@@ -91,6 +96,54 @@ class TestArrays:
         table = table_for("      real x\n")
         with pytest.raises(SymbolError):
             table.array("x")
+
+
+class TestArraySymbolFacts:
+    """``extents``, ``element_count`` and ``total_bytes`` are derived once
+    per symbol; the symbol's identity is still its declaration."""
+
+    SYM = ArraySymbol("u", "double", ((1, 8), (0, 3)))
+    #: sha256 prefixes of ``pickle.dumps(SYM, protocol)`` taken before
+    #: the derived facts were stored on the symbol
+    PICKLES = {
+        2: "1f77ffcc75093ada",
+        3: "90684e8bf1face0d",
+        4: "91c566fa3c769825",
+        5: "1c4a79eb350c7405",
+    }
+
+    @pytest.mark.parametrize("dtype", sorted(DTYPE_BYTES))
+    @pytest.mark.parametrize("bounds", [
+        ((1, 1),), ((1, 8), (0, 3)), ((-2, 5), (3, 3), (1, 16)),
+    ])
+    def test_facts_equal_the_formula(self, dtype, bounds):
+        sym = ArraySymbol("a", dtype, bounds)
+        extents = tuple(hi - lo + 1 for lo, hi in bounds)
+        assert sym.extents == extents
+        assert sym.element_count == math.prod(extents)
+        assert sym.total_bytes == math.prod(extents) * DTYPE_BYTES[dtype]
+
+    def test_identity_is_the_declaration(self):
+        sym = self.SYM
+        twin = ArraySymbol("u", "double", ((1, 8), (0, 3)))
+        assert sym == twin and hash(sym) == hash(twin)
+        assert hash(sym) == hash((sym.name, sym.dtype, sym.bounds))
+        assert sym != ArraySymbol("u", "real", sym.bounds)
+        assert repr(sym) == (
+            "ArraySymbol(name='u', dtype='double', bounds=((1, 8), (0, 3)))"
+        )
+
+    @pytest.mark.parametrize("protocol", sorted(PICKLES))
+    def test_pickle_is_unchanged(self, protocol):
+        sym = self.SYM
+        sym.total_bytes  # a read derives nothing new to store
+        data = pickle.dumps(sym, protocol=protocol)
+        assert hashlib.sha256(data).hexdigest()[:16] == self.PICKLES[protocol]
+        back = pickle.loads(data)
+        assert back == sym
+        assert (back.extents, back.element_count, back.total_bytes) == (
+            (8, 4), 32, 256
+        )
 
 
 class TestScalarsAndLoops:
