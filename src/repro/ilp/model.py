@@ -59,6 +59,9 @@ class Solution:
       carries a feasible *incumbent* in ``values`` (anytime behavior);
     - ``infeasible`` — proven infeasible;
     - ``unknown``    — budget exhausted with no incumbent found.
+
+    ``values`` is a solver's assignment only: an answer no solver
+    produced (elimination, a greedy fallback) leaves it empty.
     """
 
     status: str

@@ -136,7 +136,8 @@ def greedy_selection(
     Walks phases in program order picking, for each, the candidate that
     minimizes its node cost plus the remapping cost from the previous
     choices — the classic one-pass heuristic the paper's exact ILP
-    improves upon (Section 2.4).
+    improves upon (Section 2.4).  Raises ``RuntimeError`` when
+    ``allowed`` empties a phase, as the exact paths do.
     """
     # Remapping edges into each phase from already-decided phases.
     incoming: Dict[int, list] = {}
@@ -149,7 +150,9 @@ def greedy_selection(
         if allowed is not None and phase_index in allowed:
             candidates = [
                 c for c in candidates if c in allowed[phase_index]
-            ] or list(range(len(costs)))
+            ]
+            if not candidates:
+                raise RuntimeError("selection ILP infeasible")
         best_cand, best_cost = None, None
         for cand in candidates:
             cost = costs[cand]
@@ -182,25 +185,6 @@ def _model_shape(
     return nvars, ncons
 
 
-def _solution_values(
-    graph: DataLayoutGraph, selection: Dict[int, int]
-) -> Dict[str, int]:
-    """The full-model variable assignment a selection corresponds to."""
-    values: Dict[str, int] = {}
-    for phase_index, costs in graph.node_costs.items():
-        for cand in range(len(costs)):
-            values[_x(phase_index, cand)] = (
-                1 if selection[phase_index] == cand else 0
-            )
-    for edge in graph.edges:
-        p, q = edge.src_phase, edge.dst_phase
-        for (i, j) in edge.costs:
-            values[_y(p, i, q, j)] = (
-                1 if selection[p] == i and selection[q] == j else 0
-            )
-    return values
-
-
 def _greedy_degraded(
     graph: DataLayoutGraph,
     allowed: Optional[Dict[int, set]],
@@ -209,8 +193,8 @@ def _greedy_degraded(
     detail: str,
 ) -> SelectionResult:
     """The deadline-expired fallback shared by both solve paths."""
-    note_degradation("selection", "greedy-fallback", detail)
     selection = greedy_selection(graph, allowed=allowed)
+    note_degradation("selection", "greedy-fallback", detail)
     evaluated = graph.evaluate(selection)
     return SelectionResult(
         selection=selection,
@@ -282,6 +266,7 @@ def _select_presolved(
         pre = presolve_selection(graph, allowed=allowed)
         psp.set_attr("fixed", len(pre.fixed))
         psp.set_attr("pruned", pre.pruned)
+        psp.set_attr("checks", pre.checks)
         psp.set_attr("components", len(pre.components))
         selection: Dict[int, int] = dict(pre.fixed)
         for comp in pre.components:
@@ -317,7 +302,7 @@ def _select_presolved(
     solution = Solution(
         status="optimal" if optimal else "time_limit",
         objective=evaluated,
-        values=_solution_values(graph, selection),
+        values={},
         stats=SolveStats(
             # a solver only ran if some component overflowed the tables
             backend=f"{backend}+presolve" if ilp_components

@@ -35,7 +35,7 @@ bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
@@ -61,14 +61,18 @@ class SelectionPresolve:
     fixed: Dict[int, int]
     #: residual phases -> surviving candidate positions (ascending)
     active: Dict[int, List[int]]
-    #: conditioned node costs, full candidate index space per phase
+    #: residual phases -> conditioned node costs of the survivors, in
+    #: ``active`` order
     node: Dict[int, "np.ndarray"]
-    #: merged remap matrices over full index spaces, keyed (p, q), p < q
+    #: merged remap matrices between residual phases, keyed (p, q),
+    #: p < q: rows are ``active[p]``, columns ``active[q]``
     matrices: Dict[Tuple[int, int], "np.ndarray"]
     #: residual connected components (phases ascending)
     components: List[List[int]]
     #: number of (phase, candidate) pairs pruned by dead-end elimination
     pruned: int = 0
+    #: number of phase dead-end checks the fixpoint ran
+    checks: int = 0
     #: elimination bookkeeping, updated by :func:`eliminate_component`:
     #: the largest bucket table built (elements) and the number of
     #: components solved in the width-aware order
@@ -78,15 +82,13 @@ class SelectionPresolve:
     def component_edges(
         self, comp: List[int]
     ) -> List[Tuple[int, int, "np.ndarray"]]:
-        """Edges inside ``comp`` restricted to the active candidates."""
+        """The nonzero edges inside ``comp``."""
         members = set(comp)
-        out = []
-        for (p, q), matrix in sorted(self.matrices.items()):
-            if p in members and q in members:
-                sub = matrix[np.ix_(self.active[p], self.active[q])]
-                if (sub != 0.0).any():
-                    out.append((p, q, sub))
-        return out
+        return [
+            (p, q, matrix)
+            for (p, q), matrix in sorted(self.matrices.items())
+            if p in members and q in members and matrix.any()
+        ]
 
 
 def presolve_selection(
@@ -100,46 +102,59 @@ def presolve_selection(
     residual problem has exactly the original optima, shifted by a
     constant.  Raises ``RuntimeError`` when ``allowed`` empties a phase
     (the ILP would be infeasible — same outcome as the slow path).
+
+    The state holds live candidates only.  A phase is checked once, then
+    again only when a neighbour lost candidates or was conditioned into
+    it: its own pruning moves no ``diff`` between survivors, so any
+    other check would prune nothing (DESIGN.md §11.2).
     """
     node: Dict[int, np.ndarray] = {}
     active: Dict[int, List[int]] = {}
     for phase_index, costs in sorted(graph.node_costs.items()):
-        node[phase_index] = np.array(costs, dtype=np.float64)
         positions = list(range(len(costs)))
         if allowed is not None and phase_index in allowed:
             positions = [c for c in positions if c in allowed[phase_index]]
             if not positions:
                 raise RuntimeError("selection ILP infeasible")
         active[phase_index] = positions
+        node[phase_index] = np.array(costs, dtype=np.float64)[positions]
 
     # Merge remap edges into one matrix per unordered phase pair; a
     # self-edge only ever charges its (i, i) diagonal, which is always
     # zero (same layout, same array), so it is dropped.
-    matrices: Dict[Tuple[int, int], np.ndarray] = {}
+    sums: Dict[Tuple[int, int], List[List[float]]] = {}
     for edge in graph.edges:
         p, q = edge.src_phase, edge.dst_phase
         if p == q:
             continue
         key = (p, q) if p < q else (q, p)
-        matrix = matrices.get(key)
-        if matrix is None:
-            matrix = matrices[key] = np.zeros(
-                (len(node[key[0]]), len(node[key[1]]))
-            )
+        if key not in sums:
+            sums[key] = [[0.0] * len(graph.node_costs[key[1]])
+                         for _ in graph.node_costs[key[0]]]
+        rows = sums[key]
         for (i, j), cost in edge.costs.items():
             if p < q:
-                matrix[i, j] += cost
+                rows[i][j] += cost
             else:
-                matrix[j, i] += cost
+                rows[j][i] += cost
+    matrices: Dict[Tuple[int, int], np.ndarray] = {}
+    for (p, q), rows in sums.items():
+        matrix = np.array(rows, dtype=np.float64)
+        if matrix.shape != (len(active[p]), len(active[q])):
+            matrix = matrix[np.ix_(active[p], active[q])]
+        matrices[p, q] = matrix
 
     fixed: Dict[int, int] = {}
-    pruned = 0
+    pruned = checks = 0
 
     #: phase -> live matrix keys touching it, in ``matrices`` order
     incident: Dict[int, List[Tuple[int, int]]] = {p: [] for p in node}
     for key in matrices:
         incident[key[0]].append(key)
         incident[key[1]].append(key)
+    #: phases whose dead-end check may prune: never checked, or a
+    #: neighbour changed since
+    dirty = set(active)
 
     changed = True
     while changed:
@@ -148,29 +163,25 @@ def presolve_selection(
         for p in sorted(active):
             if len(active[p]) != 1:
                 continue
-            c = active[p][0]
             for key in incident.pop(p):
-                matrix = matrices.pop(key)
-                is_row = key[0] == p
-                q = key[1] if is_row else key[0]
+                axis = key.index(p)
+                q = key[1 - axis]
                 incident[q].remove(key)
-                node[q] = node[q] + (matrix[c, :] if is_row
-                                     else matrix[:, c])
-            fixed[p] = c
-            del active[p]
+                node[q] = node[q] + matrices.pop(key).take(0, axis=axis)
+                dirty.add(q)
+            fixed[p] = active.pop(p)[0]
+            del node[p]
             changed = True
         # Dead-end elimination over the surviving candidates.
         for p in sorted(active):
-            cands = active[p]
-            m = len(cands)
-            if m < 2:
+            if len(active[p]) < 2 or p not in dirty:
                 continue
-            diff = node[p][cands][:, None] - node[p][cands][None, :]
+            dirty.discard(p)
+            checks += 1
+            costs = node[p]
+            diff = costs[:, None] - costs[None, :]
             for key in incident[p]:
-                is_row = key[0] == p
-                q = key[1] if is_row else key[0]
-                sub = matrices[key][np.ix_(cands, active[q])] if is_row \
-                    else matrices[key][np.ix_(active[q], cands)].T
+                sub = matrices[key] if key[0] == p else matrices[key].T
                 diff = diff + (
                     sub[:, None, :] - sub[None, :, :]
                 ).max(axis=2)
@@ -178,15 +189,18 @@ def presolve_selection(
             # completion, so candidate b survives in no optimum.
             dominated = (diff < 0.0).any(axis=0)
             if dominated.any():
-                active[p] = [
-                    c for c, dead in zip(cands, dominated) if not dead
-                ]
+                keep = ~dominated
+                active[p] = [c for c, k in zip(active[p], keep) if k]
+                node[p] = costs[keep]
+                for key in incident[p]:
+                    axis = key.index(p)
+                    matrices[key] = matrices[key].compress(keep, axis=axis)
+                    dirty.add(key[1 - axis])
                 pruned += int(dominated.sum())
                 changed = True
 
-    # Residual connected components over the remaining edges.
-    residual = sorted(active)
-    parent = {p: p for p in residual}
+    # Residual connected components (every live edge joins two).
+    parent = {p: p for p in active}
 
     def find(p: int) -> int:
         while parent[p] != p:
@@ -195,14 +209,12 @@ def presolve_selection(
         return p
 
     for (p, q), matrix in matrices.items():
-        if p in parent and q in parent:
-            sub = matrix[np.ix_(active[p], active[q])]
-            if (sub != 0.0).any():
-                parent[find(p)] = find(q)
+        if matrix.any():
+            parent[find(p)] = find(q)
     groups: Dict[int, List[int]] = {}
-    for p in residual:
+    for p in sorted(active):
         groups.setdefault(find(p), []).append(p)
-    components = sorted(sorted(g) for g in groups.values())
+    components = sorted(groups.values())
 
     return SelectionPresolve(
         graph=graph,
@@ -212,6 +224,7 @@ def presolve_selection(
         matrices=matrices,
         components=components,
         pruned=pruned,
+        checks=checks,
     )
 
 
@@ -316,7 +329,7 @@ def eliminate_component(
     domain = {p: pre.active[p] for p in comp}
     sizes = {p: len(domain[p]) for p in comp}
     factors: List[Tuple[Tuple[int, ...], np.ndarray]] = [
-        ((p,), pre.node[p][domain[p]]) for p in comp
+        ((p,), pre.node[p]) for p in comp
     ]
     factors.extend(
         ((p, q), sub) for p, q, sub in pre.component_edges(comp)
@@ -372,9 +385,9 @@ def build_component_model(
     model = ZeroOneModel(name="layout-selection:residual", sense=MINIMIZE)
     objective: Dict[str, float] = {}
     for p in comp:
-        for c in pre.active[p]:
+        for a, c in enumerate(pre.active[p]):
             var = model.add_var(f"x:{p}:{c}")
-            objective[var] = float(pre.node[p][c])
+            objective[var] = float(pre.node[p][a])
         model.add_constraint(
             {f"x:{p}:{c}": 1.0 for c in pre.active[p]},
             "==",

@@ -298,6 +298,61 @@ class TestWidthAwareElimination:
         assert "elimination" in notes[0].detail
 
 
+def differ_costs(rows, cols):
+    """A remap matrix charging 1 whenever the two positions differ."""
+    return {(i, j): 1.0 for i in range(rows) for j in range(cols) if i != j}
+
+
+def presolve_span_attrs(graph):
+    # a synthetic graph has no estimates to record provenance from
+    with tracing.activate(tracing.Tracer(detail=False)) as tracer:
+        select_layouts(graph)
+    (span,) = spans_by_name(tracer.to_dict(), "ilp.presolve")
+    return span["attrs"]
+
+
+class TestDirtySet:
+    def test_nothing_prunable_is_one_pass(self):
+        # a chain of two-candidate phases that each prefer their
+        # neighbour's choice, plus a singleton phase conditioned into one
+        graph = DataLayoutGraph(
+            phases=(), pcfg=None, estimates=None,
+            node_costs={0: [0.0, 0.0], 1: [0.0, 0.0], 2: [5.0],
+                        3: [0.0, 0.0]},
+            edges=[LayoutEdge(0, 1, differ_costs(2, 2)),
+                   LayoutEdge(1, 2, {(0, 0): 1.0}),
+                   LayoutEdge(1, 3, differ_costs(2, 2))],
+            transitions={},
+        )
+        pre = presolve_selection(graph)
+        assert pre.pruned == 0 and pre.fixed == {2: 0}
+        assert pre.checks == 3  # the multi-candidate phases, once each
+        attrs = presolve_span_attrs(graph)
+        assert (attrs["checks"], attrs["pruned"]) == (3, 0)
+
+    def test_one_prune_rechecks_only_its_neighbours(self):
+        # phase 3 drops its dear third candidate, which remaps like its
+        # first; phases 1 and 2 read phase 3 and are checked again,
+        # phase 0 and phase 3 itself are not
+        dear = {(0, 1): 1.0, (1, 0): 1.0, (2, 1): 1.0}
+        graph = DataLayoutGraph(
+            phases=(), pcfg=None, estimates=None,
+            node_costs={0: [0.0, 0.0], 1: [0.0, 0.0], 2: [0.0, 0.0],
+                        3: [0.0, 0.0, 100.0]},
+            edges=[LayoutEdge(0, 1, differ_costs(2, 2)),
+                   LayoutEdge(3, 1, dear),
+                   LayoutEdge(3, 2, dear)],
+            transitions={},
+        )
+        pre = presolve_selection(graph)
+        assert pre.pruned == 1 and pre.active[3] == [0, 1]
+        assert pre.checks == 4 + 2
+        assert presolve_span_attrs(graph)["checks"] == 6
+        cost, oracle = exact_best_selection(graph)
+        fast = select_layouts(graph)
+        assert (fast.selection, fast.objective) == (oracle, cost)
+
+
 class TestFuzzWiring:
     def test_selection_presolve_check_is_registered(self):
         report = run_fuzz(

@@ -24,6 +24,7 @@ from repro.selection import (
     select_layouts,
     static_selections,
 )
+from repro.selection import ilp as selection_ilp
 from repro.selection.ilp import greedy_selection as greedy_fallback
 from repro.selection.layout_graph import DataLayoutGraph, LayoutEdge
 from repro.tool.assistant import AssistantConfig, run_assistant
@@ -281,6 +282,23 @@ class TestDeadlineDegradation:
             assert len(spans_by_name(trace, "selection.solve")) == 1
             assert not spans_by_name(trace, "ilp.solve")
             assert not spans_by_name(trace, "ilp.presolve")
+
+    @pytest.mark.parametrize("budget", [None, 0.0])
+    def test_emptied_phase_raises_with_or_without_budget(
+        self, adi_assistant, monkeypatch, budget
+    ):
+        # an emptied phase is infeasible on every path: the greedy
+        # fallback a spent budget takes raises as the exact paths do
+        monkeypatch.setattr(selection_ilp, "remaining_budget",
+                            lambda: budget)
+        graph = adi_assistant.graph
+        phase = sorted(graph.node_costs)[0]
+        with collecting() as notes:
+            for presolve in (True, False):
+                with pytest.raises(RuntimeError, match="infeasible"):
+                    select_layouts(graph, presolve=presolve,
+                                   allowed={phase: set()})
+        assert notes == []
 
     def test_chaos_campaign_holds_the_invariant(self):
         # Every chaos case runs the default (graph presolve) path under

@@ -1,0 +1,212 @@
+"""Layout selection's answers, held to the bit.
+
+Every distinct input the repo benchmark feeds the tool (the ``bench/``
+paper grid, its extended and generated populations), every corpus case,
+and 200 seeded random layout graphs (each with and without a random
+``allowed`` restriction) are analysed, and what selection makes of them
+is digested per input: the graph presolve's ``fixed``, ``active``,
+``pruned`` and ``components``; the survivors' conditioned node costs and
+every residual component edge as ``float.hex``; the largest elimination
+table; and ``select_layouts``' selection and objective.
+
+``golden/selection_pinned.txt`` holds one line per input, ``key
+digest``; ``PINNED`` holds, per population, the sha256 of its lines.  A
+population whose digest moved fails with the keys of the inputs that
+moved.  The pins were taken before the presolve kept its state over the
+surviving candidates only and re-checked a phase only when its
+neighbourhood changed.  If the generator, a program template or a
+population changes, re-pin at the parent commit with
+``PYTHONPATH=src python -m tests.test_selection_pinned`` (from the repo
+root: the random graphs come from ``tests/test_ilp_presolve.py``).
+"""
+
+from __future__ import annotations
+
+import hashlib
+import pathlib
+import random
+from functools import cache
+
+import pytest
+
+from repro.distribution.search_space import DistributionOptions
+from repro.programs import PROGRAMS
+from repro.qa import load_corpus
+from repro.qa.generator import GeneratorConfig, generate_program
+from repro.selection.ilp import select_layouts
+from repro.selection.presolve import eliminate_component, presolve_selection
+from repro.tool.assistant import AssistantConfig, run_assistant
+from repro.tool.testcases import TestCase, grid_for, source_for
+
+from .test_ilp_presolve import random_layout_graph
+
+HERE = pathlib.Path(__file__).parent
+GOLDEN = HERE / "golden" / "selection_pinned.txt"
+
+PAPER_PROGRAMS = ("adi", "erlebacher", "shallow", "tomcatv")
+#: the repo benchmark's generated population: seeds 1000..1299 but four,
+#: plus five heavier ones, at 4 processors
+GENERATED_SEEDS = [
+    s for s in range(1000, 1300) if s not in (1114, 1137, 1154, 1270)
+] + [1334, 1413, 1642, 1688, 1968]
+#: the repo benchmark's widened search spaces and their processor counts
+EXTENDED_VARIANTS = {
+    "cyclic": (DistributionOptions(one_dim_cyclic=True), 4),
+    "grids": (DistributionOptions(multi_dim_grids=True), 4),
+    "extended": (DistributionOptions.extended(), 2),
+}
+RANDOM_SEEDS = range(200)
+
+PINNED = {
+    "paper": "a251b8bd1a5ef70a",
+    "extended": "ffefb84dbc0f7a00",
+    "generated": "741c199dd69cf9be",
+    "corpus": "ceaecbb711b8bed8",
+    "random": "3f69be28aa62b0b8",
+}
+
+
+def _analysed(source, config):
+    return run_assistant(source, config).graph
+
+
+def populations():
+    """name -> [(key, thunk returning ``(graph, allowed)``)], in a fixed
+    order; a thunk analyses its input only when called."""
+    paper = []
+    for program in PAPER_PROGRAMS:
+        for case in grid_for(PROGRAMS[program]):
+            key = f"paper/{program}/{case.dtype}/{case.n}/p{case.nprocs}"
+            paper.append((key, case))
+    extended = []
+    for program in PAPER_PROGRAMS:
+        spec = PROGRAMS[program]
+        case = TestCase(program, spec.default_size, spec.default_dtype, 0)
+        for variant, (options, procs) in EXTENDED_VARIANTS.items():
+            key = f"ext/{variant}/{program}/{spec.default_size}/p{procs}"
+            extended.append((key, case, options, procs))
+    return {
+        "paper": [
+            (key, lambda case=case: (_analysed(
+                source_for(case), AssistantConfig(nprocs=case.nprocs)
+            ), None))
+            for key, case in paper
+        ],
+        "extended": [
+            (key, lambda case=case, options=options, procs=procs: (
+                _analysed(source_for(case), AssistantConfig(
+                    nprocs=procs, distributions=options,
+                )), None))
+            for key, case, options, procs in extended
+        ],
+        "generated": [
+            (f"gen/{seed}/p4", lambda seed=seed: (_analysed(
+                generate_program(seed, GeneratorConfig()).source,
+                AssistantConfig(nprocs=4),
+            ), None))
+            for seed in GENERATED_SEEDS
+        ],
+        "corpus": [
+            (case.name, lambda case=case: (
+                _analysed(case.source, case.config), None))
+            for case in load_corpus(str(HERE / "corpus"))
+        ],
+        "random": [
+            (f"random/{seed}{'/allowed' if restrict else ''}",
+             lambda seed=seed, restrict=restrict: random_case(seed, restrict))
+            for seed in RANDOM_SEEDS for restrict in (False, True)
+        ],
+    }
+
+
+def random_case(seed, restrict):
+    """A random layout graph and, with ``restrict``, a random non-empty
+    ``allowed`` subset for about half of its phases."""
+    graph = random_layout_graph(random.Random(seed))
+    if not restrict:
+        return graph, None
+    rng = random.Random(f"selection-allowed:{seed}")
+    allowed = {}
+    for p, costs in sorted(graph.node_costs.items()):
+        if rng.random() < 0.5:
+            allowed[p] = set(rng.sample(
+                range(len(costs)), rng.randint(1, len(costs))
+            ))
+    return graph, allowed
+
+
+def _hex(values):
+    return " ".join(float(x).hex() for x in values)
+
+
+def outcome(graph, allowed):
+    """Digest of everything presolve and selection make of one input."""
+    pre = presolve_selection(graph, allowed=allowed)
+    h = hashlib.sha256()
+    h.update(f"fixed {sorted(pre.fixed.items())}\n".encode())
+    h.update(f"active {sorted(pre.active.items())}\n".encode())
+    h.update(f"pruned {pre.pruned} components {pre.components}\n".encode())
+    for p in sorted(pre.active):
+        h.update(f"node {p} {_hex(pre.node[p])}\n".encode())
+    for comp in pre.components:
+        for p, q, sub in pre.component_edges(comp):
+            h.update(f"edge {p} {q} {sub.shape} {_hex(sub.flat)}\n".encode())
+        solved = eliminate_component(pre, comp)
+        h.update(f"solved {sorted((solved or {}).items())}\n".encode())
+    h.update(f"max_table {pre.max_table}\n".encode())
+    result = select_layouts(graph, allowed=allowed)
+    h.update(f"selection {sorted(result.selection.items())} "
+             f"{float(result.objective).hex()}\n".encode())
+    return h.hexdigest()[:16]
+
+
+@cache
+def lines(population):
+    """``key digest`` per input of ``population``, in order."""
+    return [
+        f"{key} {outcome(*thunk())}"
+        for key, thunk in populations()[population]
+    ]
+
+
+def population_digest(rows):
+    return hashlib.sha256("".join(f"{r}\n" for r in rows).encode()) \
+        .hexdigest()[:16]
+
+
+def golden():
+    pins = {}
+    for row in GOLDEN.read_text().split("\n"):
+        if row:
+            key, digest = row.split()
+            pins[key] = digest
+    return pins
+
+
+class TestPinnedSelection:
+    @pytest.mark.parametrize("population", PINNED)
+    def test_digest(self, population):
+        rows = lines(population)
+        if population_digest(rows) != PINNED[population]:
+            pins = golden()
+            moved = [
+                row.split()[0] for row in rows
+                if pins.get(row.split()[0]) != row.split()[1]
+            ]
+            pytest.fail(f"{population}: {len(moved)} inputs moved: "
+                        f"{moved[:20]}")
+
+    def test_golden_lines_are_the_pinned_ones(self):
+        pins = golden()
+        for population, thunks in populations().items():
+            rows = [f"{key} {pins[key]}" for key, _thunk in thunks]
+            assert population_digest(rows) == PINNED[population], population
+
+
+if __name__ == "__main__":  # re-pin: print the digests, rewrite the file
+    every = []
+    for name in populations():
+        rows = lines(name)
+        every += rows
+        print(f"    {name!r}: {population_digest(rows)!r},")
+    GOLDEN.write_text("".join(f"{row}\n" for row in every))
