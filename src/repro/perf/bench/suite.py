@@ -195,14 +195,9 @@ class PreparedProgram:
 
 def bench_source(name: str, size: Optional[int] = None) -> str:
     """The pinned benchmark source text of one paper program."""
-    spec = PROGRAMS[name]
-    kwargs: Dict[str, Any] = {
-        "n": size if size is not None else BENCH_SIZES[name],
-        "dtype": spec.default_dtype,
-    }
-    if spec.has_time_loop:
-        kwargs["maxiter"] = 3
-    return spec.source_fn(**kwargs)
+    return PROGRAMS[name].source(
+        n=size if size is not None else BENCH_SIZES[name], maxiter=3
+    )
 
 
 def _stage_cases(prep: PreparedProgram) -> List[BenchCase]:

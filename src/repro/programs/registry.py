@@ -38,7 +38,13 @@ class ProgramSpec:
     grid_skip: Tuple[Tuple[str, int, int], ...] = ()
 
     def source(self, n: Optional[int] = None, dtype: Optional[str] = None,
-               **kwargs) -> str:
+               maxiter: Optional[int] = None) -> str:
+        """The source text; ``maxiter`` sets the time-loop iterations
+        and is dropped for a program without a time loop (``None``
+        keeps the generator's own default)."""
+        kwargs = {}
+        if maxiter is not None and self.has_time_loop:
+            kwargs["maxiter"] = maxiter
         return self.source_fn(
             n=n if n is not None else self.default_size,
             dtype=dtype if dtype is not None else self.default_dtype,

@@ -44,6 +44,7 @@ from functools import lru_cache
 from typing import Any, Dict, List, Mapping, Optional, Union
 
 from ..distribution.layouts import DataLayout
+from ..ilp import BACKENDS
 from ..machine.params import MACHINES
 from ..programs.registry import PROGRAMS
 from ..resilience.breaker import Backoff
@@ -73,10 +74,7 @@ def _program_source(program: str, n: int, dtype: str,
                     maxiter: Optional[int]) -> str:
     """A registry program's source text (``maxiter`` is ``None`` for a
     program without a time loop, so it cannot split the memo)."""
-    kwargs: Dict[str, Any] = {"n": n, "dtype": dtype}
-    if maxiter is not None:
-        kwargs["maxiter"] = maxiter
-    return PROGRAMS[program].source_fn(**kwargs)
+    return PROGRAMS[program].source(n, dtype, maxiter)
 
 
 def _config_of(procs: int, machine: Union[str, Mapping[str, Any]],
@@ -150,7 +148,7 @@ class LayoutRequest:
                 f"unknown machine {machine!r}; known: {sorted(MACHINES)}"
             )
         backend = data.get("backend", "scipy")
-        if backend not in ("scipy", "branch-bound"):
+        if backend not in BACKENDS:
             raise RequestValidationError(
                 f"unknown backend {backend!r}"
             )

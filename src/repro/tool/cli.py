@@ -31,14 +31,19 @@ reproduces the paper's aggregate statistics over the test-case grids;
 differential-oracle fuzzer; ``bench`` drives the deterministic
 benchmark harness and regression gate over ``BENCH_<label>.json``
 baselines (``repro`` is an alias of this entry point).
+
+Every analysing command states its input as one service ``LayoutRequest``:
+a bad flag value is the service's error, logged once, and exit code 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
-from typing import List, Optional
+from typing import Any, Dict, List, Optional
 
+from ..ilp import BACKENDS
 from ..machine.params import MACHINES
 from ..obs.log import LOG_LEVELS, configure_logging, get_logger
 from ..programs.registry import PROGRAMS
@@ -51,21 +56,25 @@ from .report import (
     format_test_case,
 )
 from .schemes import enumerate_schemes, measure_scheme
-from .testcases import TestCase, grid_for, run_test_case, summarize
+from .testcases import grid_for, run_test_case, summarize
 
 logger = get_logger("repro.cli")
 
 
-def _load_source(args: argparse.Namespace) -> str:
-    if args.file:
-        with open(args.file, "r", encoding="utf-8") as handle:
-            return handle.read()
-    spec = PROGRAMS[args.program]
-    kwargs = {"n": args.size or spec.default_size,
-              "dtype": args.dtype or spec.default_dtype}
-    if spec.has_time_loop:
-        kwargs["maxiter"] = args.maxiter
-    return spec.source_fn(**kwargs)
+def _add_solver(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--machine", choices=sorted(MACHINES),
+                        default="ipsc860")
+    parser.add_argument("--backend", choices=tuple(BACKENDS),
+                        default="scipy", help="0-1 solver backend")
+
+
+def _add_trace(parser: argparse.ArgumentParser, what: str,
+               chrome: bool = False) -> None:
+    parser.add_argument("--trace", help=f"record {what}'s span trace to "
+                                        "this JSON file")
+    if chrome:
+        parser.add_argument("--trace-chrome",
+                            help="also export a chrome://tracing file")
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -78,48 +87,121 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="time-loop iterations for iterative programs")
     parser.add_argument("--procs", type=int, default=16,
                         help="number of processors")
-    parser.add_argument("--machine", choices=sorted(MACHINES),
-                        default="ipsc860")
-    parser.add_argument("--backend", choices=["scipy", "branch-bound"],
-                        default="scipy", help="0-1 solver backend")
+    _add_solver(parser)
 
 
-def _run_traced(source: str, config: AssistantConfig,
-                trace_path: Optional[str],
-                chrome_path: Optional[str]):
-    """Run the assistant, recording a span trace when asked to; returns
-    ``(result, trace_dict_or_None)``.  With neither path set, tracing
-    stays off entirely (results are bitwise-identical either way)."""
+def _request(args: argparse.Namespace, **fields: Any):
+    """The analysis ``_add_common``'s flags describe, as the service's
+    ``LayoutRequest`` (``fields`` adds request fields).  Raises
+    ``RequestValidationError`` for a value the service would refuse and
+    for an unreadable ``--file``."""
+    from ..service.protocol import LayoutRequest, RequestValidationError
+
+    source = None
+    if args.file:
+        try:
+            with open(args.file, "r", encoding="utf-8") as handle:
+                source = handle.read()
+        except (OSError, ValueError) as exc:
+            raise RequestValidationError(
+                f"cannot read --file {args.file!r}: {exc}"
+            ) from None
+    return LayoutRequest.from_dict({
+        "program": None if args.file else args.program,
+        "source": source,
+        "size": args.size,
+        "dtype": args.dtype,
+        "maxiter": args.maxiter,
+        "procs": args.procs,
+        "machine": args.machine,
+        "backend": args.backend,
+        **fields,
+    })
+
+
+def _analysis(args: argparse.Namespace):
+    """``(source, config)`` of the analysis the common flags describe."""
+    request = _request(args)
+    return request.resolve_source(), request.resolve_config()
+
+
+@contextlib.contextmanager
+def _traced(name: str, trace_path: Optional[str] = None,
+            chrome_path: Optional[str] = None, keep: bool = False):
+    """Run the block under a span trace called ``name`` when a trace
+    file is asked for or ``keep`` is set; with neither, no tracer starts
+    (results are bitwise-identical either way).  Yields a dict that
+    holds the finished trace under ``"trace"`` once the block is done;
+    the files are written only when the block exits normally."""
+    kept: Dict[str, Any] = {}
+    if not (trace_path or chrome_path or keep):
+        yield kept
+        return
     from ..obs import tracing
 
-    if not trace_path and not chrome_path:
-        return run_assistant(source, config), None
-    tracing.start_trace("analyze")
+    tracing.start_trace(name)
     try:
-        result = run_assistant(source, config)
+        yield kept
     finally:
-        trace = tracing.finish_trace()
+        kept["trace"] = tracing.finish_trace()
     if trace_path:
         from ..obs.events import write_trace
 
-        write_trace(trace, trace_path)
+        write_trace(kept["trace"], trace_path)
         logger.info("wrote trace to %s", trace_path)
     if chrome_path:
         from ..obs.chrome import write_chrome_trace
 
-        write_chrome_trace(trace, chrome_path)
+        write_chrome_trace(kept["trace"], chrome_path)
         logger.info("wrote Chrome trace to %s", chrome_path)
-    return result, trace
+
+
+def _send(args: argparse.Namespace, payload: Dict[str, Any],
+          policy=None) -> Optional[Dict[str, Any]]:
+    """The reply of the service at ``--host``/``--port`` to ``payload``
+    (retrying typed overload rejections under ``policy``), or ``None``
+    after logging that the service could not be reached or gave no
+    JSON reply."""
+    from ..service import (
+        ServiceError,
+        send_request,
+        send_request_with_retries,
+    )
+
+    endpoint = {"host": args.host, "port": args.port,
+                "timeout": args.timeout}
+    try:
+        if policy is None:
+            return send_request(payload, **endpoint)
+        return send_request_with_retries(payload, policy=policy, **endpoint)
+    except (OSError, ServiceError, ValueError) as exc:  # ValueError: not JSON
+        logger.error(
+            "cannot reach layout service at %s:%s (%s); "
+            "start one with: autolayout serve",
+            args.host, args.port, exc,
+        )
+        return None
+
+
+def _objectives(path: str, check=None):
+    """The objectives in the file at ``path``, passed through ``check``
+    when given, or ``None`` after logging why the file is bad."""
+    from ..obs.slo import SLOValidationError, load_objectives
+
+    try:
+        objectives = load_objectives(path)
+        if check is not None:
+            check(objectives)
+    except SLOValidationError as exc:
+        logger.error("bad objectives file: %s", exc)
+        return None
+    return objectives
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    source = _load_source(args)
-    config = AssistantConfig(
-        nprocs=args.procs,
-        machine=MACHINES[args.machine],
-        ilp_backend=args.backend,
-    )
-    result, _ = _run_traced(source, config, args.trace, args.trace_chrome)
+    source, config = _analysis(args)
+    with _traced("analyze", args.trace, args.trace_chrome):
+        result = run_assistant(source, config)
     if args.show_spaces:
         print(format_search_spaces(result))
         print()
@@ -145,14 +227,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def cmd_hpf(args: argparse.Namespace) -> int:
     from .hpf_writer import write_hpf
 
-    source = _load_source(args)
-    config = AssistantConfig(
-        nprocs=args.procs,
-        machine=MACHINES[args.machine],
-        ilp_backend=args.backend,
-    )
-    result = run_assistant(source, config)
-    text = write_hpf(result)
+    text = write_hpf(run_assistant(*_analysis(args)))
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -166,30 +241,16 @@ def cmd_explain(args: argparse.Namespace) -> int:
     """Run a traced analysis and report why each array got its layout."""
     import json
 
-    from ..obs import tracing
     from ..obs.provenance import build_provenance, format_provenance
 
-    source = _load_source(args)
-    config = AssistantConfig(
-        nprocs=args.procs,
-        machine=MACHINES[args.machine],
-        ilp_backend=args.backend,
-    )
-    tracing.start_trace("explain")
-    try:
+    source, config = _analysis(args)
+    with _traced("explain", args.trace, keep=True) as kept:
         run_assistant(source, config)
-    finally:
-        trace = tracing.finish_trace()
-    report = build_provenance(trace)
+    report = build_provenance(kept["trace"])
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
         print(format_provenance(report))
-    if args.trace:
-        from ..obs.events import write_trace
-
-        write_trace(trace, args.trace)
-        logger.info("wrote trace to %s", args.trace)
     return 0
 
 
@@ -199,21 +260,10 @@ def cmd_stats(args: argparse.Namespace) -> int:
     import json
 
     from ..service import LayoutService
-    from ..service.protocol import LayoutRequest
     from .top import format_top
 
+    request = _request(args)
     with LayoutService(use_cache=False) as service:
-        request = LayoutRequest.from_dict({
-            "program": args.program if not args.file else None,
-            "source": (open(args.file, encoding="utf-8").read()
-                       if args.file else None),
-            "size": args.size,
-            "dtype": args.dtype,
-            "maxiter": args.maxiter,
-            "procs": args.procs,
-            "machine": args.machine,
-            "backend": args.backend,
-        })
         response = service.analyze(request)
         if not response.ok:
             logger.error("analysis failed: %s", response.error)
@@ -228,12 +278,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    source = _load_source(args)
-    config = AssistantConfig(
-        nprocs=args.procs,
-        machine=MACHINES[args.machine],
-        ilp_backend=args.backend,
-    )
+    source, config = _analysis(args)
     result = run_assistant(source, config)
     schemes = enumerate_schemes(result)
     for scheme in schemes:
@@ -255,7 +300,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     import signal
     import threading
 
-    from ..obs.slo import SLOValidationError, load_objectives
     from ..resilience.admission import (
         AdaptiveConcurrencyLimiter,
         AdmissionController,
@@ -272,11 +316,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     objectives = None
     if args.slo_file:
-        try:
-            objectives = load_objectives(args.slo_file)
-            check_objective_ops(objectives)
-        except SLOValidationError as exc:
-            logger.error("bad objectives file: %s", exc)
+        objectives = _objectives(args.slo_file, check_objective_ops)
+        if objectives is None:
             return 2
     telemetry = ServiceTelemetry(
         events_dir=args.telemetry_dir,
@@ -359,46 +400,18 @@ def cmd_serve(args: argparse.Namespace) -> int:
 def cmd_request(args: argparse.Namespace) -> int:
     import json
 
-    from ..service import send_request
     from .report import format_service_response
 
-    payload = {
-        "op": "analyze",
-        "procs": args.procs,
-        "maxiter": args.maxiter,
-        "machine": args.machine,
-        "backend": args.backend,
-        "use_cache": not args.no_cache,
-    }
-    if args.file:
-        with open(args.file, "r", encoding="utf-8") as handle:
-            payload["source"] = handle.read()
-    else:
-        payload["program"] = args.program
-    if args.size is not None:
-        payload["size"] = args.size
-    if args.dtype is not None:
-        payload["dtype"] = args.dtype
-    if args.deadline is not None:
-        payload["deadline_s"] = args.deadline
-    try:
-        if args.retries:
-            from ..service import RetryPolicy, send_request_with_retries
+    payload = _request(
+        args, use_cache=not args.no_cache, deadline_s=args.deadline
+    ).to_dict()
+    policy = None
+    if args.retries:
+        from ..service import RetryPolicy
 
-            resp = send_request_with_retries(
-                payload, host=args.host, port=args.port,
-                timeout=args.timeout,
-                policy=RetryPolicy(max_attempts=args.retries + 1),
-            )
-        else:
-            resp = send_request(payload, host=args.host, port=args.port,
-                                timeout=args.timeout)
-    except OSError as exc:
-        logger.error(
-            "cannot reach layout service at %s:%s (%s); "
-            "start one with: autolayout serve",
-            args.host, args.port, exc,
-        )
+        policy = RetryPolicy(max_attempts=args.retries + 1)
+    resp = _send(args, payload, policy)
+    if resp is None:
         return 1
     if args.json:
         print(json.dumps(resp, indent=2, sort_keys=True))
@@ -410,21 +423,13 @@ def cmd_request(args: argparse.Namespace) -> int:
 def cmd_service(args: argparse.Namespace) -> int:
     import json
 
-    from ..service import send_request
     from .top import format_top
 
     payload = {"op": args.action}
     if args.action == "shutdown" and args.drain_deadline is not None:
         payload["drain_deadline_s"] = args.drain_deadline
-    try:
-        resp = send_request(payload, host=args.host,
-                            port=args.port, timeout=args.timeout)
-    except OSError as exc:
-        logger.error(
-            "cannot reach layout service at %s:%s (%s); "
-            "start one with: autolayout serve",
-            args.host, args.port, exc,
-        )
+    resp = _send(args, payload)
+    if resp is None:
         return 1
     if not resp.get("ok"):
         logger.error("service %s failed: %s",
@@ -447,7 +452,8 @@ def cmd_service(args: argparse.Namespace) -> int:
 def cmd_slo(args: argparse.Namespace) -> int:
     """Evaluate declared objectives against a live service or a
     recorded event log.  ``check`` exits 1 on violation, 2 on input
-    error; ``report`` only fails (2) on input errors."""
+    error or an unreachable service; ``report`` only fails (2) on
+    those."""
     import json
     import os
 
@@ -456,14 +462,11 @@ def cmd_slo(args: argparse.Namespace) -> int:
         SLOValidationError,
         evaluate_objectives,
         format_slo_report,
-        load_objectives,
         window_from_events,
     )
 
-    try:
-        objectives = load_objectives(args.objectives)
-    except SLOValidationError as exc:
-        logger.error("bad objectives file: %s", exc)
+    objectives = _objectives(args.objectives)
+    if objectives is None:
         return 2
 
     if args.events:
@@ -480,22 +483,12 @@ def cmd_slo(args: argparse.Namespace) -> int:
             objectives, windows, require_data=args.require_data
         )
     else:
-        from ..service import send_request
-
-        payload = {
+        resp = _send(args, {
             "op": "slo",
             "objectives": [o.to_dict() for o in objectives],
             "require_data": args.require_data,
-        }
-        try:
-            resp = send_request(payload, host=args.host, port=args.port,
-                                timeout=args.timeout)
-        except OSError as exc:
-            logger.error(
-                "cannot reach layout service at %s:%s (%s); "
-                "start one with: autolayout serve",
-                args.host, args.port, exc,
-            )
+        })
+        if resp is None:
             return 2
         if not resp.get("ok"):
             logger.error("slo evaluation failed: %s", resp.get("error"))
@@ -520,49 +513,43 @@ def cmd_top(args: argparse.Namespace) -> int:
     prints a single page, for CI logs and tests)."""
     import time as _time
 
-    from ..obs.slo import SLOValidationError, load_objectives
-    from ..service import send_request
     from .top import CLEAR, format_top
 
     objectives = None
     if args.objectives:
-        try:
-            objectives = load_objectives(args.objectives)
-        except SLOValidationError as exc:
-            logger.error("bad objectives file: %s", exc)
+        objectives = _objectives(args.objectives)
+        if objectives is None:
             return 2
 
-    def one_page() -> str:
-        resp = send_request({"op": "stats"}, host=args.host,
-                            port=args.port, timeout=args.timeout)
+    def one_page() -> Optional[str]:
+        resp = _send(args, {"op": "stats"})
+        if resp is None:
+            return None
         if not resp.get("ok"):
-            raise OSError(resp.get("error", "stats request failed"))
+            logger.error("service stats failed: %s", resp.get("error"))
+            return None
         slo_report = None
         if objectives is not None:
-            slo_resp = send_request(
-                {"op": "slo",
-                 "objectives": [o.to_dict() for o in objectives]},
-                host=args.host, port=args.port, timeout=args.timeout,
-            )
+            slo_resp = _send(args, {
+                "op": "slo",
+                "objectives": [o.to_dict() for o in objectives],
+            })
+            if slo_resp is None:
+                return None
             if slo_resp.get("ok"):
                 slo_report = slo_resp.get("report")
         return format_top(resp["stats"], slo_report)
 
     try:
-        if args.once:
-            print(one_page())
-            return 0
-        while True:  # pragma: no cover - interactive loop
+        while True:
             page = one_page()
-            print(CLEAR + page, flush=True)
-            _time.sleep(args.interval)
-    except OSError as exc:
-        logger.error(
-            "cannot reach layout service at %s:%s (%s); "
-            "start one with: autolayout serve",
-            args.host, args.port, exc,
-        )
-        return 1
+            if page is None:
+                return 1
+            if args.once:
+                print(page)
+                return 0
+            print(CLEAR + page, flush=True)  # pragma: no cover
+            _time.sleep(args.interval)  # pragma: no cover
     except KeyboardInterrupt:  # pragma: no cover - interactive only
         return 0
 
@@ -598,51 +585,33 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     )
     if args.oracle_scope:
         config = config.small()
-    assistant_config = AssistantConfig(
-        nprocs=args.procs,
-        machine=MACHINES[args.machine],
-        ilp_backend=args.backend,
-    )
-    checks = args.checks if args.checks else None
-    if checks is not None:
-        unknown = sorted(set(checks) - set(ALL_CHECKS))
-        if unknown:
-            logger.error("unknown checks: %s (known: %s)",
-                         ", ".join(unknown), ", ".join(ALL_CHECKS))
-            return 2
+    checks = args.checks or None
+    unknown = sorted(set(checks or ()) - set(ALL_CHECKS))
+    if unknown:
+        logger.error("unknown checks: %s (known: %s)",
+                     ", ".join(unknown), ", ".join(ALL_CHECKS))
+        return 2
 
     def progress(case_seed: int, report) -> None:
         if report.cases_run and report.cases_run % 50 == 0:
             logger.info("fuzz: %d cases, %d failures",
                         report.cases_run, len(report.failures))
 
-    def campaign():
-        return run_fuzz(
+    with _traced("fuzz", args.trace):
+        report = run_fuzz(
             seed=args.seed,
             cases=args.cases,
             budget_seconds=args.budget,
             config=config,
-            assistant_config=assistant_config,
+            assistant_config=AssistantConfig.from_dict({
+                "nprocs": args.procs, "machine": args.machine,
+                "ilp_backend": args.backend,
+            }),
             checks=checks,
             minimize=not args.no_minimize,
             out_dir=args.out,
             progress=progress,
         )
-
-    if args.trace:
-        from ..obs import tracing
-        from ..obs.events import write_trace
-
-        tracing.start_trace("fuzz")
-        try:
-            report = campaign()
-        finally:
-            trace = tracing.finish_trace()
-        write_trace(trace, args.trace)
-        logger.info("wrote trace to %s", args.trace)
-    else:
-        report = campaign()
-
     print(report.summary())
     if report.failures and args.out:
         print(f"repro cases written to {args.out}")
@@ -748,12 +717,8 @@ def cmd_loadtest(args: argparse.Namespace) -> int:
 
     p99_budget = args.p99_budget
     if args.slo:
-        from ..obs.slo import SLOValidationError, load_objectives
-
-        try:
-            objectives = load_objectives(args.slo)
-        except SLOValidationError as exc:
-            logger.error("bad objectives file: %s", exc)
+        objectives = _objectives(args.slo)
+        if objectives is None:
             return 2
         for objective in objectives:
             if (objective.op == "analyze" and objective.metric == "p99"
@@ -802,75 +767,35 @@ def cmd_loadtest(args: argparse.Namespace) -> int:
     return 1 if report.violations else 0
 
 
-def _bench_trace_scope(args: argparse.Namespace):
-    """Context manager running a bench command under tracing when
-    ``--trace`` / ``--trace-chrome`` were given (no-op otherwise)."""
-    import contextlib
-
-    @contextlib.contextmanager
-    def scope():
-        trace_path = getattr(args, "trace", None)
-        chrome_path = getattr(args, "trace_chrome", None)
-        if not trace_path and not chrome_path:
-            yield
-            return
-        from ..obs import tracing
-
-        tracing.start_trace("bench")
-        try:
-            yield
-        finally:
-            trace = tracing.finish_trace()
-            if trace_path:
-                from ..obs.events import write_trace
-
-                write_trace(trace, trace_path)
-                logger.info("wrote trace to %s", trace_path)
-            if chrome_path:
-                from ..obs.chrome import write_chrome_trace
-
-                write_chrome_trace(trace, chrome_path)
-                logger.info("wrote Chrome trace to %s", chrome_path)
-
-    return scope()
-
-
-def _bench_run_suite(args: argparse.Namespace):
-    """Build and run the suite as the given bench flags request;
-    returns ``{bench_id: Measurement}``."""
+def _bench_suite(args: argparse.Namespace):
+    """The benchmark cases the bench flags select."""
     from ..perf import bench as perfbench
 
-    config = perfbench.default_bench_config(
-        machine=MACHINES[args.machine], backend=args.backend
-    )
-    cases = perfbench.build_suite(
+    return perfbench.build_suite(
         programs=args.programs or None,
-        config=config,
+        config=perfbench.default_bench_config(
+            machine=MACHINES[args.machine], backend=args.backend
+        ),
         stages=args.stages or None,
         include_e2e=not args.no_e2e,
         include_qa=not args.no_qa,
     )
 
+
+def _bench_run_suite(args: argparse.Namespace):
+    """Build and run the suite as the bench flags request, traced when
+    asked to; returns ``{bench_id: Measurement}``."""
+    from ..perf import bench as perfbench
+
     def progress(case, m) -> None:
         logger.info("bench %-32s min %.2fms (mad %.3fms)",
                     case.bench_id, m.min_s * 1e3, m.mad_s * 1e3)
 
-    return perfbench.run_suite(
-        cases, repeats=args.repeats, warmup=args.warmup,
-        memory=not args.no_memory, progress=progress,
-    )
-
-
-def _bench_baseline_path(args: argparse.Namespace) -> str:
-    """Resolve ``--baseline`` (a label or an explicit path) to a path."""
-    import os
-
-    from ..perf import bench as perfbench
-
-    baseline = args.baseline
-    if os.path.sep in baseline or os.path.exists(baseline):
-        return baseline
-    return perfbench.bench_path(baseline, args.root)
+    with _traced("bench", args.trace, args.trace_chrome):
+        return perfbench.run_suite(
+            _bench_suite(args), repeats=args.repeats, warmup=args.warmup,
+            memory=not args.no_memory, progress=progress,
+        )
 
 
 def cmd_bench_run(args: argparse.Namespace) -> int:
@@ -878,8 +803,7 @@ def cmd_bench_run(args: argparse.Namespace) -> int:
 
     from ..perf import bench as perfbench
 
-    with _bench_trace_scope(args):
-        results = _bench_run_suite(args)
+    results = _bench_run_suite(args)
     meta = perfbench.run_meta(
         args.repeats, args.warmup,
         programs=args.programs or sorted(perfbench.BENCH_SIZES),
@@ -905,24 +829,35 @@ def cmd_bench_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _bench_compare(args: argparse.Namespace):
-    """Shared body of ``bench compare`` and ``bench gate``.
+def cmd_bench_compare(args: argparse.Namespace) -> int:
+    """``bench compare`` and ``bench gate``: a run (or ``--current``)
+    against a stored baseline; ``gate`` exits 1 on a significant
+    regression.  A missing, unreadable, corrupt or off-schema input file
+    is one typed diagnostic and exit code 2, not a traceback."""
+    import json
+    import os
 
-    Raises :class:`repro.perf.bench.BenchInputError` when the baseline
-    or ``--current`` file is missing, unreadable, corrupt, or does not
-    match the bench schema.
-    """
     from ..perf import bench as perfbench
 
-    base_path = _bench_baseline_path(args)
-    base = perfbench.load_latest_results(base_path, role="baseline")
-    if args.current:
-        current = perfbench.load_latest_results(
-            args.current, role="current"
-        )
-    else:
-        with _bench_trace_scope(args):
+    base_path = args.baseline
+    if os.path.sep not in base_path and not os.path.exists(base_path):
+        base_path = perfbench.bench_path(base_path, args.root)
+    try:
+        base = perfbench.load_latest_results(base_path, role="baseline")
+        if args.current:
+            current = perfbench.load_latest_results(
+                args.current, role="current"
+            )
+        else:
             current = _bench_run_suite(args)
+    except perfbench.BenchInputError as exc:
+        logger.error("%s", exc)
+        if args.json:
+            print(json.dumps({
+                "error": {"kind": f"bench-input/{exc.kind}",
+                          "path": exc.path, "detail": exc.detail},
+            }, indent=2, sort_keys=True))
+        return 2
     thresholds = perfbench.Thresholds(
         max_ratio=args.max_ratio,
         mad_sigmas=args.mad_sigmas,
@@ -931,53 +866,12 @@ def _bench_compare(args: argparse.Namespace):
             args.threshold or []
         ),
     )
-    return perfbench.compare_results(base, current, thresholds)
-
-
-def _report_bench_input_error(exc, as_json: bool) -> int:
-    """One clean diagnostic (and exit code 2) for a bad compare/gate
-    input file instead of a raw traceback."""
-    import json
-
-    logger.error("%s", exc)
-    if as_json:
-        print(json.dumps({
-            "error": {"kind": f"bench-input/{exc.kind}",
-                      "path": exc.path, "detail": exc.detail},
-        }, indent=2, sort_keys=True))
-    return 2
-
-
-def cmd_bench_compare(args: argparse.Namespace) -> int:
-    import json
-
-    from ..perf import bench as perfbench
-
-    try:
-        report = _bench_compare(args)
-    except perfbench.BenchInputError as exc:
-        return _report_bench_input_error(exc, args.json)
+    report = perfbench.compare_results(base, current, thresholds)
     if args.json:
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     else:
         print(perfbench.format_compare(report))
-    return 0
-
-
-def cmd_bench_gate(args: argparse.Namespace) -> int:
-    import json
-
-    from ..perf import bench as perfbench
-
-    try:
-        report = _bench_compare(args)
-    except perfbench.BenchInputError as exc:
-        return _report_bench_input_error(exc, args.json)
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-    else:
-        print(perfbench.format_compare(report))
-    if not report.ok:
+    if args.bench_command == "gate" and not report.ok:
         logger.error("bench gate failed: %d regression(s)",
                      len(report.regressions))
         return 1
@@ -989,17 +883,8 @@ def cmd_bench_profile(args: argparse.Namespace) -> int:
 
     from ..perf import bench as perfbench
 
-    config = perfbench.default_bench_config(
-        machine=MACHINES[args.machine], backend=args.backend
-    )
-    with _bench_trace_scope(args):
-        cases = perfbench.build_suite(
-            programs=args.programs or None,
-            config=config,
-            stages=args.stages or None,
-            include_e2e=not args.no_e2e,
-            include_qa=not args.no_qa,
-        )
+    with _traced("bench", args.trace, args.trace_chrome):
+        cases = _bench_suite(args)
         wanted = args.bench or []
         if wanted:
             cases = [
@@ -1027,8 +912,7 @@ def cmd_summary(args: argparse.Namespace) -> int:
     programs = args.programs or sorted(PROGRAMS)
     results = []
     for name in programs:
-        spec = PROGRAMS[name]
-        cases = grid_for(spec)
+        cases = grid_for(PROGRAMS[name])
         if args.quick:
             cases = cases[:: max(len(cases) // 4, 1)]
         for case in cases:
@@ -1058,11 +942,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                            help="print the candidate search spaces")
     p_analyze.add_argument("--dot-dir",
                            help="write PCFG / layout-graph DOT files here")
-    p_analyze.add_argument("--trace",
-                           help="record the run's span trace to this "
-                                "JSON file")
-    p_analyze.add_argument("--trace-chrome",
-                           help="also export a chrome://tracing file")
+    _add_trace(p_analyze, "the run", chrome=True)
     p_analyze.set_defaults(func=cmd_analyze)
 
     p_explain = sub.add_parser(
@@ -1072,8 +952,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     _add_common(p_explain)
     p_explain.add_argument("--json", action="store_true",
                            help="print the provenance report as JSON")
-    p_explain.add_argument("--trace",
-                           help="also write the underlying span trace")
+    _add_trace(p_explain, "the run")
     p_explain.set_defaults(func=cmd_explain)
 
     p_stats = sub.add_parser(
@@ -1100,7 +979,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_hpf.add_argument("--output", "-o", help="write to a file")
     p_hpf.set_defaults(func=cmd_hpf)
 
-    from ..service.server import DEFAULT_HOST, DEFAULT_PORT
+    from ..service import DEFAULT_HOST, DEFAULT_PORT, RequestValidationError
 
     def _add_endpoint(parser: argparse.ArgumentParser) -> None:
         parser.add_argument("--host", default=DEFAULT_HOST)
@@ -1280,13 +1159,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "scope (oracle checks skip oversized cases)")
     p_fuzz.add_argument("--procs", type=int, default=4,
                         help="number of processors for the pipeline")
-    p_fuzz.add_argument("--machine", choices=sorted(MACHINES),
-                        default="ipsc860")
-    p_fuzz.add_argument("--backend", choices=["scipy", "branch-bound"],
-                        default="scipy", help="0-1 solver backend under test")
-    p_fuzz.add_argument("--trace",
-                        help="record the campaign's span trace to this "
-                             "JSON file")
+    _add_solver(p_fuzz)
+    _add_trace(p_fuzz, "the campaign")
     p_fuzz.set_defaults(func=cmd_fuzz)
 
     p_chaos = sub.add_parser(
@@ -1406,19 +1280,12 @@ def main(argv: Optional[List[str]] = None) -> int:
                             help="skip the end-to-end benchmarks")
         parser.add_argument("--no-qa", action="store_true",
                             help="skip the generated QA-corpus benchmark")
-        parser.add_argument("--machine", choices=sorted(MACHINES),
-                            default="ipsc860")
-        parser.add_argument("--backend",
-                            choices=["scipy", "branch-bound"],
-                            default="scipy")
+        _add_solver(parser)
         parser.add_argument("--root", default=".",
                             help="directory holding BENCH_*.json files")
         parser.add_argument("--json", action="store_true",
                             help="print machine-readable JSON")
-        parser.add_argument("--trace",
-                            help="record the bench run's span trace here")
-        parser.add_argument("--trace-chrome",
-                            help="also export a chrome://tracing file")
+        _add_trace(parser, "the bench run", chrome=True)
 
     def _add_bench_thresholds(parser: argparse.ArgumentParser) -> None:
         parser.add_argument("--baseline", required=True,
@@ -1462,7 +1329,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     _add_bench_common(pb_gate)
     _add_bench_thresholds(pb_gate)
-    pb_gate.set_defaults(func=cmd_bench_gate)
+    pb_gate.set_defaults(func=cmd_bench_compare)
 
     pb_profile = bench_sub.add_parser(
         "profile", help="cProfile hot-function summaries per benchmark"
@@ -1487,7 +1354,11 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     args = parser.parse_args(argv)
     configure_logging(args.log_level)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except RequestValidationError as exc:
+        logger.error("%s", exc)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

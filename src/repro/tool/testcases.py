@@ -105,10 +105,9 @@ class TestCaseResult:
 
 
 def source_for(case: TestCase) -> str:
-    spec = PROGRAMS[case.program]
-    if spec.has_time_loop:
-        return spec.source(n=case.n, dtype=case.dtype, maxiter=case.maxiter)
-    return spec.source(n=case.n, dtype=case.dtype)
+    return PROGRAMS[case.program].source(
+        n=case.n, dtype=case.dtype, maxiter=case.maxiter
+    )
 
 
 def run_test_case(

@@ -1,8 +1,60 @@
-"""CLI tests (analyze / compare / summary)."""
+"""CLI tests (analyze / compare / summary, and the client's exit codes)."""
+
+import logging
+import pathlib
+import socket
+import threading
 
 import pytest
 
+import repro.service
 from repro.tool.cli import main
+
+SLO_FILE = str(pathlib.Path(__file__).parents[1] / "examples" / "slo.json")
+
+
+@pytest.fixture
+def cli_errors():
+    """The error lines the CLI logs while a test runs."""
+    records = []
+    handler = logging.Handler(logging.ERROR)
+    handler.emit = records.append
+    logger = logging.getLogger("repro.cli")
+    logger.addHandler(handler)
+    yield records
+    logger.removeHandler(handler)
+
+
+@pytest.fixture(params=["no reply", "non-JSON reply"])
+def replyless_port(request):
+    """A server that accepts, reads the request line, and then either
+    closes without a word or answers with a line that is not JSON."""
+    reply = b"" if request.param == "no reply" else b"not json\n"
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(0.05)
+    stop = threading.Event()
+
+    def serve():
+        while not stop.is_set():
+            try:
+                conn, _ = listener.accept()
+            except socket.timeout:
+                continue
+            with conn:
+                conn.makefile("rb").readline()
+                conn.sendall(reply)
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    yield str(listener.getsockname()[1])
+    stop.set()
+    thread.join(timeout=5)
+    listener.close()
+
+
+def _closed_port() -> str:
+    with socket.create_server(("127.0.0.1", 0)) as sock:
+        return str(sock.getsockname()[1])
 
 
 class TestAnalyze:
@@ -79,6 +131,53 @@ class TestArgErrors:
     def test_command_required(self):
         with pytest.raises(SystemExit):
             main([])
+
+    def test_bad_procs_is_one_clean_error(self, cli_errors):
+        assert main(["analyze", "--program", "adi", "--size", "32",
+                     "--procs", "0"]) == 2
+        (record,) = cli_errors
+        assert "procs must be >= 1" in record.getMessage()
+        assert record.exc_info is None
+
+    def test_missing_file_is_one_clean_error(self, cli_errors):
+        assert main(["analyze", "--file", "/nonexistent/prog.f"]) == 2
+        (record,) = cli_errors
+        assert "/nonexistent/prog.f" in record.getMessage()
+
+    def test_request_validates_before_connecting(self, monkeypatch,
+                                                 cli_errors):
+        sent = []
+        monkeypatch.setattr(repro.service, "send_request",
+                            lambda payload, **kw: sent.append(payload))
+        assert main(["request", "--procs", "0",
+                     "--port", _closed_port()]) == 2
+        assert sent == []
+        assert len(cli_errors) == 1
+
+
+class TestReplylessService:
+    """A server that takes the connection but gives no usable reply is
+    one logged line and the command's unreachable-service exit code,
+    never a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["request", "--program", "adi"],
+        ["service", "ping"],
+        ["top", "--once"],
+    ], ids=["request", "service ping", "top --once"])
+    def test_exits_one(self, argv, replyless_port, cli_errors, capsys):
+        assert main([*argv, "--port", replyless_port,
+                     "--timeout", "5"]) == 1
+        (record,) = cli_errors
+        assert "cannot reach layout service" in record.getMessage()
+        assert record.exc_info is None
+        assert capsys.readouterr().out == ""
+
+    def test_slo_check_exits_two(self, replyless_port, cli_errors):
+        assert main(["slo", "check", "--objectives", SLO_FILE,
+                     "--port", replyless_port, "--timeout", "5"]) == 2
+        (record,) = cli_errors
+        assert "cannot reach layout service" in record.getMessage()
 
 
 class TestFuzz:

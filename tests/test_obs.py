@@ -5,6 +5,7 @@ decision provenance, series quantiles, and the explain/stats CLI.
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -19,7 +20,11 @@ from repro.obs.events import (
     write_trace,
 )
 from repro.obs.log import configure_logging, get_logger
-from repro.obs.prometheus import parse_prometheus_text, render_prometheus
+from repro.obs.prometheus import (
+    FAMILIES,
+    parse_prometheus_text,
+    render_prometheus,
+)
 from repro.obs.provenance import build_provenance, format_provenance
 from repro.obs.window import LADDER, LogBucketSketch
 from repro.programs import PROGRAMS
@@ -479,6 +484,18 @@ class TestObservabilityCLI:
         assert rc == 0
         trace = load_trace(str(trace_path))
         assert spans_by_name(trace, "pipeline")
+        names = {s["name"] for s in trace["spans"]}
+        for stage in ("frontend", "partition", "alignment",
+                      "distribution", "estimation", "selection"):
+            assert f"stage:{stage}" in names, f"missing stage:{stage}"
+        # neither 0-1 program of a paper program at 1-D BLOCK starts a
+        # solver: the model sizes ride on selection.solve (and
+        # alignment.resolve), ilp.solve only where one ran
+        assert spans_by_name(trace, "selection.solve")
+        for name in ("selection.solve", "alignment.resolve", "ilp.solve"):
+            for span in spans_by_name(trace, name):
+                assert span["attrs"]["variables"] > 0, span
+                assert span["attrs"]["constraints"] > 0, span
         validate_chrome_trace(json.loads(chrome_path.read_text()))
 
     def test_explain_text(self, capsys):
@@ -499,6 +516,7 @@ class TestObservabilityCLI:
         report = json.loads(capsys.readouterr().out)
         assert report["schema"] == "repro.obs/provenance/v1"
         assert report["phases"]
+        assert report["objective_us"] is not None
 
     def test_stats_prometheus(self, capsys):
         rc = cli_main([
@@ -506,9 +524,24 @@ class TestObservabilityCLI:
             "--prometheus",
         ])
         assert rc == 0
-        samples = parse_prometheus_text(capsys.readouterr().out)
+        text = capsys.readouterr().out
+        samples = parse_prometheus_text(text)
         assert ("repro_counter_total",
                 (("name", "requests_total"),)) in samples
+        assert samples[("repro_counter_total",
+                        (("name", "requests_ok"),))] == 1.0
+        names = {name for name, _ in samples}
+        assert "repro_stage_seconds_bucket" in names
+        assert "repro_span_seconds_quantile" in names
+        # one table, one sketch: nothing is exposed that is not a
+        # FAMILIES row, the gauges mirror is gone, and the buckets sit
+        # on the sketch's own ladder
+        assert "repro_gauge" not in names
+        families = set(re.findall(r"^# TYPE (\S+) ", text, flags=re.M))
+        assert families <= {family.name for family in FAMILIES}
+        rungs = {dict(labels)["le"] for name, labels in samples
+                 if name == "repro_stage_seconds_bucket"}
+        assert rungs == {le for le, _ in LADDER} | {"+Inf"}
 
     def test_log_level_flag_accepted(self, capsys):
         rc = cli_main([
