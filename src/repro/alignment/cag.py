@@ -157,13 +157,7 @@ class CAG:
     def has_conflict(self) -> bool:
         """True when some component contains two dimensions of one array
         (there is a path between two nodes of the same array)."""
-        for component in self.components():
-            arrays_seen: Set[str] = set()
-            for array, _dim in component:
-                if array in arrays_seen:
-                    return True
-                arrays_seen.add(array)
-        return False
+        return not Components().join(self)
 
     def conflicts(self) -> List[Tuple[Node, Node]]:
         """All same-array node pairs that are connected."""
@@ -180,14 +174,20 @@ class CAG:
 
     # -- merging ------------------------------------------------------------
 
+    def absorb(self, other: "CAG") -> None:
+        """In-place graph union: shared edges accumulate ``other``'s
+        weight, new edges follow in ``other``'s order."""
+        self.nodes |= other.nodes
+        weights = self.weights
+        for key, weight in other.weights.items():
+            weights[key] = weights.get(key, 0.0) + weight
+
     @staticmethod
     def merge(*cags: "CAG") -> "CAG":
         """Graph union; weights of shared edges accumulate."""
         merged = CAG()
         for cag in cags:
-            merged.nodes |= cag.nodes
-            for key, weight in cag.weights.items():
-                merged.weights[key] = merged.weights.get(key, 0.0) + weight
+            merged.absorb(cag)
         return merged
 
     def restricted(self, arrays: Iterable[str]) -> "CAG":
@@ -216,3 +216,43 @@ class CAG:
         for (a, b), w in sorted(self.weights.items()):
             lines.append(f"  {a[0]}[{a[1]}] -- {b[0]}[{b[1]}]  w={w:g}")
         return "\n".join(lines)
+
+
+class Components:
+    """Union-find over the nodes of CAGs joined one after another, each
+    root holding the arrays of its component: an edge conflicts the
+    moment it would join two components that share an array.  A refused
+    join leaves the structure half-joined, so its caller starts a new
+    one (a conflict closes the class being grown)."""
+
+    def __init__(self) -> None:
+        self.parent: Dict[Node, Node] = {}
+        #: root -> the arrays of its component (one node each)
+        self.arrays: Dict[Node, Set[str]] = {}
+
+    def find(self, node: Node) -> Node:
+        parent = self.parent
+        while parent[node] != node:
+            parent[node] = parent[parent[node]]
+            node = parent[node]
+        return node
+
+    def join(self, cag: CAG) -> bool:
+        """Add ``cag``'s nodes and edges; False if the union has a
+        conflict."""
+        parent, arrays = self.parent, self.arrays
+        for node in cag.nodes:
+            if node not in parent:
+                parent[node] = node
+                arrays[node] = {node[0]}
+        for a, b in cag.weights:
+            ra, rb = self.find(a), self.find(b)
+            if ra == rb:
+                continue
+            if not arrays[ra].isdisjoint(arrays[rb]):
+                return False
+            if len(arrays[ra]) > len(arrays[rb]):
+                ra, rb = rb, ra
+            parent[ra] = rb
+            arrays[rb] |= arrays.pop(ra)
+        return True

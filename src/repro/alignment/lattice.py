@@ -24,7 +24,9 @@ from .cag import CAG, Node
 
 @dataclass(frozen=True)
 class Partitioning:
-    """An immutable partitioning of CAG nodes."""
+    """An immutable partitioning of CAG nodes.  ``nodes`` (the union of
+    the blocks) is derived once, at construction; the value's identity
+    is its blocks alone."""
 
     blocks: Tuple[FrozenSet[Node], ...]
 
@@ -36,6 +38,7 @@ class Partitioning:
             if seen & block:
                 raise ValueError("overlapping partition blocks")
             seen |= block
+        object.__setattr__(self, "nodes", frozenset(seen))
 
     @classmethod
     def of(cls, blocks: Iterable[Iterable[Node]]) -> "Partitioning":
@@ -55,13 +58,6 @@ class Partitioning:
         return cls.of(cag.components())
 
     # -- queries ---------------------------------------------------------------
-
-    @property
-    def nodes(self) -> FrozenSet[Node]:
-        out: Set[Node] = set()
-        for block in self.blocks:
-            out |= block
-        return frozenset(out)
 
     def block_of(self, node: Node) -> FrozenSet[Node]:
         for block in self.blocks:

@@ -23,7 +23,7 @@ candidates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..analysis.pcfg import PCFG
 from ..analysis.phases import Phase
@@ -31,7 +31,7 @@ from ..distribution.layouts import Alignment
 from ..distribution.template import Template
 from ..frontend.symbols import ArraySymbol, SymbolTable
 from ..obs.tracing import add_event as obs_event, span as obs_span
-from .cag import CAG
+from .cag import CAG, Components
 from .ilp import AlignmentResolution, resolve_conflicts
 from .lattice import Partitioning
 from .orientation import orient
@@ -100,6 +100,29 @@ def dominance_factor(sink: CAG) -> float:
     return sink.total_weight() + 1.0
 
 
+def partition_classes(
+    order: Sequence[int], phase_cags: Dict[int, CAG]
+) -> List[PhaseClass]:
+    """Step 2: visit the phases in ``order`` and join each one's CAG to
+    the current class while the union stays conflict-free; a conflict
+    closes the class and opens the next.  The class's components grow
+    under one union-find, and a joining phase's weights are added into
+    the class CAG in place, in the order ``CAG.merge`` adds them."""
+    classes: List[PhaseClass] = []
+    components = Components()
+    for idx in order:
+        cag = phase_cags[idx]
+        if classes and components.join(cag):
+            classes[-1].cag.absorb(cag)
+            classes[-1].phase_indices.append(idx)
+            continue
+        components = Components()
+        components.join(cag)
+        classes.append(PhaseClass(index=len(classes), phase_indices=[idx],
+                                  cag=cag.copy()))
+    return classes
+
+
 def build_alignment_search_spaces(
     phases: List[Phase],
     pcfg: PCFG,
@@ -126,35 +149,21 @@ def build_alignment_search_spaces(
 
     # Step 2 — greedy class partitioning in reverse postorder.
     order = pcfg.reverse_postorder()
-    order += [p.index for p in phases if p.index not in set(order)]
-    classes: List[PhaseClass] = []
-    current: Optional[PhaseClass] = None
-    for idx in order:
-        cag = phase_cags[idx]
-        if current is None:
-            current = PhaseClass(index=len(classes), phase_indices=[idx],
-                                 cag=cag.copy())
-            continue
-        merged = CAG.merge(current.cag, cag)
-        if merged.has_conflict():
-            classes.append(current)
-            current = PhaseClass(index=len(classes), phase_indices=[idx],
-                                 cag=cag.copy())
-        else:
-            current.cag = merged
-            current.phase_indices.append(idx)
-    if current is not None:
-        classes.append(current)
+    placed = set(order)
+    order += [p.index for p in phases if p.index not in placed]
+    classes = partition_classes(order, phase_cags)
 
     # Step 3/4 — exchange alignment information via imports.
     with obs_span("alignment.imports", classes=len(classes)):
         for sink in classes:
             own = Partitioning.from_cag(sink.cag)
             sink.candidates = [own]
+            factor = dominance_factor(sink.cag)
+            sink_arrays = sink.cag.arrays
             for source in classes:
                 if source is sink:
                     continue
-                scaled = source.cag.scaled(dominance_factor(sink.cag))
+                scaled = source.cag.scaled(factor)
                 merged = CAG.merge(scaled, sink.cag)
                 if merged.has_conflict():
                     obs_event(
@@ -168,7 +177,7 @@ def build_alignment_search_spaces(
                     resolutions.append(resolution)
                     merged = resolution.resolved
                 imported = Partitioning.from_cag(
-                    merged.restricted(sink.cag.arrays)
+                    merged.restricted(sink_arrays)
                 ).extended(sink.cag.nodes)
                 # Insert only if not weaker-or-equal to existing
                 # information.
@@ -184,29 +193,36 @@ def build_alignment_search_spaces(
                 if accepted:
                     sink.candidates.append(imported)
 
-    # Step 5 — project class candidates onto individual phases.
+    # Step 5 — project class candidates onto individual phases.  A
+    # projection holds every dimension of every phase array, so its
+    # orientation is a function of the projection alone: each distinct
+    # one is oriented once.
     per_phase: Dict[int, List[AlignmentCandidate]] = {}
     class_of_phase = {
         idx: cls for cls in classes for idx in cls.phase_indices
     }
+    oriented: Dict[Partitioning, Tuple[Tuple[str, Alignment], ...]] = {}
     for phase in phases:
         cls = class_of_phase[phase.index]
+        phase_nodes = phase_cags[phase.index].nodes
         seen = set()
         candidates: List[AlignmentCandidate] = []
         for pos, class_candidate in enumerate(cls.candidates):
-            phase_nodes = phase_cags[phase.index].nodes
             restricted = class_candidate.restricted(
-                [a for a in phase.arrays]
+                phase.arrays
             ).extended(phase_nodes)
-            alignments = orient(restricted, d, symbols)
-            # Ensure every phase array has an alignment entry.
-            for array in phase.arrays:
-                symbol = symbols.get(array)
-                if isinstance(symbol, ArraySymbol) and array not in alignments:
-                    alignments[array] = Alignment.canonical(symbol.rank)
+            if restricted not in oriented:
+                alignments = orient(restricted, d, symbols)
+                # Ensure every phase array has an alignment entry.
+                for array in phase.arrays:
+                    symbol = symbols.get(array)
+                    if (isinstance(symbol, ArraySymbol)
+                            and array not in alignments):
+                        alignments[array] = Alignment.canonical(symbol.rank)
+                oriented[restricted] = tuple(sorted(alignments.items()))
             candidate = AlignmentCandidate(
                 partitioning=restricted,
-                alignments=tuple(sorted(alignments.items())),
+                alignments=oriented[restricted],
                 provenance="own" if pos == 0 else f"import:{pos}",
             )
             if candidate.signature() not in seen:

@@ -17,7 +17,7 @@ direction → cached/no change; opposite direction → add cost and reverse.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Tuple
 
 from ..analysis.phases import Phase
 from ..analysis.references import ArrayAccess
@@ -80,18 +80,8 @@ def _build_phase_cag(phase: Phase, symbols: SymbolTable) -> CAG:
         if isinstance(symbol, ArraySymbol):
             cag.add_array(array, symbol.rank)
 
-    # Group accesses by statement so writes meet their own reads.
-    by_stmt: Dict[int, List[ArrayAccess]] = {}
-    stmt_order: List[int] = []
-    for acc in phase.accesses:
-        key = id(acc.stmt)
-        if key not in by_stmt:
-            by_stmt[key] = []
-            stmt_order.append(key)
-        by_stmt[key].append(acc)
-
-    for key in stmt_order:
-        accesses = by_stmt[key]
+    # Statement by statement, so writes meet their own reads.
+    for accesses in phase.statements:
         writes = [a for a in accesses if a.is_write]
         reads = [a for a in accesses if not a.is_write]
         for write in writes:

@@ -15,6 +15,7 @@ The result is a structure tree (:class:`Seq` / :class:`ControlLoop` /
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple, Union
 
 from ..frontend import ast
@@ -31,7 +32,12 @@ DEFAULT_BRANCH_PROBABILITY = 0.5
 
 @dataclass(frozen=True)
 class Phase:
-    """One program phase: an outermost subscript-defining loop nest."""
+    """One program phase: an outermost subscript-defining loop nest.
+
+    ``arrays``, ``written_arrays`` and ``statements`` are derived once,
+    on first use; the phase's identity (``==``, ``hash``, ``repr``) is
+    its four fields alone.
+    """
 
     index: int
     stmt: ast.Do
@@ -46,20 +52,24 @@ class Phase:
     def loop_var(self) -> str:
         return self.stmt.var
 
-    @property
+    @cached_property
     def arrays(self) -> Tuple[str, ...]:
-        seen: Dict[str, None] = {}
-        for acc in self.accesses:
-            seen.setdefault(acc.array, None)
-        return tuple(seen)
+        return tuple(dict.fromkeys(acc.array for acc in self.accesses))
 
-    @property
+    @cached_property
     def written_arrays(self) -> Tuple[str, ...]:
-        seen: Dict[str, None] = {}
+        return tuple(dict.fromkeys(
+            acc.array for acc in self.accesses if acc.is_write
+        ))
+
+    @cached_property
+    def statements(self) -> Tuple[Tuple[ArrayAccess, ...], ...]:
+        """The accesses grouped by statement, statements in first-access
+        order: what alignment weights and the compiler model walk."""
+        by_stmt: Dict[int, List[ArrayAccess]] = {}
         for acc in self.accesses:
-            if acc.is_write:
-                seen.setdefault(acc.array, None)
-        return tuple(seen)
+            by_stmt.setdefault(id(acc.stmt), []).append(acc)
+        return tuple(map(tuple, by_stmt.values()))
 
     def loop_nest(self) -> Tuple[LoopInfo, ...]:
         """The *perfect-nest prefix* of the phase: the chain of loops from

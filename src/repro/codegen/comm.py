@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from ..analysis.dependence import _pair_dependences
+from ..analysis.dependence import Dependence, _pair_dependences
 from ..analysis.references import ArrayAccess, LoopInfo
 from ..distribution.layouts import DataLayout, DimDistribution, Distribution
 from ..frontend.symbols import ArraySymbol, SymbolTable
@@ -270,30 +270,59 @@ def _slab_buffered(symbol: ArraySymbol, fixed_dim: int) -> bool:
     return fixed_dim != symbol.rank - 1
 
 
-def plan_statement(
-    accesses: Sequence[ArrayAccess],
-    layout: DataLayout,
-    symbols: SymbolTable,
-    per_iter_cost: float,
-) -> Optional[StmtPlan]:
-    """Build the communication/partitioning plan of one statement.
+@dataclass(frozen=True)
+class StmtFacts:
+    """What planning reads of one statement that no layout changes: the
+    write (at most one — Fortran assignments; none for a scalar target)
+    and the reads, the loop trips and guard, the cost of one iteration,
+    and the flow dependences from the write to reads of its own array
+    (in read order: the statement's pipeline candidates)."""
 
-    ``accesses`` are all array accesses of a single statement (one write at
-    most — Fortran assignments).  Returns None for statements without array
-    accesses.
-    """
+    write: Optional[ArrayAccess]
+    reads: Tuple[ArrayAccess, ...]
+    per_iter_cost: float
+    loop_trips: Tuple[Tuple[str, int], ...]
+    guard_probability: float
+    flows: Tuple[Dependence, ...]
+
+
+def statement_facts(
+    accesses: Sequence[ArrayAccess], per_iter_cost: float
+) -> StmtFacts:
+    """The layout-independent facts of one statement, from its (non-empty)
+    array accesses."""
     writes = [a for a in accesses if a.is_write]
-    reads = [a for a in accesses if not a.is_write]
-    if not writes and not reads:
-        return None
-
-    # Scalar-target statements (reductions) have no write access recorded.
+    reads = tuple(a for a in accesses if not a.is_write)
     write = writes[0] if writes else None
     sample = write if write is not None else reads[0]
-    loop_trips = tuple(
-        (loop.var, loop.trip_count or 1) for loop in sample.loops
+    flows = () if write is None else tuple(
+        dep
+        for read in reads if read.array == write.array
+        for dep in _pair_dependences(write, read) if dep.kind == "flow"
     )
-    guard = sample.guard_probability
+    return StmtFacts(
+        write=write,
+        reads=reads,
+        per_iter_cost=per_iter_cost,
+        loop_trips=tuple(
+            (loop.var, loop.trip_count or 1) for loop in sample.loops
+        ),
+        guard_probability=sample.guard_probability,
+        flows=flows,
+    )
+
+
+def plan_statement(
+    facts: StmtFacts,
+    layout: DataLayout,
+    symbols: SymbolTable,
+) -> StmtPlan:
+    """Build the communication/partitioning plan of one statement under
+    ``layout``."""
+    write, reads = facts.write, facts.reads
+    per_iter_cost = facts.per_iter_cost
+    loop_trips = facts.loop_trips
+    guard = facts.guard_probability
 
     if write is None:
         # Reduction into a scalar: everyone computes its local share of the
@@ -303,7 +332,7 @@ def plan_statement(
         )
         plan = StmtPlan(
             # the read's loops serve local-iteration queries
-            write=partitioning_read or sample,
+            write=partitioning_read or reads[0],
             per_iter_cost=per_iter_cost,
             replicated_write=False,
             comms=[ReductionComm(nbytes=8)],
@@ -357,61 +386,54 @@ def plan_statement(
     # Under multi-dimensional grids the chain runs along the carried
     # dimension while the orthogonal partitioned dimensions run their own
     # chains in parallel — stages, chunk and message sizes are per-chain.
-    var_partitions = [pd for pd in partitions if pd.var is not None]
-    var_of = {pd.var: pd for pd in var_partitions}
-    if var_partitions:
-        for read in reads:
-            if read.array != write.array:
+    var_of = {pd.var: pd for pd in partitions if pd.var is not None}
+    for dep in facts.flows:
+        pd = var_of.get(dep.carrier_var)
+        if pd is None:
+            continue
+        adim = dep.dim
+        stages = 1
+        inner = 1
+        seen_var = False
+        for var, trips in loop_trips:
+            if var == pd.var:
+                seen_var = True
                 continue
-            for dep in _pair_dependences(write, read):
-                pd = var_of.get(dep.carrier_var)
-                if dep.kind != "flow" or pd is None:
-                    continue
-                adim = dep.dim
-                stages = 1
-                inner = 1
-                seen_var = False
-                for var, trips in loop_trips:
-                    if var == pd.var:
-                        seen_var = True
-                        continue
-                    other = var_of.get(var)
-                    local_trips = (
-                        -(-trips // other.dist.procs) if other is not None
-                        else trips
-                    )
-                    if seen_var:
-                        inner *= local_trips
-                    else:
-                        stages *= local_trips
-                elem = wsym.element_bytes
-                msg_bytes = dep.distance * inner * elem
-                # Element-space flow direction: write at a*v + c_w feeds a
-                # read at a*v + c_r; positive (c_w - c_r)/a means values
-                # flow toward higher indices (forward sweep).
-                w_sub = dep.source.subscripts[dep.dim]
-                r_sub = dep.sink.subscripts[dep.dim]
-                coeff_sign = 1 if pd.coeff >= 0 else -1
-                direction = 1 if (w_sub.const - r_sub.const) * coeff_sign > 0 \
-                    else -1
-                plan.pipeline = PipelineSpec(
-                    array=write.array,
-                    template_dim=pd.template_dim,
-                    var=pd.var,
-                    distance=dep.distance,
-                    stages=stages,
-                    inner_iters=inner,
-                    msg_bytes=max(msg_bytes, elem),
-                    buffered=_slab_buffered(wsym, adim) and inner > 1,
-                    direction=direction,
-                    # interleaved formats hand the dependence chain
-                    # around the ring once per owned run
-                    rounds=pd.dist.runs(pd.extent),
-                    chain_procs=pd.dist.procs,
-                )
-                break
-            if plan.pipeline is not None:
-                break
+            other = var_of.get(var)
+            local_trips = (
+                -(-trips // other.dist.procs) if other is not None
+                else trips
+            )
+            if seen_var:
+                inner *= local_trips
+            else:
+                stages *= local_trips
+        elem = wsym.element_bytes
+        msg_bytes = dep.distance * inner * elem
+        # Element-space flow direction: write at a*v + c_w feeds a read
+        # at a*v + c_r; positive (c_w - c_r)/a means values flow toward
+        # higher indices (forward sweep).
+        w_sub = dep.source.subscripts[dep.dim]
+        r_sub = dep.sink.subscripts[dep.dim]
+        coeff_sign = 1 if pd.coeff >= 0 else -1
+        direction = 1 if (w_sub.const - r_sub.const) * coeff_sign > 0 \
+            else -1
+        plan.pipeline = PipelineSpec(
+            array=write.array,
+            template_dim=pd.template_dim,
+            var=pd.var,
+            distance=dep.distance,
+            stages=stages,
+            inner_iters=inner,
+            msg_bytes=max(msg_bytes, elem),
+            buffered=_slab_buffered(wsym, adim) and inner > 1,
+            direction=direction,
+            # interleaved formats hand the dependence chain around the
+            # ring once per owned run
+            rounds=pd.dist.runs(pd.extent),
+            chain_procs=pd.dist.procs,
+        )
+        break
 
     _plan_reads(plan, reads, layout, symbols)
     return plan

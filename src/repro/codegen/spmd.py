@@ -54,8 +54,10 @@ from .comm import (
     PipelineSpec,
     ReductionComm,
     ShiftComm,
+    StmtFacts,
     StmtPlan,
     plan_statement,
+    statement_facts,
 )
 
 
@@ -68,6 +70,37 @@ class CompiledPhase:
     plans: List[StmtPlan]
 
 
+def phase_statements(
+    phase, symbols: SymbolTable, params: MachineParams
+) -> Tuple[StmtFacts, ...]:
+    """The layout-independent half of the compiler model: the facts of
+    every statement of ``phase``, in statement order, built once and
+    planned under any number of layouts by :func:`plan_phase`."""
+    out = []
+    for accesses in phase.statements:
+        stmt = accesses[0].stmt
+        dtype = stmt_dtype(stmt, symbols) if isinstance(stmt, ast.Assign) \
+            else "double"
+        cost = statement_cost(stmt, params, symbols, dtype=dtype)
+        out.append(statement_facts(accesses, cost))
+    return tuple(out)
+
+
+def plan_phase(
+    phase_index: int,
+    statements: Sequence[StmtFacts],
+    layout: DataLayout,
+    symbols: SymbolTable,
+) -> CompiledPhase:
+    """The layout's half: plan every statement of a phase under
+    ``layout``."""
+    return CompiledPhase(
+        phase_index=phase_index,
+        layout=layout,
+        plans=[plan_statement(facts, layout, symbols) for facts in statements],
+    )
+
+
 def compile_phase(
     phase,
     layout: DataLayout,
@@ -75,26 +108,9 @@ def compile_phase(
     params: MachineParams,
 ) -> CompiledPhase:
     """Plan every statement of ``phase`` under ``layout``."""
-    by_stmt: Dict[int, List] = {}
-    order: List[int] = []
-    stmt_of: Dict[int, ast.Stmt] = {}
-    for acc in phase.accesses:
-        key = id(acc.stmt)
-        if key not in by_stmt:
-            by_stmt[key] = []
-            order.append(key)
-            stmt_of[key] = acc.stmt
-        by_stmt[key].append(acc)
-    plans: List[StmtPlan] = []
-    for key in order:
-        stmt = stmt_of[key]
-        dtype = stmt_dtype(stmt, symbols) if isinstance(stmt, ast.Assign) \
-            else "double"
-        cost = statement_cost(stmt, params, symbols, dtype=dtype)
-        plan = plan_statement(by_stmt[key], layout, symbols, cost)
-        if plan is not None:
-            plans.append(plan)
-    return CompiledPhase(phase_index=phase.index, layout=layout, plans=plans)
+    return plan_phase(
+        phase.index, phase_statements(phase, symbols, params), layout, symbols
+    )
 
 
 class SPMDBuilder:

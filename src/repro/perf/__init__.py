@@ -13,11 +13,7 @@ from .training import (
     cached_training_database,
     generate_training_database,
 )
-from .compiler_model import (
-    FORTRAN_D_PROTOTYPE,
-    CompilerOptions,
-    model_phase,
-)
+from .compiler_model import FORTRAN_D_PROTOTYPE, CompilerOptions
 from .execution_model import (
     LOOSELY_SYNCHRONOUS,
     PIPELINED,
@@ -35,7 +31,7 @@ from .estimator import (
 __all__ = [
     "PATTERNS", "TrainingDatabase", "TrainingKey", "TrainingSet",
     "cached_training_database", "generate_training_database",
-    "CompilerOptions", "FORTRAN_D_PROTOTYPE", "model_phase",
+    "CompilerOptions", "FORTRAN_D_PROTOTYPE",
     "PhaseEstimate", "price_phase", "LOOSELY_SYNCHRONOUS", "PIPELINED",
     "SEQUENTIALIZED", "REDUCTION",
     "EstimatedCandidate", "EstimationResult", "estimate_search_spaces",

@@ -21,11 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..codegen.spmd import CompiledPhase, compile_phase
-from ..distribution.layouts import DataLayout
-from ..frontend.symbols import SymbolTable
-from ..machine.params import MachineParams
-
 
 @dataclass(frozen=True)
 class CompilerOptions:
@@ -49,14 +44,3 @@ class CompilerOptions:
 
 #: The target-compiler configuration of the paper's experiments.
 FORTRAN_D_PROTOTYPE = CompilerOptions()
-
-
-def model_phase(
-    phase,
-    layout: DataLayout,
-    symbols: SymbolTable,
-    params: MachineParams,
-) -> CompiledPhase:
-    """Run the compiler model on one phase: returns the statement plans
-    (communication placement, patterns, pipeline structure)."""
-    return compile_phase(phase, layout, symbols, params)

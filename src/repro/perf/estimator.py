@@ -1,7 +1,8 @@
 """Top-level performance estimation over candidate-layout search spaces.
 
-For every phase and every candidate layout in its search space, run the
-compiler model and price the result with the execution model — one
+For every phase, build the compiler model's statement facts once; for
+every candidate layout in its search space, plan them under the layout
+and price the result with the execution model — one
 :func:`~repro.perf.execution_model.price_phase` walk per candidate over
 the training database, the only pricing path; the output feeds the data
 layout graph of the selection step.
@@ -13,15 +14,12 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.phases import Phase
+from ..codegen.spmd import phase_statements, plan_phase
 from ..distribution.search_space import CandidateLayout, LayoutSearchSpaces
 from ..frontend.symbols import SymbolTable
 from ..machine.params import MachineParams
 from ..obs import tracing
-from .compiler_model import (
-    CompilerOptions,
-    FORTRAN_D_PROTOTYPE,
-    model_phase,
-)
+from .compiler_model import CompilerOptions, FORTRAN_D_PROTOTYPE
 from .execution_model import PhaseEstimate, price_phase
 from .training import TrainingDatabase, cached_training_database
 
@@ -72,10 +70,11 @@ def estimate_phase_candidates(
     with tracing.span(
         "estimate.phase", phase=phase.index, candidates=len(candidates)
     ):
+        statements = phase_statements(phase, symbols, params)
         estimates = []
         for candidate in candidates:
-            compiled = model_phase(
-                phase, candidate.layout, symbols, params
+            compiled = plan_phase(
+                phase.index, statements, candidate.layout, symbols
             )
             estimate = price_phase(compiled, db, nprocs, options)
             if tracing.detail_active():
