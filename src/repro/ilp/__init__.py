@@ -1,6 +1,7 @@
 """0-1 integer programming substrate (the repo's CPLEX stand-in)."""
 
-from typing import Optional
+from importlib import import_module
+from typing import Callable, Optional
 
 from ..obs.tracing import span as _obs_span
 from ..resilience.deadline import (
@@ -8,7 +9,6 @@ from ..resilience.deadline import (
     remaining_budget as _remaining_budget,
 )
 from ..resilience.faults import fault_point as _fault_point
-from . import branch_bound, scipy_backend
 from .model import (
     INCUMBENT_STATUSES,
     MAXIMIZE,
@@ -20,12 +20,25 @@ from .model import (
     ZeroOneModel,
 )
 
+#: backend name -> the module of this package whose ``solve`` it runs.
+#: A module is imported when a model first reaches it: HiGHS brings
+#: scipy.optimize and scipy.sparse, which no default analysis needs.
 BACKENDS = {
-    "scipy": scipy_backend.solve,
-    "branch-bound": branch_bound.solve,
+    "scipy": "scipy_backend",
+    "branch-bound": "branch_bound",
 }
 
 DEFAULT_BACKEND = "scipy"
+
+
+def _load_backend(backend: str) -> Callable[..., Solution]:
+    try:
+        module = BACKENDS[backend]
+    except KeyError:
+        raise ModelError(
+            f"unknown backend {backend!r}; available: {sorted(BACKENDS)}"
+        ) from None
+    return import_module(f"{__name__}.{module}").solve
 
 
 def solve(
@@ -39,14 +52,11 @@ def solve(
     actually remaining, making every solve *anytime*: past the budget
     the backends return their best incumbent (status ``time_limit`` /
     ``node_limit``) or ``unknown``, never block the request.  Past the
-    deadline's hard limit the solve does not start at all.
+    deadline's hard limit the solve does not start at all.  The backend
+    is loaded first, so the first solve pays for its import out of the
+    same budget.
     """
-    try:
-        fn = BACKENDS[backend]
-    except KeyError:
-        raise ModelError(
-            f"unknown backend {backend!r}; available: {sorted(BACKENDS)}"
-        ) from None
+    fn = _load_backend(backend)
     _fault_point("ilp.solve")
     _checkpoint("ilp.solve")
     budget = _remaining_budget()

@@ -39,6 +39,10 @@ Two benchmark kinds:
   the estimation stage with no job runner, and through a warmed
   2-worker process pool — the crossing the service's in-thread default
   does not make, recorded to show what it would cost.
+  ``layer:setup.import`` and ``layer:setup.training_db``, selected as
+  ``setup``: what a cold process pays before its first answer —
+  ``import repro`` in a fresh interpreter (interpreter start included),
+  and generating the iPSC/860 training database.
 
 Everything is deterministic by construction: bench sizes are pinned per
 program (the smallest grid size from EXPERIMENTS.md, so a full run stays
@@ -52,10 +56,13 @@ from __future__ import annotations
 import atexit
 import os
 import shutil
+import subprocess
+import sys
 import tempfile
 import threading
 from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
+from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 from ...alignment.search_space import build_alignment_search_spaces
@@ -81,6 +88,7 @@ from ...tool.assistant import (
     stage_partition,
     stage_selection,
 )
+from ..training import generate_training_database
 from .timer import DEFAULT_REPEATS, DEFAULT_WARMUP, Measurement, measure
 
 #: the seven benchmarked pipeline stages, in pipeline order
@@ -107,6 +115,9 @@ HANDLE_LAYER = "service.handle"
 #: the estimation stage by who runs its batch: the calling thread, or a
 #: process pool; selected and dropped like :data:`HANDLE_LAYER`
 RUNNER_LAYER = "estimation.runner"
+
+#: a cold process's set-up; selected and dropped like :data:`HANDLE_LAYER`
+SETUP_LAYER = "setup"
 
 #: pinned per-program bench problem sizes (smallest grid size each, so
 #: the whole suite runs in seconds; changing these invalidates baselines)
@@ -453,6 +464,28 @@ def _eventlog_cases() -> List[BenchCase]:
     ]
 
 
+def _setup_cases() -> List[BenchCase]:
+    """``import repro`` in a fresh interpreter, and one training
+    database generated from scratch."""
+    src = Path(__file__).resolve().parents[3]  # this suite's checkout
+    env = dict(os.environ, PYTHONPATH=str(src))
+
+    def run_import() -> None:
+        subprocess.run([sys.executable, "-c", "import repro"], env=env,
+                       check=True)
+
+    return [
+        BenchCase(
+            bench_id=f"layer:{SETUP_LAYER}.{name}", kind="layer",
+            program=SETUP_LAYER, stage=SETUP_LAYER, fn=fn,
+        )
+        for name, fn in (
+            ("import", run_import),
+            ("training_db", lambda: generate_training_database(IPSC860)),
+        )
+    ]
+
+
 def _qa_corpus_case(config: AssistantConfig,
                     seeds: Sequence[int]) -> BenchCase:
     """One benchmark that runs the whole pipeline over a fixed-seed batch
@@ -487,7 +520,9 @@ def build_suite(
     """Collect the benchmark suite (preparation runs here, untimed)."""
     config = config or default_bench_config()
     names = list(programs) if programs else sorted(BENCH_SIZES)
-    known_stages = STAGE_NAMES + (GRAPH_STAGE, HANDLE_LAYER, RUNNER_LAYER)
+    known_stages = STAGE_NAMES + (
+        GRAPH_STAGE, HANDLE_LAYER, RUNNER_LAYER, SETUP_LAYER,
+    )
     wanted_stages = tuple(stages) if stages else known_stages
     unknown = sorted(set(wanted_stages) - set(known_stages))
     if unknown:
@@ -524,6 +559,8 @@ def build_suite(
             )
     if include_e2e and HANDLE_LAYER in wanted_stages:
         cases.extend(_eventlog_cases())
+    if include_e2e and SETUP_LAYER in wanted_stages:
+        cases.extend(_setup_cases())
     if include_e2e and include_qa:
         cases.append(_qa_corpus_case(config, qa_seeds))
     for name, seed, stage in (
@@ -563,7 +600,7 @@ def run_suite(
 __all__ = [
     "BENCH_NPROCS", "BENCH_SIZES", "BenchCase", "EXTENDED_NPROCS",
     "EXTENDED_PROGRAM", "GRAPH_STAGE", "HANDLE_LAYER",
-    "PreparedProgram", "RUNNER_LAYER",
+    "PreparedProgram", "RUNNER_LAYER", "SETUP_LAYER",
     "QA_SEEDS", "STAGE_NAMES", "TIED_SEED", "bench_source", "build_suite",
     "default_bench_config", "run_suite",
 ]

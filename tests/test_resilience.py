@@ -7,6 +7,7 @@ from __future__ import annotations
 import json
 import pickle
 import socket
+import time
 
 import pytest
 
@@ -601,6 +602,71 @@ class TestAnytimeILP:
         with faults.armed(plan):
             with pytest.raises(InjectedFault):
                 solve(_toy_model())
+
+
+class TestFirstSolveImport:
+    """A backend is imported when a model first reaches it, and that
+    import is paid out of the solve's own deadline."""
+
+    @staticmethod
+    def slow_loader(monkeypatch, sleep_s):
+        """Backends load ``sleep_s`` late, as a cold HiGHS import does;
+        returns the ``time_limit`` each solve is then handed."""
+        import repro.ilp as ilp
+
+        load, limits = ilp._load_backend, []
+
+        def slow(backend):
+            time.sleep(sleep_s)
+            fn = load(backend)
+
+            def recording(model, time_limit=None):
+                limits.append(time_limit)
+                return fn(model, time_limit=time_limit)
+
+            return recording
+
+        monkeypatch.setattr(ilp, "_load_backend", slow)
+        return limits
+
+    @pytest.mark.parametrize("backend", ["scipy", "branch-bound"])
+    def test_the_import_comes_out_of_the_budget(self, monkeypatch, backend):
+        limits = self.slow_loader(monkeypatch, 0.2)
+        with deadline_scope(Deadline(30.0)):
+            solution = solve(_toy_model(), backend=backend)
+        assert solution.status == "optimal"
+        (limit,) = limits
+        assert limit <= 30.0 - 0.2
+
+    def test_a_loader_past_the_hard_limit_stops_at_the_checkpoint(
+        self, monkeypatch
+    ):
+        limits = self.slow_loader(monkeypatch, 0.1)
+        with deadline_scope(Deadline(0.05, hard_s=0.05)):
+            with pytest.raises(RequestTimeout) as err:
+                solve(_toy_model())
+        assert err.value.stopped_at == "ilp.solve"
+        assert limits == []  # no solve started late
+
+    def test_a_loader_past_the_budget_degrades(self, monkeypatch):
+        from repro.alignment.cag import CAG
+        from repro.alignment.ilp import resolve_conflicts
+
+        cag = CAG()
+        cag.add_array("x", 2)
+        cag.add_array("y", 2)
+        cag.add_undirected_edge(("x", 0), ("y", 0), 10.0)
+        cag.add_undirected_edge(("x", 1), ("y", 0), 4.0)
+        cag.add_undirected_edge(("x", 1), ("y", 1), 10.0)
+        limits = self.slow_loader(monkeypatch, 0.1)
+        with collecting() as events:
+            with deadline_scope(Deadline(0.05)):
+                res = resolve_conflicts(cag, d=2, presolve=False)
+        assert limits == [0.0]  # the solve was handed no time
+        assert res.optimal is False
+        assert [(e.stage, e.reason) for e in events] == [
+            ("alignment", "greedy-fallback")
+        ]
 
 
 # -- greedy fallbacks under expired deadlines ---------------------------
