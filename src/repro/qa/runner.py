@@ -44,7 +44,7 @@ from .minimize import minimize_program
 
 #: forced-small elimination table caps the ``selection-presolve`` check
 #: replays every case under (generated graphs have 2-4 candidates a phase)
-_SMALL_TABLE_CAPS = (4, 8, 16, 32, 64)
+_SMALL_TABLE_CAPS = (1, 2, 4, 8, 16, 32, 64)
 
 
 @dataclass
@@ -209,12 +209,12 @@ def _presolve_divergence(
                 f"{oracle_sel.get(phase_index)}"
             )
     # Shrink the table cap until the descending order overflows, so the
-    # width-aware order and its tie rule face the same certificate.
+    # width-aware order, its tie rule and cutsets face the certificate.
     for cap in _SMALL_TABLE_CAPS:
         for comp in pre.components:
             solved = eliminate_component(pre, comp, table_cap=cap)
             certificate = {p: oracle_sel[p] for p in comp}
-            if solved is not None and solved != certificate:
+            if solved != certificate:
                 return (
                     f"elimination under table_cap={cap} selects "
                     f"{solved} but the oracle certificate has "

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..ilp import (
     MINIMIZE,
@@ -31,11 +31,7 @@ from ..resilience.deadline import remaining_budget
 from ..resilience.degrade import note_degradation
 from ..resilience.errors import DeadlineExceeded
 from .layout_graph import DataLayoutGraph
-from .presolve import (
-    build_component_model,
-    eliminate_component,
-    presolve_selection,
-)
+from .presolve import eliminate_component, presolve_selection
 
 
 def _x(phase: int, cand: int) -> str:
@@ -211,55 +207,15 @@ def _greedy_degraded(
     )
 
 
-def _solver_selection(
-    model: ZeroOneModel,
-    backend: str,
-    candidates: Mapping[int, Iterable[int]],
-) -> Tuple[Solution, Optional[Dict[int, int]]]:
-    """The solver hand-off, for the full model and a component model
-    alike: solve, then read the chosen candidate of every phase of
-    ``candidates`` off the ``x`` variables.  An unproven incumbent is
-    noted as a degradation; the selection is ``None`` when the budget
-    ran out before the solver had any (the caller falls to greedy).
-    """
-    solution = ilp_solve(model, backend=backend)
-    if solution.status == "unknown":
-        return solution, None
-    if not solution.has_incumbent:
-        # Exactly-one rows make the model feasible by construction.
-        raise RuntimeError(f"selection ILP {solution.status}")
-    selection: Dict[int, int] = {}
-    for phase_index, positions in candidates.items():
-        for cand in positions:
-            if solution.values.get(_x(phase_index, cand)) == 1:
-                selection[phase_index] = cand
-                break
-        else:  # pragma: no cover - guaranteed by exactly-one
-            raise AssertionError(f"no candidate chosen for {phase_index}")
-    if not solution.is_optimal:
-        note_degradation(
-            "selection", "incumbent",
-            f"solver stopped at {solution.status}; using best incumbent",
-        )
-    return solution, selection
-
-
-_NO_INCUMBENT = "no incumbent within budget; greedy one-pass selection"
-
-
 def _select_presolved(
     graph: DataLayoutGraph,
-    backend: str,
     allowed: Optional[Dict[int, set]],
     nvars: int,
     ncons: int,
 ) -> SelectionResult:
     """Graph presolve, then exact elimination of every residual
-    component; a component that fits no elimination order goes to the
-    solver as a reduced model."""
+    component; no 0-1 model is built."""
     start = time.perf_counter()
-    ilp_components = 0
-    optimal = True
     with tracing.span(
         "ilp.presolve", name="layout-selection", variables=nvars
     ) as psp:
@@ -271,42 +227,30 @@ def _select_presolved(
         selection: Dict[int, int] = dict(pre.fixed)
         for comp in pre.components:
             try:
-                solved = eliminate_component(pre, comp)
+                selection.update(eliminate_component(pre, comp))
             except DeadlineExceeded:
                 return _greedy_degraded(
                     graph, allowed, nvars, ncons,
                     "deadline expired during elimination; "
                     "greedy one-pass selection",
                 )
-            if solved is None:
-                # No elimination order fits the table cap: the same
-                # candidate costs, conditioned, as a reduced 0-1 model.
-                ilp_components += 1
-                sub, solved = _solver_selection(
-                    build_component_model(pre, comp), backend,
-                    {p: pre.active[p] for p in comp},
-                )
-                if solved is None:
-                    return _greedy_degraded(
-                        graph, allowed, nvars, ncons, _NO_INCUMBENT
-                    )
-                optimal = optimal and sub.is_optimal
-            selection.update(solved)
-        psp.set_attr(
-            "eliminated", len(pre.components) - ilp_components
-        )
         psp.set_attr("reordered", pre.reordered)
-        psp.set_attr("ilp_components", ilp_components)
+        psp.set_attr("conditioned", pre.conditioned)
+        psp.set_attr("cutset", pre.cutset)
         psp.set_attr("max_table", pre.max_table)
+    if pre.interrupted:
+        note_degradation(
+            "selection", "incumbent",
+            "deadline expired during cutset conditioning; "
+            "using the best assignment solved",
+        )
     evaluated = graph.evaluate(selection)
     solution = Solution(
-        status="optimal" if optimal else "time_limit",
+        status="time_limit" if pre.interrupted else "optimal",
         objective=evaluated,
         values={},
         stats=SolveStats(
-            # a solver only ran if some component overflowed the tables
-            backend=f"{backend}+presolve" if ilp_components
-            else "elimination",
+            backend="elimination",
             wall_time=time.perf_counter() - start,
         ),
     )
@@ -316,7 +260,7 @@ def _select_presolved(
         solution=solution,
         num_variables=nvars,
         num_constraints=ncons,
-        optimal=optimal,
+        optimal=not pre.interrupted,
     )
 
 
@@ -327,14 +271,31 @@ def _select_reference(
     nvars: int,
     ncons: int,
 ) -> SelectionResult:
-    """The paper's formulation verbatim: the whole 0-1 model, solved."""
+    """The paper's formulation verbatim: the whole 0-1 model, solved,
+    each phase's candidate read off the ``x`` variables."""
     ilp = build_selection_model(graph, allowed=allowed)
-    solution, selection = _solver_selection(
-        ilp.model, backend,
-        {p: range(len(costs)) for p, costs in graph.node_costs.items()},
-    )
-    if selection is None:
-        return _greedy_degraded(graph, allowed, nvars, ncons, _NO_INCUMBENT)
+    solution = ilp_solve(ilp.model, backend=backend)
+    if solution.status == "unknown":
+        return _greedy_degraded(
+            graph, allowed, nvars, ncons,
+            "no incumbent within budget; greedy one-pass selection",
+        )
+    if not solution.has_incumbent:
+        # Exactly-one rows make the model feasible by construction.
+        raise RuntimeError(f"selection ILP {solution.status}")
+    selection: Dict[int, int] = {}
+    for phase_index, costs in graph.node_costs.items():
+        for cand in range(len(costs)):
+            if solution.values.get(_x(phase_index, cand)) == 1:
+                selection[phase_index] = cand
+                break
+        else:  # pragma: no cover - guaranteed by exactly-one
+            raise AssertionError(f"no candidate chosen for {phase_index}")
+    if not solution.is_optimal:
+        note_degradation(
+            "selection", "incumbent",
+            f"solver stopped at {solution.status}; using best incumbent",
+        )
     evaluated = graph.evaluate(selection)
     # Cross-check the ILP objective against the shared evaluator.
     # (Skipped for incumbents: their y-variables may sit above the
@@ -366,15 +327,17 @@ def select_layouts(
 
     By default the graph-level presolve (dead-end elimination +
     conditioning, :mod:`repro.selection.presolve`) fixes most phases and
-    the residual components are solved by exact variable elimination —
-    the full 0-1 model is only built when ``presolve=False``, and a
-    reduced one when a residual component outgrows the elimination
-    tables.  Both paths return the same canonical optimum.
+    the residual components are solved by exact variable elimination,
+    conditioned on a cutset of phases when a component outgrows the
+    elimination tables; ``backend`` is then unused.  The 0-1 model is
+    only built, and handed to ``backend``, when ``presolve=False``.  Both
+    paths return the same canonical optimum.
 
-    If a request deadline cuts the solve short, the best incumbent (or
-    the greedy one-pass selection) is returned with ``optimal=False``
-    and a degradation note instead of an exception; with the budget
-    already spent on entry nothing is built or solved at all.
+    If a request deadline cuts the solve short, the best incumbent (the
+    solver's, or the best cutset assignment solved), or else the greedy
+    one-pass selection, is returned with ``optimal=False`` and a
+    degradation note instead of an exception; with the budget already
+    spent on entry nothing is built or solved at all.
     """
     with tracing.span(
         "selection.solve", backend=backend, presolve=presolve
@@ -389,7 +352,7 @@ def select_layouts(
                 "request budget already spent; greedy one-pass selection",
             )
         elif presolve:
-            result = _select_presolved(graph, backend, allowed, nvars, ncons)
+            result = _select_presolved(graph, allowed, nvars, ncons)
         else:
             result = _select_reference(graph, backend, allowed, nvars, ncons)
         sp.set_attr("objective_us", result.objective)

@@ -16,9 +16,9 @@ data layout graph itself:
 What survives is a residual graph whose connected components are solved
 independently — by exact **min-sum variable elimination** (nonserial
 dynamic programming over elimination buckets), whose cost is exponential
-only in the induced width of the elimination order.  A reduced component
-ILP is the fallback when no order tried keeps its tables under
-``TABLE_CAP``.
+only in the induced width of the elimination order.  A component no
+order tried keeps under ``TABLE_CAP`` is **conditioned on a cutset** of
+phases, each assignment eliminated on its own; no 0-1 model is built.
 
 Canonical tie-breaking: components eliminate phases in descending index
 order and backtrack ascending, taking the *first* argmin at every step.
@@ -27,21 +27,23 @@ optima — exactly the assignment the branch-bound backend's
 lexicographically-greatest 0-1 rule decodes to.  When that order's
 tables overflow, a greedy min-table order is used instead; it returns
 the same vector because a tie-free backtrack proves the optimum unique,
-and a tie triggers ascending conditioning (see
+and a tie triggers ascending conditioning; cutset assignments are
+ranked by objective, then by selection in ascending phase order (see
 :func:`eliminate_component`).  So the fast path and the ILP path agree
 bit for bit.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from ..ilp import MINIMIZE, ZeroOneModel
 from ..resilience.deadline import current_deadline
+from ..resilience.errors import DeadlineExceeded
 from .layout_graph import DataLayoutGraph
 
 #: largest elimination-bucket tensor in elements, for either order.
@@ -50,6 +52,9 @@ from .layout_graph import DataLayoutGraph
 #: recorded buckets (measured <= 2.4x the largest) plus one operand,
 #: about 15 MiB beside a ~105 MiB process.
 TABLE_CAP = 1 << 19
+
+#: min-sum factors: (ascending phase scope, cost tensor over it)
+Factors = List[Tuple[Tuple[int, ...], "np.ndarray"]]
 
 
 @dataclass
@@ -74,10 +79,16 @@ class SelectionPresolve:
     #: number of phase dead-end checks the fixpoint ran
     checks: int = 0
     #: elimination bookkeeping, updated by :func:`eliminate_component`:
-    #: the largest bucket table built (elements) and the number of
-    #: components solved in the width-aware order
+    #: the largest bucket table built (elements), the number of
+    #: problems solved in the width-aware order, the number solved under
+    #: a cutset assignment and the largest cutset
     max_table: int = 0
     reordered: int = 0
+    conditioned: int = 0
+    cutset: int = 0
+    #: a deadline stopped a cutset enumeration: the answer is the best
+    #: assignment solved by then, not a proven optimum
+    interrupted: bool = False
 
     def component_edges(
         self, comp: List[int]
@@ -246,11 +257,12 @@ def _elimination_order(
     sizes: Dict[int, int],
     order: Optional[List[int]] = None,
     last: Optional[int] = None,
-) -> Tuple[List[int], int]:
+) -> Tuple[List[int], int, frozenset]:
     """Simulate bucket elimination over factor ``scopes``: the order
-    followed and its largest bucket table in elements.  Without
-    ``order``, each step takes the phase whose bucket table is smallest
-    (largest index on ties) and ``last`` is kept for the end."""
+    followed, its largest bucket table in elements and that bucket's
+    phases.  Without ``order``, each step takes the phase whose bucket
+    table is smallest (largest index on ties) and ``last`` is kept for
+    the end."""
     live = [frozenset(scope) for scope in scopes]
 
     def bucket(q: int) -> Tuple[int, frozenset]:
@@ -259,22 +271,23 @@ def _elimination_order(
 
     remaining = set(sizes)
     out: List[int] = []
-    widest = 0
+    widest, wide = 0, frozenset()
     while remaining:
         q = order[len(out)] if order is not None else min(
             remaining - {last} or remaining,
             key=lambda p: (bucket(p)[0], -p),
         )
         size, members = bucket(q)
-        widest = max(widest, size)
+        if size > widest:
+            widest, wide = size, members
         live = [s for s in live if q not in s] + [members - {q}]
         remaining.discard(q)
         out.append(q)
-    return out, widest
+    return out, widest, wide
 
 
 def _eliminate(
-    factors: List[Tuple[Tuple[int, ...], "np.ndarray"]],
+    factors: Factors,
     sizes: Dict[int, int],
     order: List[int],
 ) -> Tuple[Dict[int, int], Set[int]]:
@@ -312,105 +325,128 @@ def _eliminate(
     return local, tied
 
 
+def _restrict(factors: Factors, fix: Dict[int, int]) -> Factors:
+    """``factors`` with each phase of ``fix`` cut down to its one
+    position (a one-candidate axis)."""
+    out = []
+    for scope, arr in factors:
+        for axis, p in enumerate(scope):
+            if p in fix:
+                arr = np.take(arr, [fix[p]], axis=axis)
+        out.append((scope, arr))
+    return out
+
+
 def eliminate_component(
     pre: SelectionPresolve,
     comp: List[int],
     table_cap: int = TABLE_CAP,
-) -> Optional[Dict[int, int]]:
-    """Exactly solve one residual component by variable elimination.
+) -> Dict[int, int]:
+    """Exactly solve one residual component by variable elimination,
+    conditioned on a cutset where no order fits ``table_cap`` (>= 1).
 
     Returns the optimal candidate position per phase under the canonical
-    tie-break, or ``None`` when neither elimination order keeps its
-    buckets within ``table_cap`` elements (the caller then solves the
-    component as a reduced ILP).  Between buckets, raises
-    ``DeadlineExceeded`` once the request's budget has passed and
+    tie-break.  Between buckets, raises ``DeadlineExceeded`` once the
+    request's budget has passed (unless a cutset assignment is solved:
+    the best one is returned and ``pre.interrupted`` set) and
     ``RequestTimeout`` once its hard limit has.
     """
-    domain = {p: pre.active[p] for p in comp}
-    sizes = {p: len(domain[p]) for p in comp}
-    factors: List[Tuple[Tuple[int, ...], np.ndarray]] = [
-        ((p,), pre.node[p]) for p in comp
-    ]
+    if table_cap < 1:
+        raise ValueError(f"table_cap must be at least 1, got {table_cap}")
+    factors: Factors = [((p,), pre.node[p]) for p in comp]
     factors.extend(
         ((p, q), sub) for p, q, sub in pre.component_edges(comp)
     )
+    local = _lex_min(
+        pre, factors, {p: len(pre.active[p]) for p in comp}, table_cap
+    )
+    return {p: pre.active[p][local[p]] for p in comp}
+
+
+def _lex_min(pre: SelectionPresolve, factors: Factors,
+             sizes: Dict[int, int], table_cap: int) -> Dict[int, int]:
+    """The lexicographically smallest optimum of ``factors``, a position
+    per phase of ``sizes``."""
     scopes = [scope for scope, _ in factors]
 
     # Descending order, ascending first-argmin backtracking: the
     # lexicographically smallest optimum, ties or not.
-    order, widest = _elimination_order(
-        scopes, sizes, order=sorted(comp, reverse=True)
+    order, widest, _ = _elimination_order(
+        scopes, sizes, order=sorted(sizes, reverse=True)
     )
     if widest <= table_cap:
         pre.max_table = max(pre.max_table, widest)
-        local, _ = _eliminate(factors, sizes, order)
-        return {p: domain[p][local[p]] for p in comp}
+        return _eliminate(factors, sizes, order)[0]
 
     # Greedy order (``last=None``): canonical only when no argmin is
     # tied, which proves the optimum unique.  After a tie, condition
     # phases in ascending order: eliminated last, a phase's first argmin
     # is its value in the smallest optimum; fix it (a one-candidate
-    # axis) and go on until the rest follows without ties.
-    for last in [None, *sorted(comp)]:
-        order, widest = _elimination_order(scopes, sizes, last=last)
+    # axis) and go on until the rest follows without ties.  What is left
+    # when an order overflows is conditioned on a cutset.
+    sizes = dict(sizes)
+    fix: Dict[int, int] = {}
+    for last in [None, *sorted(sizes)]:
+        order, widest, _ = _elimination_order(scopes, sizes, last=last)
         if widest > table_cap:
-            return None
+            local = _condition(pre, factors, sizes, table_cap, last)
+            break
         pre.max_table = max(pre.max_table, widest)
         local, tied = _eliminate(factors, sizes, order)
         if tied <= {last}:
+            pre.reordered += 1
             break
         if last is not None:
-            keep = local[last]
-            domain[last] = domain[last][keep:keep + 1]
+            fix[last] = local[last]
+            factors = _restrict(factors, {last: fix[last]})
             sizes[last] = 1
-            factors = [
-                (scope, arr if last not in scope else np.take(
-                    arr, [keep], axis=scope.index(last)))
-                for scope, arr in factors
-            ]
-    pre.reordered += 1
-    return {p: domain[p][local[p]] for p in comp}
+    local.update(fix)
+    return local
 
 
-def build_component_model(
-    pre: SelectionPresolve, comp: List[int]
-) -> ZeroOneModel:
-    """The reduced selection ILP of one residual component.
+def _condition(pre: SelectionPresolve, factors: Factors,
+               sizes: Dict[int, int], table_cap: int,
+               last: Optional[int]) -> Dict[int, int]:
+    """The lexicographically smallest optimum of ``factors`` when the
+    greedy order keeping ``last`` for the end overflows ``table_cap``.
 
-    Variables keep the full model's ``x:{phase}:{cand}`` naming (over
-    surviving candidates only, in the original insertion order) so one
-    decoder reads both, plus the usual ``y`` linking variables for
-    positive remap entries; node costs are the *conditioned* ones.
-    """
-    model = ZeroOneModel(name="layout-selection:residual", sense=MINIMIZE)
-    objective: Dict[str, float] = {}
-    for p in comp:
-        for a, c in enumerate(pre.active[p]):
-            var = model.add_var(f"x:{p}:{c}")
-            objective[var] = float(pre.node[p][a])
-        model.add_constraint(
-            {f"x:{p}:{c}": 1.0 for c in pre.active[p]},
-            "==",
-            1.0,
-            name=f"one-layout:{p}",
+    Phases join a cutset until that order fits, each time the one with
+    the most candidates in the widest bucket (smallest index on ties).
+    Each assignment of the cutset, ascending, is solved as a problem of
+    its own, and the best by ``(objective, selection in ascending phase
+    order)`` is kept: the smallest optimum has some cutset assignment,
+    and under it is that problem's own smallest optimum."""
+    scopes = [scope for scope, _ in factors]
+    reduced = dict(sizes)
+    cutset: List[int] = []
+    while True:
+        _order, widest, wide = _elimination_order(scopes, reduced, last=last)
+        if widest <= table_cap:
+            break
+        cutset.append(max(wide, key=lambda q: (reduced[q], -q)))
+        reduced[cutset[-1]] = 1
+    cutset.sort()
+    pre.cutset = max(pre.cutset, len(cutset))
+
+    best: Tuple = ()
+    for values in itertools.product(*(range(sizes[p]) for p in cutset)):
+        fix = dict(zip(cutset, values))
+        try:
+            local = _lex_min(
+                pre, _restrict(factors, fix), reduced, table_cap
+            )
+        except DeadlineExceeded:
+            if not best:
+                raise
+            pre.interrupted = True
+            break
+        pre.conditioned += 1
+        local.update(fix)
+        cost = sum(
+            float(arr[tuple(local[p] for p in scope)])
+            for scope, arr in factors
         )
-    for p, q, sub in pre.component_edges(comp):
-        for a, i in enumerate(pre.active[p]):
-            for b, j in enumerate(pre.active[q]):
-                cost = float(sub[a, b])
-                if cost <= 0.0:
-                    continue
-                yvar = model.add_var(f"y:{p}:{i}:{q}:{j}")
-                objective[yvar] = cost
-                model.add_constraint(
-                    {
-                        yvar: 1.0,
-                        f"x:{p}:{i}": -1.0,
-                        f"x:{q}:{j}": -1.0,
-                    },
-                    ">=",
-                    -1.0,
-                    name=f"remap:{p}:{i}->{q}:{j}",
-                )
-    model.set_objective(objective)
-    return model
+        key = (cost, [local[p] for p in sorted(local)])
+        if not best or key < best[0]:
+            best = (key, local)
+    return best[1]

@@ -25,10 +25,11 @@ from repro.tool.cli import _add_solver
 SRC = pathlib.Path(repro.__file__).resolve().parents[1]
 
 #: the CLI's entry points, the four paper programs as ``repro analyze
-#: --program P`` resolves them by default, and the widened search space
-#: at 2 procs; then the tied generated case, whose alignment hands a tie
-#: to HiGHS (objective as ``float.hex``, the ``bench/expected.json``
-#: reference)
+#: --program P`` resolves them by default, the widened search space at 2
+#: procs, and the five widened inputs whose selection is conditioned on
+#: a cutset (``tests/test_selection_wide.py``); then the tied generated
+#: case, whose alignment hands a tie to HiGHS (objective as
+#: ``float.hex``, the ``bench/expected.json`` reference)
 GUARD = """
 import json, sys
 from dataclasses import replace
@@ -49,6 +50,11 @@ request = LayoutRequest(procs=2, program="tomcatv")
 run_assistant(request.resolve_source(), replace(
     request.resolve_config(), distributions=DistributionOptions.extended()))
 loaded["tomcatv-extended"] = "scipy" in sys.modules
+for name, procs in [("tomcatv", 8), ("tomcatv", 16), ("shallow", 4),
+                    ("shallow", 8), ("shallow", 16)]:
+    run_assistant(PROGRAMS[name].source(), AssistantConfig(
+        nprocs=procs, distributions=DistributionOptions.extended()))
+loaded["wide"] = "scipy" in sys.modules
 tied = run_assistant(generate_program(TIED_SEED, GeneratorConfig()).source,
                      AssistantConfig(nprocs=4))
 loaded["tied"] = "scipy" in sys.modules
@@ -67,7 +73,7 @@ def test_default_path_never_loads_the_solver():
     assert report["loaded"] == {
         "import": False, "adi": False, "erlebacher": False,
         "shallow": False, "tomcatv": False, "tomcatv-extended": False,
-        "tied": True,
+        "wide": False, "tied": True,
     }
     assert float.fromhex(report["objective"]) == 835.8838571428571
 

@@ -23,7 +23,6 @@ import random
 import pytest
 
 from repro.distribution.search_space import DistributionOptions
-from repro.ilp import solve as ilp_solve
 from repro.obs import tracing
 from repro.obs.events import spans_by_name
 from repro.programs import PROGRAMS
@@ -36,13 +35,13 @@ from repro.qa.oracles import (
 from repro.qa.runner import _presolve_divergence, run_fuzz
 from repro.resilience.deadline import Deadline
 from repro.resilience.degrade import collecting
+from repro.resilience.errors import DeadlineExceeded
 from repro.selection import ilp as selection_ilp
 from repro.selection import presolve as selection_presolve
 from repro.selection.ilp import select_layouts
 from repro.selection.layout_graph import DataLayoutGraph, LayoutEdge
 from repro.selection.presolve import (
     TABLE_CAP,
-    build_component_model,
     eliminate_component,
     presolve_selection,
 )
@@ -132,48 +131,8 @@ class TestPaperProgramPaths:
 
 
 class TestEliminationFallback:
-    def test_component_ilp_fallback_matches_elimination(
-        self, adi_assistant, monkeypatch
-    ):
-        graph = adi_assistant.graph
-        reference = select_layouts(graph, presolve=True)
-        # Force every component onto the reduced-ILP fallback.
-        monkeypatch.setattr(
-            selection_ilp, "eliminate_component",
-            lambda pre, comp: None,
-        )
-        fallback = select_layouts(graph, presolve=True)
-        assert fallback.selection == reference.selection
-        assert fallback.objective == reference.objective
-
-    def test_tiny_table_cap_returns_none(self, adi_assistant):
-        graph = adi_assistant.graph
-        pre = presolve_selection(graph)
-        for comp in pre.components:
-            if len(comp) >= 1:
-                assert eliminate_component(pre, comp, table_cap=0) is None
-                break
-        else:
-            pytest.skip("presolve fixed every phase outright")
-
     def test_default_cap_is_generous(self):
         assert TABLE_CAP == 1 << 19  # 4 MiB of float64
-
-    def test_component_model_matches_elimination(self, adi_assistant):
-        graph = adi_assistant.graph
-        pre = presolve_selection(graph)
-        for comp in pre.components:
-            exact = eliminate_component(pre, comp)
-            if exact is None:
-                continue
-            model = build_component_model(pre, comp)
-            solution = ilp_solve(model)
-            assert solution.is_optimal
-            for p in comp:
-                for c in pre.active[p]:
-                    if solution.values.get(f"x:{p}:{c}") == 1:
-                        assert exact[p] == c, (p, c)
-                        break
 
 
 def random_layout_graph(rng: random.Random) -> DataLayoutGraph:
@@ -210,20 +169,20 @@ class TestWidthAwareElimination:
         self, monkeypatch
     ):
         """Descending order, greedy order with its uniqueness
-        certificate, tie canonicalisation and the ILP fallback (forced
-        by shrinking the cap) all return the brute-force
+        certificate, tie canonicalisation and cutset conditioning
+        (forced by shrinking the cap) all return the brute-force
         lexicographically smallest optimum, bitwise."""
-        conditioned = []
+        tie_rule = []
         plan = selection_presolve._elimination_order
 
         def spy(scopes, sizes, order=None, last=None):
             if last is not None:
-                conditioned.append(last)
+                tie_rule.append(last)
             return plan(scopes, sizes, order=order, last=last)
 
         monkeypatch.setattr(selection_presolve, "_elimination_order", spy)
         rng = random.Random(1995)
-        reordered = 0
+        reordered = conditioned = 0
         for case in range(60):
             graph = random_layout_graph(rng)
             cost, oracle = exact_best_selection(graph)
@@ -232,16 +191,16 @@ class TestWidthAwareElimination:
             )
             assert slow.selection == oracle, case
             pre = presolve_selection(graph)
-            for cap in (4, 8, 16, 32, 64, 128, TABLE_CAP):
+            for cap in (1, 2, 4, 8, 16, 32, 64, 128, TABLE_CAP):
                 for comp in pre.components:
                     solved = eliminate_component(pre, comp, table_cap=cap)
-                    if solved is not None:
-                        assert solved == {p: oracle[p] for p in comp}, (
-                            case, cap
-                        )
+                    assert solved == {p: oracle[p] for p in comp}, (
+                        case, cap
+                    )
             reordered += pre.reordered
-            # end to end, with and without the ILP fallback forced
-            for cap in (0, TABLE_CAP):
+            conditioned += pre.conditioned
+            # end to end, with the smallest cap and the default one
+            for cap in (1, TABLE_CAP):
                 monkeypatch.setattr(
                     selection_ilp, "eliminate_component",
                     functools.partial(eliminate_component, table_cap=cap),
@@ -249,9 +208,40 @@ class TestWidthAwareElimination:
                 fast = select_layouts(graph, backend="branch-bound")
                 assert fast.selection == oracle, (case, cap)
                 assert fast.objective == cost == slow.objective
-        # the generator must reach the reordered path and its tie rule
+                assert fast.solution.stats.backend == "elimination"
+            monkeypatch.setattr(
+                selection_ilp, "eliminate_component",
+                functools.partial(eliminate_component, table_cap=0),
+            )
+            if pre.components:
+                with pytest.raises(ValueError, match="table_cap"):
+                    select_layouts(graph)
+        # the generator must reach the reordered path, its tie rule and
+        # cutset conditioning
         assert reordered > 0
-        assert conditioned
+        assert tie_rule
+        assert conditioned > 0
+
+    @pytest.mark.parametrize("seed,cap", [(36, 8), (74, 16), (493, 4)])
+    def test_tie_rule_overflow_is_conditioned(self, seed, cap, monkeypatch):
+        """A ``last=`` order of the tie rule that overflows the cap
+        hands the phases it has not fixed to cutset conditioning."""
+        overflowed = []
+        condition = selection_presolve._condition
+
+        def spy(pre, factors, sizes, table_cap, last):
+            overflowed.append(last)
+            return condition(pre, factors, sizes, table_cap, last)
+
+        monkeypatch.setattr(selection_presolve, "_condition", spy)
+        graph = random_layout_graph(random.Random(seed))
+        _cost, oracle = exact_best_selection(graph)
+        pre = presolve_selection(graph)
+        for comp in pre.components:
+            solved = eliminate_component(pre, comp, table_cap=cap)
+            assert solved == {p: oracle[p] for p in comp}
+        assert any(last is not None for last in overflowed)
+        assert pre.conditioned > 0
 
     @pytest.mark.parametrize("name", ["tomcatv", "shallow"])
     def test_extended_space_needs_no_solver(self, name):
@@ -264,17 +254,13 @@ class TestWidthAwareElimination:
         finally:
             trace = tracing.finish_trace()
         assert result.selection.solution.stats.backend == "elimination"
-        assert not [
-            span for span in spans_by_name(trace, "ilp.solve")
-            if span["attrs"]["name"] == "layout-selection:residual"
-        ]
         (span,) = [
             span for span in spans_by_name(trace, "ilp.presolve")
             if span["attrs"]["name"] == "layout-selection"
         ]
         attrs = span["attrs"]
-        assert attrs["eliminated"] == attrs["components"] > 0
-        assert attrs["ilp_components"] == 0
+        assert attrs["components"] > 0
+        assert attrs["conditioned"] == attrs["cutset"] == 0
         assert 0 < attrs["max_table"] <= TABLE_CAP
         slow = select_layouts(result.graph, presolve=False)
         assert result.selection.selection == slow.selection
@@ -296,6 +282,69 @@ class TestWidthAwareElimination:
             ("selection", "greedy-fallback")
         ]
         assert "elimination" in notes[0].detail
+
+    def test_deadline_during_conditioning_keeps_the_incumbent(
+        self, monkeypatch
+    ):
+        # cap 1 conditions on all three phases; the budget runs out at
+        # the fourth bucket, after the first assignment's three
+        result, notes = conditioned_under_countdown(monkeypatch, 3)
+        assert [(n.stage, n.reason) for n in notes] == [
+            ("selection", "incumbent")
+        ]
+        assert not result.optimal
+        assert result.solution.status == "time_limit"
+        assert result.solution.stats.backend == "elimination"
+        assert result.selection == {0: 0, 1: 0, 2: 0}
+        assert result.objective == 3.0  # the optimum, all ones, costs 0
+
+    def test_deadline_before_any_assignment_degrades_to_greedy(
+        self, monkeypatch
+    ):
+        result, notes = conditioned_under_countdown(monkeypatch, 0)
+        assert [(n.stage, n.reason) for n in notes] == [
+            ("selection", "greedy-fallback")
+        ]
+        assert not result.optimal
+        assert result.selection == {0: 1, 1: 1, 2: 1}
+
+
+class Countdown:
+    """A request deadline whose budget runs out after ``checks``
+    checks."""
+
+    def __init__(self, checks):
+        self.left = checks
+
+    def check(self, label=""):
+        self.left -= 1
+        if self.left < 0:
+            raise DeadlineExceeded(f"budget spent at {label}")
+
+
+def conditioned_under_countdown(monkeypatch, checks):
+    """Select over a three-phase chain that prefers candidate 1
+    everywhere, every table capped at one element so that each
+    assignment of the cutset is a separate solve, under a
+    :class:`Countdown` deadline."""
+    graph = DataLayoutGraph(
+        phases=(), pcfg=None, estimates=None,
+        node_costs={p: [1.0, 0.0] for p in range(3)},
+        edges=[LayoutEdge(0, 1, differ_costs(2, 2)),
+               LayoutEdge(1, 2, differ_costs(2, 2))],
+        transitions={},
+    )
+    countdown = Countdown(checks)
+    monkeypatch.setattr(
+        selection_presolve, "current_deadline", lambda: countdown
+    )
+    monkeypatch.setattr(
+        selection_ilp, "eliminate_component",
+        functools.partial(eliminate_component, table_cap=1),
+    )
+    with collecting() as notes:
+        result = select_layouts(graph)
+    return result, notes
 
 
 def differ_costs(rows, cols):
