@@ -16,14 +16,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 from ..frontend import ast
 from ..frontend.symbols import SymbolTable
 from .references import (
     ArrayAccess,
+    AffineForms,
     LoopInfo,
-    analyze_subscript,
+    assignment_refs,
     collect_accesses,
 )
 
@@ -145,23 +146,6 @@ class PhasePartition:
         return len(self.phases)
 
 
-def _loop_var_in_subscripts(stmt: ast.Do) -> bool:
-    """Paper's phase test: does ``stmt.var`` occur in a subscript of an
-    array reference in the loop body?"""
-    for inner in ast.walk_stmts(stmt.body):
-        for expr in ast.stmt_exprs(inner):
-            for ref in ast.expr_array_refs(expr):
-                for sub in ref.subscripts:
-                    for node in ast.walk_expr(sub):
-                        if isinstance(node, ast.Var) and node.name == stmt.var:
-                            return True
-    return False
-
-
-def _is_phase_loop(stmt: ast.Do, symbols: SymbolTable) -> bool:
-    return _loop_var_in_subscripts(stmt)
-
-
 def partition_phases(
     program: ast.Program,
     symbols: SymbolTable,
@@ -181,15 +165,47 @@ def partition_phases(
         return overrides.get(stmt.line, branch_probability)
 
     phases: List[Phase] = []
+    forms = AffineForms(symbols.constants)
+    phase_loops: Set[int] = set()  # ids of the DOs that pass the test
+    refs: Dict[int, List[Tuple[ast.ArrayRef, bool]]] = {}  # per assignment
+
+    def scan(stmts) -> Set[str]:
+        """One bottom-up pass: the variables in subscripts of the array
+        references of ``stmts``.  The paper's phase test for each DO is
+        whether its variable is in its body's set."""
+        names: Set[str] = set()
+        for stmt in stmts:
+            if isinstance(stmt, ast.Assign):
+                refs[id(stmt)] = assignment_refs(stmt)
+                found = [ref for ref, _ in refs[id(stmt)]]
+            else:
+                found = [ref for expr in ast.stmt_exprs(stmt)
+                         for ref in ast.expr_array_refs(expr)]
+            # A reference nested in a subscript is in ``found`` itself.
+            stack = [sub for ref in found for sub in ref.subscripts]
+            while stack:
+                node = stack.pop()
+                if isinstance(node, ast.Var):
+                    names.add(node.name)
+                elif isinstance(node, ast.BinOp):
+                    stack += (node.left, node.right)
+                elif isinstance(node, ast.UnaryOp):
+                    stack.append(node.operand)
+                elif isinstance(node, ast.Call):
+                    stack += node.args
+            if isinstance(stmt, ast.Do):
+                inner = scan(stmt.body)
+                if stmt.var in inner:
+                    phase_loops.add(id(stmt))
+                names |= inner
+            elif isinstance(stmt, ast.If):
+                names |= scan(stmt.then_body + stmt.else_body)
+        return names
 
     def trip_count(stmt: ast.Do) -> int:
-        lo = analyze_subscript(stmt.lo, symbols.constants)
-        hi = analyze_subscript(stmt.hi, symbols.constants)
-        step = (
-            analyze_subscript(stmt.step, symbols.constants)
-            if stmt.step is not None
-            else None
-        )
+        lo = forms[stmt.lo]
+        hi = forms[stmt.hi]
+        step = forms[stmt.step] if stmt.step is not None else None
         if lo.is_constant() and hi.is_constant():
             step_val = step.const if step is not None and step.is_constant() else 1
             if step_val == 0:
@@ -199,7 +215,8 @@ def partition_phases(
 
     def make_phase(stmt: ast.Do) -> Phase:
         accesses = collect_accesses(
-            [stmt], symbols, branch_probability, branch_prob_overrides=overrides
+            [stmt], symbols, branch_probability, branch_prob_overrides=overrides,
+            refs_of=lambda assign: refs[id(assign)], forms=forms,
         )
         phase = Phase(
             index=len(phases),
@@ -222,7 +239,7 @@ def partition_phases(
         for stmt in stmts:
             if isinstance(stmt, ast.Do):
                 flush_scalars()
-                if _is_phase_loop(stmt, symbols):
+                if id(stmt) in phase_loops:
                     items.append(PhaseItem(phase=make_phase(stmt)))
                 else:
                     items.append(
@@ -233,26 +250,21 @@ def partition_phases(
                         )
                     )
             elif isinstance(stmt, ast.If):
-                # An IF whose bodies contain no loops is plain scalar code.
-                has_loop = any(
-                    isinstance(s, ast.Do) for s in ast.walk_stmts([stmt])
-                )
-                if has_loop:
-                    flush_scalars()
-                    items.append(
-                        Branch(
-                            prob=prob_for(stmt),
-                            then_body=build_seq(stmt.then_body),
-                            else_body=build_seq(stmt.else_body),
-                        )
-                    )
-                else:
+                then_body = build_seq(stmt.then_body)
+                else_body = build_seq(stmt.else_body)
+                # An IF holding no DO is plain scalar code.
+                if all(isinstance(item, ScalarItem)
+                       for item in then_body.items + else_body.items):
                     pending_scalars.append(stmt)
+                else:
+                    flush_scalars()
+                    items.append(Branch(prob_for(stmt), then_body, else_body))
             else:
                 pending_scalars.append(stmt)
         flush_scalars()
         return Seq(items=tuple(items))
 
+    scan(program.body)
     structure = build_seq(program.body)
     return PhasePartition(
         phases=phases,

@@ -32,7 +32,10 @@ class AffineExpr:
         return dict(self.coeffs)
 
     def coeff(self, var: str) -> int:
-        return self.coeff_map.get(var, 0)
+        for v, c in self.coeffs:
+            if v == var:
+                return c
+        return 0
 
     @property
     def variables(self) -> Tuple[str, ...]:
@@ -131,6 +134,21 @@ def analyze_subscript(
     return AffineExpr(coeffs=tuple(sorted(coeffs.items())), const=const)
 
 
+class AffineForms(dict):
+    """Each distinct expression's :func:`analyze_subscript` form under
+    one program's PARAMETER ``constants``, derived on first lookup.  A
+    memo lives as long as one partitioning (or :func:`collect_accesses`)
+    call: constants differ between programs, so none outlives it."""
+
+    def __init__(self, constants: Dict[str, int | float]):
+        super().__init__()
+        self.constants = constants
+
+    def __missing__(self, expr: ast.Expr) -> AffineExpr:
+        aff = self[expr] = analyze_subscript(expr, self.constants)
+        return aff
+
+
 @dataclass(frozen=True)
 class LoopInfo:
     """One enclosing DO loop of a reference: variable and (possibly
@@ -198,13 +216,18 @@ class ArrayAccess:
         return max(total, 1)
 
 
-def _eval_bound(
-    expr: ast.Expr, constants: Dict[str, int | float]
-) -> Optional[int]:
-    aff = analyze_subscript(expr, constants)
-    if aff.is_constant():
-        return aff.const
-    return None
+def _eval_bound(expr: ast.Expr, forms: AffineForms) -> Optional[int]:
+    aff = forms[expr]
+    return aff.const if aff.is_constant() else None
+
+
+def assignment_refs(stmt: ast.Assign) -> List[Tuple[ast.ArrayRef, bool]]:
+    """``stmt``'s array references in record order, each with whether it
+    is written: the target, the references in its subscripts (reads),
+    then those of the right-hand side."""
+    refs = ast.expr_array_refs(stmt.target) + ast.expr_array_refs(stmt.expr)
+    written = isinstance(stmt.target, ast.ArrayRef)
+    return [(ref, written and k == 0) for k, ref in enumerate(refs)]
 
 
 def collect_accesses(
@@ -212,16 +235,20 @@ def collect_accesses(
     symbols: SymbolTable,
     branch_probability: float = 0.5,
     branch_prob_overrides=None,
+    refs_of=assignment_refs,
+    forms: Optional[AffineForms] = None,
 ) -> List[ArrayAccess]:
     """Collect every array access in ``stmts`` (pre-order), tracking the
     enclosing loop nest and IF-guard probabilities.
 
     ``branch_probability`` is the guessed probability for each IF branch
     (the paper's prototype guesses 50%); ``branch_prob_overrides`` maps IF
-    source lines to measured probabilities.
+    source lines to measured probabilities.  Partitioning passes the
+    reference lists its walk recorded as ``refs_of`` and its call's
+    ``forms``, so each phase reads them instead of deriving them again.
     """
     accesses: List[ArrayAccess] = []
-    constants = symbols.constants
+    forms = AffineForms(symbols.constants) if forms is None else forms
     overrides = branch_prob_overrides or {}
 
     def visit(stmt_seq, loops: Tuple[LoopInfo, ...], prob: float) -> None:
@@ -231,10 +258,10 @@ def collect_accesses(
             elif isinstance(stmt, ast.Do):
                 info = LoopInfo(
                     var=stmt.var,
-                    lo=_eval_bound(stmt.lo, constants),
-                    hi=_eval_bound(stmt.hi, constants),
+                    lo=_eval_bound(stmt.lo, forms),
+                    hi=_eval_bound(stmt.hi, forms),
                     step=(
-                        _eval_bound(stmt.step, constants) or 1
+                        _eval_bound(stmt.step, forms) or 1
                         if stmt.step is not None
                         else 1
                     ),
@@ -249,32 +276,20 @@ def collect_accesses(
     def _collect_stmt(
         stmt: ast.Assign, loops: Tuple[LoopInfo, ...], prob: float
     ) -> None:
-        def record(ref: ast.ArrayRef, is_write: bool) -> None:
+        for ref, is_write in refs_of(stmt):
             if symbols.get(ref.name) is None:
-                return
-            subs = tuple(
-                analyze_subscript(s, constants) for s in ref.subscripts
-            )
+                continue
             accesses.append(
                 ArrayAccess(
                     array=ref.name,
                     ref=ref,
-                    subscripts=subs,
+                    subscripts=tuple(map(forms.__getitem__, ref.subscripts)),
                     is_write=is_write,
                     stmt=stmt,
                     loops=loops,
                     guard_probability=prob,
                 )
             )
-
-        if isinstance(stmt.target, ast.ArrayRef):
-            record(stmt.target, True)
-            # Subscript expressions of the target are reads.
-            for sub in stmt.target.subscripts:
-                for ref in ast.expr_array_refs(sub):
-                    record(ref, False)
-        for ref in ast.expr_array_refs(stmt.expr):
-            record(ref, False)
 
     visit(stmts, (), 1.0)
     return accesses

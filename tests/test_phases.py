@@ -199,6 +199,48 @@ program t
         assert kinds == ["PhaseItem", "ScalarItem"]
 
 
+def loop_program(body, decls="      integer m(8), idx(8)\n"):
+    """A program with one ``do i`` loop around ``body``."""
+    return (
+        "program t\n      real a(8), b(8)\n      real s\n"
+        f"      integer i, j, k\n{decls}      do i = 1, 8\n{body}"
+        "      enddo\n      end\n"
+    )
+
+
+class TestPhaseTestCorners:
+    """The paper's test looks for the loop variable in any subscript of
+    any array reference in the body: nested references, the bounds of
+    inner loops and IF conditions all count; scalar expressions do not."""
+
+    @pytest.mark.parametrize("body", [
+        # only in a reference nested inside a subscript
+        "        a(idx(i)) = 0.0\n",
+        # only in an inner loop's bound
+        "        do j = 1, m(i)\n          b(j) = 1.0\n        enddo\n",
+        # only in an IF condition
+        "        if (a(i) .gt. 0.0) then\n          s = s + 1.0\n"
+        "        endif\n",
+        # only in an intrinsic's argument inside a subscript
+        "        b(max(i, 1)) = s\n",
+    ], ids=["nested-ref", "inner-bound", "if-cond", "intrinsic-arg"])
+    def test_loop_var_in_any_subscript_makes_a_phase(self, body):
+        part, _ = partition(loop_program(body))
+        assert [p.loop_var for p in part.phases] == ["i"]
+        assert isinstance(part.structure.items[0], PhaseItem)
+
+    def test_loop_var_only_in_scalar_expressions_is_control(self):
+        body = (
+            "        s = s + i\n        a(1) = a(1) + i * 2.0\n"
+            "        do k = 1, 8\n          b(k) = s\n        enddo\n"
+        )
+        part, _ = partition(loop_program(body))
+        loop = part.structure.items[0]
+        assert isinstance(loop, ControlLoop)
+        assert (loop.var, loop.trips) == ("i", 8)
+        assert [p.loop_var for p in part.phases] == ["k"]
+
+
 class TestPaperPhaseCounts:
     @pytest.mark.parametrize(
         "fixture_name,expected",
