@@ -80,7 +80,7 @@ def to_chrome_trace(trace: Mapping[str, Any]) -> Dict[str, Any]:
 
 def validate_chrome_trace(chrome: Mapping[str, Any]) -> None:
     """Light structural check of an exported Chrome trace (used by the
-    CI smoke job alongside the v1 validator)."""
+    tests alongside the v1 validator)."""
     events = chrome.get("traceEvents")
     if not isinstance(events, list) or not events:
         raise ValueError("chrome trace: traceEvents must be a "

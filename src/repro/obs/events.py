@@ -16,9 +16,8 @@ A serialized trace is one JSON object::
       "events": [...]          # trace-level events (no open span)
     }
 
-:func:`validate_trace` is the schema checker used by tests, the CI
-tracing smoke job, and the CLI after writing a trace file — validation
-failures raise :class:`TraceValidationError` with a pointed message.
+:func:`validate_trace` is the schema checker used by tests and the CLI
+after writing a trace file — validation failures raise :class:`TraceValidationError` with a pointed message.
 """
 
 from __future__ import annotations

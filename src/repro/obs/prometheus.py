@@ -18,7 +18,7 @@ read from the same :class:`~repro.obs.window.LogBucketSketch` that
 counted the buckets.
 
 :func:`parse_prometheus_text` is a small reference parser used by the
-tests and the CI smoke job to prove the exposition stays parseable.
+tests to prove the exposition stays parseable.
 """
 
 from __future__ import annotations
@@ -323,7 +323,7 @@ def parse_prometheus_text(
 
     A deliberately strict reference parser: any non-comment, non-blank
     line that does not match the exposition grammar raises
-    ``ValueError``.  Used by tests and the CI smoke job.
+    ``ValueError``.  Used by the tests.
     """
     out: Dict[Tuple[str, Tuple[Tuple[str, str], ...]], float] = {}
     for lineno, line in enumerate(text.splitlines(), 1):

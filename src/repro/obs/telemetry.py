@@ -452,8 +452,8 @@ def read_event_log(
 
 
 def validate_event_log(root: Union[str, Path]) -> Dict[str, Any]:
-    """Schema-check a whole log; returns a summary dict (used by the CI
-    telemetry-smoke job)."""
+    """Schema-check a whole log; returns a summary dict of the event
+    count, the unreadable-line count and the count per event type."""
     events, bad = read_event_log(root)
     types: Dict[str, int] = {}
     for event in events:

@@ -22,8 +22,8 @@ JSON document::
       ]
     }
 
-:func:`validate_bench_file` is the schema gate used by tests, the CLI
-(every write re-validates), and the CI bench-smoke job.
+:func:`validate_bench_file` is the schema gate used by tests and the
+CLI (every write re-validates).
 """
 
 from __future__ import annotations

@@ -57,7 +57,6 @@ from .degrade import (
     noted_count,
 )
 from .errors import (
-    CircuitOpenError,
     CorruptStateError,
     DeadlineExceeded,
     InjectedFault,
@@ -82,7 +81,6 @@ __all__ = [
     "AdmissionController",
     "Backoff",
     "CircuitBreaker",
-    "CircuitOpenError",
     "CorruptStateError",
     "Deadline",
     "DeadlineExceeded",

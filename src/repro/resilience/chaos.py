@@ -55,9 +55,9 @@ PLAN_SITES = (
 #: error kinds accepted as "clean typed error" (the catch-all
 #: "internal" is a violation: it means an exception escaped untyped)
 TYPED_ERROR_KINDS = frozenset({
-    "injected-fault", "deadline", "circuit-open", "corrupt-state",
-    "resilience", "bad-request", "timeout", "worker-pool",
-    "request-too-large", "overloaded", "shutting-down",
+    "injected-fault", "deadline", "corrupt-state", "resilience",
+    "bad-request", "timeout", "request-too-large", "overloaded",
+    "shutting-down",
 })
 
 #: the typed rejections admission control may answer with under load;

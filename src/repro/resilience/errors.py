@@ -46,12 +46,6 @@ class RequestTimeout(ResilienceError):
         self.stopped_at = stopped_at
 
 
-class CircuitOpenError(ResilienceError):
-    """A circuit breaker rejected the call while open."""
-
-    kind = "circuit-open"
-
-
 class CorruptStateError(ResilienceError):
     """A persisted artifact failed its checksum or structural check."""
 

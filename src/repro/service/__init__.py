@@ -24,7 +24,6 @@ from .errors import (
     JobTimeoutError,
     RequestValidationError,
     ServiceError,
-    WorkerPoolError,
 )
 from .loadtest import LoadtestConfig, LoadtestReport, run_loadtest
 from .metrics import Metrics

@@ -33,10 +33,3 @@ class ConnectionIdleError(ServiceError):
     client cannot pin a handler thread forever."""
 
     kind = "timeout"
-
-
-class WorkerPoolError(ServiceError):
-    """A job kept failing for pool-level (transient) reasons even after
-    bounded retries and a serial fallback attempt."""
-
-    kind = "worker-pool"

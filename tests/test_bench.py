@@ -47,6 +47,7 @@ from repro.perf.bench.suite import (
     GRAPH_STAGE,
     HANDLE_LAYER,
     RUNNER_LAYER,
+    SETUP_LAYER,
     STAGE_NAMES,
     _handle_service,
     _process_pool,
@@ -303,27 +304,34 @@ class TestSuite:
         assert all(m.min_s > 0 for m in results.values())
 
     def test_alignment_stage_adds_the_tied_generated_case(self):
-        cases = build_suite(programs=["adi"], sizes={"adi": 32},
-                            stages=["alignment_ilp"], include_e2e=False)
+        cases = build_suite(programs=["tomcatv"], stages=["alignment_ilp"],
+                            include_e2e=False)
         assert [c.bench_id for c in cases] == [
-            "stage:alignment_ilp/adi", "stage:alignment_ilp/qa-tied",
+            "stage:alignment_ilp/qa-tied", "stage:alignment_ilp/tomcatv",
         ]
+        traces = []
+        for case in cases:
+            tracing.start_trace("test")
+            try:
+                case.fn()
+            finally:
+                traces.append(tracing.finish_trace())
+        tied, tomcatv = traces
         # the case is what it says: phase1's resolution is handed over on
         # a tie, the two import resolutions are answered by enumeration
-        tracing.start_trace("test")
-        try:
-            cases[1].fn()
-        finally:
-            trace = tracing.finish_trace()
         assert [
             (s["attrs"]["name"], s["attrs"]["path"], s["attrs"]["optima"])
-            for s in spans_by_name(trace, "alignment.resolve")
+            for s in spans_by_name(tied, "alignment.resolve")
         ] == [
             ("phase1", "tie", 6),
             ("import:class1->class0", "direct", 1),
             ("import:class0->class1", "direct", 1),
         ]
-        assert len(spans_by_name(trace, "ilp.solve")) == 1
+        assert len(spans_by_name(tied, "ilp.solve")) == 1
+        # ...where tomcatv's, at its bench size, starts no solver
+        assert {s["attrs"]["path"] for s in
+                spans_by_name(tomcatv, "alignment.resolve")} == {"direct"}
+        assert not spans_by_name(tomcatv, "ilp.solve")
 
     def test_handle_layer_times_the_three_cache_paths(self):
         """...and, since there is one, the served hit, the event log
@@ -397,6 +405,15 @@ class TestSuite:
         ] == [(False, 9), (True, 5)]
         assert len(spans_by_name(trace, "pool:estimate_phase_batch")) == 1
         assert _process_pool() is pool and pool.degradations == 0
+
+    def test_setup_layer_selects_the_cold_process_cases(self):
+        cases = build_suite(programs=["adi"], sizes={"adi": 32},
+                            stages=[SETUP_LAYER], include_qa=False)
+        assert [c.bench_id for c in cases] == [
+            "e2e/adi", "layer:setup.import", "layer:setup.training_db",
+        ]
+        assert not build_suite(programs=["adi"], sizes={"adi": 32},
+                               stages=[SETUP_LAYER], include_e2e=False)
 
     def test_suite_ids_are_sorted_and_deterministic(self):
         cases = build_suite(programs=["tomcatv"], sizes={"tomcatv": 32})

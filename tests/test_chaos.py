@@ -88,10 +88,13 @@ class TestClassifier:
             assert _classify(response, REFERENCE) == ("typed-error", kind)
 
     def test_untyped_error_is_violation(self):
-        response = {"ok": False, "error": "boom", "error_kind": "internal"}
-        outcome, detail = _classify(response, REFERENCE)
-        assert outcome == "violation"
-        assert "untyped" in detail
+        # no error type carries "worker-pool" or "circuit-open": a reply
+        # with either came from outside the taxonomy
+        for kind in ("internal", "worker-pool", "circuit-open"):
+            response = {"ok": False, "error": "boom", "error_kind": kind}
+            outcome, detail = _classify(response, REFERENCE)
+            assert outcome == "violation"
+            assert "untyped" in detail
 
     def test_missing_response_is_violation(self):
         outcome, _ = _classify(None, REFERENCE)

@@ -1,10 +1,16 @@
 """Cross-module integration tests that close remaining coverage gaps."""
 
+import runpy
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.machine import IPSC860, simulate
 from repro.programs import PROGRAMS
 from repro.tool import AssistantConfig, run_assistant
+
+EXAMPLES = Path(__file__).resolve().parents[1] / "examples"
 
 
 class TestEstimatorVsSimulatorConsistency:
@@ -151,3 +157,13 @@ class TestTopLevelAPI:
             adi_small_source, result.selected_layouts, nprocs=4
         )
         assert m.seconds > 0
+
+    @pytest.mark.parametrize(
+        "script", sorted(p.name for p in EXAMPLES.glob("*.py")))
+    def test_example_script_runs(self, script, monkeypatch, capsys):
+        """Each ``examples/*.py`` runs as ``python examples/<script>``
+        does, with no arguments."""
+        path = EXAMPLES / script
+        monkeypatch.setattr(sys, "argv", [str(path)])
+        runpy.run_path(str(path), run_name="__main__")
+        assert capsys.readouterr().out

@@ -18,10 +18,17 @@ from repro.service import (
     WorkerPool,
     run_loadtest,
 )
-from repro.service.loadtest import _percentile
+from repro.service.loadtest import (
+    GOOD_OUTCOMES,
+    VIOLATION_OUTCOMES,
+    _percentile,
+)
 
 PROFILE_PATH = Path(__file__).resolve().parent.parent / "examples" \
     / "loadtest.json"
+
+#: the typed rejections: neither goodput nor a violation
+TYPED_OUTCOMES = ("shed", "timed-out", "typed-error")
 
 OK_RESPONSE = {
     "ok": True,
@@ -96,7 +103,14 @@ class TestRunClassification:
             rate=rate, duration_s=duration_s, timeout_s=5.0,
             workers=16, warmup=warmup,
         )
-        return run_loadtest(config, send=_sender(reply_fn))
+        report = run_loadtest(config, send=_sender(reply_fn))
+        # every request has one outcome, and every outcome is in exactly
+        # one class: so zero violations leaves good + typed == total
+        assert sum(report.counts.values()) == report.total
+        classes = GOOD_OUTCOMES + TYPED_OUTCOMES + VIOLATION_OUTCOMES
+        assert len(set(classes)) == len(classes)
+        assert set(report.counts) <= set(classes), report.counts
+        return report
 
     def test_all_served_clean_run(self):
         report = self._run(lambda payload: dict(OK_RESPONSE))
@@ -111,13 +125,18 @@ class TestRunClassification:
             if payload["request_id"] == "loadtest-warmup":
                 return dict(OK_RESPONSE)
             index = int(payload["request_id"].rsplit("-", 1)[1])
-            if index % 2 == 0:
+            if index % 4 == 0:
                 return {"ok": False, "error": "busy",
                         "error_kind": "overloaded", "retry_after_s": 0.1}
+            if index % 4 == 1:
+                return {"ok": False, "error": "late", "error_kind": "timeout"}
+            if index % 4 == 2:
+                return {"ok": False, "error": "no such program",
+                        "error_kind": "bad-request"}
             return dict(OK_RESPONSE)
 
         report = self._run(reply)
-        assert report.counts["shed"] > 0
+        assert all(report.counts[outcome] > 0 for outcome in TYPED_OUTCOMES)
         assert report.violations == []
         assert report.error_kinds["overloaded"] == report.counts["shed"]
         assert report.gate(require_shed=True) == []
