@@ -136,6 +136,7 @@ BENCH_NPROCS = 8
 #: ``stage:selection_ilp/<program>-extended``, and the processor count it
 #: runs at: there the residual component has 17 phases of up to 14
 #: candidates, so elimination-table width is what the time depends on
+#: (78 400 elements at its widest)
 EXTENDED_PROGRAM = "tomcatv"
 EXTENDED_NPROCS = 2
 

@@ -208,8 +208,8 @@ def _presolve_divergence(
                 f"{cand} but the oracle certificate selects "
                 f"{oracle_sel.get(phase_index)}"
             )
-    # Shrink the table cap until the descending order overflows, so the
-    # width-aware order, its tie rule and cutsets face the certificate.
+    # Replay under table caps the greedy order overflows, so its tie
+    # rule and cutsets face the certificate.
     for cap in _SMALL_TABLE_CAPS:
         for comp in pre.components:
             solved = eliminate_component(pre, comp, table_cap=cap)

@@ -234,7 +234,7 @@ def _select_presolved(
                     "deadline expired during elimination; "
                     "greedy one-pass selection",
                 )
-        psp.set_attr("reordered", pre.reordered)
+        psp.set_attr("tied", pre.tied)
         psp.set_attr("conditioned", pre.conditioned)
         psp.set_attr("cutset", pre.cutset)
         psp.set_attr("max_table", pre.max_table)

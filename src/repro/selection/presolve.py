@@ -16,21 +16,19 @@ data layout graph itself:
 What survives is a residual graph whose connected components are solved
 independently — by exact **min-sum variable elimination** (nonserial
 dynamic programming over elimination buckets), whose cost is exponential
-only in the induced width of the elimination order.  A component no
-order tried keeps under ``TABLE_CAP`` is **conditioned on a cutset** of
-phases, each assignment eliminated on its own; no 0-1 model is built.
+only in the induced width of the elimination order.  A component whose
+order passes ``TABLE_CAP`` is **conditioned on a cutset** of phases,
+each assignment eliminated on its own; no 0-1 model is built.
 
-Canonical tie-breaking: components eliminate phases in descending index
-order and backtrack ascending, taking the *first* argmin at every step.
-That yields the lexicographically smallest selection vector among the
-optima — exactly the assignment the branch-bound backend's
-lexicographically-greatest 0-1 rule decodes to.  When that order's
-tables overflow, a greedy min-table order is used instead; it returns
-the same vector because a tie-free backtrack proves the optimum unique,
-and a tie triggers ascending conditioning; cutset assignments are
-ranked by objective, then by selection in ascending phase order (see
-:func:`eliminate_component`).  So the fast path and the ILP path agree
-bit for bit.
+Canonical tie-breaking: the answer is the lexicographically smallest
+selection vector among the optima — exactly the assignment the
+branch-bound backend's lexicographically-greatest 0-1 rule decodes to.
+Components eliminate phases in the greedy min-table order and backtrack
+in reverse, taking the *first* argmin at every step.  A tie-free
+backtrack proves the optimum unique, hence the smallest; a tie triggers
+ascending conditioning; cutset assignments are ranked by objective, then
+by selection in ascending phase order (see :func:`eliminate_component`).
+So the fast path and the ILP path agree bit for bit.
 """
 
 from __future__ import annotations
@@ -46,7 +44,7 @@ from ..resilience.deadline import current_deadline
 from ..resilience.errors import DeadlineExceeded
 from .layout_graph import DataLayoutGraph
 
-#: largest elimination-bucket tensor in elements, for either order.
+#: largest elimination-bucket tensor in elements.
 #: The limit is memory, not time (a 12M-element bucket takes 0.2 s, the
 #: solver seconds): 2**19 float64 is 4 MiB, and a component holds its
 #: recorded buckets (measured <= 2.4x the largest) plus one operand,
@@ -80,10 +78,11 @@ class SelectionPresolve:
     checks: int = 0
     #: elimination bookkeeping, updated by :func:`eliminate_component`:
     #: the largest bucket table built (elements), the number of
-    #: problems solved in the width-aware order, the number solved under
-    #: a cutset assignment and the largest cutset
+    #: problems whose first backtrack tied and so were conditioned in
+    #: ascending order, the number solved under a cutset assignment and
+    #: the largest cutset
     max_table: int = 0
-    reordered: int = 0
+    tied: int = 0
     conditioned: int = 0
     cutset: int = 0
     #: a deadline stopped a cutset enumeration: the answer is the best
@@ -255,33 +254,42 @@ def _align(arr: "np.ndarray", scope: Tuple[int, ...],
 def _elimination_order(
     scopes: List[Tuple[int, ...]],
     sizes: Dict[int, int],
-    order: Optional[List[int]] = None,
     last: Optional[int] = None,
 ) -> Tuple[List[int], int, frozenset]:
-    """Simulate bucket elimination over factor ``scopes``: the order
-    followed, its largest bucket table in elements and that bucket's
-    phases.  Without ``order``, each step takes the phase whose bucket
-    table is smallest (largest index on ties) and ``last`` is kept for
-    the end."""
-    live = [frozenset(scope) for scope in scopes]
+    """Simulate bucket elimination over factor ``scopes``, each phase of
+    ``sizes`` in at least one: the order followed, its largest bucket
+    table in elements and that bucket's phases.  Each step takes the
+    phase whose bucket table is smallest (largest index on ties);
+    ``last`` is kept for the end.
 
-    def bucket(q: int) -> Tuple[int, frozenset]:
-        members = frozenset().union(*(s for s in live if q in s))
-        return math.prod(sizes[p] for p in members), members
+    A phase's bucket is the phase and its neighbours (the phases it
+    shares a scope with); eliminating ``q`` joins its neighbours into a
+    clique, so only their tables are recomputed."""
+    near: Dict[int, Set[int]] = {p: set() for p in sizes}
+    for scope in scopes:
+        for p in scope:
+            near[p].update(scope)
 
-    remaining = set(sizes)
+    def table(p: int) -> int:
+        return math.prod(sizes[r] for r in near[p])
+
+    tables = {p: table(p) for p in sizes}
     out: List[int] = []
     widest, wide = 0, frozenset()
-    while remaining:
-        q = order[len(out)] if order is not None else min(
-            remaining - {last} or remaining,
-            key=lambda p: (bucket(p)[0], -p),
+    while tables:
+        q = min(
+            (p for p in tables if p != last),
+            key=lambda p: (tables[p], -p), default=last,
         )
-        size, members = bucket(q)
+        members = near.pop(q)
+        size = tables.pop(q)
         if size > widest:
-            widest, wide = size, members
-        live = [s for s in live if q not in s] + [members - {q}]
-        remaining.discard(q)
+            widest, wide = size, frozenset(members)
+        members.discard(q)
+        for r in members:
+            near[r] |= members
+            near[r].discard(q)
+            tables[r] = table(r)
         out.append(q)
     return out, widest, wide
 
@@ -343,7 +351,8 @@ def eliminate_component(
     table_cap: int = TABLE_CAP,
 ) -> Dict[int, int]:
     """Exactly solve one residual component by variable elimination,
-    conditioned on a cutset where no order fits ``table_cap`` (>= 1).
+    conditioned on a cutset where its order does not fit ``table_cap``
+    (>= 1).
 
     Returns the optimal candidate position per phase under the canonical
     tie-break.  Between buckets, raises ``DeadlineExceeded`` once the
@@ -369,15 +378,6 @@ def _lex_min(pre: SelectionPresolve, factors: Factors,
     per phase of ``sizes``."""
     scopes = [scope for scope, _ in factors]
 
-    # Descending order, ascending first-argmin backtracking: the
-    # lexicographically smallest optimum, ties or not.
-    order, widest, _ = _elimination_order(
-        scopes, sizes, order=sorted(sizes, reverse=True)
-    )
-    if widest <= table_cap:
-        pre.max_table = max(pre.max_table, widest)
-        return _eliminate(factors, sizes, order)[0]
-
     # Greedy order (``last=None``): canonical only when no argmin is
     # tied, which proves the optimum unique.  After a tie, condition
     # phases in ascending order: eliminated last, a phase's first argmin
@@ -394,9 +394,10 @@ def _lex_min(pre: SelectionPresolve, factors: Factors,
         pre.max_table = max(pre.max_table, widest)
         local, tied = _eliminate(factors, sizes, order)
         if tied <= {last}:
-            pre.reordered += 1
             break
-        if last is not None:
+        if last is None:
+            pre.tied += 1
+        else:
             fix[last] = local[last]
             factors = _restrict(factors, {last: fix[last]})
             sizes[last] = 1
@@ -412,10 +413,11 @@ def _condition(pre: SelectionPresolve, factors: Factors,
 
     Phases join a cutset until that order fits, each time the one with
     the most candidates in the widest bucket (smallest index on ties).
-    Each assignment of the cutset, ascending, is solved as a problem of
-    its own, and the best by ``(objective, selection in ascending phase
-    order)`` is kept: the smallest optimum has some cutset assignment,
-    and under it is that problem's own smallest optimum."""
+    Each assignment of the cutset, ascending, is a problem of its own,
+    solved by :func:`_lex_min` (a nested overflow conditions again), and
+    the best by ``(objective, selection in ascending phase order)`` is
+    kept: the smallest optimum has some cutset assignment, and under it
+    is that problem's own smallest optimum."""
     scopes = [scope for scope, _ in factors]
     reduced = dict(sizes)
     cutset: List[int] = []

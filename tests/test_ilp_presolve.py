@@ -164,25 +164,140 @@ def random_layout_graph(rng: random.Random) -> DataLayoutGraph:
     )
 
 
+def live_scope_order(scopes, sizes, last=None):
+    """The reference simulation of ``_elimination_order``: each step
+    rebuilds every bucket as the union of the live scopes holding its
+    phase."""
+    live = [frozenset(scope) for scope in scopes]
+
+    def bucket(q):
+        members = frozenset().union(*(s for s in live if q in s))
+        return math.prod(sizes[p] for p in members), members
+
+    remaining = set(sizes)
+    out = []
+    widest, wide = 0, frozenset()
+    while remaining:
+        q = min(
+            remaining - {last} or remaining,
+            key=lambda p: (bucket(p)[0], -p),
+        )
+        size, members = bucket(q)
+        if size > widest:
+            widest, wide = size, members
+        live = [s for s in live if q not in s] + [members - {q}]
+        remaining.discard(q)
+        out.append(q)
+    return out, widest, wide
+
+
+def component_problems(population):
+    """``(key, scopes, sizes)`` of every distinct residual component of
+    ``population`` (see ``tests/test_selection_pinned.py``), its scopes
+    those :func:`eliminate_component` eliminates."""
+    # imported here: that module imports this one at its top
+    from .test_selection_pinned import populations
+
+    seen = set()
+    for key, thunk in populations()[population]:
+        pre = presolve_selection(*thunk())
+        for comp in pre.components:
+            scopes = [(p,) for p in comp] + [
+                (p, q) for p, q, _sub in pre.component_edges(comp)
+            ]
+            sizes = {p: len(pre.active[p]) for p in comp}
+            shape = (tuple(scopes), tuple(sizes.items()))
+            if shape not in seen:
+                seen.add(shape)
+                yield key, scopes, sizes
+
+
+class Eliminations:
+    """Counts ``_eliminate`` calls: the backtracks a solve took."""
+
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        eliminate = selection_presolve._eliminate
+
+        def spy(*args):
+            self.calls += 1
+            return eliminate(*args)
+
+        monkeypatch.setattr(selection_presolve, "_eliminate", spy)
+
+
+class TestEliminationOrder:
+    @pytest.mark.parametrize(
+        "population", ["paper", "extended", "corpus", "random"]
+    )
+    def test_incremental_order_is_the_live_scope_simulation(
+        self, population
+    ):
+        """The order, widest table and widest bucket match the
+        reference with ``last=None`` and with every ``last=p``."""
+        plan = selection_presolve._elimination_order
+        components = 0
+        for key, scopes, sizes in component_problems(population):
+            components += 1
+            for last in [None, *sorted(sizes)]:
+                assert plan(scopes, sizes, last=last) == live_scope_order(
+                    scopes, sizes, last=last
+                ), (key, last)
+        assert components > 0
+
+    def test_a_component_takes_at_most_one_backtrack_per_phase_more(
+        self, monkeypatch
+    ):
+        """Ties reach ascending conditioning: on the tie-heavy random
+        graphs a component takes at most ``1 + len(comp)``
+        eliminations, one when its first backtrack does not tie."""
+        counter = Eliminations(monkeypatch)
+        tied = 0
+        for seed in range(200):
+            pre = presolve_selection(random_layout_graph(random.Random(seed)))
+            for comp in pre.components:
+                before, calls = pre.tied, counter.calls
+                eliminate_component(pre, comp)
+                calls = counter.calls - calls
+                assert 1 <= calls <= 1 + len(comp), (seed, comp)
+                assert (calls > 1) == (pre.tied > before), (seed, comp)
+            tied += pre.tied
+        assert tied > 0
+
+    def test_extended_bench_inputs_take_one_backtrack(self, monkeypatch):
+        from .test_selection_pinned import populations  # see above
+
+        counter = Eliminations(monkeypatch)
+        inputs = populations()["extended"]
+        assert len(inputs) == 12
+        for key, thunk in inputs:
+            pre = presolve_selection(*thunk())
+            counter.calls = 0
+            for comp in pre.components:
+                eliminate_component(pre, comp)
+            assert counter.calls == len(pre.components), key
+            assert pre.tied == pre.conditioned == 0, key
+
+
 class TestWidthAwareElimination:
     def test_every_order_returns_the_lexicographic_minimum(
         self, monkeypatch
     ):
-        """Descending order, greedy order with its uniqueness
-        certificate, tie canonicalisation and cutset conditioning
-        (forced by shrinking the cap) all return the brute-force
-        lexicographically smallest optimum, bitwise."""
+        """The greedy order with its uniqueness certificate, tie
+        canonicalisation and cutset conditioning (forced by shrinking
+        the cap) all return the brute-force lexicographically smallest
+        optimum, bitwise."""
         tie_rule = []
         plan = selection_presolve._elimination_order
 
-        def spy(scopes, sizes, order=None, last=None):
+        def spy(scopes, sizes, last=None):
             if last is not None:
                 tie_rule.append(last)
-            return plan(scopes, sizes, order=order, last=last)
+            return plan(scopes, sizes, last=last)
 
         monkeypatch.setattr(selection_presolve, "_elimination_order", spy)
         rng = random.Random(1995)
-        reordered = conditioned = 0
+        tied = conditioned = 0
         for case in range(60):
             graph = random_layout_graph(rng)
             cost, oracle = exact_best_selection(graph)
@@ -197,7 +312,7 @@ class TestWidthAwareElimination:
                     assert solved == {p: oracle[p] for p in comp}, (
                         case, cap
                     )
-            reordered += pre.reordered
+            tied += pre.tied
             conditioned += pre.conditioned
             # end to end, with the smallest cap and the default one
             for cap in (1, TABLE_CAP):
@@ -216,9 +331,8 @@ class TestWidthAwareElimination:
             if pre.components:
                 with pytest.raises(ValueError, match="table_cap"):
                     select_layouts(graph)
-        # the generator must reach the reordered path, its tie rule and
-        # cutset conditioning
-        assert reordered > 0
+        # the generator must reach the tie rule and cutset conditioning
+        assert tied > 0
         assert tie_rule
         assert conditioned > 0
 
@@ -260,7 +374,7 @@ class TestWidthAwareElimination:
         ]
         attrs = span["attrs"]
         assert attrs["components"] > 0
-        assert attrs["conditioned"] == attrs["cutset"] == 0
+        assert attrs["tied"] == attrs["conditioned"] == attrs["cutset"] == 0
         assert 0 < attrs["max_table"] <= TABLE_CAP
         slow = select_layouts(result.graph, presolve=False)
         assert result.selection.selection == slow.selection
@@ -412,7 +526,7 @@ class TestFuzzWiring:
 
     def test_check_replays_the_corpus_under_small_table_caps(self):
         # includes the extended() seed, whose residual component the
-        # forced-small caps solve in the greedy order
+        # caps below 32 condition on cutsets of two and three phases
         for case in CORPUS:
             result = run_assistant(case.source, case.config)
             assert _presolve_divergence(result, "scipy") is None, case.name
