@@ -18,13 +18,12 @@ entry, which is exactly where remapping inside an iterative solver hurts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
-
-import networkx as nx
+from typing import Dict, List, Optional, Tuple
 
 from .phases import (
     Branch,
     ControlLoop,
+    Phase,
     PhaseItem,
     PhasePartition,
     ScalarItem,
@@ -38,41 +37,113 @@ EXIT = "exit"
 _EPS = 1e-12
 
 
+class PhaseGraph:
+    """The PCFG's nodes and edges as an insertion-ordered adjacency map.
+
+    ``freq[node]`` is a node's expected executions (0.0 for the entry and
+    the exit), ``phase[index]`` the phase of a phase node, and
+    ``succ[node]`` maps each successor to the edge's frequency.  Both
+    orders are part of the answer: successor order is the DFS order of
+    :meth:`PCFG.reverse_postorder` and the order in which the selection
+    step sums out-edge frequencies.
+    """
+
+    __slots__ = ("freq", "phase", "succ")
+
+    def __init__(self) -> None:
+        self.freq: Dict[object, float] = {}
+        self.phase: Dict[int, Phase] = {}
+        self.succ: Dict[object, Dict[object, float]] = {}
+
+    def add_node(self, node, phase: Optional[Phase] = None) -> None:
+        if node not in self.succ:
+            self.freq[node] = 0.0
+            self.succ[node] = {}
+        if phase is not None:
+            self.phase[node] = phase
+
+    def add_edge(self, src, dst, freq: float) -> None:
+        """Add ``freq`` to the edge ``src -> dst``, adding either end
+        (source first) if it is not yet a node."""
+        self.add_node(src)
+        self.add_node(dst)
+        row = self.succ[src]
+        row[dst] = row[dst] + freq if dst in row else freq
+
+    def remove_node(self, node) -> Dict[object, float]:
+        """Remove ``node`` and its edges, if it is a node; returns its
+        out-edges."""
+        for row in self.succ.values():
+            row.pop(node, None)
+        self.freq.pop(node, None)
+        self.phase.pop(node, None)
+        return self.succ.pop(node, {})
+
+    def number_of_edges(self) -> int:
+        # Kept under its networkx name for bench/toolrun.py, which reads
+        # it as ``analysis.pcfg_edges`` on every traced op.
+        return sum(len(row) for row in self.succ.values())
+
+
 @dataclass
 class PCFG:
-    """Wrapper around the underlying DiGraph with typed accessors."""
+    """The phase graph and the partition it was built from, with typed
+    accessors."""
 
-    graph: nx.DiGraph
+    graph: PhaseGraph
     partition: PhasePartition
 
     @property
     def phase_indices(self) -> List[int]:
-        return sorted(n for n in self.graph.nodes if isinstance(n, int))
+        return sorted(n for n in self.graph.succ if isinstance(n, int))
+
+    def phase(self, index: int) -> Optional[Phase]:
+        return self.graph.phase.get(index)
 
     def phase_frequency(self, index: int) -> float:
-        return self.graph.nodes[index].get("freq", 0.0)
+        return self.graph.freq.get(index, 0.0)
+
+    def edges(self) -> List[Tuple[object, object, float]]:
+        """Every edge ``(src, dst, freq)``, entry and exit included, in
+        node then successor order."""
+        return [
+            (src, dst, freq)
+            for src, row in self.graph.succ.items()
+            for dst, freq in row.items()
+        ]
 
     def transitions(self) -> List[Tuple[int, int, float]]:
         """Phase-to-phase edges ``(src, dst, freq)``."""
-        out = []
-        for u, v, data in self.graph.edges(data=True):
-            if isinstance(u, int) and isinstance(v, int):
-                out.append((u, v, data["freq"]))
-        return out
+        return [
+            (u, v, f) for u, v, f in self.edges()
+            if isinstance(u, int) and isinstance(v, int)
+        ]
 
     def entry_edges(self) -> List[Tuple[int, float]]:
         return [
-            (v, data["freq"])
-            for _, v, data in self.graph.out_edges(ENTRY, data=True)
+            (v, f) for v, f in self.graph.succ[ENTRY].items()
             if isinstance(v, int)
         ]
 
     def reverse_postorder(self) -> List[int]:
         """Phase indices in reverse postorder of a DFS from the entry —
-        the visit order of the alignment search-space heuristic."""
-        order = list(nx.dfs_postorder_nodes(self.graph, source=ENTRY))
-        order.reverse()
-        return [n for n in order if isinstance(n, int)]
+        the visit order of the alignment search-space heuristic.  The DFS
+        takes successors in insertion order."""
+        succ = self.graph.succ
+        postorder: List[object] = []
+        visited = {ENTRY}
+        stack = [(ENTRY, iter(succ[ENTRY]))]
+        while stack:
+            node, children = stack[-1]
+            for child in children:
+                if child not in visited:
+                    visited.add(child)
+                    stack.append((child, iter(succ[child])))
+                    break
+            else:
+                stack.pop()
+                postorder.append(node)
+        return [n for n in reversed(postorder) if isinstance(n, int)]
 
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         lines = ["PCFG:"]
@@ -90,19 +161,15 @@ def build_pcfg(partition: PhasePartition) -> PCFG:
     places control may be coming from, with expected frequencies.  Regions
     with no phases are transparent (their incoming ports flow through).
     """
-    graph = nx.DiGraph()
+    graph = PhaseGraph()
     graph.add_node(ENTRY)
     graph.add_node(EXIT)
     for phase in partition.phases:
-        graph.add_node(phase.index, freq=0.0, phase=phase)
+        graph.add_node(phase.index, phase)
 
     def add_edge(src, dst, freq: float) -> None:
-        if freq <= _EPS:
-            return
-        if graph.has_edge(src, dst):
-            graph[src][dst]["freq"] += freq
-        else:
-            graph.add_edge(src, dst, freq=freq)
+        if freq > _EPS:
+            graph.add_edge(src, dst, freq)
 
     def process_seq(seq: Seq, incoming: List[Tuple[object, float]]):
         ports = incoming
@@ -119,7 +186,7 @@ def build_pcfg(partition: PhasePartition) -> PCFG:
             for src, freq in incoming:
                 add_edge(src, idx, freq)
                 total += freq
-            graph.nodes[idx]["freq"] += total
+            graph.freq[idx] += total
             return [(idx, total)]
         if isinstance(item, Branch):
             then_in = [(s, f * item.prob) for s, f in incoming]
@@ -160,13 +227,8 @@ def build_pcfg(partition: PhasePartition) -> PCFG:
             out_total += leak
 
         # Re-point placeholder edges: back-edge mass flows from exits.
-        placeholder_edges = [
-            (v, data["freq"])
-            for _, v, data in graph.out_edges(placeholder, data=True)
-        ]
-        if graph.has_node(placeholder):
-            graph.remove_node(placeholder)
-        for head, head_freq in placeholder_edges:
+        # A one-trip loop has no back-edge mass, so no placeholder node.
+        for head, head_freq in graph.remove_node(placeholder).items():
             for exit_node, exit_freq in real_out:
                 add_edge(exit_node, head, head_freq * exit_freq / out_total)
 

@@ -50,10 +50,7 @@ def array_transitions(
     referenced by the same phases share one :func:`_absorbed_flow`; a
     request deadline in scope is consulted once per distinct set.
     """
-    edges = {
-        node: {succ: data["freq"] for succ, data in successors.items()}
-        for node, successors in pcfg.graph.adjacency()
-    }
+    edges = pcfg.graph.succ
     solved: Dict[frozenset, List[Tuple[int, int, float]]] = {}
     out: Dict[str, List[Tuple[int, int, float]]] = {}
     for array, refs in referencing.items():

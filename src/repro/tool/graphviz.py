@@ -30,18 +30,16 @@ def pcfg_to_dot(pcfg: PCFG, title: str = "PCFG") -> str:
         f"  {_quote(str(EXIT))} [shape=doublecircle];",
     ]
     for idx in pcfg.phase_indices:
-        phase = pcfg.graph.nodes[idx].get("phase")
+        phase = pcfg.phase(idx)
         label = f"phase {idx}"
         if phase is not None:
             label += f"\\ndo {phase.loop_var} (line {phase.line})"
         label += f"\\nfreq {pcfg.phase_frequency(idx):g}"
         lines.append(f"  {idx} [label={_quote(label)}];")
-    for u, v, data in pcfg.graph.edges(data=True):
-        u_txt = str(u) if not isinstance(u, int) else str(u)
-        v_txt = str(v) if not isinstance(v, int) else str(v)
-        label = f"{data['freq']:g}"
+    for u, v, freq in pcfg.edges():
+        label = f"{freq:g}"
         lines.append(
-            f"  {_quote(u_txt)} -> {_quote(v_txt)} "
+            f"  {_quote(str(u))} -> {_quote(str(v))} "
             f"[label={_quote(label)}];"
         )
     lines.append("}")

@@ -5,7 +5,9 @@ dependency).  Its ``tests`` job must install every third-party module
 that ``src/`` and ``tests/`` import, every repo path it names must
 exist, and no job but ``tests`` runs a check of its own: the one inline
 script left is the loadtest's rate calibration, which measures and
-asserts nothing about the code.
+asserts nothing about the code.  Beside the workflow, the runtime
+dependencies in ``pyproject.toml`` are exactly the third-party modules
+``src/`` imports.
 """
 
 from __future__ import annotations
@@ -66,14 +68,15 @@ def _installed_by_tier1() -> set:
     return {name.lower().replace("-", "_") for name in names}
 
 
-def _third_party_imports() -> set:
-    """Top-level modules imported under ``src/`` and ``tests/`` that are
-    neither the standard library nor this repository's own."""
+def _third_party_imports(roots=("src", "tests")) -> set:
+    """Top-level modules imported under ``roots`` (lazy imports inside
+    functions included) that are neither the standard library nor this
+    repository's own."""
     own = {path.stem for path in (ROOT / "src").iterdir()}
     own |= {path.stem for path in (ROOT / "tests").glob("*.py")}
     own.add("tests")
     found = set()
-    for root in ("src", "tests"):
+    for root in roots:
         for path in (ROOT / root).rglob("*.py"):
             for node in ast.walk(ast.parse(path.read_text())):
                 if isinstance(node, ast.Import):
@@ -91,6 +94,14 @@ def test_tier1_installs_every_module_the_code_imports():
     assert {"numpy", "pytest"} <= imported
     missing = imported - _installed_by_tier1()
     assert not missing, f"imported but not installed by tier-1: {missing}"
+
+
+def test_runtime_dependencies_are_exactly_what_src_imports():
+    # both ways: no declared dependency goes unused, none is undeclared
+    declared = {name.lower().replace("-", "_")
+                for name in _pyproject_list("dependencies")}
+    assert _third_party_imports(roots=("src",)) == declared
+    assert "networkx" not in declared
 
 
 def test_every_repo_path_the_workflow_names_exists():

@@ -92,11 +92,10 @@ def outcome(partition, pcfg):
                      f"{loops} {float(acc.guard_probability).hex()}\n"
                      .encode())
     _tree(h, partition.structure)
-    for node, data in pcfg.graph.nodes(data=True):
-        h.update(f"node {node} {float(data.get('freq', 0.0)).hex()}\n"
-                 .encode())
-    for u, v, data in pcfg.graph.edges(data=True):
-        h.update(f"edge {u} {v} {float(data['freq']).hex()}\n".encode())
+    for node, freq in pcfg.graph.freq.items():
+        h.update(f"node {node} {float(freq).hex()}\n".encode())
+    for u, v, freq in pcfg.edges():
+        h.update(f"edge {u} {v} {float(freq).hex()}\n".encode())
     return h.hexdigest()[:16]
 
 

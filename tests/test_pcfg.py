@@ -1,10 +1,18 @@
-"""PCFG construction and frequency tests."""
+"""PCFG construction and frequency tests, and the graph's order against
+networkx's (the one test that imports networkx, from the dev extra)."""
 
+import random
+
+import networkx as nx
 import pytest
 
-from repro.analysis.pcfg import ENTRY, EXIT, build_pcfg
+from repro.analysis import pcfg as pcfg_module
+from repro.analysis.pcfg import ENTRY, EXIT, PCFG, PhaseGraph, build_pcfg
 from repro.analysis.phases import partition_phases
 from repro.frontend import build_symbol_table, parse_source
+from repro.qa.generator import GeneratorConfig, generate_program
+
+from .test_alignment_pinned import populations
 
 
 def pcfg_for(src, **kwargs):
@@ -43,7 +51,7 @@ class TestStraightLine:
     def test_entry_and_exit_edges(self):
         pcfg = pcfg_for(wrap(PHASE_A + PHASE_B))
         assert pcfg.entry_edges() == [(0, pytest.approx(1.0))]
-        assert pcfg.graph.has_edge(1, EXIT)
+        assert EXIT in pcfg.graph.succ[1]
 
     def test_reverse_postorder_is_program_order(self):
         pcfg = pcfg_for(wrap(PHASE_A + PHASE_B + PHASE_C))
@@ -104,6 +112,15 @@ class TestLoops:
         trans = {(u, v): f for u, v, f in pcfg.transitions()}
         assert trans[(0, 1)] == pytest.approx(1.0)
 
+    def test_one_trip_loop_is_its_body(self):
+        # no back-edge mass, so the loop leaves no placeholder behind
+        once = pcfg_for(wrap(
+            "      do t1 = 1, 1\n" + PHASE_A + PHASE_B + "      enddo\n"
+        ))
+        inline = pcfg_for(wrap(PHASE_A + PHASE_B))
+        assert once.edges() == inline.edges()
+        assert once.graph.freq == inline.graph.freq
+
 
 class TestBranchesInPCFG:
     def test_branch_splits_frequency(self):
@@ -158,7 +175,93 @@ class TestProgramPCFGs:
     def test_total_flow_conserved(self, shallow_small):
         _p, _s, _part, pcfg = shallow_small
         # Entry emits mass 1, exit absorbs mass 1.
-        exit_mass = sum(
-            d["freq"] for _u, _v, d in pcfg.graph.in_edges(EXIT, data=True)
-        )
+        exit_mass = sum(f for _u, v, f in pcfg.edges() if v == EXIT)
         assert exit_mass == pytest.approx(1.0)
+
+
+class MirroredGraph(PhaseGraph):
+    """A phase graph that replays each mutation on a networkx DiGraph
+    the way the builder once drove one."""
+
+    __slots__ = ("nx",)
+
+    def __init__(self):
+        super().__init__()
+        self.nx = nx.DiGraph()
+
+    def add_node(self, node, phase=None):
+        super().add_node(node, phase)
+        self.nx.add_node(node)
+
+    def add_edge(self, src, dst, freq):
+        super().add_edge(src, dst, freq)
+        if self.nx.has_edge(src, dst):
+            self.nx[src][dst]["freq"] += freq
+        else:
+            self.nx.add_edge(src, dst, freq=freq)
+
+    def remove_node(self, node):
+        if node in self.nx:
+            self.nx.remove_node(node)
+        return super().remove_node(node)
+
+
+def distinct_sources():
+    """Every distinct source of the ``bench/`` populations and the
+    corpus, then generator seeds 0..199."""
+    sources = {
+        source: None
+        for rows in populations().values() for _key, source, _c in rows
+    }
+    for seed in range(200):
+        sources.setdefault(generate_program(seed, GeneratorConfig()).source)
+    return list(sources)
+
+
+def assert_networkx_order(pcfg):
+    """Node order, successor order with frequencies, edge count and
+    reverse postorder equal those of the mirrored networkx graph."""
+    oracle = pcfg.graph.nx
+    assert list(pcfg.graph.succ) == list(oracle)
+    for node, row in pcfg.graph.succ.items():
+        assert list(row.items()) == [
+            (succ, data["freq"]) for succ, data in oracle[node].items()
+        ]
+    assert pcfg.graph.number_of_edges() == oracle.number_of_edges()
+    postorder = list(nx.dfs_postorder_nodes(oracle, source=ENTRY))
+    assert pcfg.reverse_postorder() == [
+        n for n in reversed(postorder) if isinstance(n, int)
+    ]
+
+
+class TestOrderIsNetworkxOrder:
+    def test_every_bench_and_generated_pcfg(self, monkeypatch):
+        monkeypatch.setattr(pcfg_module, "PhaseGraph", MirroredGraph)
+        sources = distinct_sources()
+        assert len(sources) > 500
+        for source in sources:
+            assert_networkx_order(pcfg_for(source))
+
+    def test_random_graphs(self):
+        # Built programs visit phases in index order; random edge orders
+        # with back- and cross-edges give the DFS other orders to match.
+        rng = random.Random(0)
+        reordered = 0
+        for _ in range(200):
+            graph = MirroredGraph()
+            n = rng.randint(2, 12)
+            for node in [ENTRY, EXIT, *range(n)]:
+                graph.add_node(node)
+            graph.add_edge(ENTRY, rng.randrange(n), 1.0)
+            for _ in range(3 * n):
+                src = rng.randrange(n)
+                dst = rng.choice([EXIT, *range(n)])
+                graph.add_edge(src, dst, rng.random())
+            placeholder = object()
+            graph.add_edge(placeholder, rng.randrange(n), 1.0)
+            graph.remove_node(placeholder)
+            pcfg = PCFG(graph=graph, partition=None)
+            assert_networkx_order(pcfg)
+            reordered += pcfg.reverse_postorder() != sorted(
+                pcfg.reverse_postorder())
+        assert reordered > 100

@@ -13,8 +13,6 @@ of packets can grow exponentially — callers bound ``max_pops``.
 
 from typing import Dict, List, Optional, Tuple
 
-import networkx as nx
-
 from repro.analysis.pcfg import EXIT, PCFG
 
 MASS_EPS = 1e-9
@@ -29,18 +27,15 @@ def worklist_transitions(
     referencing: Dict[str, set],
     max_pops: Optional[int] = None,
 ) -> Dict[str, List[Tuple[int, int, float]]]:
-    graph = pcfg.graph
+    succ = pcfg.graph.succ
     pops = 0
     out: Dict[str, List[Tuple[int, int, float]]] = {}
     for array, refs in referencing.items():
         transitions: Dict[Tuple[int, int], float] = {}
         for src in sorted(refs):
-            if src not in graph:
+            if src not in succ:
                 continue
-            worklist: List[Tuple[object, float]] = [
-                (v, data["freq"])
-                for _, v, data in graph.out_edges(src, data=True)
-            ]
+            worklist: List[Tuple[object, float]] = list(succ[src].items())
             initial = sum(m for _, m in worklist) or 1.0
             guard = MASS_EPS * initial
             while worklist:
@@ -56,12 +51,11 @@ def worklist_transitions(
                     continue
                 if node == EXIT:
                     continue
-                edges = list(graph.out_edges(node, data=True))
-                total = sum(d["freq"] for _, _, d in edges)
+                total = sum(succ[node].values())
                 if total <= 0.0:
                     continue
-                for _, succ, data in edges:
-                    worklist.append((succ, mass * data["freq"] / total))
+                for nxt, freq in succ[node].items():
+                    worklist.append((nxt, mass * freq / total))
         out[array] = sorted(
             (src, dst, freq) for (src, dst), freq in transitions.items()
         )
@@ -71,7 +65,19 @@ def worklist_transitions(
 def non_referencing_cycle(pcfg: PCFG, refs: set) -> bool:
     """Whether the phases outside ``refs`` contain a cycle (self-loops
     included) — where the worklist is a lower bound, not exact."""
-    rest = pcfg.graph.subgraph(
-        n for n in pcfg.graph.nodes if n not in refs
-    )
-    return not nx.is_directed_acyclic_graph(rest)
+    rest = {
+        node: [v for v in row if v not in refs]
+        for node, row in pcfg.graph.succ.items() if node not in refs
+    }
+    # Kahn's algorithm: a cycle is what is left once no node is a source.
+    indegree = dict.fromkeys(rest, 0)
+    for row in rest.values():
+        for v in row:
+            indegree[v] += 1
+    ready = [node for node, d in indegree.items() if d == 0]
+    while ready:
+        for v in rest[ready.pop()]:
+            indegree[v] -= 1
+            if indegree[v] == 0:
+                ready.append(v)
+    return any(indegree.values())
