@@ -13,6 +13,8 @@ import os
 
 import pytest
 
+import repro.perf.training as training
+from repro.machine import IPSC860
 from repro.obs import tracing
 from repro.obs.events import spans_by_name
 from repro.obs.prometheus import parse_prometheus_text
@@ -424,6 +426,25 @@ class TestSuite:
         ]
         assert not build_suite(programs=["adi"], sizes={"adi": 32},
                                stages=[SETUP_LAYER], include_e2e=False)
+
+    def test_training_db_case_reads_the_table_as_a_cold_process(
+        self, monkeypatch
+    ):
+        (case,) = [c for c in build_suite(
+            programs=["adi"], sizes={"adi": 32}, stages=[SETUP_LAYER],
+            include_qa=False,
+        ) if c.bench_id == "layer:setup.training_db"]
+
+        def refuse(*args):
+            raise AssertionError("the shipped machine was simulated")
+
+        before = training.cached_training_database(IPSC860)
+        monkeypatch.setattr(training, "_microbenchmark", refuse)
+        case.fn()
+        after = training.cached_training_database(IPSC860)
+        assert after is not before  # the cache was emptied first
+        assert after.sets == before.sets and \
+            after.op_costs == before.op_costs
 
     def test_suite_ids_are_sorted_and_deterministic(self):
         cases = build_suite(programs=["tomcatv"], sizes={"tomcatv": 32})

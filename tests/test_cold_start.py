@@ -1,12 +1,15 @@
 """What a cold process pays for: the default path never loads the solver,
-and no path loads networkx.
+no path loads networkx, and no shipped machine runs a simulation.
 
 HiGHS comes with scipy.optimize and scipy.sparse, hundreds of modules
 and about 40 MB, and ``repro.ilp`` imports its backend only when a model
 first reaches it.  networkx (about 14 MB and 0.15 s to import) is a test
 oracle only: the PCFG is a plain adjacency map.  The guard runs in a
 fresh interpreter, since this one's ``sys.modules`` holds whatever
-earlier tests loaded.
+earlier tests loaded.  The shipped machines' training databases are a
+committed table; the guard counts microbenchmark simulations, a count
+standing for the set-up time they cost: none on the default machine or
+the Paragon, and the whole 324 for a machine with one field changed.
 """
 
 from __future__ import annotations
@@ -32,12 +35,15 @@ SRC = pathlib.Path(repro.__file__).resolve().parents[1]
 #: procs, and the five widened inputs whose selection is conditioned on
 #: a cutset (``tests/test_selection_wide.py``); then the tied generated
 #: case, whose alignment hands a tie to HiGHS (objective as
-#: ``float.hex``, the ``bench/expected.json`` reference)
+#: ``float.hex``, the ``bench/expected.json`` reference); then adi on the
+#: Paragon and on an iPSC/860 with one field changed
 GUARD = """
 import json, sys
 from dataclasses import replace
 import repro, repro.tool.cli, repro.service.server
+import repro.perf.training as training
 from repro.distribution.search_space import DistributionOptions
+from repro.machine import IPSC860, PARAGON
 from repro.perf.bench.suite import TIED_SEED
 from repro.programs import PROGRAMS
 from repro.qa.generator import GeneratorConfig, generate_program
@@ -46,6 +52,15 @@ from repro.tool.assistant import AssistantConfig, run_assistant
 
 def heavy():
     return [name for name in ("networkx", "scipy") if name in sys.modules]
+
+simulations = []
+microbenchmark = training._microbenchmark
+
+def counting(*args):
+    simulations.append(args[1:])
+    return microbenchmark(*args)
+
+training._microbenchmark = counting
 
 loaded = {"import": heavy()}
 for name in sorted(PROGRAMS):
@@ -64,7 +79,13 @@ loaded["wide"] = heavy()
 tied = run_assistant(generate_program(TIED_SEED, GeneratorConfig()).source,
                      AssistantConfig(nprocs=4))
 loaded["tied"] = heavy()
-print(json.dumps({"loaded": loaded,
+simulated = {"default": len(simulations)}
+for label, machine in [("paragon", PARAGON),
+                       ("modified", replace(IPSC860, op_add=0.2))]:
+    run_assistant(PROGRAMS["adi"].source(), AssistantConfig(
+        nprocs=16, machine=machine))
+    simulated[label] = len(simulations) - sum(simulated.values())
+print(json.dumps({"loaded": loaded, "simulated": simulated,
                   "objective": tied.predicted_total_us.hex()}))
 """
 
@@ -81,6 +102,8 @@ def test_default_path_never_loads_the_solver():
         "tomcatv": [], "tomcatv-extended": [], "wide": [],
         "tied": ["scipy"],
     }
+    assert report["simulated"] == {"default": 0, "paragon": 0,
+                                   "modified": 324}
     assert float.fromhex(report["objective"]) == 835.8838571428571
 
 

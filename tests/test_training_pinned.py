@@ -8,6 +8,11 @@ recorded before generation stopped simulating a microbenchmark once per
 Re-pin at the parent commit with
 ``PYTHONPATH=src python -m tests.test_training_pinned``.
 
+The committed table the shipped machines load
+(``repro/perf/training_table.json``) is one more input, held to the same
+rows: a stale table fails here, and the failure names the command that
+rewrites it.
+
 The counting test holds the work: 324 simulations per database (each
 distinct microbenchmark once), none for a low-latency ``shift`` or
 ``sendrecv`` set, whose time is a formula.
@@ -17,12 +22,13 @@ from __future__ import annotations
 
 import hashlib
 import pathlib
+from dataclasses import replace
 
 import pytest
 
 import repro.perf.training as training
 from repro.machine import IPSC860, MACHINES
-from repro.perf.training import generate_training_database
+from repro.perf.training import generate_training_database, table_database
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "training_pinned.txt"
 
@@ -32,8 +38,17 @@ DATABASES = [(name, None) for name in sorted(MACHINES)] + [
     ("ipsc860", (1, 3, 5)),
 ]
 
+#: each pinned database as simulated, then each machine's as the
+#: committed table holds it, under the same rows
+SOURCES = [(*d, "simulated") for d in DATABASES] + [
+    (name, None, "table") for name in sorted(MACHINES)
+]
+
 #: sha256 of the golden file's lines
 PINNED = "f3c2fe853b3119d4"
+
+REWRITE = "stale training table; rewrite it with " \
+    "`PYTHONPATH=src python -m repro.perf.training`"
 
 
 def _label(machine, proc_counts):
@@ -42,12 +57,14 @@ def _label(machine, proc_counts):
     return f"{machine}@{','.join(map(str, proc_counts))}"
 
 
-def lines(machine, proc_counts):
-    """One ``label key digest`` row per training set and op cost."""
+def simulated(machine, proc_counts):
     params = MACHINES[machine]
-    db = (generate_training_database(params) if proc_counts is None
-          else generate_training_database(params, proc_counts))
-    label = _label(machine, proc_counts)
+    return (generate_training_database(params) if proc_counts is None
+            else generate_training_database(params, proc_counts))
+
+
+def lines(label, db):
+    """One ``label key digest`` row per training set and op cost."""
     rows = []
     for key, ts in db.sets.items():
         text = f"{ts.alpha.hex()} {ts.beta.hex()} " + " ".join(
@@ -63,7 +80,8 @@ def lines(machine, proc_counts):
 
 
 def every_line():
-    return [row for db in DATABASES for row in lines(*db)]
+    return [row for db in DATABASES
+            for row in lines(_label(*db), simulated(*db))]
 
 
 def digest(rows):
@@ -72,16 +90,29 @@ def digest(rows):
 
 
 class TestPinnedTrainingDatabase:
-    @pytest.mark.parametrize("database", DATABASES,
-                             ids=[_label(*d) for d in DATABASES])
+    @pytest.mark.parametrize("database", SOURCES, ids=[
+        _label(m, c) if source == "simulated" else f"{m}-table"
+        for m, c, source in SOURCES
+    ])
     def test_every_set_is_unchanged(self, database):
-        label = _label(*database)
+        machine, proc_counts, source = database
+        label = _label(machine, proc_counts)
         pinned = [r for r in GOLDEN.read_text().splitlines()
                   if r.split(" ", 1)[0] == label]
-        got = lines(*database)
+        if source == "simulated":
+            db, hint = simulated(machine, proc_counts), ""
+        else:
+            db, hint = table_database(MACHINES[machine]), REWRITE
+            assert db is not None, hint
+        got = lines(label, db)
         moved = sorted(set(pinned) ^ set(got))
-        assert not moved, moved[:10]
-        assert got == pinned  # and in the same order
+        assert not moved, (hint, moved[:10])
+        assert got == pinned, hint  # and in the same order
+
+    def test_only_shipped_machines_at_default_counts_are_tabled(self):
+        assert table_database(IPSC860, (1, 3, 5)) is None
+        assert table_database(replace(IPSC860, op_add=0.2)) is None
+        assert table_database(replace(IPSC860, name="custom")) is None
 
     def test_golden_file_digest(self):
         assert digest(GOLDEN.read_text().splitlines()) == PINNED
