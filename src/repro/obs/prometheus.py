@@ -109,6 +109,9 @@ FAMILIES: Tuple[Family, ...] = (
     Family("repro_requests_joined_total", "counter",
            "Requests answered by waiting for another's compute of the "
            "same answer key", "counters.requests_joined"),
+    Family("repro_connections_total", "counter",
+           "Client connections accepted (a client keeps one per thread "
+           "across its requests)", "counters.connections_total"),
     Family("repro_cache_hits_total", "counter",
            "Stage cache hits (all stages)", "cache.hits"),
     Family("repro_cache_misses_total", "counter",

@@ -7,7 +7,9 @@ Two layers:
   per-request deadline.  Tests and embedders use it directly;
 - :class:`LayoutServer` — a threaded TCP front end speaking the
   newline-delimited JSON protocol of :mod:`repro.service.protocol`.
-  Connection threads share one cache and one metrics registry.
+  Connection threads share one cache and one metrics registry; a
+  connection carries any number of requests, and the client,
+  :func:`send_request`, keeps one per thread.
 
 A request stays on the thread that read it from the socket, from decode
 to reply, and is served by the first of three tiers that can:
@@ -34,12 +36,14 @@ or not, finishes under the drain deadline.
 from __future__ import annotations
 
 import json
+import os
+import select
 import socket
 import socketserver
 import threading
 import time
 from time import perf_counter
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from ..obs import tracing
 from ..obs.log import get_logger
@@ -622,6 +626,7 @@ class _RequestHandler(socketserver.StreamRequestHandler):
         # this handler thread forever (slowloris)
         self.timeout = getattr(self.server, "conn_timeout_s", None)
         super().setup()
+        self.server.service.metrics.inc("connections_total")
 
     def handle(self) -> None:  # pragma: no cover - exercised via TCP tests
         while True:
@@ -700,6 +705,11 @@ class _RequestHandler(socketserver.StreamRequestHandler):
                     daemon=True,
                 ).start()
                 return
+            if self.server.service.admission.draining:
+                # the client's next request opens a new connection and
+                # meets the listener as it is now: typed refusals
+                # during the drain, a refused connection after it
+                return
 
     def _reply(self, payload: Dict[str, Any]) -> None:
         fault_point("server.reply")
@@ -722,10 +732,35 @@ class LayoutServer(socketserver.ThreadingTCPServer):
         super().__init__(address, _RequestHandler)
         self.service = service
         self.conn_timeout_s = conn_timeout_s
+        # the accepted sockets not yet closed, for server_close
+        self._open_lock = threading.Lock()
+        self._open: Set[socket.socket] = set()
 
     @property
     def port(self) -> int:
         return self.server_address[1]
+
+    def process_request(self, request, client_address) -> None:
+        with self._open_lock:
+            self._open.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        with self._open_lock:
+            self._open.discard(request)
+        super().shutdown_request(request)
+
+    def server_close(self) -> None:
+        """Close the listener, then shut down every connection still
+        open: a handler waiting for a kept connection's next request
+        reads EOF and its thread ends, so none outlives the server."""
+        super().server_close()
+        with self._open_lock:
+            for request in self._open:
+                try:
+                    request.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass
 
     def serve_background(self) -> threading.Thread:
         """Start serving on a daemon thread (tests, smoke checks)."""
@@ -748,20 +783,108 @@ class LayoutServer(socketserver.ThreadingTCPServer):
         return report
 
 
+#: what sending on, or reading from, a connection the server has
+#: already closed raises
+_CLOSED_BY_PEER = (BrokenPipeError, ConnectionResetError,
+                   ConnectionAbortedError)
+
+
+class _Connection:
+    """A client connection, kept by the thread that opened it for its
+    next request to the same endpoint (see :func:`send_request`)."""
+
+    def __init__(self, endpoint: Tuple[str, int], sock: socket.socket):
+        self.sock = sock
+        self.endpoint = endpoint
+        self.pid = os.getpid()
+        self.reused = False
+
+    def reusable_for(self, endpoint: Tuple[str, int]) -> bool:
+        """Same endpoint, same process, and nothing to read: readable
+        would mean EOF, or the server's idle-timeout reply — either way
+        the server is done with this connection."""
+        if self.endpoint != endpoint or self.pid != os.getpid():
+            return False
+        try:
+            readable, _, _ = select.select([self.sock], [], [], 0)
+        except (OSError, ValueError):  # closed
+            return False
+        return not readable
+
+    def exchange(self, request: bytes, timeout: float) -> bytes:
+        """Send one request line and return its reply line, or ``b""``
+        when a reused connection turns out closed before any reply byte
+        arrived: the request never reached the server.  Anything else
+        short of a whole reply raises, except a partial line, returned
+        for the decoder to refuse; either way the connection closes."""
+        reused, self.reused = self.reused, True
+        chunks: List[bytes] = []
+        try:
+            self.sock.settimeout(timeout)
+            self.sock.sendall(request)
+            while True:
+                chunk = self.sock.recv(1 << 16)
+                if not chunk:
+                    break
+                chunks.append(chunk)
+                # a JSON line holds no other newline
+                if chunk.endswith(b"\n"):
+                    return b"".join(chunks)
+        except _CLOSED_BY_PEER:
+            self.close()
+            if chunks or not reused:
+                raise
+            return b""
+        except BaseException:
+            self.close()
+            raise
+        self.close()
+        if not chunks and not reused:
+            raise ServiceError(
+                "server closed the connection without a reply"
+            )
+        return b"".join(chunks)
+
+    def close(self) -> None:
+        self.sock.close()
+
+    # a thread's kept connection closes when the thread exits
+    __del__ = close
+
+
+_kept = threading.local()
+
+
 def send_request(
     payload: Dict[str, Any],
     host: str = DEFAULT_HOST,
     port: int = DEFAULT_PORT,
     timeout: float = 300.0,
 ) -> Dict[str, Any]:
-    """Client side: one request, one decoded response."""
-    with socket.create_connection((host, port), timeout=timeout) as sock:
-        sock.sendall(json.dumps(payload).encode("utf-8") + b"\n")
-        reader = sock.makefile("rb")
-        line = reader.readline()
-    if not line:
-        raise ServiceError("server closed the connection without a reply")
-    return json.loads(line)
+    """Client side: one request, one decoded response.
+
+    Each thread keeps one connection, to the endpoint it last sent to,
+    and sends its next request there if the server has not closed it
+    meanwhile.  A kept connection found closed before any reply byte
+    arrives (a reset, a broken pipe, EOF) never delivered the request,
+    which is resent once on a fresh connection.  Anything else — a
+    timeout, a partial reply, any failure on a fresh connection — is
+    raised and never resent: the server may still be computing.  A
+    connection opened by another process (before a fork) is never
+    used."""
+    request = json.dumps(payload).encode("utf-8") + b"\n"
+    endpoint = (host, port)
+    conn = getattr(_kept, "conn", None)
+    if conn is not None:
+        if conn.reusable_for(endpoint):
+            reply = conn.exchange(request, timeout)
+            if reply:
+                return json.loads(reply)
+        conn.close()
+    conn = _kept.conn = _Connection(
+        endpoint, socket.create_connection(endpoint, timeout=timeout)
+    )
+    return json.loads(conn.exchange(request, timeout))
 
 
 def send_request_with_retries(

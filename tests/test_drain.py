@@ -162,6 +162,109 @@ class TestTcpDrain:
             service.close()
 
 
+def _handler_threads(before):
+    """The connection threads started since ``before`` (a set of
+    threads) — ``ThreadingTCPServer`` names them by their target."""
+    return [
+        thread for thread in threading.enumerate()
+        if thread not in before
+        and thread.name.endswith("(process_request_thread)")
+    ]
+
+
+class TestKeptConnectionLifecycle:
+    """A client keeps its connection across requests; the server's
+    lifecycle still reaches it: a draining server closes each
+    connection after its reply, so the client's next request meets the
+    listener as it is now."""
+
+    def _serve(self, service):
+        """A server whose accept loop ends with ``server_close``, as
+        ``repro serve``'s does; returns ``(server, loop thread)``."""
+        server = LayoutServer(("127.0.0.1", 0), service)
+
+        def loop():
+            server.serve_forever()
+            server.server_close()
+
+        thread = threading.Thread(target=loop, daemon=True)
+        thread.start()
+        return server, thread
+
+    def test_drain_closes_the_kept_connection_then_refuses(self):
+        service = LayoutService(
+            pool=WorkerPool(kind="thread", max_workers=2),
+            use_cache=False,
+        )
+        server, thread = self._serve(service)
+        host, port = "127.0.0.1", server.port
+        before = set(threading.enumerate())
+        # one ticket keeps the drain open until it is released
+        ticket = service.admission.try_acquire()
+        released = False
+        try:
+            assert send_request({"op": "ping"}, host, port)["ok"]
+            [kept] = _handler_threads(before)
+            resp = send_request(
+                {"op": "shutdown", "drain_deadline_s": 10.0}, host, port
+            )
+            assert resp["draining"] is True
+            # the shutdown op was the kept connection's last request
+            kept.join(timeout=10)
+            assert not kept.is_alive()
+            rejected = send_request(dict(REQUEST), host, port)
+            assert rejected["error_kind"] == "shutting-down"
+            rejected = send_request({"op": "analyze", "program": "adi",
+                                     "procs": 4}, host, port)
+            assert rejected["error_kind"] == "shutting-down"
+            # each refusal came on a new connection, closed after it
+            assert service.metrics.counter("connections_total") == 3
+            service.admission.release(ticket, 0.01)
+            released = True
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+            with pytest.raises(ConnectionRefusedError):
+                send_request({"op": "ping"}, host, port, timeout=5)
+        finally:
+            if not released:
+                service.admission.release(ticket, 0.01)
+            server.shutdown()
+            server.server_close()
+            service.close()
+
+    def test_no_connection_thread_outlives_server_close(self):
+        service = LayoutService(pool=WorkerPool(kind="serial"))
+        server = LayoutServer(("127.0.0.1", 0), service)
+        server.serve_background()
+        host, port = "127.0.0.1", server.port
+        before = set(threading.enumerate())
+        served, stop = threading.Event(), threading.Event()
+
+        def other_client():
+            assert send_request({"op": "ping"}, host, port)["ok"]
+            served.set()
+            stop.wait(timeout=30)  # keeps its connection open
+
+        client = threading.Thread(target=other_client, daemon=True)
+        client.start()
+        try:
+            assert send_request({"op": "ping"}, host, port)["ok"]
+            assert served.wait(timeout=30)
+            handlers = _handler_threads(before)
+            assert len(handlers) == 2
+            server.shutdown()
+            server.server_close()
+            for handler in handlers:
+                handler.join(timeout=10)
+            assert not [h for h in handlers if h.is_alive()]
+        finally:
+            stop.set()
+            client.join(timeout=10)
+            server.shutdown()
+            server.server_close()
+            service.close()
+
+
 class TestConnectionIdleTimeout:
     def test_slowloris_connection_gets_typed_timeout(self):
         service = LayoutService(

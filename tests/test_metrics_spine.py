@@ -5,7 +5,8 @@ for exposition.
 - the golden: ``tests/golden/snapshot.json`` rendered by the renderer as
   it was *before* the table (hand-enumerated families, PR 19) is checked
   in as ``tests/golden/exposition.prom``; the table walk must reproduce
-  it byte for byte, ``repro_gauge`` lines aside;
+  it byte for byte, ``repro_gauge`` lines and the rows added since
+  (``ADDED_SINCE_GOLDEN``, each pinned to its three lines) aside;
 - through ``Metrics``: moments exact, every ladder rung's cumulative
   count exact, quantiles within the sketch's error bound;
 - a live service's scrape names only table rows, and the README's
@@ -54,8 +55,20 @@ def _exact_quantile(values: list, q: float) -> float:
     return ordered[max(int(math.ceil(q * len(ordered))), 1) - 1]
 
 
+#: rows added to the table after the golden was taken; on the golden
+#: snapshot each renders its HELP and TYPE lines and one 0 sample (a
+#: missing leaf under a present section)
+ADDED_SINCE_GOLDEN = ("repro_connections_total",)
+
+
 def _family_names(text: str) -> set:
     return set(re.findall(r"^# TYPE (\S+) ", text, flags=re.M))
+
+
+def _family_of(line: str) -> str:
+    if line.startswith("# "):
+        return line.split()[2]
+    return re.match(r"[^{\s]+", line).group(0)
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +84,17 @@ class TestGoldenExposition:
             line for line in golden.splitlines(keepends=True)
             if "repro_gauge" not in line
         )
-        assert render_prometheus(snapshot) == expected
+        rendered = render_prometheus(snapshot).splitlines(keepends=True)
+        assert "".join(
+            line for line in rendered
+            if _family_of(line) not in ADDED_SINCE_GOLDEN
+        ) == expected
+        added = [line for line in rendered
+                 if _family_of(line) in ADDED_SINCE_GOLDEN]
+        assert [line for line in added if not line.startswith("#")] == [
+            f"{name} 0\n" for name in ADDED_SINCE_GOLDEN
+        ]
+        assert len(added) == 3 * len(ADDED_SINCE_GOLDEN)
 
     def test_golden_covers_every_service_family(self):
         # every row but the bench harness's two gauges (not a service
@@ -80,7 +103,8 @@ class TestGoldenExposition:
         absent = {f.name for f in FAMILIES} - golden
         assert absent == {"repro_bench_min_seconds",
                           "repro_bench_peak_bytes",
-                          "repro_pool_max_workers"}
+                          "repro_pool_max_workers",
+                          *ADDED_SINCE_GOLDEN}
 
     def test_a_family_needs_its_section(self):
         assert render_prometheus({}) == "\n"

@@ -5,7 +5,12 @@ from __future__ import annotations
 
 import gc
 import json
+import os
+import socket
+import struct
+import threading
 import time
+import warnings
 
 import pytest
 
@@ -19,8 +24,14 @@ from repro.service import (
     WorkerPool,
     send_request,
 )
+from repro.service import server as server_module
 from repro.service.protocol import LayoutRequest, serialize_layout
-from repro.tool.assistant import AssistantConfig, run_assistant
+from repro.tool import assistant as assistant_module
+from repro.tool.assistant import (
+    AssistantConfig,
+    run_assistant,
+    stage_partition,
+)
 from repro.tool.cli import main
 
 REQUEST = {
@@ -303,3 +314,235 @@ class TestRequestDeadline:
         assert not thread.is_alive()
         server.server_close()
         service.close()
+
+
+def _handler_threads(before):
+    """The connection threads started since ``before`` (a set of
+    threads) — ``ThreadingTCPServer`` names them by their target."""
+    return [
+        thread for thread in threading.enumerate()
+        if thread not in before
+        and thread.name.endswith("(process_request_thread)")
+    ]
+
+
+def _join_all(threads, timeout=10.0):
+    for thread in threads:
+        thread.join(timeout=timeout)
+    return [thread for thread in threads if thread.is_alive()]
+
+
+@pytest.fixture
+def fresh_server():
+    """Servers of the test's own, so ``connections_total`` counts only
+    its connections; yields a factory of started servers."""
+    made = []
+
+    def make(**kwargs):
+        service = LayoutService(pool=WorkerPool(kind="serial"))
+        server = LayoutServer(("127.0.0.1", 0), service, **kwargs)
+        server.serve_background()
+        made.append(server)
+        return server
+
+    yield make
+    for server in made:
+        server.shutdown()
+        server.server_close()
+        server.service.close()
+
+
+def _connections(server) -> int:
+    return server.service.metrics.counter("connections_total")
+
+
+class _ScriptedServer:
+    """A raw listener that answers each connection's first request
+    whole and ends its second as told: ``partial`` sends part of a
+    reply and closes, ``reset`` resets before any reply byte."""
+
+    def __init__(self, ending: str):
+        self.ending = ending
+        self.requests = []
+        self.listener = socket.create_server(("127.0.0.1", 0))
+        self.port = self.listener.getsockname()[1]
+        self.thread = threading.Thread(target=self._serve, daemon=True)
+        self.thread.start()
+
+    def _serve(self):
+        while True:
+            try:
+                conn, _ = self.listener.accept()
+            except OSError:
+                return
+            with conn, conn.makefile("rb") as reader:
+                first = json.loads(reader.readline())
+                self.requests.append(first["n"])
+                conn.sendall(json.dumps({"n": first["n"]}).encode()
+                             + b"\n")
+                line = reader.readline()
+                if not line:
+                    continue
+                self.requests.append(json.loads(line)["n"])
+                if self.ending == "partial":
+                    conn.sendall(b'{"n": ')
+                else:  # close with a reset
+                    conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                                    struct.pack("ii", 1, 0))
+
+    def close(self):
+        self.listener.close()
+
+
+class TestKeptConnection:
+    """``send_request`` keeps one connection per thread, and reuses it
+    only when that cannot lose or repeat a request."""
+
+    def test_sequential_requests_share_one_connection(self, fresh_server):
+        server = fresh_server()
+        for index in range(50):
+            payload = (dict(REQUEST, request_id=f"r{index}")
+                       if index % 2 else {"op": "ping"})
+            resp = send_request(payload, "127.0.0.1", server.port)
+            assert resp["ok"], resp
+            if index % 2:
+                assert resp["request_id"] == f"r{index}"
+        assert _connections(server) == 1
+        assert server.service.metrics.counter("requests_total") == 25
+
+    def test_each_thread_keeps_its_own_and_closes_it_on_exit(
+        self, fresh_server
+    ):
+        server = fresh_server()
+        before = set(threading.enumerate())
+        replies = []
+        done = threading.Barrier(3)
+
+        def client():
+            for _ in range(10):
+                replies.append(
+                    send_request({"op": "ping"}, "127.0.0.1", server.port)
+                )
+            done.wait(timeout=30)
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            clients = [threading.Thread(target=client) for _ in range(2)]
+            for thread in clients:
+                thread.start()
+            done.wait(timeout=30)
+            handlers = _handler_threads(before)
+            assert not _join_all(clients)
+            gc.collect()
+        assert len(replies) == 20 and all(r["ok"] for r in replies)
+        assert _connections(server) == 2
+        assert not [w for w in caught
+                    if issubclass(w.category, ResourceWarning)]
+        # the exiting threads closed their sockets: both handlers read
+        # EOF and ended
+        assert len(handlers) == 2
+        assert not _join_all(handlers)
+
+    def test_another_endpoint_closes_the_kept_one(self, fresh_server):
+        first, second = fresh_server(), fresh_server()
+        before = set(threading.enumerate())
+        assert send_request({"op": "ping"}, "127.0.0.1", first.port)["ok"]
+        [first_handler] = _handler_threads(before)
+        assert send_request({"op": "ping"}, "127.0.0.1", second.port)["ok"]
+        first_handler.join(timeout=10)
+        assert not first_handler.is_alive()
+        assert send_request({"op": "ping"}, "127.0.0.1", first.port)["ok"]
+        assert (_connections(first), _connections(second)) == (2, 1)
+
+    def test_a_connection_the_server_closed_is_replaced(self, fresh_server):
+        server = fresh_server(conn_timeout_s=0.2)
+        before = set(threading.enumerate())
+        assert send_request({"op": "ping"}, "127.0.0.1", server.port)["ok"]
+        # the handler writes its idle-timeout reply, closes and ends;
+        # that reply is never taken for the next request's
+        [handler] = _handler_threads(before)
+        handler.join(timeout=10)
+        assert not handler.is_alive()
+        resp = send_request(dict(REQUEST, request_id="after-idle"),
+                            "127.0.0.1", server.port)
+        assert resp["ok"], resp
+        assert resp["request_id"] == "after-idle"
+        assert _connections(server) == 2
+
+    def test_a_request_the_closed_connection_never_took_is_resent_once(
+        self, fresh_server, monkeypatch
+    ):
+        server = fresh_server()
+        # a draining server closes each connection after its reply;
+        # the check before reuse is blinded to that, so the client
+        # learns it only when its send finds the connection gone
+        server.service.begin_drain()
+        monkeypatch.setattr(server_module._Connection, "reusable_for",
+                            lambda self, endpoint: self.endpoint == endpoint)
+        for index in range(2):
+            resp = send_request(dict(REQUEST, request_id=f"d{index}"),
+                                "127.0.0.1", server.port)
+            assert resp["error_kind"] == "shutting-down"
+            assert resp["request_id"] == f"d{index}"
+        assert server.service.metrics.counter("requests_total") == 2
+        assert _connections(server) == 2
+
+    def test_a_reset_before_any_reply_byte_is_resent_once(self):
+        server = _ScriptedServer("reset")
+        try:
+            port = server.port
+            assert send_request({"n": 1}, "127.0.0.1", port) == {"n": 1}
+            assert send_request({"n": 2}, "127.0.0.1", port) == {"n": 2}
+            assert server.requests == [1, 2, 2]
+        finally:
+            server.close()
+
+    def test_a_partial_reply_is_raised_not_resent(self):
+        server = _ScriptedServer("partial")
+        try:
+            port = server.port
+            assert send_request({"n": 1}, "127.0.0.1", port) == {"n": 1}
+            with pytest.raises(ValueError):
+                send_request({"n": 2}, "127.0.0.1", port)
+            assert send_request({"n": 3}, "127.0.0.1", port) == {"n": 3}
+            assert server.requests == [1, 2, 3]
+        finally:
+            server.close()
+
+    def test_a_timeout_on_a_kept_connection_is_not_resent(
+        self, fresh_server, monkeypatch
+    ):
+        entered, proceed = threading.Event(), threading.Event()
+
+        def held_partition(*args):
+            entered.set()
+            assert proceed.wait(timeout=30)
+            return stage_partition(*args)
+
+        monkeypatch.setattr(
+            assistant_module, "stage_partition", held_partition
+        )
+        server = fresh_server()
+        before = set(threading.enumerate())
+        assert send_request({"op": "ping"}, "127.0.0.1", server.port)["ok"]
+        try:
+            with pytest.raises(socket.timeout):
+                send_request(dict(REQUEST, use_cache=False),
+                             "127.0.0.1", server.port, timeout=0.3)
+            assert entered.wait(timeout=30)
+        finally:
+            proceed.set()
+        # the server finishes the compute, and its handler ends on the
+        # connection the client gave up
+        assert not _join_all(_handler_threads(before))
+        assert server.service.metrics.counter("requests_total") == 1
+        assert _connections(server) == 1
+
+    def test_a_forked_child_opens_its_own(self, fresh_server, monkeypatch):
+        server = fresh_server()
+        assert send_request({"op": "ping"}, "127.0.0.1", server.port)["ok"]
+        parent = os.getpid()
+        monkeypatch.setattr(os, "getpid", lambda: parent + 1)
+        assert send_request({"op": "ping"}, "127.0.0.1", server.port)["ok"]
+        assert send_request({"op": "ping"}, "127.0.0.1", server.port)["ok"]
+        assert _connections(server) == 2
