@@ -27,8 +27,9 @@ Two benchmark kinds:
   ``run_assistant``, one store), ``warm-mem`` (the answer comes out of
   the memory LRU), ``warm-disk`` (memory tier dropped first: read,
   checksum, unpickle), and ``cold-served`` / ``warm-served`` (the miss
-  and the memory hit as ``repro serve --telemetry-dir`` answers them;
-  see :data:`HANDLE_LAYER` for who sends what to which log).  Beside
+  and the memory hit as ``repro serve --telemetry-dir`` answers them,
+  request line in and reply bytes out; see :data:`HANDLE_LAYER` for
+  who sends what to which log).  Beside
   them, selected with the same stage name:
   ``layer:service.join/<program>`` — two threads send one fresh request
   at once and the case ends when both are answered, which is one
@@ -55,6 +56,7 @@ order.
 from __future__ import annotations
 
 import atexit
+import json
 import os
 import shutil
 import subprocess
@@ -109,8 +111,10 @@ GRAPH_STAGE = "layout_graph"
 #: ``warm-served`` send what a client of ``repro serve`` does — the
 #: program's name with ``size`` and ``procs``, machine by registry name
 #: — to a service that writes its event log to disk, under default
-#: admission: the miss and the hit that the repo benchmark's
-#: ``service-open`` and ``service-warm`` measure over a socket.
+#: admission, through ``LayoutService.handle_line``, what a connection
+#: runs for a request line: the miss and the hit that the repo
+#: benchmark's ``service-open`` and ``service-warm`` measure over a
+#: socket, reply encoding included.
 HANDLE_LAYER = "service.handle"
 
 #: the estimation stage by who runs its batch: the calling thread, or a
@@ -337,21 +341,32 @@ def _handle_cases(prep: PreparedProgram, size: int) -> List[BenchCase]:
         "backend": config.ilp_backend,
     }
     by_name = MACHINES.get(config.machine.name) == config.machine
-    served_payload = {
+    served_line = json.dumps({
         "op": "analyze", "program": name, "size": size,
         "procs": config.nprocs, "backend": config.ilp_backend,
         "machine": config.machine.name if by_name else payload["machine"],
-    }
+    }).encode()
 
-    def handle(hits: Optional[int], engine=service, payload=payload):
+    def handle(hits: Optional[int]):
         """One request; ``hits`` names the cache path it must take (an
         exact answer off that path), ``None`` takes any ``ok`` reply."""
-        reply = engine.handle(dict(payload))
+        reply = service.handle(dict(payload))
         if not reply.get("ok") or hits is not None and (
             reply["degraded"] or reply["cache_hits"] != hits
         ):
             raise RuntimeError(f"{name}: not the path to time: {reply}")
         return reply
+
+    def handle_served(hits: Optional[int]) -> None:
+        """``handle`` over the wire path, line in and bytes out; of the
+        reply only the tail after the answer is decoded to check it."""
+        reply = served.handle_line(served_line)
+        ok = reply.startswith(b'{"ok": true')
+        if ok and hits is not None:
+            tail = json.loads(b"{" + reply[reply.rindex(b'"stage_timings"'):])
+            ok = not tail["degraded"] and tail["cache_hits"] == hits
+        if not ok:
+            raise RuntimeError(f"{name}: not the path to time: {reply!r}")
 
     def empty_cache(engine=service) -> None:
         shutil.rmtree(engine.cache.root, ignore_errors=True)
@@ -363,7 +378,7 @@ def _handle_cases(prep: PreparedProgram, size: int) -> List[BenchCase]:
 
     def run_cold_served() -> None:
         empty_cache(served)
-        handle(0, served, served_payload)
+        handle_served(0)
 
     def run_warm_mem() -> None:
         handle(1)
@@ -373,7 +388,7 @@ def _handle_cases(prep: PreparedProgram, size: int) -> List[BenchCase]:
         handle(1)
 
     def run_warm_served() -> None:
-        handle(1, served, served_payload)
+        handle_served(1)
 
     def run_join() -> None:
         empty_cache()
@@ -393,7 +408,7 @@ def _handle_cases(prep: PreparedProgram, size: int) -> List[BenchCase]:
     # every path leaves the answer stored in both tiers, so the cases
     # run in any order and any subset
     run_cold()
-    handle(None, served, served_payload)
+    handle_served(None)
     thunks = {
         "cold": run_cold, "warm-mem": run_warm_mem,
         "warm-disk": run_warm_disk,

@@ -1,7 +1,8 @@
 """Content-addressed result cache.
 
 The service keeps one kind of entry, ``answer``: what a reply carries
-(predicted time, static-or-dynamic, the serialized layouts) under
+(predicted time, static-or-dynamic, the serialized layouts) and its
+JSON text, a :class:`~repro.service.protocol.Answer`, under
 sha256 of the raw source text + the hash of the whole config
 (``AssistantConfig.to_key``).  The key is known before any work, so the
 service looks it up first; a miss is ``run_assistant`` from the source,
@@ -50,8 +51,8 @@ from ..tool.assistant import AssistantConfig
 
 #: bump when a stage's output format changes incompatibly
 #: (v2: checksum footers on disk entries; v3: two fields nothing read
-#: left the config dict, PR 23)
-CACHE_VERSION = "v3"
+#: left the config dict; v4: an answer entry keeps its JSON text)
+CACHE_VERSION = "v4"
 
 #: in-memory LRU entries kept in front of the disk store
 _MEMORY_ENTRIES = 64

@@ -41,7 +41,7 @@ import json
 import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Any, Dict, List, Mapping, Optional, Union
+from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Union
 
 from ..distribution.layouts import DataLayout
 from ..ilp import BACKENDS
@@ -96,6 +96,21 @@ def _config_key(procs: int, machine: str, backend: str) -> str:
         procs, machine if machine in MACHINES else json.loads(machine),
         backend,
     ).to_key()
+
+
+@lru_cache(maxsize=_MEMO_ENTRIES, typed=True)
+def _program_answer_key(program: str, size: Optional[int],
+                        dtype: Optional[str], maxiter: int, procs: int,
+                        machine: str, backend: str) -> str:
+    """The ``answer`` key of a registry-program request, memoised on the
+    request's values (``machine`` as in :func:`_config_key`): a repeated
+    request hashes no source text."""
+    spec = PROGRAMS[program]
+    source = _program_source(
+        program, size or spec.default_size, dtype or spec.default_dtype,
+        maxiter if spec.has_time_loop else None,
+    )
+    return answer_key(source, _config_key(procs, machine, backend))
 
 
 @dataclass
@@ -219,15 +234,20 @@ class LayoutRequest:
         """The ``answer`` cache key of this request — the bytes of
         ``StageKeys(resolve_source(), resolve_config()).answer`` —
         from memoised parts: a repeated request regenerates no source
-        text and serializes no config."""
+        text and serializes no config, and a repeated program request
+        is one memo lookup."""
         machine = self.machine
         if not isinstance(machine, str):
             machine = json.dumps(
                 machine, sort_keys=True, separators=(",", ":")
             )
+        if self.source is None:
+            return _program_answer_key(
+                self.program, self.size, self.dtype, self.maxiter,
+                self.procs, machine, self.backend,
+            )
         return answer_key(
-            self.resolve_source(),
-            _config_key(self.procs, machine, self.backend),
+            self.source, _config_key(self.procs, machine, self.backend)
         )
 
 
@@ -270,6 +290,22 @@ def answer_of(result: AssistantResult) -> Dict[str, Any]:
     }
 
 
+class Answer(NamedTuple):
+    """What the ``answer`` cache entry holds: the values
+    :func:`answer_of` returns and their JSON text, encoded once, when
+    the answer is computed.  A reply built from it writes ``text`` as
+    it is (:meth:`LayoutResponse.encode`), which is right because
+    ``answer_of`` orders its keys as ``LayoutResponse.to_dict`` does."""
+
+    value: Dict[str, Any]
+    text: str
+
+    @classmethod
+    def of(cls, value: Dict[str, Any]) -> "Answer":
+        """The one place an answer is encoded."""
+        return cls(value, json.dumps(value))
+
+
 @dataclass
 class LayoutResponse:
     """The answer to an ``analyze`` request."""
@@ -295,6 +331,13 @@ class LayoutResponse:
     #: on a typed ``overloaded`` rejection: the server's prediction of
     #: when capacity frees up; clients floor their backoff at this
     retry_after_s: Optional[float] = None
+    #: the JSON text of the answer fields (``predicted_total_us``,
+    #: ``is_dynamic``, ``layouts``) when the reply was built from an
+    #: :class:`Answer`; :meth:`encode` writes it instead of encoding
+    #: them again
+    answer_text: Optional[str] = field(
+        default=None, repr=False, compare=False
+    )
 
     @classmethod
     def from_result(
@@ -315,10 +358,12 @@ class LayoutResponse:
         timings: List[StageTiming],
         request_id: Optional[str] = None,
         degradations: Optional[List[Dict[str, Any]]] = None,
+        text: Optional[str] = None,
     ) -> "LayoutResponse":
         """The one way a successful reply is built: from the answer
         value, whether it was computed or came out of the cache (whose
-        memory tier shares it with later replies: read, never mutate)."""
+        memory tier shares it with later replies: read, never mutate),
+        and its JSON ``text`` when there is one (:class:`Answer`)."""
         degradations = degradations or []
         hits = sum(1 for t in timings if t.cache_hit)
         return cls(
@@ -329,6 +374,7 @@ class LayoutResponse:
             cache_misses=len(timings) - hits,
             degraded=bool(degradations),
             degradations=degradations,
+            answer_text=text,
             **answer,
         )
 
@@ -341,30 +387,51 @@ class LayoutResponse:
                    error_kind=kind,
                    retry_after_s=getattr(error, "retry_after_s", None))
 
-    def to_dict(self) -> Dict[str, Any]:
+    def _head(self) -> Dict[str, Any]:
         out: Dict[str, Any] = {"ok": self.ok}
         if self.request_id is not None:
             out["request_id"] = self.request_id
+        return out
+
+    def _tail(self) -> Dict[str, Any]:
+        """What a success carries after its answer fields."""
+        out: Dict[str, Any] = {
+            "stage_timings": [t.to_dict() for t in self.stage_timings],
+            "cache_hits": self.cache_hits,
+            "cache_misses": self.cache_misses,
+            "degraded": self.degraded,
+        }
+        if self.degradations:
+            out["degradations"] = self.degradations
+        if self.trace is not None:
+            out["trace"] = self.trace
+        return out
+
+    def to_dict(self) -> Dict[str, Any]:
+        out = self._head()
         if not self.ok:
             out["error"] = self.error
             out["error_kind"] = self.error_kind
             if self.retry_after_s is not None:
                 out["retry_after_s"] = self.retry_after_s
             return out
-        out.update({
-            "predicted_total_us": self.predicted_total_us,
-            "is_dynamic": self.is_dynamic,
-            "layouts": self.layouts,
-            "stage_timings": [t.to_dict() for t in self.stage_timings],
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "degraded": self.degraded,
-        })
-        if self.degradations:
-            out["degradations"] = self.degradations
-        if self.trace is not None:
-            out["trace"] = self.trace
+        out["predicted_total_us"] = self.predicted_total_us
+        out["is_dynamic"] = self.is_dynamic
+        out["layouts"] = self.layouts
+        out.update(self._tail())
         return out
+
+    def encode(self) -> bytes:
+        """The reply line: ``json.dumps(to_dict())`` and a newline, byte
+        for byte.  A success with ``answer_text`` is that text, without
+        its braces, between the head and the tail of ``to_dict()``, so
+        its layouts are not encoded again."""
+        if not self.ok or self.answer_text is None:
+            return json.dumps(self.to_dict()).encode() + b"\n"
+        return "".join((
+            json.dumps(self._head())[:-1], ", ", self.answer_text[1:-1],
+            ", ", json.dumps(self._tail())[1:], "\n",
+        )).encode()
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "LayoutResponse":

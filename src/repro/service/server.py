@@ -7,9 +7,10 @@ Two layers:
   per-request deadline.  Tests and embedders use it directly;
 - :class:`LayoutServer` — a threaded TCP front end speaking the
   newline-delimited JSON protocol of :mod:`repro.service.protocol`.
-  Connection threads share one cache and one metrics registry; a
-  connection carries any number of requests, and the client,
-  :func:`send_request`, keeps one per thread.
+  Connection threads share one cache and one metrics registry and are
+  transport only: :meth:`LayoutService.handle_line` turns each request
+  line into its reply line.  A connection carries any number of
+  requests, and the client, :func:`send_request`, keeps one per thread.
 
 A request stays on the thread that read it from the socket, from decode
 to reply, and is served by the first of three tiers that can:
@@ -43,7 +44,7 @@ import socketserver
 import threading
 import time
 from time import perf_counter
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
 
 from ..obs import tracing
 from ..obs.log import get_logger
@@ -67,6 +68,7 @@ from .metrics import Metrics
 from .pool import WorkerPool
 from .protocol import (
     OPS,
+    Answer,
     LayoutRequest,
     LayoutResponse,
     RetryPolicy,
@@ -103,6 +105,15 @@ DEFAULT_DRAIN_DEADLINE_S = 10.0
 DEFAULT_CONN_TIMEOUT_S = 300.0
 
 logger = get_logger("repro.service")
+
+
+def _error(message: str, kind: str) -> Dict[str, Any]:
+    return {"ok": False, "error": message, "error_kind": kind}
+
+
+def _line(reply: Dict[str, Any]) -> bytes:
+    """A reply dict as its line on the wire."""
+    return json.dumps(reply).encode("utf-8") + b"\n"
 
 
 def check_objective_ops(objectives: List[Objective]) -> None:
@@ -163,6 +174,8 @@ class LayoutService:
         # it (its leader) is done, stored or not
         self._leaders: Dict[str, threading.Event] = {}
         self._leaders_lock = threading.Lock()
+        # per thread: the drain deadline of a shutdown op it handled
+        self._shutdowns = threading.local()
 
     def close(self) -> None:
         self.pool.shutdown()
@@ -193,7 +206,7 @@ class LayoutService:
 
     def _lookup(
         self, key: str, timings: List[StageTiming]
-    ) -> Optional[Dict[str, Any]]:
+    ) -> Optional[Answer]:
         """One ``answer`` lookup under a key known before any work,
         timed into ``timings``, the stage series and the cache
         counters; ``None`` on a miss."""
@@ -227,17 +240,18 @@ class LayoutService:
     def _compute(
         self, request: LayoutRequest, key: Optional[str],
         timings: List[StageTiming],
-    ) -> Dict[str, Any]:
+    ) -> Answer:
         """Tier 3's work: :func:`run_assistant`, its six stages timed by
-        their own ``stage:*`` spans, and one store of the reply's
-        content (:func:`answer_of`) when the request has a ``key``."""
+        their own ``stage:*`` spans, the reply's content
+        (:func:`answer_of`) encoded once, and one store of both when the
+        request has a ``key``."""
         clean = noted_count()
         # only a pool that was asked for is handed the estimation batch
         pooled = self.pool.requested_kind != "serial"
-        answer = answer_of(run_assistant(
+        answer = Answer.of(answer_of(run_assistant(
             request.resolve_source(), request.resolve_config(),
             job_runner=self.pool.run_jobs if pooled else None,
-        ))
+        )))
         # A degraded answer is never kept: a later request with a full
         # budget must compute the exact one, not inherit the fallback.
         if key is not None and noted_count() == clean:
@@ -358,8 +372,8 @@ class LayoutService:
                 ok=True, degraded=bool(degradations),
             )
             response = LayoutResponse.from_answer(
-                answer, timings, request_id=request.request_id,
-                degradations=degradations,
+                answer.value, timings, request_id=request.request_id,
+                degradations=degradations, text=answer.text,
             )
             if request.trace:
                 response.trace = tracer.to_dict()
@@ -421,6 +435,9 @@ class LayoutService:
         )
 
     def analyze_dict(self, payload: Dict[str, Any]) -> Dict[str, Any]:
+        return self._analyze_payload(payload).to_dict()
+
+    def _analyze_payload(self, payload: Dict[str, Any]) -> LayoutResponse:
         try:
             request = LayoutRequest.from_dict(payload)
         except ServiceError as exc:
@@ -428,8 +445,8 @@ class LayoutService:
             self.metrics.inc("requests_failed")
             return LayoutResponse.failure(
                 exc, request_id=payload.get("request_id")
-            ).to_dict()
-        return self.analyze(request).to_dict()
+            )
+        return self.analyze(request)
 
     def stats(self) -> Dict[str, Any]:
         """The one snapshot tree every reader walks (``top``, the
@@ -460,7 +477,59 @@ class LayoutService:
         return report.to_dict()
 
     def handle(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        """Dispatch one decoded protocol message."""
+        """Dispatch one decoded protocol message; the reply as a dict,
+        for in-process callers."""
+        reply = self._dispatch(payload)
+        if isinstance(reply, LayoutResponse):
+            return reply.to_dict()
+        return reply
+
+    def handle_line(self, line: bytes) -> bytes:
+        """One request line in, its reply line out: decode, the
+        dispatch :meth:`handle` runs, encode — an analyze reply through
+        :meth:`LayoutResponse.encode`, so a hit's answer is not encoded
+        again.  Never raises: what fails is a typed error reply."""
+        try:
+            try:
+                payload = json.loads(line)
+            except ValueError as exc:  # not JSON, or not UTF-8
+                reply = self._bad_request(f"bad JSON: {exc}")
+            else:
+                reply = self._dispatch(payload)
+            if isinstance(reply, LayoutResponse):
+                return reply.encode()
+            return _line(reply)
+        except Exception as exc:  # defense in depth: never leave the
+            # connection without a typed reply
+            logger.warning("handler crashed: %s", exc, exc_info=True)
+            return _line(_error(f"{type(exc).__name__}: {exc}",
+                                getattr(exc, "kind", "internal")))
+
+    def take_shutdown(self) -> Optional[float]:
+        """The drain deadline of a ``shutdown`` op this thread handled
+        since it last asked, else ``None``: the connection that sent it
+        stops the server once the reply is out."""
+        deadline_s = getattr(self._shutdowns, "deadline_s", None)
+        self._shutdowns.deadline_s = None
+        return deadline_s
+
+    def _bad_request(self, message: str) -> Dict[str, Any]:
+        """A refused message, counted as a failed request."""
+        self.metrics.inc("requests_total")
+        self.metrics.inc("requests_failed")
+        return _error(message, "bad-request")
+
+    def _dispatch(
+        self, payload: Any
+    ) -> Union[LayoutResponse, Dict[str, Any]]:
+        """The one dispatch behind :meth:`handle` and
+        :meth:`handle_line`: an analyze reply stays a
+        :class:`LayoutResponse` for its caller to render."""
+        if not isinstance(payload, dict):
+            return self._bad_request(
+                "a request is a JSON object, not "
+                f"{type(payload).__name__}"
+            )
         op = payload.get("op", "analyze")
         logger.debug("handling op %r", op)
         try:
@@ -479,7 +548,7 @@ class LayoutService:
                     "request_id": payload.get("request_id")}
         if op == "analyze":
             # analyze records its own telemetry (it has the tracer)
-            return self.analyze_dict(payload)
+            return self._analyze_payload(payload)
         start = perf_counter()
         response = self._handle_light(op, payload)
         if op in OPS:
@@ -522,8 +591,7 @@ class LayoutService:
                         "pass 'objectives' in the request"
                     )
             except SLOValidationError as exc:
-                return {"ok": False, "error": str(exc),
-                        "error_kind": "bad-request"}
+                return _error(str(exc), "bad-request")
             require_data = bool(payload.get("require_data", False))
             return {"ok": True, "op": "slo",
                     "report": self.slo_report(
@@ -532,9 +600,7 @@ class LayoutService:
             try:
                 limit = int(payload.get("limit", 100))
             except (TypeError, ValueError):
-                return {"ok": False,
-                        "error": "'limit' must be an integer",
-                        "error_kind": "bad-request"}
+                return _error("'limit' must be an integer", "bad-request")
             events = self.telemetry.events.tail(
                 limit=limit, type=payload.get("type")
             )
@@ -565,17 +631,20 @@ class LayoutService:
             # flip into drain immediately so the reply already reflects
             # it; the TCP layer runs the bounded drain + stop afterward
             self.begin_drain()
+            try:
+                self._shutdowns.deadline_s = float(payload.get(
+                    "drain_deadline_s", DEFAULT_DRAIN_DEADLINE_S
+                ))
+            except (TypeError, ValueError):
+                self._shutdowns.deadline_s = DEFAULT_DRAIN_DEADLINE_S
             admission = self.admission.describe()
             return {
                 "ok": True, "op": "shutdown", "draining": True,
                 "in_flight": admission["in_flight"],
                 "queue_depth": admission["queue_depth"],
             }
-        self.metrics.inc("requests_total")
-        self.metrics.inc("requests_failed")
         logger.warning("rejecting unknown op %r", op)
-        return {"ok": False, "error": f"unknown op {op!r}",
-                "error_kind": "bad-request"}
+        return self._bad_request(f"unknown op {op!r}")
 
     # -- graceful drain ----------------------------------------------------
 
@@ -617,8 +686,9 @@ class LayoutService:
 
 
 class _RequestHandler(socketserver.StreamRequestHandler):
-    """One JSON object per line in, one per line out; connections may
-    carry any number of requests."""
+    """Transport only: bounded request lines in, under an idle timeout,
+    and :meth:`LayoutService.handle_line`'s replies out; a connection
+    carries any number of requests."""
 
     def setup(self) -> None:
         # StreamRequestHandler applies self.timeout as the socket
@@ -629,6 +699,7 @@ class _RequestHandler(socketserver.StreamRequestHandler):
         self.server.service.metrics.inc("connections_total")
 
     def handle(self) -> None:  # pragma: no cover - exercised via TCP tests
+        service = self.server.service
         while True:
             # Bounded read: a line longer than MAX_REQUEST_BYTES gets a
             # typed refusal and the connection closes (the remainder of
@@ -641,79 +712,49 @@ class _RequestHandler(socketserver.StreamRequestHandler):
                     f"{self.timeout}s; closing"
                 )
                 try:
-                    self._reply({"ok": False, "error": str(exc),
-                                 "error_kind": exc.kind})
+                    self._reply(_line(_error(str(exc), exc.kind)))
                 except (OSError, InjectedFault):
                     pass
                 return
             if not raw:
                 return
             if len(raw) > MAX_REQUEST_BYTES:
-                self._reply({
-                    "ok": False,
-                    "error": (
-                        f"request line exceeds {MAX_REQUEST_BYTES} bytes"
-                    ),
-                    "error_kind": "request-too-large",
-                })
+                self._reply(_line(_error(
+                    f"request line exceeds {MAX_REQUEST_BYTES} bytes",
+                    "request-too-large",
+                )))
                 return
             line = raw.strip()
             if not line:
                 continue
             try:
-                payload = json.loads(line)
-            except json.JSONDecodeError as exc:
-                self._reply({"ok": False,
-                             "error": f"bad JSON: {exc}",
-                             "error_kind": "bad-request"})
-                continue
-            try:
-                response = self.server.service.handle(payload)
-            except Exception as exc:  # defense in depth: never drop the
-                # connection without a typed reply
-                logger.warning("handler crashed: %s", exc)
-                response = {
-                    "ok": False,
-                    "error": f"{type(exc).__name__}: {exc}",
-                    "error_kind": getattr(exc, "kind", "internal"),
-                }
-            try:
-                self._reply(response)
+                self._reply(service.handle_line(line))
             except InjectedFault as exc:
                 # the reply path itself faulted: try once to tell the
                 # client, then give the connection up cleanly
                 try:
-                    self.wfile.write(json.dumps({
-                        "ok": False, "error": str(exc),
-                        "error_kind": exc.kind,
-                    }).encode("utf-8") + b"\n")
+                    self.wfile.write(_line(_error(str(exc), exc.kind)))
                     self.wfile.flush()
                 except OSError:
                     pass
                 return
-            if payload.get("op") == "shutdown":
-                try:
-                    drain_deadline = float(
-                        payload.get("drain_deadline_s",
-                                    DEFAULT_DRAIN_DEADLINE_S)
-                    )
-                except (TypeError, ValueError):
-                    drain_deadline = DEFAULT_DRAIN_DEADLINE_S
+            drain_deadline_s = service.take_shutdown()
+            if drain_deadline_s is not None:
                 threading.Thread(
                     target=self.server.graceful_shutdown,
-                    args=(drain_deadline,),
+                    args=(drain_deadline_s,),
                     daemon=True,
                 ).start()
                 return
-            if self.server.service.admission.draining:
+            if service.admission.draining:
                 # the client's next request opens a new connection and
                 # meets the listener as it is now: typed refusals
                 # during the drain, a refused connection after it
                 return
 
-    def _reply(self, payload: Dict[str, Any]) -> None:
+    def _reply(self, line: bytes) -> None:
         fault_point("server.reply")
-        self.wfile.write(json.dumps(payload).encode("utf-8") + b"\n")
+        self.wfile.write(line)
         self.wfile.flush()
 
 

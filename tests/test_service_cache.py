@@ -4,8 +4,11 @@ request, graceful recovery from corruption, and nothing behind the
 
 from __future__ import annotations
 
+import json
 import os
+import re
 import threading
+from dataclasses import asdict
 
 import pytest
 
@@ -24,7 +27,8 @@ from repro.service import (
     StageKeys,
     WorkerPool,
 )
-from repro.service.protocol import answer_of
+from repro.service import cache as cache_module
+from repro.service.protocol import Answer, answer_of
 from repro.tool.assistant import AssistantConfig, run_assistant
 
 REQUEST = {
@@ -310,7 +314,7 @@ class TestOneEntryPerRequest:
         older = StageCache(root)
         for stage in STAGES:
             older.store(stage, keys.key_for(stage), b"stage output")
-        older.store("answer", keys.answer, answer_of(result))
+        older.store("answer", keys.answer, Answer.of(answer_of(result)))
         before = older.entry_count()
         assert before == dict.fromkeys(("answer",) + STAGES, 1)
 
@@ -351,6 +355,113 @@ class TestOneEntryPerRequest:
         for stage in STAGES:
             assert hists[stage]["count"] == 1
             assert hists[stage]["sum"] == timed[stage]
+
+
+def _line(payload: dict) -> bytes:
+    return json.dumps(payload).encode()
+
+
+class TestAnswerText:
+    """The entry keeps its answer's JSON text: a compute encodes it
+    once, a hit never, and a disk hit writes the memory hit's bytes."""
+
+    def test_entry_is_the_answer_and_its_text(self, service):
+        service.analyze_dict(dict(REQUEST))
+        key = LayoutRequest.from_dict(dict(REQUEST)).answer_key()
+        hit, entry = service.cache.load("answer", key)
+        assert hit and isinstance(entry, Answer)
+        assert entry.text == json.dumps(entry.value)
+        assert list(entry.value) == ["predicted_total_us", "is_dynamic",
+                                     "layouts"]
+
+    def test_disk_hit_writes_the_memory_hits_bytes(self, service):
+        line = _line(dict(REQUEST, request_id="same"))
+        service.handle_line(line)
+        from_memory = service.handle_line(line)
+        service.cache.clear_memory()
+        from_disk = service.handle_line(line)
+
+        def without_seconds(reply: bytes) -> bytes:
+            return re.sub(rb'"seconds": [^,]+,', b'"seconds": 0,', reply)
+
+        # the lookup's duration is the only difference
+        assert without_seconds(from_disk) == without_seconds(from_memory)
+        assert _only_an_answer_hit(json.loads(from_disk))
+
+    @pytest.fixture()
+    def encoded(self, monkeypatch):
+        """The values :meth:`Answer.of` encodes, one per call."""
+        calls = []
+        encode = Answer.of.__func__
+
+        def counting(cls, value):
+            calls.append(value)
+            return encode(cls, value)
+
+        monkeypatch.setattr(Answer, "of", classmethod(counting))
+        return calls
+
+    @pytest.mark.parametrize("use_cache", [True, False])
+    def test_a_compute_encodes_once_and_a_hit_never(
+        self, service, encoded, use_cache
+    ):
+        line = _line(dict(REQUEST, use_cache=use_cache))
+        assert json.loads(service.handle_line(line))["cache_hits"] == 0
+        assert len(encoded) == 1
+        if use_cache:
+            for _ in range(50):
+                reply = json.loads(service.handle_line(line))
+                assert _only_an_answer_hit(reply)
+            assert _only_an_answer_hit(service.analyze_dict(dict(REQUEST)))
+            assert len(encoded) == 1
+
+    def test_a_degraded_compute_encodes_once(self, service, encoded):
+        reply = json.loads(service.handle_line(_line(dict(
+            REQUEST, program="tomcatv", size=128, deadline_s=0.01
+        ))))
+        assert reply["ok"] and reply["degraded"], reply
+        assert len(encoded) == 1
+
+
+class TestProgramKeyMemo:
+    def test_repeated_program_requests_hash_nothing(self, monkeypatch):
+        hashed = []
+        sha256 = cache_module._sha256
+
+        def counting(*parts):
+            hashed.append(parts[0])
+            return sha256(*parts)
+
+        monkeypatch.setattr(cache_module, "_sha256", counting)
+        payloads = [
+            dict(REQUEST, size=36), dict(REQUEST, size=36, procs=8),
+            dict(REQUEST, program="tomcatv", size=36),
+            dict(REQUEST, size=36, machine=asdict(MACHINES["paragon"])),
+        ]
+        requests = [LayoutRequest.from_dict(p) for p in payloads]
+        keys = [request.answer_key() for request in requests]
+        hashed.clear()
+        for _ in range(3):
+            assert [LayoutRequest.from_dict(p).answer_key()
+                    for p in payloads] == keys
+        assert hashed == []
+        for request, key in zip(requests, keys):
+            assert key == sha256(
+                "answer", cache_module.CACHE_VERSION,
+                request.resolve_source(),
+                request.resolve_config().to_key(),
+            )
+            assert key == StageKeys(
+                request.resolve_source(), request.resolve_config()
+            ).answer
+
+    def test_a_source_request_is_keyed_by_its_text(self):
+        source = PROGRAMS["adi"].source(n=32, maxiter=2)
+        by_source = LayoutRequest.from_dict(
+            {"op": "analyze", "source": source, "procs": 4}
+        )
+        by_name = LayoutRequest.from_dict(dict(REQUEST))
+        assert by_source.answer_key() == by_name.answer_key()
 
 
 class TestConfigRoundTrip:

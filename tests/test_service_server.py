@@ -25,7 +25,14 @@ from repro.service import (
     send_request,
 )
 from repro.service import server as server_module
-from repro.service.protocol import LayoutRequest, serialize_layout
+from repro.resilience.errors import OverloadedError
+from repro.service.protocol import (
+    Answer,
+    LayoutRequest,
+    LayoutResponse,
+    StageTiming,
+    serialize_layout,
+)
 from repro.tool import assistant as assistant_module
 from repro.tool.assistant import (
     AssistantConfig,
@@ -546,3 +553,140 @@ class TestKeptConnection:
         assert send_request({"op": "ping"}, "127.0.0.1", server.port)["ok"]
         assert send_request({"op": "ping"}, "127.0.0.1", server.port)["ok"]
         assert _connections(server) == 2
+
+
+class _Shedding:
+    """An admission controller that sheds every compute."""
+
+    draining = False
+
+    def enter(self):
+        return True
+
+    def leave(self):
+        pass
+
+    def try_acquire(self, budget_s):
+        raise OverloadedError("queue full", retry_after_s=0.25)
+
+
+class TestReplyBytes:
+    """A reply line is ``json.dumps(to_dict())`` to the byte, on every
+    shape, whether or not it was built around a stored answer text."""
+
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        """Every :meth:`LayoutResponse.encode` the server runs, checked
+        against ``json.dumps(to_dict())``; yields the lines."""
+        lines = []
+        encode = LayoutResponse.encode
+
+        def checking(response):
+            line = encode(response)
+            assert line == json.dumps(response.to_dict()).encode() + b"\n"
+            lines.append(line)
+            return line
+
+        monkeypatch.setattr(LayoutResponse, "encode", checking)
+        return lines
+
+    @staticmethod
+    def _exchange(port, payloads):
+        with socket.create_connection(("127.0.0.1", port), timeout=60) as s:
+            reader = s.makefile("rb")
+            replies = []
+            for payload in payloads:
+                s.sendall(json.dumps(payload).encode() + b"\n")
+                replies.append(reader.readline())
+        return replies
+
+    def test_every_analyze_shape_over_the_wire(self, fresh_server, checked):
+        server = fresh_server()
+        tomcatv = dict(REQUEST, program="tomcatv", size=128)
+        shapes = [
+            dict(REQUEST),                              # compute
+            dict(REQUEST),                              # hit
+            dict(REQUEST, use_cache=False),
+            dict(REQUEST, request_id=7),
+            dict(REQUEST, request_id="req-1"),
+            dict(REQUEST, request_id="réq-✓ 名"),
+            dict(REQUEST, trace=True),                  # a hit's trace
+            dict(REQUEST, procs=8, trace=True),         # a compute's
+            dict(tomcatv, deadline_s=0.01),             # degraded
+            dict(tomcatv, deadline_s=0.01, trace=True, request_id="d"),
+            {"op": "analyze", "program": "no-such-program", "procs": 4},
+            {"op": "analyze", "program": "adi"},
+        ]
+        replies = self._exchange(server.port, shapes)
+        assert replies == checked
+        decoded = [json.loads(line) for line in replies]
+        assert [r["ok"] for r in decoded] == [True] * 10 + [False] * 2
+        assert decoded[1]["cache_hits"] == 1
+        assert decoded[5]["request_id"] == "réq-✓ 名"
+        assert all(r["degraded"] and r["degradations"]
+                   for r in decoded[8:10])
+        assert all("trace" in decoded[i] for i in (6, 7, 9))
+        assert decoded[10]["error_kind"] == "bad-request"
+
+    def test_an_overloaded_reply(self, fresh_server, checked):
+        server = fresh_server()
+        server.service.admission = _Shedding()
+        (line,) = self._exchange(
+            server.port, [dict(REQUEST, request_id="shed")]
+        )
+        assert line == checked[0]
+        reply = json.loads(line)
+        assert reply["error_kind"] == "overloaded"
+        assert reply["retry_after_s"] == 0.25
+
+    def test_built_replies(self):
+        value = {"predicted_total_us": 12.5, "is_dynamic": False,
+                 "layouts": {"0": {"hpf": "é", "alignments": {}}}}
+        answer = Answer.of(value)
+        timings = [StageTiming("answer", 1e-5, True)]
+        degradations = [{"stage": "selection", "reason": "deadline"}]
+        responses = [
+            LayoutResponse.from_answer(value, timings, text=answer.text),
+            LayoutResponse.from_answer(value, timings, request_id=3,
+                                       text=answer.text),
+            LayoutResponse.from_answer(
+                value, timings, request_id="x", degradations=degradations,
+                text=answer.text,
+            ),
+            LayoutResponse.from_answer(value, timings),
+            LayoutResponse.failure(OverloadedError("full", 1.5), "o"),
+            LayoutResponse.failure(ValueError("bad")),
+        ]
+        responses[0].trace = {"spans": [{"name": "request"}]}
+        for response in responses:
+            assert response.encode() == \
+                json.dumps(response.to_dict()).encode() + b"\n"
+
+
+class TestRequestLine:
+    @pytest.mark.parametrize("line", [b"[1, 2]", b'"ping"', b"3", b"null",
+                                      b"not json", b"\xff\xfe{"])
+    def test_a_line_that_is_not_an_object_is_a_bad_request(
+        self, fresh_server, line
+    ):
+        server = fresh_server()
+        with socket.create_connection(("127.0.0.1", server.port),
+                                      timeout=30) as sock:
+            reader = sock.makefile("rb")
+            sock.sendall(line + b"\n")
+            refused = json.loads(reader.readline())
+            sock.sendall(b'{"op": "ping"}\n')
+            pong = json.loads(reader.readline())
+        assert refused["ok"] is False
+        assert refused["error_kind"] == "bad-request"
+        assert pong == {"ok": True, "op": "ping"}
+        metrics = server.service.metrics
+        assert metrics.counter("requests_failed") == 1
+        assert metrics.counter("requests_total") == 1
+
+    def test_handle_and_handle_line_share_one_dispatch(self):
+        with LayoutService(pool=WorkerPool(kind="serial")) as service:
+            line = service.handle_line(b'{"op": "frobnicate"}')
+            assert json.loads(line) == service.handle({"op": "frobnicate"})
+            assert service.handle([1, 2])["error_kind"] == "bad-request"
+            assert service.metrics.counter("requests_failed") == 3
