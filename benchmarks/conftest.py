@@ -2,12 +2,12 @@
 
 Each benchmark regenerates one table or figure of the paper's evaluation:
 it prints the same rows/series the paper reports (and writes them under
-``results/``), and uses the pytest-benchmark fixture to time the pipeline
-stage the experiment exercises.
+``results/``) and checks the claims the paper makes about them.  Timing
+the pipeline is ``repro bench``'s job, not this directory's.
 
 Run with::
 
-    pytest benchmarks/ --benchmark-only
+    pytest benchmarks/
 """
 
 from __future__ import annotations
@@ -17,8 +17,7 @@ from typing import Dict, Tuple
 
 import pytest
 
-from repro.tool import TestCase, run_test_case
-from repro.tool.testcases import TestCaseResult
+from repro.tool.testcases import TestCase, TestCaseResult, run_test_case
 
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "results"
 
@@ -51,19 +50,3 @@ def scheme_row(result: TestCaseResult, name: str):
 def results_dir() -> pathlib.Path:
     RESULTS_DIR.mkdir(exist_ok=True)
     return RESULTS_DIR
-
-
-@pytest.fixture(autouse=True)
-def _always_a_benchmark(benchmark):
-    """Make every test in this directory count as a benchmark, so the
-    documented ``pytest benchmarks/ --benchmark-only`` invocation runs
-    the table/figure regenerations too (pytest-benchmark skips tests
-    whose fixture closure lacks ``benchmark``).  Tests that never measure
-    anything themselves get a trivial timing afterwards so the fixture is
-    legitimately used."""
-    yield
-    if not benchmark.stats:
-        try:
-            benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-        except Exception:
-            pass

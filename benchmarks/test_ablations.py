@@ -9,17 +9,18 @@
 
 import pytest
 
-from repro.distribution import DistributionOptions
-from repro.machine import IPSC860
-from repro.perf import CompilerOptions, estimate_search_spaces
-from repro.programs import PROGRAMS
-from repro.selection import (
+from repro.distribution.search_space import DistributionOptions
+from repro.machine.params import IPSC860
+from repro.perf.compiler_model import CompilerOptions
+from repro.perf.estimator import estimate_search_spaces
+from repro.programs.registry import PROGRAMS
+from repro.selection.baselines import (
     best_static_selection,
     dp_selection,
     greedy_selection,
-    select_layouts,
 )
-from repro.tool import AssistantConfig, run_assistant
+from repro.selection.ilp import select_layouts
+from repro.tool.assistant import AssistantConfig, run_assistant
 
 from .conftest import emit
 
@@ -101,13 +102,10 @@ def test_dp_matches_ilp_on_true_chains(assistants):
     assert dp_cost >= assistants["erlebacher"].selection.objective - 1e-6
 
 
-def test_solver_backend_ablation(assistants, benchmark):
+def test_solver_backend_ablation(assistants):
     graph = assistants["shallow"].graph
     highs = select_layouts(graph, backend="scipy")
-    bb = benchmark.pedantic(
-        select_layouts, args=(graph,),
-        kwargs={"backend": "branch-bound"}, rounds=1, iterations=1,
-    )
+    bb = select_layouts(graph, backend="branch-bound")
     assert bb.objective == pytest.approx(highs.objective)
 
 

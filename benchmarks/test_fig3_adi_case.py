@@ -7,8 +7,7 @@ picked the static row-wise layout and ranked the alternatives correctly.
 
 import pytest
 
-from repro.machine import IPSC860
-from repro.tool import AssistantConfig, run_assistant
+from repro.tool.assistant import AssistantConfig, run_assistant
 from repro.tool.schemes import TOOL
 
 from .conftest import cached_case, emit, scheme_row
@@ -54,9 +53,9 @@ def test_fig3_tool_is_measured_best(result):
     assert result.loss_percent == 0.0
 
 
-def test_fig3_assistant_runtime(benchmark):
-    """Time the full four-step assistant on the Figure 3 configuration."""
-    from repro.programs import PROGRAMS
+def test_fig3_assistant_runtime():
+    """Run the full four-step assistant on the Figure 3 configuration."""
+    from repro.programs.registry import PROGRAMS
 
     source = PROGRAMS["adi"].source(n=N, dtype=DTYPE, maxiter=3)
-    benchmark(run_assistant, source, AssistantConfig(nprocs=PROCS))
+    run_assistant(source, AssistantConfig(nprocs=PROCS))

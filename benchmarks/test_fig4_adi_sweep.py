@@ -7,7 +7,6 @@ remapped best in the rest.
 
 import pytest
 
-from repro.tool.schemes import TOOL
 
 from .conftest import cached_case, emit, scheme_row
 
@@ -65,10 +64,10 @@ def test_fig4_scaling_improves_with_processors(sweep):
     assert rows[-1] < rows[0]
 
 
-def test_fig4_measurement_runtime(benchmark):
-    """Time one measured (simulated) Adi execution."""
-    from repro.programs import PROGRAMS
-    from repro.tool import measure_layouts
+def test_fig4_measurement_runtime():
+    """Run one measured (simulated) Adi execution."""
+    from repro.programs.registry import PROGRAMS
+    from repro.tool.measurement import measure_layouts
 
     result = cached_case("adi", N, DTYPE, 16)
     source = PROGRAMS["adi"].source(n=N, dtype=DTYPE, maxiter=3)
@@ -82,4 +81,4 @@ def test_fig4_measurement_runtime(benchmark):
             idx: result2.assistant.layout_spaces.per_phase[idx][pos].layout
             for idx, pos in scheme_row(result2, "row").selection.items()
         }
-    benchmark(measure_layouts, source, layouts, 16)
+    measure_layouts(source, layouts, 16)

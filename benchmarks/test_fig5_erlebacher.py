@@ -82,9 +82,9 @@ def test_fig5_tool_optimal(sweep):
         assert sweep[p].tool_optimal
 
 
-def test_fig5_assistant_runtime(benchmark):
-    from repro.programs import PROGRAMS
-    from repro.tool import AssistantConfig, run_assistant
+def test_fig5_assistant_runtime():
+    from repro.programs.registry import PROGRAMS
+    from repro.tool.assistant import AssistantConfig, run_assistant
 
     source = PROGRAMS["erlebacher"].source(n=N, dtype=DTYPE)
-    benchmark(run_assistant, source, AssistantConfig(nprocs=16))
+    run_assistant(source, AssistantConfig(nprocs=16))

@@ -10,10 +10,10 @@ choice essentially always.
 
 import pytest
 
-from repro.programs import PROGRAMS
+from repro.programs.registry import PROGRAMS
 from repro.programs.tomcatv import smoothing_if_line
-from repro.tool import AssistantConfig, run_assistant
-from repro.tool.schemes import TOOL, enumerate_schemes
+from repro.tool.assistant import AssistantConfig, run_assistant
+from repro.tool.schemes import enumerate_schemes
 
 from .conftest import cached_case, emit, scheme_row
 
@@ -100,9 +100,9 @@ def test_fig6_tool_never_loses(sweep):
         assert sweep[p].tool_optimal
 
 
-def test_fig6_alignment_conflict_machinery_used(benchmark):
+def test_fig6_alignment_conflict_machinery_used():
     """Tomcatv is the program whose analysis exercises the alignment 0-1
-    formulation (two conflicted imports); time the full assistant."""
+    formulation (two conflicted imports)."""
     source = PROGRAMS["tomcatv"].source(n=N, dtype=DTYPE, maxiter=3)
-    result = benchmark(run_assistant, source, AssistantConfig(nprocs=16))
+    result = run_assistant(source, AssistantConfig(nprocs=16))
     assert len(result.alignment_spaces.resolutions) == 2

@@ -67,9 +67,9 @@ def test_fig7_relative_performance_predicted(sweep):
         assert est_ratio == pytest.approx(meas_ratio, rel=0.15)
 
 
-def test_fig7_assistant_runtime(benchmark):
-    from repro.programs import PROGRAMS
-    from repro.tool import AssistantConfig, run_assistant
+def test_fig7_assistant_runtime():
+    from repro.programs.registry import PROGRAMS
+    from repro.tool.assistant import AssistantConfig, run_assistant
 
     source = PROGRAMS["shallow"].source(n=N, dtype=DTYPE, maxiter=3)
-    benchmark(run_assistant, source, AssistantConfig(nprocs=16))
+    run_assistant(source, AssistantConfig(nprocs=16))

@@ -1,4 +1,4 @@
-"""0-1 problem sizes and solve times — the paper's in-text ILP table.
+"""0-1 problem sizes — the paper's in-text ILP table.
 
 Paper (Section 4):
 
@@ -13,15 +13,16 @@ All instances solved in under 1.1 s.  Our instances differ in size (we do
 not scalar-expand temporaries, and our remapping edges are per-array), but
 land in the same order of magnitude and resolve far under the paper's
 1.1 s bound on both solver backends.  The sizes are those of the full 0-1
-models; the times are those of the path that answers them, which on these
-inputs starts no solver (alignment: bounded enumeration with a unique
-optimal cut; selection: graph presolve and variable elimination).
+models.  ``repro bench`` times the path that answers them (stages
+``alignment_ilp`` and ``selection_ilp``), which on these inputs starts no
+solver (alignment: bounded enumeration with a unique optimal cut;
+selection: graph presolve and variable elimination).
 """
 
 import pytest
 
-from repro.programs import PROGRAMS
-from repro.tool import AssistantConfig, run_assistant
+from repro.programs.registry import PROGRAMS
+from repro.tool.assistant import AssistantConfig, run_assistant
 
 from .conftest import emit
 
@@ -51,25 +52,20 @@ def assistants():
 
 def test_ilp_size_table(assistants):
     lines = [
-        "0-1 problem sizes and CPLEX-substitute solve times "
-        "(paper values in parentheses)",
-        f"{'program':<12} {'problem':<12} {'vars':>6} {'cons':>6} "
-        f"{'time':>9}  paper",
+        "0-1 problem sizes (paper values in parentheses)",
+        f"{'program':<12} {'problem':<12} {'vars':>6} {'cons':>6}  paper",
     ]
     for name, result in assistants.items():
         for i, res in enumerate(result.alignment_spaces.resolutions):
             lines.append(
                 f"{name:<12} {'alignment':<12} {res.num_variables:>6} "
-                f"{res.num_constraints:>6} "
-                f"{res.solution.stats.wall_time*1000:>7.1f}ms  "
-                f"(312/530, <=1030ms)"
+                f"{res.num_constraints:>6}  (312/530, <=1030ms)"
             )
         sel = result.selection
         pv, pc = PAPER_SELECTION[name]
         lines.append(
             f"{name:<12} {'selection':<12} {sel.num_variables:>6} "
-            f"{sel.num_constraints:>6} "
-            f"{sel.solution.stats.wall_time*1000:>7.1f}ms  ({pv}/{pc})"
+            f"{sel.num_constraints:>6}  ({pv}/{pc})"
         )
     emit("ilp_sizes.txt", "\n".join(lines))
 
@@ -98,25 +94,13 @@ def test_tomcatv_two_alignment_problems_same_size(assistants):
     assert res[0].solution.objective != res[1].solution.objective
 
 
-@pytest.mark.parametrize("program", sorted(CONFIGS))
-def test_selection_solve_benchmark(benchmark, assistants, program):
-    """Benchmark the selection 0-1 solve itself (HiGHS backend)."""
-    from repro.selection import select_layouts
-
-    graph = assistants[program].graph
-    benchmark(select_layouts, graph)
-
-
-def test_branch_bound_backend_solves_selection(assistants, benchmark):
+def test_branch_bound_backend_solves_selection(assistants):
     """The from-scratch solver also proves optimality on a real selection
     instance (Adi) in reasonable time."""
-    from repro.selection import select_layouts
+    from repro.selection.ilp import select_layouts
 
     graph = assistants["adi"].graph
-    result = benchmark.pedantic(
-        select_layouts, args=(graph,),
-        kwargs={"backend": "branch-bound"}, rounds=1, iterations=1,
-    )
+    result = select_layouts(graph, backend="branch-bound")
     assert result.objective == pytest.approx(
         assistants["adi"].selection.objective
     )

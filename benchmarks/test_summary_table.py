@@ -15,7 +15,7 @@ import json
 
 import pytest
 
-from repro.programs import PROGRAMS
+from repro.programs.registry import PROGRAMS
 from repro.tool.report import format_summary
 from repro.tool.testcases import grid_for, run_test_case, summarize
 
@@ -87,11 +87,3 @@ def test_save_full_grid_json(all_results):
         json.dumps(payload, indent=1), encoding="utf-8"
     )
     assert (RESULTS_DIR / "summary_grid.json").exists()
-
-
-def test_single_case_runtime(benchmark):
-    """Time one complete test case (assistant + all measurements)."""
-    from repro.tool import TestCase
-
-    benchmark(run_test_case,
-              TestCase("adi", 200, "double", 8, maxiter=3))

@@ -22,9 +22,9 @@ exactly what the assistant decides per configuration.
 
 import sys
 
-from repro.tool import TestCase, run_test_case
 from repro.tool.report import format_test_case
-from repro.tool.schemes import TOOL, matching_scheme
+from repro.tool.schemes import matching_scheme
+from repro.tool.testcases import TestCase, run_test_case
 
 
 def main() -> None:

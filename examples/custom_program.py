@@ -16,7 +16,8 @@ alignment conflict that no single alignment can satisfy.  The assistant
     python examples/custom_program.py
 """
 
-from repro import AssistantConfig, measure_layouts, run_assistant
+from repro.tool.assistant import AssistantConfig, run_assistant
+from repro.tool.measurement import measure_layouts
 from repro.tool.report import format_search_spaces, format_selection
 
 SOURCE = """

@@ -10,9 +10,9 @@ The assistant re-decides per machine — no code changes.
     python examples/machine_retarget.py
 """
 
-from repro import AssistantConfig, run_assistant
-from repro.machine import IPSC860, PARAGON
-from repro.programs import PROGRAMS
+from repro.machine.params import IPSC860, PARAGON
+from repro.programs.registry import PROGRAMS
+from repro.tool.assistant import AssistantConfig, run_assistant
 from repro.tool.measurement import measure_layouts
 from repro.tool.schemes import enumerate_schemes
 

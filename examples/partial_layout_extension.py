@@ -14,8 +14,8 @@ selection step with the pinned phases restricted.
     python examples/partial_layout_extension.py
 """
 
-from repro import AssistantConfig, run_assistant
-from repro.programs import PROGRAMS
+from repro.programs.registry import PROGRAMS
+from repro.tool.assistant import AssistantConfig, run_assistant
 from repro.tool.measurement import measure_layouts
 
 

@@ -8,7 +8,8 @@ simulated execution of the choice.
     python examples/quickstart.py
 """
 
-from repro import AssistantConfig, measure_layouts, run_assistant
+from repro.tool.assistant import AssistantConfig, run_assistant
+from repro.tool.measurement import measure_layouts
 from repro.tool.report import format_search_spaces, format_selection
 
 SOURCE = """

@@ -13,9 +13,10 @@ picks a layout accordingly.
     python examples/subroutines.py
 """
 
-from repro import AssistantConfig, measure_layouts, run_assistant
-from repro.frontend import parse_and_inline
+from repro.frontend.inline import parse_and_inline
 from repro.frontend.printer import format_program
+from repro.tool.assistant import AssistantConfig, run_assistant
+from repro.tool.measurement import measure_layouts
 from repro.tool.report import format_selection
 
 SOURCE = """

@@ -15,19 +15,8 @@ dependences), ``alignment`` (CAG + 0-1 resolution), ``distribution``
 ``programs`` (Adi, Erlebacher, Tomcatv, Shallow).
 """
 
-from .tool.assistant import AssistantConfig, AssistantResult, run_assistant
-from .tool.measurement import Measurement, measure_layouts
-from .tool.testcases import TestCase, run_test_case
+# the README quick-start names, kept for users; nothing else is re-exported
+from .tool.assistant import AssistantConfig, run_assistant
+from .tool.measurement import measure_layouts
 
 __version__ = "1.0.0"
-
-__all__ = [
-    "AssistantConfig",
-    "AssistantResult",
-    "run_assistant",
-    "Measurement",
-    "measure_layouts",
-    "TestCase",
-    "run_test_case",
-    "__version__",
-]

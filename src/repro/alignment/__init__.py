@@ -1,39 +1,1 @@
 """Alignment analysis: CAG, lattice, 0-1 conflict resolution, heuristic."""
-
-from .cag import CAG, Node
-from .lattice import Partitioning
-from .weights import build_phase_cag, communication_cost
-from .ilp import (
-    AlignmentILP,
-    AlignmentResolution,
-    build_alignment_model,
-    resolve_conflicts,
-)
-from .orientation import OrientationError, canonical_alignments, orient
-from .search_space import (
-    AlignmentCandidate,
-    AlignmentSearchSpaces,
-    PhaseClass,
-    build_alignment_search_spaces,
-    dominance_factor,
-)
-
-__all__ = [
-    "CAG",
-    "Node",
-    "Partitioning",
-    "build_phase_cag",
-    "communication_cost",
-    "AlignmentILP",
-    "AlignmentResolution",
-    "build_alignment_model",
-    "resolve_conflicts",
-    "OrientationError",
-    "canonical_alignments",
-    "orient",
-    "AlignmentCandidate",
-    "AlignmentSearchSpaces",
-    "PhaseClass",
-    "build_alignment_search_spaces",
-    "dominance_factor",
-]

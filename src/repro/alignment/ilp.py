@@ -37,9 +37,8 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from ..ilp import (
-    MAXIMIZE, Solution, SolveStats, ZeroOneModel, solve as ilp_solve,
-)
+from ..ilp import solve as ilp_solve
+from ..ilp.model import MAXIMIZE, Solution, SolveStats, ZeroOneModel
 from ..obs.tracing import add_event as obs_event, span as obs_span
 from ..resilience.deadline import checkpoint, remaining_budget
 from ..resilience.degrade import note_degradation

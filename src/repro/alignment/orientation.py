@@ -18,7 +18,7 @@ candidates.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet
 
 from ..distribution.layouts import Alignment
 from ..frontend.symbols import ArraySymbol, SymbolTable
@@ -126,15 +126,3 @@ def orient(
                     )
         alignments[array] = Alignment(axis_map=tuple(axis))
     return alignments
-
-
-def canonical_alignments(
-    arrays: List[str], symbols: SymbolTable
-) -> Dict[str, Alignment]:
-    """Identity alignment for every array (dimension d → template dim d)."""
-    out: Dict[str, Alignment] = {}
-    for array in arrays:
-        symbol = symbols.get(array)
-        if isinstance(symbol, ArraySymbol):
-            out[array] = Alignment.canonical(symbol.rank)
-    return out

@@ -1,58 +1,1 @@
 """Program analysis: references, phase partitioning, PCFG, dependences."""
-
-from .references import (
-    AffineExpr,
-    ArrayAccess,
-    LoopInfo,
-    analyze_subscript,
-    collect_accesses,
-)
-from .phases import (
-    DEFAULT_BRANCH_PROBABILITY,
-    Branch,
-    ControlLoop,
-    Phase,
-    PhaseItem,
-    PhasePartition,
-    ScalarItem,
-    Seq,
-    partition_phases,
-)
-from .pcfg import ENTRY, EXIT, PCFG, build_pcfg
-from .dependence import (
-    Dependence,
-    carried_flow_vars,
-    flow_dependences_on_var,
-    is_uniform_pair,
-    phase_dependences,
-    reduction_vars,
-    scalar_reductions,
-)
-
-__all__ = [
-    "AffineExpr",
-    "ArrayAccess",
-    "LoopInfo",
-    "analyze_subscript",
-    "collect_accesses",
-    "DEFAULT_BRANCH_PROBABILITY",
-    "Branch",
-    "ControlLoop",
-    "Phase",
-    "PhaseItem",
-    "PhasePartition",
-    "ScalarItem",
-    "Seq",
-    "partition_phases",
-    "ENTRY",
-    "EXIT",
-    "PCFG",
-    "build_pcfg",
-    "Dependence",
-    "carried_flow_vars",
-    "flow_dependences_on_var",
-    "is_uniform_pair",
-    "phase_dependences",
-    "reduction_vars",
-    "scalar_reductions",
-]

@@ -18,9 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from ..frontend import ast
 from .phases import Phase
 from .references import ArrayAccess
 
@@ -150,75 +149,3 @@ def phase_dependences(phase: Phase) -> List[Dependence]:
                     continue
                 deps.extend(_pair_dependences(write, other))
     return deps
-
-
-def flow_dependences_on_var(phase: Phase, var: str) -> List[Dependence]:
-    """Flow dependences carried by loop variable ``var`` in ``phase``."""
-    return [
-        d
-        for d in phase_dependences(phase)
-        if d.kind == "flow" and d.carrier_var == var
-    ]
-
-
-def carried_flow_vars(phase: Phase) -> Tuple[str, ...]:
-    """Loop variables that carry at least one flow dependence, in a stable
-    order."""
-    seen: Dict[str, None] = {}
-    for dep in phase_dependences(phase):
-        if dep.kind == "flow":
-            seen.setdefault(dep.carrier_var, None)
-    return tuple(seen)
-
-
-def scalar_reductions(phase: Phase) -> List[ast.Assign]:
-    """Assignments reducing array data into a scalar (``s = s + a(i,j)``,
-    ``rmax = max(rmax, ...)``): scalar target that also appears on the
-    right-hand side alongside at least one array reference."""
-    out: List[ast.Assign] = []
-    seen: set = set()
-    for acc in phase.accesses:
-        stmt = acc.stmt
-        if id(stmt) in seen or not isinstance(stmt, ast.Assign):
-            continue
-        seen.add(id(stmt))
-        if not isinstance(stmt.target, ast.Var):
-            continue
-        rhs_vars = {
-            n.name for n in ast.walk_expr(stmt.expr) if isinstance(n, ast.Var)
-        }
-        rhs_arrays = bool(ast.expr_array_refs(stmt.expr))
-        if stmt.target.name in rhs_vars and rhs_arrays:
-            out.append(stmt)
-    return out
-
-
-def reduction_vars(phase: Phase) -> Tuple[str, ...]:
-    """Loop variables the phase reduces over.
-
-    A loop variable ``v`` is a reduction variable when some assignment both
-    reads and writes the same location independent of ``v`` (scalar
-    accumulators, or array accumulators not indexed by ``v``) while its
-    right-hand side reads data indexed by ``v``.
-    """
-    reducing: Dict[str, None] = {}
-    writes = [a for a in phase.accesses if a.is_write]
-    for write in writes:
-        loop_vars = {loop.var for loop in write.loops}
-        indexed = set()
-        for sub in write.subscripts:
-            indexed.update(sub.variables)
-        free = loop_vars - indexed
-        if not free:
-            continue
-        # The same statement must read data indexed by the free variable
-        # (otherwise it is plain redundant-store code, not a reduction).
-        for acc in phase.accesses:
-            if acc.stmt is not write.stmt or acc.is_write:
-                continue
-            read_vars = set()
-            for sub in acc.subscripts:
-                read_vars.update(sub.variables)
-            for var in free & read_vars:
-                reducing.setdefault(var, None)
-    return tuple(reducing)

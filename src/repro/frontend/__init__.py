@@ -1,48 +1,1 @@
 """Fortran-77 subset front end: lexer, parser, AST, and symbol tables."""
-
-from . import ast
-from .lexer import LexError, Token, tokenize
-from .parser import ParseError, parse_source
-from .symbols import (
-    DTYPE_BYTES,
-    ArraySymbol,
-    ScalarSymbol,
-    SymbolError,
-    SymbolTable,
-    build_symbol_table,
-    eval_const_expr,
-)
-
-__all__ = [
-    "ast",
-    "tokenize",
-    "Token",
-    "LexError",
-    "parse_source",
-    "ParseError",
-    "ArraySymbol",
-    "ScalarSymbol",
-    "SymbolTable",
-    "SymbolError",
-    "build_symbol_table",
-    "eval_const_expr",
-    "DTYPE_BYTES",
-]
-
-from .inline import InlineError, inline_program, parse_and_inline
-from .parser import parse_source_file
-from .printer import format_expr, format_program, format_stmt
-
-__all__ += [
-    "InlineError", "inline_program", "parse_and_inline",
-    "parse_source_file",
-    "format_expr", "format_program", "format_stmt",
-]
-
-from .interp import Environment, InterpError, Interpreter, run_program, \
-    run_source
-
-__all__ += [
-    "Environment", "InterpError", "Interpreter", "run_program",
-    "run_source",
-]

@@ -1,5 +1,6 @@
 """0-1 integer programming substrate (the repo's CPLEX stand-in)."""
 
+# defines the backend dispatcher; the model types live in repro.ilp.model
 from importlib import import_module
 from typing import Callable, Optional
 
@@ -9,16 +10,7 @@ from ..resilience.deadline import (
     remaining_budget as _remaining_budget,
 )
 from ..resilience.faults import fault_point as _fault_point
-from .model import (
-    INCUMBENT_STATUSES,
-    MAXIMIZE,
-    MINIMIZE,
-    Constraint,
-    ModelError,
-    Solution,
-    SolveStats,
-    ZeroOneModel,
-)
+from .model import ModelError, Solution, ZeroOneModel
 
 #: backend name -> the module of this package whose ``solve`` it runs.
 #: A module is imported when a model first reaches it: HiGHS brings
@@ -74,18 +66,3 @@ def solve(
         sp.set_attr("objective", solution.objective)
         sp.set_attr("nodes", solution.stats.nodes)
     return solution
-
-
-__all__ = [
-    "ZeroOneModel",
-    "Constraint",
-    "Solution",
-    "SolveStats",
-    "ModelError",
-    "INCUMBENT_STATUSES",
-    "MINIMIZE",
-    "MAXIMIZE",
-    "solve",
-    "BACKENDS",
-    "DEFAULT_BACKEND",
-]

@@ -1,35 +1,1 @@
 """Simulated iPSC/860-style machine substrate."""
-
-from .params import IPSC860, MACHINES, PARAGON, MachineParams
-from .network import (
-    hops,
-    hypercube_dimension,
-    is_power_of_two,
-    neighbors,
-    point_to_point_time,
-)
-from .node import expr_cost, statement_cost, stmt_dtype
-from .collectives import (
-    broadcast_time,
-    redistribute_time,
-    reduction_time,
-    shift_time,
-    transpose_time,
-)
-from .simulator import (
-    Collective,
-    SimResult,
-    SimStats,
-    SimulationError,
-    simulate,
-)
-
-__all__ = [
-    "MachineParams", "IPSC860", "PARAGON", "MACHINES",
-    "hops", "hypercube_dimension", "is_power_of_two", "neighbors",
-    "point_to_point_time",
-    "expr_cost", "statement_cost", "stmt_dtype",
-    "broadcast_time", "reduction_time", "shift_time", "transpose_time",
-    "redistribute_time",
-    "Collective", "SimResult", "SimStats", "SimulationError", "simulate",
-]

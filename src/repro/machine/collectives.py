@@ -1,52 +1,17 @@
-"""Collective-communication timing models on the hypercube.
+"""Collective-communication timing models on the hypercube: the two
+the compiler model prices a remapping with.
 
-The training sets the paper describes cover broadcasts, reductions, and
-transposes besides point-to-point patterns.  We model the classic
-hypercube algorithms:
-
-* **broadcast** — spanning binomial tree, ``log2 P`` message stages;
-* **reduction** — mirror of broadcast, plus a combine op per stage;
-* **transpose / all-to-all** — recursive pairwise exchange: ``log2 P``
-  stages exchanging half the local data each, the standard hypercube
-  all-to-all (total volume ``(P-1)/P`` of the array per node);
-* **shift** — every node sends one boundary block to a neighbour (the
-  nearest-neighbour pattern of stencil codes);
+* **transpose / all-to-all** — direct pairwise exchange: each node sends
+  ``P - 1`` chunks, so its local data crosses the network once;
 * **redistribute** — the general layout-change pattern priced as an
   all-to-all of the array's per-node share.
 
-Each returns the *makespan* of the collective for data of ``nbytes``
-bytes per node.
+Each returns the *makespan* of the collective.
 """
 
 from __future__ import annotations
 
-from .network import hypercube_dimension
 from .params import MachineParams
-
-
-def broadcast_time(params: MachineParams, nprocs: int, nbytes: int,
-                   buffered: bool = False) -> float:
-    """One-to-all broadcast of ``nbytes``."""
-    if nprocs <= 1:
-        return 0.0
-    stages = hypercube_dimension(nprocs)
-    return stages * params.message_time(nbytes, hops=1, buffered=buffered)
-
-
-def reduction_time(params: MachineParams, nprocs: int, nbytes: int,
-                   combine_per_byte: float = 0.02) -> float:
-    """All-to-one reduction of ``nbytes`` (plus combine arithmetic)."""
-    if nprocs <= 1:
-        return 0.0
-    stages = hypercube_dimension(nprocs)
-    per_stage = params.message_time(nbytes, hops=1) + nbytes * combine_per_byte
-    return stages * per_stage
-
-
-def shift_time(params: MachineParams, nbytes: int,
-               buffered: bool = False) -> float:
-    """Nearest-neighbour boundary exchange (all pairs in parallel)."""
-    return params.message_time(nbytes, hops=1, buffered=buffered)
 
 
 def transpose_time(params: MachineParams, nprocs: int,

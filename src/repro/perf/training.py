@@ -16,8 +16,9 @@ parameters — so the estimator-vs-measured comparison is between a trained
 model and the (more detailed) simulation, exactly as in the paper.
 
 The paper measured its training sets once per target machine and then
-only read them.  So do the shipped machines (``repro.machine.MACHINES``)
-at the default processor counts: their databases are the committed
+only read them.  So do the shipped machines
+(``repro.machine.params.MACHINES``) at the default processor counts:
+their databases are the committed
 ``training_table.json`` beside this module, written by
 ``python -m repro.perf.training`` and held bit for bit to the simulation
 by ``tests/test_training_pinned.py``.  Any other machine or processor

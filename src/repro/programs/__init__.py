@@ -1,7 +1,1 @@
 """The paper's four evaluation programs as parameterized Fortran sources."""
-
-from . import adi, erlebacher, shallow, tomcatv
-from .registry import PROGRAMS, ProgramSpec, get_program
-
-__all__ = ["adi", "erlebacher", "shallow", "tomcatv", "PROGRAMS",
-           "ProgramSpec", "get_program"]

@@ -43,7 +43,8 @@ from ..alignment.ilp import (
     build_alignment_model,
     resolve_conflicts,
 )
-from ..ilp import Solution, solve as ilp_solve
+from ..ilp import solve as ilp_solve
+from ..ilp.model import Solution
 from ..selection.ilp import SelectionILP, build_selection_model
 from ..selection.layout_graph import DataLayoutGraph
 

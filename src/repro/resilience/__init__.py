@@ -18,100 +18,13 @@ the rest of the repo uses to guarantee that posture:
 - :mod:`repro.resilience.breaker` — circuit breaker and
   exponential-backoff-with-jitter primitives;
 - :mod:`repro.resilience.atomic` — atomic temp-file + ``os.replace``
-  writes, checksum footers, and quarantine of corrupt files.
+  writes, checksum footers, and quarantine of corrupt files;
+- :mod:`repro.resilience.admission` — the service's adaptive
+  concurrency limit and load shedding;
+- :mod:`repro.resilience.errors` — the typed errors of all of these.
 
-:mod:`repro.resilience.chaos` (imported explicitly, not re-exported
-here, because it sits *above* the service layer) replays seeded fault
-plans over the paper programs and asserts the pipeline invariant:
-*correct result, labeled-degraded result, or clean typed error — never
-a wrong answer, hang, or crash*.
+:mod:`repro.resilience.chaos` sits *above* the service layer: it
+replays seeded fault plans over the paper programs and asserts the
+pipeline invariant: *correct result, labeled-degraded result, or clean
+typed error — never a wrong answer, hang, or crash*.
 """
-
-from .admission import (
-    AdaptiveConcurrencyLimiter,
-    AdmissionController,
-    Ticket,
-)
-from .atomic import (
-    atomic_write_bytes,
-    atomic_write_json,
-    atomic_write_text,
-    checksum_unwrap,
-    checksum_wrap,
-    quarantine,
-    stamp_json_integrity,
-    verify_json_integrity,
-)
-from .breaker import Backoff, CircuitBreaker
-from .deadline import (
-    Deadline,
-    checkpoint,
-    current_deadline,
-    deadline_scope,
-    remaining_budget,
-)
-from .degrade import (
-    DegradationEvent,
-    collecting,
-    note_degradation,
-    noted_count,
-)
-from .errors import (
-    CorruptStateError,
-    DeadlineExceeded,
-    InjectedFault,
-    OverloadedError,
-    RequestTimeout,
-    ResilienceError,
-    ShuttingDownError,
-)
-from .faults import (
-    KNOWN_SITES,
-    FaultPlan,
-    FaultSpec,
-    arm,
-    armed,
-    corrupt_point,
-    disarm,
-    fault_point,
-)
-
-__all__ = [
-    "AdaptiveConcurrencyLimiter",
-    "AdmissionController",
-    "Backoff",
-    "CircuitBreaker",
-    "CorruptStateError",
-    "Deadline",
-    "DeadlineExceeded",
-    "DegradationEvent",
-    "FaultPlan",
-    "FaultSpec",
-    "InjectedFault",
-    "KNOWN_SITES",
-    "OverloadedError",
-    "RequestTimeout",
-    "ResilienceError",
-    "ShuttingDownError",
-    "Ticket",
-    "arm",
-    "armed",
-    "atomic_write_bytes",
-    "atomic_write_json",
-    "atomic_write_text",
-    "checksum_unwrap",
-    "checksum_wrap",
-    "checkpoint",
-    "collecting",
-    "corrupt_point",
-    "current_deadline",
-    "deadline_scope",
-    "disarm",
-    "fault_point",
-    "note_degradation",
-    "noted_count",
-    "quarantine",
-    "remaining_budget",
-    "stamp_json_integrity",
-    "verify_json_integrity",
-]

@@ -1,29 +1,1 @@
 """Data layout selection: DLG, 0-1 optimum, and baseline selectors."""
-
-from .layout_graph import (
-    DataLayoutGraph,
-    LayoutEdge,
-    array_transitions,
-    build_layout_graph,
-)
-from .ilp import (
-    SelectionILP,
-    SelectionResult,
-    build_selection_model,
-    select_layouts,
-)
-from .baselines import (
-    best_static_selection,
-    dp_selection,
-    greedy_selection,
-    static_selections,
-)
-
-__all__ = [
-    "DataLayoutGraph", "LayoutEdge", "array_transitions",
-    "build_layout_graph",
-    "SelectionILP", "SelectionResult", "build_selection_model",
-    "select_layouts",
-    "greedy_selection", "static_selections", "best_static_selection",
-    "dp_selection",
-]

@@ -19,13 +19,8 @@ import time
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from ..ilp import (
-    MINIMIZE,
-    Solution,
-    SolveStats,
-    ZeroOneModel,
-    solve as ilp_solve,
-)
+from ..ilp import solve as ilp_solve
+from ..ilp.model import MINIMIZE, Solution, SolveStats, ZeroOneModel
 from ..obs import tracing
 from ..resilience.deadline import remaining_budget
 from ..resilience.degrade import note_degradation

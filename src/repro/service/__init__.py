@@ -18,58 +18,10 @@ this package turns the one-shot CLI pipeline into a long-lived service:
 - :mod:`errors`   — the error taxonomy surfaced to clients.
 """
 
+# only what bench/servicerun.py imports from here, until bench/ can change
 from .cache import StageCache, StageKeys
-from .errors import (
-    ConnectionIdleError,
-    JobTimeoutError,
-    RequestValidationError,
-    ServiceError,
-)
-from .loadtest import LoadtestConfig, LoadtestReport, run_loadtest
 from .metrics import Metrics
 from .pool import WorkerPool
-from .protocol import (
-    LayoutRequest,
-    LayoutResponse,
-    RetryBudget,
-    RetryPolicy,
-    StageTiming,
-)
-from .server import (
-    DEFAULT_HOST,
-    DEFAULT_PORT,
-    LayoutServer,
-    LayoutService,
-    check_objective_ops,
-    send_request,
-    send_request_with_retries,
-)
+from .protocol import LayoutRequest, LayoutResponse
+from .server import LayoutService
 from .telemetry import ServiceTelemetry, TailSampler
-
-__all__ = [
-    "ConnectionIdleError",
-    "DEFAULT_HOST",
-    "DEFAULT_PORT",
-    "JobTimeoutError",
-    "LayoutRequest",
-    "LayoutResponse",
-    "LayoutServer",
-    "LayoutService",
-    "LoadtestConfig",
-    "LoadtestReport",
-    "Metrics",
-    "RequestValidationError",
-    "RetryBudget",
-    "RetryPolicy",
-    "ServiceError",
-    "ServiceTelemetry",
-    "StageCache",
-    "StageKeys",
-    "StageTiming",
-    "TailSampler",
-    "WorkerPool",
-    "check_objective_ops",
-    "run_loadtest",
-    "send_request",
-    "send_request_with_retries",
-]

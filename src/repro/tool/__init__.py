@@ -1,50 +1,2 @@
 """The data layout assistant tool: end-to-end pipeline, measurement,
 schemes, test-case grids, reports, CLI."""
-
-from .assistant import AssistantConfig, AssistantResult, run_assistant
-from .measurement import Measurement, measure_layouts
-from .schemes import (
-    REMAPPED,
-    TOOL,
-    Scheme,
-    enumerate_schemes,
-    matching_scheme,
-    measure_scheme,
-)
-from .testcases import (
-    SummaryRow,
-    TestCase,
-    TestCaseResult,
-    grid_for,
-    run_test_case,
-    source_for,
-    summarize,
-)
-from .report import (
-    format_schemes,
-    format_search_spaces,
-    format_selection,
-    format_summary,
-    format_test_case,
-)
-
-__all__ = [
-    "AssistantConfig", "AssistantResult", "run_assistant",
-    "Measurement", "measure_layouts",
-    "Scheme", "TOOL", "REMAPPED", "enumerate_schemes", "measure_scheme",
-    "matching_scheme",
-    "TestCase", "TestCaseResult", "SummaryRow", "grid_for",
-    "run_test_case", "source_for", "summarize",
-    "format_schemes", "format_search_spaces", "format_selection",
-    "format_summary", "format_test_case",
-]
-
-from .graphviz import export_dot, layout_graph_to_dot, pcfg_to_dot
-from .hpf_writer import write_hpf
-from .memory import DEFAULT_NODE_BYTES, MemoryReport, memory_footprint
-
-__all__ += [
-    "export_dot", "layout_graph_to_dot", "pcfg_to_dot",
-    "write_hpf",
-    "DEFAULT_NODE_BYTES", "MemoryReport", "memory_footprint",
-]

@@ -95,7 +95,8 @@ def _request(args: argparse.Namespace, **fields: Any):
     ``LayoutRequest`` (``fields`` adds request fields).  Raises
     ``RequestValidationError`` for a value the service would refuse and
     for an unreadable ``--file``."""
-    from ..service.protocol import LayoutRequest, RequestValidationError
+    from ..service.errors import RequestValidationError
+    from ..service.protocol import LayoutRequest
 
     source = None
     if args.file:
@@ -162,11 +163,8 @@ def _send(args: argparse.Namespace, payload: Dict[str, Any],
     (retrying typed overload rejections under ``policy``), or ``None``
     after logging that the service could not be reached or gave no
     JSON reply."""
-    from ..service import (
-        ServiceError,
-        send_request,
-        send_request_with_retries,
-    )
+    from ..service.errors import ServiceError
+    from ..service.server import send_request, send_request_with_retries
 
     endpoint = {"host": args.host, "port": args.port,
                 "timeout": args.timeout}
@@ -259,7 +257,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     in-process service and print its metrics registry."""
     import json
 
-    from ..service import LayoutService
+    from ..service.server import LayoutService
     from .top import format_top
 
     request = _request(args)
@@ -305,14 +303,13 @@ def cmd_serve(args: argparse.Namespace) -> int:
         AdmissionController,
     )
     from ..resilience.breaker import Backoff
-    from ..service import (
+    from ..service.pool import WorkerPool
+    from ..service.server import (
         LayoutServer,
         LayoutService,
-        ServiceTelemetry,
-        TailSampler,
-        WorkerPool,
         check_objective_ops,
     )
+    from ..service.telemetry import ServiceTelemetry, TailSampler
 
     objectives = None
     if args.slo_file:
@@ -407,7 +404,7 @@ def cmd_request(args: argparse.Namespace) -> int:
     ).to_dict()
     policy = None
     if args.retries:
-        from ..service import RetryPolicy
+        from ..service.protocol import RetryPolicy
 
         policy = RetryPolicy(max_attempts=args.retries + 1)
     resp = _send(args, payload, policy)
@@ -575,7 +572,8 @@ def _parse_budget(text: str) -> float:
 
 def cmd_fuzz(args: argparse.Namespace) -> int:
     """Run a differential-oracle fuzz campaign (see ``repro.qa``)."""
-    from ..qa import ALL_CHECKS, GeneratorConfig, run_fuzz
+    from ..qa.generator import GeneratorConfig
+    from ..qa.runner import ALL_CHECKS, run_fuzz
 
     config = GeneratorConfig(
         max_arrays=args.max_arrays,
@@ -769,11 +767,11 @@ def cmd_loadtest(args: argparse.Namespace) -> int:
 
 def _bench_suite(args: argparse.Namespace):
     """The benchmark cases the bench flags select."""
-    from ..perf import bench as perfbench
+    from ..perf.bench.suite import build_suite, default_bench_config
 
-    return perfbench.build_suite(
+    return build_suite(
         programs=args.programs or None,
-        config=perfbench.default_bench_config(
+        config=default_bench_config(
             machine=MACHINES[args.machine], backend=args.backend
         ),
         stages=args.stages or None,
@@ -785,14 +783,14 @@ def _bench_suite(args: argparse.Namespace):
 def _bench_run_suite(args: argparse.Namespace):
     """Build and run the suite as the bench flags request, traced when
     asked to; returns ``{bench_id: Measurement}``."""
-    from ..perf import bench as perfbench
+    from ..perf.bench.suite import run_suite
 
     def progress(case, m) -> None:
         logger.info("bench %-32s min %.2fms (mad %.3fms)",
                     case.bench_id, m.min_s * 1e3, m.mad_s * 1e3)
 
     with _traced("bench", args.trace, args.trace_chrome):
-        return perfbench.run_suite(
+        return run_suite(
             _bench_suite(args), repeats=args.repeats, warmup=args.warmup,
             memory=not args.no_memory, progress=progress,
         )
@@ -801,29 +799,29 @@ def _bench_run_suite(args: argparse.Namespace):
 def cmd_bench_run(args: argparse.Namespace) -> int:
     import json
 
-    from ..perf import bench as perfbench
+    from ..perf.bench.baseline import append_run, new_run, run_meta
+    from ..perf.bench.report import format_run, render_bench_prometheus
+    from ..perf.bench.suite import BENCH_SIZES
 
     results = _bench_run_suite(args)
-    meta = perfbench.run_meta(
+    meta = run_meta(
         args.repeats, args.warmup,
-        programs=args.programs or sorted(perfbench.BENCH_SIZES),
+        programs=args.programs or sorted(BENCH_SIZES),
     )
     path = None
     if not args.no_write:
-        path = perfbench.append_run(
-            results, args.label, root=args.root, meta=meta
-        )
+        path = append_run(results, args.label, root=args.root, meta=meta)
         logger.info("appended run to %s", path)
     if args.prometheus:
         with open(args.prometheus, "w", encoding="utf-8") as handle:
-            handle.write(perfbench.render_bench_prometheus(results))
+            handle.write(render_bench_prometheus(results))
         logger.info("wrote Prometheus exposition to %s", args.prometheus)
     if args.json:
-        record = perfbench.new_run(results, meta=meta)
+        record = new_run(results, meta=meta)
         record["bench_file"] = path
         print(json.dumps(record, indent=2, sort_keys=True))
     else:
-        print(perfbench.format_run(results))
+        print(format_run(results))
         if path:
             print(f"baseline trajectory: {path}")
     return 0
@@ -837,20 +835,28 @@ def cmd_bench_compare(args: argparse.Namespace) -> int:
     import json
     import os
 
-    from ..perf import bench as perfbench
+    from ..perf.bench.baseline import (
+        BenchInputError,
+        bench_path,
+        load_latest_results,
+    )
+    from ..perf.bench.regress import (
+        Thresholds,
+        compare_results,
+        parse_threshold_overrides,
+    )
+    from ..perf.bench.report import format_compare
 
     base_path = args.baseline
     if os.path.sep not in base_path and not os.path.exists(base_path):
-        base_path = perfbench.bench_path(base_path, args.root)
+        base_path = bench_path(base_path, args.root)
     try:
-        base = perfbench.load_latest_results(base_path, role="baseline")
+        base = load_latest_results(base_path, role="baseline")
         if args.current:
-            current = perfbench.load_latest_results(
-                args.current, role="current"
-            )
+            current = load_latest_results(args.current, role="current")
         else:
             current = _bench_run_suite(args)
-    except perfbench.BenchInputError as exc:
+    except BenchInputError as exc:
         logger.error("%s", exc)
         if args.json:
             print(json.dumps({
@@ -858,19 +864,17 @@ def cmd_bench_compare(args: argparse.Namespace) -> int:
                           "path": exc.path, "detail": exc.detail},
             }, indent=2, sort_keys=True))
         return 2
-    thresholds = perfbench.Thresholds(
+    thresholds = Thresholds(
         max_ratio=args.max_ratio,
         mad_sigmas=args.mad_sigmas,
         min_slowdown_s=args.min_slowdown,
-        per_bench=perfbench.parse_threshold_overrides(
-            args.threshold or []
-        ),
+        per_bench=parse_threshold_overrides(args.threshold or []),
     )
-    report = perfbench.compare_results(base, current, thresholds)
+    report = compare_results(base, current, thresholds)
     if args.json:
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     else:
-        print(perfbench.format_compare(report))
+        print(format_compare(report))
     if args.bench_command == "gate" and not report.ok:
         logger.error("bench gate failed: %d regression(s)",
                      len(report.regressions))
@@ -881,7 +885,7 @@ def cmd_bench_compare(args: argparse.Namespace) -> int:
 def cmd_bench_profile(args: argparse.Namespace) -> int:
     import json
 
-    from ..perf import bench as perfbench
+    from ..perf.bench.profiling import format_profile, profile_call
 
     with _traced("bench", args.trace, args.trace_chrome):
         cases = _bench_suite(args)
@@ -895,7 +899,7 @@ def cmd_bench_profile(args: argparse.Namespace) -> int:
                 logger.error("no benchmarks match %s", wanted)
                 return 2
         profiles = [
-            perfbench.profile_call(c.bench_id, c.fn, limit=args.limit)
+            profile_call(c.bench_id, c.fn, limit=args.limit)
             for c in cases
         ]
     if args.json:
@@ -903,7 +907,7 @@ def cmd_bench_profile(args: argparse.Namespace) -> int:
                          sort_keys=True))
     else:
         print("\n\n".join(
-            perfbench.format_profile(p) for p in profiles
+            format_profile(p) for p in profiles
         ))
     return 0
 
@@ -979,7 +983,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_hpf.add_argument("--output", "-o", help="write to a file")
     p_hpf.set_defaults(func=cmd_hpf)
 
-    from ..service import DEFAULT_HOST, DEFAULT_PORT, RequestValidationError
+    from ..service.errors import RequestValidationError
+    from ..service.server import DEFAULT_HOST, DEFAULT_PORT
 
     def _add_endpoint(parser: argparse.ArgumentParser) -> None:
         parser.add_argument("--host", default=DEFAULT_HOST)

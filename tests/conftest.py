@@ -8,12 +8,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis import build_pcfg, partition_phases
-from repro.frontend import build_symbol_table, parse_source
-from repro.machine import IPSC860
-from repro.perf import cached_training_database
-from repro.programs import PROGRAMS
-from repro.tool import AssistantConfig, run_assistant
+from repro.analysis.pcfg import build_pcfg
+from repro.analysis.phases import partition_phases
+from repro.frontend.parser import parse_source
+from repro.frontend.symbols import build_symbol_table
+from repro.machine.params import IPSC860
+from repro.perf.training import cached_training_database
+from repro.programs.registry import PROGRAMS
+from repro.tool.assistant import AssistantConfig, run_assistant
 
 
 def analyze(source: str, branch_probability: float = 0.5,

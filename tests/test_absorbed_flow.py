@@ -11,9 +11,9 @@ import pytest
 
 from repro.analysis.pcfg import ENTRY, EXIT, PCFG, PhaseGraph
 from repro.frontend.symbols import ArraySymbol
-from repro.programs import PROGRAMS
+from repro.programs.registry import PROGRAMS
 from repro.qa.generator import GeneratorConfig, generate_program
-from repro.selection import array_transitions, build_layout_graph
+from repro.selection.layout_graph import array_transitions, build_layout_graph
 from repro.tool.assistant import AssistantConfig, run_assistant
 
 from .conftest import analyze

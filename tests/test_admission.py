@@ -9,13 +9,12 @@ import time
 
 import pytest
 
-from repro.resilience import (
+from repro.resilience.admission import (
+    MIN_RETRY_AFTER_S,
     AdaptiveConcurrencyLimiter,
     AdmissionController,
-    OverloadedError,
-    ShuttingDownError,
 )
-from repro.resilience.admission import MIN_RETRY_AFTER_S
+from repro.resilience.errors import OverloadedError, ShuttingDownError
 from repro.service.protocol import RetryBudget, RetryPolicy
 from repro.service.server import send_request_with_retries
 

@@ -17,12 +17,16 @@ from repro.alignment.ilp import (
 )
 from repro.obs import tracing
 from repro.obs.events import spans_by_name
-from repro.programs import PROGRAMS
-from repro.qa import enumerate_alignments, optimal_cuts, satisfied_weight
+from repro.programs.registry import PROGRAMS
+from repro.qa.oracles import (
+    enumerate_alignments,
+    optimal_cuts,
+    satisfied_weight,
+)
 from repro.resilience import faults
 from repro.resilience.deadline import Deadline, deadline_scope
 from repro.resilience.faults import FaultPlan, FaultSpec
-from repro.tool import AssistantConfig, run_assistant
+from repro.tool.assistant import AssistantConfig, run_assistant
 
 
 def figure8_cag():

@@ -39,8 +39,8 @@ from repro.alignment import search_space
 from repro.alignment.cag import CAG
 from repro.alignment.search_space import partition_classes
 from repro.codegen import comm, spmd
-from repro.programs import PROGRAMS
-from repro.qa import load_corpus
+from repro.programs.registry import PROGRAMS
+from repro.qa.corpus import load_corpus
 from repro.qa.generator import GeneratorConfig, generate_program
 from repro.tool.assistant import (
     AssistantConfig,

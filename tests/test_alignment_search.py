@@ -8,9 +8,11 @@ from repro.alignment.search_space import (
     build_alignment_search_spaces,
     dominance_factor,
 )
-from repro.analysis import build_pcfg, partition_phases
-from repro.distribution import determine_template
-from repro.frontend import build_symbol_table, parse_source
+from repro.analysis.pcfg import build_pcfg
+from repro.analysis.phases import partition_phases
+from repro.distribution.template import determine_template
+from repro.frontend.parser import parse_source
+from repro.frontend.symbols import build_symbol_table
 
 
 def spaces_for(src):

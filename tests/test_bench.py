@@ -15,38 +15,32 @@ import shutil
 import pytest
 
 import repro.perf.training as training
-from repro.machine import IPSC860
+from repro.machine.params import IPSC860
 from repro.obs import tracing
 from repro.obs.events import spans_by_name
 from repro.obs.prometheus import parse_prometheus_text
-from repro.perf.bench import (
+from repro.perf.bench.baseline import (
     BENCH_SCHEMA,
-    BENCH_SIZES,
     BenchInputError,
     BenchValidationError,
-    Measurement,
-    RegressionReport,
-    Thresholds,
     append_run,
     bench_path,
-    build_suite,
-    compare_results,
     discover,
     latest_results,
     load_bench_file,
     load_latest_results,
-    mad,
-    measure,
-    median,
     new_run,
-    parse_threshold_overrides,
-    profile_call,
-    render_bench_prometheus,
-    results_to_metrics,
-    run_suite,
     validate_bench_file,
 )
+from repro.perf.bench.profiling import profile_call
+from repro.perf.bench.regress import (
+    Thresholds,
+    compare_results,
+    parse_threshold_overrides,
+)
+from repro.perf.bench.report import render_bench_prometheus, results_to_metrics
 from repro.perf.bench.suite import (
+    BENCH_SIZES,
     GRAPH_STAGE,
     HANDLE_LAYER,
     RUNNER_LAYER,
@@ -54,7 +48,10 @@ from repro.perf.bench.suite import (
     STAGE_NAMES,
     _handle_service,
     _process_pool,
+    build_suite,
+    run_suite,
 )
+from repro.perf.bench.timer import Measurement, mad, measure, median
 from repro.service.metrics import Metrics
 from repro.tool.cli import main as cli_main
 

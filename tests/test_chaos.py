@@ -7,21 +7,21 @@ import json
 
 import pytest
 
-from repro.resilience import FaultPlan
 from repro.resilience.chaos import (
     DEFAULT_PROGRAMS,
     PLAN_SITES,
     TYPED_ERROR_KINDS,
-    ChaosReport,
     CaseResult,
+    ChaosReport,
     _analyze_twice,
     _classify,
     _request,
     build_plan,
     run_chaos,
 )
-from repro.resilience.faults import FaultSpec, armed
-from repro.service import LayoutService, WorkerPool
+from repro.resilience.faults import FaultPlan, FaultSpec, armed
+from repro.service.pool import WorkerPool
+from repro.service.server import LayoutService
 from repro.tool.cli import main
 
 

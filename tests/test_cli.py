@@ -7,7 +7,7 @@ import threading
 
 import pytest
 
-import repro.service
+import repro.service.server
 from repro.tool.cli import main
 
 SLO_FILE = str(pathlib.Path(__file__).parents[1] / "examples" / "slo.json")
@@ -147,7 +147,7 @@ class TestArgErrors:
     def test_request_validates_before_connecting(self, monkeypatch,
                                                  cli_errors):
         sent = []
-        monkeypatch.setattr(repro.service, "send_request",
+        monkeypatch.setattr(repro.service.server, "send_request",
                             lambda payload, **kw: sent.append(payload))
         assert main(["request", "--procs", "0",
                      "--port", _closed_port()]) == 2

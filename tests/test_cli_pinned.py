@@ -32,8 +32,8 @@ import tempfile
 
 import pytest
 
-import repro.service
-from repro.programs import PROGRAMS
+import repro.service.server
+from repro.programs.registry import PROGRAMS
 from repro.service.protocol import LayoutRequest
 from repro.tool.cli import main
 
@@ -169,14 +169,14 @@ def request_digest(name: str) -> str:
         sent.append(payload)
         return {"ok": False, "error": "pinned", "error_kind": "bad-request"}
 
-    original = repro.service.send_request
-    repro.service.send_request = fake_send
+    original = repro.service.server.send_request
+    repro.service.server.send_request = fake_send
     try:
         with _adi_file() as path, \
                 contextlib.redirect_stdout(io.StringIO()):
             main(_argv(REQUESTS[name], path))
     finally:
-        repro.service.send_request = original
+        repro.service.server.send_request = original
     (payload,) = sent
     decoded = dataclasses.asdict(LayoutRequest.from_dict(payload))
     decoded["op"] = payload["op"]

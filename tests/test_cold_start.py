@@ -1,5 +1,6 @@
 """What a cold process pays for: the default path never loads the solver,
-no path loads networkx, and no shipped machine runs a simulation.
+no path loads networkx, no shipped machine runs a simulation, and the
+pipeline loads none of the service, QA, bench or CLI modules.
 
 HiGHS comes with scipy.optimize and scipy.sparse, hundreds of modules
 and about 40 MB, and ``repro.ilp`` imports its backend only when a model
@@ -25,7 +26,8 @@ import pytest
 
 import repro
 from repro.ilp import BACKENDS
-from repro.service.protocol import LayoutRequest, RequestValidationError
+from repro.service.errors import RequestValidationError
+from repro.service.protocol import LayoutRequest
 from repro.tool.cli import _add_solver
 
 SRC = pathlib.Path(repro.__file__).resolve().parents[1]
@@ -43,9 +45,9 @@ from dataclasses import replace
 import repro, repro.tool.cli, repro.service.server
 import repro.perf.training as training
 from repro.distribution.search_space import DistributionOptions
-from repro.machine import IPSC860, PARAGON
+from repro.machine.params import IPSC860, PARAGON
 from repro.perf.bench.suite import TIED_SEED
-from repro.programs import PROGRAMS
+from repro.programs.registry import PROGRAMS
 from repro.qa.generator import GeneratorConfig, generate_program
 from repro.service.protocol import LayoutRequest
 from repro.tool.assistant import AssistantConfig, run_assistant
@@ -105,6 +107,42 @@ def test_default_path_never_loads_the_solver():
     assert report["simulated"] == {"default": 0, "paragon": 0,
                                    "modified": 324}
     assert float.fromhex(report["objective"]) == 835.8838571428571
+
+
+#: what the pipeline never needs: the service and its overload and
+#: observability layers, the QA and bench harnesses, the CLI, and the
+#: Fortran interpreter
+OUTSIDE_THE_PIPELINE = (
+    "repro.service", "repro.service.*", "repro.qa", "repro.qa.*",
+    "repro.perf.bench", "repro.perf.bench.*", "repro.tool.cli",
+    "repro.obs.slo", "repro.obs.prometheus", "repro.obs.provenance",
+    "repro.obs.window", "repro.obs.chrome", "repro.obs.events",
+    "repro.resilience.admission", "repro.resilience.breaker",
+    "repro.resilience.chaos", "repro.frontend.interp",
+)
+
+PIPELINE = """
+import fnmatch, json, sys
+import repro.tool.assistant
+from repro.programs.registry import PROGRAMS
+from repro.tool.assistant import AssistantConfig, run_assistant
+
+for name in sorted(PROGRAMS):
+    run_assistant(PROGRAMS[name].source(), AssistantConfig(nprocs=16))
+print(json.dumps(sorted(
+    name for name in sys.modules
+    if any(fnmatch.fnmatchcase(name, p) for p in sys.argv[1:])
+)))
+"""
+
+
+def test_the_pipeline_loads_only_the_pipeline():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run(
+        [sys.executable, "-c", PIPELINE, *OUTSIDE_THE_PIPELINE], env=env,
+        capture_output=True, text=True, check=True, timeout=120,
+    ).stdout
+    assert json.loads(out.splitlines()[-1]) == []
 
 
 class TestBackendNames:

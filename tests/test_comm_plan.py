@@ -7,7 +7,6 @@ from repro.analysis.phases import partition_phases
 from repro.codegen.comm import (
     BroadcastComm,
     GatherComm,
-    PipelineSpec,
     ReductionComm,
     ShiftComm,
 )
@@ -19,8 +18,9 @@ from repro.distribution.layouts import (
     Distribution,
 )
 from repro.distribution.template import Template
-from repro.frontend import build_symbol_table, parse_source
-from repro.machine import IPSC860
+from repro.frontend.parser import parse_source
+from repro.frontend.symbols import build_symbol_table
+from repro.machine.params import IPSC860
 
 DECLS = (
     "      integer n\n      parameter (n = 16)\n"

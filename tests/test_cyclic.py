@@ -13,8 +13,10 @@ from repro.distribution.layouts import (
     Distribution,
 )
 from repro.distribution.template import Template
-from repro.frontend import build_symbol_table, parse_source
-from repro.machine import IPSC860, simulate
+from repro.frontend.parser import parse_source
+from repro.frontend.symbols import build_symbol_table
+from repro.machine.params import IPSC860
+from repro.machine.simulator import simulate
 
 DECLS = (
     "      integer n\n      parameter (n = 16)\n"
@@ -147,8 +149,9 @@ class TestCyclicPipelines:
             measure(one_dim(BLOCK, 0, 4))
 
     def test_estimator_agrees_cyclic_is_worse(self):
-        from repro.machine import IPSC860 as params
-        from repro.perf import cached_training_database, price_phase
+        from repro.machine.params import IPSC860 as params
+        from repro.perf.execution_model import price_phase
+        from repro.perf.training import cached_training_database
 
         db = cached_training_database(params)
         cyc, _p, _t, _l = compiled_for(self.SWEEP, one_dim(CYCLIC, 0, 4))
@@ -161,9 +164,9 @@ class TestExtendedAssistant:
         """Pure CYCLIC loses badly on Adi (every dependence hand-off and
         every stencil element crosses processors) — it must not appear in
         the extended optimum."""
-        from repro.distribution import DistributionOptions
-        from repro.programs import PROGRAMS
-        from repro.tool import AssistantConfig, run_assistant
+        from repro.distribution.search_space import DistributionOptions
+        from repro.programs.registry import PROGRAMS
+        from repro.tool.assistant import AssistantConfig, run_assistant
 
         result = run_assistant(
             PROGRAMS["adi"].source(n=64, maxiter=2),
@@ -181,9 +184,9 @@ class TestExtendedAssistant:
         Adi's *sequentialized* j sweeps into a ring software-pipeline,
         beating both the static block layouts and the remapped scheme —
         and the simulator confirms the estimator's prediction."""
-        from repro.distribution import DistributionOptions
-        from repro.programs import PROGRAMS
-        from repro.tool import AssistantConfig, run_assistant
+        from repro.distribution.search_space import DistributionOptions
+        from repro.programs.registry import PROGRAMS
+        from repro.tool.assistant import AssistantConfig, run_assistant
         from repro.tool.measurement import measure_layouts
 
         src = PROGRAMS["adi"].source(n=64, maxiter=2)

@@ -2,16 +2,10 @@
 
 import pytest
 
-from repro.analysis.dependence import (
-    carried_flow_vars,
-    flow_dependences_on_var,
-    is_uniform_pair,
-    phase_dependences,
-    reduction_vars,
-    scalar_reductions,
-)
+from repro.analysis.dependence import is_uniform_pair, phase_dependences
 from repro.analysis.phases import partition_phases
-from repro.frontend import build_symbol_table, parse_source
+from repro.frontend.parser import parse_source
+from repro.frontend.symbols import build_symbol_table
 
 
 def phase_of(body, decls="      real a(8, 8), b(8, 8)\n      real s\n"
@@ -94,22 +88,6 @@ class TestFlowDependences:
         )
         assert phase_dependences(phase) == []
 
-    def test_carried_flow_vars(self):
-        phase = phase_of(
-            "      do j = 2, 8\n        do i = 2, 8\n"
-            "          a(i, j) = a(i - 1, j) + a(i, j - 1)\n"
-            "        enddo\n      enddo\n"
-        )
-        assert set(carried_flow_vars(phase)) == {"i", "j"}
-
-    def test_flow_dependences_on_var_filter(self):
-        phase = phase_of(
-            "      do j = 2, 8\n        do i = 2, 8\n"
-            "          a(i, j) = a(i, j - 1)\n        enddo\n      enddo\n"
-        )
-        assert flow_dependences_on_var(phase, "j")
-        assert not flow_dependences_on_var(phase, "i")
-
 
 class TestUniformPair:
     def test_uniform(self):
@@ -129,35 +107,3 @@ class TestUniformPair:
         w = next(a for a in phase.accesses if a.is_write)
         r = next(a for a in phase.accesses if a.array == "b")
         assert not is_uniform_pair(w, r)
-
-
-class TestReductions:
-    def test_scalar_reduction_detected(self):
-        phase = phase_of(
-            "      do j = 1, 8\n        do i = 1, 8\n"
-            "          s = s + a(i, j)\n        enddo\n      enddo\n"
-        )
-        assert len(scalar_reductions(phase)) == 1
-
-    def test_max_reduction_detected(self):
-        phase = phase_of(
-            "      do j = 1, 8\n        do i = 1, 8\n"
-            "          s = max(s, a(i, j))\n        enddo\n      enddo\n"
-        )
-        assert len(scalar_reductions(phase)) == 1
-
-    def test_plain_assignment_not_reduction(self):
-        phase = phase_of(
-            "      do j = 1, 8\n        do i = 1, 8\n"
-            "          s = a(i, j)\n        enddo\n      enddo\n"
-        )
-        assert scalar_reductions(phase) == []
-
-    def test_array_reduction_vars(self):
-        # x(i) accumulates over j.
-        phase = phase_of(
-            "      do j = 1, 8\n        do i = 1, 8\n"
-            "          b(i, 1) = b(i, 1) + a(i, j)\n"
-            "        enddo\n      enddo\n"
-        )
-        assert "j" in reduction_vars(phase)

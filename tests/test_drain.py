@@ -11,12 +11,8 @@ import time
 
 import pytest
 
-from repro.service import (
-    LayoutServer,
-    LayoutService,
-    WorkerPool,
-    send_request,
-)
+from repro.service.pool import WorkerPool
+from repro.service.server import LayoutServer, LayoutService, send_request
 from repro.tool import assistant as assistant_module
 from repro.tool.assistant import stage_partition
 

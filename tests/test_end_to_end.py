@@ -6,8 +6,8 @@ These are the invariants EXPERIMENTS.md reports at full scale.
 
 import pytest
 
-from repro.tool import TestCase, run_test_case
 from repro.tool.schemes import TOOL
+from repro.tool.testcases import TestCase, run_test_case
 
 
 def schemes_by_name(result):

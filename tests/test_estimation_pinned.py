@@ -25,7 +25,7 @@ from repro.perf.estimator import (
     estimate_search_spaces,
 )
 from repro.perf.training import PATTERNS
-from repro.programs import PROGRAMS
+from repro.programs.registry import PROGRAMS
 from repro.tool.assistant import AssistantConfig, run_assistant
 
 PAPER_PROGRAMS = ["adi", "erlebacher", "tomcatv", "shallow"]

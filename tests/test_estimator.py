@@ -2,15 +2,15 @@
 
 import pytest
 
-from repro.distribution import build_layout_search_spaces
-from repro.machine import IPSC860
-from repro.perf import (
+from repro.distribution.search_space import build_layout_search_spaces
+from repro.machine.params import IPSC860
+from repro.perf.compiler_model import CompilerOptions
+from repro.perf.estimator import estimate_search_spaces
+from repro.perf.execution_model import (
     LOOSELY_SYNCHRONOUS,
     PIPELINED,
     REDUCTION,
     SEQUENTIALIZED,
-    CompilerOptions,
-    estimate_search_spaces,
 )
 
 
@@ -70,8 +70,8 @@ class TestErlebacherClassification:
     @pytest.fixture(scope="class")
     def est(self, erlebacher_small, training_db):
         prog, table, part, pcfg = erlebacher_small
-        from repro.alignment import build_alignment_search_spaces
-        from repro.distribution import determine_template
+        from repro.alignment.search_space import build_alignment_search_spaces
+        from repro.distribution.template import determine_template
 
         tpl = determine_template(table)
         aspaces = build_alignment_search_spaces(
@@ -124,7 +124,7 @@ class TestTomcatvClassification:
 class TestCompilerOptions:
     def test_vectorization_matters(self, adi_assistant, training_db):
         """Without message vectorization shift costs explode."""
-        from repro.perf import estimate_search_spaces
+        from repro.perf.estimator import estimate_search_spaces
 
         novect = estimate_search_spaces(
             adi_assistant.partition.phases,
@@ -144,7 +144,7 @@ class TestCompilerOptions:
     def test_coarse_grain_pipelining_helps_fine_pipelines(
         self, adi_assistant, training_db
     ):
-        from repro.perf import estimate_search_spaces
+        from repro.perf.estimator import estimate_search_spaces
 
         cgp = estimate_search_spaces(
             adi_assistant.partition.phases,

@@ -28,7 +28,7 @@ import pytest
 
 from repro.frontend.lexer import tokenize
 from repro.frontend.parser import parse_source_file
-from repro.programs import PROGRAMS
+from repro.programs.registry import PROGRAMS
 from repro.qa.generator import GeneratorConfig, generate_program
 from repro.tool.testcases import TestCase, grid_for, source_for
 

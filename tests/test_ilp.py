@@ -7,14 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ilp import (
-    BACKENDS,
-    MAXIMIZE,
-    MINIMIZE,
-    ModelError,
-    ZeroOneModel,
-    solve,
-)
+from repro.ilp import BACKENDS, solve
+from repro.ilp.model import MAXIMIZE, MINIMIZE, ModelError, ZeroOneModel
 
 
 class TestModel:

@@ -25,8 +25,8 @@ import pytest
 from repro.distribution.search_space import DistributionOptions
 from repro.obs import tracing
 from repro.obs.events import spans_by_name
-from repro.programs import PROGRAMS
-from repro.qa import load_corpus
+from repro.programs.registry import PROGRAMS
+from repro.qa.corpus import load_corpus
 from repro.qa.oracles import (
     MAX_SELECTION_COMBINATIONS,
     exact_best_selection,
@@ -36,8 +36,10 @@ from repro.qa.runner import _presolve_divergence, run_fuzz
 from repro.resilience.deadline import Deadline
 from repro.resilience.degrade import collecting
 from repro.resilience.errors import DeadlineExceeded
-from repro.selection import ilp as selection_ilp
-from repro.selection import presolve as selection_presolve
+from repro.selection import (
+    ilp as selection_ilp,
+    presolve as selection_presolve,
+)
 from repro.selection.ilp import select_layouts
 from repro.selection.layout_graph import DataLayoutGraph, LayoutEdge
 from repro.selection.presolve import (

@@ -3,11 +3,12 @@ paper's prototype lacked)."""
 
 import pytest
 
-from repro.frontend import ast, build_symbol_table
+from repro.analysis.phases import partition_phases
+from repro.frontend import ast
 from repro.frontend.inline import InlineError, parse_and_inline
 from repro.frontend.parser import ParseError, parse_source_file
 from repro.frontend.printer import format_program
-from repro.analysis import partition_phases
+from repro.frontend.symbols import build_symbol_table
 
 
 MULTI = """
@@ -111,7 +112,7 @@ class TestInlining:
 
     def test_inlined_program_analyzes_end_to_end(self):
         from repro.frontend.printer import format_program
-        from repro.tool import AssistantConfig, run_assistant
+        from repro.tool.assistant import AssistantConfig, run_assistant
 
         prog = parse_and_inline(MULTI)
         result = run_assistant(
@@ -123,8 +124,8 @@ class TestInlining:
     def test_assistant_accepts_multi_unit_source_directly(self):
         """run_assistant inlines multi-unit files itself, and measuring
         the selected layouts works on the same source."""
-        from repro.tool import AssistantConfig, measure_layouts, \
-            run_assistant
+        from repro.tool.assistant import AssistantConfig, run_assistant
+        from repro.tool.measurement import measure_layouts
 
         result = run_assistant(MULTI, AssistantConfig(nprocs=4))
         assert len(result.partition) == 3
@@ -236,7 +237,7 @@ subroutine sweepx(field, deriv, m)
 """
 
     def test_phase_structure(self):
-        from repro.analysis import phase_dependences
+        from repro.analysis.dependence import phase_dependences
 
         prog = parse_and_inline(self.SRC)
         table = build_symbol_table(prog)

@@ -6,9 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.machine import IPSC860, simulate
-from repro.programs import PROGRAMS
-from repro.tool import AssistantConfig, run_assistant
+from repro.machine.simulator import simulate
+from repro.programs.registry import PROGRAMS
+from repro.tool.assistant import AssistantConfig, run_assistant
 
 EXAMPLES = Path(__file__).resolve().parents[1] / "examples"
 
@@ -26,7 +26,7 @@ class TestEstimatorVsSimulatorConsistency:
         ("shallow", 136, {"maxiter": 2}),
     ])
     def test_estimates_track(self, name, n, kwargs):
-        from repro.tool import TestCase, run_test_case
+        from repro.tool.testcases import TestCase, run_test_case
 
         case = TestCase(name, n=n, dtype=PROGRAMS[name].default_dtype,
                         nprocs=8, maxiter=kwargs.get("maxiter", 3))
@@ -49,7 +49,7 @@ class TestDynamicLayoutRoundTrip:
         """The number of remaps the simulator performs equals what the
         selection's chosen remap edges predict (per time step, on Adi's
         dynamic scheme)."""
-        from repro.tool import measure_layouts
+        from repro.tool.measurement import measure_layouts
 
         src = PROGRAMS["adi"].source(n=200, maxiter=4)
         result = run_assistant(src, AssistantConfig(nprocs=16))
@@ -61,7 +61,7 @@ class TestDynamicLayoutRoundTrip:
         assert m.remap_count <= 4 * 4  # <= flips-per-iter * iters
 
     def test_static_selection_measures_with_zero_remaps(self):
-        from repro.tool import measure_layouts
+        from repro.tool.measurement import measure_layouts
 
         src = PROGRAMS["shallow"].source(n=136, maxiter=2)
         result = run_assistant(src, AssistantConfig(nprocs=8))
@@ -74,7 +74,7 @@ class TestSimulatorScaling:
     def test_parallel_phase_scales_with_processors(self):
         """A pure stencil program speeds up with machine size until
         latency dominates."""
-        from repro.tool import measure_layouts
+        from repro.tool.measurement import measure_layouts
 
         src = PROGRAMS["shallow"].source(n=264, maxiter=2)
         times = {}
@@ -89,7 +89,7 @@ class TestSimulatorScaling:
         assert times[2] / times[32] < 16
 
     def test_message_counts_grow_with_machine(self):
-        from repro.tool import measure_layouts
+        from repro.tool.measurement import measure_layouts
 
         src = PROGRAMS["shallow"].source(n=136, maxiter=2)
         counts = {}
@@ -104,7 +104,7 @@ class TestSimulatorScaling:
 class TestHPFWriterOnAllPrograms:
     @pytest.mark.parametrize("name", sorted(PROGRAMS))
     def test_emits_valid_directives(self, name):
-        from repro.tool import write_hpf
+        from repro.tool.hpf_writer import write_hpf
 
         spec = PROGRAMS[name]
         kwargs = {"n": 24 if spec.template_rank == 3 else 64}
@@ -124,7 +124,7 @@ class TestHPFWriterOnAllPrograms:
     def test_tomcatv_workspace_realigned(self):
         """Tomcatv's dynamic alignment flips show up as REALIGN
         directives on the workspace arrays."""
-        from repro.tool import write_hpf
+        from repro.tool.hpf_writer import write_hpf
 
         result = run_assistant(
             PROGRAMS["tomcatv"].source(n=136, maxiter=2),
@@ -145,7 +145,8 @@ class TestTopLevelAPI:
 
     def test_quickstart_snippet_shape(self, adi_small_source):
         """The README quickstart code path works verbatim."""
-        from repro import AssistantConfig, measure_layouts, run_assistant
+        from repro.tool.assistant import AssistantConfig, run_assistant
+        from repro.tool.measurement import measure_layouts
 
         result = run_assistant(
             adi_small_source, AssistantConfig(nprocs=4)

@@ -4,17 +4,16 @@ sanity, and semantic validation of the inliner and unparser."""
 import numpy as np
 import pytest
 
-from repro.frontend import parse_source_file
 from repro.frontend.inline import inline_program
 from repro.frontend.interp import (
     Environment,
     InterpError,
-    Interpreter,
     run_program,
     run_source,
 )
+from repro.frontend.parser import parse_source_file
 from repro.frontend.printer import format_program
-from repro.programs import PROGRAMS
+from repro.programs.registry import PROGRAMS
 
 
 def env_arrays(env: Environment):

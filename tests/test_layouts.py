@@ -23,7 +23,8 @@ from repro.distribution.layouts import (
     needs_remap,
 )
 from repro.distribution.template import Template, determine_template
-from repro.frontend import build_symbol_table, parse_source
+from repro.frontend.parser import parse_source
+from repro.frontend.symbols import build_symbol_table
 
 
 @pytest.fixture(scope="module")
@@ -473,8 +474,8 @@ class TestDerivedOnce:
         """One erlebacher@16 analysis reads the processor grid a thousand
         times and evaluates it once per distribution; it builds one
         array identity per distinct (axis_map, distribution)."""
-        from repro.programs import PROGRAMS
-        from repro.tool import AssistantConfig, run_assistant
+        from repro.programs.registry import PROGRAMS
+        from repro.tool.assistant import AssistantConfig, run_assistant
 
         grids, identities = [], []
         signature = vars(Distribution)["signature"]

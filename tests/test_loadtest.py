@@ -10,19 +10,20 @@ from pathlib import Path
 
 import pytest
 
-from repro.resilience import AdaptiveConcurrencyLimiter, AdmissionController
-from repro.service import (
-    LayoutService,
-    LoadtestConfig,
-    LoadtestReport,
-    WorkerPool,
-    run_loadtest,
+from repro.resilience.admission import (
+    AdaptiveConcurrencyLimiter,
+    AdmissionController,
 )
 from repro.service.loadtest import (
     GOOD_OUTCOMES,
     VIOLATION_OUTCOMES,
+    LoadtestConfig,
+    LoadtestReport,
     _percentile,
+    run_loadtest,
 )
+from repro.service.pool import WorkerPool
+from repro.service.server import LayoutService
 
 PROFILE_PATH = Path(__file__).resolve().parent.parent / "examples" \
     / "loadtest.json"

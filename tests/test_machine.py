@@ -2,25 +2,18 @@
 
 import pytest
 
-from repro.frontend import build_symbol_table, parse_source
-from repro.machine import (
-    IPSC860,
-    PARAGON,
-    MachineParams,
-    broadcast_time,
-    expr_cost,
+from repro.frontend.parser import parse_source
+from repro.frontend.symbols import build_symbol_table
+from repro.machine.collectives import redistribute_time, transpose_time
+from repro.machine.network import (
     hops,
     hypercube_dimension,
     is_power_of_two,
     neighbors,
     point_to_point_time,
-    redistribute_time,
-    reduction_time,
-    shift_time,
-    statement_cost,
-    stmt_dtype,
-    transpose_time,
 )
+from repro.machine.node import expr_cost, statement_cost, stmt_dtype
+from repro.machine.params import IPSC860, PARAGON
 
 
 class TestParams:
@@ -87,14 +80,8 @@ class TestHypercube:
 
 class TestCollectiveFormulas:
     def test_single_proc_collectives_free(self):
-        assert broadcast_time(IPSC860, 1, 4096) == 0.0
-        assert reduction_time(IPSC860, 1, 4096) == 0.0
         assert transpose_time(IPSC860, 1, 4096) == 0.0
-
-    def test_broadcast_log_stages(self):
-        t8 = broadcast_time(IPSC860, 8, 512)
-        t16 = broadcast_time(IPSC860, 16, 512)
-        assert t16 / t8 == pytest.approx(4.0 / 3.0)
+        assert redistribute_time(IPSC860, 1, 4096) == 0.0
 
     def test_transpose_data_crosses_once(self):
         # doubling procs with fixed local bytes: more chunks, smaller each
@@ -107,11 +94,6 @@ class TestCollectiveFormulas:
         t4 = redistribute_time(IPSC860, 4, 1 << 20)
         t16 = redistribute_time(IPSC860, 16, 1 << 20)
         assert t16 < t4
-
-    def test_shift_is_one_message(self):
-        assert shift_time(IPSC860, 1024) == pytest.approx(
-            IPSC860.message_time(1024, hops=1)
-        )
 
 
 @pytest.fixture(scope="module")

@@ -29,8 +29,8 @@ from repro.obs.prometheus import (
     render_prometheus,
 )
 from repro.obs.window import LADDER, LogBucketSketch
-from repro.service import LayoutService
 from repro.service.metrics import Metrics
+from repro.service.server import LayoutService
 from repro.tool.top import format_top
 
 ROOT = Path(__file__).resolve().parent.parent

@@ -13,9 +13,12 @@ from repro.distribution.layouts import (
     Distribution,
 )
 from repro.distribution.template import Template
-from repro.frontend import build_symbol_table, parse_source
-from repro.machine import IPSC860, simulate
-from repro.perf import cached_training_database, price_phase
+from repro.frontend.parser import parse_source
+from repro.frontend.symbols import build_symbol_table
+from repro.machine.params import IPSC860
+from repro.machine.simulator import simulate
+from repro.perf.execution_model import price_phase
+from repro.perf.training import cached_training_database
 
 DECLS = (
     "      integer n\n      parameter (n = 16)\n"

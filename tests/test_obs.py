@@ -20,17 +20,14 @@ from repro.obs.events import (
     write_trace,
 )
 from repro.obs.log import configure_logging, get_logger
-from repro.obs.prometheus import (
-    FAMILIES,
-    parse_prometheus_text,
-    render_prometheus,
-)
+from repro.obs.prometheus import FAMILIES, parse_prometheus_text
 from repro.obs.provenance import build_provenance, format_provenance
 from repro.obs.window import LADDER, LogBucketSketch
-from repro.programs import PROGRAMS
-from repro.service import LayoutService, WorkerPool
+from repro.programs.registry import PROGRAMS
 from repro.service.metrics import Metrics
+from repro.service.pool import WorkerPool
 from repro.service.protocol import LayoutRequest
+from repro.service.server import LayoutService
 from repro.tool.assistant import AssistantConfig, run_assistant
 from repro.tool.cli import main as cli_main
 

@@ -3,12 +3,9 @@
 import pytest
 
 from repro.alignment.lattice import Partitioning
-from repro.alignment.orientation import (
-    OrientationError,
-    canonical_alignments,
-    orient,
-)
-from repro.frontend import build_symbol_table, parse_source
+from repro.alignment.orientation import OrientationError, orient
+from repro.frontend.parser import parse_source
+from repro.frontend.symbols import build_symbol_table
 
 
 @pytest.fixture(scope="module")
@@ -83,14 +80,3 @@ class TestOrient:
         p = parts([("a", 0)], [("b", 0)], [("v", 0)])
         result = orient(p, 2, symbols)
         assert set(result) == {"a", "b", "v"}
-
-
-class TestCanonical:
-    def test_canonical_alignments(self, symbols):
-        result = canonical_alignments(["a", "v"], symbols)
-        assert result["a"].axis_map == (0, 1)
-        assert result["v"].axis_map == (0,)
-
-    def test_ignores_scalars(self, symbols):
-        result = canonical_alignments(["a", "i"], symbols)
-        assert "i" not in result

@@ -41,8 +41,10 @@ from repro.analysis.phases import (
     ScalarItem,
     partition_phases,
 )
-from repro.frontend import ast, build_symbol_table, parse_source
-from repro.programs import PROGRAMS
+from repro.frontend import ast
+from repro.frontend.parser import parse_source
+from repro.frontend.symbols import build_symbol_table
+from repro.programs.registry import PROGRAMS
 from repro.tool.assistant import stage_frontend, stage_partition
 
 from .test_alignment_pinned import populations

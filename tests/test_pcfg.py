@@ -9,7 +9,8 @@ import pytest
 from repro.analysis import pcfg as pcfg_module
 from repro.analysis.pcfg import ENTRY, EXIT, PCFG, PhaseGraph, build_pcfg
 from repro.analysis.phases import partition_phases
-from repro.frontend import build_symbol_table, parse_source
+from repro.frontend.parser import parse_source
+from repro.frontend.symbols import build_symbol_table
 from repro.qa.generator import GeneratorConfig, generate_program
 
 from .test_alignment_pinned import populations

@@ -9,7 +9,8 @@ from repro.analysis.phases import (
     ScalarItem,
     partition_phases,
 )
-from repro.frontend import build_symbol_table, parse_source
+from repro.frontend.parser import parse_source
+from repro.frontend.symbols import build_symbol_table
 
 
 def partition(src, **kwargs):

@@ -2,11 +2,11 @@
 
 import pytest
 
-from repro.frontend import ast, parse_source
+from repro.frontend import ast
 from repro.frontend.lexer import tokenize
-from repro.frontend.parser import Parser
+from repro.frontend.parser import Parser, parse_source
 from repro.frontend.printer import format_expr, format_program, format_stmt
-from repro.programs import PROGRAMS
+from repro.programs.registry import PROGRAMS
 
 
 def expr_of(text):
@@ -88,8 +88,8 @@ class TestProgramRoundTrip:
     @pytest.mark.parametrize("name", sorted(PROGRAMS))
     def test_reprint_preserves_phase_structure(self, name):
         """The normalized source analyzes identically."""
-        from repro.analysis import partition_phases
-        from repro.frontend import build_symbol_table
+        from repro.analysis.phases import partition_phases
+        from repro.frontend.symbols import build_symbol_table
 
         spec = PROGRAMS[name]
         kwargs = {"n": 16}
@@ -116,7 +116,7 @@ class TestGeneratedRoundTrip:
 
     @pytest.mark.parametrize("seed", range(40))
     def test_parse_print_inverts_generator(self, seed):
-        from repro.qa import generate_program, normalize_program
+        from repro.qa.generator import generate_program, normalize_program
 
         case = generate_program(seed)
         reparsed = parse_source(case.source)
@@ -124,7 +124,7 @@ class TestGeneratedRoundTrip:
         assert format_program(reparsed) == case.source
 
     def test_round_trip_with_wide_configs(self):
-        from repro.qa import (
+        from repro.qa.generator import (
             GeneratorConfig,
             generate_program,
             normalize_program,
@@ -145,7 +145,7 @@ class TestGeneratedRoundTrip:
 class TestHPFWriter:
     @pytest.fixture(scope="class")
     def dynamic_result(self):
-        from repro.tool import AssistantConfig, run_assistant
+        from repro.tool.assistant import AssistantConfig, run_assistant
 
         source = PROGRAMS["adi"].source(n=200, maxiter=2)
         return run_assistant(source, AssistantConfig(nprocs=16))
@@ -168,7 +168,7 @@ class TestHPFWriter:
         assert "!HPF$ realign" in text
 
     def test_static_layout_has_no_remaps(self):
-        from repro.tool import AssistantConfig, run_assistant
+        from repro.tool.assistant import AssistantConfig, run_assistant
         from repro.tool.hpf_writer import write_hpf
 
         source = PROGRAMS["shallow"].source(n=64, maxiter=2)
@@ -178,7 +178,7 @@ class TestHPFWriter:
         assert "!HPF$ dynamic" not in text
 
     def test_replicated_coefficient_uses_star(self):
-        from repro.tool import AssistantConfig, run_assistant
+        from repro.tool.assistant import AssistantConfig, run_assistant
         from repro.tool.hpf_writer import write_hpf
 
         source = PROGRAMS["erlebacher"].source(n=16)

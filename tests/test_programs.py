@@ -3,16 +3,14 @@ facts the paper states about them."""
 
 import pytest
 
-from repro.analysis import (
-    build_pcfg,
-    partition_phases,
-    phase_dependences,
-    scalar_reductions,
-)
-from repro.alignment import build_alignment_search_spaces, build_phase_cag
-from repro.distribution import determine_template
-from repro.frontend import build_symbol_table, parse_source
-from repro.programs import PROGRAMS, get_program
+from repro.alignment.search_space import build_alignment_search_spaces
+from repro.alignment.weights import build_phase_cag
+from repro.analysis.dependence import phase_dependences
+from repro.codegen.comm import ReductionComm
+from repro.codegen.spmd import compile_phase
+from repro.distribution.template import determine_template
+from repro.frontend.parser import parse_source
+from repro.programs.registry import PROGRAMS, get_program
 from repro.programs.tomcatv import smoothing_if_line
 
 
@@ -121,9 +119,19 @@ class TestTomcatv:
         # the conflicts involve the workspace arrays
         assert {"aa", "dd"} & conflicted_arrays or conflicted_arrays
 
-    def test_reduction_phase_exists(self, tomcatv_small):
-        _p, _s, part, _pcfg = tomcatv_small
-        assert any(scalar_reductions(ph) for ph in part.phases)
+    def test_reduction_phase_exists(self, tomcatv_assistant):
+        # the compiler model's rule: a statement with no array write
+        # target reduces into a scalar
+        result = tomcatv_assistant
+        layouts = result.selected_layouts
+        assert any(
+            isinstance(comm, ReductionComm)
+            for phase in result.partition.phases
+            for plan in compile_phase(phase, layouts[phase.index],
+                                      result.symbols,
+                                      result.config.machine).plans
+            for comm in plan.comms
+        )
 
     def test_smoothing_if_line_found(self):
         src = PROGRAMS["tomcatv"].source(n=32, maxiter=2)

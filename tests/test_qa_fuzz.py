@@ -3,16 +3,15 @@
 import pytest
 
 from repro.frontend.parser import parse_source
-from repro.qa import (
-    ALL_CHECKS,
-    GeneratorConfig,
+from repro.qa.generator import GeneratorConfig, generate_program
+from repro.qa.metamorphic import (
+    METAMORPHIC_CHECKS,
     add_unused_array,
-    generate_program,
+    declared_arrays,
     rename_identifiers,
-    run_fuzz,
     scale_size_parameter,
 )
-from repro.qa.metamorphic import METAMORPHIC_CHECKS, declared_arrays
+from repro.qa.runner import ALL_CHECKS, run_fuzz
 from repro.tool.assistant import AssistantConfig
 
 
@@ -65,7 +64,7 @@ class TestTripCountScalingPrecondition:
     def _corpus_case():
         import os
 
-        from repro.qa import load_corpus
+        from repro.qa.corpus import load_corpus
 
         corpus = load_corpus(os.path.join(os.path.dirname(__file__),
                                           "corpus"))

@@ -10,18 +10,16 @@ from repro.alignment.cag import CAG
 from repro.alignment.ilp import build_alignment_model
 from repro.alignment.weights import build_phase_cag
 from repro.frontend.printer import format_program
-from repro.qa import (
+from repro.qa.generator import GeneratorConfig, generate_program
+from repro.qa.minimize import minimize_program
+from repro.qa.oracles import (
     Divergence,
-    GeneratorConfig,
     alignment_assignment_count,
     best_alignment,
-    best_selection,
     check_alignment,
     check_resolution,
     check_selection,
     enumerate_alignments,
-    generate_program,
-    minimize_program,
     satisfied_weight,
     selection_combination_count,
 )
@@ -247,7 +245,7 @@ class TestMutationKilling:
     def test_resolution_check_runs_under_the_fuzz_alignment_oracle(
         self, monkeypatch
     ):
-        from repro.qa import run_fuzz
+        from repro.qa.runner import run_fuzz
 
         clean = run_fuzz(cases=30, seed=1000, checks=["alignment-oracle"],
                          minimize=False)

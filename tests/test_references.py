@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.frontend import build_symbol_table, parse_source
-from repro.frontend.parser import Parser
-from repro.frontend.lexer import tokenize
 from repro.analysis.references import analyze_subscript, collect_accesses
+from repro.frontend.lexer import tokenize
+from repro.frontend.parser import Parser, parse_source
+from repro.frontend.symbols import build_symbol_table
 
 
 def expr_of(text):

@@ -79,8 +79,8 @@ class TestSchemeTable:
         assert "9.3%" in text
 
     def test_test_case_report(self):
-        from repro.tool import TestCase, run_test_case
         from repro.tool.report import format_test_case
+        from repro.tool.testcases import TestCase, run_test_case
 
         result = run_test_case(
             TestCase("adi", 32, "double", 4, maxiter=2)

@@ -11,34 +11,36 @@ import time
 
 import pytest
 
-from repro.ilp import ZeroOneModel, solve
+from repro.ilp import solve
 from repro.ilp.branch_bound import solve as bb_solve
+from repro.ilp.model import ZeroOneModel
 from repro.obs import telemetry, tracing
-from repro.resilience import (
-    Backoff,
-    CircuitBreaker,
-    CorruptStateError,
-    Deadline,
-    DeadlineExceeded,
-    FaultPlan,
-    FaultSpec,
-    InjectedFault,
-    RequestTimeout,
+from repro.resilience import faults
+from repro.resilience.atomic import (
     atomic_write_bytes,
     atomic_write_json,
     checksum_unwrap,
     checksum_wrap,
-    checkpoint,
-    collecting,
-    current_deadline,
-    deadline_scope,
-    note_degradation,
     quarantine,
-    remaining_budget,
     stamp_json_integrity,
     verify_json_integrity,
 )
-from repro.resilience import faults
+from repro.resilience.breaker import Backoff, CircuitBreaker
+from repro.resilience.deadline import (
+    Deadline,
+    checkpoint,
+    current_deadline,
+    deadline_scope,
+    remaining_budget,
+)
+from repro.resilience.degrade import collecting, note_degradation
+from repro.resilience.errors import (
+    CorruptStateError,
+    DeadlineExceeded,
+    InjectedFault,
+    RequestTimeout,
+)
+from repro.resilience.faults import FaultPlan, FaultSpec
 from repro.service.cache import StageCache
 from repro.service.pool import WorkerPool
 from repro.service.protocol import LayoutRequest, answer_of
@@ -696,7 +698,7 @@ class TestGreedyFallbacks:
         assert events[0].reason in ("greedy-fallback", "incumbent")
 
     def test_selection_falls_back_and_notes_degradation(self):
-        from repro.selection import select_layouts
+        from repro.selection.ilp import select_layouts
         from repro.selection.layout_graph import DataLayoutGraph, LayoutEdge
 
         graph = DataLayoutGraph(
@@ -719,7 +721,7 @@ class TestGreedyFallbacks:
         assert [e.stage for e in events] == ["selection"]
 
     def test_without_deadline_both_stay_optimal(self):
-        from repro.selection import select_layouts
+        from repro.selection.ilp import select_layouts
         from repro.selection.layout_graph import DataLayoutGraph
 
         graph = DataLayoutGraph(

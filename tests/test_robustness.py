@@ -3,10 +3,10 @@ configurations, and graceful-degradation paths."""
 
 import pytest
 
-from repro.frontend import parse_source
 from repro.frontend.lexer import LexError
-from repro.frontend.parser import ParseError
-from repro.tool import AssistantConfig, measure_layouts, run_assistant
+from repro.frontend.parser import ParseError, parse_source
+from repro.tool.assistant import AssistantConfig, run_assistant
+from repro.tool.measurement import measure_layouts
 
 WRAP = (
     "program t\n"

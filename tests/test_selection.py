@@ -7,26 +7,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.machine import IPSC860
 from repro.obs import tracing
 from repro.obs.events import spans_by_name
-from repro.programs import PROGRAMS
-from repro.resilience import Deadline, RequestTimeout, deadline_scope
+from repro.programs.registry import PROGRAMS
 from repro.resilience.chaos import run_chaos
+from repro.resilience.deadline import Deadline, deadline_scope
 from repro.resilience.degrade import collecting
-from repro.selection import (
-    array_transitions,
+from repro.resilience.errors import RequestTimeout
+from repro.selection import ilp as selection_ilp
+from repro.selection.baselines import (
     best_static_selection,
-    build_layout_graph,
-    build_selection_model,
     dp_selection,
     greedy_selection,
-    select_layouts,
     static_selections,
 )
-from repro.selection import ilp as selection_ilp
-from repro.selection.ilp import greedy_selection as greedy_fallback
-from repro.selection.layout_graph import DataLayoutGraph, LayoutEdge
+from repro.selection.ilp import (
+    build_selection_model,
+    greedy_selection as greedy_fallback,
+    select_layouts,
+)
+from repro.selection.layout_graph import (
+    DataLayoutGraph,
+    LayoutEdge,
+    array_transitions,
+)
 from repro.tool.assistant import AssistantConfig, run_assistant
 
 

@@ -37,8 +37,8 @@ from functools import cache
 import pytest
 
 from repro.distribution.search_space import DistributionOptions
-from repro.programs import PROGRAMS
-from repro.qa import load_corpus
+from repro.programs.registry import PROGRAMS
+from repro.qa.corpus import load_corpus
 from repro.qa.generator import GeneratorConfig, generate_program
 from repro.selection.ilp import select_layouts
 from repro.selection.presolve import eliminate_component, presolve_selection

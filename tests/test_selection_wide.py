@@ -16,7 +16,7 @@ import pytest
 from repro.distribution.search_space import DistributionOptions
 from repro.obs import tracing
 from repro.obs.events import spans_by_name
-from repro.programs import PROGRAMS
+from repro.programs.registry import PROGRAMS
 from repro.tool.assistant import AssistantConfig, run_assistant
 
 #: (program, procs) -> (objective as ``float.hex``, selection digits)

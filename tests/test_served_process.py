@@ -23,7 +23,7 @@ from pathlib import Path
 
 import repro
 from repro.obs.telemetry import read_event_log, validate_event_log
-from repro.service import send_request
+from repro.service.server import send_request
 from repro.tool.cli import main as cli_main
 
 SRC = Path(repro.__file__).resolve().parents[1]

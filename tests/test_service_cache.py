@@ -15,20 +15,16 @@ import pytest
 from repro.machine.params import IPSC860, MACHINES, MachineParams
 from repro.obs.prometheus import parse_prometheus_text
 from repro.perf.training import cached_training_database, machine_cache_key
+from repro.programs.registry import PROGRAMS
 from repro.resilience.admission import (
     AdaptiveConcurrencyLimiter,
     AdmissionController,
 )
-from repro.programs.registry import PROGRAMS
-from repro.service import (
-    LayoutRequest,
-    LayoutService,
-    StageCache,
-    StageKeys,
-    WorkerPool,
-)
 from repro.service import cache as cache_module
-from repro.service.protocol import Answer, answer_of
+from repro.service.cache import StageCache, StageKeys
+from repro.service.pool import WorkerPool
+from repro.service.protocol import Answer, LayoutRequest, answer_of
+from repro.service.server import LayoutService
 from repro.tool.assistant import AssistantConfig, run_assistant
 
 REQUEST = {

@@ -12,8 +12,10 @@ from repro.machine.params import IPSC860
 from repro.perf.estimator import estimate_search_spaces
 from repro.perf.training import cached_training_database
 from repro.programs.registry import PROGRAMS
-from repro.resilience import Deadline, RequestTimeout, deadline_scope
-from repro.service import JobTimeoutError, WorkerPool
+from repro.resilience.deadline import Deadline, deadline_scope
+from repro.resilience.errors import RequestTimeout
+from repro.service.errors import JobTimeoutError
+from repro.service.pool import WorkerPool
 from repro.tool.assistant import (
     AssistantConfig,
     stage_alignment,

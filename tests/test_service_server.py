@@ -17,15 +17,10 @@ import pytest
 from repro.obs import tracing
 from repro.programs.registry import PROGRAMS
 from repro.qa.generator import GeneratorConfig, generate_program
-from repro.resilience import checkpoint
-from repro.service import (
-    LayoutServer,
-    LayoutService,
-    WorkerPool,
-    send_request,
-)
-from repro.service import server as server_module
+from repro.resilience.deadline import checkpoint
 from repro.resilience.errors import OverloadedError
+from repro.service import server as server_module
+from repro.service.pool import WorkerPool
 from repro.service.protocol import (
     Answer,
     LayoutRequest,
@@ -33,6 +28,7 @@ from repro.service.protocol import (
     StageTiming,
     serialize_layout,
 )
+from repro.service.server import LayoutServer, LayoutService, send_request
 from repro.tool import assistant as assistant_module
 from repro.tool.assistant import (
     AssistantConfig,

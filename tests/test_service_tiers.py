@@ -20,17 +20,12 @@ from repro.perf import estimator as estimator_module
 from repro.programs.registry import PROGRAMS
 from repro.resilience import faults
 from repro.resilience.faults import FaultPlan, FaultSpec
-from repro.service import (
-    LayoutRequest,
-    LayoutServer,
-    LayoutService,
-    StageKeys,
-    WorkerPool,
-)
-from repro.service import pool as pool_module
-from repro.service import protocol
-from repro.tool import assistant as assistant_module
-from repro.tool import cli
+from repro.service import pool as pool_module, protocol
+from repro.service.cache import StageKeys
+from repro.service.pool import WorkerPool
+from repro.service.protocol import LayoutRequest
+from repro.service.server import LayoutServer, LayoutService
+from repro.tool import assistant as assistant_module, cli
 from repro.tool.assistant import stage_partition
 from repro.tool.top import format_top
 

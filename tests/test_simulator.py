@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.machine import IPSC860, Collective, SimulationError, simulate
+from repro.machine.params import IPSC860
 from repro.machine.patterns import (
     append_alltoall,
     append_broadcast,
     append_reduce_broadcast,
     append_reduction,
 )
+from repro.machine.simulator import Collective, SimulationError, simulate
 
 
 class TestBasics:

@@ -15,7 +15,6 @@ from repro.obs.slo import (
     SLO_SCHEMA,
     SLOW_BURN,
     Objective,
-    ObjectiveResult,
     SLOReport,
     SLOValidationError,
     evaluate_objectives,
@@ -490,9 +489,8 @@ class TestSLOCommandOffline:
 def live_endpoint(tmp_path_factory):
     """A served LayoutService fed only cheap ops (ping/stats/slo), so
     the windowed-op plumbing is exercised without running the pipeline."""
-    from repro.service import (
-        LayoutServer, LayoutService, WorkerPool, send_request,
-    )
+    from repro.service.pool import WorkerPool
+    from repro.service.server import LayoutServer, LayoutService, send_request
 
     service = LayoutService(pool=WorkerPool(kind="serial"))
     server = LayoutServer(("127.0.0.1", 0), service)
@@ -512,7 +510,7 @@ class TestLiveSLOAndTop:
         ])
 
     def test_slo_op_over_the_wire(self, live_endpoint):
-        from repro.service import send_request
+        from repro.service.server import send_request
 
         host, port = live_endpoint
         resp = send_request({
@@ -527,7 +525,7 @@ class TestLiveSLOAndTop:
         assert report.results[0].count >= 5
 
     def test_slo_op_without_objectives_is_bad_request(self, live_endpoint):
-        from repro.service import send_request
+        from repro.service.server import send_request
 
         host, port = live_endpoint
         resp = send_request({"op": "slo"}, host, port)
@@ -537,8 +535,8 @@ class TestLiveSLOAndTop:
     def test_slo_op_refuses_an_op_the_protocol_lacks(self, live_endpoint):
         """A misspelled op names a window that can never fill: it read
         ``no-data`` — and passed — forever."""
-        from repro.service import send_request
         from repro.service.protocol import OPS
+        from repro.service.server import send_request
 
         host, port = live_endpoint
         resp = send_request({
@@ -554,7 +552,7 @@ class TestLiveSLOAndTop:
     def test_serve_refuses_a_misspelled_objective_at_startup(
         self, tmp_path, monkeypatch
     ):
-        from repro.service import LayoutServer
+        from repro.service.server import LayoutServer
 
         def must_not_serve(*args, **kwargs):
             raise AssertionError("serve started with a dead objective")
@@ -573,7 +571,7 @@ class TestLiveSLOAndTop:
         assert code == 0
 
     def test_events_op_returns_tail(self, live_endpoint):
-        from repro.service import send_request
+        from repro.service.server import send_request
 
         host, port = live_endpoint
         resp = send_request(

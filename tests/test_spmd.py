@@ -4,18 +4,17 @@ aggregation, end-to-end measurement sanity."""
 import pytest
 
 from repro.analysis.phases import partition_phases
-from repro.codegen.spmd import (
-    SPMDBuilder,
-    compile_program,
-)
+from repro.codegen.spmd import compile_program
 from repro.distribution.layouts import (
     Alignment,
     DataLayout,
     Distribution,
 )
 from repro.distribution.template import Template
-from repro.frontend import build_symbol_table, parse_source
-from repro.machine import IPSC860, simulate
+from repro.frontend.parser import parse_source
+from repro.frontend.symbols import build_symbol_table
+from repro.machine.params import IPSC860
+from repro.machine.simulator import simulate
 
 SRC = """
 program t

@@ -352,7 +352,8 @@ class TestSyncBehind:
         }
 
     def test_drain_leaves_nothing_unsynced(self, tmp_path):
-        from repro.service import LayoutService, WorkerPool
+        from repro.service.pool import WorkerPool
+        from repro.service.server import LayoutService
 
         request = {"op": "analyze", "program": "adi", "size": 8,
                    "maxiter": 2, "procs": 4}

@@ -2,17 +2,18 @@
 
 import pytest
 
-from repro.machine import IPSC860, PARAGON
-from repro.tool import (
-    AssistantConfig,
-    TestCase,
-    measure_layouts,
-    run_assistant,
-    run_test_case,
-)
+from repro.machine.params import IPSC860, PARAGON
+from repro.programs.registry import PROGRAMS
+from repro.tool.assistant import AssistantConfig, run_assistant
+from repro.tool.measurement import measure_layouts
 from repro.tool.schemes import TOOL, enumerate_schemes, measure_scheme
-from repro.tool.testcases import grid_for, source_for, summarize
-from repro.programs import PROGRAMS
+from repro.tool.testcases import (
+    TestCase,
+    grid_for,
+    run_test_case,
+    source_for,
+    summarize,
+)
 
 
 class TestAssistant:

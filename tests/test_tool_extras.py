@@ -3,11 +3,7 @@
 import pytest
 
 from repro.tool.graphviz import export_dot, layout_graph_to_dot, pcfg_to_dot
-from repro.tool.memory import (
-    DEFAULT_NODE_BYTES,
-    MemoryReport,
-    memory_footprint,
-)
+from repro.tool.memory import memory_footprint
 
 
 class TestDotExport:
@@ -34,8 +30,8 @@ class TestDotExport:
         assert "ms" in dot
 
     def test_selected_remap_edges_highlighted(self):
-        from repro.programs import PROGRAMS
-        from repro.tool import AssistantConfig, run_assistant
+        from repro.programs.registry import PROGRAMS
+        from repro.tool.assistant import AssistantConfig, run_assistant
 
         result = run_assistant(
             PROGRAMS["adi"].source(n=200, maxiter=2),
@@ -71,8 +67,8 @@ class TestMemoryFootprint:
         assert set(report.per_array) == {"a", "b", "c", "d", "f", "x"}
 
     def test_replicated_array_charged_fully(self):
-        from repro.programs import PROGRAMS
-        from repro.tool import AssistantConfig, run_assistant
+        from repro.programs.registry import PROGRAMS
+        from repro.tool.assistant import AssistantConfig, run_assistant
 
         result = run_assistant(
             PROGRAMS["erlebacher"].source(n=16), AssistantConfig(nprocs=4)
@@ -96,8 +92,8 @@ class TestMemoryFootprint:
         Shallow grids genuinely exceed the simulated node memory (while
         the same problems fit from four processors up, and Adi's largest
         case fits even on two nodes)."""
-        from repro.programs import PROGRAMS
-        from repro.tool import AssistantConfig, run_assistant
+        from repro.programs.registry import PROGRAMS
+        from repro.tool.assistant import AssistantConfig, run_assistant
 
         for name, dtype, n in (("tomcatv", "double", 544),
                                ("shallow", "real", 520)):

@@ -5,13 +5,8 @@ import random
 import numpy as np
 import pytest
 
-from repro.machine import IPSC860, MACHINES, PARAGON
-from repro.perf.training import (
-    PATTERNS,
-    TrainingKey,
-    cached_training_database,
-    generate_training_database,
-)
+from repro.machine.params import IPSC860, MACHINES, PARAGON
+from repro.perf.training import PATTERNS, cached_training_database
 
 
 @pytest.fixture(scope="module")

@@ -27,7 +27,7 @@ from dataclasses import replace
 import pytest
 
 import repro.perf.training as training
-from repro.machine import IPSC860, MACHINES
+from repro.machine.params import IPSC860, MACHINES
 from repro.perf.training import generate_training_database, table_database
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "training_pinned.txt"
