@@ -3,8 +3,8 @@
 Each command in ``COMMANDS`` runs in-process through ``main``; its stdout
 is digested with sha256 after masking what varies between runs: the
 selection's ``solved in N ms`` and the fuzz campaign's ``cases in N.Ns``.
-``explain --json`` is digested without its ``trace_id``, ``start_us``
-and ``duration_us`` keys.  ``REQUESTS`` pins what ``repro request`` hands
+Every ``explain --json`` is digested without its ``trace_id``,
+``start_us`` and ``duration_us`` keys.  ``REQUESTS`` pins what ``repro request`` hands
 to ``send_request``, as the server decodes it
 (``LayoutRequest.from_dict``).  ``SURFACE`` pins each subcommand's
 argparse actions: option strings, dest, default, choices (as a list,
@@ -33,12 +33,17 @@ import tempfile
 import pytest
 
 import repro.service.server
+from repro.perf.bench.suite import TIED_SEED
 from repro.programs.registry import PROGRAMS
+from repro.qa.generator import GeneratorConfig, generate_program
 from repro.service.protocol import LayoutRequest
 from repro.tool.cli import main
 
 #: stands for a file holding a generated adi source
 ADI_FILE = "<adi-file>"
+#: stands for a file holding generated program ``TIED_SEED``, whose
+#: ``phase1`` alignment resolution ties and goes to the 0-1 solver
+TIED_FILE = "<tied-file>"
 SMALL = ["--size", "32", "--procs", "4"]
 
 COMMANDS = {
@@ -63,6 +68,17 @@ COMMANDS = {
         "fuzz", "--cases", "3", "--checks", "roundtrip",
     ],
     "explain --json": ["explain", "--program", "adi", *SMALL, "--json"],
+    **{
+        f"explain {program} @{procs} --json": [
+            "explain", "--program", program, "--size", "32", "--procs",
+            str(procs), "--maxiter", "2", "--json",
+        ]
+        for program in ("erlebacher", "shallow", "tomcatv")
+        for procs in (4, 16)
+    },
+    "explain --file tied --json": [
+        "explain", "--file", TIED_FILE, "--procs", "4", "--json",
+    ],
 }
 
 REQUESTS = {
@@ -89,6 +105,13 @@ PINNED = {
     "compare adi": "7922ba15e4be6625",
     "fuzz --cases 3 --checks roundtrip": "ef03178eb0f898ba",
     "explain --json": "99b9c577a51b4b93",
+    "explain erlebacher @4 --json": "1042dbd7c3dad902",
+    "explain erlebacher @16 --json": "5e1f031ab7f42bee",
+    "explain shallow @4 --json": "469c831b221fb972",
+    "explain shallow @16 --json": "a7ff4710d252db72",
+    "explain tomcatv @4 --json": "aff1939c4b2dc210",
+    "explain tomcatv @16 --json": "6ac0f12fa8af209b",
+    "explain --file tied --json": "8f2c026f23140835",
     "request adi": "d1ac3cdc79da136f",
     "request --file --no-cache": "82c17bc90c4d9dc5",
     "request every flag": "58321d0b93a34006",
@@ -137,24 +160,35 @@ def _strip(value):
 
 
 @contextlib.contextmanager
-def _adi_file():
-    with tempfile.NamedTemporaryFile("w", suffix=".f") as handle:
-        handle.write(PROGRAMS["adi"].source(n=32, maxiter=2))
-        handle.flush()
-        yield handle.name
+def _source_files():
+    """``{placeholder: path}`` of temp files holding the sources the
+    placeholders stand for."""
+    sources = {
+        ADI_FILE: PROGRAMS["adi"].source(n=32, maxiter=2),
+        TIED_FILE: generate_program(TIED_SEED, GeneratorConfig()).source,
+    }
+    with contextlib.ExitStack() as stack:
+        paths = {}
+        for placeholder, text in sources.items():
+            handle = stack.enter_context(
+                tempfile.NamedTemporaryFile("w", suffix=".f"))
+            handle.write(text)
+            handle.flush()
+            paths[placeholder] = handle.name
+        yield paths
 
 
-def _argv(argv, path):
-    return [path if arg == ADI_FILE else arg for arg in argv]
+def _argv(argv, paths):
+    return [paths.get(arg, arg) for arg in argv]
 
 
 def command_digest(name: str) -> str:
     """The masked stdout digest of one ``COMMANDS`` entry."""
     out = io.StringIO()
-    with _adi_file() as path, contextlib.redirect_stdout(out):
-        assert main(_argv(COMMANDS[name], path)) == 0, name
+    with _source_files() as paths, contextlib.redirect_stdout(out):
+        assert main(_argv(COMMANDS[name], paths)) == 0, name
     text = out.getvalue()
-    if name == "explain --json":
+    if name.startswith("explain"):
         text = json.dumps(_strip(json.loads(text)), sort_keys=True)
     for pattern, mask in _MASKS:
         text = pattern.sub(mask, text)
@@ -172,9 +206,9 @@ def request_digest(name: str) -> str:
     original = repro.service.server.send_request
     repro.service.server.send_request = fake_send
     try:
-        with _adi_file() as path, \
+        with _source_files() as paths, \
                 contextlib.redirect_stdout(io.StringIO()):
-            main(_argv(REQUESTS[name], path))
+            main(_argv(REQUESTS[name], paths))
     finally:
         repro.service.server.send_request = original
     (payload,) = sent
