@@ -35,11 +35,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..ilp import solve as ilp_solve
 from ..ilp.model import MAXIMIZE, Solution, SolveStats, ZeroOneModel
-from ..obs.tracing import add_event as obs_event, span as obs_span
+from ..obs.tracing import span as obs_span
 from ..resilience.deadline import checkpoint, remaining_budget
 from ..resilience.degrade import note_degradation
 from ..resilience.faults import fault_point
@@ -196,6 +196,15 @@ class AlignmentResolution:
     num_variables: int
     num_constraints: int
     optimal: bool = True  # False when a deadline forced a fallback
+    name: str = "alignment"
+    #: how the cut was decided: ``direct`` | ``tie`` | ``overflow`` |
+    #: ``reference`` (see :func:`resolve_conflicts`)
+    path: str = "reference"
+    #: tied optimal cut sets and search nodes visited by the
+    #: enumeration; ``None`` when no enumeration ran
+    optima: Optional[int] = None
+    visits: Optional[int] = None
+    cut_edges: Tuple[str, ...] = ()  # sorted ``"a[0]--b[1]"`` texts
 
 
 def greedy_orientation(cag: CAG, d: int) -> Dict[Node, int]:
@@ -345,6 +354,7 @@ def resolve_conflicts(
         sp.set_attr("variables", num_variables)
         sp.set_attr("constraints", num_constraints)
         path = "reference"
+        found = None
         budget = remaining_budget()
         if presolve and (budget is None or budget > 0.0):
             start = time.perf_counter()
@@ -377,15 +387,6 @@ def resolve_conflicts(
             if assignment[a] != assignment[b]:
                 cut_keys.append((a, b))
                 cut_weight += weight
-        if cut_keys:
-            obs_event(
-                "alignment.cut",
-                name=name,
-                cut_edges=sorted(
-                    f"{a[0]}[{a[1]}]--{b[0]}[{b[1]}]" for a, b in cut_keys
-                ),
-                cut_weight=cut_weight,
-            )
         resolved = cag.drop_edges(cut_keys)
     if resolved.has_conflict():  # pragma: no cover - guarded by type2
         raise AssertionError("ILP resolution left a conflict")
@@ -398,4 +399,11 @@ def resolve_conflicts(
         num_variables=num_variables,
         num_constraints=num_constraints,
         optimal=solution.is_optimal,
+        name=name,
+        path=path,
+        optima=None if found is None else found.optima,
+        visits=None if found is None else found.visited,
+        cut_edges=tuple(sorted(
+            f"{a[0]}[{a[1]}]--{b[0]}[{b[1]}]" for a, b in cut_keys
+        )),
     )

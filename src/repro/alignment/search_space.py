@@ -30,7 +30,7 @@ from ..analysis.phases import Phase
 from ..distribution.layouts import Alignment
 from ..distribution.template import Template
 from ..frontend.symbols import ArraySymbol, SymbolTable
-from ..obs.tracing import add_event as obs_event, span as obs_span
+from ..obs.tracing import span as obs_span
 from .cag import CAG, Components
 from .ilp import AlignmentResolution, resolve_conflicts
 from .lattice import Partitioning
@@ -77,6 +77,8 @@ class AlignmentSearchSpaces:
     classes: List[PhaseClass]
     phase_cags: Dict[int, CAG]
     resolutions: List[AlignmentResolution]  # every ILP resolution performed
+    #: every import tried, in order: (source class, sink class, accepted)
+    imports: List[Tuple[str, str, bool]] = field(default_factory=list)
 
     def candidates_for(self, phase_index: int) -> List[AlignmentCandidate]:
         return self.per_phase[phase_index]
@@ -133,13 +135,13 @@ def build_alignment_search_spaces(
     """Run the full Section 3.2 heuristic."""
     d = template.rank
     resolutions: List[AlignmentResolution] = []
+    imports: List[Tuple[str, str, bool]] = []
 
     # Step 1 — per-phase conflict-free CAGs.
     phase_cags: Dict[int, CAG] = {}
     for phase in phases:
         cag = build_phase_cag(phase, symbols)
         if cag.has_conflict():
-            obs_event("cag.conflict", where=f"phase{phase.index}")
             resolution = resolve_conflicts(
                 cag, d, backend=backend, name=f"phase{phase.index}"
             )
@@ -166,10 +168,6 @@ def build_alignment_search_spaces(
                 scaled = source.cag.scaled(factor)
                 merged = CAG.merge(scaled, sink.cag)
                 if merged.has_conflict():
-                    obs_event(
-                        "cag.conflict",
-                        where=f"import:{source.name}->{sink.name}",
-                    )
                     resolution = resolve_conflicts(
                         merged, d, backend=backend,
                         name=f"import:{source.name}->{sink.name}",
@@ -184,12 +182,7 @@ def build_alignment_search_spaces(
                 accepted = not any(
                     imported.refines(c) for c in sink.candidates
                 )
-                obs_event(
-                    "alignment.import",
-                    source=source.name,
-                    sink=sink.name,
-                    accepted=accepted,
-                )
+                imports.append((source.name, sink.name, accepted))
                 if accepted:
                     sink.candidates.append(imported)
 
@@ -235,4 +228,5 @@ def build_alignment_search_spaces(
         classes=classes,
         phase_cags=phase_cags,
         resolutions=resolutions,
+        imports=imports,
     )

@@ -61,15 +61,6 @@ def build_phase_cag(phase: Phase, symbols: SymbolTable) -> CAG:
         sp.set_attr("nodes", len(cag.nodes))
         sp.set_attr("edges", len(cag.weights))
         sp.set_attr("total_weight", cag.total_weight())
-        if tracing.detail_active():
-            for (a, b), weight in sorted(cag.weights.items()):
-                tracing.add_event(
-                    "cag.edge",
-                    phase=phase.index,
-                    src=f"{a[0]}[{a[1]}]",
-                    dst=f"{b[0]}[{b[1]}]",
-                    weight=weight,
-                )
     return cag
 
 

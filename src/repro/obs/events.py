@@ -10,7 +10,7 @@ A serialized trace is one JSON object::
       "spans": [
         {"span_id": "1", "parent_id": null, "name": "pipeline",
          "start_us": ..., "duration_us": ..., "attrs": {...},
-         "events": [{"name": "cag.edge", "attrs": {...}}, ...]},
+         "events": [{"name": "resilience.degraded", "attrs": {...}}]},
         ...
       ],
       "events": [...]          # trace-level events (no open span)

@@ -1,10 +1,9 @@
-"""Decision provenance: reconstruct *why* each array got its layout.
+"""Decision provenance: report *why* each array got its layout.
 
-The pipeline records its decisions as structured span events while it
-runs (CAG edge weights, conflict resolutions, alignment imports,
-candidate costs, ILP solves, remapping choices).  This module replays a
-recorded trace into a report answering the questions an HPF programmer
-asks of the assistant:
+The assistant's result is browsable: its search spaces, its data layout
+graph and its 0-1 selection hold every decision the pipeline made.
+This module reads them into a report answering the questions an HPF
+programmer asks of the assistant:
 
 - which candidate was selected for each phase, at what predicted cost,
   and by what margin over the runner-up;
@@ -12,34 +11,31 @@ asks of the assistant:
   orientation, and which were cut to resolve conflicts;
 - which inter-class imports contributed candidates to the search space;
 - where remapping was chosen, what it costs, and which arrays cross
-  the remap edge;
-- every ILP solve behind those answers, with model sizes.
+  the remap edge.
 
-The report is a plain dict (JSON-safe) rendered to text by
-:func:`format_provenance`; ``repro explain`` prints it.
+From the run's trace it reads only what ran: every ILP solve with its
+model size, every degradation note and the trace id.  The report is a
+plain dict (JSON-safe) rendered to text by :func:`format_provenance`;
+``repro explain`` prints it.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Tuple
 
+from ..alignment.weights import build_phase_cag
 from .events import iter_events, spans_by_name
+
+if TYPE_CHECKING:
+    from ..tool.assistant import AssistantResult
 
 #: report format tag
 PROVENANCE_SCHEMA = "repro.obs/provenance/v1"
 
 
-def _array_of(node_text: str) -> str:
-    """``"a[0]"`` -> ``"a"``."""
-    return node_text.partition("[")[0]
-
-
 def _resolution_path(conflict: Mapping[str, Any]) -> str:
-    """How a conflict resolution was decided, from the ``path`` of its
-    ``alignment.resolve`` span."""
+    """How a conflict resolution was decided, from its ``path``."""
     path = conflict.get("path")
-    if path is None:  # a trace recorded before the span carried it
-        return ""
     if path == "direct":
         return (f"; unique optimum by enumeration, "
                 f"{conflict.get('assignments')} assignments visited")
@@ -51,43 +47,24 @@ def _resolution_path(conflict: Mapping[str, Any]) -> str:
     return "; by the 0-1 solver"
 
 
-def build_provenance(trace: Mapping[str, Any]) -> Dict[str, Any]:
-    """Distill a recorded trace into the decision-provenance report."""
-    report: Dict[str, Any] = {
-        "schema": PROVENANCE_SCHEMA,
-        "trace_id": trace.get("trace_id"),
-        "objective_us": None,
-        "backend": None,
-        "optimal": True,
-        "degradations": [],
-        "phases": [],
-        "arrays": {},
-        "conflicts": [],
-        "imports": [],
-        "remaps": [],
-        "ilp_solves": [],
-    }
+def _node(node: Tuple[str, int]) -> str:
+    return f"{node[0]}[{node[1]}]"
 
-    # -- degradation notes (anytime-ILP fallbacks) -----------------------
-    for _span, event in iter_events(trace, "resilience.degraded"):
-        attrs = event.get("attrs", {})
-        report["degradations"].append({
-            "stage": attrs.get("stage"),
-            "reason": attrs.get("reason"),
-            "detail": attrs.get("detail"),
-        })
-    report["optimal"] = not report["degradations"]
 
-    # -- global selection facts ------------------------------------------
-    for span in spans_by_name(trace, "selection.solve"):
-        attrs = span.get("attrs", {})
-        if "objective_us" in attrs:
-            report["objective_us"] = attrs["objective_us"]
-        report["backend"] = attrs.get("backend", report["backend"])
-
+def build_provenance(
+    result: "AssistantResult", trace: Mapping[str, Any]
+) -> Dict[str, Any]:
+    """The decision-provenance report of ``result``, whose run recorded
+    ``trace``."""
+    degradations = [
+        {key: event.get("attrs", {}).get(key)
+         for key in ("stage", "reason", "detail")}
+        for _span, event in iter_events(trace, "resilience.degraded")
+    ]
+    ilp_solves = []
     for span in spans_by_name(trace, "ilp.solve"):
         attrs = span.get("attrs", {})
-        report["ilp_solves"].append({
+        ilp_solves.append({
             "name": attrs.get("name"),
             "backend": attrs.get("backend"),
             "variables": attrs.get("variables"),
@@ -98,18 +75,6 @@ def build_provenance(trace: Mapping[str, Any]) -> Dict[str, Any]:
             "duration_us": span.get("duration_us"),
         })
 
-    # -- search-space shape per phase ------------------------------------
-    space_by_phase: Dict[int, Dict[str, Any]] = {}
-    for span in spans_by_name(trace, "distribution.phase"):
-        attrs = span.get("attrs", {})
-        if "phase" in attrs:
-            space_by_phase[attrs["phase"]] = {
-                "generated": attrs.get("generated"),
-                "pruned": attrs.get("pruned"),
-                "kept": attrs.get("kept"),
-            }
-
-    # -- the chosen candidate per phase ----------------------------------
     arrays: Dict[str, Dict[str, Any]] = {}
 
     def array_entry(name: str) -> Dict[str, Any]:
@@ -120,102 +85,90 @@ def build_provenance(trace: Mapping[str, Any]) -> Dict[str, Any]:
             "remaps": [],
         })
 
-    for _span, event in iter_events(trace, "selection.choice"):
-        attrs = event.get("attrs", {})
-        phase = attrs.get("phase")
-        costs = attrs.get("costs_us") or []
-        chosen = attrs.get("node_cost_us")
-        margin = None
-        if chosen is not None and len(costs) > 1:
-            others = sorted(c for i, c in enumerate(costs)
-                            if i != attrs.get("position"))
-            if others:
-                margin = others[0] - chosen
-        report["phases"].append({
+    # -- the chosen candidate per phase ----------------------------------
+    graph = result.graph
+    selection = result.selection.selection
+    distributions = len(result.layout_spaces.distributions)
+    phases = []
+    for phase, position in sorted(selection.items()):
+        chosen = graph.estimates.per_phase[phase][position].candidate
+        layout = chosen.layout
+        costs = list(graph.node_costs[phase])
+        others = costs[:position] + costs[position + 1:]
+        generated = (len(result.alignment_spaces.per_phase[phase])
+                     * distributions)
+        kept = len(result.layout_spaces.per_phase[phase])
+        phases.append({
             "phase": phase,
-            "position": attrs.get("position"),
-            "layout": attrs.get("layout"),
-            "distribution": attrs.get("distribution"),
-            "alignment_provenance": attrs.get("alignment_provenance"),
-            "node_cost_us": chosen,
-            "alternatives": max(len(costs) - 1, 0),
-            "margin_us": margin,
+            "position": position,
+            "layout": layout.describe(),
+            "distribution": str(layout.distribution),
+            "alignment_provenance": chosen.alignment.provenance,
+            "node_cost_us": costs[position],
+            "alternatives": len(others),
+            "margin_us": min(others) - costs[position] if others else None,
             "candidate_costs_us": costs,
-            "search_space": space_by_phase.get(phase),
+            "search_space": {"generated": generated,
+                             "pruned": generated - kept, "kept": kept},
         })
-        for name, alignment in (attrs.get("alignments") or {}).items():
-            array_entry(name)["alignments"][str(phase)] = alignment
-    report["phases"].sort(key=lambda p: (p["phase"] is None, p["phase"]))
+        for name, alignment in layout.alignments:
+            array_entry(name)["alignments"][str(phase)] = str(alignment)
 
     # -- supporting CAG evidence -----------------------------------------
-    for _span, event in iter_events(trace, "cag.edge"):
-        attrs = event.get("attrs", {})
-        edge = {
-            "phase": attrs.get("phase"),
-            "edge": f"{attrs.get('src')}--{attrs.get('dst')}",
-            "weight": attrs.get("weight"),
-        }
-        for end in ("src", "dst"):
-            name = _array_of(str(attrs.get(end, "")))
-            if name:
-                array_entry(name)["cag_edges"].append(edge)
+    for phase in result.partition.phases:
+        cag = build_phase_cag(phase, result.symbols)
+        for (a, b), weight in sorted(cag.weights.items()):
+            edge = {"phase": phase.index, "edge": f"{_node(a)}--{_node(b)}",
+                    "weight": weight}
+            array_entry(a[0])["cag_edges"].append(edge)
+            array_entry(b[0])["cag_edges"].append(edge)
 
-    for span, event in iter_events(trace, "alignment.cut"):
-        attrs = event.get("attrs", {})
-        # the enclosing span is the resolution's alignment.resolve
-        resolve = (span or {}).get("attrs", {})
-        report["conflicts"].append({
-            "name": attrs.get("name"),
-            "cut_edges": attrs.get("cut_edges", []),
-            "cut_weight": attrs.get("cut_weight"),
-            "path": resolve.get("path"),
-            "assignments": resolve.get("assignments"),
-            "optima": resolve.get("optima"),
-        })
-
-    for _span, event in iter_events(trace, "alignment.import"):
-        attrs = event.get("attrs", {})
-        report["imports"].append({
-            "source": attrs.get("source"),
-            "sink": attrs.get("sink"),
-            "accepted": attrs.get("accepted"),
-        })
+    spaces = result.alignment_spaces
+    conflicts = [
+        {"name": r.name, "cut_edges": list(r.cut_edges),
+         "cut_weight": r.cut_weight, "path": r.path,
+         "assignments": r.visits, "optima": r.optima}
+        for r in spaces.resolutions if r.cut_edges
+    ]
+    imports = [
+        {"source": source, "sink": sink, "accepted": accepted}
+        for source, sink, accepted in spaces.imports
+    ]
 
     # -- remapping decisions ---------------------------------------------
-    transitions_of: Dict[Tuple[Any, Any], List[str]] = {}
-    for _span, event in iter_events(trace, "graph.transitions"):
-        attrs = event.get("attrs", {})
-        name = attrs.get("array")
-        if not name:
-            continue
-        entry = array_entry(name)
-        entry["transitions"] = attrs.get("transitions", [])
-        for src, dst, _freq in entry["transitions"]:
+    transitions_of: Dict[Tuple[int, int], List[str]] = {}
+    for name, edges in sorted(graph.transitions.items()):
+        array_entry(name)["transitions"] = [list(t) for t in edges]
+        for src, dst, _freq in edges:
             transitions_of.setdefault((src, dst), []).append(name)
 
-    for _span, event in iter_events(trace, "selection.remap"):
-        attrs = event.get("attrs", {})
-        if not attrs.get("remapped"):
+    remaps = []
+    for edge in graph.edges:
+        src, dst = edge.src_phase, edge.dst_phase
+        cost = edge.costs.get((selection[src], selection[dst]), 0.0)
+        if cost <= 0.0:
             continue
-        src = attrs.get("src_phase")
-        dst = attrs.get("dst_phase")
         crossing = sorted(set(transitions_of.get((src, dst), [])))
-        remap = {
-            "src_phase": src,
-            "dst_phase": dst,
-            "cost_us": attrs.get("cost_us"),
-            "arrays": crossing,
-        }
-        report["remaps"].append(remap)
+        remaps.append({"src_phase": src, "dst_phase": dst,
+                       "cost_us": cost, "arrays": crossing})
         for name in crossing:
-            array_entry(name)["remaps"].append({
-                "src_phase": src,
-                "dst_phase": dst,
-                "cost_us": attrs.get("cost_us"),
-            })
+            array_entry(name)["remaps"].append(
+                {"src_phase": src, "dst_phase": dst, "cost_us": cost})
 
-    report["arrays"] = {name: arrays[name] for name in sorted(arrays)}
-    return report
+    return {
+        "schema": PROVENANCE_SCHEMA,
+        "trace_id": trace.get("trace_id"),
+        "objective_us": result.selection.objective,
+        "backend": result.config.ilp_backend,
+        "optimal": not degradations,
+        "degradations": degradations,
+        "phases": phases,
+        "arrays": {name: arrays[name] for name in sorted(arrays)},
+        "conflicts": conflicts,
+        "imports": imports,
+        "remaps": remaps,
+        "ilp_solves": ilp_solves,
+    }
 
 
 def _fmt_us(value: Optional[float]) -> str:

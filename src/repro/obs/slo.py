@@ -302,17 +302,8 @@ def _bad_fraction(
     if count == 0:
         return 0, 0.0, None
     if objective.metric in QUANTILE_METRICS:
-        sketch_dict = view.get("sketch")
         measured = (view.get("quantiles") or {}).get(objective.metric)
-        if sketch_dict is None:
-            # Quantile-only fallback (no sketch shipped): binary
-            # verdict from the reported quantile.
-            bad = 0.0 if (measured is None
-                          or measured <= objective.threshold_s) else (
-                objective.budget * 2.0
-            )
-            return count, bad, measured
-        sketch = LogBucketSketch.from_dict(sketch_dict)
+        sketch = LogBucketSketch.from_dict(view["sketch"])
         good = sketch.count_le(objective.threshold_s)
         return count, 1.0 - good / count, measured
     rate = float(view.get(objective.metric, 0.0))

@@ -116,14 +116,9 @@ class Tracer:
         trace_id: Optional[str] = None,
         root_parent_id: Optional[str] = None,
         id_prefix: str = "",
-        detail: bool = True,
+        detail: bool = False,  # ignored; bench/servicerun.py:500 passes it
     ):
         self.name = name
-        #: record high-volume detail events (per-candidate estimates)?
-        #: Explicit ``--trace`` exports want them; always-on production
-        #: tracers pass ``detail=False`` so the per-request overhead
-        #: stays within the tail-sampling budget.
-        self.detail = detail
         self.trace_id = trace_id or uuid.uuid4().hex[:16]
         #: parent assigned to top-level spans (set for worker-side
         #: tracers so their spans nest under the dispatching span)
@@ -235,14 +230,6 @@ def active() -> bool:
     return _TRACER.get() is not None
 
 
-def detail_active() -> bool:
-    """Is a *detail* tracer active?  Guards high-volume per-item events
-    (one per estimation candidate) that explicit ``--trace`` exports
-    want but always-on production tracing must not pay for."""
-    tracer = _TRACER.get()
-    return tracer is not None and tracer.detail
-
-
 def active_tracer() -> Optional[Tracer]:
     return _TRACER.get()
 
@@ -352,22 +339,19 @@ def run_traced_job(
     prefix: str,
     fn: Callable[..., Any],
     args: Tuple,
-    detail: bool = True,
 ) -> Tuple[Any, List[Dict[str, Any]]]:
     """Run one pool job under a private tracer; return ``(value, spans)``.
 
     The worker-side tracer shares the dispatching trace's ID, roots its
-    spans under the dispatching span, prefixes span IDs so the merged
-    trace stays collision-free, and inherits the dispatcher's ``detail``
-    flag.  Works identically in subprocess, thread, and serial
-    (degraded) execution.
+    spans under the dispatching span and prefixes span IDs so the merged
+    trace stays collision-free.  Works identically in subprocess,
+    thread, and serial (degraded) execution.
     """
     tracer = Tracer(
         name="job",
         trace_id=trace_id,
         root_parent_id=parent_id,
         id_prefix=prefix,
-        detail=detail,
     )
     with activate(tracer):
         with span(f"job:{getattr(fn, '__name__', 'fn')}"):

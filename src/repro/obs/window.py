@@ -313,14 +313,12 @@ class WindowedOpStats:
                     degraded += slot.degraded
         return merged, errors, degraded, periods * self.bucket_s
 
-    def snapshot(
-        self, horizon_s: Optional[float] = None, sketch: bool = True
-    ) -> Dict[str, Any]:
-        """One JSON-safe window view: counts, rates, quantiles, and
-        (unless disabled) the merged sketch for downstream SLO math."""
+    def snapshot(self, horizon_s: Optional[float] = None) -> Dict[str, Any]:
+        """One JSON-safe window view: counts, rates, quantiles, and the
+        merged sketch for downstream SLO math."""
         merged, errors, degraded, covered = self.merged(horizon_s)
         count = merged.count
-        out: Dict[str, Any] = {
+        return {
             "horizon_s": covered,
             "count": count,
             "errors": errors,
@@ -330,7 +328,5 @@ class WindowedOpStats:
             "degraded_rate": degraded / count if count else 0.0,
             "mean_s": merged.mean,
             "quantiles": merged.quantiles(),
+            "sketch": merged.to_dict(),
         }
-        if sketch:
-            out["sketch"] = merged.to_dict()
-        return out

@@ -292,7 +292,7 @@ def _run_traced(fn: Callable[[], Any]) -> None:
     cost the <5% always-on budget bounds."""
     from time import perf_counter
 
-    tracer = tracing.Tracer(detail=False)
+    tracer = tracing.Tracer()
     start = perf_counter()
     with tracing.activate(tracer):
         with obs_span("request"):

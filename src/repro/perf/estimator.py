@@ -77,14 +77,6 @@ def estimate_phase_candidates(
                 phase.index, statements, candidate.layout, symbols
             )
             estimate = price_phase(compiled, db, nprocs, options)
-            if tracing.detail_active():
-                tracing.add_event(
-                    "estimate.candidate",
-                    phase=phase.index,
-                    position=candidate.position,
-                    label=candidate.label,
-                    total_us=estimate.total,
-                )
             estimates.append(
                 EstimatedCandidate(candidate=candidate, estimate=estimate)
             )

@@ -352,39 +352,4 @@ def select_layouts(
             result = _select_reference(graph, backend, allowed, nvars, ncons)
         sp.set_attr("objective_us", result.objective)
         sp.set_attr("optimal", result.optimal)
-        if tracing.detail_active():
-            _record_provenance(graph, result.selection)
     return result
-
-
-def _record_provenance(
-    graph: DataLayoutGraph, selection: Dict[int, int]
-) -> None:
-    """Record why each phase got its layout: the chosen candidate (with
-    the full cost vector it won against) and every remapping decision."""
-    for phase_index, position in sorted(selection.items()):
-        chosen = graph.estimates.per_phase[phase_index][position]
-        layout = chosen.candidate.layout
-        costs = graph.node_costs[phase_index]
-        tracing.add_event(
-            "selection.choice",
-            phase=phase_index,
-            position=position,
-            layout=layout.describe(),
-            distribution=str(layout.distribution),
-            alignment_provenance=chosen.candidate.alignment.provenance,
-            node_cost_us=costs[position],
-            costs_us=list(costs),
-            alignments={name: str(align)
-                        for name, align in layout.alignments},
-        )
-    for edge in graph.edges:
-        pair = (selection[edge.src_phase], selection[edge.dst_phase])
-        cost = edge.costs.get(pair, 0.0)
-        tracing.add_event(
-            "selection.remap",
-            src_phase=edge.src_phase,
-            dst_phase=edge.dst_phase,
-            cost_us=cost,
-            remapped=cost > 0.0,
-        )

@@ -184,14 +184,6 @@ def build_layout_graph(
         )
         graph_span.set_attr("nodes", graph.num_nodes())
         graph_span.set_attr("edges", len(graph.edges))
-        if tracing.detail_active():
-            for array, edges in sorted(graph.transitions.items()):
-                tracing.add_event(
-                    "graph.transitions",
-                    array=array,
-                    transitions=[[src, dst, freq]
-                                 for src, dst, freq in edges],
-                )
     return graph
 
 

@@ -10,7 +10,7 @@ this package turns the one-shot CLI pipeline into a long-lived service:
 - :mod:`metrics`  — counters, cache stats, wall-time series, and
   per-op sliding windows;
 - :mod:`protocol` — JSON request/response schemas plus client-side
-  retry budgets/backoff honoring ``retry_after_s``;
+  retry backoff honoring ``retry_after_s``;
 - :mod:`telemetry`— the service's event log + tail-based trace sampler;
 - :mod:`loadtest` — the open-loop load generator behind
   ``repro loadtest`` (fixed arrival schedule, so overload is measured

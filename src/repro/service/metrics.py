@@ -96,7 +96,7 @@ class Metrics:
             return self._cache_totals_locked()
 
     def window_snapshot(
-        self, fast_s: float = DEFAULT_FAST_S, sketch: bool = True
+        self, fast_s: float = DEFAULT_FAST_S
     ) -> Dict[str, Any]:
         """Per-op sliding-window views: a ``full``-window and a
         ``fast``-horizon snapshot per op, the input shape of
@@ -105,8 +105,8 @@ class Metrics:
             windows = dict(self._windows)
         ops = {
             op: {
-                "full": window.snapshot(sketch=sketch),
-                "fast": window.snapshot(horizon_s=fast_s, sketch=sketch),
+                "full": window.snapshot(),
+                "fast": window.snapshot(horizon_s=fast_s),
             }
             for op, window in sorted(windows.items())
         }

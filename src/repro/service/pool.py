@@ -161,7 +161,7 @@ class WorkerPool:
             prefix = tracer.new_prefix()
             wrapped = [
                 (tracer.trace_id, pool_span.span_id,
-                 f"{prefix}{i}.", fn, tuple(args), tracer.detail)
+                 f"{prefix}{i}.", fn, tuple(args))
                 for i, args in enumerate(argtuples)
             ]
             pairs = self._dispatch(tracing.run_traced_job, wrapped)

@@ -29,8 +29,7 @@ over TCP).  Every request carries an ``op``:
 field is checked there so the server core only ever sees well-formed
 requests, and the CLI client gets the same errors locally.
 
-Client-side overload hygiene lives here too: :class:`RetryBudget`
-(a token bucket bounding retry amplification) and :class:`RetryPolicy`
+Client-side overload hygiene lives here too: :class:`RetryPolicy`
 (jittered exponential backoff that honors a server-supplied
 ``retry_after_s`` and only retries typed ``overloaded`` rejections).
 """
@@ -38,7 +37,6 @@ Client-side overload hygiene lives here too: :class:`RetryBudget`
 from __future__ import annotations
 
 import json
-import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Union
@@ -465,62 +463,6 @@ class LayoutResponse:
 RETRYABLE_KINDS = frozenset({"overloaded"})
 
 
-class RetryBudget:
-    """Token bucket bounding retry amplification.
-
-    Every first-attempt request deposits ``ratio`` tokens; every retry
-    spends one.  Sustained overload therefore sees at most ``ratio``
-    retries per request fleet-wide — retries cannot multiply the load
-    that caused the shedding (the classic retry-storm failure mode).
-    """
-
-    def __init__(self, ratio: float = 0.1, min_tokens: float = 3.0,
-                 max_tokens: float = 30.0):
-        if not 0.0 <= ratio <= 1.0:
-            raise ValueError(f"ratio must be in [0, 1], got {ratio}")
-        if min_tokens < 0 or max_tokens < min_tokens:
-            raise ValueError(
-                "need 0 <= min_tokens <= max_tokens, got "
-                f"{min_tokens}/{max_tokens}"
-            )
-        self.ratio = float(ratio)
-        self.max_tokens = float(max_tokens)
-        self._lock = threading.Lock()
-        self._tokens = float(min_tokens)
-        self.spent_total = 0
-        self.denied_total = 0
-
-    def note_request(self) -> None:
-        """A first attempt went out: deposit its retry allowance."""
-        with self._lock:
-            self._tokens = min(self._tokens + self.ratio, self.max_tokens)
-
-    def try_spend(self) -> bool:
-        """Take one retry token; ``False`` means the budget is spent
-        and the caller must surface the error instead of retrying."""
-        with self._lock:
-            if self._tokens >= 1.0:
-                self._tokens -= 1.0
-                self.spent_total += 1
-                return True
-            self.denied_total += 1
-            return False
-
-    @property
-    def tokens(self) -> float:
-        with self._lock:
-            return self._tokens
-
-    def describe(self) -> Dict[str, Any]:
-        with self._lock:
-            return {
-                "tokens": round(self._tokens, 3),
-                "ratio": self.ratio,
-                "spent_total": self.spent_total,
-                "denied_total": self.denied_total,
-            }
-
-
 class RetryPolicy:
     """When and how long to back off before retrying a shed request.
 
@@ -533,7 +475,6 @@ class RetryPolicy:
         self,
         max_attempts: int = 3,
         backoff: Optional[Backoff] = None,
-        budget: Optional[RetryBudget] = None,
         retryable_kinds: frozenset = RETRYABLE_KINDS,
     ):
         if max_attempts < 1:
@@ -544,17 +485,12 @@ class RetryPolicy:
         self.backoff = backoff or Backoff(
             base_s=0.1, factor=2.0, max_s=5.0, jitter=0.5
         )
-        self.budget = budget or RetryBudget()
         self.retryable_kinds = frozenset(retryable_kinds)
 
     def should_retry(self, attempt: int, error_kind: Optional[str]) -> bool:
-        """May attempt ``attempt`` (0-based) be followed by another?
-        Checks kind, attempt count, and spends a budget token."""
-        if error_kind not in self.retryable_kinds:
-            return False
-        if attempt + 1 >= self.max_attempts:
-            return False
-        return self.budget.try_spend()
+        """May attempt ``attempt`` (0-based) be followed by another?"""
+        return (error_kind in self.retryable_kinds
+                and attempt + 1 < self.max_attempts)
 
     def delay_s(self, attempt: int,
                 retry_after_s: Optional[float] = None) -> float:

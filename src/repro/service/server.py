@@ -301,14 +301,9 @@ class LayoutService:
         start = perf_counter()
         admission = self.admission  # read per request: embedders swap it
         cached = admission.enter() and self.use_cache and request.use_cache
-        # Detail events (per-candidate estimates, CAG edges) only for a
-        # client that asked for its trace; a compute otherwise gets the
-        # always-on tracer: structure and summary attrs, so that its
-        # overhead stays inside the tail-sampling budget.
-        tracer = (
-            tracing.Tracer(name="request", detail=True)
-            if request.trace else None
-        )
+        # A client that asked for its trace is traced from the lookup
+        # on; a compute otherwise gets a tracer at admission.
+        tracer = tracing.Tracer(name="request") if request.trace else None
         tier, key, leading, answer = "answer", None, False, None
         timings: List[StageTiming] = []
         degradations: List[Dict[str, Any]] = []
@@ -328,7 +323,7 @@ class LayoutService:
                 # predicts cannot be served within its own budget; only
                 # computes get here, so its limiter samples nothing else.
                 tier = "compute"
-                tracer = tracer or tracing.Tracer(name="request", detail=False)
+                tracer = tracer or tracing.Tracer(name="request")
                 budget_s = self._request_budget(request)
                 ticket = admission.try_acquire(budget_s)
                 admitted, served_ok, timed_out = perf_counter(), False, False
@@ -938,13 +933,12 @@ def send_request_with_retries(
     sleep: Callable[[float], None] = time.sleep,
 ) -> Dict[str, Any]:
     """Client side with overload hygiene: retries only typed
-    ``overloaded`` rejections, under the policy's retry budget, backing
+    ``overloaded`` rejections, up to the policy's attempts, backing
     off no sooner than the server's ``retry_after_s`` hint.  Everything
     else — including ``shutting-down`` — is returned as-is; ``send``
     and ``sleep`` are injectable for tests."""
     policy = policy or RetryPolicy()
     send_fn = send or send_request
-    policy.budget.note_request()
     attempt = 0
     while True:
         response = send_fn(payload, host=host, port=port, timeout=timeout)

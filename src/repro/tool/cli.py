@@ -21,7 +21,7 @@ Usage examples::
 
 ``analyze`` runs the four framework steps and prints the selected layout
 (``--trace``/``--trace-chrome`` record the run's span trace); ``explain``
-reconstructs *why* each array got its layout from the recorded trace;
+reports *why* each array got its layout from the analysis result;
 ``stats`` runs one analysis in-process and prints the observability
 snapshot (``--prometheus`` for text exposition); ``compare`` also
 measures every promising scheme on the simulated machine; ``summary``
@@ -243,8 +243,8 @@ def cmd_explain(args: argparse.Namespace) -> int:
 
     source, config = _analysis(args)
     with _traced("explain", args.trace, keep=True) as kept:
-        run_assistant(source, config)
-    report = build_provenance(kept["trace"])
+        result = run_assistant(source, config)
+    report = build_provenance(result, kept["trace"])
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
@@ -1079,9 +1079,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                                 "answer instead of blocking")
     p_request.add_argument("--retries", type=int, default=0,
                            help="retry typed 'overloaded' rejections up "
-                                "to this many times (retry-budgeted, "
-                                "jittered backoff, honors the server's "
-                                "retry_after_s)")
+                                "to this many times (jittered backoff, "
+                                "honors the server's retry_after_s)")
     p_request.set_defaults(func=cmd_request)
 
     p_service = sub.add_parser(

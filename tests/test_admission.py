@@ -15,7 +15,7 @@ from repro.resilience.admission import (
     AdmissionController,
 )
 from repro.resilience.errors import OverloadedError, ShuttingDownError
-from repro.service.protocol import RetryBudget, RetryPolicy
+from repro.service.protocol import RetryPolicy
 from repro.service.server import send_request_with_retries
 
 
@@ -291,34 +291,6 @@ class TestDrain:
         timer.join()
 
 
-class TestRetryBudget:
-    def test_starts_with_min_tokens_then_denies(self):
-        budget = RetryBudget(min_tokens=2.0)
-        assert budget.try_spend()
-        assert budget.try_spend()
-        assert not budget.try_spend()
-        assert budget.denied_total == 1
-
-    def test_requests_deposit_fractional_allowance(self):
-        budget = RetryBudget(ratio=0.5, min_tokens=0.0)
-        assert not budget.try_spend()
-        budget.note_request()
-        budget.note_request()
-        assert budget.try_spend()  # 2 requests * 0.5 = 1 token
-
-    def test_tokens_cap_at_max(self):
-        budget = RetryBudget(ratio=1.0, min_tokens=0.0, max_tokens=2.0)
-        for _ in range(10):
-            budget.note_request()
-        assert budget.tokens == 2.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RetryBudget(ratio=2.0)
-        with pytest.raises(ValueError):
-            RetryBudget(min_tokens=5.0, max_tokens=1.0)
-
-
 class TestRetryPolicy:
     def test_only_overloaded_is_retryable(self):
         policy = RetryPolicy(max_attempts=3)
@@ -329,13 +301,6 @@ class TestRetryPolicy:
 
     def test_attempt_cap(self):
         policy = RetryPolicy(max_attempts=2)
-        assert policy.should_retry(0, "overloaded")
-        assert not policy.should_retry(1, "overloaded")
-
-    def test_exhausted_budget_stops_retries(self):
-        policy = RetryPolicy(
-            max_attempts=10, budget=RetryBudget(min_tokens=1.0)
-        )
         assert policy.should_retry(0, "overloaded")
         assert not policy.should_retry(1, "overloaded")
 
@@ -371,6 +336,23 @@ class TestSendWithRetries:
         assert len(calls) == 3
         assert len(sleeps) == 2
         assert all(delay >= 0.2 for delay in sleeps)
+
+    def test_every_asked_attempt_is_made(self):
+        """``request --retries 5`` is ``max_attempts=6``: five sheds
+        then a success is a success on the sixth attempt."""
+        replies = [self._overloaded()] * 5 + [{"ok": True, "op": "analyze"}]
+        calls = []
+
+        def send(payload, host=None, port=None, timeout=None):
+            calls.append(payload)
+            return replies[len(calls) - 1]
+
+        resp = send_request_with_retries(
+            {"op": "analyze"}, policy=RetryPolicy(max_attempts=6),
+            send=send, sleep=lambda _s: None,
+        )
+        assert resp["ok"]
+        assert len(calls) == 6
 
     def test_gives_up_after_max_attempts(self):
         calls = []

@@ -4,8 +4,8 @@ Each command in ``COMMANDS`` runs in-process through ``main``; its stdout
 is digested with sha256 after masking what varies between runs: the
 selection's ``solved in N ms`` and the fuzz campaign's ``cases in N.Ns``.
 Every ``explain --json`` is digested without its ``trace_id``,
-``start_us`` and ``duration_us`` keys.  ``REQUESTS`` pins what ``repro request`` hands
-to ``send_request``, as the server decodes it
+``start_us`` and ``duration_us`` keys.  ``REQUESTS`` pins what ``repro
+request`` hands to ``send_request``, as the server decodes it
 (``LayoutRequest.from_dict``).  ``SURFACE`` pins each subcommand's
 argparse actions: option strings, dest, default, choices (as a list,
 whatever container declares them), nargs, type and whether it is

@@ -469,8 +469,7 @@ def differ_costs(rows, cols):
 
 
 def presolve_span_attrs(graph):
-    # a synthetic graph has no estimates to record provenance from
-    with tracing.activate(tracing.Tracer(detail=False)) as tracer:
+    with tracing.activate(tracing.Tracer()) as tracer:
         select_layouts(graph)
     (span,) = spans_by_name(tracer.to_dict(), "ilp.presolve")
     return span["attrs"]

@@ -354,16 +354,16 @@ class TestPipelineInstrumentation:
                     == span["attrs"]["pruned"] + span["attrs"]["kept"])
 
     def test_selection_choice_events(self, traced_run):
+        """Each phase's choice is read from the selection: its position,
+        and its node cost within the cost vector it won against."""
         _, traced, trace = traced_run
-        choices = [e for _s, e in iter_events(trace, "selection.choice")]
+        choices = build_provenance(traced, trace)["phases"]
         assert len(choices) == len(traced.selection.selection)
-        for event in choices:
-            attrs = event["attrs"]
-            sel = traced.selection.selection[attrs["phase"]]
-            assert attrs["position"] == sel
-            assert attrs["costs_us"][attrs["position"]] == attrs[
-                "node_cost_us"
-            ]
+        for choice in choices:
+            sel = traced.selection.selection[choice["phase"]]
+            assert choice["position"] == sel
+            assert choice["candidate_costs_us"][choice["position"]] == \
+                choice["node_cost_us"]
 
     def test_chrome_export(self, traced_run):
         _, _, trace = traced_run
@@ -374,7 +374,7 @@ class TestPipelineInstrumentation:
 
     def test_provenance_report(self, traced_run):
         _, traced, trace = traced_run
-        report = build_provenance(trace)
+        report = build_provenance(traced, trace)
         assert report["objective_us"] == pytest.approx(
             traced.selection.objective
         )
@@ -390,11 +390,11 @@ class TestPipelineInstrumentation:
         source = PROGRAMS["tomcatv"].source(n=32, maxiter=2)
         tracing.start_trace("test")
         try:
-            run_assistant(source, AssistantConfig(nprocs=4))
+            result = run_assistant(source, AssistantConfig(nprocs=4))
         finally:
             trace = tracing.finish_trace()
         assert spans_by_name(trace, "ilp.solve") == []
-        report = build_provenance(trace)
+        report = build_provenance(result, trace)
         assert report["ilp_solves"] == []
         assert len(report["conflicts"]) == 2
         for conflict in report["conflicts"]:
@@ -405,20 +405,24 @@ class TestPipelineInstrumentation:
         assert text.count("unique optimum by enumeration") == 2
 
     def test_provenance_names_a_solver_decided_tie(self):
-        from repro.alignment.cag import CAG
-        from repro.alignment.ilp import resolve_conflicts
+        """Generated seed 1251's ``phase1`` resolution ties: the report
+        names the solver's pick and the solve behind it."""
+        from repro.perf.bench.suite import TIED_SEED
+        from repro.qa.generator import GeneratorConfig, generate_program
 
-        cag = CAG()
-        cag.add_array("y", 2)
-        cag.add_undirected_edge(("x", 0), ("y", 0), 2.0)
-        cag.add_undirected_edge(("x", 0), ("y", 1), 2.0)
+        source = generate_program(TIED_SEED, GeneratorConfig()).source
         tracing.start_trace("test")
         try:
-            resolve_conflicts(cag, d=2, name="tied")
+            result = run_assistant(source, AssistantConfig(nprocs=4))
         finally:
             trace = tracing.finish_trace()
-        text = format_provenance(build_provenance(trace))
-        assert "chosen by the 0-1 solver among 2 tied optimal cuts" in text
+        report = build_provenance(result, trace)
+        (tie,) = [c for c in report["conflicts"] if c["path"] == "tie"]
+        assert tie["name"] == "phase1"
+        assert [s["name"] for s in report["ilp_solves"]] == ["phase1"]
+        text = format_provenance(report)
+        assert "phase1: cut" in text
+        assert "chosen by the 0-1 solver among 6 tied optimal cuts" in text
 
 
 # ---------------------------------------------------------------------------

@@ -809,31 +809,26 @@ class TestServiceDegradedPath:
             assert 'repro_breaker_state{breaker="cache-disk"} 0' in text
             assert 'repro_breaker_state{breaker="worker-pool"} 0' in text
 
-    def test_degraded_provenance_reports_optimal_false(self, tmp_path):
+    def test_degraded_provenance_reports_optimal_false(self):
         from repro.obs.provenance import build_provenance, format_provenance
 
-        with LayoutService(
-            pool=WorkerPool(kind="thread", max_workers=2),
-        ) as service:
-            response = service.analyze(LayoutRequest.from_dict(
-                dict(REQUEST, deadline_s=1e-6, trace=True)
-            ))
-        assert response.ok and response.degraded
-        report = build_provenance(response.trace)
+        request = LayoutRequest.from_dict(REQUEST)
+        source, config = request.resolve_source(), request.resolve_config()
+
+        def explained(deadline):
+            tracer = tracing.Tracer()
+            with tracing.activate(tracer), deadline_scope(deadline):
+                result = run_assistant(source, config)
+            return build_provenance(result, tracer.to_dict())
+
+        report = explained(Deadline(1e-9))
         assert report["optimal"] is False
         assert report["degradations"]
         rendered = format_provenance(report)
         assert "DEGRADED result" in rendered
 
-        # the fault-free control: optimal provenance
-        with LayoutService(
-            pool=WorkerPool(kind="thread", max_workers=2),
-        ) as service:
-            control = service.analyze(
-                LayoutRequest.from_dict(dict(REQUEST, trace=True))
-            )
-        assert control.ok and not control.degraded
-        assert build_provenance(control.trace)["optimal"] is True
+        # the control with no deadline: optimal provenance
+        assert explained(None)["optimal"] is True
 
     def test_service_request_fault_returns_typed_error(self):
         plan = FaultPlan(seed=13, specs=[

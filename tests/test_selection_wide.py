@@ -36,7 +36,7 @@ def test_wide_input_is_conditioned_to_the_pinned_answer(program, procs):
     config = AssistantConfig(
         nprocs=procs, distributions=DistributionOptions.extended()
     )
-    with tracing.activate(tracing.Tracer(detail=False)) as tracer:
+    with tracing.activate(tracing.Tracer()) as tracer:
         result = run_assistant(PROGRAMS[program].source(), config)
     selected = result.selection
     objective, digits = WIDE[program, procs]

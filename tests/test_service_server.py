@@ -420,6 +420,8 @@ class TestKeptConnection:
         before = set(threading.enumerate())
         replies = []
         done = threading.Barrier(3)
+        # a client holds its connection until its handler is counted
+        counted = threading.Event()
 
         def client():
             for _ in range(10):
@@ -427,6 +429,7 @@ class TestKeptConnection:
                     send_request({"op": "ping"}, "127.0.0.1", server.port)
                 )
             done.wait(timeout=30)
+            counted.wait(timeout=30)
 
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", ResourceWarning)
@@ -435,6 +438,7 @@ class TestKeptConnection:
                 thread.start()
             done.wait(timeout=30)
             handlers = _handler_threads(before)
+            counted.set()
             assert not _join_all(clients)
             gc.collect()
         assert len(replies) == 20 and all(r["ok"] for r in replies)

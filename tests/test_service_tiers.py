@@ -15,7 +15,6 @@ from dataclasses import asdict
 import pytest
 
 from repro.machine.params import MACHINES
-from repro.obs import tracing
 from repro.perf import estimator as estimator_module
 from repro.programs.registry import PROGRAMS
 from repro.resilience import faults
@@ -230,22 +229,6 @@ class TestAnswerTier:
         assert offered() == 2
         assert [s["name"] for s in traced["trace"]["spans"]] == \
             ["service.stage"]
-
-    def test_only_a_requested_trace_records_detail(
-        self, service, monkeypatch
-    ):
-        """A compute nobody asked to see runs under the always-on
-        tracer: structure, not per-candidate detail."""
-        seen = []
-
-        def watched(*args):
-            seen.append(tracing.detail_active())
-            return stage_partition(*args)
-
-        monkeypatch.setattr(assistant_module, "stage_partition", watched)
-        service.analyze_dict(dict(REQUEST))
-        service.analyze_dict(dict(REQUEST, size=24, trace=True))
-        assert seen == [False, True]
 
     def test_draining_refuses_a_primed_request(self, service):
         assert service.analyze_dict(dict(REQUEST))["ok"]

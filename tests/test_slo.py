@@ -324,14 +324,6 @@ class TestEvaluateObjectives:
         assert result.status == "violated"
         assert result.measured == pytest.approx(0.25)
 
-    def test_quantile_fallback_without_sketch(self):
-        windows = _windows([0.01] * 98 + [1.0] * 2)
-        del windows["ops"]["analyze"]["full"]["sketch"]
-        report = evaluate_objectives([self.P99], windows)
-        # binary verdict from the reported p99, which 2 in 100 drag
-        # over the 250ms threshold
-        assert report.results[0].status == "violated"
-
     def test_missing_op_is_no_data(self):
         other = Objective(name="x", op="ping", metric="p99",
                           threshold_s=0.1)

@@ -512,48 +512,30 @@ class TestServiceTelemetry:
 
 
 class TestDetailGating:
-    """Always-on production tracers (detail=False) keep span structure
-    but skip the per-item detail events whose payloads are the
-    expensive part of tracing; explicit --trace keeps everything."""
+    """Tracing has one mode: a tracer records spans and their summary
+    attributes, and the pipeline's decisions live on its result."""
 
-    def _pipeline_trace(self, detail):
+    def test_a_traced_run_records_no_decision_events(self):
+        from repro.perf.bench.suite import TIED_SEED
         from repro.programs.registry import PROGRAMS
+        from repro.qa.generator import GeneratorConfig, generate_program
         from repro.tool.assistant import AssistantConfig, run_assistant
 
-        source = PROGRAMS["adi"].source_fn(
-            n=32, dtype="real", maxiter=2
-        )
-        tracer = tracing.Tracer(detail=detail)
-        with tracing.activate(tracer):
-            run_assistant(source, AssistantConfig(nprocs=4))
-        return tracer.to_dict()
-
-    def test_detail_false_skips_detail_events_keeps_spans(self):
-        trace = self._pipeline_trace(detail=False)
-        span_names = {s["name"] for s in trace["spans"]}
-        assert "estimate" in " ".join(span_names) or len(span_names) > 3
-        event_names = {
-            e["name"] for s in trace["spans"] for e in s.get("events", [])
-        }
-        assert "estimate.candidate" not in event_names
-        assert "selection.choice" not in event_names
-        assert "cag.edge" not in event_names
-
-    def test_detail_true_keeps_detail_events(self):
-        trace = self._pipeline_trace(detail=True)
-        event_names = {
-            e["name"] for s in trace["spans"] for e in s.get("events", [])
-        }
-        assert "estimate.candidate" in event_names
-        assert "selection.choice" in event_names
-
-    def test_detail_active_reflects_tracer_flag(self):
-        assert not tracing.detail_active()
-        with tracing.activate(tracing.Tracer(detail=False)):
-            assert tracing.active()
-            assert not tracing.detail_active()
-        with tracing.activate(tracing.Tracer(detail=True)):
-            assert tracing.detail_active()
+        sources = {name: PROGRAMS[name].source(n=32, maxiter=2)
+                   for name in sorted(PROGRAMS)}
+        sources["tied"] = generate_program(
+            TIED_SEED, GeneratorConfig()).source
+        for name, source in sources.items():
+            tracer = tracing.Tracer()
+            with tracing.activate(tracer):
+                run_assistant(source, AssistantConfig(nprocs=4))
+            trace = tracer.to_dict()
+            events = {event["name"] for span in trace["spans"]
+                      for event in span["events"]}
+            events |= {event["name"] for event in trace["events"]}
+            assert {event for event in events if not event.startswith(
+                ("resilience.", "fault."))} == set(), name
+        assert not hasattr(tracing, "detail_active")
 
     def test_span_without_tracer_is_null(self):
         with tracing.span("nothing", k=1) as sp:
