@@ -52,23 +52,25 @@ _DOT_OPS = {
 
 _DOTTED = r"\.(?:lt|le|gt|ge|eq|ne|and|or|not|true|false)\."
 
-# One match per token, leading blanks included; the group that matched
-# (``lastindex``) is the token's kind.  Only REAL and INT start alike, so
-# only their order matters.  ``1.eq.`` is the integer 1 and a dotted
-# operator, not the REAL ``1.``.
+#: the operators other than the dotted ones, each its own value
+_OPS = frozenset(("**", "<=", ">=", "==", "/=", *"-+*/(),=<>:"))
+
+# One match per token, leading blanks included; the group holds the
+# token's text, and ``tokenize`` tells its kind from that text.  Only
+# REAL and INT start alike, so only their order matters.  ``1.eq.`` is
+# the integer 1 and a dotted operator, not the REAL ``1.``.  Any other
+# character matches outside the group, so ``findall`` gives it as "".
 _TOKEN_RE = re.compile(
-    rf"""[ \t]*(?:
-      ([a-z][a-z0-9_]*)                                  # 1 name
-    | (\*\*|<=|>=|==|/=|[-+*/(),=<>:])                   # 2 operator
-    | ({_DOTTED})                                        # 3 dotted operator
-    | ((?:\d+\.\d*|\.\d+|\d+)[ed][+-]?\d+                # 4 real
-       | \d+(?!{_DOTTED})\.\d* | \.\d+)
-    | (\d+)                                              # 5 integer
-    | (.)                                                # 6 anything else
-    )""",
+    rf"""[ \t]*(?:(
+        [a-z][a-z0-9_]*                                  # name
+      | \*\*|<=|>=|==|/=|[-+*/(),=<>:]                   # operator
+      | {_DOTTED}                                        # dotted operator
+      | (?:\d+\.\d*|\.\d+|\d+)[ed][+-]?\d+                # real
+      | \d+(?!{_DOTTED})\.\d* | \.\d+
+      | \d+                                              # integer
+    ) | .)""",
     re.VERBOSE | re.IGNORECASE,
 )
-_KINDS = (None, NAME, OP, OP, REAL, INT)
 
 # A leading integer followed by a statement (which begins with a letter).
 _LABEL_RE = re.compile(r"\s*(\d+)\s+[A-Za-z]")
@@ -89,18 +91,18 @@ def _logical_lines(source: str) -> Iterator[tuple[int, str]]:
         # Full-line comments (classic column-1 markers).
         if raw[:1] in ("C", "c", "*"):
             continue
-        # Inline comments.
-        text = raw.split("!", 1)[0].rstrip()
-        if not text.strip():
+        # Inline comments; what is left ends in no blank.
+        text = raw.partition("!")[0].rstrip()
+        if not text:
             continue
         if pending is not None:
-            text = pending + " " + text.strip()
+            text = pending + " " + text.lstrip()
             lineno_out = pending_line
             pending = None
         else:
             lineno_out = lineno
-        if text.rstrip().endswith("&"):
-            pending = text.rstrip()[:-1]
+        if text[-1] == "&":
+            pending = text[:-1]
             pending_line = lineno_out
             continue
         yield lineno_out, text
@@ -121,17 +123,36 @@ def tokenize(source: str) -> List[Token]:
         if label:
             append(new(Token, (LABEL, label.group(1), lineno)))
             pos = label.end(1)
-        for match in _TOKEN_RE.finditer(text, pos):
-            group = match.lastindex
-            value = match.group(group)
-            if group == 1:
-                value = value.lower()
-            elif group == 3:
-                value = _DOT_OPS[value.lower()]
-            elif group == 6:
-                raise LexError(f"unexpected character {value!r}", lineno)
-            append(new(Token, (_KINDS[group], value, lineno)))
-        append(Token(NEWLINE, "\n", lineno))
+        for value in _TOKEN_RE.findall(text, pos):
+            # The text alone tells the alternative: a name starts with a
+            # letter, an integer is all digits, a dotted operator starts
+            # and ends with ".", and a REAL is what is left.
+            if value in _OPS:
+                kind = OP
+            elif not value:
+                raise LexError(
+                    f"unexpected character {_stray(text, pos)!r}", lineno
+                )
+            elif value[0].isalpha():
+                kind, value = NAME, value.lower()
+            elif value.isdigit():
+                kind = INT
+            elif value[0] == "." and value[-1] == ".":
+                kind, value = OP, _DOT_OPS[value.lower()]
+            else:
+                kind = REAL
+            append(new(Token, (kind, value, lineno)))
+        append(new(Token, (NEWLINE, "\n", lineno)))
     last_line = tokens[-1].line if tokens else 1
     append(Token(EOF, "", last_line))
     return tokens
+
+
+def _stray(text: str, pos: int) -> str:
+    """The first character of ``text`` from ``pos`` that starts no token
+    (the last character of the first match outside the group)."""
+    return next(
+        match.group()[-1]
+        for match in _TOKEN_RE.finditer(text, pos)
+        if match.group(1) is None
+    )

@@ -28,7 +28,7 @@ per operand, not chained) < additive < multiplicative < unary sign <
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from . import ast
 from .lexer import EOF, INT, LABEL, NAME, NEWLINE, OP, REAL, Token, tokenize
@@ -69,6 +69,9 @@ class Parser:
         self._tokens = tokens
         self._pos = 0
         self._tok = tokens[0]  # the current token, kept by ``_advance``
+        # one parse's leaves, by name and by value: see ``_var``/``_int``
+        self._vars: Dict[str, ast.Var] = {}
+        self._ints: Dict[int, ast.IntLit] = {}
 
     # -- token helpers ----------------------------------------------------
 
@@ -89,9 +92,10 @@ class Parser:
         return None
 
     def _expect(self, kind: str, value: Optional[str] = None) -> Token:
-        if not self._check(kind, value):
+        tok = self._tok
+        if tok.kind != kind or (value is not None and tok.value != value):
             want = value if value is not None else kind
-            raise ParseError(f"expected {want!r}", self._tok)
+            raise ParseError(f"expected {want!r}", tok)
         return self._advance()
 
     def _skip_newlines(self) -> None:
@@ -218,7 +222,7 @@ class Parser:
                     if self._accept(OP, ":"):
                         specs.append(ast.DimSpec(lo=first, hi=self._parse_expr()))
                     else:
-                        specs.append(ast.DimSpec(lo=ast.IntLit(1), hi=first))
+                        specs.append(ast.DimSpec(lo=self._int(1), hi=first))
                     if not self._accept(OP, ","):
                         break
                 self._expect(OP, ")")
@@ -276,15 +280,10 @@ class Parser:
     def _parse_call(self) -> ast.CallStmt:
         call_tok = self._expect(NAME, "call")
         name = self._expect(NAME).value
-        args: List[ast.Expr] = []
+        args: Tuple[ast.Expr, ...] = ()
         if self._accept(OP, "("):
-            if not self._check(OP, ")"):
-                while True:
-                    args.append(self._parse_expr())
-                    if not self._accept(OP, ","):
-                        break
-            self._expect(OP, ")")
-        return ast.CallStmt(name=name, args=tuple(args), line=call_tok.line)
+            args = self._parse_args()
+        return ast.CallStmt(name=name, args=args, line=call_tok.line)
 
     def _parse_do(self) -> ast.Do:
         do_tok = self._expect(NAME, "do")
@@ -358,11 +357,16 @@ class Parser:
         the result — a relational one not even its own level, so
         ``a < b < c`` stops before the second ``<`` — which keeps the
         shape of the grammar's eight levels: ``.not.`` takes a whole
-        relational, and ``**`` binds right to left through unary sign."""
+        relational, and ``**`` binds right to left through unary sign.
+
+        Only OP tokens carry an operator's text, so the value alone
+        decides; the cursor moves inline (never past EOF, which is no
+        operator)."""
         tok = self._tok
-        prec = _PREFIX.get(tok.value) if tok.kind == OP else None
+        prec = _PREFIX.get(tok.value)
         if prec is not None and prec >= min_prec:
-            self._advance()
+            self._pos += 1
+            self._tok = self._tokens[self._pos]
             left = ast.UnaryOp(op=tok.value, operand=self._parse_expr(prec))
             ceiling = prec
         else:
@@ -370,12 +374,14 @@ class Parser:
             ceiling = _POW + 1
         while True:
             tok = self._tok
-            if tok.kind != OP or tok.value not in _BINARY:
+            binary = _BINARY.get(tok.value)
+            if binary is None:
                 return left
-            prec, right_prec = _BINARY[tok.value]
+            prec, right_prec = binary
             if not min_prec <= prec < ceiling:
                 return left
-            self._advance()
+            self._pos += 1
+            self._tok = self._tokens[self._pos]
             left = ast.BinOp(
                 op=tok.value, left=left, right=self._parse_expr(right_prec)
             )
@@ -383,37 +389,70 @@ class Parser:
 
     def _parse_primary(self) -> ast.Expr:
         tok = self._tok
-        if tok.kind == INT:
-            self._advance()
-            return ast.IntLit(int(tok.value))
-        if tok.kind == REAL:
-            self._advance()
-            text = tok.value.lower()
+        kind, value, _line = tok
+        if kind == EOF:
+            raise ParseError("expected expression", tok)
+        self._pos += 1
+        self._tok = self._tokens[self._pos]
+        if kind == NAME:
+            if self._tok.value != "(":
+                return self._var(value)
+            self._pos += 1
+            self._tok = self._tokens[self._pos]
+            args = self._parse_args()
+            if value in INTRINSICS:
+                return ast.Call(name=value, args=args)
+            return ast.ArrayRef(name=value, subscripts=args)
+        if kind == INT:
+            return self._int(int(value))
+        if kind == REAL:
+            text = value.lower()
             is_double = "d" in text
             return ast.RealLit(float(text.replace("d", "e")), is_double=is_double)
-        if tok.kind == OP and tok.value in (".true.", ".false."):
-            self._advance()
-            return ast.LogicalLit(tok.value == ".true.")
-        if tok.kind == OP and tok.value == "(":
-            self._advance()
+        if value == "(":
             inner = self._parse_expr()
-            self._expect(OP, ")")
+            if self._tok.value != ")":
+                raise ParseError("expected ')'", self._tok)
+            self._pos += 1
+            self._tok = self._tokens[self._pos]
             return inner
-        if tok.kind == NAME:
-            self._advance()
-            if self._accept(OP, "("):
-                args: List[ast.Expr] = []
-                if not self._check(OP, ")"):
-                    while True:
-                        args.append(self._parse_expr())
-                        if not self._accept(OP, ","):
-                            break
-                self._expect(OP, ")")
-                if tok.value in INTRINSICS:
-                    return ast.Call(name=tok.value, args=tuple(args))
-                return ast.ArrayRef(name=tok.value, subscripts=tuple(args))
-            return ast.Var(name=tok.value)
+        if value == ".true." or value == ".false.":
+            return ast.LogicalLit(value == ".true.")
         raise ParseError("expected expression", tok)
+
+    def _parse_args(self) -> Tuple[ast.Expr, ...]:
+        """The expressions of a list whose ``(`` has been consumed, and
+        its ``)``."""
+        args: List[ast.Expr] = []
+        if self._tok.value != ")":
+            while True:
+                args.append(self._parse_expr())
+                if self._tok.value != ",":
+                    break
+                self._pos += 1
+                self._tok = self._tokens[self._pos]
+        if self._tok.value != ")":
+            raise ParseError("expected ')'", self._tok)
+        self._pos += 1
+        self._tok = self._tokens[self._pos]
+        return tuple(args)
+
+    # -- shared leaves ------------------------------------------------------
+
+    def _var(self, name: str) -> ast.Var:
+        """The one ``Var`` of ``name`` in this parse (nodes are immutable,
+        so every occurrence can be the same object)."""
+        var = self._vars.get(name)
+        if var is None:
+            var = self._vars[name] = ast.Var(name=name)
+        return var
+
+    def _int(self, value: int) -> ast.IntLit:
+        """The one ``IntLit`` of ``value`` in this parse."""
+        lit = self._ints.get(value)
+        if lit is None:
+            lit = self._ints[value] = ast.IntLit(value)
+        return lit
 
 
 #: Recognized intrinsic functions; anything else with parentheses is an

@@ -7,6 +7,7 @@ from typing import Callable, Optional
 from ..obs.tracing import span as _obs_span
 from ..resilience.deadline import (
     checkpoint as _checkpoint,
+    current_deadline as _current_deadline,
     remaining_budget as _remaining_budget,
 )
 from ..resilience.faults import fault_point as _fault_point
@@ -24,13 +25,8 @@ DEFAULT_BACKEND = "scipy"
 
 
 def _load_backend(backend: str) -> Callable[..., Solution]:
-    try:
-        module = BACKENDS[backend]
-    except KeyError:
-        raise ModelError(
-            f"unknown backend {backend!r}; available: {sorted(BACKENDS)}"
-        ) from None
-    return import_module(f"{__name__}.{module}").solve
+    """Import the module of a name in ``BACKENDS`` and return its solve."""
+    return import_module(f"{__name__}.{BACKENDS[backend]}").solve
 
 
 def solve(
@@ -44,12 +40,21 @@ def solve(
     actually remaining, making every solve *anytime*: past the budget
     the backends return their best incumbent (status ``time_limit`` /
     ``node_limit``) or ``unknown``, never block the request.  Past the
-    deadline's hard limit the solve does not start at all.  The backend
-    is loaded first, so the first solve pays for its import out of the
-    same budget.
+    deadline's hard limit the solve does not start at all, and a backend
+    is not even imported.  A backend's first import is paid out of the
+    same budget: the limit is clamped after it, and a hard limit that
+    passes during it stops the solve.
     """
-    fn = _load_backend(backend)
+    if backend not in BACKENDS:
+        raise ModelError(
+            f"unknown backend {backend!r}; available: {sorted(BACKENDS)}"
+        )
     _fault_point("ilp.solve")
+    # One checkpoint per solve, after the import; past the hard limit it
+    # raises, so the import is skipped there.
+    deadline = _current_deadline()
+    if deadline is None or deadline.hard_remaining() != 0.0:
+        fn = _load_backend(backend)
     _checkpoint("ilp.solve")
     budget = _remaining_budget()
     if budget is not None:

@@ -194,3 +194,43 @@ class TestTokenValue:
         tok = tokenize("x")[0]
         assert (tok.kind, tok.value, tok.line) == (NAME, "x", 1)
         assert tok == (NAME, "x", 1) and tok == Token(NAME, "x", 1)
+
+
+class TestKindFromText:
+    """Each token's kind is told from its text alone, for every
+    alternative of the token pattern on one line."""
+
+    LINE = ("10 X = Y(1, 2) ** 2 + 1.5D0 - .5 * 2. / 3E2 .AND. 1.eq.2 "
+            ".or. .TRUE. <= >= == /= < > : x**2 .not. .FALSE. .GE. b_1")
+
+    def test_one_line_of_every_alternative(self):
+        assert tokenize(self.LINE) == [
+            (LABEL, "10", 1), (NAME, "x", 1), (OP, "=", 1),
+            (NAME, "y", 1), (OP, "(", 1), (INT, "1", 1), (OP, ",", 1),
+            (INT, "2", 1), (OP, ")", 1), (OP, "**", 1), (INT, "2", 1),
+            (OP, "+", 1), (REAL, "1.5D0", 1), (OP, "-", 1),
+            (REAL, ".5", 1), (OP, "*", 1), (REAL, "2.", 1), (OP, "/", 1),
+            (REAL, "3E2", 1), (OP, ".and.", 1), (INT, "1", 1),
+            (OP, "==", 1), (INT, "2", 1), (OP, ".or.", 1),
+            (OP, ".true.", 1), (OP, "<=", 1), (OP, ">=", 1),
+            (OP, "==", 1), (OP, "/=", 1), (OP, "<", 1), (OP, ">", 1),
+            (OP, ":", 1), (NAME, "x", 1), (OP, "**", 1), (INT, "2", 1),
+            (OP, ".not.", 1), (OP, ".false.", 1), (OP, ">=", 1),
+            (NAME, "b_1", 1), (NEWLINE, "\n", 1), (EOF, "", 1),
+        ]
+
+    @pytest.mark.parametrize("source,line", [
+        ("x = y + 1.5D0 #", 1),
+        ("10 x = 1.eq.2 # 3", 1),
+        ("x = 1\n  y = .TRUE. .and. #", 2),
+    ])
+    def test_a_stray_character_after_tokens(self, source, line):
+        with pytest.raises(LexError) as err:
+            tokenize(source)
+        assert str(err.value) == f"line {line}: unexpected character '#'"
+        assert err.value.line == line
+
+    def test_the_first_stray_character_is_named(self):
+        with pytest.raises(LexError) as err:
+            tokenize("x = a ? b # c")
+        assert str(err.value) == "line 1: unexpected character '?'"

@@ -1,10 +1,18 @@
 """Parser unit tests."""
 
+import dataclasses
+
 import pytest
 
 from repro.frontend import ast
 from repro.frontend.lexer import tokenize
-from repro.frontend.parser import ParseError, Parser, parse_source
+from repro.frontend.parser import (
+    ParseError,
+    Parser,
+    parse_source,
+    parse_source_file,
+)
+from repro.programs.registry import PROGRAMS
 
 
 def parse_body(stmts_text, decls="      integer i, j, k, n\n"):
@@ -289,3 +297,46 @@ class TestElseifLeavesTokensAlone:
     def test_nested_if_carries_the_elseif_line(self):
         (node,) = parse_source(self.SOURCE).body
         assert node.else_body[0].line == 5
+
+
+def nodes(tree):
+    """Every node object reachable from ``tree``, once per occurrence."""
+    if dataclasses.is_dataclass(tree):
+        yield tree
+        for f in dataclasses.fields(tree):
+            yield from nodes(getattr(tree, f.name))
+    elif isinstance(tree, tuple):
+        for item in tree:
+            yield from nodes(item)
+
+
+class TestSharedLeaves:
+    """One parse builds one ``Var`` per name and one ``IntLit`` per
+    value; the table lives for that parse only."""
+
+    @pytest.mark.parametrize("program", sorted(PROGRAMS))
+    def test_one_leaf_object_per_name_and_value(self, program):
+        tree = parse_source_file(PROGRAMS[program].source())
+        for kind, key in ((ast.Var, "name"), (ast.IntLit, "value")):
+            leaves = [n for n in nodes(tree) if type(n) is kind]
+            objects = {}
+            for leaf in leaves:
+                objects.setdefault(getattr(leaf, key), set()).add(id(leaf))
+            assert len(leaves) > len(objects)  # names and values repeat
+            assert all(len(ids) == 1 for ids in objects.values()), kind
+
+    def test_the_dimension_default_is_the_shared_one(self):
+        tree = parse_source(
+            "program t\n      real a(1:n), b(n)\n      a(1) = b(1)\n      end\n"
+        )
+        (decl,) = tree.declarations
+        ones = {id(n) for n in nodes(tree) if n == ast.IntLit(1)}
+        assert decl.entities[1].dims[0].lo is decl.entities[0].dims[0].lo
+        assert len(ones) == 1
+
+    def test_two_parses_share_no_node(self):
+        source = PROGRAMS["tomcatv"].source()
+        first, second = parse_source_file(source), parse_source_file(source)
+        assert first == second
+        kept = {id(n) for n in nodes(first)}
+        assert not kept & {id(n) for n in nodes(second)}

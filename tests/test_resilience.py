@@ -650,6 +650,19 @@ class TestFirstSolveImport:
         assert err.value.stopped_at == "ilp.solve"
         assert limits == []  # no solve started late
 
+    def test_a_spent_hard_limit_imports_no_backend(self, monkeypatch):
+        import repro.ilp as ilp
+
+        loads = []
+        monkeypatch.setattr(ilp, "_load_backend", loads.append)
+        deadline = Deadline(0.001, hard_s=0.001)
+        time.sleep(0.01)  # the hard limit passes before the solve
+        with deadline_scope(deadline):
+            with pytest.raises(RequestTimeout) as err:
+                solve(_toy_model())
+        assert err.value.stopped_at == "ilp.solve"
+        assert loads == []  # no import paid past the limit
+
     def test_a_loader_past_the_budget_degrades(self, monkeypatch):
         from repro.alignment.cag import CAG
         from repro.alignment.ilp import resolve_conflicts

@@ -196,7 +196,7 @@ class TestAnswerStage:
 
     def test_degraded_request_stores_no_answer(self, service):
         request = dict(REQUEST, program="tomcatv", size=128)
-        degraded = service.analyze_dict(dict(request, deadline_s=0.01))
+        degraded = service.analyze_dict(dict(request, deadline_s=1e-6))
         assert degraded["ok"] and degraded["degraded"]
         assert os.listdir(service.cache.root) == []
         exact = service.analyze_dict(dict(request))
@@ -413,7 +413,7 @@ class TestAnswerText:
 
     def test_a_degraded_compute_encodes_once(self, service, encoded):
         reply = json.loads(service.handle_line(_line(dict(
-            REQUEST, program="tomcatv", size=128, deadline_s=0.01
+            REQUEST, program="tomcatv", size=128, deadline_s=1e-6
         ))))
         assert reply["ok"] and reply["degraded"], reply
         assert len(encoded) == 1

@@ -612,8 +612,8 @@ class TestReplyBytes:
             dict(REQUEST, request_id="réq-✓ 名"),
             dict(REQUEST, trace=True),                  # a hit's trace
             dict(REQUEST, procs=8, trace=True),         # a compute's
-            dict(tomcatv, deadline_s=0.01),             # degraded
-            dict(tomcatv, deadline_s=0.01, trace=True, request_id="d"),
+            dict(tomcatv, deadline_s=1e-6),             # degraded
+            dict(tomcatv, deadline_s=1e-6, trace=True, request_id="d"),
             {"op": "analyze", "program": "no-such-program", "procs": 4},
             {"op": "analyze", "program": "adi"},
         ]
