@@ -20,7 +20,9 @@ the rank arithmetic over it; a :class:`DataLayout` memoises, per array,
 how the array sits on that grid (:class:`ArrayMapping`), of which the
 ``identity`` is a function of ``(axis_map, distribution)`` only and is
 shared by every layout of an analysis.  :func:`needs_remap` is the one
-rule deciding whether an array moves between two layouts.  The compiler
+rule deciding whether an array moves between two layouts;
+:func:`placement_codes` and :func:`remapped` state it over small
+ints, for pricing many layout pairs at once.  The compiler
 model, the estimator, the SPMD generator, the remapping edges of the
 layout graph and the HPF writer all read these and derive nothing
 themselves.  Memoised facts are not dataclass fields: they take no part
@@ -31,7 +33,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, Tuple
+from typing import (
+    Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
+)
 
 from ..frontend.symbols import ArraySymbol
 from .template import Template
@@ -417,3 +421,53 @@ def needs_remap(from_layout: DataLayout, to_layout: DataLayout,
     (_, src_mapping), (_, dst_mapping) = src, dst
     return bool(src_mapping.distributed) \
         and src_mapping.identity != dst_mapping.identity
+
+
+#: per array, its source and destination codes under each of a run of
+#: layouts (see :func:`placement_codes`)
+PlacementCodes = Dict[str, Tuple[List[Optional[int]], List[Optional[int]]]]
+
+
+def placement_codes(layouts: Sequence[DataLayout], arrays: Sequence[str],
+                    numbering: Dict[Tuple, int]) -> PlacementCodes:
+    """Each of ``arrays``' placement under each of ``layouts`` as a
+    small int, for :func:`remapped`.
+
+    Each :attr:`ArrayMapping.identity` gets the next int of
+    ``numbering``, so codes numbered in one ``numbering`` are equal
+    exactly where the identities are.  A *source* code is ``None`` where
+    the layout does not cover the array or does not distribute it, a
+    *destination* code where it does not cover it."""
+    out: PlacementCodes = {}
+    for array in arrays:
+        sources: List[Optional[int]] = []
+        dests: List[Optional[int]] = []
+        for layout in layouts:
+            entry = layout._arrays.get(array)
+            if entry is None:
+                sources.append(None)
+                dests.append(None)
+                continue
+            mapping = entry[1]
+            code = numbering.get(mapping.identity)
+            if code is None:
+                code = numbering[mapping.identity] = len(numbering)
+            sources.append(code if mapping.distributed else None)
+            dests.append(code)
+        out[array] = sources, dests
+    return out
+
+
+def remapped(sources: Sequence[Optional[int]],
+             dests: Sequence[Optional[int]]) -> List[List[int]]:
+    """:func:`needs_remap` on :func:`placement_codes`: per source code,
+    the positions of ``dests`` to which the array moves — both layouts
+    cover it, the source distributes it, and they place it
+    differently."""
+    return [
+        [] if source is None else [
+            j for j, dest in enumerate(dests)
+            if dest is not None and dest != source
+        ]
+        for source in sources
+    ]

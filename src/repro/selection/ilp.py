@@ -233,6 +233,7 @@ def _select_presolved(
         psp.set_attr("conditioned", pre.conditioned)
         psp.set_attr("cutset", pre.cutset)
         psp.set_attr("max_table", pre.max_table)
+        psp.set_attr("cells", pre.cells)
     if pre.interrupted:
         note_degradation(
             "selection", "incumbent",

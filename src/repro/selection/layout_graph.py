@@ -30,7 +30,7 @@ import numpy as np
 
 from ..analysis.pcfg import ENTRY, EXIT, PCFG
 from ..analysis.phases import Phase
-from ..distribution.layouts import needs_remap
+from ..distribution.layouts import placement_codes, remapped
 from ..frontend.symbols import ArraySymbol, SymbolTable
 from ..obs import tracing
 from ..perf.estimator import EstimatedCandidate, EstimationResult
@@ -196,10 +196,12 @@ def _build_layout_graph(
     nprocs: int,
 ) -> DataLayoutGraph:
     referencing: Dict[str, set] = {}
+    phase_arrays: Dict[int, List[str]] = {}
     for phase in phases:
         for array in phase.arrays:
             if isinstance(symbols.get(array), ArraySymbol):
                 referencing.setdefault(array, set()).add(phase.index)
+                phase_arrays.setdefault(phase.index, []).append(array)
 
     transitions = array_transitions(pcfg, referencing)
 
@@ -221,10 +223,14 @@ def _build_layout_graph(
             per_edge.setdefault((src, dst), []).append((array, freq))
 
     # Remap pricing is memoized: the transpose prediction depends only
-    # on the array (its local block size), and whether a candidate pair
-    # remaps an array is read off the layouts' memoised identities.  The
-    # accumulation order over ``array_freqs`` is that of the direct
-    # loop, which keeps edge costs bitwise-equal to it.
+    # on the array (its local block size), and which candidate pairs
+    # remap an array is read off the placement codes of each (phase,
+    # array).  Remap costs are never negative, so a pair is priced
+    # exactly when an array of positive weight moves, and its cost sums
+    # ``freq * remap cost`` over those arrays in ``array_freqs`` order
+    # (``0.0 + w1 + w2 ...``): the direct loop over ``needs_remap``,
+    # bit for bit.  Pairs enter in row-major order, as that loop put
+    # them, re-sorted when a second array adds pairs.
     remap_cost: Dict[str, float] = {}
 
     def array_remap_cost(array: str) -> float:
@@ -238,23 +244,35 @@ def _build_layout_graph(
             )
         return cost
 
+    numbering: Dict[Tuple, int] = {}
+    placements = {
+        phase_index: placement_codes(
+            [e.candidate.layout for e in estimates.per_phase[phase_index]],
+            arrays, numbering,
+        )
+        for phase_index, arrays in sorted(phase_arrays.items())
+    }
+
     layout_edges: List[LayoutEdge] = []
     for (src, dst), array_freqs in sorted(per_edge.items()):
-        edge = LayoutEdge(src_phase=src, dst_phase=dst)
-        src_cands = estimates.per_phase[src]
-        dst_cands = estimates.per_phase[dst]
-        for i, src_cand in enumerate(src_cands):
-            src_layout = src_cand.candidate.layout
-            for j, dst_cand in enumerate(dst_cands):
-                dst_layout = dst_cand.candidate.layout
-                cost = 0.0
-                for array, freq in array_freqs:
-                    if needs_remap(src_layout, dst_layout, array):
-                        cost += freq * array_remap_cost(array)
-                if cost > 0.0:
-                    edge.costs[(i, j)] = cost
-        if edge.costs:
-            layout_edges.append(edge)
+        costs: Dict[Tuple[int, int], float] = {}
+        priced = 0
+        for array, freq in array_freqs:
+            moves = remapped(placements[src][array][0],
+                             placements[dst][array][1])
+            if not any(moves):
+                continue
+            weight = freq * array_remap_cost(array)
+            if weight <= 0.0:
+                continue
+            priced += 1
+            for i, moved in enumerate(moves):
+                for j in moved:
+                    costs[i, j] = costs.get((i, j), 0.0) + weight
+        if costs:
+            if priced > 1:
+                costs = dict(sorted(costs.items()))
+            layout_edges.append(LayoutEdge(src, dst, costs))
 
     return DataLayoutGraph(
         phases=phases,

@@ -46,9 +46,10 @@ from .layout_graph import DataLayoutGraph
 
 #: largest elimination-bucket tensor in elements.
 #: The limit is memory, not time (a 12M-element bucket takes 0.2 s, the
-#: solver seconds): 2**19 float64 is 4 MiB, and a component holds its
-#: recorded buckets (measured <= 2.4x the largest) plus one operand,
-#: about 15 MiB beside a ~105 MiB process.
+#: solver seconds): 2**19 float64 is 4 MiB, and a component holds one
+#: bucket, its min table and the min tables its backtrack re-reads
+#: (under tracemalloc 1.23-1.36x the widest table on the widest
+#: extended inputs), about 6 MiB beside a ~42 MiB process.
 TABLE_CAP = 1 << 19
 
 #: min-sum factors: (ascending phase scope, cost tensor over it)
@@ -77,11 +78,12 @@ class SelectionPresolve:
     #: number of phase dead-end checks the fixpoint ran
     checks: int = 0
     #: elimination bookkeeping, updated by :func:`eliminate_component`:
-    #: the largest bucket table built (elements), the number of
-    #: problems whose first backtrack tied and so were conditioned in
-    #: ascending order, the number solved under a cutset assignment and
-    #: the largest cutset
+    #: the largest bucket table built and the sum of every bucket
+    #: table built (elements), the number of problems whose first
+    #: backtrack tied and so were conditioned in ascending order, the
+    #: number solved under a cutset assignment and the largest cutset
     max_table: int = 0
+    cells: int = 0
     tied: int = 0
     conditioned: int = 0
     cutset: int = 0
@@ -295,38 +297,54 @@ def _elimination_order(
 
 
 def _eliminate(
+    pre: SelectionPresolve,
     factors: Factors,
     sizes: Dict[int, int],
     order: List[int],
 ) -> Tuple[Dict[int, int], Set[int]]:
     """Min-sum eliminate ``order``, then backtrack in reverse taking the
     first argmin at every step: the position chosen per phase, and the
-    phases whose argmin was tied."""
+    phases whose argmin was tied.
+
+    One bucket table is alive at a time: it is summed in place, reduced
+    to its min table and dropped.  The backtrack re-sums the one row it
+    needs from the bucket's factors in the same order (``0 + f1 + f2
+    ...``), the same IEEE additions that filled the table, so the row,
+    its first argmin and its ties are the table's."""
     deadline = current_deadline()
-    #: per eliminated phase: (phase, remaining scope, bucket tensor with
-    #: the phase's axis last)
-    record: List[Tuple[int, Tuple[int, ...], np.ndarray]] = []
+    #: per eliminated phase: (phase, its bucket's factors in summing
+    #: order)
+    record: List[Tuple[int, Factors]] = []
     for q in order:
         if deadline is not None:
             deadline.check("selection.elimination")
-        bucket = [f for f in factors if q in f[0]]
+        bucket = sorted(
+            (f for f in factors if q in f[0]), key=lambda f: f[0]
+        )
         factors = [f for f in factors if q not in f[0]]
         target: Tuple[int, ...] = tuple(sorted(
             {p for scope, _ in bucket for p in scope}
         ))
         combined = np.zeros(tuple(sizes[p] for p in target))
-        for scope, arr in sorted(bucket, key=lambda f: f[0]):
-            combined = combined + _align(arr, scope, target)
-        axis = target.index(q)
-        rest = target[:axis] + target[axis + 1:]
-        record.append((q, rest, np.moveaxis(combined, axis, -1)))
-        if rest:
-            factors.append((rest, combined.min(axis=axis)))
+        pre.cells += combined.size
+        for scope, arr in bucket:
+            np.add(combined, _align(arr, scope, target), out=combined)
+        record.append((q, bucket))
+        if len(target) > 1:
+            factors.append((
+                tuple(p for p in target if p != q),
+                combined.min(axis=target.index(q)),
+            ))
+        del combined  # before the next bucket is allocated
 
     local: Dict[int, int] = {}
     tied: Set[int] = set()
-    for q, rest, tensor in reversed(record):
-        vector = tensor[tuple(local[r] for r in rest)]
+    for q, bucket in reversed(record):
+        vector = np.zeros(sizes[q])
+        for scope, arr in bucket:
+            vector += arr[tuple(
+                slice(None) if p == q else local[p] for p in scope
+            )]
         local[q] = int(np.argmin(vector))
         if np.count_nonzero(vector == vector[local[q]]) > 1:
             tied.add(q)
@@ -392,7 +410,7 @@ def _lex_min(pre: SelectionPresolve, factors: Factors,
             local = _condition(pre, factors, sizes, table_cap, last)
             break
         pre.max_table = max(pre.max_table, widest)
-        local, tied = _eliminate(factors, sizes, order)
+        local, tied = _eliminate(pre, factors, sizes, order)
         if tied <= {last}:
             break
         if last is None:

@@ -19,6 +19,7 @@ import functools
 import math
 import os
 import random
+import tracemalloc
 
 import pytest
 
@@ -32,7 +33,7 @@ from repro.qa.oracles import (
     exact_best_selection,
     selection_combination_count,
 )
-from repro.qa.runner import _presolve_divergence, run_fuzz
+from repro.qa.runner import _SMALL_TABLE_CAPS, _presolve_divergence, run_fuzz
 from repro.resilience.deadline import Deadline
 from repro.resilience.degrade import collecting
 from repro.resilience.errors import DeadlineExceeded
@@ -48,6 +49,8 @@ from repro.selection.presolve import (
     presolve_selection,
 )
 from repro.tool.assistant import AssistantConfig, run_assistant
+
+from .elimination_oracle import materialising_eliminate
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "corpus")
 CORPUS = load_corpus(CORPUS_DIR)
@@ -116,6 +119,16 @@ class TestSelectionPresolveSoundness:
             select_layouts(graph, presolve=True, allowed={phase: set()})
 
 
+#: per paper program at 8 processors: the widest elimination table and
+#: the bucket cells elimination built, both in elements
+PAPER_WORK = {
+    "adi": (16, 94),
+    "erlebacher": (27, 432),
+    "shallow": (128, 546),
+    "tomcatv": (324, 1198),
+}
+
+
 class TestPaperProgramPaths:
     @pytest.mark.parametrize(
         "name", ["adi", "erlebacher", "tomcatv", "shallow"]
@@ -130,6 +143,17 @@ class TestPaperProgramPaths:
         assert fast.selection == slow.selection
         assert fast.objective == slow.objective
         assert fast.optimal and slow.optimal
+
+    @pytest.mark.parametrize("name", sorted(PAPER_WORK))
+    def test_elimination_work_is_pinned(self, name):
+        """The ``ilp.presolve`` span counts the bucket cells elimination
+        built beside the widest table: a change to the order or to the
+        buckets moves them."""
+        result = run_assistant(
+            PROGRAMS[name].source(), AssistantConfig(nprocs=8)
+        )
+        attrs = presolve_span_attrs(result.graph)
+        assert (attrs["max_table"], attrs["cells"]) == PAPER_WORK[name]
 
 
 class TestEliminationFallback:
@@ -531,3 +555,88 @@ class TestFuzzWiring:
         for case in CORPUS:
             result = run_assistant(case.source, case.config)
             assert _presolve_divergence(result, "scipy") is None, case.name
+
+
+def population_components(population):
+    """``(presolve, component)`` of every input of ``population`` (see
+    ``tests/test_selection_pinned.py``)."""
+    from .test_selection_pinned import populations  # see above
+
+    for _key, thunk in populations()[population]:
+        pre = presolve_selection(*thunk())
+        for comp in pre.components:
+            yield pre, comp
+
+
+class OracleEliminations:
+    """Checks every ``_eliminate`` call against the bucket-materialising
+    oracle: equal ``(local, tied)``."""
+
+    def __init__(self, monkeypatch):
+        self.calls = self.tied = 0
+        eliminate = selection_presolve._eliminate
+
+        def spy(pre, factors, sizes, order):
+            got = eliminate(pre, factors, sizes, order)
+            assert got == materialising_eliminate(factors, sizes, order)
+            self.calls += 1
+            self.tied += bool(got[1])
+            return got
+
+        monkeypatch.setattr(selection_presolve, "_eliminate", spy)
+
+
+class TestOneTableElimination:
+    """Elimination keeps one bucket table alive and re-sums the
+    backtrack's rows; its answers are the materialising oracle's."""
+
+    @pytest.mark.parametrize("population", ["paper", "extended", "corpus"])
+    def test_bench_and_corpus_components_match_the_oracle(
+        self, population, monkeypatch
+    ):
+        oracle = OracleEliminations(monkeypatch)
+        for pre, comp in population_components(population):
+            eliminate_component(pre, comp)
+        assert oracle.calls > 0
+
+    def test_tied_random_graphs_match_under_every_cap(self, monkeypatch):
+        """Integer costs force ties, and the small caps force cutset
+        conditioning: every elimination those run matches too."""
+        oracle = OracleEliminations(monkeypatch)
+        conditioned = 0
+        for seed in range(60):
+            pre = presolve_selection(random_layout_graph(random.Random(seed)))
+            for cap in (*_SMALL_TABLE_CAPS, TABLE_CAP):
+                for comp in pre.components:
+                    eliminate_component(pre, comp, table_cap=cap)
+            conditioned += pre.conditioned
+        assert oracle.tied > 0 and conditioned > 0
+
+    @pytest.mark.parametrize("key", [
+        f"ext/{variant}/{program}"
+        for program in ("shallow/384", "tomcatv/128")
+        for variant in ("cyclic", "grids", "extended")
+    ])
+    def test_peak_stays_within_two_widest_tables(self, key):
+        """Under tracemalloc a component peaks within two of its widest
+        tables (the bucket and its min table) plus a fixed slack; kept
+        buckets made it 2.5-3.5 of them."""
+        from .test_selection_pinned import populations  # see above
+
+        (thunk,) = [
+            thunk for name, thunk in populations()["extended"]
+            if name.startswith(key + "/")
+        ]
+        pre = presolve_selection(*thunk())
+        for comp in pre.components:
+            pre.max_table = 0
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                eliminate_component(pre, comp)
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+            assert peak <= 2 * 8 * pre.max_table + 64 * 1024, (
+                comp, pre.max_table, peak
+            )

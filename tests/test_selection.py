@@ -7,9 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.distribution.layouts import (
+    needs_remap,
+    placement_codes,
+    remapped,
+)
+from repro.frontend.symbols import ArraySymbol
 from repro.obs import tracing
 from repro.obs.events import spans_by_name
 from repro.programs.registry import PROGRAMS
+from repro.qa.generator import GeneratorConfig, generate_program
 from repro.resilience.chaos import run_chaos
 from repro.resilience.deadline import Deadline, deadline_scope
 from repro.resilience.degrade import collecting
@@ -32,6 +39,14 @@ from repro.selection.layout_graph import (
     array_transitions,
 )
 from repro.tool.assistant import AssistantConfig, run_assistant
+from repro.tool.testcases import TestCase, grid_for, source_for
+
+from .remap_oracle import direct_edges
+from .test_selection_pinned import (
+    EXTENDED_VARIANTS,
+    GENERATED_SEEDS,
+    PAPER_PROGRAMS,
+)
 
 
 def make_graph(node_costs, edges):
@@ -352,3 +367,78 @@ class TestArrayTransitions:
             with pytest.raises(RequestTimeout) as err:
                 array_transitions(pcfg, referencing)
         assert err.value.stopped_at == "graph.transitions"
+
+
+def remap_inputs():
+    """``(key, source, config)``: the ``bench/`` paper grid, its
+    extended inputs and every tenth generated seed."""
+    out = []
+    for program in PAPER_PROGRAMS:
+        spec = PROGRAMS[program]
+        for case in grid_for(spec):
+            out.append((f"paper/{program}/{case.n}/p{case.nprocs}",
+                        source_for(case), AssistantConfig(nprocs=case.nprocs)))
+        case = TestCase(program, spec.default_size, spec.default_dtype, 0)
+        for variant, (options, procs) in EXTENDED_VARIANTS.items():
+            out.append((f"ext/{variant}/{program}", source_for(case),
+                        AssistantConfig(nprocs=procs, distributions=options)))
+    for seed in GENERATED_SEEDS[::10]:
+        out.append((f"gen/{seed}", generate_program(
+            seed, GeneratorConfig()).source, AssistantConfig(nprocs=4)))
+    return out
+
+
+class TestPlacementCodes:
+    """Remap edges are priced from placement codes; the codes must
+    state ``needs_remap`` exactly, and the edges must be the direct
+    loop's."""
+
+    def test_codes_agree_with_needs_remap_on_every_edge_pair(self):
+        pairs = sourceless = 0
+        for key, source, config in remap_inputs():
+            result = run_assistant(source, config)
+            per_phase = result.estimates.per_phase
+            arrays = {}
+            for phase in result.partition.phases:
+                arrays[phase.index] = [
+                    a for a in phase.arrays
+                    if isinstance(result.symbols.get(a), ArraySymbol)
+                ]
+            numbering = {}
+            codes = {
+                p: placement_codes(
+                    [e.candidate.layout for e in per_phase[p]],
+                    arrays[p], numbering,
+                )
+                for p in sorted(per_phase)
+            }
+            for array, edges in result.graph.transitions.items():
+                for src, dst, _freq in edges:
+                    sources = codes[src][array][0]
+                    moves = remapped(sources, codes[dst][array][1])
+                    for i, src_cand in enumerate(per_phase[src]):
+                        sourceless += sources[i] is None
+                        for j, dst_cand in enumerate(per_phase[dst]):
+                            expected = needs_remap(
+                                src_cand.candidate.layout,
+                                dst_cand.candidate.layout, array,
+                            )
+                            assert (j in moves[i]) == expected, (
+                                key, array, src, dst, i, j
+                            )
+                            pairs += 1
+        assert pairs > 0
+        assert sourceless > 0  # a replicated source is among them
+
+    def test_edges_are_the_direct_loops(self):
+        for key, source, config in remap_inputs():
+            result = run_assistant(source, config)
+            direct = direct_edges(result.graph, result.symbols, result.db,
+                                  config.nprocs)
+            assert [
+                (e.src_phase, e.dst_phase, list(e.costs.items()))
+                for e in result.graph.edges
+            ] == [
+                (e.src_phase, e.dst_phase, list(e.costs.items()))
+                for e in direct
+            ], key
