@@ -481,15 +481,31 @@ def _eventlog_cases() -> List[BenchCase]:
     ]
 
 
+#: what ``layer:setup.first_tie`` runs in a fresh interpreter: the
+#: pipeline's import and one analysis, of the source on standard input
+FIRST_TIE = """
+import sys
+from repro.tool.assistant import AssistantConfig, run_assistant
+run_assistant(sys.stdin.read(), AssistantConfig(nprocs=4))
+"""
+
+
 def _setup_cases() -> List[BenchCase]:
-    """``import repro`` in a fresh interpreter, and the default machine's
-    training database as a fresh process first gets it."""
+    """``import repro`` in a fresh interpreter, the default machine's
+    training database as a fresh process first gets it, and a fresh
+    interpreter's first tie: the pipeline imported and ``TIED_SEED``
+    analysed at 4 procs, its alignment tie the process's first solve."""
     src = Path(__file__).resolve().parents[3]  # this suite's checkout
     env = dict(os.environ, PYTHONPATH=str(src))
+    tied = generate_program(TIED_SEED, GeneratorConfig()).source
 
     def run_import() -> None:
         subprocess.run([sys.executable, "-c", "import repro"], env=env,
                        check=True)
+
+    def first_tie() -> None:
+        subprocess.run([sys.executable, "-c", FIRST_TIE], env=env,
+                       input=tied, text=True, check=True)
 
     def cold_training_db() -> None:
         with training._DB_CACHE_LOCK:
@@ -504,6 +520,7 @@ def _setup_cases() -> List[BenchCase]:
         for name, fn in (
             ("import", run_import),
             ("training_db", cold_training_db),
+            ("first_tie", first_tie),
         )
     ]
 

@@ -420,7 +420,8 @@ class TestSuite:
         cases = build_suite(programs=["adi"], sizes={"adi": 32},
                             stages=[SETUP_LAYER], include_qa=False)
         assert [c.bench_id for c in cases] == [
-            "e2e/adi", "layer:setup.import", "layer:setup.training_db",
+            "e2e/adi", "layer:setup.first_tie", "layer:setup.import",
+            "layer:setup.training_db",
         ]
         assert not build_suite(programs=["adi"], sizes={"adi": 32},
                                stages=[SETUP_LAYER], include_e2e=False)
