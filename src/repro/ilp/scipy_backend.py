@@ -1,116 +1,158 @@
-"""HiGHS backend (via :func:`scipy.optimize.milp`) for 0-1 models.
+"""HiGHS backend for 0-1 models: scipy's HiGHS extension, called directly.
 
-This is the repo's CPLEX stand-in: an exact branch-and-cut MILP solver.
-The translation is mechanical — binary bounds, sparse constraint matrix,
-sign-flip for maximization (``milp`` always minimizes).
+This is the repo's CPLEX stand-in: an exact branch-and-cut MILP solver,
+handed the model in memory the way the paper's tool hands CPLEX its
+constraint matrices.  ``scipy.optimize.milp`` wraps the same extension;
+this module gives HiGHS exactly what ``milp`` would (column-wise matrix
+with rows ascending in each column, duplicates summed, 0/1 column
+bounds, every column integer, the objective sign-flipped for
+maximization, ``log_to_console`` off and ``time_limit`` only when given)
+and decodes its status the way ``milp`` does, without importing
+``scipy.optimize`` or ``scipy.sparse``: loading the extension alone
+costs a few MB where those packages cost tens.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 import time
-from typing import Optional
+from typing import Dict, List, Optional
 
-import numpy as np
-from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint, milp
+import scipy
 
-from .model import MAXIMIZE, ModelError, Solution, SolveStats, ZeroOneModel
+from .model import MAXIMIZE, Solution, SolveStats, ZeroOneModel
+
+#: the extension's real name: ``scipy.optimize`` finds it under it too
+CORE = "scipy.optimize._highspy._core"
+
+
+def _load_core():
+    """The HiGHS extension module, loaded once per process.
+
+    A module that is already loaded (say by ``scipy.optimize``) is
+    reused: a pybind11 extension must not be initialised twice.
+    """
+    core = sys.modules.get(CORE)
+    if core is not None:
+        return core
+    path = [os.path.join(p, "optimize", "_highspy") for p in scipy.__path__]
+    spec = importlib.machinery.PathFinder.find_spec(CORE, path)
+    if spec is None:
+        raise ImportError(
+            f"scipy {scipy.__version__} has no HiGHS extension "
+            f"'_core' under {path}", name=CORE,
+        )
+    core = importlib.util.module_from_spec(spec)
+    sys.modules[CORE] = core
+    try:
+        spec.loader.exec_module(core)
+    except BaseException:
+        del sys.modules[CORE]
+        raise
+    return core
+
+
+_h = _load_core()
+_LIMITS = (_h.HighsModelStatus.kTimeLimit,
+           _h.HighsModelStatus.kIterationLimit)
+
+
+def _no_values(status: str, stats: SolveStats) -> Solution:
+    return Solution(status=status, objective=float("nan"), values={},
+                    stats=stats)
+
+
+def _lp(model: ZeroOneModel) -> _h.HighsLp:
+    """``model`` as HiGHS's column-wise LP with every column integer."""
+    n = model.num_variables
+    index = {var: i for i, var in enumerate(model.variables)}
+    sign = -1.0 if model.sense == MAXIMIZE else 1.0
+    cost = [0.0] * n
+    for var, coeff in model.objective.items():
+        cost[index[var]] = sign * coeff
+
+    # rows are visited in order, so each column's entries ascend by row
+    columns: List[Dict[int, float]] = [{} for _ in range(n)]
+    row_lower = [-float("inf")] * model.num_constraints
+    row_upper = [float("inf")] * model.num_constraints
+    for row, con in enumerate(model.constraints):
+        for var, coeff in con.coeffs:
+            column = columns[index[var]]
+            column[row] = column.get(row, 0) + coeff
+        if con.sense != "<=":
+            row_lower[row] = con.rhs
+        if con.sense != ">=":
+            row_upper[row] = con.rhs
+    start = [0]
+    rows: List[int] = []
+    values: List[float] = []
+    for column in columns:
+        rows.extend(column)
+        values.extend(float(v) for v in column.values())
+        start.append(len(rows))
+
+    lp = _h.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = n
+    lp.num_row_ = lp.a_matrix_.num_row_ = model.num_constraints
+    lp.a_matrix_.format_ = _h.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = start
+    lp.a_matrix_.index_ = rows
+    lp.a_matrix_.value_ = values
+    lp.col_cost_ = cost
+    lp.col_lower_ = [0.0] * n
+    lp.col_upper_ = [1.0] * n
+    lp.row_lower_ = row_lower
+    lp.row_upper_ = row_upper
+    lp.integrality_ = [_h.HighsVarType.kInteger] * n
+    return lp
 
 
 def solve(
     model: ZeroOneModel, time_limit: Optional[float] = None
 ) -> Solution:
     """Solve ``model`` to proven optimality with HiGHS."""
-    n = model.num_variables
-    if n == 0:
-        return Solution(
-            status="optimal",
-            objective=0.0,
-            values={},
-            stats=SolveStats(backend="scipy-highs"),
-        )
-
+    if model.num_variables == 0:
+        return Solution(status="optimal", objective=0.0, values={},
+                        stats=SolveStats(backend="scipy-highs"))
     if time_limit is not None and time_limit <= 0:
         # Budget already spent before the solve began.
-        return Solution(
-            status="unknown",
-            objective=float("nan"),
-            values={},
-            stats=SolveStats(backend="scipy-highs"),
-        )
-
-    sign = -1.0 if model.sense == MAXIMIZE else 1.0
-    c = np.zeros(n)
-    for var, coeff in model.objective.items():
-        c[model.var_index(var)] = sign * coeff
-
-    rows, cols, data = [], [], []
-    lower = np.full(len(model.constraints), -np.inf)
-    upper = np.full(len(model.constraints), np.inf)
-    for row, con in enumerate(model.constraints):
-        for var, coeff in con.coeffs:
-            rows.append(row)
-            cols.append(model.var_index(var))
-            data.append(coeff)
-        if con.sense == "<=":
-            upper[row] = con.rhs
-        elif con.sense == ">=":
-            lower[row] = con.rhs
-        else:
-            lower[row] = upper[row] = con.rhs
+        return _no_values("unknown", SolveStats(backend="scipy-highs"))
 
     start = time.perf_counter()
-    kwargs = {}
+    lp = _lp(model)
+    options = _h.HighsOptions()
+    options.log_to_console = False
     if time_limit is not None:
-        kwargs["options"] = {"time_limit": time_limit}
-    if model.constraints:
-        matrix = sparse.csr_matrix(
-            (data, (rows, cols)), shape=(len(model.constraints), n)
-        )
-        constraints = [LinearConstraint(matrix, lower, upper)]
-    else:
-        constraints = []
-    result = milp(
-        c=c,
-        constraints=constraints,
-        integrality=np.ones(n),
-        bounds=Bounds(0, 1),
-        **kwargs,
+        options.time_limit = time_limit
+    highs = _h._Highs()
+    error = _h.HighsStatus.kError
+    ran = (highs.passOptions(options) != error
+           and highs.passModel(lp) != error and highs.run() != error)
+    status = highs.getModelStatus()
+    info = highs.getInfo()
+    stats = SolveStats(backend="scipy-highs",
+                       wall_time=time.perf_counter() - start,
+                       nodes=int(info.mip_node_count))
+    # A limit with a finite objective carries a feasible incumbent
+    # (anytime behavior); a limit without one is "unknown", and every
+    # other status short of optimal is "infeasible".
+    readable = ran and (
+        status == _h.HighsModelStatus.kOptimal
+        or (status in _LIMITS
+            and info.objective_function_value != _h.kHighsInf)
     )
-    elapsed = time.perf_counter() - start
-    stats = SolveStats(
-        backend="scipy-highs",
-        wall_time=elapsed,
-        nodes=int(getattr(result, "mip_node_count", 0) or 0),
-    )
-    if not result.success:
-        # HiGHS status 1 = iteration/time limit; any feasible point it
-        # carries is a usable incumbent (anytime behavior).  Everything
-        # else without a certificate of infeasibility is "unknown".
-        hit_limit = getattr(result, "status", None) == 1
-        if hit_limit and getattr(result, "x", None) is not None:
-            values = {
-                var: int(round(result.x[model.var_index(var)]))
-                for var in model.variables
-            }
-            if model.is_feasible(values):
-                return Solution(
-                    status="time_limit",
-                    objective=model.objective_value(values),
-                    values=values,
-                    stats=stats,
-                )
-        status = "unknown" if hit_limit else "infeasible"
-        return Solution(
-            status=status, objective=float("nan"), values={}, stats=stats
-        )
-    values = {
-        var: int(round(result.x[model.var_index(var)]))
-        for var in model.variables
-    }
-    return Solution(
-        status="optimal",
-        objective=model.objective_value(values),
-        values=values,
-        stats=stats,
-    )
+    if readable:
+        x = highs.getSolution().col_value
+        values = {var: int(round(x[i]))
+                  for i, var in enumerate(model.variables)}
+        if status == _h.HighsModelStatus.kOptimal:
+            return Solution("optimal", model.objective_value(values),
+                            values, stats)
+        if model.is_feasible(values):
+            return Solution("time_limit", model.objective_value(values),
+                            values, stats)
+    return _no_values("unknown" if status in _LIMITS else "infeasible",
+                      stats)

@@ -2,9 +2,12 @@
 no path loads networkx, no shipped machine runs a simulation, and the
 pipeline loads none of the service, QA, bench or CLI modules.
 
-HiGHS comes with scipy.optimize and scipy.sparse, hundreds of modules
-and about 40 MB, and ``repro.ilp`` imports its backend only when a model
-first reaches it.  networkx (about 14 MB and 0.15 s to import) is a test
+``repro.ilp`` imports its HiGHS backend only when a model first
+reaches it, and the backend loads scipy's HiGHS extension alone (27
+modules and about 4 MB after numpy), not ``scipy.optimize``, whose
+import brings ``scipy.sparse`` and 561 modules, about 44 MB and half a
+second: a tie loads no ``scipy.optimize`` or ``scipy.sparse`` module
+but the extension.  networkx (about 14 MB and 0.15 s to import) is a test
 oracle only: the PCFG is a plain adjacency map.  The guard runs in a
 fresh interpreter, since this one's ``sys.modules`` holds whatever
 earlier tests loaded.  The shipped machines' training databases are a
@@ -55,6 +58,14 @@ from repro.tool.assistant import AssistantConfig, run_assistant
 def heavy():
     return [name for name in ("networkx", "scipy") if name in sys.modules]
 
+def solver_packages():
+    core = "scipy.optimize._highspy._core"
+    return sorted(
+        name for name in sys.modules
+        if name.startswith(("scipy.optimize", "scipy.sparse"))
+        and name != core and not name.startswith(core + ".")
+    )
+
 simulations = []
 microbenchmark = training._microbenchmark
 
@@ -81,6 +92,7 @@ loaded["wide"] = heavy()
 tied = run_assistant(generate_program(TIED_SEED, GeneratorConfig()).source,
                      AssistantConfig(nprocs=4))
 loaded["tied"] = heavy()
+loaded["tied-solver-packages"] = solver_packages()
 simulated = {"default": len(simulations)}
 for label, machine in [("paragon", PARAGON),
                        ("modified", replace(IPSC860, op_add=0.2))]:
@@ -102,7 +114,7 @@ def test_default_path_never_loads_the_solver():
     assert report["loaded"] == {
         "import": [], "adi": [], "erlebacher": [], "shallow": [],
         "tomcatv": [], "tomcatv-extended": [], "wide": [],
-        "tied": ["scipy"],
+        "tied": ["scipy"], "tied-solver-packages": [],
     }
     assert report["simulated"] == {"default": 0, "paragon": 0,
                                    "modified": 324}
