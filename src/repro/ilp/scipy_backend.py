@@ -10,6 +10,11 @@ maximization, ``log_to_console`` off and ``time_limit`` only when given)
 and decodes its status the way ``milp`` does, without importing
 ``scipy.optimize`` or ``scipy.sparse``: loading the extension alone
 costs a few MB where those packages cost tens.
+
+The extension's path and names (``_Highs``, ``HighsLp``'s fields,
+``HighsModelStatus``) are scipy's private interface, checked against
+scipy 1.17.1; CI runs ties against the latest scipy, so a release that
+renames one fails there (DESIGN.md §11.3).
 """
 
 from __future__ import annotations
