@@ -24,7 +24,7 @@ a CAG cannot be turned into a valid alignment without cutting edges.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
 
 Node = Tuple[str, int]  # (array name, 0-based dimension)
 
@@ -108,9 +108,6 @@ class CAG:
             seen.setdefault(array, None)
         return tuple(seen)
 
-    def array_nodes(self, array: str) -> List[Node]:
-        return sorted(n for n in self.nodes if n[0] == array)
-
     def edges(self) -> List[Tuple[Node, Node, float]]:
         return [(a, b, w) for (a, b), w in sorted(self.weights.items())]
 
@@ -120,15 +117,6 @@ class CAG:
 
     def total_weight(self) -> float:
         return sum(self.weights.values())
-
-    def neighbors(self, node: Node) -> List[Node]:
-        out = []
-        for a, b in self.weights:
-            if a == node:
-                out.append(b)
-            elif b == node:
-                out.append(a)
-        return sorted(out)
 
     # -- components & conflicts ------------------------------------------
 
@@ -158,19 +146,6 @@ class CAG:
         """True when some component contains two dimensions of one array
         (there is a path between two nodes of the same array)."""
         return not Components().join(self)
-
-    def conflicts(self) -> List[Tuple[Node, Node]]:
-        """All same-array node pairs that are connected."""
-        out = []
-        for component in self.components():
-            by_array: Dict[str, List[Node]] = {}
-            for node in sorted(component):
-                by_array.setdefault(node[0], []).append(node)
-            for nodes in by_array.values():
-                for i in range(len(nodes)):
-                    for j in range(i + 1, len(nodes)):
-                        out.append((nodes[i], nodes[j]))
-        return out
 
     # -- merging ------------------------------------------------------------
 

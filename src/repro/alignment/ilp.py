@@ -257,29 +257,6 @@ def greedy_orientation(cag: CAG, d: int) -> Dict[Node, int]:
     return assignment
 
 
-def _enumerated_solution(
-    cag: CAG, d: int, assignment: Dict[Node, int], stats: SolveStats
-) -> Solution:
-    """The appendix model's solution for a node assignment: every node
-    and edge switch, and the satisfied weight as the objective."""
-    values: Dict[str, int] = {}
-    for node in sorted(cag.nodes):
-        for k in range(d):
-            values[_node_var(node, k)] = int(assignment[node] == k)
-    objective = 0.0
-    for src, dst, weight in _directed_edges(cag):
-        inside = assignment[src] == assignment[dst]
-        for k in range(d):
-            values[_edge_var(src, dst, k)] = int(
-                inside and assignment[src] == k
-            )
-        if inside:
-            objective += weight
-    return Solution(
-        status="optimal", objective=objective, values=values, stats=stats
-    )
-
-
 def _solve_model(
     cag: CAG, d: int, name: str, backend: str
 ) -> Tuple[Solution, Dict[Node, int]]:
@@ -332,9 +309,11 @@ def resolve_conflicts(
     ``VISIT_CAP`` search nodes); if exactly one cut-edge set reaches the
     optimal weight it is the answer of every exact method and is
     returned at once (``path`` ``direct``), with the canonical
-    assignment and the appendix model's sizes and switch values, but
-    without building the model.  Otherwise the appendix model goes to
-    the 0-1 solver, whose pick is then the answer:
+    assignment, the appendix model's sizes and the satisfied weight as
+    the objective, but without building the model (the solution's
+    ``values`` is empty, as on selection's elimination path).  Otherwise
+    the appendix model goes to the 0-1 solver, whose pick is then the
+    answer:
 
     * ``tie`` — two or more cut sets share the optimal weight;
     * ``overflow`` — the enumeration cap was exceeded;
@@ -375,10 +354,17 @@ def resolve_conflicts(
             fault_point("ilp.solve")
             checkpoint("ilp.solve")
             assignment = found.assignment
-            solution = _enumerated_solution(cag, d, assignment, SolveStats(
-                backend=ENUMERATION_BACKEND, wall_time=elapsed,
-                nodes=found.visited,
-            ))
+            objective = 0.0
+            for src, dst, weight in _directed_edges(cag):
+                if assignment[src] == assignment[dst]:
+                    objective += weight
+            solution = Solution(
+                status="optimal", objective=objective, values={},
+                stats=SolveStats(
+                    backend=ENUMERATION_BACKEND, wall_time=elapsed,
+                    nodes=found.visited,
+                ),
+            )
         else:
             solution, assignment = _solve_model(cag, d, name, backend)
         cut_keys = []

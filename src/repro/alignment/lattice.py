@@ -1,17 +1,15 @@
-"""Semi-lattice of conflict-free alignment information (paper §2.2.1).
+"""Conflict-free alignment information ordered by refinement (paper
+§2.2.1).
 
 The inter-dimensional alignment information of a conflict-free CAG is its
 node partitioning (connected components).  Partitionings over a fixed node
-set form a semi-lattice under the *refinement* partial order:
+set are ordered by *refinement*: ``X ⊑ Y`` iff X refines Y (X carries
+weaker-or-equal information).  The search-space builder reads only that
+order (:meth:`Partitioning.refines`); the union it grows classes with is
+:meth:`repro.alignment.cag.Components.join`, which refuses a conflict.
 
-* bottom = all-singletons (no alignment information);
-* ``X ⊑ Y`` iff X refines Y (X carries weaker-or-equal information);
-* ``meet`` = coarsest common refinement (blockwise intersection);
-* ``join`` = finest common coarsening (transitive union) — a join may
-  introduce a conflict, which callers must check.
-
-Partitionings are immutable; all operations are linear (in practice) using
-hash-tagged block membership, matching the paper's complexity discussion.
+Partitionings are immutable; ``refines`` is linear using hash-tagged
+block membership, matching the paper's complexity discussion.
 """
 
 from __future__ import annotations
@@ -48,22 +46,11 @@ class Partitioning:
         return cls(blocks=tuple(normalized))
 
     @classmethod
-    def bottom(cls, nodes: Iterable[Node]) -> "Partitioning":
-        """No alignment information: every node is its own block."""
-        return cls.of([{n} for n in nodes])
-
-    @classmethod
     def from_cag(cls, cag: CAG) -> "Partitioning":
         """The alignment information of a conflict-free CAG."""
         return cls.of(cag.components())
 
     # -- queries ---------------------------------------------------------------
-
-    def block_of(self, node: Node) -> FrozenSet[Node]:
-        for block in self.blocks:
-            if node in block:
-                return block
-        raise KeyError(f"{node!r} not in partitioning")
 
     def _membership(self) -> Dict[Node, int]:
         tag: Dict[Node, int] = {}
@@ -82,10 +69,6 @@ class Partitioning:
                 arrays.add(array)
         return False
 
-    def aligned(self, a: Node, b: Node) -> bool:
-        tags = self._membership()
-        return tags.get(a) is not None and tags.get(a) == tags.get(b)
-
     # -- lattice operations -----------------------------------------------------
 
     def refines(self, other: "Partitioning") -> bool:
@@ -100,42 +83,6 @@ class Partitioning:
             if any(tags[node] != first_tag for node in it):
                 return False
         return True
-
-    def meet(self, other: "Partitioning") -> "Partitioning":
-        """Coarsest common refinement: blockwise intersections."""
-        if self.nodes != other.nodes:
-            raise ValueError("meet requires identical node sets")
-        tags_a = self._membership()
-        tags_b = other._membership()
-        groups: Dict[Tuple[int, int], Set[Node]] = {}
-        for node in self.nodes:
-            groups.setdefault((tags_a[node], tags_b[node]), set()).add(node)
-        return Partitioning.of(groups.values())
-
-    def join(self, other: "Partitioning") -> "Partitioning":
-        """Finest common coarsening: union-find over both block sets.
-        May introduce conflicts — callers check :meth:`has_conflict`."""
-        if self.nodes != other.nodes:
-            raise ValueError("join requires identical node sets")
-        parent: Dict[Node, Node] = {n: n for n in self.nodes}
-
-        def find(x: Node) -> Node:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for partitioning in (self, other):
-            for block in partitioning.blocks:
-                nodes = sorted(block)
-                for node in nodes[1:]:
-                    ra, rb = find(nodes[0]), find(node)
-                    if ra != rb:
-                        parent[ra] = rb
-        groups: Dict[Node, Set[Node]] = {}
-        for node in self.nodes:
-            groups.setdefault(find(node), set()).add(node)
-        return Partitioning.of(groups.values())
 
     def restricted(self, arrays: Iterable[str]) -> "Partitioning":
         """Projection onto the nodes of the given arrays."""

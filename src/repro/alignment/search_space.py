@@ -83,18 +83,6 @@ class AlignmentSearchSpaces:
     def candidates_for(self, phase_index: int) -> List[AlignmentCandidate]:
         return self.per_phase[phase_index]
 
-    def insert_candidate(
-        self, phase_index: int, candidate: AlignmentCandidate
-    ) -> None:
-        """User hook: add a hand-written candidate to a phase's space."""
-        existing = self.per_phase.setdefault(phase_index, [])
-        if all(c.signature() != candidate.signature() for c in existing):
-            existing.append(candidate)
-
-    def delete_candidate(self, phase_index: int, position: int) -> None:
-        """User hook: remove a candidate (the spaces are editable)."""
-        del self.per_phase[phase_index][position]
-
 
 def dominance_factor(sink: CAG) -> float:
     """Scale factor applied to an import's source CAG so its preferences

@@ -52,8 +52,9 @@ def _pair_dependences(
 
     Returns one :class:`Dependence` per loop variable with a nonzero
     normalized distance.  Returns [] when the accesses provably never touch
-    the same element, or when the subscript pattern is not uniform (the
-    callers treat non-uniform pairs via :func:`is_uniform_pair`).
+    the same element, and also when the subscript pattern is not uniform:
+    no caller tests such a pair separately, so a non-uniform pair counts
+    as no dependence.
     """
     if write.array != other.array or write.rank != other.rank:
         return []
@@ -63,7 +64,7 @@ def _pair_dependences(
         if not (ws.affine and os_.affine):
             return []
         if ws.coeffs != os_.coeffs:
-            return []  # non-uniform; handled separately
+            return []  # non-uniform: reported as no dependence
         if not ws.coeffs:
             # ZIV: both constant.
             if ws.const != os_.const:
@@ -119,20 +120,6 @@ def _pair_dependences(
                 )
             )
     return deps
-
-
-def is_uniform_pair(a: ArrayAccess, b: ArrayAccess) -> bool:
-    """True when the two accesses have dimension-wise equal index variables
-    and coefficients (the uniform-dependence precondition)."""
-    if a.rank != b.rank:
-        return False
-    for dim in range(a.rank):
-        sa, sb = a.subscripts[dim], b.subscripts[dim]
-        if not (sa.affine and sb.affine):
-            return False
-        if sa.coeffs != sb.coeffs:
-            return False
-    return True
 
 
 def phase_dependences(phase: Phase) -> List[Dependence]:

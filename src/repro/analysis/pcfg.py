@@ -119,12 +119,6 @@ class PCFG:
             if isinstance(u, int) and isinstance(v, int)
         ]
 
-    def entry_edges(self) -> List[Tuple[int, float]]:
-        return [
-            (v, f) for v, f in self.graph.succ[ENTRY].items()
-            if isinstance(v, int)
-        ]
-
     def reverse_postorder(self) -> List[int]:
         """Phase indices in reverse postorder of a DFS from the entry —
         the visit order of the alignment search-space heuristic.  The DFS

@@ -14,7 +14,7 @@ The result is a structure tree (:class:`Seq` / :class:`ControlLoop` /
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Optional, Set, Tuple, Union
 
@@ -23,7 +23,6 @@ from ..frontend.symbols import SymbolTable
 from .references import (
     ArrayAccess,
     AffineForms,
-    LoopInfo,
     assignment_refs,
     collect_accesses,
 )
@@ -35,9 +34,9 @@ DEFAULT_BRANCH_PROBABILITY = 0.5
 class Phase:
     """One program phase: an outermost subscript-defining loop nest.
 
-    ``arrays``, ``written_arrays`` and ``statements`` are derived once,
-    on first use; the phase's identity (``==``, ``hash``, ``repr``) is
-    its four fields alone.
+    ``arrays`` and ``statements`` are derived once, on first use; the
+    phase's identity (``==``, ``hash``, ``repr``) is its four fields
+    alone.
     """
 
     index: int
@@ -58,12 +57,6 @@ class Phase:
         return tuple(dict.fromkeys(acc.array for acc in self.accesses))
 
     @cached_property
-    def written_arrays(self) -> Tuple[str, ...]:
-        return tuple(dict.fromkeys(
-            acc.array for acc in self.accesses if acc.is_write
-        ))
-
-    @cached_property
     def statements(self) -> Tuple[Tuple[ArrayAccess, ...], ...]:
         """The accesses grouped by statement, statements in first-access
         order: what alignment weights and the compiler model walk."""
@@ -71,16 +64,6 @@ class Phase:
         for acc in self.accesses:
             by_stmt.setdefault(id(acc.stmt), []).append(acc)
         return tuple(map(tuple, by_stmt.values()))
-
-    def loop_nest(self) -> Tuple[LoopInfo, ...]:
-        """The *perfect-nest prefix* of the phase: the chain of loops from
-        the phase root downward, following single-loop bodies.  Used by the
-        execution model to reason about pipeline granularity."""
-        deepest: Tuple[LoopInfo, ...] = ()
-        for acc in self.accesses:
-            if len(acc.loops) > len(deepest):
-                deepest = acc.loops
-        return deepest
 
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         return f"{self.name}(do {self.loop_var}, line {self.line})"
@@ -138,9 +121,6 @@ class PhasePartition:
     phases: List[Phase]
     structure: Seq
     branch_probability: float
-
-    def phase_by_index(self, index: int) -> Phase:
-        return self.phases[index]
 
     def __len__(self) -> int:
         return len(self.phases)

@@ -10,7 +10,7 @@ placement and dependence testing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..frontend import ast
@@ -26,10 +26,6 @@ class AffineExpr:
     coeffs: Tuple[Tuple[str, int], ...]  # sorted (variable, coefficient)
     const: int
     affine: bool = True
-
-    @property
-    def coeff_map(self) -> Dict[str, int]:
-        return dict(self.coeffs)
 
     def coeff(self, var: str) -> int:
         for v, c in self.coeffs:
@@ -186,34 +182,6 @@ class ArrayAccess:
     @property
     def rank(self) -> int:
         return len(self.subscripts)
-
-    def dimension_for_loop(self, var: str) -> Optional[int]:
-        """The unique 0-based dimension whose subscript uses ``var``, or
-        None if absent/ambiguous."""
-        hits = [
-            d
-            for d, sub in enumerate(self.subscripts)
-            if sub.affine and sub.coeff(var) != 0
-        ]
-        if len(hits) == 1:
-            return hits[0]
-        return None
-
-    def loop_for_dimension(self, dim: int) -> Optional[str]:
-        """The unique loop variable indexing dimension ``dim``, or None."""
-        sub = self.subscripts[dim]
-        return sub.single_index_var()
-
-    @property
-    def execution_count(self) -> int:
-        """Iterations of the enclosing nest (1 when any bound is unknown)."""
-        total = 1
-        for loop in self.loops:
-            trips = loop.trip_count
-            if trips is None:
-                return 1
-            total *= trips
-        return max(total, 1)
 
 
 def _eval_bound(expr: ast.Expr, forms: AffineForms) -> Optional[int]:

@@ -25,8 +25,8 @@ Simulating the result gives the experiment's "measured" execution time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Tuple
 
 from ..analysis.phases import (
     Branch,
@@ -38,7 +38,7 @@ from ..analysis.phases import (
 )
 from ..distribution.layouts import DataLayout, needs_remap
 from ..frontend import ast
-from ..frontend.symbols import ArraySymbol, SymbolTable
+from ..frontend.symbols import SymbolTable
 from ..machine.collectives import redistribute_time
 from ..machine.node import statement_cost, stmt_dtype
 from ..machine.params import MachineParams
@@ -51,7 +51,6 @@ from ..machine.simulator import Collective
 from .comm import (
     BroadcastComm,
     GatherComm,
-    PipelineSpec,
     ReductionComm,
     ShiftComm,
     StmtFacts,
@@ -296,15 +295,13 @@ def compile_program(
     params: MachineParams,
     nprocs: int,
     max_pipeline_stages: int = 1024,
-    branch_actual_probs: Optional[Dict[int, float]] = None,
 ) -> SPMDBuilder:
     """Lower the whole program, unrolling control structure and inserting
     lazy remaps where the selected layouts change an array's distribution.
 
-    ``branch_actual_probs`` maps control-level Branch objects' positions is
-    not needed — branches fire deterministically in proportion to their
-    recorded probability (``branch.prob``), which the caller sets to the
-    *actual* probability when building the measured run.
+    Branches fire deterministically in proportion to their recorded
+    probability (``branch.prob``), which the caller sets to the *actual*
+    probability when building the measured run.
     """
     builder = SPMDBuilder(
         symbols=symbols,

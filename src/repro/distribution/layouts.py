@@ -69,20 +69,9 @@ class Alignment:
     def template_dim(self, array_dim: int) -> int:
         return self.axis_map[array_dim]
 
-    def array_dim(self, template_dim: int) -> Optional[int]:
-        """The array dimension aligned with ``template_dim``, or None when
-        the array is replicated along it."""
-        for d, t in enumerate(self.axis_map):
-            if t == template_dim:
-                return d
-        return None
-
     @classmethod
     def canonical(cls, rank: int) -> "Alignment":
         return cls(axis_map=tuple(range(rank)))
-
-    def is_canonical(self) -> bool:
-        return self.axis_map == tuple(range(self.rank))
 
     def __str__(self) -> str:
         return "align(" + ",".join(f"d{a}->t{t}" for a, t in
@@ -358,14 +347,6 @@ class DataLayout:
         """``(array_dim, template_dim, procs)`` for each distributed
         dimension of ``array``."""
         return self.mapping_of(array).distributed
-
-    def replicated_over(self, array: str) -> Tuple[Tuple[int, int], ...]:
-        """``(template_dim, procs)`` for distributed template dims the
-        array is *not* aligned with (i.e. it is replicated across them)."""
-        return self.mapping_of(array).replicated
-
-    def is_fully_replicated(self, array: str) -> bool:
-        return not self.distributed_array_dims(array)
 
     def local_elements(self, symbol: ArraySymbol) -> int:
         """Element count of ``symbol`` on the processor holding most."""

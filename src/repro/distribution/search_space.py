@@ -15,7 +15,7 @@ by column (Section 3.2's symmetry).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # avoid the alignment <-> distribution import cycle

@@ -24,7 +24,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from . import ast
-from .symbols import ArraySymbol, ScalarSymbol, SymbolTable, build_symbol_table
+from .symbols import ArraySymbol, SymbolTable, build_symbol_table
 
 
 class InterpError(Exception):

@@ -37,11 +37,13 @@ from __future__ import annotations
 import time
 from typing import List, Optional, Tuple
 
-from .model import MAXIMIZE, MINIMIZE, Solution, SolveStats, ZeroOneModel
+from .model import MAXIMIZE, Solution, SolveStats, ZeroOneModel
 
 _EPS = 1e-9
 
 FREE = -1
+#: search nodes after which :func:`solve` stops with ``node_limit``
+NODE_LIMIT = 5_000_000
 
 
 class _Problem:
@@ -151,11 +153,10 @@ def _propagate(
 def solve(
     model: ZeroOneModel,
     time_limit: Optional[float] = None,
-    node_limit: int = 5_000_000,
 ) -> Solution:
     """Solve ``model`` exactly by implicit enumeration.
 
-    Anytime behavior: on hitting ``time_limit`` or ``node_limit`` the
+    Anytime behavior: on hitting ``time_limit`` or ``NODE_LIMIT`` the
     best incumbent found so far is returned with status ``time_limit``
     / ``node_limit`` (``unknown`` when no feasible point was reached),
     so deadline-bounded callers always get their best available answer.
@@ -241,7 +242,7 @@ def solve(
             continue
         # kind == "enter": evaluate the current node.
         nodes += 1
-        if nodes > node_limit:
+        if nodes > NODE_LIMIT:
             limit_reached = "node_limit"
             break
         if (

@@ -11,9 +11,8 @@ backends.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Tuple
 
 SENSES = ("<=", ">=", "==")
 
@@ -78,9 +77,6 @@ class Solution:
         """A feasible assignment exists, proven optimal or not."""
         return self.status in INCUMBENT_STATUSES
 
-    def on_vars(self) -> List[str]:
-        """Names of variables set to 1."""
-        return [v for v, x in self.values.items() if x == 1]
 
 
 class ZeroOneModel:

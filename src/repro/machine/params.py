@@ -20,7 +20,7 @@ so re-targeting means swapping a parameter set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -95,8 +95,6 @@ class MachineParams:
     def dtype_factor(self, dtype: str) -> float:
         return self.real_factor if dtype in ("real", "integer") else 1.0
 
-    def with_overrides(self, **kwargs) -> "MachineParams":
-        return replace(self, **kwargs)
 
 
 IPSC860 = MachineParams()

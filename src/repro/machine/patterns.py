@@ -71,11 +71,9 @@ def append_reduction(
     nbytes: int,
     combine_cost: float = 0.0,
     root: int = 0,
-    ranks: Optional[Sequence[int]] = None,
 ) -> None:
-    """Binomial-tree reduction of ``nbytes`` onto participant ``root``."""
-    group = _resolve(ranks, len(programs))
-    nprocs = len(group)
+    """Binomial-tree reduction of ``nbytes`` onto processor ``root``."""
+    nprocs = len(programs)
     if nprocs <= 1:
         return
     span = 1
@@ -87,8 +85,8 @@ def append_reduction(
             partner = rel + span
             if partner >= nprocs:
                 continue
-            src = group[(root + partner) % nprocs]
-            dst = group[(root + rel) % nprocs]
+            src = (root + partner) % nprocs
+            dst = (root + rel) % nprocs
             programs[src].append(("send", dst, nbytes, False))
             programs[dst].append(("recv", src))
             if combine_cost > 0.0:
@@ -100,7 +98,6 @@ def append_alltoall(
     programs: Sequence[List[tuple]],
     local_bytes: int,
     buffered: bool = True,
-    pack_cost_per_byte: float = 0.0,
     ranks: Optional[Sequence[int]] = None,
 ) -> None:
     """Direct pairwise exchange of each participant's ``local_bytes``
@@ -111,11 +108,6 @@ def append_alltoall(
     if nprocs <= 1:
         return
     chunk = max(local_bytes // nprocs, 1)
-    if pack_cost_per_byte > 0.0:
-        for proc in group:
-            programs[proc].append(
-                ("compute", local_bytes * pack_cost_per_byte)
-            )
     for step in range(1, nprocs):
         for pos, proc in enumerate(group):
             programs[proc].append(
@@ -130,11 +122,9 @@ def append_reduce_broadcast(
     programs: Sequence[List[tuple]],
     nbytes: int,
     combine_cost: float = 0.0,
-    ranks: Optional[Sequence[int]] = None,
 ) -> None:
     """Global reduction whose result every participant needs (the
     Fortran D scheme for scalar reductions): reduce to 0, broadcast
     back."""
-    append_reduction(programs, nbytes, combine_cost=combine_cost, root=0,
-                     ranks=ranks)
-    append_broadcast(programs, nbytes, buffered=False, root=0, ranks=ranks)
+    append_reduction(programs, nbytes, combine_cost=combine_cost, root=0)
+    append_broadcast(programs, nbytes, buffered=False, root=0)

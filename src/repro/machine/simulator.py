@@ -25,7 +25,7 @@ randomness: identical inputs give identical makespans.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from .network import point_to_point_time

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import logging
 import sys
-from typing import Optional, TextIO
 
 #: accepted --log-level values
 LOG_LEVELS = ("debug", "info", "warning", "error")
@@ -55,9 +54,7 @@ def get_logger(name: str = "repro") -> logging.Logger:
     return logging.getLogger(name)
 
 
-def configure_logging(
-    level: str = "info", stream: Optional[TextIO] = None
-) -> logging.Logger:
+def configure_logging(level: str = "info") -> logging.Logger:
     """Install one stderr handler on the ``repro`` root logger.
 
     Idempotent: repeated calls adjust the level instead of stacking
@@ -72,14 +69,10 @@ def configure_logging(
     root.setLevel(getattr(logging, level.upper()))
     root.propagate = False
     if not root.handlers:
-        handler = logging.StreamHandler(stream or sys.stderr)
+        handler = logging.StreamHandler(sys.stderr)
         handler.setFormatter(logging.Formatter(_FORMAT))
         # On the handler, not the logger: logger-level filters do not
         # apply to records propagated up from child loggers.
         handler.addFilter(TraceContextFilter())
         root.addHandler(handler)
-    elif stream is not None:
-        for handler in root.handlers:
-            if isinstance(handler, logging.StreamHandler):
-                handler.setStream(stream)
     return root

@@ -314,8 +314,6 @@ def evaluate_objectives(
     objectives: Sequence[Objective],
     windows: Mapping[str, Any],
     require_data: bool = False,
-    fast_burn: float = FAST_BURN,
-    slow_burn: float = SLOW_BURN,
 ) -> SLOReport:
     """Evaluate objectives against one window snapshot (the service
     stats ``window`` section: ``{"window_s": ..., "fast_s": ...,
@@ -349,9 +347,9 @@ def evaluate_objectives(
             burn_fast=burn_fast_x,
             burn_slow=burn_slow_x,
         )
-        if burn_fast_x >= fast_burn and burn_slow_x >= fast_burn:
+        if burn_fast_x >= FAST_BURN and burn_slow_x >= FAST_BURN:
             result.alerts.append("fast-burn")
-        elif burn_slow_x >= slow_burn:
+        elif burn_slow_x >= SLOW_BURN:
             result.alerts.append("slow-burn")
         report.results.append(result)
     return report
@@ -364,19 +362,13 @@ def evaluate_objectives(
 def window_from_events(
     events: Sequence[Mapping[str, Any]],
     window_s: float = DEFAULT_BUCKET_S * DEFAULT_BUCKET_COUNT,
-    fast_s: float = DEFAULT_FAST_S,
-    now_us: Optional[int] = None,
-    event_type: str = "service.request",
 ) -> Dict[str, Any]:
     """Replay ``service.request`` events into sliding windows anchored
-    at the newest event (or ``now_us``), producing the same snapshot
-    shape a live service serves — so ``repro slo check`` works on a
-    dead service's log exactly as on a live one."""
-    requests = [e for e in events if e.get("type") == event_type]
-    if now_us is None:
-        now_us = max(
-            (int(e.get("ts_us", 0)) for e in requests), default=0
-        )
+    at the newest event, producing the same snapshot shape a live
+    service serves — so ``repro slo check`` works on a dead service's
+    log exactly as on a live one."""
+    requests = [e for e in events if e.get("type") == "service.request"]
+    now_us = max((int(e.get("ts_us", 0)) for e in requests), default=0)
     bucket_s = max(window_s / DEFAULT_BUCKET_COUNT, 1e-3)
     per_op: Dict[str, WindowedOpStats] = {}
     for event in requests:
@@ -406,11 +398,11 @@ def window_from_events(
         stats._clock = (lambda t=now_us / 1e6: t)
         ops[op] = {
             "full": stats.snapshot(),
-            "fast": stats.snapshot(horizon_s=fast_s),
+            "fast": stats.snapshot(horizon_s=DEFAULT_FAST_S),
         }
     return {
         "window_s": window_s,
-        "fast_s": fast_s,
+        "fast_s": DEFAULT_FAST_S,
         "bucket_s": bucket_s,
         "ops": ops,
     }

@@ -145,14 +145,13 @@ def make_event(
     type: str,
     attrs: Optional[Mapping[str, Any]] = None,
     seq: int = 0,
-    ts_us: Optional[int] = None,
 ) -> Dict[str, Any]:
     """Build one event dict, stamping trace correlation from the active
     tracing context (satellite of the trace/event join)."""
     event: Dict[str, Any] = {
         "schema": EVENT_SCHEMA,
         "seq": seq,
-        "ts_us": int(time.time() * 1e6) if ts_us is None else int(ts_us),
+        "ts_us": int(time.time() * 1e6),
         "type": type,
         "attrs": dict(attrs or {}),
     }
@@ -180,7 +179,6 @@ class EventLog:
         max_bytes: int = DEFAULT_MAX_BYTES,
         max_files: int = DEFAULT_MAX_FILES,
         fsync: bool = True,
-        tail_events: int = DEFAULT_TAIL_EVENTS,
     ):
         if max_bytes < 1024:
             raise ValueError(f"max_bytes must be >= 1024, got {max_bytes}")
@@ -192,7 +190,7 @@ class EventLog:
         self._seq = 0
         self._handle: Optional[io.TextIOWrapper] = None
         self._bytes = 0
-        self._tail: Deque[Dict[str, Any]] = deque(maxlen=tail_events)
+        self._tail: Deque[Dict[str, Any]] = deque(maxlen=DEFAULT_TAIL_EVENTS)
         self.events_total = 0
         self.rotations_total = 0
         self.bad_lines_total = 0
@@ -214,12 +212,11 @@ class EventLog:
         self,
         type: str,
         attrs: Optional[Mapping[str, Any]] = None,
-        ts_us: Optional[int] = None,
     ) -> Dict[str, Any]:
         """Append one event; returns the event dict written."""
         with self._lock:
             self._seq += 1
-            event = make_event(type, attrs, seq=self._seq, ts_us=ts_us)
+            event = make_event(type, attrs, seq=self._seq)
             self.events_total += 1
             self._tail.append(event)
             if self.root is not None:

@@ -235,8 +235,8 @@ class _Slot:
 
     __slots__ = ("period", "sketch", "ok", "errors", "degraded")
 
-    def __init__(self, period: int = -1):
-        self.reset(period)
+    def __init__(self):
+        self.reset(-1)
 
     def reset(self, period: int) -> None:
         self.period = period

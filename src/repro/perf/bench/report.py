@@ -10,7 +10,7 @@ Prometheus exposition table in :mod:`repro.obs.prometheus`.
 
 from __future__ import annotations
 
-from typing import Any, Mapping, Optional, Union
+from typing import Any, Mapping, Union
 
 from ...obs.prometheus import render_prometheus
 from ...service.metrics import Metrics
@@ -74,11 +74,9 @@ def format_compare(report: RegressionReport) -> str:
     return "\n".join(lines)
 
 
-def results_to_metrics(
-    results: Mapping[str, ResultLike], metrics: Optional[Metrics] = None
-) -> Metrics:
+def results_to_metrics(results: Mapping[str, ResultLike]) -> Metrics:
     """Fold every repetition into ``bench_seconds`` series."""
-    metrics = metrics or Metrics()
+    metrics = Metrics()
     for bench_id in sorted(results):
         row = _row(results[bench_id])
         for seconds in row.get("times_s", []):

@@ -553,7 +553,6 @@ def build_suite(
     stages: Optional[Sequence[str]] = None,
     include_e2e: bool = True,
     include_qa: bool = True,
-    qa_seeds: Sequence[int] = QA_SEEDS,
     sizes: Optional[Mapping[str, int]] = None,
 ) -> List[BenchCase]:
     """Collect the benchmark suite (preparation runs here, untimed)."""
@@ -601,7 +600,7 @@ def build_suite(
     if include_e2e and SETUP_LAYER in wanted_stages:
         cases.extend(_setup_cases())
     if include_e2e and include_qa:
-        cases.append(_qa_corpus_case(config, qa_seeds))
+        cases.append(_qa_corpus_case(config, QA_SEEDS))
     for name, seed, stage in (
         ("qa-hotloop", HOTLOOP_SEED, GRAPH_STAGE),
         ("qa-tied", TIED_SEED, "alignment_ilp"),

@@ -25,7 +25,7 @@ from __future__ import annotations
 import tracemalloc
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Any, Callable, Dict, List, Mapping, Optional
+from typing import Any, Callable, Dict, List, Mapping
 
 from ...obs.tracing import span as obs_span
 

@@ -45,9 +45,6 @@ class EstimationResult:
     nprocs: int
     options: CompilerOptions
 
-    def best_candidate(self, phase_index: int) -> EstimatedCandidate:
-        return min(self.per_phase[phase_index], key=lambda e: e.total)
-
     def candidate(self, phase_index: int, position: int) -> EstimatedCandidate:
         return self.per_phase[phase_index][position]
 

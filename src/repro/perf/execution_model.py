@@ -21,7 +21,7 @@ vs-measured gaps in Figures 4-7):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Protocol, Tuple
 
 from ..codegen.comm import (

@@ -196,9 +196,6 @@ class TrainingDatabase:
             return 0.0
         return self.lookup(pattern, procs, stride, latency).predict(nbytes)
 
-    def op_cost(self, op: str, dtype: str = "double") -> float:
-        return self.op_costs[(op, dtype)]
-
     def __len__(self) -> int:
         return len(self.sets) + len(self.op_costs)
 

@@ -7,7 +7,7 @@ facts the paper states, which the test suite verifies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
 from . import adi, erlebacher, shallow, tomcatv
@@ -117,12 +117,3 @@ PROGRAMS: Dict[str, ProgramSpec] = {
         grid_skip=(("real", 520, 2),),
     ),
 }
-
-
-def get_program(name: str) -> ProgramSpec:
-    try:
-        return PROGRAMS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown program {name!r}; available: {sorted(PROGRAMS)}"
-        ) from None

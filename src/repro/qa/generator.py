@@ -198,7 +198,6 @@ def _structure(
     rng: random.Random,
     phases: List[ast.Stmt],
     config: GeneratorConfig,
-    control_depth: int = 0,
 ) -> Tuple[ast.Stmt, ...]:
     """Arrange phase loops into a body, optionally nesting runs of them
     inside control loops or IF branches."""
@@ -213,12 +212,11 @@ def _structure(
         roll = rng.random()
         if (
             roll < config.p_control_loop
-            and control_depth < len(_CONTROL_VARS)
             and len(chunk) >= 1
         ):
             out.append(
                 ast.Do(
-                    var=_CONTROL_VARS[control_depth],
+                    var=_CONTROL_VARS[0],
                     lo=ast.IntLit(1),
                     hi=ast.IntLit(rng.randint(2, 4)),
                     step=None,

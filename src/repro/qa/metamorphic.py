@@ -30,7 +30,7 @@ ILP-vs-oracle divergences.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from ..frontend import ast
 from ..frontend.printer import format_program
@@ -163,10 +163,8 @@ def declared_arrays(program: ast.Program) -> List[str]:
     return out
 
 
-def scale_size_parameter(
-    program: ast.Program, factor: int, name: str = "n"
-) -> ast.Program:
-    """Multiply the integer PARAMETER ``name`` (the problem size that
+def scale_size_parameter(program: ast.Program, factor: int) -> ast.Program:
+    """Multiply the integer PARAMETER ``n`` (the problem size that
     drives every trip count and array extent) by ``factor``."""
     declarations = []
     for decl in program.declarations:
@@ -175,7 +173,7 @@ def scale_size_parameter(
                 (
                     bname,
                     ast.IntLit(expr.value * factor)
-                    if bname == name and isinstance(expr, ast.IntLit)
+                    if bname == "n" and isinstance(expr, ast.IntLit)
                     else expr,
                 )
                 for bname, expr in decl.bindings
@@ -189,17 +187,16 @@ def scale_size_parameter(
     )
 
 
-def add_unused_array(
-    program: ast.Program, name: str = "zunused", dtype: str = "real"
-) -> ast.Program:
-    """Append a rank-1 array sized by the existing ``n`` parameter that no
-    statement references.  By construction it cannot enlarge the program
-    template (rank 1, extent n <= the template's first extent)."""
+def add_unused_array(program: ast.Program) -> ast.Program:
+    """Append a rank-1 REAL array ``zunused`` sized by the existing ``n``
+    parameter that no statement references.  By construction it cannot
+    enlarge the program template (rank 1, extent n <= the template's
+    first extent)."""
     extra = ast.TypeDecl(
-        dtype=dtype,
+        dtype="real",
         entities=(
             ast.Entity(
-                name=name,
+                name="zunused",
                 dims=(ast.DimSpec(lo=ast.IntLit(1), hi=ast.Var("n")),),
             ),
         ),
@@ -236,14 +233,13 @@ def check_array_renaming(
     program: ast.Program,
     config: AssistantConfig,
     base: Optional[AssistantResult] = None,
-    runner: Runner = run_assistant,
 ) -> Optional[str]:
     """Renaming arrays must preserve cost multisets and the optimum."""
     arrays = declared_arrays(program)
     mapping = {name: f"z{name}ren" for name in arrays}
     renamed = rename_identifiers(program, mapping)
-    base = base or runner(format_program(program), config)
-    other = runner(format_program(renamed), config)
+    base = base or run_assistant(format_program(program), config)
+    other = run_assistant(format_program(renamed), config)
     if len(base.partition.phases) != len(other.partition.phases):
         return (
             "array renaming changed the phase count: "
@@ -271,7 +267,6 @@ def check_loop_var_relabeling(
     program: ast.Program,
     config: AssistantConfig,
     base: Optional[AssistantResult] = None,
-    runner: Runner = run_assistant,
 ) -> Optional[str]:
     """Renaming induction variables (a phase-order-preserving relabeling)
     must leave every cost bitwise identical."""
@@ -282,8 +277,8 @@ def check_loop_var_relabeling(
     })
     mapping = {var: f"{var}{var}x" for var in loop_vars}
     relabeled = rename_identifiers(program, mapping)
-    base = base or runner(format_program(program), config)
-    other = runner(format_program(relabeled), config)
+    base = base or run_assistant(format_program(program), config)
+    other = run_assistant(format_program(relabeled), config)
     if base.graph.node_costs != other.graph.node_costs:
         return (
             "loop-variable relabeling changed node costs: "
@@ -325,13 +320,12 @@ def check_trip_count_scaling(
     config: AssistantConfig,
     base: Optional[AssistantResult] = None,
     runner: Runner = run_assistant,
-    factor: int = 2,
 ) -> Optional[str]:
     """Scaling every trip count (via the size parameter) must not make any
     phase cheaper, nor the selected optimum.  A phase that
     :func:`pins_two_constant_subscripts` is exempt, and with it the
     optimum it is part of."""
-    scaled = scale_size_parameter(program, factor)
+    scaled = scale_size_parameter(program, 2)
     base = base or runner(format_program(program), config)
     other = runner(format_program(scaled), config)
     if len(base.partition.phases) != len(other.partition.phases):
@@ -351,13 +345,13 @@ def check_trip_count_scaling(
         lo_after = min(other.graph.node_costs[idx])
         if lo_after < lo_before - slack:
             return (
-                f"scaling n by {factor} made phase {idx} cheaper: "
+                f"scaling n by 2 made phase {idx} cheaper: "
                 f"{lo_before!r} -> {lo_after!r}"
             )
     if not exempt \
             and other.selection.objective < base.selection.objective - slack:
         return (
-            f"scaling n by {factor} lowered the optimum: "
+            f"scaling n by 2 lowered the optimum: "
             f"{base.selection.objective!r} -> "
             f"{other.selection.objective!r}"
         )
@@ -368,12 +362,11 @@ def check_unused_array(
     program: ast.Program,
     config: AssistantConfig,
     base: Optional[AssistantResult] = None,
-    runner: Runner = run_assistant,
 ) -> Optional[str]:
     """An extra never-referenced array must change nothing at all."""
     extended = add_unused_array(program)
-    base = base or runner(format_program(program), config)
-    other = runner(format_program(extended), config)
+    base = base or run_assistant(format_program(program), config)
+    other = run_assistant(format_program(extended), config)
     if base.selection.selection != other.selection.selection:
         return (
             "unused array changed the selection: "

@@ -20,7 +20,7 @@ a different one.  The total number of predicate evaluations is capped.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import Callable, Iterator, List, Tuple
 
 from ..frontend import ast
 
@@ -123,17 +123,16 @@ def _with_body(
 
 
 def minimize_program(
-    program: ast.Program,
-    predicate: Predicate,
-    max_calls: int = MAX_PREDICATE_CALLS,
+    program: ast.Program, predicate: Predicate
 ) -> ast.Program:
     """Greedily shrink ``program`` while ``predicate`` keeps returning
-    True.  Returns the smallest variant found (possibly the input)."""
+    True, within ``MAX_PREDICATE_CALLS`` calls of it.  Returns the
+    smallest variant found (possibly the input)."""
     calls = 0
 
     def holds(candidate: ast.Program) -> bool:
         nonlocal calls
-        if calls >= max_calls:
+        if calls >= MAX_PREDICATE_CALLS:
             return False
         calls += 1
         try:
@@ -146,7 +145,7 @@ def minimize_program(
 
     current = program
     progress = True
-    while progress and calls < max_calls:
+    while progress and calls < MAX_PREDICATE_CALLS:
         progress = False
         for body in _delete_in_seq(current.body):
             candidate = _with_body(current, body)

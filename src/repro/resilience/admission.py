@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import threading
 from time import monotonic
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from ..obs import telemetry
 from .breaker import CircuitBreaker
@@ -179,7 +179,6 @@ class AdmissionController:
         max_queue_wait_s: float = 2.0,
         brownout_utilization: float = 0.85,
         breakers: Optional[Sequence[CircuitBreaker]] = None,
-        clock: Callable[[], float] = monotonic,
     ):
         if max_queue < 0:
             raise ValueError(f"max_queue must be >= 0, got {max_queue}")
@@ -197,7 +196,6 @@ class AdmissionController:
         self.max_queue_wait_s = float(max_queue_wait_s)
         self.brownout_utilization = float(brownout_utilization)
         self.breakers: List[CircuitBreaker] = list(breakers or [])
-        self._clock = clock
         self._cond = threading.Condition()
         self._in_flight = 0
         self._in_progress = 0
@@ -259,7 +257,7 @@ class AdmissionController:
         starts.  Raises :class:`OverloadedError` (with
         ``retry_after_s``) or :class:`ShuttingDownError`.
         """
-        start = self._clock()
+        start = monotonic()
         with self._cond:
             if self._draining:
                 self._counters["rejected_draining"] += 1
@@ -303,13 +301,13 @@ class AdmissionController:
                     if self._draining:
                         self._counters["rejected_draining"] += 1
                         raise ShuttingDownError("service is draining")
-                    remaining = give_up_at - self._clock()
+                    remaining = give_up_at - monotonic()
                     if remaining <= 0:
                         self._counters["shed_wait_timeout"] += 1
                         retry_after = self._retry_after_locked()
                         telemetry.emit(
                             "admission.shed", reason="wait-timeout",
-                            waited_s=round(self._clock() - start, 4),
+                            waited_s=round(monotonic() - start, 4),
                             queue_depth=self._queued - 1,
                             in_flight=self._in_flight,
                         )
@@ -331,7 +329,7 @@ class AdmissionController:
             if brownout:
                 self._counters["brownout_admitted"] += 1
             return Ticket(
-                waited_s=self._clock() - start, brownout=brownout
+                waited_s=monotonic() - start, brownout=brownout
             )
 
     def release(
@@ -400,10 +398,10 @@ class AdmissionController:
         """Block until no request is in flight or in progress, or
         ``timeout_s`` runs out; returns whether the controller went
         idle in time."""
-        give_up_at = self._clock() + max(timeout_s, 0.0)
+        give_up_at = monotonic() + max(timeout_s, 0.0)
         with self._cond:
             while self._in_flight > 0 or self._in_progress > 0:
-                remaining = give_up_at - self._clock()
+                remaining = give_up_at - monotonic()
                 if remaining <= 0:
                     return False
                 self._cond.wait(timeout=remaining)

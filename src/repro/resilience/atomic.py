@@ -61,15 +61,13 @@ def atomic_write_bytes(path: PathLike, data: bytes) -> None:
         raise
 
 
-def atomic_write_text(path: PathLike, text: str,
-                      encoding: str = "utf-8") -> None:
-    atomic_write_bytes(path, text.encode(encoding))
+def atomic_write_text(path: PathLike, text: str) -> None:
+    atomic_write_bytes(path, text.encode("utf-8"))
 
 
-def atomic_write_json(path: PathLike, payload: Any,
-                      indent: int = 2) -> None:
+def atomic_write_json(path: PathLike, payload: Any) -> None:
     atomic_write_text(
-        path, json.dumps(payload, indent=indent, sort_keys=True) + "\n"
+        path, json.dumps(payload, indent=2, sort_keys=True) + "\n"
     )
 
 

@@ -60,10 +60,6 @@ TYPED_ERROR_KINDS = frozenset({
     "shutting-down",
 })
 
-#: the typed rejections admission control may answer with under load;
-#: an ``overloaded`` rejection must also carry ``retry_after_s``
-OVERLOAD_REJECTION_KINDS = frozenset({"overloaded", "shutting-down"})
-
 #: relative tolerance when comparing a faulted run's predicted cost
 #: against the fault-free reference
 _REL_TOL = 1e-6
@@ -401,6 +397,7 @@ def run_overload_case(
         AdmissionController,
     )
     from ..service.pool import WorkerPool
+    from ..service.protocol import SHED_KINDS
     from ..service.server import LayoutService
 
     rng = random.Random(f"chaos-overload:{seed}")
@@ -460,7 +457,7 @@ def run_overload_case(
         saw_degraded = False
         for slot, response in enumerate(responses):
             kind = (response or {}).get("error_kind")
-            if kind in OVERLOAD_REJECTION_KINDS:
+            if kind in SHED_KINDS:
                 shed += 1
                 if (kind == "overloaded"
                         and response.get("retry_after_s") is None):

@@ -28,7 +28,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from ..analysis.pcfg import ENTRY, EXIT, PCFG
+from ..analysis.pcfg import EXIT, PCFG
 from ..analysis.phases import Phase
 from ..distribution.layouts import placement_codes, remapped
 from ..frontend.symbols import ArraySymbol, SymbolTable

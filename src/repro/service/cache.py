@@ -163,14 +163,11 @@ class StageCache:
     and for serving without a writable filesystem.
     """
 
-    def __init__(self, root: Optional[str] = None,
-                 memory_entries: int = _MEMORY_ENTRIES,
-                 breaker: Optional[CircuitBreaker] = None):
+    def __init__(self, root: Optional[str] = None):
         self.root = root
         self._memory: "OrderedDict[Tuple[str, str], Any]" = OrderedDict()
-        self._memory_entries = memory_entries
         self._lock = threading.Lock()
-        self.breaker = breaker or CircuitBreaker(
+        self.breaker = CircuitBreaker(
             name="cache-disk", failure_threshold=5, reset_timeout_s=10.0
         )
         self.quarantined_total = 0
@@ -252,7 +249,7 @@ class StageCache:
         with self._lock:
             self._memory[mem_key] = value
             self._memory.move_to_end(mem_key)
-            while len(self._memory) > self._memory_entries:
+            while len(self._memory) > _MEMORY_ENTRIES:
                 self._memory.popitem(last=False)
 
     def clear_memory(self) -> None:

@@ -44,12 +44,10 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional
 
 from ..obs.log import get_logger
+from .protocol import SHED_KINDS
 from .server import DEFAULT_HOST, DEFAULT_PORT, send_request
 
 SCHEMA = "repro.service/loadtest/v1"
-
-#: rejection kinds that count as clean load shedding, not failure
-SHED_KINDS = frozenset({"overloaded", "shutting-down"})
 
 #: outcomes that count toward goodput (a usable layout was returned)
 GOOD_OUTCOMES = ("served", "served-degraded")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Callable, Dict, Tuple
+from typing import Any, Dict, Tuple
 
 from ..obs.window import DEFAULT_FAST_S, LogBucketSketch, WindowedOpStats
 
@@ -23,24 +23,23 @@ SERIES_FAMILIES = ("stage_seconds", "span_seconds", "bench_seconds")
 class Metrics:
     """All service counters behind one lock."""
 
-    def __init__(self, clock: Callable[[], float] = time.monotonic) -> None:
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._counters: Dict[str, int] = {}
         self._cache: Dict[str, Dict[str, int]] = {}
         self._series: Dict[Tuple[str, str], LogBucketSketch] = {}
         self._windows: Dict[str, WindowedOpStats] = {}
-        self._clock = clock
         self.started_at = time.time()
         # Uptime is measured on the monotonic clock so it can never go
         # negative or jump when the system clock is adjusted;
         # ``started_at`` stays wall-clock for display only.
-        self._started_monotonic = clock()
+        self._started_monotonic = time.monotonic()
 
     # -- recording -------------------------------------------------------
 
-    def inc(self, name: str, amount: int = 1) -> None:
+    def inc(self, name: str) -> None:
         with self._lock:
-            self._counters[name] = self._counters.get(name, 0) + amount
+            self._counters[name] = self._counters.get(name, 0) + 1
 
     def record_cache(self, stage: str, hit: bool) -> None:
         with self._lock:
@@ -74,9 +73,7 @@ class Metrics:
         with self._lock:
             window = self._windows.get(op)
             if window is None:
-                window = self._windows[op] = WindowedOpStats(
-                    clock=self._clock
-                )
+                window = self._windows[op] = WindowedOpStats()
             window.observe(seconds, ok=ok, degraded=degraded)
 
     # -- reading ---------------------------------------------------------
@@ -85,19 +82,7 @@ class Metrics:
         with self._lock:
             return self._counters.get(name, 0)
 
-    def _cache_totals_locked(self) -> Tuple[int, int]:
-        """Sum cache hits/misses across stages (caller holds the lock)."""
-        hits = sum(s["hits"] for s in self._cache.values())
-        misses = sum(s["misses"] for s in self._cache.values())
-        return hits, misses
-
-    def cache_totals(self) -> Tuple[int, int]:
-        with self._lock:
-            return self._cache_totals_locked()
-
-    def window_snapshot(
-        self, fast_s: float = DEFAULT_FAST_S
-    ) -> Dict[str, Any]:
+    def window_snapshot(self) -> Dict[str, Any]:
         """Per-op sliding-window views: a ``full``-window and a
         ``fast``-horizon snapshot per op, the input shape of
         :func:`repro.obs.slo.evaluate_objectives`."""
@@ -106,26 +91,27 @@ class Metrics:
         ops = {
             op: {
                 "full": window.snapshot(),
-                "fast": window.snapshot(horizon_s=fast_s),
+                "fast": window.snapshot(horizon_s=DEFAULT_FAST_S),
             }
             for op, window in sorted(windows.items())
         }
         window_s = max(
             (w.window_s for w in windows.values()), default=0.0
         )
-        return {"window_s": window_s, "fast_s": fast_s, "ops": ops}
+        return {"window_s": window_s, "fast_s": DEFAULT_FAST_S, "ops": ops}
 
     def snapshot(self) -> Dict[str, Any]:
         window = self.window_snapshot()
         with self._lock:
-            hits, misses = self._cache_totals_locked()
+            hits = sum(s["hits"] for s in self._cache.values())
+            misses = sum(s["misses"] for s in self._cache.values())
             series: Dict[str, Dict[str, Any]] = {
                 family: {} for family in SERIES_FAMILIES
             }
             for (family, label), sketch in sorted(self._series.items()):
                 series[family][label] = sketch.snapshot()
             return {
-                "uptime_seconds": self._clock() - self._started_monotonic,
+                "uptime_seconds": time.monotonic() - self._started_monotonic,
                 "counters": dict(self._counters),
                 "cache": {
                     "hits": hits,

@@ -342,12 +342,8 @@ class LayoutResponse:
         cls,
         result: AssistantResult,
         timings: List[StageTiming],
-        request_id: Optional[str] = None,
-        degradations: Optional[List[Dict[str, Any]]] = None,
     ) -> "LayoutResponse":
-        return cls.from_answer(
-            answer_of(result), timings, request_id, degradations
-        )
+        return cls.from_answer(answer_of(result), timings)
 
     @classmethod
     def from_answer(
@@ -462,6 +458,11 @@ class LayoutResponse:
 #: retrying cannot duplicate work or mask a real failure
 RETRYABLE_KINDS = frozenset({"overloaded"})
 
+#: the typed rejections of load shedding: admission control answers
+#: with them under load, and a load test counts them as shed, not
+#: failed (an ``overloaded`` one also carries ``retry_after_s``)
+SHED_KINDS = frozenset({"overloaded", "shutting-down"})
+
 
 class RetryPolicy:
     """When and how long to back off before retrying a shed request.
@@ -471,25 +472,17 @@ class RetryPolicy:
     ``retry_after_s`` hint — a polite client never comes back sooner
     than the server predicted capacity."""
 
-    def __init__(
-        self,
-        max_attempts: int = 3,
-        backoff: Optional[Backoff] = None,
-        retryable_kinds: frozenset = RETRYABLE_KINDS,
-    ):
+    def __init__(self, max_attempts: int = 3):
         if max_attempts < 1:
             raise ValueError(
                 f"max_attempts must be >= 1, got {max_attempts}"
             )
         self.max_attempts = int(max_attempts)
-        self.backoff = backoff or Backoff(
-            base_s=0.1, factor=2.0, max_s=5.0, jitter=0.5
-        )
-        self.retryable_kinds = frozenset(retryable_kinds)
+        self.backoff = Backoff(base_s=0.1, factor=2.0, max_s=5.0, jitter=0.5)
 
     def should_retry(self, attempt: int, error_kind: Optional[str]) -> bool:
         """May attempt ``attempt`` (0-based) be followed by another?"""
-        return (error_kind in self.retryable_kinds
+        return (error_kind in RETRYABLE_KINDS
                 and attempt + 1 < self.max_attempts)
 
     def delay_s(self, attempt: int,

@@ -62,7 +62,7 @@ from ..resilience.errors import (
 )
 from ..resilience.faults import fault_point
 from ..tool.assistant import STAGES, run_assistant
-from .cache import StageCache, StageKeys
+from .cache import StageCache
 from .errors import ConnectionIdleError, ServiceError
 from .metrics import Metrics
 from .pool import WorkerPool
@@ -138,7 +138,6 @@ class LayoutService:
         self,
         cache_dir: Optional[str] = None,
         pool: Optional[WorkerPool] = None,
-        metrics: Optional[Metrics] = None,
         request_timeout: Optional[float] = None,
         use_cache: bool = True,
         telemetry: Optional[ServiceTelemetry] = None,
@@ -148,7 +147,7 @@ class LayoutService:
     ):
         self.cache = StageCache(cache_dir)
         self.pool = pool if pool is not None else WorkerPool()
-        self.metrics = metrics or Metrics()
+        self.metrics = Metrics()
         self.request_timeout = request_timeout
         self.use_cache = use_cache
         # Admission control defaults on, wired to the dependency

@@ -135,14 +135,8 @@ class ServiceTelemetry:
         self,
         events_dir: Optional[str] = None,
         sampler: Optional[TailSampler] = None,
-        max_bytes: int = obs_telemetry.DEFAULT_MAX_BYTES,
-        max_files: int = obs_telemetry.DEFAULT_MAX_FILES,
-        fsync: bool = True,
     ):
-        self.events = EventLog(
-            events_dir, max_bytes=max_bytes, max_files=max_files,
-            fsync=fsync,
-        )
+        self.events = EventLog(events_dir)
         self.sampler = sampler if sampler is not None else TailSampler()
         self._installed = False
 

@@ -19,11 +19,11 @@ def _quote(text: str) -> str:
     return '"' + text.replace('"', r"\"") + '"'
 
 
-def pcfg_to_dot(pcfg: PCFG, title: str = "PCFG") -> str:
+def pcfg_to_dot(pcfg: PCFG) -> str:
     """The phase control flow graph: nodes labelled with frequencies,
     edges with expected transition counts."""
     lines = [
-        f"digraph {_quote(title)} {{",
+        'digraph "PCFG" {',
         "  rankdir=TB;",
         '  node [shape=box, fontname="monospace"];',
         f"  {_quote(str(ENTRY))} [shape=circle];",
@@ -49,12 +49,11 @@ def pcfg_to_dot(pcfg: PCFG, title: str = "PCFG") -> str:
 def layout_graph_to_dot(
     graph: DataLayoutGraph,
     selection: Optional[Dict[int, int]] = None,
-    title: str = "DataLayoutGraph",
 ) -> str:
     """The data layout graph: one node per candidate (selected candidates
     highlighted), remapping edges labelled with their costs."""
     lines = [
-        f"digraph {_quote(title)} {{",
+        'digraph "DataLayoutGraph" {',
         "  rankdir=LR;",
         '  node [shape=record, fontname="monospace"];',
     ]

@@ -13,14 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from ..analysis.phases import PhasePartition, partition_phases
-from ..codegen.spmd import SPMDBuilder, compile_program
+from ..analysis.phases import partition_phases
+from ..codegen.spmd import compile_program
 from ..distribution.layouts import DataLayout
 from ..frontend.inline import inline_program
 from ..frontend.parser import parse_source_file
-from ..frontend.symbols import SymbolTable, build_symbol_table
+from ..frontend.symbols import build_symbol_table
 from ..machine.params import IPSC860, MachineParams
-from ..machine.simulator import SimResult, simulate
+from ..machine.simulator import simulate
 
 
 @dataclass

@@ -10,13 +10,15 @@ communication the compiler model plans.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict
 
 from ..distribution.layouts import DataLayout
 from ..frontend.symbols import ArraySymbol, SymbolTable
 
 #: per-node memory of the simulated iPSC/860 (8 MB, minus ~1 MB of NX/OS)
 DEFAULT_NODE_BYTES = 7 * 1024 * 1024
+#: overlap areas and message buffers, as a share of the arrays' bytes
+GHOST_FRACTION = 0.05
 
 
 @dataclass
@@ -31,10 +33,6 @@ class MemoryReport:
     def fits(self) -> bool:
         return self.total_bytes <= self.node_bytes
 
-    @property
-    def utilization(self) -> float:
-        return self.total_bytes / self.node_bytes
-
     def __str__(self) -> str:  # pragma: no cover - reporting aid
         status = "fits" if self.fits else "DOES NOT FIT"
         return (
@@ -47,14 +45,13 @@ def memory_footprint(
     symbols: SymbolTable,
     layouts: Dict[int, DataLayout],
     node_bytes: int = DEFAULT_NODE_BYTES,
-    ghost_fraction: float = 0.05,
 ) -> MemoryReport:
     """Worst-case per-node bytes across all selected layouts.
 
     Each array is charged its largest local share over the phases that
     lay it out (a dynamically remapped array needs both homes'
     allocations only transiently; we charge the maximum, as the Fortran D
-    runtime reused the remap buffer).  ``ghost_fraction`` approximates
+    runtime reused the remap buffer).  ``GHOST_FRACTION`` approximates
     overlap areas and message buffers.
     """
     per_array: Dict[str, int] = {}
@@ -70,7 +67,7 @@ def memory_footprint(
         if symbol.name not in per_array:
             per_array[symbol.name] = symbol.total_bytes
     total = sum(per_array.values())
-    total = int(total * (1.0 + ghost_fraction))
+    total = int(total * (1.0 + GHOST_FRACTION))
     return MemoryReport(
         per_array=per_array, total_bytes=total, node_bytes=node_bytes
     )

@@ -7,7 +7,7 @@ that interface (and what the CLI prints).
 
 from __future__ import annotations
 
-from typing import Any, List, Mapping, Optional
+from typing import Any, List, Mapping
 
 from .assistant import AssistantResult
 from .schemes import Scheme, TOOL, matching_scheme

@@ -18,8 +18,8 @@ once measured, the simulated execution time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Set
 
 from ..selection.baselines import greedy_selection
 from ..selection.ilp import select_layouts

@@ -55,7 +55,7 @@ def test_analysis_recovers_coefficients(form):
     coeffs, const = form
     aff = analyze_subscript(expr_of(render(coeffs, const)))
     assert aff.affine
-    assert aff.coeff_map == coeffs
+    assert dict(aff.coeffs) == coeffs
     assert aff.const == const
 
 
@@ -70,7 +70,7 @@ def test_sum_of_affine_is_affine(form, other):
     for var, c in c2.items():
         expected[var] = expected.get(var, 0) + c
     expected = {v: c for v, c in expected.items() if c != 0}
-    assert aff.coeff_map == expected
+    assert dict(aff.coeffs) == expected
     assert aff.const == k1 + k2
 
 
@@ -84,7 +84,7 @@ def test_constant_multiple_scales(form, factor):
     expected = {
         v: c * factor for v, c in coeffs.items() if c * factor != 0
     }
-    assert aff.coeff_map == expected
+    assert dict(aff.coeffs) == expected
     assert aff.const == const * factor
 
 
@@ -94,7 +94,7 @@ def test_negation_flips_everything(form):
     coeffs, const = form
     aff = analyze_subscript(expr_of(f"-({render(coeffs, const)})"))
     assert aff.affine
-    assert aff.coeff_map == {v: -c for v, c in coeffs.items()}
+    assert dict(aff.coeffs) == {v: -c for v, c in coeffs.items()}
     assert aff.const == -const
 
 
@@ -111,4 +111,4 @@ def test_parameter_substitution_folds(form, constants):
     aff = analyze_subscript(expr_of(text), constants=constants)
     assert aff.affine
     assert aff.const == const + sum(constants.values())
-    assert aff.coeff_map == coeffs
+    assert dict(aff.coeffs) == coeffs

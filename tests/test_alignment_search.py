@@ -4,7 +4,6 @@ import pytest
 
 from repro.alignment.cag import CAG
 from repro.alignment.search_space import (
-    AlignmentCandidate,
     build_alignment_search_spaces,
     dominance_factor,
 )
@@ -137,35 +136,6 @@ class TestPerPhaseProjection:
         for cands in spaces.per_phase.values():
             sigs = [c.signature() for c in cands]
             assert len(sigs) == len(set(sigs))
-
-
-class TestUserEditing:
-    def test_insert_and_delete_candidate(self):
-        spaces, part, table, tpl = spaces_for(CANONICAL)
-        existing = spaces.per_phase[0][0]
-        clone = AlignmentCandidate(
-            partitioning=existing.partitioning,
-            alignments=existing.alignments,
-            provenance="user",
-        )
-        # identical signature: not duplicated
-        spaces.insert_candidate(0, clone)
-        assert len(spaces.per_phase[0]) == 1
-        # different alignments: inserted, then deletable
-        from repro.distribution.layouts import Alignment
-
-        flipped = AlignmentCandidate(
-            partitioning=existing.partitioning,
-            alignments=tuple(
-                (name, Alignment(axis_map=tuple(reversed(al.axis_map))))
-                for name, al in existing.alignments
-            ),
-            provenance="user",
-        )
-        spaces.insert_candidate(0, flipped)
-        assert len(spaces.per_phase[0]) == 2
-        spaces.delete_candidate(0, 1)
-        assert len(spaces.per_phase[0]) == 1
 
 
 class TestPaperStructure:

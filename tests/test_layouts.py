@@ -67,18 +67,16 @@ class TestAlignment:
     def test_canonical(self):
         al = Alignment.canonical(3)
         assert al.axis_map == (0, 1, 2)
-        assert al.is_canonical()
 
     def test_array_dim_lookup(self):
         al = Alignment(axis_map=(1, 0))
-        assert al.array_dim(0) == 1
-        assert al.array_dim(1) == 0
         assert al.template_dim(0) == 1
+        assert al.template_dim(1) == 0
 
     def test_replicated_dim_lookup(self):
         al = Alignment(axis_map=(2,))
-        assert al.array_dim(0) is None
-        assert al.array_dim(2) == 0
+        assert al.template_dim(0) == 2
+        assert 0 not in al.axis_map  # replicated along template dim 0
 
     def test_non_injective_rejected(self):
         with pytest.raises(ValueError):
@@ -212,8 +210,7 @@ class TestDataLayout:
     def test_replication(self, symbols):
         layout = self.make(symbols, dist_dim=1)
         assert layout.distributed_array_dims("v") == ()
-        assert layout.replicated_over("v") == ((1, 4),)
-        assert layout.is_fully_replicated("v")
+        assert layout.mapping_of("v").replicated == ((1, 4),)
 
     def test_local_elements(self, symbols):
         layout = self.make(symbols)

@@ -1,5 +1,7 @@
 """Machine substrate tests: params, network, collectives, node costs."""
 
+import dataclasses
+
 import pytest
 
 from repro.frontend.parser import parse_source
@@ -43,7 +45,7 @@ class TestParams:
         assert IPSC860.dtype_factor("double") == 1.0
 
     def test_with_overrides(self):
-        fast = IPSC860.with_overrides(alpha_short=1.0)
+        fast = dataclasses.replace(IPSC860, alpha_short=1.0)
         assert fast.alpha_short == 1.0
         assert IPSC860.alpha_short == 75.0  # frozen original
 

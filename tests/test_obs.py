@@ -115,11 +115,12 @@ class TestHistogramEdgeCases:
         metrics.record_cache("frontend", True)
         metrics.record_cache("frontend", False)
         metrics.record_cache("selection", False)
-        hits, misses = metrics.cache_totals()
-        snap = metrics.snapshot()
-        assert (hits, misses) == (1, 2)
-        assert snap["cache"]["hits"] == hits
-        assert snap["cache"]["misses"] == misses
+        cache = metrics.snapshot()["cache"]
+        assert (cache["hits"], cache["misses"]) == (1, 2)
+        assert cache["per_stage"] == {
+            "frontend": {"hits": 1, "misses": 1},
+            "selection": {"hits": 0, "misses": 1},
+        }
 
 
 # ---------------------------------------------------------------------------

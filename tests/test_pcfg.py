@@ -51,7 +51,7 @@ class TestStraightLine:
 
     def test_entry_and_exit_edges(self):
         pcfg = pcfg_for(wrap(PHASE_A + PHASE_B))
-        assert pcfg.entry_edges() == [(0, pytest.approx(1.0))]
+        assert pcfg.graph.succ[ENTRY] == {0: pytest.approx(1.0)}
         assert EXIT in pcfg.graph.succ[1]
 
     def test_reverse_postorder_is_program_order(self):

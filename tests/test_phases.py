@@ -112,7 +112,7 @@ program t
         part, _ = partition(src)
         phase = part.phases[0]
         assert phase.arrays == ("a", "b")
-        assert phase.written_arrays == ("a",)
+        assert [acc.array for acc in phase.accesses if acc.is_write] == ["a"]
 
     def test_loop_nest_deepest(self):
         src = """
@@ -129,8 +129,8 @@ program t
       end
 """
         part, _ = partition(src)
-        nest = part.phases[0].loop_nest()
-        assert [l.var for l in nest] == ["k", "j", "i"]
+        (access,) = part.phases[0].accesses
+        assert [l.var for l in access.loops] == ["k", "j", "i"]
 
 
 BRANCHY = """

@@ -10,15 +10,15 @@ from repro.codegen.comm import ReductionComm
 from repro.codegen.spmd import compile_phase
 from repro.distribution.template import determine_template
 from repro.frontend.parser import parse_source
-from repro.programs.registry import PROGRAMS, get_program
+from repro.programs.registry import PROGRAMS
 from repro.programs.tomcatv import smoothing_if_line
 
 
 class TestRegistry:
     def test_get_program(self):
-        assert get_program("adi").name == "adi"
+        assert PROGRAMS["adi"].name == "adi"
         with pytest.raises(KeyError):
-            get_program("linpack")
+            PROGRAMS["linpack"]
 
     def test_source_parameterization(self):
         src = PROGRAMS["adi"].source(n=48, dtype="real", maxiter=7)
@@ -83,7 +83,8 @@ class TestErlebacher:
     def test_read_only_shared_array(self, erlebacher_small):
         _p, _s, part, _pcfg = erlebacher_small
         f_written = any(
-            "f" in phase.written_arrays for phase in part.phases[1:]
+            acc.array == "f" and acc.is_write
+            for phase in part.phases[1:] for acc in phase.accesses
         )
         assert not f_written  # written only by the init phase
         f_read_in = sum(
@@ -114,8 +115,10 @@ class TestTomcatv:
             *[build_phase_cag(p, table) for p in part.phases]
         )
         assert merged.has_conflict()
-        conflicted_arrays = {a for (a, _), (b, _2) in merged.conflicts()
-                             for a in (a, b)}
+        conflicted_arrays = set()
+        for component in merged.components():
+            arrays = [array for array, _dim in component]
+            conflicted_arrays |= {a for a in arrays if arrays.count(a) > 1}
         # the conflicts involve the workspace arrays
         assert {"aa", "dd"} & conflicted_arrays or conflicted_arrays
 
@@ -169,6 +172,7 @@ class TestShallow:
     def test_wrap_phases_are_one_dimensional_loops(self, shallow_small):
         _p, _s, part, _pcfg = shallow_small
         one_d = [
-            ph for ph in part.phases if len(ph.loop_nest()) == 1
+            ph for ph in part.phases
+            if max(len(acc.loops) for acc in ph.accesses) == 1
         ]
         assert len(one_d) == 14  # 2 wraps x 7 wrapped fields

@@ -1,5 +1,7 @@
 """Affine subscript + access collection tests."""
 
+import math
+
 import pytest
 
 from repro.analysis.references import analyze_subscript, collect_accesses
@@ -113,7 +115,7 @@ class TestCollectAccesses:
 
     def test_execution_count(self, accesses):
         a_write = next(a for a in accesses if a.array == "a" and a.is_write)
-        assert a_write.execution_count == 56
+        assert math.prod(loop.trip_count for loop in a_write.loops) == 56
 
     def test_guard_probability(self, accesses):
         guarded = next(a for a in accesses if a.is_write and a.array == "v")
@@ -134,11 +136,14 @@ class TestCollectAccesses:
 
     def test_dimension_for_loop(self, accesses):
         b_read = next(a for a in accesses if a.array == "b")
-        assert b_read.dimension_for_loop("i") == 0
-        assert b_read.dimension_for_loop("j") == 1
-        assert b_read.dimension_for_loop("k") is None
+        uses = {
+            var: [d for d, sub in enumerate(b_read.subscripts)
+                  if sub.coeff(var) != 0]
+            for var in ("i", "j", "k")
+        }
+        assert uses == {"i": [0], "j": [1], "k": []}
 
     def test_loop_for_dimension(self, accesses):
         b_read = next(a for a in accesses if a.array == "b")
-        assert b_read.loop_for_dimension(0) == "i"
-        assert b_read.loop_for_dimension(1) == "j"
+        assert [sub.single_index_var() for sub in b_read.subscripts] \
+            == ["i", "j"]

@@ -12,7 +12,7 @@ import time
 import pytest
 
 from repro.ilp import solve
-from repro.ilp.branch_bound import solve as bb_solve
+from repro.ilp import branch_bound
 from repro.ilp.model import ZeroOneModel
 from repro.obs import telemetry, tracing
 from repro.resilience import faults
@@ -593,8 +593,9 @@ class TestAnytimeILP:
         assert solution.status == "optimal"
         assert solution.has_incumbent
 
-    def test_node_limit_incumbent_is_labeled(self):
-        solution = bb_solve(_toy_model(n=16), node_limit=3)
+    def test_node_limit_incumbent_is_labeled(self, monkeypatch):
+        monkeypatch.setattr(branch_bound, "NODE_LIMIT", 3)
+        solution = branch_bound.solve(_toy_model(n=16))
         assert solution.status in ("node_limit", "unknown")
         if solution.has_incumbent:
             assert not solution.is_optimal

@@ -59,8 +59,8 @@ class TestCacheCorrectness:
         assert second["layouts"] == first["layouts"]
         assert second["predicted_total_us"] == first["predicted_total_us"]
         assert second["is_dynamic"] == first["is_dynamic"]
-        hits, misses = service.metrics.cache_totals()
-        assert hits >= 1 and misses >= 1
+        totals = service.metrics.snapshot()["cache"]
+        assert totals["hits"] >= 1 and totals["misses"] >= 1
 
     def test_cache_survives_service_restart(self, tmp_path):
         cache_dir = str(tmp_path / "cache")

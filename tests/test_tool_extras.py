@@ -84,7 +84,7 @@ class TestMemoryFootprint:
             node_bytes=1024,
         )
         assert not report.fits
-        assert report.utilization > 1.0
+        assert report.total_bytes > report.node_bytes
         assert "DOES NOT FIT" in str(report)
 
     def test_grid_skips_are_memory_motivated(self):

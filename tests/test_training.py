@@ -30,8 +30,9 @@ class TestGeneration:
         assert latencies == {"high", "low"}
 
     def test_op_costs_by_dtype(self, db):
-        assert db.op_cost("add", "real") < db.op_cost("add", "double")
-        assert db.op_cost("div", "double") > db.op_cost("mul", "double")
+        costs = db.op_costs
+        assert costs[("add", "real")] < costs[("add", "double")]
+        assert costs[("div", "double")] > costs[("mul", "double")]
 
     def test_cached_identity(self):
         assert cached_training_database(IPSC860) is \
