@@ -2,10 +2,15 @@
 
 The instrumentation base for the production-service north star: every
 framework step (parse, partition, CAG build, conflict resolution, each
-ILP solve, distribution enumeration, estimation, selection) reports
-hierarchical wall-time spans and structured decision events into one
-trace, propagated through the service worker pool in all three pool
-kinds.  On top of the span stream:
+ILP solve, distribution enumeration, estimation, selection) reports a
+hierarchical wall-time span with summary attributes (model sizes,
+presolve and elimination counters) into one trace, propagated through
+the service worker pool in all three pool kinds.  Decisions are not
+narrated: ``repro explain`` reads them off the result.  The one span
+event of the pipeline marks a departure from the plan
+(``resilience.degraded``); operational events (cache, deadline,
+admission, injected faults) go through :func:`telemetry.emit` to the
+service's event log.  On top of the span stream:
 
 - :mod:`tracing`    — spans, trace IDs, context propagation, the
   worker-pool job wrapper;

@@ -34,8 +34,6 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from ..machine.params import MachineParams
 from ..machine.patterns import (
     append_alltoall,
@@ -205,7 +203,11 @@ def generate_training_database(
     proc_counts: Tuple[int, ...] = PROC_COUNTS,
 ) -> TrainingDatabase:
     """Measure every (pattern, procs, stride, latency) microbenchmark on
-    the simulated machine and fit the linear training sets."""
+    the simulated machine and fit the linear training sets.  Only a
+    machine with no committed table gets here, so only then is numpy
+    imported."""
+    import numpy as np
+
     db = TrainingDatabase(machine=params.name)
     makespans: Dict[tuple, float] = {}
     for pattern in PATTERNS:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 from ..ilp import solve as ilp_solve
 from ..ilp.model import MINIMIZE, Solution, SolveStats, ZeroOneModel
@@ -25,8 +25,19 @@ from ..obs import tracing
 from ..resilience.deadline import remaining_budget
 from ..resilience.degrade import note_degradation
 from ..resilience.errors import DeadlineExceeded
+from . import minsum
 from .layout_graph import DataLayoutGraph
-from .presolve import eliminate_component, presolve_selection
+
+#: the size rule between the two exact kernels: a graph whose remap
+#: edges hold at most this many (pair, cost) cells is solved by the list
+#: kernel (:mod:`repro.selection.minsum`), a wider one by numpy's
+#: (:mod:`repro.selection.presolve`), imported only then.  Measured on
+#: the bench inputs: up to 228 cells (every paper and generated input)
+#: the list kernel takes 0.65-1.3x numpy's time, 0.83x summed over the
+#: paper grid, and spares the process numpy's import (0.15 s, ~11 MB);
+#: from 330 cells (the extended inputs but adi's two) it takes 1.4-20x
+#: (EXPERIMENTS.md, "Exact Python instead of numpy").
+LIST_KERNEL_CELLS = 256
 
 
 def _x(phase: int, cand: int) -> str:
@@ -159,9 +170,9 @@ def greedy_selection(
 
 def _model_shape(
     graph: DataLayoutGraph, allowed: Optional[Dict[int, set]]
-) -> Tuple[int, int]:
+) -> Tuple[int, int, int]:
     """Variable/constraint counts of the full selection model, computed
-    without building it."""
+    without building it, and the remap-edge cells among them."""
     nvars = ncons = 0
     for phase_index, costs in graph.node_costs.items():
         nvars += len(costs)
@@ -170,10 +181,8 @@ def _model_shape(
             ncons += sum(
                 1 for c in range(len(costs)) if c not in allowed[phase_index]
             )
-    for edge in graph.edges:
-        nvars += len(edge.costs)
-        ncons += len(edge.costs)
-    return nvars, ncons
+    cells = sum(len(edge.costs) for edge in graph.edges)
+    return nvars + cells, ncons + cells, cells
 
 
 def _greedy_degraded(
@@ -202,11 +211,23 @@ def _greedy_degraded(
     )
 
 
+def _kernels(cells: int) -> Iterator:
+    """The exact kernels to try in turn: the list kernel for a graph of
+    at most ``LIST_KERNEL_CELLS`` remap-edge cells, then numpy's, which
+    takes what the list kernel's table cap turns away."""
+    if cells <= LIST_KERNEL_CELLS:
+        yield minsum
+    from . import presolve  # loads numpy
+
+    yield presolve
+
+
 def _select_presolved(
     graph: DataLayoutGraph,
     allowed: Optional[Dict[int, set]],
     nvars: int,
     ncons: int,
+    cells: int,
 ) -> SelectionResult:
     """Graph presolve, then exact elimination of every residual
     component; no 0-1 model is built."""
@@ -214,21 +235,25 @@ def _select_presolved(
     with tracing.span(
         "ilp.presolve", name="layout-selection", variables=nvars
     ) as psp:
-        pre = presolve_selection(graph, allowed=allowed)
-        psp.set_attr("fixed", len(pre.fixed))
-        psp.set_attr("pruned", pre.pruned)
-        psp.set_attr("checks", pre.checks)
-        psp.set_attr("components", len(pre.components))
-        selection: Dict[int, int] = dict(pre.fixed)
-        for comp in pre.components:
+        for kernel in _kernels(cells):
+            pre = kernel.presolve_selection(graph, allowed=allowed)
+            psp.set_attr("fixed", len(pre.fixed))
+            psp.set_attr("pruned", pre.pruned)
+            psp.set_attr("checks", pre.checks)
+            psp.set_attr("components", len(pre.components))
+            selection: Dict[int, int] = dict(pre.fixed)
             try:
-                selection.update(eliminate_component(pre, comp))
+                for comp in pre.components:
+                    selection.update(kernel.eliminate_component(pre, comp))
+            except minsum.TableOverflow:
+                continue
             except DeadlineExceeded:
                 return _greedy_degraded(
                     graph, allowed, nvars, ncons,
                     "deadline expired during elimination; "
                     "greedy one-pass selection",
                 )
+            break
         psp.set_attr("tied", pre.tied)
         psp.set_attr("conditioned", pre.conditioned)
         psp.set_attr("cutset", pre.cutset)
@@ -322,10 +347,14 @@ def select_layouts(
     """Solve the selection problem to proven optimality.
 
     By default the graph-level presolve (dead-end elimination +
-    conditioning, :mod:`repro.selection.presolve`) fixes most phases and
-    the residual components are solved by exact variable elimination,
-    conditioned on a cutset of phases when a component outgrows the
-    elimination tables; ``backend`` is then unused.  The 0-1 model is
+    conditioning) fixes most phases and the residual components are
+    solved by exact variable elimination, conditioned on a cutset of
+    phases when a component outgrows the elimination tables; ``backend``
+    is then unused.  A graph of at most ``LIST_KERNEL_CELLS`` remap-edge
+    cells is solved over plain lists (:mod:`repro.selection.minsum`), a
+    wider one, or one whose tables outgrow ``TABLE_CAP``, by the numpy
+    kernel (:mod:`repro.selection.presolve`): the same answer and span
+    counters either way.  The 0-1 model is
     only built, and handed to ``backend``, when ``presolve=False``.  Both
     paths return the same canonical optimum.
 
@@ -338,7 +367,7 @@ def select_layouts(
     with tracing.span(
         "selection.solve", backend=backend, presolve=presolve
     ) as sp:
-        nvars, ncons = _model_shape(graph, allowed)
+        nvars, ncons, cells = _model_shape(graph, allowed)
         sp.set_attr("variables", nvars)
         sp.set_attr("constraints", ncons)
         budget = remaining_budget()
@@ -348,7 +377,7 @@ def select_layouts(
                 "request budget already spent; greedy one-pass selection",
             )
         elif presolve:
-            result = _select_presolved(graph, allowed, nvars, ncons)
+            result = _select_presolved(graph, allowed, nvars, ncons, cells)
         else:
             result = _select_reference(graph, backend, allowed, nvars, ncons)
         sp.set_attr("objective_us", result.objective)

@@ -24,9 +24,7 @@ system per distinct set of referencing phases.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, List, Sequence, Set, Tuple
 
 from ..analysis.pcfg import EXIT, PCFG
 from ..analysis.phases import Phase
@@ -75,9 +73,6 @@ def _absorbed_flow(
     ``R`` the transient-to-referencing block of those probabilities,
     ``X = (I - Q)^-1 R`` is the share of the mass entering a transient
     phase that each referencing phase absorbs; the rest is lost at exit.
-    A transient phase that reaches no referencing phase loses all its
-    mass: clearing its row of ``Q`` keeps ``I - Q`` non-singular, and a
-    share is zero exactly where no path exists.
     """
     sources = sorted(src for src in refs if src in edges)
     column = {dst: j for j, dst in enumerate(sources)}
@@ -90,28 +85,7 @@ def _absorbed_flow(
         row[node] = len(row)
         pending.extend(edges[node])
 
-    shares: List[List[float]] = []
-    if row:
-        q = np.zeros((len(row), len(row)))
-        r = np.zeros((len(row), len(sources)))
-        for node, i in row.items():
-            total = sum(edges[node].values())
-            for succ, freq in edges[node].items():
-                if succ in row:
-                    q[i, row[succ]] = freq / total
-                elif succ in column:
-                    r[i, column[succ]] = freq / total
-        # Which referencing phases each transient phase can reach: k
-        # squarings cover paths of 2**k hops (0/1 counts, so a zero is
-        # structural, not a cancellation).
-        hop = np.eye(len(row)) + (q > 0.0)
-        for _ in range(len(row).bit_length()):
-            hop = np.minimum(hop @ hop, 1.0)
-        reach = hop @ r > 0.0
-        q[~reach.any(axis=1)] = 0.0
-        x = np.linalg.solve(np.eye(len(row)) - q, r)
-        shares = np.where(reach, x, 0.0).tolist()  # plain floats
-
+    shares = _shares(edges, row, column) if row else {}
     transitions: List[Tuple[int, int, float]] = []
     for src in sources:
         absorbed = [0.0] * len(sources)
@@ -119,13 +93,137 @@ def _absorbed_flow(
             if succ in column:
                 absorbed[column[succ]] += freq
             elif succ in row:
-                for j, share in enumerate(shares[row[succ]]):
+                for j, share in shares.get(succ, ()):
                     absorbed[j] += freq * share
         transitions.extend(
             (src, dst, freq) for dst, freq in zip(sources, absorbed)
             if freq > 0.0
         )
     return transitions
+
+
+def _shares(
+    edges: Dict[object, Dict[object, float]],
+    row: Dict[object, int],
+    column: Dict[object, int],
+) -> Dict[object, List[Tuple[int, float]]]:
+    """Per transient phase of ``row``, its nonzero entries of ``X`` as
+    ``(column, share)`` pairs, a share kept only where a path exists.
+
+    ``[I - Q | R]`` is built as sparse rows, ``R``'s column ``j`` at key
+    ``len(row) + j``.  Which referencing phases a transient phase reaches
+    is a backward search over the positive edges.  A phase that reaches
+    none loses all its mass: its row becomes the identity row, which
+    keeps ``I - Q`` non-singular, and it gets no shares."""
+    n = len(row)
+    system: List[Dict[int, float]] = []
+    #: transient phase -> the transient phases with a positive edge to it
+    into: List[List[int]] = [[] for _ in range(n)]
+    #: bit ``j``: the phase reaches referencing phase ``j`` (in one hop,
+    #: then, after the search, by any path)
+    reach = [0] * n
+    for node, i in row.items():
+        total = sum(edges[node].values())
+        entries = {i: 1.0}
+        for succ, freq in edges[node].items():
+            share = freq / total
+            j = row.get(succ)
+            if j is not None:
+                entries[j] = (1.0 if j == i else 0.0) - share
+                if share > 0.0:
+                    into[j].append(i)
+            elif succ in column:
+                entries[n + column[succ]] = share
+                if share > 0.0:
+                    reach[i] |= 1 << column[succ]
+        system.append(entries)
+    pending = [i for i in range(n) if reach[i]]
+    if not pending:
+        return {}
+    while pending:
+        i = pending.pop()
+        for h in into[i]:
+            if reach[i] & ~reach[h]:
+                reach[h] |= reach[i]
+                pending.append(h)
+    for i in range(n):
+        if not reach[i]:
+            system[i] = {i: 1.0}
+    solution = _solve(system, n)
+    return {
+        node: [(j - n, x) for j, x in solution[i].items()
+               if reach[i] >> (j - n) & 1]
+        for node, i in row.items() if reach[i]
+    }
+
+
+def _solve(system: List[Dict[int, float]], n: int) -> List[Dict[int, float]]:
+    """Solve the ``n`` sparse augmented rows of ``system`` (right-hand
+    sides at keys ``>= n``) in place, in LAPACK ``dgesv``'s order: LU
+    with partial pivoting, the first largest pivot by row position,
+    multipliers and solution scaled by the pivot's reciprocal, then back
+    substitution column by column.  Returns each unknown's solution as
+    ``{key: value}`` over the right-hand-side keys.
+
+    Only the entries a row holds are stored and updated, and each column
+    keeps the rows that hold it: on these rows (about two entries each)
+    the work is the fill-in, not ``n**2``."""
+    #: column -> rows not yet pivoted with an entry in it
+    live: List[Set[int]] = [set() for _ in range(n)]
+    for i, entries in enumerate(system):
+        for j in entries:
+            if j < n:
+                live[j].add(i)
+    #: the row at each position, and each row's position
+    at = list(range(n))
+    position = list(range(n))
+    #: column -> pivot rows with an entry in it
+    above: List[List[int]] = [[] for _ in range(n)]
+    pivots: List[Tuple[int, float]] = []
+    for k in range(n):
+        rows = live[k]
+        if len(rows) == 1:
+            pivot = rows.pop()
+        else:
+            pivot = max(rows, key=lambda i: (abs(system[i][k]), -position[i]))
+            rows.discard(pivot)
+        where = position[pivot]
+        if where != k:
+            at[where] = at[k]
+            position[at[k]] = where
+            at[k], position[pivot] = pivot, k
+        entries = system[pivot]
+        inv = 1.0 / entries[k]
+        tail = [(j, u) for j, u in entries.items() if j > k]
+        for j, _u in tail:
+            if j < n:
+                live[j].discard(pivot)
+                above[j].append(pivot)
+        for i in rows:
+            target = system[i]
+            factor = target.pop(k) * inv
+            for j, u in tail:
+                value = target.get(j)
+                if value is None:
+                    target[j] = 0.0 - factor * u
+                    if j < n:
+                        live[j].add(i)
+                else:
+                    target[j] = value - factor * u
+        pivots.append((pivot, inv))
+
+    solution: List[Dict[int, float]] = [{} for _ in range(n)]
+    for k in reversed(range(n)):
+        pivot, inv = pivots[k]
+        x = solution[k] = {
+            j: value * inv for j, value in system[pivot].items() if j >= n
+        }
+        for i in above[k]:
+            target = system[i]
+            u = target[k]
+            for j, value in x.items():
+                target[j] = target.get(j, 0.0) - value * u
+    return solution
 
 
 @dataclass

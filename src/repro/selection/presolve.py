@@ -1,4 +1,13 @@
-"""Graph-level presolve + exact elimination for layout selection.
+"""Graph-level presolve + exact elimination for layout selection: the
+numpy kernel.
+
+``select_layouts`` runs this kernel on graphs wider than
+``LIST_KERNEL_CELLS`` remap-edge cells, and on any graph whose
+elimination order overflows ``TABLE_CAP`` (only this kernel conditions
+on a cutset); narrower graphs take the plain-Python kernel of
+:mod:`repro.selection.minsum`, which shares the presolve state, the
+elimination order and every floating-point sum with this one.  Importing
+this module imports numpy.
 
 The selection ILP (one candidate per phase, remap edges) carries a lot
 of slack a solver-agnostic pass can remove up front, in the spirit of
@@ -34,8 +43,6 @@ So the fast path and the ILP path agree bit for bit.
 from __future__ import annotations
 
 import itertools
-import math
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
@@ -43,64 +50,17 @@ import numpy as np
 from ..resilience.deadline import current_deadline
 from ..resilience.errors import DeadlineExceeded
 from .layout_graph import DataLayoutGraph
-
-#: largest elimination-bucket tensor in elements.
-#: The limit is memory, not time (a 12M-element bucket takes 0.2 s, the
-#: solver seconds): 2**19 float64 is 4 MiB, and a component holds one
-#: bucket, its min table and the min tables its backtrack re-reads
-#: (under tracemalloc 1.23-1.36x the widest table on the widest
-#: extended inputs), about 6 MiB beside a ~42 MiB process.
-TABLE_CAP = 1 << 19
+from .minsum import (
+    TABLE_CAP,
+    SelectionPresolve,
+    _elimination_order,
+    initial_state,
+    reduce_to_fixpoint,
+    residual_components,
+)
 
 #: min-sum factors: (ascending phase scope, cost tensor over it)
 Factors = List[Tuple[Tuple[int, ...], "np.ndarray"]]
-
-
-@dataclass
-class SelectionPresolve:
-    """Fixpoint of DEE + conditioning over a data layout graph."""
-
-    graph: DataLayoutGraph
-    #: phases proven to a single candidate (value is the position)
-    fixed: Dict[int, int]
-    #: residual phases -> surviving candidate positions (ascending)
-    active: Dict[int, List[int]]
-    #: residual phases -> conditioned node costs of the survivors, in
-    #: ``active`` order
-    node: Dict[int, "np.ndarray"]
-    #: merged remap matrices between residual phases, keyed (p, q),
-    #: p < q: rows are ``active[p]``, columns ``active[q]``
-    matrices: Dict[Tuple[int, int], "np.ndarray"]
-    #: residual connected components (phases ascending)
-    components: List[List[int]]
-    #: number of (phase, candidate) pairs pruned by dead-end elimination
-    pruned: int = 0
-    #: number of phase dead-end checks the fixpoint ran
-    checks: int = 0
-    #: elimination bookkeeping, updated by :func:`eliminate_component`:
-    #: the largest bucket table built and the sum of every bucket
-    #: table built (elements), the number of problems whose first
-    #: backtrack tied and so were conditioned in ascending order, the
-    #: number solved under a cutset assignment and the largest cutset
-    max_table: int = 0
-    cells: int = 0
-    tied: int = 0
-    conditioned: int = 0
-    cutset: int = 0
-    #: a deadline stopped a cutset enumeration: the answer is the best
-    #: assignment solved by then, not a proven optimum
-    interrupted: bool = False
-
-    def component_edges(
-        self, comp: List[int]
-    ) -> List[Tuple[int, int, "np.ndarray"]]:
-        """The nonzero edges inside ``comp``."""
-        members = set(comp)
-        return [
-            (p, q, matrix)
-            for (p, q), matrix in sorted(self.matrices.items())
-            if p in members and q in members and matrix.any()
-        ]
 
 
 def presolve_selection(
@@ -115,40 +75,15 @@ def presolve_selection(
     constant.  Raises ``RuntimeError`` when ``allowed`` empties a phase
     (the ILP would be infeasible — same outcome as the slow path).
 
-    The state holds live candidates only.  A phase is checked once, then
-    again only when a neighbour lost candidates or was conditioned into
-    it: its own pruning moves no ``diff`` between survivors, so any
-    other check would prune nothing (DESIGN.md §11.2).
+    The state holds live candidates only; the fixpoint loop, which
+    re-checks a phase only when its neighbourhood changed, is
+    :func:`repro.selection.minsum.reduce_to_fixpoint`.
     """
-    node: Dict[int, np.ndarray] = {}
-    active: Dict[int, List[int]] = {}
-    for phase_index, costs in sorted(graph.node_costs.items()):
-        positions = list(range(len(costs)))
-        if allowed is not None and phase_index in allowed:
-            positions = [c for c in positions if c in allowed[phase_index]]
-            if not positions:
-                raise RuntimeError("selection ILP infeasible")
-        active[phase_index] = positions
-        node[phase_index] = np.array(costs, dtype=np.float64)[positions]
-
-    # Merge remap edges into one matrix per unordered phase pair; a
-    # self-edge only ever charges its (i, i) diagonal, which is always
-    # zero (same layout, same array), so it is dropped.
-    sums: Dict[Tuple[int, int], List[List[float]]] = {}
-    for edge in graph.edges:
-        p, q = edge.src_phase, edge.dst_phase
-        if p == q:
-            continue
-        key = (p, q) if p < q else (q, p)
-        if key not in sums:
-            sums[key] = [[0.0] * len(graph.node_costs[key[1]])
-                         for _ in graph.node_costs[key[0]]]
-        rows = sums[key]
-        for (i, j), cost in edge.costs.items():
-            if p < q:
-                rows[i][j] += cost
-            else:
-                rows[j][i] += cost
+    active, sums = initial_state(graph, allowed)
+    node: Dict[int, np.ndarray] = {
+        p: np.array(graph.node_costs[p], dtype=np.float64)[positions]
+        for p, positions in active.items()
+    }
     matrices: Dict[Tuple[int, int], np.ndarray] = {}
     for (p, q), rows in sums.items():
         matrix = np.array(rows, dtype=np.float64)
@@ -156,88 +91,37 @@ def presolve_selection(
             matrix = matrix[np.ix_(active[p], active[q])]
         matrices[p, q] = matrix
 
-    fixed: Dict[int, int] = {}
-    pruned = checks = 0
+    fixed, pruned, checks = reduce_to_fixpoint(
+        active, node, matrices,
+        lambda costs, matrix, axis: costs + matrix.take(0, axis=axis),
+        _undominated,
+        lambda cells, keep, axis: cells.compress(keep, axis=axis),
+    )
 
-    #: phase -> live matrix keys touching it, in ``matrices`` order
-    incident: Dict[int, List[Tuple[int, int]]] = {p: [] for p in node}
-    for key in matrices:
-        incident[key[0]].append(key)
-        incident[key[1]].append(key)
-    #: phases whose dead-end check may prune: never checked, or a
-    #: neighbour changed since
-    dirty = set(active)
-
-    changed = True
-    while changed:
-        changed = False
-        # Conditioning: fold singleton phases into their neighbours.
-        for p in sorted(active):
-            if len(active[p]) != 1:
-                continue
-            for key in incident.pop(p):
-                axis = key.index(p)
-                q = key[1 - axis]
-                incident[q].remove(key)
-                node[q] = node[q] + matrices.pop(key).take(0, axis=axis)
-                dirty.add(q)
-            fixed[p] = active.pop(p)[0]
-            del node[p]
-            changed = True
-        # Dead-end elimination over the surviving candidates.
-        for p in sorted(active):
-            if len(active[p]) < 2 or p not in dirty:
-                continue
-            dirty.discard(p)
-            checks += 1
-            costs = node[p]
-            diff = costs[:, None] - costs[None, :]
-            for key in incident[p]:
-                sub = matrices[key] if key[0] == p else matrices[key].T
-                diff = diff + (
-                    sub[:, None, :] - sub[None, :, :]
-                ).max(axis=2)
-            # diff[a, b] < 0: switching b -> a strictly improves every
-            # completion, so candidate b survives in no optimum.
-            dominated = (diff < 0.0).any(axis=0)
-            if dominated.any():
-                keep = ~dominated
-                active[p] = [c for c, k in zip(active[p], keep) if k]
-                node[p] = costs[keep]
-                for key in incident[p]:
-                    axis = key.index(p)
-                    matrices[key] = matrices[key].compress(keep, axis=axis)
-                    dirty.add(key[1 - axis])
-                pruned += int(dominated.sum())
-                changed = True
-
-    # Residual connected components (every live edge joins two).
-    parent = {p: p for p in active}
-
-    def find(p: int) -> int:
-        while parent[p] != p:
-            parent[p] = parent[parent[p]]
-            p = parent[p]
-        return p
-
-    for (p, q), matrix in matrices.items():
-        if matrix.any():
-            parent[find(p)] = find(q)
-    groups: Dict[int, List[int]] = {}
-    for p in sorted(active):
-        groups.setdefault(find(p), []).append(p)
-    components = sorted(groups.values())
-
+    linked = {key for key, matrix in matrices.items() if matrix.any()}
     return SelectionPresolve(
         graph=graph,
         fixed=fixed,
         active=active,
         node=node,
         matrices=matrices,
-        components=components,
+        linked=linked,
+        components=residual_components(active, sorted(linked)),
         pruned=pruned,
         checks=checks,
     )
+
+
+def _undominated(p: int, costs: "np.ndarray", keys: List[Tuple[int, int]],
+                 matrices: Dict[Tuple[int, int], "np.ndarray"]) -> List[bool]:
+    """Per candidate of ``p``, whether no other one dominates it."""
+    diff = costs[:, None] - costs[None, :]
+    for key in keys:
+        sub = matrices[key] if key[0] == p else matrices[key].T
+        diff = diff + (sub[:, None, :] - sub[None, :, :]).max(axis=2)
+    # diff[a, b] < 0: switching b -> a strictly improves every
+    # completion, so candidate b survives in no optimum.
+    return (~(diff < 0.0).any(axis=0)).tolist()
 
 
 def _align(arr: "np.ndarray", scope: Tuple[int, ...],
@@ -251,49 +135,6 @@ def _align(arr: "np.ndarray", scope: Tuple[int, ...],
     for size, p in zip(arr.shape, scope):
         shape[target.index(p)] = size
     return arr.reshape(shape)
-
-
-def _elimination_order(
-    scopes: List[Tuple[int, ...]],
-    sizes: Dict[int, int],
-    last: Optional[int] = None,
-) -> Tuple[List[int], int, frozenset]:
-    """Simulate bucket elimination over factor ``scopes``, each phase of
-    ``sizes`` in at least one: the order followed, its largest bucket
-    table in elements and that bucket's phases.  Each step takes the
-    phase whose bucket table is smallest (largest index on ties);
-    ``last`` is kept for the end.
-
-    A phase's bucket is the phase and its neighbours (the phases it
-    shares a scope with); eliminating ``q`` joins its neighbours into a
-    clique, so only their tables are recomputed."""
-    near: Dict[int, Set[int]] = {p: set() for p in sizes}
-    for scope in scopes:
-        for p in scope:
-            near[p].update(scope)
-
-    def table(p: int) -> int:
-        return math.prod(sizes[r] for r in near[p])
-
-    tables = {p: table(p) for p in sizes}
-    out: List[int] = []
-    widest, wide = 0, frozenset()
-    while tables:
-        q = min(
-            (p for p in tables if p != last),
-            key=lambda p: (tables[p], -p), default=last,
-        )
-        members = near.pop(q)
-        size = tables.pop(q)
-        if size > widest:
-            widest, wide = size, frozenset(members)
-        members.discard(q)
-        for r in members:
-            near[r] |= members
-            near[r].discard(q)
-            tables[r] = table(r)
-        out.append(q)
-    return out, widest, wide
 
 
 def _eliminate(

@@ -1,10 +1,12 @@
 """Absorbed-flow transition frequencies: the linear solve of
 ``selection.layout_graph`` against the packet-chasing worklist it
-replaced (``worklist_oracle``), mass conservation where the worklist is
-only a lower bound, the former cliff seeds, and PCFG shapes that would
-make a naive ``I - Q`` singular."""
+replaced (``worklist_oracle``) and against the numpy solve that preceded
+it (``flow_oracle``), mass conservation where the worklist is only a
+lower bound, the former cliff seeds, and PCFG shapes that would make a
+naive ``I - Q`` singular."""
 
 import json
+import random
 import time
 
 import pytest
@@ -12,11 +14,15 @@ import pytest
 from repro.analysis.pcfg import ENTRY, EXIT, PCFG, PhaseGraph
 from repro.frontend.symbols import ArraySymbol
 from repro.programs.registry import PROGRAMS
+from repro.qa.corpus import load_corpus
 from repro.qa.generator import GeneratorConfig, generate_program
 from repro.selection.layout_graph import array_transitions, build_layout_graph
 from repro.tool.assistant import AssistantConfig, run_assistant
+from repro.tool.testcases import TestCase, grid_for, source_for
 
 from .conftest import analyze
+from .flow_oracle import numpy_absorbed_flow
+from .test_selection_pinned import GENERATED_SEEDS, HERE, PAPER_PROGRAMS
 from .worklist_oracle import (
     WorklistGaveUp,
     non_referencing_cycle,
@@ -219,3 +225,95 @@ class TestSingularLookingSystems:
         assert [(s, d) for s, d, _ in flow] == [(0, 4), (0, 5), (6, 5)]
         assert flow[2] == (6, 5, pytest.approx(1.0, rel=1e-12))
         assert_conserves_mass(pcfg, {0, 4, 5, 6})
+
+
+#: the generator's scaled shape, whose seed 1003 has the 48-phase
+#: selection component: only its flows are built here
+SCALED = GeneratorConfig(max_arrays=8, max_phases=64, max_stmts_per_phase=3)
+
+
+def bench_sources():
+    """Every distinct source the repo benchmark's tool workloads
+    analyse: the paper grid, the extended inputs' default sizes and the
+    generated population."""
+    sources = {}
+    for program in PAPER_PROGRAMS:
+        spec = PROGRAMS[program]
+        for case in [*grid_for(spec), TestCase(
+                program, spec.default_size, spec.default_dtype, 0)]:
+            sources.setdefault((program, case.n, case.dtype), source_for(case))
+    for seed in GENERATED_SEEDS:
+        sources[seed] = generate_program(seed, GeneratorConfig()).source
+    return list(sources.values())
+
+
+def flow_inputs(population):
+    """``(pcfg, referencing)`` of each input of ``population``, the PCFG
+    built with the input's own branch probabilities."""
+    if population == "bench":
+        for source in bench_sources():
+            yield source, AssistantConfig(nprocs=4)
+    elif population == "corpus":
+        for case in load_corpus(str(HERE / "corpus")):
+            yield case.source, case.config
+    else:
+        for seed in range(1000, 1006):
+            source = generate_program(seed, SCALED).source
+            yield source, AssistantConfig(nprocs=4)
+
+
+def random_chain(rng):
+    """A PCFG of 3-40 phases with one to four out-edges each, random
+    frequencies (some exact, most not) and some mass lost at the exit,
+    and a random set of referencing phases."""
+    n = rng.randint(3, 40)
+    edges = [(ENTRY, 0, 1.0)]
+    for v in range(n):
+        targets = {}
+        for _ in range(rng.randint(1, 4)):
+            w = EXIT if rng.random() < 0.1 else rng.choice([*range(n), EXIT])
+            targets[w] = targets.get(w, 0.0) + rng.choice(
+                [1.0, 0.5, rng.randint(1, 9) * 1.0, rng.random() * 10]
+            )
+        edges.extend((v, w, freq) for w, freq in targets.items())
+    refs = set(rng.sample(range(n), rng.randint(1, max(1, n // 3))))
+    return hand_pcfg(edges), refs
+
+
+class TestAgainstNumpyOracle:
+    """The plain-Python solve against the numpy one it replaced: bit for
+    bit on every PCFG the tool meets, within rounding on random chains
+    (the tool's own systems cannot tell LU variants apart)."""
+
+    @pytest.mark.parametrize("population", ["bench", "corpus", "scaled"])
+    def test_tool_flows_are_bitwise_the_oracles(self, population):
+        arrays = 0
+        for source, config in flow_inputs(population):
+            _program, symbols, partition, pcfg = analyze(
+                source, config.branch_probability,
+                config.branch_prob_overrides,
+            )
+            referencing = referencing_sets(symbols, partition)
+            exact = array_transitions(pcfg, referencing)
+            for array, refs in referencing.items():
+                oracle = numpy_absorbed_flow(pcfg.graph.succ, frozenset(refs))
+                assert hexed(exact[array]) == hexed(oracle), (
+                    population, array
+                )
+                arrays += 1
+        assert arrays > 0
+
+    def test_random_chains_agree_within_rounding(self):
+        exact_bits = 0
+        for seed in range(300):
+            pcfg, refs = random_chain(random.Random(seed))
+            [flow] = array_transitions(pcfg, {"a": refs}).values()
+            oracle = numpy_absorbed_flow(pcfg.graph.succ, frozenset(refs))
+            assert_close(flow, oracle, rel=1e-12)
+            exact_bits += hexed(flow) == hexed(oracle)
+        # rounding does differ: the chains exercise the solve's order
+        assert exact_bits < 300
+
+
+def hexed(transitions):
+    return [(src, dst, freq.hex()) for src, dst, freq in transitions]

@@ -1,6 +1,13 @@
-"""What a cold process pays for: the default path never loads the solver,
-no path loads networkx, no shipped machine runs a simulation, and the
-pipeline loads none of the service, QA, bench or CLI modules.
+"""What a cold process pays for: the default path never loads numpy or
+the solver, no path loads networkx, no shipped machine runs a
+simulation, and the pipeline loads none of the service, QA, bench or CLI
+modules.
+
+numpy (about 14 MB and 0.15 s to import) is loaded only by a layout
+graph wide enough for the numpy selection kernel
+(``selection.ilp.LIST_KERNEL_CELLS``), by the HiGHS backend, and by the
+training fit of a machine with no committed table; the paper programs,
+a served miss and the CLI's start never load it.
 
 ``repro.ilp`` imports its HiGHS backend only when a model first
 reaches it, and the backend loads scipy's HiGHS extension alone (27
@@ -36,7 +43,8 @@ from repro.tool.cli import _add_solver
 SRC = pathlib.Path(repro.__file__).resolve().parents[1]
 
 #: the CLI's entry points, the four paper programs as ``repro analyze
-#: --program P`` resolves them by default, the widened search space at 2
+#: --program P`` resolves them by default, one paper-program miss served
+#: by ``LayoutService.handle_line``, the widened search space at 2
 #: procs, and the five widened inputs whose selection is conditioned on
 #: a cutset (``tests/test_selection_wide.py``); then the tied generated
 #: case, whose alignment hands a tie to HiGHS (objective as
@@ -53,10 +61,12 @@ from repro.perf.bench.suite import TIED_SEED
 from repro.programs.registry import PROGRAMS
 from repro.qa.generator import GeneratorConfig, generate_program
 from repro.service.protocol import LayoutRequest
+from repro.service.server import LayoutService
 from repro.tool.assistant import AssistantConfig, run_assistant
 
 def heavy():
-    return [name for name in ("networkx", "scipy") if name in sys.modules]
+    return [name for name in ("networkx", "numpy", "scipy")
+            if name in sys.modules]
 
 def solver_packages():
     core = "scipy.optimize._highspy._core"
@@ -80,6 +90,9 @@ for name in sorted(PROGRAMS):
     request = LayoutRequest(procs=16, program=name)
     run_assistant(request.resolve_source(), request.resolve_config())
     loaded[name] = heavy()
+served = json.loads(LayoutService().handle_line(json.dumps(
+    {"op": "analyze", "program": "erlebacher", "procs": 8}).encode()))
+loaded["served"] = heavy() if served["cache_misses"] == 7 else served
 request = LayoutRequest(procs=2, program="tomcatv")
 run_assistant(request.resolve_source(), replace(
     request.resolve_config(), distributions=DistributionOptions.extended()))
@@ -113,8 +126,9 @@ def test_default_path_never_loads_the_solver():
     report = json.loads(out.splitlines()[-1])
     assert report["loaded"] == {
         "import": [], "adi": [], "erlebacher": [], "shallow": [],
-        "tomcatv": [], "tomcatv-extended": [], "wide": [],
-        "tied": ["scipy"], "tied-solver-packages": [],
+        "tomcatv": [], "served": [], "tomcatv-extended": ["numpy"],
+        "wide": ["numpy"], "tied": ["numpy", "scipy"],
+        "tied-solver-packages": [],
     }
     assert report["simulated"] == {"default": 0, "paragon": 0,
                                    "modified": 324}

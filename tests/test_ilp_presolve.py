@@ -39,6 +39,7 @@ from repro.resilience.degrade import collecting
 from repro.resilience.errors import DeadlineExceeded
 from repro.selection import (
     ilp as selection_ilp,
+    minsum,
     presolve as selection_presolve,
 )
 from repro.selection.ilp import select_layouts
@@ -54,6 +55,14 @@ from .elimination_oracle import materialising_eliminate
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "corpus")
 CORPUS = load_corpus(CORPUS_DIR)
+
+
+def each_kernel(monkeypatch):
+    """Each exact kernel module ``select_layouts`` chooses between, with
+    ``LIST_KERNEL_CELLS`` set to send every graph to it."""
+    for module, cells in ((minsum, math.inf), (selection_presolve, -1)):
+        monkeypatch.setattr(selection_ilp, "LIST_KERNEL_CELLS", cells)
+        yield module
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +331,8 @@ class TestWidthAwareElimination:
             return plan(scopes, sizes, last=last)
 
         monkeypatch.setattr(selection_presolve, "_elimination_order", spy)
+        # end to end too: the caps below reach numpy's cutset conditioning
+        monkeypatch.setattr(selection_ilp, "LIST_KERNEL_CELLS", -1)
         rng = random.Random(1995)
         tied = conditioned = 0
         for case in range(60):
@@ -343,7 +354,7 @@ class TestWidthAwareElimination:
             # end to end, with the smallest cap and the default one
             for cap in (1, TABLE_CAP):
                 monkeypatch.setattr(
-                    selection_ilp, "eliminate_component",
+                    selection_presolve, "eliminate_component",
                     functools.partial(eliminate_component, table_cap=cap),
                 )
                 fast = select_layouts(graph, backend="branch-bound")
@@ -351,7 +362,7 @@ class TestWidthAwareElimination:
                 assert fast.objective == cost == slow.objective
                 assert fast.solution.stats.backend == "elimination"
             monkeypatch.setattr(
-                selection_ilp, "eliminate_component",
+                selection_presolve, "eliminate_component",
                 functools.partial(eliminate_component, table_cap=0),
             )
             if pre.components:
@@ -361,6 +372,32 @@ class TestWidthAwareElimination:
         assert tied > 0
         assert tie_rule
         assert conditioned > 0
+
+    def test_list_kernel_overflow_goes_to_numpy(self, monkeypatch):
+        """An order wider than the list kernel's cap is the numpy
+        kernel's to condition: ``select_layouts`` hands it the graph,
+        and the answer is still the lexicographic minimum."""
+        presolved = []
+        monkeypatch.setattr(
+            minsum, "eliminate_component",
+            functools.partial(minsum.eliminate_component, table_cap=1),
+        )
+        presolve = selection_presolve.presolve_selection
+        monkeypatch.setattr(
+            selection_presolve, "presolve_selection",
+            lambda *args, **kw: presolved.append(1) or presolve(*args, **kw),
+        )
+        for seed in range(20):
+            graph = random_layout_graph(random.Random(seed))
+            cost, oracle = exact_best_selection(graph)
+            pre = minsum.presolve_selection(graph)
+            if pre.components:
+                with pytest.raises(minsum.TableOverflow):
+                    minsum.eliminate_component(pre, pre.components[0])
+            before = len(presolved)
+            fast = select_layouts(graph)
+            assert (fast.selection, fast.objective) == (oracle, cost), seed
+            assert len(presolved) - before == bool(pre.components), seed
 
     @pytest.mark.parametrize("seed,cap", [(36, 8), (74, 16), (493, 4)])
     def test_tie_rule_overflow_is_conditioned(self, seed, cap, monkeypatch):
@@ -411,17 +448,17 @@ class TestWidthAwareElimination:
     ):
         # The budget runs out at the first elimination bucket, after
         # the entry check and the presolve have passed.
-        monkeypatch.setattr(
-            selection_presolve, "current_deadline",
-            lambda: Deadline(1e-9),
-        )
-        with collecting() as notes:
-            result = select_layouts(adi_assistant.graph)
-        assert not result.optimal
-        assert [(n.stage, n.reason) for n in notes] == [
-            ("selection", "greedy-fallback")
-        ]
-        assert "elimination" in notes[0].detail
+        for kernel in each_kernel(monkeypatch):
+            monkeypatch.setattr(
+                kernel, "current_deadline", lambda: Deadline(1e-9),
+            )
+            with collecting() as notes:
+                result = select_layouts(adi_assistant.graph)
+            assert not result.optimal
+            assert [(n.stage, n.reason) for n in notes] == [
+                ("selection", "greedy-fallback")
+            ]
+            assert "elimination" in notes[0].detail
 
     def test_deadline_during_conditioning_keeps_the_incumbent(
         self, monkeypatch
@@ -465,8 +502,8 @@ class Countdown:
 def conditioned_under_countdown(monkeypatch, checks):
     """Select over a three-phase chain that prefers candidate 1
     everywhere, every table capped at one element so that each
-    assignment of the cutset is a separate solve, under a
-    :class:`Countdown` deadline."""
+    assignment of the cutset is a separate solve of the numpy kernel
+    (the one that conditions), under a :class:`Countdown` deadline."""
     graph = DataLayoutGraph(
         phases=(), pcfg=None, estimates=None,
         node_costs={p: [1.0, 0.0] for p in range(3)},
@@ -478,8 +515,9 @@ def conditioned_under_countdown(monkeypatch, checks):
     monkeypatch.setattr(
         selection_presolve, "current_deadline", lambda: countdown
     )
+    monkeypatch.setattr(selection_ilp, "LIST_KERNEL_CELLS", -1)
     monkeypatch.setattr(
-        selection_ilp, "eliminate_component",
+        selection_presolve, "eliminate_component",
         functools.partial(eliminate_component, table_cap=1),
     )
     with collecting() as notes:
@@ -500,7 +538,7 @@ def presolve_span_attrs(graph):
 
 
 class TestDirtySet:
-    def test_nothing_prunable_is_one_pass(self):
+    def test_nothing_prunable_is_one_pass(self, monkeypatch):
         # a chain of two-candidate phases that each prefer their
         # neighbour's choice, plus a singleton phase conditioned into one
         graph = DataLayoutGraph(
@@ -512,13 +550,14 @@ class TestDirtySet:
                    LayoutEdge(1, 3, differ_costs(2, 2))],
             transitions={},
         )
-        pre = presolve_selection(graph)
-        assert pre.pruned == 0 and pre.fixed == {2: 0}
-        assert pre.checks == 3  # the multi-candidate phases, once each
-        attrs = presolve_span_attrs(graph)
-        assert (attrs["checks"], attrs["pruned"]) == (3, 0)
+        for kernel in each_kernel(monkeypatch):
+            pre = kernel.presolve_selection(graph)
+            assert pre.pruned == 0 and pre.fixed == {2: 0}
+            assert pre.checks == 3  # the multi-candidate phases, once each
+            attrs = presolve_span_attrs(graph)
+            assert (attrs["checks"], attrs["pruned"]) == (3, 0)
 
-    def test_one_prune_rechecks_only_its_neighbours(self):
+    def test_one_prune_rechecks_only_its_neighbours(self, monkeypatch):
         # phase 3 drops its dear third candidate, which remaps like its
         # first; phases 1 and 2 read phase 3 and are checked again,
         # phase 0 and phase 3 itself are not
@@ -532,13 +571,14 @@ class TestDirtySet:
                    LayoutEdge(3, 2, dear)],
             transitions={},
         )
-        pre = presolve_selection(graph)
-        assert pre.pruned == 1 and pre.active[3] == [0, 1]
-        assert pre.checks == 4 + 2
-        assert presolve_span_attrs(graph)["checks"] == 6
         cost, oracle = exact_best_selection(graph)
-        fast = select_layouts(graph)
-        assert (fast.selection, fast.objective) == (oracle, cost)
+        for kernel in each_kernel(monkeypatch):
+            pre = kernel.presolve_selection(graph)
+            assert pre.pruned == 1 and pre.active[3] == [0, 1]
+            assert pre.checks == 4 + 2
+            assert presolve_span_attrs(graph)["checks"] == 6
+            fast = select_layouts(graph)
+            assert (fast.selection, fast.objective) == (oracle, cost)
 
 
 class TestFuzzWiring:

@@ -8,10 +8,12 @@ is pinned per input in two columns.  The *answer* digest covers the
 graph presolve's ``fixed``, ``active``, ``pruned`` and ``components``;
 the survivors' conditioned node costs and every residual component edge
 as ``float.hex``; and what elimination and ``select_layouts`` select,
-with the objective.  The *width* column is the largest elimination
-table built (``max_table``), which depends on the elimination order
-alone: an order change that moves widths and no answer fails only
-``test_widths``.
+with the objective.  Both exact kernels, numpy's and the plain-Python
+one, are digested through the same lines and must agree on every input,
+whichever of them ``select_layouts``' size rule picks.  The *width*
+column is the largest elimination table built (``max_table``), which
+depends on the elimination order alone: an order change that moves
+widths and no answer fails only ``test_widths``.
 
 ``golden/selection_pinned.txt`` holds one line per input, ``key digest
 max_table``; ``PINNED`` holds, per population, the sha256 of its ``key
@@ -40,8 +42,8 @@ from repro.distribution.search_space import DistributionOptions
 from repro.programs.registry import PROGRAMS
 from repro.qa.corpus import load_corpus
 from repro.qa.generator import GeneratorConfig, generate_program
+from repro.selection import minsum, presolve
 from repro.selection.ilp import select_layouts
-from repro.selection.presolve import eliminate_component, presolve_selection
 from repro.tool.assistant import AssistantConfig, run_assistant
 from repro.tool.testcases import TestCase, grid_for, source_for
 
@@ -155,10 +157,11 @@ def _hex(values):
     return " ".join(float(x).hex() for x in values)
 
 
-def outcome(graph, allowed):
-    """Digest of the answers presolve and selection make of one input,
-    and the largest elimination table built for them."""
-    pre = presolve_selection(graph, allowed=allowed)
+def kernel_outcome(kernel, graph, allowed, result):
+    """Digest of what ``kernel``'s presolve and elimination make of one
+    input, closed by ``select_layouts``' ``result``, and the largest
+    elimination table built."""
+    pre = kernel.presolve_selection(graph, allowed=allowed)
     h = hashlib.sha256()
     h.update(f"fixed {sorted(pre.fixed.items())}\n".encode())
     h.update(f"active {sorted(pre.active.items())}\n".encode())
@@ -167,13 +170,25 @@ def outcome(graph, allowed):
         h.update(f"node {p} {_hex(pre.node[p])}\n".encode())
     for comp in pre.components:
         for p, q, sub in pre.component_edges(comp):
-            h.update(f"edge {p} {q} {sub.shape} {_hex(sub.flat)}\n".encode())
-        solved = eliminate_component(pre, comp)
+            shape = (len(sub), len(sub[0]))
+            cells = [x for row in sub for x in row]
+            h.update(f"edge {p} {q} {shape} {_hex(cells)}\n".encode())
+        solved = kernel.eliminate_component(pre, comp)
         h.update(f"solved {sorted((solved or {}).items())}\n".encode())
-    result = select_layouts(graph, allowed=allowed)
     h.update(f"selection {sorted(result.selection.items())} "
              f"{float(result.objective).hex()}\n".encode())
     return h.hexdigest()[:16], pre.max_table
+
+
+def outcome(graph, allowed):
+    """Digest of the answers presolve and selection make of one input,
+    and the largest elimination table built for them: the same for the
+    numpy and the list kernel, whichever the size rule picks."""
+    result = select_layouts(graph, allowed=allowed)
+    pinned = kernel_outcome(presolve, graph, allowed, result)
+    listed = kernel_outcome(minsum, graph, allowed, result)
+    assert listed == pinned, ("list kernel", listed, "numpy", pinned)
+    return pinned
 
 
 @cache
