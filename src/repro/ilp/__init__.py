@@ -15,7 +15,8 @@ from .model import ModelError, Solution, ZeroOneModel
 
 #: backend name -> the module of this package whose ``solve`` it runs.
 #: A module is imported when a model first reaches it: HiGHS loads
-#: scipy's HiGHS extension (about 4 MB), which no default analysis needs.
+#: scipy's HiGHS extension alone (about 4 MB, no numpy), which no
+#: default analysis needs.
 BACKENDS = {
     "scipy": "scipy_backend",
     "branch-bound": "branch_bound",

@@ -7,11 +7,16 @@ this module gives HiGHS exactly what ``milp`` would (column-wise matrix
 with rows ascending in each column, duplicates summed, 0/1 column
 bounds, every column integer, the objective sign-flipped for
 maximization, ``log_to_console`` off and ``time_limit`` only when given)
-and decodes its status the way ``milp`` does, without importing
-``scipy.optimize`` or ``scipy.sparse``: loading the extension alone
-costs a few MB where those packages cost tens.
+and decodes its status the way ``milp`` does.  It imports neither numpy
+nor any scipy module but the extension: the extension is found through
+``importlib.util.find_spec("scipy")`` without running scipy's
+``__init__``, and HiGHS sizes the columns and holds their costs itself,
+so no setter that converts through numpy is called.  Loading the
+extension alone costs a few MB where numpy costs about 12 and
+``scipy.optimize`` tens.
 
-The extension's path and names (``_Highs``, ``HighsLp``'s fields,
+The extension's path and names (``_Highs`` with ``addVar``,
+``changeColCost``, ``getLp`` and ``passModel``, ``HighsLp``'s fields,
 ``HighsModelStatus``) are scipy's private interface, checked against
 scipy 1.17.1; CI runs ties against the latest scipy, so a release that
 renames one fails there (DESIGN.md §11.3).
@@ -25,8 +30,6 @@ import os
 import sys
 import time
 from typing import Dict, List, Optional
-
-import scipy
 
 from .model import MAXIMIZE, Solution, SolveStats, ZeroOneModel
 
@@ -43,12 +46,16 @@ def _load_core():
     core = sys.modules.get(CORE)
     if core is not None:
         return core
-    path = [os.path.join(p, "optimize", "_highspy") for p in scipy.__path__]
+    # the package is found, not imported: its __init__ loads numpy
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None:
+        raise ImportError("scipy is not installed", name="scipy")
+    path = [os.path.join(p, "optimize", "_highspy")
+            for p in scipy.submodule_search_locations]
     spec = importlib.machinery.PathFinder.find_spec(CORE, path)
     if spec is None:
         raise ImportError(
-            f"scipy {scipy.__version__} has no HiGHS extension "
-            f"'_core' under {path}", name=CORE,
+            f"scipy has no HiGHS extension '_core' under {path}", name=CORE,
         )
     core = importlib.util.module_from_spec(spec)
     sys.modules[CORE] = core
@@ -70,8 +77,15 @@ def _no_values(status: str, stats: SolveStats) -> Solution:
                     stats=stats)
 
 
-def _lp(model: ZeroOneModel) -> _h.HighsLp:
-    """``model`` as HiGHS's column-wise LP with every column integer."""
+def _pass_model(highs, model: ZeroOneModel) -> bool:
+    """Hand ``model`` to ``highs`` as its column-wise LP with every
+    column integer; False as soon as HiGHS rejects a call.
+
+    HiGHS sizes the columns and holds their costs itself (``addVar``,
+    ``changeColCost``): the ``HighsLp.col_cost_`` setter would import
+    numpy, which none of the other calls here does.  A call that follows
+    a rejected one may crash the interpreter, so none is made.
+    """
     n = model.num_variables
     index = {var: i for i, var in enumerate(model.variables)}
     sign = -1.0 if model.sense == MAXIMIZE else 1.0
@@ -99,20 +113,21 @@ def _lp(model: ZeroOneModel) -> _h.HighsLp:
         values.extend(float(v) for v in column.values())
         start.append(len(rows))
 
-    lp = _h.HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = n
+    error = _h.HighsStatus.kError
+    for j, c in enumerate(cost):
+        if highs.addVar(0.0, 1.0) == error \
+                or highs.changeColCost(j, c) == error:
+            return False
+    lp = highs.getLp()
     lp.num_row_ = lp.a_matrix_.num_row_ = model.num_constraints
     lp.a_matrix_.format_ = _h.MatrixFormat.kColwise
     lp.a_matrix_.start_ = start
     lp.a_matrix_.index_ = rows
     lp.a_matrix_.value_ = values
-    lp.col_cost_ = cost
-    lp.col_lower_ = [0.0] * n
-    lp.col_upper_ = [1.0] * n
     lp.row_lower_ = row_lower
     lp.row_upper_ = row_upper
     lp.integrality_ = [_h.HighsVarType.kInteger] * n
-    return lp
+    return highs.passModel(lp) != error
 
 
 def solve(
@@ -127,7 +142,6 @@ def solve(
         return _no_values("unknown", SolveStats(backend="scipy-highs"))
 
     start = time.perf_counter()
-    lp = _lp(model)
     options = _h.HighsOptions()
     options.log_to_console = False
     if time_limit is not None:
@@ -135,7 +149,7 @@ def solve(
     highs = _h._Highs()
     error = _h.HighsStatus.kError
     ran = (highs.passOptions(options) != error
-           and highs.passModel(lp) != error and highs.run() != error)
+           and _pass_model(highs, model) and highs.run() != error)
     status = highs.getModelStatus()
     info = highs.getInfo()
     stats = SolveStats(backend="scipy-highs",

@@ -7,7 +7,7 @@ exist, and no job but ``tests`` runs a check of its own: the one inline
 script left is the loadtest's rate calibration, which measures and
 asserts nothing about the code.  Beside the workflow, the runtime
 dependencies in ``pyproject.toml`` are exactly the third-party modules
-``src/`` imports.
+``src/`` imports or locates.
 """
 
 from __future__ import annotations
@@ -68,10 +68,20 @@ def _installed_by_tier1() -> set:
     return {name.lower().replace("-", "_") for name in names}
 
 
+def _finds_spec_of(node: ast.AST) -> bool:
+    """Whether ``node`` is a ``find_spec("<literal name>")`` call."""
+    return (isinstance(node, ast.Call) and bool(node.args)
+            and getattr(node.func, "attr", getattr(node.func, "id", None))
+            == "find_spec"
+            and isinstance(node.args[0], ast.Constant)
+            and isinstance(node.args[0].value, str))
+
+
 def _third_party_imports(roots=("src", "tests")) -> set:
     """Top-level modules imported under ``roots`` (lazy imports inside
-    functions included) that are neither the standard library nor this
-    repository's own."""
+    functions included, and packages located by ``find_spec`` with a
+    literal name, as the HiGHS backend locates scipy) that are neither
+    the standard library nor this repository's own."""
     own = {path.stem for path in (ROOT / "src").iterdir()}
     own |= {path.stem for path in (ROOT / "tests").glob("*.py")}
     own.add("tests")
@@ -83,6 +93,8 @@ def _third_party_imports(roots=("src", "tests")) -> set:
                     names = [alias.name for alias in node.names]
                 elif isinstance(node, ast.ImportFrom) and not node.level:
                     names = [node.module]
+                elif _finds_spec_of(node):
+                    names = [node.args[0].value]
                 else:
                     continue
                 found |= {name.split(".")[0] for name in names}

@@ -5,16 +5,17 @@ modules.
 
 numpy (about 14 MB and 0.15 s to import) is loaded only by a layout
 graph wide enough for the numpy selection kernel
-(``selection.ilp.LIST_KERNEL_CELLS``), by the HiGHS backend, and by the
-training fit of a machine with no committed table; the paper programs,
-a served miss and the CLI's start never load it.
+(``selection.ilp.LIST_KERNEL_CELLS``) and by the training fit of a
+machine with no committed table; the paper programs, a served miss, a
+tie solved by HiGHS and the CLI's start never load it.
 
 ``repro.ilp`` imports its HiGHS backend only when a model first
-reaches it, and the backend loads scipy's HiGHS extension alone (27
-modules and about 4 MB after numpy), not ``scipy.optimize``, whose
-import brings ``scipy.sparse`` and 561 modules, about 44 MB and half a
-second: a tie loads no ``scipy.optimize`` or ``scipy.sparse`` module
-but the extension.  networkx (about 14 MB and 0.15 s to import) is a test
+reaches it, and the backend loads scipy's HiGHS extension alone, found
+without importing the ``scipy`` package, not ``scipy.optimize``, whose
+import brings numpy, ``scipy.sparse`` and 561 modules, about 44 MB and
+half a second: a tie loads neither numpy nor the ``scipy`` package,
+and no ``scipy.optimize`` or ``scipy.sparse`` module but the
+extension.  networkx (about 14 MB and 0.15 s to import) is a test
 oracle only: the PCFG is a plain adjacency map.  The guard runs in a
 fresh interpreter, since this one's ``sys.modules`` holds whatever
 earlier tests loaded.  The shipped machines' training databases are a
@@ -44,12 +45,13 @@ SRC = pathlib.Path(repro.__file__).resolve().parents[1]
 
 #: the CLI's entry points, the four paper programs as ``repro analyze
 #: --program P`` resolves them by default, one paper-program miss served
-#: by ``LayoutService.handle_line``, the widened search space at 2
-#: procs, and the five widened inputs whose selection is conditioned on
-#: a cutset (``tests/test_selection_wide.py``); then the tied generated
-#: case, whose alignment hands a tie to HiGHS (objective as
-#: ``float.hex``, the ``bench/expected.json`` reference); then adi on the
-#: Paragon and on an iPSC/860 with one field changed
+#: by ``LayoutService.handle_line``, and the tied generated case, whose
+#: alignment hands a tie to HiGHS (objective as ``float.hex``, the
+#: ``bench/expected.json`` reference), each before anything has loaded
+#: numpy; then the widened search space at 2 procs, and the five widened
+#: inputs whose selection is conditioned on a cutset
+#: (``tests/test_selection_wide.py``); then adi on the Paragon and on an
+#: iPSC/860 with one field changed
 GUARD = """
 import json, sys
 from dataclasses import replace
@@ -93,6 +95,10 @@ for name in sorted(PROGRAMS):
 served = json.loads(LayoutService().handle_line(json.dumps(
     {"op": "analyze", "program": "erlebacher", "procs": 8}).encode()))
 loaded["served"] = heavy() if served["cache_misses"] == 7 else served
+tied = run_assistant(generate_program(TIED_SEED, GeneratorConfig()).source,
+                     AssistantConfig(nprocs=4))
+loaded["tied"] = heavy()
+loaded["tied-solver-packages"] = solver_packages()
 request = LayoutRequest(procs=2, program="tomcatv")
 run_assistant(request.resolve_source(), replace(
     request.resolve_config(), distributions=DistributionOptions.extended()))
@@ -102,10 +108,6 @@ for name, procs in [("tomcatv", 8), ("tomcatv", 16), ("shallow", 4),
     run_assistant(PROGRAMS[name].source(), AssistantConfig(
         nprocs=procs, distributions=DistributionOptions.extended()))
 loaded["wide"] = heavy()
-tied = run_assistant(generate_program(TIED_SEED, GeneratorConfig()).source,
-                     AssistantConfig(nprocs=4))
-loaded["tied"] = heavy()
-loaded["tied-solver-packages"] = solver_packages()
 simulated = {"default": len(simulations)}
 for label, machine in [("paragon", PARAGON),
                        ("modified", replace(IPSC860, op_add=0.2))]:
@@ -126,9 +128,9 @@ def test_default_path_never_loads_the_solver():
     report = json.loads(out.splitlines()[-1])
     assert report["loaded"] == {
         "import": [], "adi": [], "erlebacher": [], "shallow": [],
-        "tomcatv": [], "served": [], "tomcatv-extended": ["numpy"],
-        "wide": ["numpy"], "tied": ["numpy", "scipy"],
-        "tied-solver-packages": [],
+        "tomcatv": [], "served": [], "tied": [],
+        "tied-solver-packages": [], "tomcatv-extended": ["numpy"],
+        "wide": ["numpy"],
     }
     assert report["simulated"] == {"default": 0, "paragon": 0,
                                    "modified": 324}
