@@ -71,15 +71,6 @@ class CAG:
         self.weights[key] += cost
         self.directions[key] = (src, dst)
 
-    def add_undirected_edge(self, a: Node, b: Node, weight: float) -> None:
-        """Accumulate weight on an undirected edge (used when merging)."""
-        if a[0] == b[0]:
-            raise ValueError("CAG edges connect distinct arrays")
-        self.nodes.add(a)
-        self.nodes.add(b)
-        key = _key(a, b)
-        self.weights[key] = self.weights.get(key, 0.0) + weight
-
     def undirected(self) -> "CAG":
         """Copy with edge directions dropped (end of weight building)."""
         return CAG(nodes=set(self.nodes), weights=dict(self.weights))

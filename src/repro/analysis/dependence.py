@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .phases import Phase
 from .references import ArrayAccess
 
 
@@ -119,20 +118,4 @@ def _pair_dependences(
                     sink=write,
                 )
             )
-    return deps
-
-
-def phase_dependences(phase: Phase) -> List[Dependence]:
-    """All uniform loop-carried dependences inside ``phase``."""
-    by_array: Dict[str, List[ArrayAccess]] = {}
-    for acc in phase.accesses:
-        by_array.setdefault(acc.array, []).append(acc)
-    deps: List[Dependence] = []
-    for accesses in by_array.values():
-        writes = [a for a in accesses if a.is_write]
-        for write in writes:
-            for other in accesses:
-                if other is write:
-                    continue
-                deps.extend(_pair_dependences(write, other))
     return deps

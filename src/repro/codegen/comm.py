@@ -126,10 +126,6 @@ class PipelineSpec:
     #: running independent chains in parallel)
     chain_procs: int = 0
 
-    @property
-    def sequentialized(self) -> bool:
-        return self.stages <= 1
-
 
 @dataclass(frozen=True)
 class PartitionDim:

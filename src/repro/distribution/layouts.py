@@ -187,10 +187,6 @@ class Distribution:
         dimension, serial elsewhere."""
         return cls.one_dim(rank, dim, DimDistribution(procs=procs))
 
-    @classmethod
-    def serial(cls, rank: int) -> "Distribution":
-        return cls(dims=(DimDistribution(),) * rank)
-
     # -- the processor grid -----------------------------------------------------
 
     @cached_property

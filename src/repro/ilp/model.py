@@ -11,6 +11,7 @@ backends.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Tuple
 
@@ -21,7 +22,9 @@ MAXIMIZE = "max"
 
 
 class ModelError(Exception):
-    """Raised for malformed models (unknown variables, bad senses...)."""
+    """Raised for malformed models (unknown variables, bad senses,
+    coefficients that are NaN or infinite...), and for a model a solver
+    rejects."""
 
 
 @dataclass(frozen=True)
@@ -133,11 +136,19 @@ class ZeroOneModel:
         items = tuple(
             coeffs.items() if isinstance(coeffs, Mapping) else coeffs
         )
-        for var, _ in items:
+        for var, coeff in items:
             if var not in self._index:
                 raise ModelError(
                     f"constraint {name!r} uses undeclared variable {var!r}"
                 )
+            if not math.isfinite(coeff):
+                raise ModelError(
+                    f"constraint {name!r} has coefficient {coeff!r} "
+                    f"on {var!r}"
+                )
+        if not math.isfinite(rhs):
+            raise ModelError(f"constraint {name!r} has right-hand side "
+                             f"{rhs!r}")
         constraint = Constraint(
             coeffs=items, sense=sense, rhs=float(rhs), name=name
         )
@@ -147,7 +158,12 @@ class ZeroOneModel:
     def set_objective_coeff(self, var: str, coeff: float) -> None:
         if var not in self._index:
             raise ModelError(f"unknown objective variable {var!r}")
-        self.objective[var] = self.objective.get(var, 0.0) + float(coeff)
+        total = self.objective.get(var, 0.0) + float(coeff)
+        if not math.isfinite(total):
+            raise ModelError(
+                f"objective coefficient of {var!r} is {total!r}"
+            )
+        self.objective[var] = total
 
     def set_objective(self, coeffs: Mapping[str, float]) -> None:
         self.objective = {}

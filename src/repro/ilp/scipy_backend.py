@@ -31,7 +31,7 @@ import sys
 import time
 from typing import Dict, List, Optional
 
-from .model import MAXIMIZE, Solution, SolveStats, ZeroOneModel
+from .model import MAXIMIZE, ModelError, Solution, SolveStats, ZeroOneModel
 
 #: the extension's real name: ``scipy.optimize`` finds it under it too
 CORE = "scipy.optimize._highspy._core"
@@ -133,7 +133,8 @@ def _pass_model(highs, model: ZeroOneModel) -> bool:
 def solve(
     model: ZeroOneModel, time_limit: Optional[float] = None
 ) -> Solution:
-    """Solve ``model`` to proven optimality with HiGHS."""
+    """Solve ``model`` to proven optimality with HiGHS; a model HiGHS
+    rejects (say, a row coefficient of 1e300) raises ``ModelError``."""
     if model.num_variables == 0:
         return Solution(status="optimal", objective=0.0, values={},
                         stats=SolveStats(backend="scipy-highs"))
@@ -148,8 +149,15 @@ def solve(
         options.time_limit = time_limit
     highs = _h._Highs()
     error = _h.HighsStatus.kError
-    ran = (highs.passOptions(options) != error
-           and _pass_model(highs, model) and highs.run() != error)
+    # a rejected call proves nothing about feasibility
+    if highs.passOptions(options) == error:
+        raise ModelError(f"HiGHS rejected the options of {model.name!r} "
+                         "(passOptions)")
+    if not _pass_model(highs, model):
+        raise ModelError(f"HiGHS rejected model {model.name!r} "
+                         "(_pass_model)")
+    if highs.run() == error:
+        raise ModelError(f"HiGHS failed to solve {model.name!r} (run)")
     status = highs.getModelStatus()
     info = highs.getInfo()
     stats = SolveStats(backend="scipy-highs",
@@ -158,7 +166,7 @@ def solve(
     # A limit with a finite objective carries a feasible incumbent
     # (anytime behavior); a limit without one is "unknown", and every
     # other status short of optimal is "infeasible".
-    readable = ran and (
+    readable = (
         status == _h.HighsModelStatus.kOptimal
         or (status in _LIMITS
             and info.objective_function_value != _h.kHighsInf)

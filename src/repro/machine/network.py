@@ -8,31 +8,12 @@ collective algorithms' structure.
 
 from __future__ import annotations
 
-from typing import List
-
 from .params import MachineParams
-
-
-def is_power_of_two(n: int) -> bool:
-    return n > 0 and (n & (n - 1)) == 0
-
-
-def hypercube_dimension(nprocs: int) -> int:
-    """log2(nprocs); nprocs must be a power of two (as on the iPSC)."""
-    if not is_power_of_two(nprocs):
-        raise ValueError(f"hypercube size must be a power of two, got {nprocs}")
-    return nprocs.bit_length() - 1
 
 
 def hops(src: int, dst: int) -> int:
     """Hamming distance between node numbers = routing hops."""
     return bin(src ^ dst).count("1")
-
-
-def neighbors(node: int, nprocs: int) -> List[int]:
-    """Hypercube neighbours of ``node``."""
-    dim = hypercube_dimension(nprocs)
-    return [node ^ (1 << d) for d in range(dim)]
 
 
 def point_to_point_time(

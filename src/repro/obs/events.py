@@ -131,14 +131,6 @@ def write_trace(trace: Mapping[str, Any], path: str) -> None:
         handle.write("\n")
 
 
-def load_trace(path: str) -> Dict[str, Any]:
-    """Read and validate a trace file."""
-    with open(path, "r", encoding="utf-8") as handle:
-        trace = json.load(handle)
-    validate_trace(trace)
-    return trace
-
-
 def iter_events(
     trace: Mapping[str, Any], name: Optional[str] = None
 ) -> Iterator[Tuple[Optional[Dict[str, Any]], Dict[str, Any]]]:

@@ -17,24 +17,16 @@ are sibling ``*_quantile`` gauge families
 read from the same :class:`~repro.obs.window.LogBucketSketch` that
 counted the buckets.
 
-:func:`parse_prometheus_text` is a small reference parser used by the
-tests to prove the exposition stays parseable.
+``tests/prometheus_parser.py`` is the strict reference parser the tests
+read the exposition back with.
 """
 
 from __future__ import annotations
 
 import math
-import re
 from typing import (
     Any, Dict, Iterator, List, Mapping, NamedTuple, Tuple, Union,
 )
-
-_METRIC_RE = re.compile(
-    r"^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)"
-    r"(?:\{(?P<labels>[^}]*)\})?"
-    r"\s+(?P<value>[^\s]+)$"
-)
-_LABEL_RE = re.compile(r'([a-zA-Z_][a-zA-Z0-9_]*)="((?:[^"\\]|\\.)*)"')
 
 #: quantiles exposed for every distribution
 QUANTILE_KEYS = (("0.5", "p50"), ("0.95", "p95"), ("0.99", "p99"))
@@ -65,13 +57,6 @@ class Family(NamedTuple):
     path: Union[str, Tuple[str, ...], Mapping[str, str]]
     label: str = ""
     shape: str = "value"
-
-    @property
-    def labels(self) -> Tuple[str, ...]:
-        """Every label name a sample of this family carries."""
-        own = (self.label.partition("=")[0],) if self.label else ()
-        extra = {"sketch": ("le",), "quantiles": ("quantile",)}
-        return own + extra.get(self.shape, ())
 
     @property
     def paths(self) -> Tuple[Tuple[Any, str], ...]:
@@ -317,34 +302,3 @@ def render_prometheus(stats: Mapping[str, Any]) -> str:
             lines.append(f"# TYPE {family.name} {family.type}")
             lines.extend(samples)
     return "\n".join(lines) + "\n"
-
-
-def parse_prometheus_text(
-    text: str,
-) -> Dict[Tuple[str, Tuple[Tuple[str, str], ...]], float]:
-    """Parse exposition text into ``{(name, labels): value}``.
-
-    A deliberately strict reference parser: any non-comment, non-blank
-    line that does not match the exposition grammar raises
-    ``ValueError``.  Used by the tests.
-    """
-    out: Dict[Tuple[str, Tuple[Tuple[str, str], ...]], float] = {}
-    for lineno, line in enumerate(text.splitlines(), 1):
-        if not line.strip() or line.startswith("#"):
-            continue
-        match = _METRIC_RE.match(line)
-        if not match:
-            raise ValueError(f"line {lineno}: unparseable {line!r}")
-        labels: List[Tuple[str, str]] = []
-        raw = match.group("labels")
-        if raw:
-            labels = [(k, v) for k, v in _LABEL_RE.findall(raw)]
-        value_txt = match.group("value")
-        if value_txt == "NaN":
-            value = float("nan")
-        elif value_txt in ("+Inf", "-Inf"):
-            value = float(value_txt.replace("Inf", "inf"))
-        else:
-            value = float(value_txt)
-        out[(match.group("name"), tuple(labels))] = value
-    return out

@@ -448,20 +448,6 @@ def read_event_log(
     return events, bad
 
 
-def validate_event_log(root: Union[str, Path]) -> Dict[str, Any]:
-    """Schema-check a whole log; returns a summary dict of the event
-    count, the unreadable-line count and the count per event type."""
-    events, bad = read_event_log(root)
-    types: Dict[str, int] = {}
-    for event in events:
-        types[event["type"]] = types.get(event["type"], 0) + 1
-    return {
-        "events_total": len(events),
-        "bad_lines_total": bad,
-        "types": dict(sorted(types.items())),
-    }
-
-
 # ---------------------------------------------------------------------------
 # The sink registry.  Deep modules (breaker, degrade, faults, cache
 # quarantine) call emit(); the service installs its EventLog as a sink

@@ -53,6 +53,9 @@ BENCH_PREFIX = "BENCH_"
 
 _LABEL_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
 
+#: runs a trajectory keeps (oldest dropped), so the files stay reviewable
+MAX_RUNS = 50
+
 _RESULT_NUMERIC = ("min_s", "median_s", "mad_s", "mean_s")
 
 
@@ -87,21 +90,6 @@ def bench_path(label: str, root: str = ".") -> str:
             f"bad bench label {label!r}: use letters, digits, . _ -"
         )
     return os.path.join(root, f"{BENCH_PREFIX}{label}.json")
-
-
-def discover(root: str = ".") -> Dict[str, str]:
-    """All ``BENCH_<label>.json`` files under ``root`` as label → path."""
-    out: Dict[str, str] = {}
-    try:
-        entries = sorted(os.listdir(root))
-    except OSError:
-        return out
-    for entry in entries:
-        if entry.startswith(BENCH_PREFIX) and entry.endswith(".json"):
-            label = entry[len(BENCH_PREFIX):-len(".json")]
-            if _LABEL_RE.match(label):
-                out[label] = os.path.join(root, entry)
-    return out
 
 
 def _check(condition: bool, message: str) -> None:
@@ -256,13 +244,11 @@ def append_run(
     label: str,
     root: str = ".",
     meta: Optional[Mapping[str, Any]] = None,
-    max_runs: int = 50,
 ) -> str:
     """Append one run to ``BENCH_<label>.json`` (creating it if absent);
-    returns the file path.  Trajectories are capped at ``max_runs`` runs
-    (oldest dropped) so the files stay reviewable.  A corrupt existing
-    file is quarantined and the trajectory restarts, so one damaged
-    baseline never blocks future runs."""
+    returns the file path.  Trajectories are capped at :data:`MAX_RUNS`
+    runs.  A corrupt existing file is quarantined and the trajectory
+    restarts, so one damaged baseline never blocks future runs."""
     path = bench_path(label, root)
     data: Optional[Dict[str, Any]] = None
     if os.path.exists(path):
@@ -276,8 +262,7 @@ def append_run(
         data = {"schema": BENCH_SCHEMA, "label": label, "runs": []}
     next_id = (data["runs"][-1]["run_id"] + 1) if data["runs"] else 1
     data["runs"].append(new_run(results, meta=meta, run_id=next_id))
-    if max_runs > 0 and len(data["runs"]) > max_runs:
-        data["runs"] = data["runs"][-max_runs:]
+    data["runs"] = data["runs"][-MAX_RUNS:]
     write_bench_file(data, path)
     return path
 
@@ -323,11 +308,3 @@ def latest_results(data: Mapping[str, Any]) -> Dict[str, Any]:
     if not runs:
         raise BenchValidationError("bench file has no runs")
     return dict(runs[-1]["results"])
-
-
-__all__ = [
-    "BENCH_PREFIX", "BENCH_SCHEMA", "BenchInputError",
-    "BenchValidationError", "append_run", "bench_path", "discover",
-    "latest_results", "load_bench_file", "load_latest_results",
-    "new_run", "run_meta", "validate_bench_file", "write_bench_file",
-]

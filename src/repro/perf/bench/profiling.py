@@ -127,9 +127,3 @@ def format_profile(result: ProfileResult) -> str:
             f"{h.ncalls:>8}  {h.func} ({location})"
         )
     return "\n".join(lines)
-
-
-__all__ = [
-    "DEFAULT_LIMIT", "HotFunction", "ProfileResult", "format_profile",
-    "hot_functions", "profile_call",
-]

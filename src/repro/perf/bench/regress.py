@@ -169,9 +169,3 @@ def parse_threshold_overrides(specs: List[str]) -> Dict[str, float]:
             )
         out[bench_id] = ratio
     return out
-
-
-__all__ = [
-    "RegressionReport", "Thresholds", "Verdict", "compare_results",
-    "parse_threshold_overrides",
-]

@@ -95,9 +95,3 @@ def render_bench_prometheus(results: Mapping[str, ResultLike]) -> str:
         ],
         "bench": {bench_id: _row(row) for bench_id, row in results.items()},
     })
-
-
-__all__ = [
-    "format_compare", "format_run", "render_bench_prometheus",
-    "results_to_metrics",
-]

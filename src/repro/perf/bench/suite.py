@@ -633,12 +633,3 @@ def run_suite(
         if progress is not None:
             progress(case, m)
     return dict(sorted(results.items()))
-
-
-__all__ = [
-    "BENCH_NPROCS", "BENCH_SIZES", "BenchCase", "EXTENDED_NPROCS",
-    "EXTENDED_PROGRAM", "GRAPH_STAGE", "HANDLE_LAYER",
-    "PreparedProgram", "RUNNER_LAYER", "SETUP_LAYER",
-    "QA_SEEDS", "STAGE_NAMES", "TIED_SEED", "bench_source", "build_suite",
-    "default_bench_config", "run_suite",
-]

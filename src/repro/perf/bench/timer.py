@@ -158,14 +158,3 @@ def measure(
         sp.set_attr("mad_s", result.mad_s)
         sp.set_attr("peak_bytes", result.peak_bytes)
     return result
-
-
-def measure_once(name: str, fn: Callable[[], Any]) -> Measurement:
-    """Single-repetition convenience (used by ``bench profile``)."""
-    return measure(name, fn, repeats=1, warmup=0, memory=True)
-
-
-__all__ = [
-    "DEFAULT_REPEATS", "DEFAULT_WARMUP", "Measurement", "mad", "measure",
-    "measure_memory", "measure_once", "median",
-]

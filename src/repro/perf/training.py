@@ -321,10 +321,7 @@ _DB_CACHE: Dict[Tuple[str, Tuple[int, ...]], TrainingDatabase] = {}
 _DB_CACHE_LOCK = threading.Lock()
 
 
-def cached_training_database(
-    params: MachineParams,
-    proc_counts: Tuple[int, ...] = PROC_COUNTS,
-) -> TrainingDatabase:
+def cached_training_database(params: MachineParams) -> TrainingDatabase:
     """Training databases are deterministic per machine; cache them.
 
     A shipped machine's database is read from the committed table (a
@@ -335,14 +332,14 @@ def cached_training_database(
     instance (reading or generating runs outside the lock; both are
     pure).
     """
-    key = (machine_cache_key(params), tuple(proc_counts))
+    key = (machine_cache_key(params), PROC_COUNTS)
     with _DB_CACHE_LOCK:
         db = _DB_CACHE.get(key)
     if db is not None:
         return db
-    db = table_database(params, proc_counts)
+    db = table_database(params, PROC_COUNTS)
     if db is None:
-        db = generate_training_database(params, proc_counts)
+        db = generate_training_database(params, PROC_COUNTS)
     with _DB_CACHE_LOCK:
         return _DB_CACHE.setdefault(key, db)
 

@@ -18,7 +18,7 @@ fault injection.  The campaign asserts, on every case:
 request; "typed" means the response's ``error_kind`` names a known
 error class rather than the catch-all ``internal``.  Violating cases
 have their fault plans serialized to an artifact directory so they can
-be replayed verbatim (``FaultPlan.from_json`` + ``faults.armed``).
+be replayed verbatim (``FaultPlan.from_dict`` + ``faults.armed``).
 
 This module sits *above* the service layer, so it is deliberately not
 re-exported from :mod:`repro.resilience` — import it as

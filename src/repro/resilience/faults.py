@@ -30,7 +30,6 @@ exercise the checksum/quarantine path.
 from __future__ import annotations
 
 import fnmatch
-import json
 import random
 import threading
 import time
@@ -134,13 +133,6 @@ class FaultPlan:
             seed=int(data.get("seed", 0)),
             specs=[FaultSpec.from_dict(s) for s in data.get("specs", [])],
         )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "FaultPlan":
-        return cls.from_dict(json.loads(text))
 
 
 class FaultInjector:
@@ -270,10 +262,6 @@ def arm(plan: FaultPlan) -> FaultInjector:
 def disarm() -> None:
     global _injector
     _injector = None
-
-
-def active() -> Optional[FaultInjector]:
-    return _injector
 
 
 @contextmanager

@@ -78,10 +78,6 @@ class Metrics:
 
     # -- reading ---------------------------------------------------------
 
-    def counter(self, name: str) -> int:
-        with self._lock:
-            return self._counters.get(name, 0)
-
     def window_snapshot(self) -> Dict[str, Any]:
         """Per-op sliding-window views: a ``full``-window and a
         ``fast``-horizon snapshot per op, the input shape of

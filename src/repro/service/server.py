@@ -428,20 +428,6 @@ class LayoutService:
             stopped_at=stopped_at, tracer=tracer, tier=tier,
         )
 
-    def analyze_dict(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        return self._analyze_payload(payload).to_dict()
-
-    def _analyze_payload(self, payload: Dict[str, Any]) -> LayoutResponse:
-        try:
-            request = LayoutRequest.from_dict(payload)
-        except ServiceError as exc:
-            self.metrics.inc("requests_total")
-            self.metrics.inc("requests_failed")
-            return LayoutResponse.failure(
-                exc, request_id=payload.get("request_id")
-            )
-        return self.analyze(request)
-
     def stats(self) -> Dict[str, Any]:
         """The one snapshot tree every reader walks (``top``, the
         exposition table, the bench, CI): the registry's sections plus
@@ -542,7 +528,15 @@ class LayoutService:
                     "request_id": payload.get("request_id")}
         if op == "analyze":
             # analyze records its own telemetry (it has the tracer)
-            return self._analyze_payload(payload)
+            try:
+                request = LayoutRequest.from_dict(payload)
+            except ServiceError as exc:
+                self.metrics.inc("requests_total")
+                self.metrics.inc("requests_failed")
+                return LayoutResponse.failure(
+                    exc, request_id=payload.get("request_id")
+                )
+            return self.analyze(request)
         start = perf_counter()
         response = self._handle_light(op, payload)
         if op in OPS:
@@ -796,12 +790,6 @@ class LayoutServer(socketserver.ThreadingTCPServer):
                     request.shutdown(socket.SHUT_RDWR)
                 except OSError:
                     pass
-
-    def serve_background(self) -> threading.Thread:
-        """Start serving on a daemon thread (tests, smoke checks)."""
-        thread = threading.Thread(target=self.serve_forever, daemon=True)
-        thread.start()
-        return thread
 
     def graceful_shutdown(
         self, drain_deadline_s: float = DEFAULT_DRAIN_DEADLINE_S

@@ -32,8 +32,7 @@ default for embedded/test use; a served process passes
 from __future__ import annotations
 
 import threading
-from collections import deque
-from typing import Any, Deque, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 from ..obs import telemetry as obs_telemetry
 from ..obs import tracing
@@ -45,9 +44,6 @@ DEFAULT_SLOW_S = 0.25
 #: deterministic sample rate of healthy fast traces (1 in K)
 DEFAULT_SAMPLE_EVERY = 20
 
-#: in-memory ring of kept serialized traces
-DEFAULT_KEPT_TRACES = 32
-
 
 class TailSampler:
     """Post-hoc trace retention policy (thread-safe)."""
@@ -56,7 +52,6 @@ class TailSampler:
         self,
         slow_s: float = DEFAULT_SLOW_S,
         sample_every: int = DEFAULT_SAMPLE_EVERY,
-        kept_traces: int = DEFAULT_KEPT_TRACES,
     ):
         if slow_s <= 0:
             raise ValueError(f"slow_s must be > 0, got {slow_s}")
@@ -67,7 +62,6 @@ class TailSampler:
         self.slow_s = float(slow_s)
         self.sample_every = int(sample_every)
         self._lock = threading.Lock()
-        self._kept: Deque[Dict[str, Any]] = deque(maxlen=kept_traces)
         self._kept_total = 0
         self._dropped_total = 0
         self._kept_by_reason: Dict[str, int] = {}
@@ -105,17 +99,11 @@ class TailSampler:
             return None, None
         trace = tracer.to_dict()
         with self._lock:
-            self._kept.append(trace)
             self._kept_total += 1
             self._kept_by_reason[reason] = (
                 self._kept_by_reason.get(reason, 0) + 1
             )
         return reason, trace
-
-    def kept(self) -> List[Dict[str, Any]]:
-        """The most recent kept traces (newest last)."""
-        with self._lock:
-            return list(self._kept)
 
     def describe(self) -> Dict[str, Any]:
         with self._lock:

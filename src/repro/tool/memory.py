@@ -16,7 +16,7 @@ from ..distribution.layouts import DataLayout
 from ..frontend.symbols import ArraySymbol, SymbolTable
 
 #: per-node memory of the simulated iPSC/860 (8 MB, minus ~1 MB of NX/OS)
-DEFAULT_NODE_BYTES = 7 * 1024 * 1024
+NODE_BYTES = 7 * 1024 * 1024
 #: overlap areas and message buffers, as a share of the arrays' bytes
 GHOST_FRACTION = 0.05
 
@@ -44,7 +44,6 @@ class MemoryReport:
 def memory_footprint(
     symbols: SymbolTable,
     layouts: Dict[int, DataLayout],
-    node_bytes: int = DEFAULT_NODE_BYTES,
 ) -> MemoryReport:
     """Worst-case per-node bytes across all selected layouts.
 
@@ -69,5 +68,5 @@ def memory_footprint(
     total = sum(per_array.values())
     total = int(total * (1.0 + GHOST_FRACTION))
     return MemoryReport(
-        per_array=per_array, total_bytes=total, node_bytes=node_bytes
+        per_array=per_array, total_bytes=total, node_bytes=NODE_BYTES
     )

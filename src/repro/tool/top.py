@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Any, List, Mapping, Optional
 
-from ..obs.slo import QUANTILE_METRICS, SLOReport, format_slo_report
+from ..obs.slo import QUANTILE_METRICS, SLOReport
 
 #: ANSI clear-screen-and-home, used between live repaints
 CLEAR = "\x1b[2J\x1b[H"
@@ -240,6 +240,3 @@ def format_top(
         lines.append("")
         lines.extend(slo_lines)
     return "\n".join(lines)
-
-
-__all__ = ["CLEAR", "format_top", "format_slo_report"]

@@ -14,7 +14,6 @@ import pytest
 from repro.analysis.pcfg import ENTRY, EXIT, PCFG, PhaseGraph
 from repro.frontend.symbols import ArraySymbol
 from repro.programs.registry import PROGRAMS
-from repro.qa.corpus import load_corpus
 from repro.qa.generator import GeneratorConfig, generate_program
 from repro.selection.layout_graph import array_transitions, build_layout_graph
 from repro.tool.assistant import AssistantConfig, run_assistant
@@ -22,6 +21,7 @@ from repro.tool.testcases import TestCase, grid_for, source_for
 
 from .conftest import analyze
 from .flow_oracle import numpy_absorbed_flow
+from .helpers import load_corpus
 from .test_selection_pinned import GENERATED_SEEDS, HERE, PAPER_PROGRAMS
 from .worklist_oracle import (
     WorklistGaveUp,

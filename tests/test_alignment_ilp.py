@@ -28,6 +28,8 @@ from repro.resilience.deadline import Deadline, deadline_scope
 from repro.resilience.faults import FaultPlan, FaultSpec
 from repro.tool.assistant import AssistantConfig, run_assistant
 
+from .helpers import add_edge
+
 
 def aligned(res, a, b):
     """Whether the resolution puts ``a`` and ``b`` in one component."""
@@ -44,9 +46,9 @@ def figure8_cag():
     cag = CAG()
     cag.add_array("x", 2)
     cag.add_array("y", 2)
-    cag.add_undirected_edge(("x", 0), ("y", 0), 10.0)
-    cag.add_undirected_edge(("x", 1), ("y", 0), 4.0)
-    cag.add_undirected_edge(("x", 1), ("y", 1), 10.0)
+    add_edge(cag, ("x", 0), ("y", 0), 10.0)
+    add_edge(cag, ("x", 1), ("y", 0), 4.0)
+    add_edge(cag, ("x", 1), ("y", 1), 10.0)
     return cag
 
 
@@ -85,8 +87,8 @@ class TestResolution:
 
     def test_conflict_free_cag_keeps_everything(self, backend):
         cag = CAG()
-        cag.add_undirected_edge(("a", 0), ("b", 0), 3.0)
-        cag.add_undirected_edge(("a", 1), ("b", 1), 5.0)
+        add_edge(cag, ("a", 0), ("b", 0), 3.0)
+        add_edge(cag, ("a", 1), ("b", 1), 5.0)
         res = resolve_conflicts(cag, d=2, backend=backend)
         assert res.cut_weight == 0.0
         assert res.resolved.num_edges == 2
@@ -95,16 +97,16 @@ class TestResolution:
         # a0-b0 (8), b0-a1 (2): must cut one; cheapest is 2.
         cag = CAG()
         cag.add_array("a", 2)
-        cag.add_undirected_edge(("a", 0), ("b", 0), 8.0)
-        cag.add_undirected_edge(("b", 0), ("a", 1), 2.0)
+        add_edge(cag, ("a", 0), ("b", 0), 8.0)
+        add_edge(cag, ("b", 0), ("a", 1), 2.0)
         res = resolve_conflicts(cag, d=2, backend=backend)
         assert res.cut_weight == pytest.approx(2.0)
 
     def test_weights_flip_the_choice(self, backend):
         cag = CAG()
         cag.add_array("a", 2)
-        cag.add_undirected_edge(("a", 0), ("b", 0), 2.0)
-        cag.add_undirected_edge(("b", 0), ("a", 1), 8.0)
+        add_edge(cag, ("a", 0), ("b", 0), 2.0)
+        add_edge(cag, ("b", 0), ("a", 1), 8.0)
         res = resolve_conflicts(cag, d=2, backend=backend)
         assert res.cut_weight == pytest.approx(2.0)
         assert aligned(res, ("a", 1), ("b", 0))
@@ -113,8 +115,8 @@ class TestResolution:
         # 1-D coefficient array pulled toward two dims of a 3-D array.
         cag = CAG()
         cag.add_array("u", 3)
-        cag.add_undirected_edge(("v", 0), ("u", 0), 6.0)
-        cag.add_undirected_edge(("v", 0), ("u", 2), 4.0)
+        add_edge(cag, ("v", 0), ("u", 0), 6.0)
+        add_edge(cag, ("v", 0), ("u", 2), 4.0)
         res = resolve_conflicts(cag, d=3, backend=backend)
         assert res.cut_weight == pytest.approx(4.0)
 
@@ -126,8 +128,8 @@ class TestResolution:
 
 def test_backends_agree_on_objective():
     cag = figure8_cag()
-    cag.add_undirected_edge(("x", 0), ("z", 1), 7.0)
-    cag.add_undirected_edge(("z", 0), ("y", 1), 3.0)
+    add_edge(cag, ("x", 0), ("z", 1), 7.0)
+    add_edge(cag, ("z", 0), ("y", 1), 3.0)
     a = resolve_conflicts(cag, d=2, backend="scipy")
     b = resolve_conflicts(cag, d=2, backend="branch-bound")
     assert a.cut_weight == pytest.approx(b.cut_weight)
@@ -177,7 +179,7 @@ def random_cag(seed):
     for _ in range(rng.randint(1, 8)):
         a, b = rng.sample(nodes, 2)
         if a[0] != b[0]:
-            cag.add_undirected_edge(a, b, float(rng.randint(1, 4)))
+            add_edge(cag, a, b, float(rng.randint(1, 4)))
     return cag, d
 
 
@@ -189,8 +191,8 @@ def coupled_cag():
     cag.add_array("a", 2)
     cag.add_array("b", 2)
     cag.add_array("c", 2)
-    cag.add_undirected_edge(("a", 0), ("b", 0), 5.0)
-    cag.add_undirected_edge(("a", 1), ("c", 0), 3.0)
+    add_edge(cag, ("a", 0), ("b", 0), 5.0)
+    add_edge(cag, ("a", 1), ("c", 0), 3.0)
     return cag
 
 
@@ -198,8 +200,8 @@ def tied_cag():
     """x0 pulled equally toward both dimensions of y: two optimal cuts."""
     cag = CAG()
     cag.add_array("y", 2)
-    cag.add_undirected_edge(("x", 0), ("y", 0), 2.0)
-    cag.add_undirected_edge(("x", 0), ("y", 1), 2.0)
+    add_edge(cag, ("x", 0), ("y", 0), 2.0)
+    add_edge(cag, ("x", 0), ("y", 1), 2.0)
     return cag
 
 

@@ -40,7 +40,6 @@ from repro.alignment.cag import CAG
 from repro.alignment.search_space import partition_classes
 from repro.codegen import comm, spmd
 from repro.programs.registry import PROGRAMS
-from repro.qa.corpus import load_corpus
 from repro.qa.generator import GeneratorConfig, generate_program
 from repro.tool.assistant import (
     AssistantConfig,
@@ -51,6 +50,7 @@ from repro.tool.assistant import (
 )
 from repro.tool.testcases import TestCase, grid_for, source_for
 
+from .helpers import add_edge, load_corpus
 from .test_selection_pinned import (
     EXTENDED_VARIANTS,
     GENERATED_SEEDS,
@@ -208,7 +208,7 @@ def random_phase_cags(rng):
             weight = rng.choice([float(rng.randint(1, 8) * 512),
                                  rng.uniform(0.1, 1e6)])
             trial = cag.copy()
-            trial.add_undirected_edge(a, b, weight)
+            add_edge(trial, a, b, weight)
             if not conflicted(trial):
                 cag = trial
         cags[idx] = cag

@@ -13,6 +13,8 @@ from repro.distribution.template import determine_template
 from repro.frontend.parser import parse_source
 from repro.frontend.symbols import build_symbol_table
 
+from .helpers import add_edge
+
 
 def spaces_for(src):
     prog = parse_source(src)
@@ -111,7 +113,7 @@ class TestImports:
 
     def test_dominance_factor_exceeds_sink_weight(self):
         cag = CAG()
-        cag.add_undirected_edge(("a", 0), ("b", 0), 123.0)
+        add_edge(cag, ("a", 0), ("b", 0), 123.0)
         assert dominance_factor(cag) > cag.total_weight()
 
 

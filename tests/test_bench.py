@@ -18,14 +18,14 @@ import repro.perf.training as training
 from repro.machine.params import IPSC860
 from repro.obs import tracing
 from repro.obs.events import spans_by_name
-from repro.obs.prometheus import parse_prometheus_text
+from repro.perf.bench import baseline
 from repro.perf.bench.baseline import (
+    BENCH_PREFIX,
     BENCH_SCHEMA,
     BenchInputError,
     BenchValidationError,
     append_run,
     bench_path,
-    discover,
     latest_results,
     load_bench_file,
     load_latest_results,
@@ -55,7 +55,22 @@ from repro.perf.bench.timer import Measurement, mad, measure, median
 from repro.service.metrics import Metrics
 from repro.tool.cli import main as cli_main
 
+from .helpers import counter, load_trace
+from .prometheus_parser import parse_prometheus_text
+from .summary_grid_validator import validate_summary_grid
+
 REPO_ROOT = os.path.join(os.path.dirname(__file__), "..")
+
+
+def discover(root: str) -> dict:
+    """Every ``BENCH_<label>.json`` file under ``root``, label -> path."""
+    out = {}
+    for entry in sorted(os.listdir(root)):
+        if entry.startswith(BENCH_PREFIX) and entry.endswith(".json"):
+            label = entry[len(BENCH_PREFIX):-len(".json")]
+            if baseline._LABEL_RE.match(label):
+                out[label] = os.path.join(root, entry)
+    return out
 
 
 def _measurement(name, times, peak=1024, warmup=1):
@@ -130,10 +145,11 @@ class TestBaselineStore:
         assert [run["run_id"] for run in data["runs"]] == [1, 2]
         assert latest_results(data)["stage:parse/adi"]["min_s"] == 0.01
 
-    def test_trajectory_cap_drops_oldest(self, tmp_path):
+    def test_trajectory_cap_drops_oldest(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(baseline, "MAX_RUNS", 3)
         results = {"b": _measurement("b", [0.01])}
         for _ in range(5):
-            append_run(results, "cap", root=str(tmp_path), max_runs=3)
+            append_run(results, "cap", root=str(tmp_path))
         data = load_bench_file(bench_path("cap", str(tmp_path)))
         assert [run["run_id"] for run in data["runs"]] == [3, 4, 5]
 
@@ -375,7 +391,7 @@ class TestSuite:
         assert service.cache.entry_count() == {"answer": 1}
         assert service.admission.describe()["counters"]["admitted"] == \
             service.metrics.snapshot()["cache"]["per_stage"]["answer"][
-                "misses"] - service.metrics.counter("requests_joined")
+                "misses"] - counter(service.metrics, "requests_joined")
         # the served hit: named program, event log on disk, no ticket
         _, served_service = _handle_service("adi", served=True)
         assert served_service.telemetry.events.root is not None
@@ -691,7 +707,6 @@ class TestBenchCLI:
             "--trace", trace_path, "--prometheus", prom_path,
         ))
         assert rc == 0
-        from repro.obs.events import load_trace
 
         trace = load_trace(trace_path)
         names = {s["name"] for s in trace["spans"]}
@@ -796,8 +811,6 @@ class TestSummaryGrid:
         }]
 
     def test_valid_payload_builds_rows(self):
-        from repro.tool.report import validate_summary_grid
-
         [row] = validate_summary_grid(self._payload())
         assert row.program == "adi"
         assert row.cases == 1
@@ -814,15 +827,13 @@ class TestSummaryGrid:
         lambda p: p[0].update(case="nocase"),       # malformed label
     ])
     def test_inconsistent_payload_rejected(self, mutate):
-        from repro.tool.report import validate_summary_grid
-
         payload = self._payload()
         mutate(payload)
         with pytest.raises(ValueError):
             validate_summary_grid(payload)
 
     def test_committed_grid_consistent_with_report(self):
-        from repro.tool.report import format_summary, validate_summary_grid
+        from repro.tool.report import format_summary
 
         path = os.path.join(REPO_ROOT, "results", "summary_grid.json")
         payload = json.load(open(path))

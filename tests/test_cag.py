@@ -4,6 +4,8 @@ import pytest
 
 from repro.alignment.cag import CAG
 
+from .helpers import add_edge
+
 
 def edge(a, ad, b, bd):
     return ((a, ad), (b, bd))
@@ -66,76 +68,76 @@ class TestComponentsAndConflicts:
 
     def test_connected_component(self):
         cag = CAG()
-        cag.add_undirected_edge(("a", 0), ("b", 0), 1.0)
-        cag.add_undirected_edge(("b", 0), ("c", 0), 1.0)
+        add_edge(cag, ("a", 0), ("b", 0), 1.0)
+        add_edge(cag, ("b", 0), ("c", 0), 1.0)
         comps = cag.components()
         assert frozenset({("a", 0), ("b", 0), ("c", 0)}) in comps
 
     def test_no_conflict(self):
         cag = CAG()
-        cag.add_undirected_edge(("a", 0), ("b", 0), 1.0)
-        cag.add_undirected_edge(("a", 1), ("b", 1), 1.0)
+        add_edge(cag, ("a", 0), ("b", 0), 1.0)
+        add_edge(cag, ("a", 1), ("b", 1), 1.0)
         assert not cag.has_conflict()
 
     def test_direct_conflict(self):
         """A path between two dimensions of one array is a conflict."""
         cag = CAG()
-        cag.add_undirected_edge(("a", 0), ("b", 0), 1.0)
-        cag.add_undirected_edge(("b", 0), ("a", 1), 1.0)
+        add_edge(cag, ("a", 0), ("b", 0), 1.0)
+        add_edge(cag, ("b", 0), ("a", 1), 1.0)
         assert cag.has_conflict()
         assert any({("a", 0), ("a", 1)} <= component
                    for component in cag.components())
 
     def test_transitive_conflict(self):
         cag = CAG()
-        cag.add_undirected_edge(("a", 0), ("b", 0), 1.0)
-        cag.add_undirected_edge(("b", 0), ("c", 1), 1.0)
-        cag.add_undirected_edge(("c", 1), ("a", 1), 1.0)
+        add_edge(cag, ("a", 0), ("b", 0), 1.0)
+        add_edge(cag, ("b", 0), ("c", 1), 1.0)
+        add_edge(cag, ("c", 1), ("a", 1), 1.0)
         assert cag.has_conflict()
 
     def test_diagonal_alignment_is_conflict(self):
         """Paper: aligning a 1-D array with both dimensions of a 2-D array
         (a diagonal) is disallowed, i.e. reported as a conflict."""
         cag = CAG()
-        cag.add_undirected_edge(("v", 0), ("a", 0), 1.0)
-        cag.add_undirected_edge(("v", 0), ("a", 1), 1.0)
+        add_edge(cag, ("v", 0), ("a", 0), 1.0)
+        add_edge(cag, ("v", 0), ("a", 1), 1.0)
         assert cag.has_conflict()
 
 
 class TestMergeAndRestrict:
     def test_merge_accumulates_shared_edges(self):
         c1 = CAG()
-        c1.add_undirected_edge(("a", 0), ("b", 0), 10.0)
+        add_edge(c1, ("a", 0), ("b", 0), 10.0)
         c2 = CAG()
-        c2.add_undirected_edge(("a", 0), ("b", 0), 5.0)
-        c2.add_undirected_edge(("a", 1), ("b", 1), 7.0)
+        add_edge(c2, ("a", 0), ("b", 0), 5.0)
+        add_edge(c2, ("a", 1), ("b", 1), 7.0)
         merged = CAG.merge(c1, c2)
         assert merged.num_edges == 2
         assert merged.total_weight() == 22.0
 
     def test_merge_does_not_mutate(self):
         c1 = CAG()
-        c1.add_undirected_edge(("a", 0), ("b", 0), 10.0)
+        add_edge(c1, ("a", 0), ("b", 0), 10.0)
         CAG.merge(c1, c1)
         assert c1.total_weight() == 10.0
 
     def test_scaled(self):
         cag = CAG()
-        cag.add_undirected_edge(("a", 0), ("b", 0), 10.0)
+        add_edge(cag, ("a", 0), ("b", 0), 10.0)
         assert cag.scaled(3.0).total_weight() == 30.0
 
     def test_restricted(self):
         cag = CAG()
-        cag.add_undirected_edge(("a", 0), ("b", 0), 1.0)
-        cag.add_undirected_edge(("b", 0), ("c", 0), 1.0)
+        add_edge(cag, ("a", 0), ("b", 0), 1.0)
+        add_edge(cag, ("b", 0), ("c", 0), 1.0)
         sub = cag.restricted(["a", "b"])
         assert sub.num_edges == 1
         assert all(n[0] in ("a", "b") for n in sub.nodes)
 
     def test_drop_edges(self):
         cag = CAG()
-        cag.add_undirected_edge(("a", 0), ("b", 0), 1.0)
-        cag.add_undirected_edge(("a", 1), ("b", 1), 2.0)
+        add_edge(cag, ("a", 0), ("b", 0), 1.0)
+        add_edge(cag, ("a", 1), ("b", 1), 2.0)
         keys = [k for k in cag.weights]
         smaller = cag.drop_edges([keys[0]])
         assert smaller.num_edges == 1
@@ -143,5 +145,5 @@ class TestMergeAndRestrict:
 
     def test_arrays_listing(self):
         cag = CAG()
-        cag.add_undirected_edge(("b", 0), ("a", 0), 1.0)
+        add_edge(cag, ("b", 0), ("a", 0), 1.0)
         assert cag.arrays == ("a", "b")

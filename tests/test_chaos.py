@@ -42,7 +42,8 @@ class TestPlanGeneration:
 
     def test_plans_replay_through_json(self):
         plan = build_plan(7)
-        assert FaultPlan.from_json(plan.to_json()) == plan
+        text = json.dumps(plan.to_dict())
+        assert FaultPlan.from_dict(json.loads(text)) == plan
 
 
 REFERENCE = {

@@ -207,7 +207,7 @@ class TestPipelines:
         compiled, _ = compiled_for(body, dist_dim=1)
         pipe = compiled.plans[0].pipeline
         assert pipe is not None
-        assert pipe.sequentialized
+        assert pipe.stages <= 1
         assert pipe.msg_bytes == 16 * 8  # a whole column boundary
 
     def test_middle_loop_coarse_grain(self):

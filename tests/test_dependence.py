@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.analysis.dependence import phase_dependences
 from repro.analysis.phases import partition_phases
 from repro.frontend.parser import parse_source
 from repro.frontend.symbols import build_symbol_table
+
+from .helpers import phase_dependences
 
 
 def phase_of(body, decls="      real a(8, 8), b(8, 8)\n      real s\n"

@@ -16,6 +16,8 @@ from repro.service.server import LayoutServer, LayoutService, send_request
 from repro.tool import assistant as assistant_module
 from repro.tool.assistant import stage_partition
 
+from .helpers import counter, serve_background
+
 REQUEST = {
     "op": "analyze",
     "program": "adi",
@@ -74,7 +76,7 @@ class TestServiceDrain:
         responses = []
         worker = threading.Thread(
             target=lambda: responses.append(
-                service.analyze_dict(dict(REQUEST))
+                service.handle(dict(REQUEST))
             )
         )
         worker.start()
@@ -94,12 +96,12 @@ class TestServiceDrain:
 
     def test_new_work_is_rejected_typed_during_drain(self, service):
         service.begin_drain()
-        resp = service.analyze_dict(dict(REQUEST))
+        resp = service.handle(dict(REQUEST))
         assert not resp["ok"]
         assert resp["error_kind"] == "shutting-down"
         counters = service.metrics
-        assert counters.counter("requests_shed") == 1
-        assert counters.counter("requests_failed") == 1
+        assert counter(counters, "requests_shed") == 1
+        assert counter(counters, "requests_failed") == 1
 
     def test_drain_is_recorded_in_the_event_log(self, service):
         service.drain(deadline_s=1.0)
@@ -134,7 +136,7 @@ class TestTcpDrain:
             use_cache=False,
         )
         server = LayoutServer(("127.0.0.1", 0), service)
-        thread = server.serve_background()
+        thread = serve_background(server)
         host, port = "127.0.0.1", server.port
         try:
             ticket = service.admission.try_acquire()
@@ -214,7 +216,7 @@ class TestKeptConnectionLifecycle:
                                      "procs": 4}, host, port)
             assert rejected["error_kind"] == "shutting-down"
             # each refusal came on a new connection, closed after it
-            assert service.metrics.counter("connections_total") == 3
+            assert counter(service.metrics, "connections_total") == 3
             service.admission.release(ticket, 0.01)
             released = True
             thread.join(timeout=10)
@@ -231,7 +233,7 @@ class TestKeptConnectionLifecycle:
     def test_no_connection_thread_outlives_server_close(self):
         service = LayoutService(pool=WorkerPool(kind="serial"))
         server = LayoutServer(("127.0.0.1", 0), service)
-        server.serve_background()
+        serve_background(server)
         host, port = "127.0.0.1", server.port
         before = set(threading.enumerate())
         served, stop = threading.Event(), threading.Event()
@@ -269,7 +271,7 @@ class TestConnectionIdleTimeout:
         server = LayoutServer(
             ("127.0.0.1", 0), service, conn_timeout_s=0.2
         )
-        server.serve_background()
+        serve_background(server)
         try:
             with socket.create_connection(
                 ("127.0.0.1", server.port), timeout=10
@@ -301,12 +303,12 @@ class TestZombieWorkers:
         try:
             threads = threading.active_count()
             for _ in range(50):
-                resp = service.analyze_dict(dict(REQUEST))
+                resp = service.handle(dict(REQUEST))
                 assert not resp["ok"]
                 assert resp["error_kind"] == "timeout"
                 assert service.admission.describe()["in_flight"] == 0
             assert threading.active_count() == threads
-            assert service.metrics.counter("requests_timeout") == 50
+            assert counter(service.metrics, "requests_timeout") == 50
             # the first checkpoint already saw the expired limit
             assert service.metrics.snapshot()["stage_seconds"] == {}
         finally:
@@ -328,7 +330,7 @@ class TestZombieWorkers:
             request_timeout=0.2,
         )
         try:
-            resp = service.analyze_dict(dict(REQUEST, request_id="late"))
+            resp = service.handle(dict(REQUEST, request_id="late"))
             assert resp["error_kind"] == "timeout"
             # the reply and the event both say where the request stopped
             assert "stage:alignment" in resp["error"]
@@ -352,7 +354,7 @@ class TestZombieWorkers:
         )
         try:
             before = service.admission.limiter.limit
-            service.analyze_dict(dict(REQUEST))
+            service.handle(dict(REQUEST))
             # a hard timeout is the strongest congestion signal: the
             # AIMD limiter backs off multiplicatively
             assert service.admission.limiter.limit < before

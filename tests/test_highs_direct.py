@@ -28,7 +28,7 @@ import pytest
 
 import repro
 import repro.ilp.scipy_backend as scipy_backend
-from repro.ilp.model import MAXIMIZE, ZeroOneModel
+from repro.ilp.model import MAXIMIZE, ModelError, ZeroOneModel
 from repro.perf.bench.suite import TIED_SEED
 from repro.qa.generator import GeneratorConfig, generate_program
 from repro.tool.assistant import AssistantConfig, run_assistant
@@ -173,13 +173,28 @@ def test_the_build_holds_the_lp_the_one_call_build_held(solved):
             _held(highs_oracle.pass_model, model), model.name
 
 
-#: each edge model solved by the live backend, then by the same backend
-#: with the oracle's one-call build in place of its own; the answers are
-#: printed as they come, so a crash shows which model it was
+def test_a_model_highs_rejects_is_a_model_error():
+    """A row coefficient of 1e300 makes HiGHS refuse the model, so no
+    solve runs: that proves nothing about feasibility (all-zero is
+    feasible here), and the backend must not answer "infeasible"."""
+    model = ZeroOneModel(name="huge-row", sense=MAXIMIZE)
+    model.add_var("x")
+    model.add_var("y")
+    model.set_objective({"x": 1.0, "y": 1.0})
+    model.add_constraint({"x": 1e300, "y": 1.0}, "<=", 1)
+    assert model.is_feasible({"x": 0, "y": 0})
+    with pytest.raises(ModelError, match="huge-row"):
+        scipy_backend.solve(model)
+
+
+#: a non-finite edge model is refused while it is built; each finite one
+#: is solved by the live backend, then by the same backend with the
+#: oracle's one-call build in place of its own; the answers are printed
+#: as they come, so a crash shows which model it was
 EDGES = """
 import json, math, sys
 import repro.ilp.scipy_backend as backend
-from repro.ilp.model import MAXIMIZE, ZeroOneModel
+from repro.ilp.model import MAXIMIZE, ModelError, ZeroOneModel
 from tests import highs_oracle
 
 def edge(cost=3.0, coeff=1.0):
@@ -193,17 +208,25 @@ def edge(cost=3.0, coeff=1.0):
     return model
 
 inf = float("inf")
-models = [edge(cost=inf), edge(cost=-inf), edge(cost=float("nan")),
-          edge(cost=1e300), edge(coeff=inf), edge(coeff=1e300),
-          edge(coeff=float("nan"))]
+for kwargs in (dict(cost=inf), dict(cost=-inf), dict(cost=float("nan")),
+               dict(coeff=inf), dict(coeff=-inf), dict(coeff=float("nan"))):
+    try:
+        edge(**kwargs)
+    except ModelError:
+        print(json.dumps(["refused", repr(kwargs)]), flush=True)
+models = [edge(cost=1e300), edge(coeff=1e300)]
 live = backend._pass_model
 for build in (live, highs_oracle.pass_model):
     backend._pass_model = build
     for model in models:
-        solution = backend.solve(model)
-        print(json.dumps([model.name, solution.status,
-                          repr(solution.objective), solution.values]),
-              flush=True)
+        try:
+            solution = backend.solve(model)
+        except ModelError as exc:
+            answer = [model.name, "ModelError", str(exc)]
+        else:
+            answer = [model.name, solution.status,
+                      repr(solution.objective), solution.values]
+        print(json.dumps(answer), flush=True)
 """
 
 
@@ -216,8 +239,11 @@ def test_edge_models_answer_as_the_one_call_build_did():
     )
     assert run.returncode == 0, run.stderr
     answers = [json.loads(line) for line in run.stdout.splitlines()]
-    assert len(answers) == 14
-    assert answers[:7] == answers[7:]
+    assert [kind for kind, _ in answers[:6]] == ["refused"] * 6
+    assert len(answers) == 10
+    assert answers[6:8] == answers[8:]
+    assert answers[6][1] == "optimal"
+    assert answers[7][1] == "ModelError"
 
 
 #: a fresh interpreter solves through the backend first, loading neither

@@ -33,6 +33,27 @@ class TestModel:
         with pytest.raises(ModelError):
             ZeroOneModel(sense="upsidedown")
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")])
+    def test_non_finite_numbers_are_refused(self, value):
+        m = ZeroOneModel()
+        m.add_var("x")
+        m.add_var("y")
+        with pytest.raises(ModelError):
+            m.set_objective_coeff("x", value)
+        with pytest.raises(ModelError):
+            m.add_constraint({"x": value, "y": 1.0}, "<=", 1)
+        with pytest.raises(ModelError):
+            m.add_constraint({"x": 1.0}, "<=", value)
+        assert m.objective == {} and m.constraints == []
+
+    def test_an_objective_that_overflows_is_refused(self):
+        m = ZeroOneModel()
+        m.add_var("x")
+        m.set_objective_coeff("x", 1e308)
+        with pytest.raises(ModelError):
+            m.set_objective_coeff("x", 1e308)
+
     def test_objective_accumulates(self):
         m = ZeroOneModel()
         m.add_var("x")

@@ -27,7 +27,6 @@ from repro.distribution.search_space import DistributionOptions
 from repro.obs import tracing
 from repro.obs.events import spans_by_name
 from repro.programs.registry import PROGRAMS
-from repro.qa.corpus import load_corpus
 from repro.qa.oracles import (
     MAX_SELECTION_COMBINATIONS,
     exact_best_selection,
@@ -52,6 +51,7 @@ from repro.selection.presolve import (
 from repro.tool.assistant import AssistantConfig, run_assistant
 
 from .elimination_oracle import materialising_eliminate
+from .helpers import load_corpus
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "corpus")
 CORPUS = load_corpus(CORPUS_DIR)

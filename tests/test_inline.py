@@ -10,6 +10,8 @@ from repro.frontend.parser import ParseError, parse_source_file
 from repro.frontend.printer import format_program
 from repro.frontend.symbols import build_symbol_table
 
+from .helpers import phase_dependences
+
 
 MULTI = """
 program main
@@ -237,8 +239,6 @@ subroutine sweepx(field, deriv, m)
 """
 
     def test_phase_structure(self):
-        from repro.analysis.dependence import phase_dependences
-
         prog = parse_and_inline(self.SRC)
         table = build_symbol_table(prog)
         part = partition_phases(prog, table)

@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 from repro.alignment.cag import CAG, Components
 from repro.alignment.lattice import Partitioning
 
+from .helpers import add_edge
+
 NODES = [("a", 0), ("a", 1), ("b", 0), ("b", 1), ("c", 0)]
 
 
@@ -40,7 +42,7 @@ def cag_of(p: Partitioning) -> CAG:
     for block in p.blocks:
         first, *rest = sorted(block)
         for node in rest:
-            cag.add_undirected_edge(first, node, 1.0)
+            add_edge(cag, first, node, 1.0)
     return cag
 
 
@@ -83,7 +85,7 @@ class TestBasics:
         cag = CAG()
         cag.add_array("a", 2)
         cag.add_array("b", 2)
-        cag.add_undirected_edge(("a", 0), ("b", 0), 1.0)
+        add_edge(cag, ("a", 0), ("b", 0), 1.0)
         p = Partitioning.from_cag(cag)
         assert aligned(p, ("a", 0), ("b", 0))
         assert not aligned(p, ("a", 1), ("b", 1))

@@ -91,7 +91,7 @@ class TestDistribution:
         assert d.dims[0].kind == SERIAL
 
     def test_serial(self):
-        d = Distribution.serial(2)
+        d = Distribution(dims=(DimDistribution(),) * 2)
         assert d.total_procs == 1
         assert d.distributed_dims() == ()
 
@@ -261,7 +261,7 @@ class TestDataLayout:
             DataLayout.build(
                 template=tpl,
                 alignments={},
-                distribution=Distribution.serial(3),
+                distribution=Distribution(dims=(DimDistribution(),) * 3),
             )
 
     def test_describe_mentions_arrays(self, symbols):

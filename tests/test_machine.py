@@ -7,13 +7,7 @@ import pytest
 from repro.frontend.parser import parse_source
 from repro.frontend.symbols import build_symbol_table
 from repro.machine.collectives import redistribute_time, transpose_time
-from repro.machine.network import (
-    hops,
-    hypercube_dimension,
-    is_power_of_two,
-    neighbors,
-    point_to_point_time,
-)
+from repro.machine.network import hops, point_to_point_time
 from repro.machine.node import expr_cost, statement_cost, stmt_dtype
 from repro.machine.params import IPSC860, PARAGON
 
@@ -54,21 +48,13 @@ class TestParams:
 
 
 class TestHypercube:
-    def test_power_of_two(self):
-        assert is_power_of_two(1) and is_power_of_two(32)
-        assert not is_power_of_two(0) and not is_power_of_two(12)
-
-    def test_dimension(self):
-        assert hypercube_dimension(16) == 4
-        with pytest.raises(ValueError):
-            hypercube_dimension(12)
-
     def test_hops_is_hamming_distance(self):
         assert hops(0, 0) == 0
         assert hops(0b0101, 0b0110) == 2
 
     def test_neighbors(self):
-        assert sorted(neighbors(0, 8)) == [1, 2, 4]
+        # a hypercube node's neighbours are the nodes one hop away
+        assert [n for n in range(8) if hops(0, n) == 1] == [1, 2, 4]
 
     def test_point_to_point_self_is_free(self):
         assert point_to_point_time(IPSC860, 3, 3, 4096) == 0.0

@@ -23,15 +23,13 @@ from pathlib import Path
 
 import pytest
 
-from repro.obs.prometheus import (
-    FAMILIES,
-    parse_prometheus_text,
-    render_prometheus,
-)
+from repro.obs.prometheus import FAMILIES, render_prometheus
 from repro.obs.window import LADDER, LogBucketSketch
 from repro.service.metrics import Metrics
 from repro.service.server import LayoutService
 from repro.tool.top import format_top
+
+from .prometheus_parser import parse_prometheus_text
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -284,6 +282,13 @@ BEGIN = "<!-- exposed-metrics:begin (generated from obs.prometheus.FAMILIES) -->
 END = "<!-- exposed-metrics:end -->"
 
 
+def family_labels(family) -> tuple:
+    """Every label name a sample of ``family`` carries."""
+    own = (family.label.partition("=")[0],) if family.label else ()
+    extra = {"sketch": ("le",), "quantiles": ("quantile",)}
+    return own + extra.get(family.shape, ())
+
+
 def families_markdown() -> str:
     rows = [
         "| family | type | labels | help | snapshot path |",
@@ -291,7 +296,7 @@ def families_markdown() -> str:
     ]
     for family in FAMILIES:
         paths = ", ".join(f"`{path}`" for _, path in family.paths)
-        labels = ", ".join(f"`{label}`" for label in family.labels)
+        labels = ", ".join(f"`{label}`" for label in family_labels(family))
         rows.append(
             f"| `{family.name}` | {family.type} | {labels} "
             f"| {family.help} | {paths} |"

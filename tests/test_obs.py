@@ -14,13 +14,12 @@ from repro.obs.chrome import to_chrome_trace, validate_chrome_trace
 from repro.obs.events import (
     TraceValidationError,
     iter_events,
-    load_trace,
     spans_by_name,
     validate_trace,
     write_trace,
 )
 from repro.obs.log import configure_logging, get_logger
-from repro.obs.prometheus import FAMILIES, parse_prometheus_text
+from repro.obs.prometheus import FAMILIES
 from repro.obs.provenance import build_provenance, format_provenance
 from repro.obs.window import LADDER, LogBucketSketch
 from repro.programs.registry import PROGRAMS
@@ -30,6 +29,9 @@ from repro.service.protocol import LayoutRequest
 from repro.service.server import LayoutService
 from repro.tool.assistant import AssistantConfig, run_assistant
 from repro.tool.cli import main as cli_main
+
+from .helpers import load_trace
+from .prometheus_parser import parse_prometheus_text
 
 
 def traced_square(x):

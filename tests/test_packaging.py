@@ -10,9 +10,11 @@ Every import names the module that defines what it imports, so a package
 ``__init__.py`` is its docstring and nothing else.  Three packages
 define names, and each may define only those listed in ``EXCEPTIONS``.
 
-Every function, class and method of ``src/repro/`` is named somewhere in
-the repo's code (tests aside), or is listed in ``UNCALLED`` with why it
-stays.
+Every function, class and method of ``src/repro/`` has a caller in the
+repo's code (tests aside), found by binding — an import of it, an
+attribute, a ``getattr`` of its literal name — not by any string that
+spells it; or it is listed in ``UNCALLED`` with why it stays.  What
+only the tests call lives in ``tests/``.
 """
 
 from __future__ import annotations
@@ -121,10 +123,10 @@ def test_the_exceptions_are_packages():
     assert set(EXCEPTIONS) <= set(package_inits())
 
 
-#: where a definition of ``src/repro/`` may be named by its callers
+#: where a definition of ``src/repro/`` may be called from
 CALLER_DIRS = ("src", "bench", "benchmarks", "examples")
 
-#: definitions no code in ``CALLER_DIRS`` names, each with why it stays
+#: definitions no code in ``CALLER_DIRS`` calls, each with why it stays
 UNCALLED = {
     # framework callbacks
     "repro.obs.log.TraceContextFilter.filter":
@@ -133,93 +135,238 @@ UNCALLED = {
         "socketserver calls it for each accepted connection",
     "repro.service.server.LayoutServer.shutdown_request":
         "socketserver calls it when a connection is done",
-    # reference checkers that the tests compare against
-    "repro.obs.prometheus.parse_prometheus_text":
-        "the exposition's reference parser",
-    "repro.tool.report.validate_summary_grid":
-        "the summary grid's reference validator",
-    "repro.obs.telemetry.validate_event_log":
-        "the event log's reference validator",
     # the interpreter, which measured branch probabilities will run on
     "repro.frontend.interp.run_source":
         "the interpreter's entry point for a source text",
     "repro.frontend.interp.run_program":
         "the interpreter's entry point for a parsed program",
-    # test-facing entry points
-    "repro.alignment.cag.CAG.add_undirected_edge":
-        "builds a CAG edge by edge",
-    "repro.analysis.dependence.phase_dependences":
-        "every uniform dependence of one phase",
-    "repro.qa.corpus.load_corpus": "reads back a saved fuzz corpus",
-    "repro.obs.events.load_trace": "reads back a saved trace",
-    "repro.service.server.LayoutService.analyze_dict":
-        "one request as dicts, without the wire",
-    "repro.service.server.LayoutServer.serve_background":
-        "serves on a daemon thread",
-    "repro.resilience.faults.FaultPlan.to_json": "a fault plan's file form",
-    "repro.resilience.faults.FaultPlan.from_json":
-        "reads a fault plan's file form",
+    # dispatch by name
+    "repro.service.cache.StageKeys.frontend":
+        "key_for reaches it by getattr(self, stage); it goes with "
+        "StageKeys (ROADMAP 1(a))",
 }
 
+#: the builtin types whose attribute names a method may share
+BUILTIN_TYPES = (str, bytes, list, dict, set, frozenset, tuple, int, float,
+                 object)
+BUILTIN_ATTRIBUTES = frozenset(
+    name for kind in BUILTIN_TYPES for name in dir(kind)
+    if not name.startswith("__")
+)
 
-def named_identifiers(tree: ast.AST):
-    """``(names, members)``: every identifier a module names, as a name,
-    an attribute, an import or a string that is an identifier
-    (``getattr``, tables); and those it names as an attribute or a
-    string, the only ways code reaches a method."""
-    names, members = set(), set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            names.add(node.id)
-        elif isinstance(node, ast.alias):
-            names.update(node.name.split("."))
+#: methods named like an attribute of a builtin type, each with a file
+#: that calls it: no attribute rule tells ``parts.join(...)`` from
+#: ``", ".join(...)``, so a person checked each caller
+BUILTIN_NAMED = {
+    "repro.alignment.cag.CAG.copy": "src/repro/alignment/search_space.py",
+    "repro.alignment.cag.Components.find": "src/repro/alignment/cag.py",
+    "repro.alignment.cag.Components.join": "src/repro/alignment/cag.py",
+    "repro.distribution.layouts.DimDistribution.format":
+        "src/repro/tool/hpf_writer.py",
+    "repro.frontend.interp.FortranArray.get": "src/repro/frontend/interp.py",
+    "repro.frontend.symbols.SymbolTable.get":
+        "src/repro/alignment/orientation.py",
+    "repro.frontend.symbols.SymbolTable.add": "src/repro/frontend/symbols.py",
+    "repro.qa.runner.FuzzReport.count": "src/repro/qa/runner.py",
+    "repro.resilience.chaos.ChaosReport.count":
+        "src/repro/resilience/chaos.py",
+    "repro.service.cache.StageKeys.partition": "src/repro/service/cache.py",
+    "repro.service.protocol.LayoutResponse.encode":
+        "src/repro/service/server.py",
+}
+
+_DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def module_name(path: pathlib.Path, src: pathlib.Path) -> str:
+    parts = path.relative_to(src).with_suffix("").parts
+    return ".".join(part for part in parts if part != "__init__")
+
+
+def references(path: pathlib.Path, src: pathlib.Path):
+    """``(imported, members)`` of one file: the ``(module, name)`` pairs
+    it imports by name, relative imports resolved; and the names it
+    reaches as an attribute, or as the literal second argument of
+    ``getattr`` or ``hasattr``."""
+    package = []
+    if path.is_relative_to(src):
+        package = module_name(path, src).split(".")
+        if path.name != "__init__.py":
+            package.pop()
+    imported, members = set(), set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            base = (package[:len(package) + 1 - node.level]
+                    if node.level else [])
+            module = ".".join(base + ([node.module] if node.module else []))
+            imported.update((module, alias.name) for alias in node.names)
         elif isinstance(node, ast.Attribute):
             members.add(node.attr)
-        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
-              and node.value.isidentifier()):
-            members.add(node.value)
-    return names | members, members
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in ("getattr", "hasattr")
+              and len(node.args) > 1
+              and isinstance(node.args[1], ast.Constant)
+              and isinstance(node.args[1].value, str)):
+            members.add(node.args[1].value)
+    return imported, members
 
 
-def definitions():
-    """``(qualified name, name, is a method)`` of every module-level
-    function and class of ``src/repro/``, and of every method but a
-    dunder."""
-    for path in sorted(PACKAGE.rglob("*.py")):
-        parts = path.relative_to(PACKAGE.parent).with_suffix("").parts
-        module = ".".join(p for p in parts if p != "__init__")
-        for node in ast.parse(path.read_text()).body:
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                     ast.ClassDef)):
+def own_loads(tree: ast.Module):
+    """The names a module reads, each outside its own definition."""
+    loads = set()
+    for statement in tree.body:
+        names = {node.id for node in ast.walk(statement)
+                 if isinstance(node, ast.Name)
+                 and isinstance(node.ctx, ast.Load)}
+        if isinstance(statement, _DEFINITIONS):
+            names.discard(statement.name)
+        loads |= names
+    return loads
+
+
+def definitions(package: pathlib.Path):
+    """``(module, class or None, definition, module tree)`` of every
+    module-level function and class under ``package``, and of every
+    method but a dunder."""
+    for path in sorted(package.rglob("*.py")):
+        module = module_name(path, package.parent)
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if not isinstance(node, _DEFINITIONS):
                 continue
-            yield f"{module}.{node.name}", node.name, False
+            yield module, None, node, tree
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
-                    if (isinstance(item, (ast.FunctionDef,
-                                          ast.AsyncFunctionDef))
+                    if (isinstance(item, _FUNCTIONS)
                             and not (item.name.startswith("__")
                                      and item.name.endswith("__"))):
-                        yield (f"{module}.{node.name}.{item.name}",
-                               item.name, True)
+                        yield module, node.name, item, tree
+
+
+def qualified(module: str, owner, node) -> str:
+    return ".".join(filter(None, (module, owner, node.name)))
+
+
+def uncalled(root: pathlib.Path, builtin_named):
+    """Every definition of ``root/src/repro`` that no file of
+    ``CALLER_DIRS`` under ``root`` calls, by binding:
+
+    - a module-level function or class is called when a file imports it
+      by name from its defining module, reaches it as an attribute, or
+      its own module reads the name outside its definition;
+    - a method is called when a file names it as an attribute or as the
+      literal name ``getattr`` / ``hasattr`` look up; a method named
+      like an attribute of a builtin type only when ``builtin_named``
+      lists it with a file that names it so.
+
+    No other string counts: not ``__all__``, tables or docstrings."""
+    src = root / "src"
+    imported, members, reached_in = set(), set(), {}
+    for directory in CALLER_DIRS:
+        for path in sorted((root / directory).rglob("*.py")):
+            names, attributes = references(path, src)
+            imported |= names
+            members |= attributes
+            reached_in[path.relative_to(root).as_posix()] = attributes
+    found, loads = [], {}
+    for module, owner, node, tree in definitions(src / "repro"):
+        name = qualified(module, owner, node)
+        if owner is None:
+            if module not in loads:
+                loads[module] = own_loads(tree)
+            called = ((module, node.name) in imported
+                      or node.name in members
+                      or node.name in loads[module])
+        elif name in builtin_named:
+            called = node.name in reached_in.get(builtin_named[name], ())
+        else:
+            called = (node.name in members
+                      and node.name not in BUILTIN_ATTRIBUTES)
+        if not called:
+            found.append(name)
+    return found
 
 
 def test_every_definition_has_a_caller():
-    named, members = set(), set()
-    for directory in CALLER_DIRS:
-        for path in (ROOT / directory).rglob("*.py"):
-            names, attributes = named_identifiers(ast.parse(path.read_text()))
-            named |= names
-            members |= attributes
-    uncalled = sorted(
-        qualified for qualified, name, method in definitions()
-        if name not in (members if method else named)
-        and qualified not in UNCALLED
+    found = [name for name in uncalled(ROOT, BUILTIN_NAMED)
+             if name not in UNCALLED]
+    assert not found, (
+        f"nothing in {', '.join(CALLER_DIRS)} calls {found}: delete "
+        "them, move them beside the tests that use them, or list each "
+        "in UNCALLED with why it stays (a method named like a builtin's "
+        "goes in BUILTIN_NAMED with a file that calls it)"
     )
-    assert not uncalled, (
-        f"nothing in {', '.join(CALLER_DIRS)} names {uncalled}: delete "
-        "them, or list each in UNCALLED with why it stays"
-    )
+
+
+def defined_names():
+    return {qualified(module, owner, node)
+            for module, owner, node, _ in definitions(PACKAGE)}
 
 
 def test_the_uncalled_table_names_definitions():
-    assert set(UNCALLED) <= {qualified for qualified, _, _ in definitions()}
+    assert set(UNCALLED) <= defined_names()
+
+
+def test_the_builtin_named_table_names_definitions_and_files():
+    assert set(BUILTIN_NAMED) <= defined_names()
+    assert all((ROOT / path).is_file() for path in BUILTIN_NAMED.values())
+
+
+FIXTURE = {
+    "src/repro/__init__.py": '"""A package."""\n',
+    "src/repro/lib.py": '''
+class Box:
+    def named_only_in_a_string(self):
+        pass
+
+    def reached_by_getattr(self):
+        pass
+
+    def join(self, other):
+        pass
+
+
+def named_only_in_all():
+    pass
+
+
+def named_like_a_local():
+    pass
+
+
+def imported_under_an_alias():
+    pass
+
+
+__all__ = ["named_only_in_all"]
+''',
+    "src/repro/user.py": '''
+from .lib import Box, imported_under_an_alias as alias
+
+
+def use():
+    box = Box()
+    getattr(box, "reached_by_getattr")()
+    named_like_a_local = alias()
+    return ", ".join(["named_only_in_a_string", named_like_a_local])
+''',
+    "bench/run.py": "from repro.user import use\n\nuse()\n",
+}
+
+
+def test_the_scan_resolves_callers_by_binding(tmp_path):
+    for name, text in FIXTURE.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(text)
+    assert sorted(uncalled(tmp_path, {})) == [
+        "repro.lib.Box.join",  # builtin-named, not in the table
+        "repro.lib.Box.named_only_in_a_string",
+        "repro.lib.named_like_a_local",
+        "repro.lib.named_only_in_all",
+    ]
+    # a table entry holds only while its file names the method
+    assert "repro.lib.Box.join" not in uncalled(
+        tmp_path, {"repro.lib.Box.join": "src/repro/user.py"})
+    assert "repro.lib.Box.join" in uncalled(
+        tmp_path, {"repro.lib.Box.join": "bench/run.py"})

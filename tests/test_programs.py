@@ -5,13 +5,14 @@ import pytest
 
 from repro.alignment.search_space import build_alignment_search_spaces
 from repro.alignment.weights import build_phase_cag
-from repro.analysis.dependence import phase_dependences
 from repro.codegen.comm import ReductionComm
 from repro.codegen.spmd import compile_phase
 from repro.distribution.template import determine_template
 from repro.frontend.parser import parse_source
 from repro.programs.registry import PROGRAMS
 from repro.programs.tomcatv import smoothing_if_line
+
+from .helpers import phase_dependences
 
 
 class TestRegistry:

@@ -14,9 +14,10 @@ from repro.alignment.ilp import ENUMERATION_BACKEND
 from repro.alignment.weights import build_phase_cag
 from repro.frontend.parser import parse_source
 from repro.frontend.printer import format_program
-from repro.qa.corpus import load_corpus
 from repro.qa.oracles import check_alignment, check_resolution, check_selection
 from repro.tool.assistant import run_assistant
+
+from .helpers import load_corpus
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "corpus")
 CORPUS = load_corpus(CORPUS_DIR)

@@ -14,6 +14,8 @@ from repro.qa.metamorphic import (
 from repro.qa.runner import ALL_CHECKS, run_fuzz
 from repro.tool.assistant import AssistantConfig
 
+from .helpers import load_corpus
+
 
 class TestTransforms:
     def test_rename_is_bijective_and_parseable(self):
@@ -63,8 +65,6 @@ class TestTripCountScalingPrecondition:
     @staticmethod
     def _corpus_case():
         import os
-
-        from repro.qa.corpus import load_corpus
 
         corpus = load_corpus(os.path.join(os.path.dirname(__file__),
                                           "corpus"))

@@ -27,6 +27,8 @@ from repro.selection.ilp import build_selection_model
 from repro.selection.layout_graph import DataLayoutGraph, LayoutEdge
 from repro.tool.assistant import AssistantConfig, run_assistant
 
+from .helpers import add_edge
+
 
 def make_graph(node_costs, edges):
     return DataLayoutGraph(
@@ -48,7 +50,7 @@ def make_cag(ranks, edges):
     for array, rank in ranks.items():
         cag.add_array(array, rank)
     for (a, b), weight in edges.items():
-        cag.add_undirected_edge(a, b, weight)
+        add_edge(cag, a, b, weight)
     return cag
 
 

@@ -27,11 +27,6 @@ class TestSearchSpaceReport:
         ]
         assert len(marked) == 9  # one selected candidate per phase
 
-    def test_limit_parameter(self, adi_assistant):
-        text = format_search_spaces(adi_assistant, limit=2)
-        assert "phase 1 " in text
-        assert "phase 5 " not in text
-
     def test_shows_exec_classes_and_times(self, adi_assistant):
         text = format_search_spaces(adi_assistant)
         assert "pipelined" in text

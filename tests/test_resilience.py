@@ -51,13 +51,15 @@ from repro.service.server import (
 )
 from repro.tool.assistant import STAGES, AssistantConfig, run_assistant
 
+from .helpers import add_edge, serve_background
+
 
 # -- fault injection ----------------------------------------------------
 
 
 class TestFaultInjection:
     def test_unarmed_points_are_noops(self):
-        assert faults.active() is None
+        assert faults._injector is None
         faults.fault_point("cache.load")  # must not raise
         assert faults.corrupt_point("cache.load", b"abc") == b"abc"
 
@@ -128,7 +130,7 @@ class TestFaultInjection:
             FaultSpec(site="pool.result", mode="flaky", times=3),
             FaultSpec(site="ilp.solve", mode="delay", delay_s=0.002),
         ])
-        again = FaultPlan.from_json(plan.to_json())
+        again = FaultPlan.from_dict(json.loads(json.dumps(plan.to_dict())))
         assert again == plan
 
     def test_invalid_specs_rejected(self):
@@ -671,9 +673,9 @@ class TestFirstSolveImport:
         cag = CAG()
         cag.add_array("x", 2)
         cag.add_array("y", 2)
-        cag.add_undirected_edge(("x", 0), ("y", 0), 10.0)
-        cag.add_undirected_edge(("x", 1), ("y", 0), 4.0)
-        cag.add_undirected_edge(("x", 1), ("y", 1), 10.0)
+        add_edge(cag, ("x", 0), ("y", 0), 10.0)
+        add_edge(cag, ("x", 1), ("y", 0), 4.0)
+        add_edge(cag, ("x", 1), ("y", 1), 10.0)
         limits = self.slow_loader(monkeypatch, 0.1)
         with collecting() as events:
             with deadline_scope(Deadline(0.05)):
@@ -696,9 +698,9 @@ class TestGreedyFallbacks:
         cag = CAG()
         cag.add_array("x", 2)
         cag.add_array("y", 2)
-        cag.add_undirected_edge(("x", 0), ("y", 0), 10.0)
-        cag.add_undirected_edge(("x", 1), ("y", 0), 4.0)
-        cag.add_undirected_edge(("x", 1), ("y", 1), 10.0)
+        add_edge(cag, ("x", 0), ("y", 0), 10.0)
+        add_edge(cag, ("x", 1), ("y", 0), 4.0)
+        add_edge(cag, ("x", 1), ("y", 1), 10.0)
 
         with collecting() as events:
             with deadline_scope(Deadline(1e-9)):
@@ -869,7 +871,7 @@ class TestRequestSizeCap:
     def test_oversized_line_gets_typed_refusal(self, tmp_path):
         service = LayoutService(pool=WorkerPool(kind="serial"))
         server = LayoutServer(("127.0.0.1", 0), service)
-        server.serve_background()
+        serve_background(server)
         try:
             with socket.create_connection(
                 ("127.0.0.1", server.port), timeout=30

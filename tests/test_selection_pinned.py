@@ -40,13 +40,13 @@ import pytest
 
 from repro.distribution.search_space import DistributionOptions
 from repro.programs.registry import PROGRAMS
-from repro.qa.corpus import load_corpus
 from repro.qa.generator import GeneratorConfig, generate_program
 from repro.selection import minsum, presolve
 from repro.selection.ilp import select_layouts
 from repro.tool.assistant import AssistantConfig, run_assistant
 from repro.tool.testcases import TestCase, grid_for, source_for
 
+from .helpers import load_corpus
 from .test_ilp_presolve import random_layout_graph
 
 HERE = pathlib.Path(__file__).parent

@@ -22,9 +22,11 @@ from contextlib import contextmanager
 from pathlib import Path
 
 import repro
-from repro.obs.telemetry import read_event_log, validate_event_log
+from repro.obs.telemetry import read_event_log
 from repro.service.server import send_request
 from repro.tool.cli import main as cli_main
+
+from .event_log_validator import validate_event_log
 
 SRC = Path(repro.__file__).resolve().parents[1]
 SLO = str(SRC.parent / "examples" / "slo.json")

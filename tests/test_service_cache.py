@@ -12,8 +12,8 @@ from dataclasses import asdict
 
 import pytest
 
+import repro.perf.training as training
 from repro.machine.params import IPSC860, MACHINES, MachineParams
-from repro.obs.prometheus import parse_prometheus_text
 from repro.perf.training import cached_training_database, machine_cache_key
 from repro.programs.registry import PROGRAMS
 from repro.resilience.admission import (
@@ -26,6 +26,8 @@ from repro.service.pool import WorkerPool
 from repro.service.protocol import Answer, LayoutRequest, answer_of
 from repro.service.server import LayoutService
 from repro.tool.assistant import AssistantConfig, run_assistant
+
+from .prometheus_parser import parse_prometheus_text
 
 REQUEST = {
     "op": "analyze",
@@ -49,8 +51,8 @@ def _stage_hits(resp: dict) -> dict:
 
 class TestCacheCorrectness:
     def test_same_request_twice_identical_with_hit(self, service):
-        first = service.analyze_dict(dict(REQUEST))
-        second = service.analyze_dict(dict(REQUEST))
+        first = service.handle(dict(REQUEST))
+        second = service.handle(dict(REQUEST))
         assert first["ok"] and second["ok"]
         assert first["cache_hits"] == 0
         assert second["cache_hits"] == len(second["stage_timings"])
@@ -66,15 +68,15 @@ class TestCacheCorrectness:
         cache_dir = str(tmp_path / "cache")
         with LayoutService(cache_dir=cache_dir,
                            pool=WorkerPool(kind="serial")) as svc:
-            first = svc.analyze_dict(dict(REQUEST))
+            first = svc.handle(dict(REQUEST))
         with LayoutService(cache_dir=cache_dir,
                            pool=WorkerPool(kind="serial")) as svc:
-            second = svc.analyze_dict(dict(REQUEST))
+            second = svc.handle(dict(REQUEST))
         assert second["cache_hits"] == len(second["stage_timings"])
         assert second["layouts"] == first["layouts"]
 
     def test_corrupted_cache_file_recomputes(self, service, tmp_path):
-        first = service.analyze_dict(dict(REQUEST))
+        first = service.handle(dict(REQUEST))
         root = service.cache.root
         corrupted = 0
         for stage in os.listdir(root):
@@ -85,14 +87,14 @@ class TestCacheCorrectness:
                 corrupted += 1
         assert corrupted == 1
         service.cache.clear_memory()
-        resp = service.analyze_dict(dict(REQUEST))
+        resp = service.handle(dict(REQUEST))
         assert resp["ok"]
         assert resp["cache_hits"] == 0  # the one entry was damaged
         assert resp["layouts"] == first["layouts"]
 
     def test_no_cache_request_never_hits(self, service):
-        service.analyze_dict(dict(REQUEST))
-        resp = service.analyze_dict(dict(REQUEST, use_cache=False))
+        service.handle(dict(REQUEST))
+        resp = service.handle(dict(REQUEST, use_cache=False))
         assert resp["ok"]
         assert resp["cache_hits"] == 0
 
@@ -129,16 +131,16 @@ class TestAnswerStage:
         cache_dir = str(tmp_path / "cache")
         with LayoutService(cache_dir=cache_dir,
                            pool=WorkerPool(kind="serial")) as svc:
-            cold = svc.analyze_dict(dict(request))
+            cold = svc.handle(dict(request))
             assert _stage_hits(cold) == dict.fromkeys(
                 ("answer",) + STAGES, False
             )
-            from_memory = svc.analyze_dict(dict(request))
+            from_memory = svc.handle(dict(request))
             svc.cache.clear_memory()
-            from_disk = svc.analyze_dict(dict(request))
+            from_disk = svc.handle(dict(request))
         with LayoutService(cache_dir=cache_dir,
                            pool=WorkerPool(kind="serial")) as svc:
-            restarted = svc.analyze_dict(dict(request))
+            restarted = svc.handle(dict(request))
         for warm in (from_memory, from_disk, restarted):
             assert _only_an_answer_hit(warm)
             assert not warm["degraded"]
@@ -159,47 +161,47 @@ class TestAnswerStage:
     def test_whitespace_edit_stores_its_own_answer(self, service):
         source = PROGRAMS["adi"].source(n=32, maxiter=2)
         base = {"op": "analyze", "source": source, "procs": 4}
-        first = service.analyze_dict(dict(base))
+        first = service.handle(dict(base))
         edited = dict(base, source=source.replace("\n", "\n\n", 1))
-        resp = service.analyze_dict(dict(edited))
+        resp = service.handle(dict(edited))
         assert _stage_hits(resp) == dict.fromkeys(("answer",) + STAGES, False)
         assert len(_answer_files(service)) == 2
-        again = service.analyze_dict(dict(edited))
+        again = service.handle(dict(edited))
         assert _only_an_answer_hit(again)
         assert _answer(again) == _answer(resp) == _answer(first)
 
     def test_corrupt_answer_is_quarantined_and_stored_again(self, service):
-        first = service.analyze_dict(dict(REQUEST))
+        first = service.handle(dict(REQUEST))
         (name,) = _answer_files(service)
         path = os.path.join(service.cache.root, "answer", name)
         with open(path, "wb") as handle:
             handle.write(b"\x00garbage, not a pickle")
         service.cache.clear_memory()
-        resp = service.analyze_dict(dict(REQUEST))
+        resp = service.handle(dict(REQUEST))
         assert _stage_hits(resp) == dict.fromkeys(("answer",) + STAGES, False)
         assert _answer(resp) == _answer(first)
         assert service.cache.quarantined_total == 1
         assert _answer_files(service) == [name, name + ".quarantined"]
         service.cache.clear_memory()
-        assert _only_an_answer_hit(service.analyze_dict(dict(REQUEST)))
+        assert _only_an_answer_hit(service.handle(dict(REQUEST)))
 
     def test_no_cache_neither_reads_nor_writes_it(self, service):
         uncached = dict(REQUEST, use_cache=False)
-        first = service.analyze_dict(dict(uncached))
+        first = service.handle(dict(uncached))
         assert _stage_hits(first) == dict.fromkeys(STAGES, False)
         assert _answer_files(service) == []
-        service.analyze_dict(dict(REQUEST))  # now there is one to read
-        assert _stage_hits(service.analyze_dict(dict(uncached))) == \
+        service.handle(dict(REQUEST))  # now there is one to read
+        assert _stage_hits(service.handle(dict(uncached))) == \
             dict.fromkeys(STAGES, False)
         per_stage = service.stats()["cache"]["per_stage"]
         assert per_stage["answer"] == {"hits": 0, "misses": 1}
 
     def test_degraded_request_stores_no_answer(self, service):
         request = dict(REQUEST, program="tomcatv", size=128)
-        degraded = service.analyze_dict(dict(request, deadline_s=1e-6))
+        degraded = service.handle(dict(request, deadline_s=1e-6))
         assert degraded["ok"] and degraded["degraded"]
         assert os.listdir(service.cache.root) == []
-        exact = service.analyze_dict(dict(request))
+        exact = service.handle(dict(request))
         assert not exact["degraded"]
         assert exact["cache_hits"] == 0
         assert len(_answer_files(service)) == 1
@@ -213,11 +215,11 @@ class TestAnswerStage:
                            admission=one_slot,
                            brownout_budget_s=60.0) as svc:
             request = dict(REQUEST, program="tomcatv", size=128)
-            exact = svc.analyze_dict(dict(request))
+            exact = svc.handle(dict(request))
             assert not exact["degraded"]
             svc.brownout_budget_s = 0.001  # far too short to solve in
-            assert svc.analyze_dict(dict(request, procs=8))["degraded"]
-            cached = svc.analyze_dict(dict(request))
+            assert svc.handle(dict(request, procs=8))["degraded"]
+            cached = svc.handle(dict(request))
             assert _only_an_answer_hit(cached)
             assert not cached["degraded"]
             assert _answer(cached) == _answer(exact)
@@ -228,8 +230,8 @@ class TestAnswerStage:
             assert one_slot.describe()["counters"]["admitted"] == 2
 
     def test_trace_of_a_hit_holds_the_answer_stage_span(self, service):
-        service.analyze_dict(dict(REQUEST))
-        resp = service.analyze_dict(dict(REQUEST, trace=True))
+        service.handle(dict(REQUEST))
+        resp = service.handle(dict(REQUEST, trace=True))
         assert _only_an_answer_hit(resp)
         stages = [s for s in resp["trace"]["spans"]
                   if s["name"] == "service.stage"]
@@ -238,8 +240,8 @@ class TestAnswerStage:
         ]
 
     def test_stats_and_prometheus_carry_the_answer_stage(self, service):
-        service.analyze_dict(dict(REQUEST))
-        service.analyze_dict(dict(REQUEST))
+        service.handle(dict(REQUEST))
+        service.handle(dict(REQUEST))
         stats = service.stats()
         assert stats["cache"]["per_stage"]["answer"] == \
             {"hits": 1, "misses": 1}
@@ -267,7 +269,7 @@ class TestOneEntryPerRequest:
             store(cache, stage, key, value)
 
         monkeypatch.setattr(StageCache, "store", counting)
-        assert service.analyze_dict(dict(REQUEST))["ok"]
+        assert service.handle(dict(REQUEST))["ok"]
         assert stored == ["answer"]
         assert os.listdir(service.cache.root) == ["answer"]
         (entry,) = _answer_files(service)
@@ -285,8 +287,8 @@ class TestOneEntryPerRequest:
             "machine": {"machine": "paragon"},
             "whitespace": {"source": source.replace("\n", "\n\n", 1)},
         }[change])
-        service.analyze_dict(dict(base))
-        resp = service.analyze_dict(dict(changed))
+        service.handle(dict(base))
+        resp = service.handle(dict(changed))
         assert resp["cache_hits"] == 0
         assert _stage_hits(resp) == dict.fromkeys(("answer",) + STAGES, False)
         assert len(_answer_files(service)) == 2
@@ -324,10 +326,10 @@ class TestOneEntryPerRequest:
         monkeypatch.setattr(StageCache, "load", recording)
         with LayoutService(cache_dir=root,
                            pool=WorkerPool(kind="serial")) as svc:
-            hit = svc.analyze_dict(dict(REQUEST))
+            hit = svc.handle(dict(REQUEST))
             assert _only_an_answer_hit(hit)
             assert _answer(hit) == answer_of(result)
-            other = svc.analyze_dict(dict(REQUEST, procs=8))
+            other = svc.handle(dict(REQUEST, procs=8))
             assert other["ok"] and other["cache_hits"] == 0
         assert loaded == ["answer", "answer"]
         # one more answer, nothing else written or moved aside
@@ -337,7 +339,7 @@ class TestOneEntryPerRequest:
     def test_stage_timings_are_the_trace_spans_durations(
         self, service, use_cache
     ):
-        resp = service.analyze_dict(
+        resp = service.handle(
             dict(REQUEST, trace=True, use_cache=use_cache)
         )
         spans = {s["name"]: s["duration_us"] for s in resp["trace"]["spans"]}
@@ -362,7 +364,7 @@ class TestAnswerText:
     once, a hit never, and a disk hit writes the memory hit's bytes."""
 
     def test_entry_is_the_answer_and_its_text(self, service):
-        service.analyze_dict(dict(REQUEST))
+        service.handle(dict(REQUEST))
         key = LayoutRequest.from_dict(dict(REQUEST)).answer_key()
         hit, entry = service.cache.load("answer", key)
         assert hit and isinstance(entry, Answer)
@@ -408,7 +410,7 @@ class TestAnswerText:
             for _ in range(50):
                 reply = json.loads(service.handle_line(line))
                 assert _only_an_answer_hit(reply)
-            assert _only_an_answer_hit(service.analyze_dict(dict(REQUEST)))
+            assert _only_an_answer_hit(service.handle(dict(REQUEST)))
             assert len(encoded) == 1
 
     def test_a_degraded_compute_encodes_once(self, service, encoded):
@@ -499,23 +501,23 @@ class TestConfigRoundTrip:
 
 
 class TestTrainingDatabaseCache:
-    def test_key_derives_from_params_not_name(self):
+    def test_key_derives_from_params_not_name(self, monkeypatch):
+        monkeypatch.setattr(training, "PROC_COUNTS", (2,))
         tweaked = MachineParams(name=IPSC860.name, alpha_short=999.0)
         assert machine_cache_key(tweaked) != machine_cache_key(IPSC860)
-        db_a = cached_training_database(IPSC860, proc_counts=(2,))
-        db_b = cached_training_database(tweaked, proc_counts=(2,))
+        db_a = cached_training_database(IPSC860)
+        db_b = cached_training_database(tweaked)
         assert db_a is not db_b
 
-    def test_concurrent_access_converges_on_one_instance(self):
+    def test_concurrent_access_converges_on_one_instance(self, monkeypatch):
+        monkeypatch.setattr(training, "PROC_COUNTS", (2, 4))
         params = MachineParams(name="concurrency-probe", alpha_short=80.0)
         results = []
         barrier = threading.Barrier(4)
 
         def worker():
             barrier.wait()
-            results.append(
-                cached_training_database(params, proc_counts=(2, 4))
-            )
+            results.append(cached_training_database(params))
 
         threads = [threading.Thread(target=worker) for _ in range(4)]
         for t in threads:

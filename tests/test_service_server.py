@@ -37,6 +37,8 @@ from repro.tool.assistant import (
 )
 from repro.tool.cli import main
 
+from .helpers import counter, serve_background
+
 REQUEST = {
     "op": "analyze",
     "program": "adi",
@@ -52,7 +54,7 @@ def endpoint(tmp_path_factory):
     service = LayoutService(cache_dir=cache_dir,
                             pool=WorkerPool(kind="thread", max_workers=4))
     server = LayoutServer(("127.0.0.1", 0), service)
-    server.serve_background()
+    serve_background(server)
     yield "127.0.0.1", server.port
     server.shutdown()
     server.server_close()
@@ -184,7 +186,7 @@ class TestRequestDeadline:
             request_timeout=1e-6,
         )
         try:
-            resp = service.analyze_dict(dict(REQUEST))
+            resp = service.handle(dict(REQUEST))
         finally:
             service.close()
         assert not resp["ok"]
@@ -196,7 +198,7 @@ class TestRequestDeadline:
                 pool=WorkerPool(kind="serial"), use_cache=False,
                 request_timeout=request_timeout,
             ) as service:
-                resp = service.analyze_dict(dict(REQUEST))
+                resp = service.handle(dict(REQUEST))
             for timing in resp["stage_timings"]:
                 del timing["seconds"]
             return resp
@@ -246,9 +248,9 @@ class TestRequestDeadline:
         with LayoutService(
             pool=WorkerPool(kind="serial"), use_cache=False
         ) as service:
-            service.analyze_dict(dict(payload))  # warm the process
+            service.handle(dict(payload))  # warm the process
             start = time.perf_counter()
-            assert service.analyze_dict(dict(payload))["ok"]
+            assert service.handle(dict(payload))["ok"]
             untimed = time.perf_counter() - start
             service.request_timeout = min(untimed / 2, 0.5)
             # A full collection of the test process's heap takes 70 ms;
@@ -256,7 +258,7 @@ class TestRequestDeadline:
             gc.disable()
             try:
                 start = time.perf_counter()
-                resp = service.analyze_dict(dict(payload))
+                resp = service.handle(dict(payload))
                 seconds = time.perf_counter() - start
             finally:
                 gc.enable()
@@ -284,7 +286,7 @@ class TestRequestDeadline:
             request_timeout=0.5,
         ) as service:
             start = time.perf_counter()
-            resp = service.analyze_dict(dict(REQUEST, use_cache=False))
+            resp = service.handle(dict(REQUEST, use_cache=False))
             seconds = time.perf_counter() - start
         assert seconds <= 2 * service.request_timeout + 0.05
         assert resp["error_kind"] == "timeout"
@@ -301,14 +303,14 @@ class TestRequestDeadline:
             pool=WorkerPool(kind="serial"), use_cache=False,
             request_timeout=30,
         ) as service:
-            resp = service.analyze_dict(payload)
+            resp = service.handle(payload)
         assert resp["ok"]
         assert not resp["degraded"]
 
     def test_shutdown_op(self, tmp_path):
         service = LayoutService(pool=WorkerPool(kind="serial"))
         server = LayoutServer(("127.0.0.1", 0), service)
-        thread = server.serve_background()
+        thread = serve_background(server)
         resp = send_request({"op": "shutdown"}, "127.0.0.1", server.port)
         assert resp["ok"]
         assert resp["op"] == "shutdown"
@@ -344,7 +346,7 @@ def fresh_server():
     def make(**kwargs):
         service = LayoutService(pool=WorkerPool(kind="serial"))
         server = LayoutServer(("127.0.0.1", 0), service, **kwargs)
-        server.serve_background()
+        serve_background(server)
         made.append(server)
         return server
 
@@ -356,7 +358,7 @@ def fresh_server():
 
 
 def _connections(server) -> int:
-    return server.service.metrics.counter("connections_total")
+    return counter(server.service.metrics, "connections_total")
 
 
 class _ScriptedServer:
@@ -411,7 +413,7 @@ class TestKeptConnection:
             if index % 2:
                 assert resp["request_id"] == f"r{index}"
         assert _connections(server) == 1
-        assert server.service.metrics.counter("requests_total") == 25
+        assert counter(server.service.metrics, "requests_total") == 25
 
     def test_each_thread_keeps_its_own_and_closes_it_on_exit(
         self, fresh_server
@@ -491,7 +493,7 @@ class TestKeptConnection:
                                 "127.0.0.1", server.port)
             assert resp["error_kind"] == "shutting-down"
             assert resp["request_id"] == f"d{index}"
-        assert server.service.metrics.counter("requests_total") == 2
+        assert counter(server.service.metrics, "requests_total") == 2
         assert _connections(server) == 2
 
     def test_a_reset_before_any_reply_byte_is_resent_once(self):
@@ -542,7 +544,7 @@ class TestKeptConnection:
         # the server finishes the compute, and its handler ends on the
         # connection the client gave up
         assert not _join_all(_handler_threads(before))
-        assert server.service.metrics.counter("requests_total") == 1
+        assert counter(server.service.metrics, "requests_total") == 1
         assert _connections(server) == 1
 
     def test_a_forked_child_opens_its_own(self, fresh_server, monkeypatch):
@@ -681,12 +683,12 @@ class TestRequestLine:
         assert refused["error_kind"] == "bad-request"
         assert pong == {"ok": True, "op": "ping"}
         metrics = server.service.metrics
-        assert metrics.counter("requests_failed") == 1
-        assert metrics.counter("requests_total") == 1
+        assert counter(metrics, "requests_failed") == 1
+        assert counter(metrics, "requests_total") == 1
 
     def test_handle_and_handle_line_share_one_dispatch(self):
         with LayoutService(pool=WorkerPool(kind="serial")) as service:
             line = service.handle_line(b'{"op": "frobnicate"}')
             assert json.loads(line) == service.handle({"op": "frobnicate"})
             assert service.handle([1, 2])["error_kind"] == "bad-request"
-            assert service.metrics.counter("requests_failed") == 3
+            assert counter(service.metrics, "requests_failed") == 3

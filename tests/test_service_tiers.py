@@ -28,6 +28,8 @@ from repro.tool import assistant as assistant_module, cli
 from repro.tool.assistant import stage_partition
 from repro.tool.top import format_top
 
+from .helpers import counter
+
 REQUEST = {
     "op": "analyze",
     "program": "adi",
@@ -93,7 +95,7 @@ class HeldLeader:
 def _in_background(service, payload):
     replies = []
     thread = threading.Thread(
-        target=lambda: replies.append(service.analyze_dict(dict(payload)))
+        target=lambda: replies.append(service.handle(dict(payload)))
     )
     thread.start()
     return thread, replies
@@ -178,7 +180,7 @@ class TestAnswerTier:
     def test_hits_take_no_ticket_and_teach_the_limiter_nothing(
         self, service
     ):
-        cold = service.analyze_dict(dict(REQUEST))
+        cold = service.handle(dict(REQUEST))
         assert cold["cache_hits"] == 0 and cold["cache_misses"] == 7
         floor = service.admission.limiter.describe()["baseline_s"]
         # the floor is one compute: at least the six stages it ran
@@ -186,7 +188,7 @@ class TestAnswerTier:
             t["seconds"] for t in cold["stage_timings"][1:]
         )
         for _ in range(20):
-            hit = service.analyze_dict(dict(REQUEST))
+            hit = service.handle(dict(REQUEST))
             assert hit["ok"] and not hit["degraded"]
             assert [(t["stage"], t["cache_hit"])
                     for t in hit["stage_timings"]] == [("answer", True)]
@@ -208,32 +210,32 @@ class TestAnswerTier:
     def test_a_hit_is_served_however_short_the_request_timeout(
         self, service
     ):
-        cold = service.analyze_dict(dict(REQUEST))
+        cold = service.handle(dict(REQUEST))
         service.request_timeout = 1e-9
-        assert _answer(service.analyze_dict(dict(REQUEST))) == _answer(cold)
-        fresh = service.analyze_dict(dict(REQUEST, size=24))
+        assert _answer(service.handle(dict(REQUEST))) == _answer(cold)
+        fresh = service.handle(dict(REQUEST, size=24))
         assert fresh["error_kind"] == "timeout"
 
     def test_a_traced_hit_is_offered_to_the_sampler_an_untraced_is_not(
         self, service
     ):
-        service.analyze_dict(dict(REQUEST))
+        service.handle(dict(REQUEST))
         def offered() -> int:
             described = service.telemetry.sampler.describe()
             return described["kept_total"] + described["dropped_total"]
 
         assert offered() == 1
-        service.analyze_dict(dict(REQUEST))
+        service.handle(dict(REQUEST))
         assert offered() == 1
-        traced = service.analyze_dict(dict(REQUEST, trace=True))
+        traced = service.handle(dict(REQUEST, trace=True))
         assert offered() == 2
         assert [s["name"] for s in traced["trace"]["spans"]] == \
             ["service.stage"]
 
     def test_draining_refuses_a_primed_request(self, service):
-        assert service.analyze_dict(dict(REQUEST))["ok"]
+        assert service.handle(dict(REQUEST))["ok"]
         service.begin_drain()
-        resp = service.analyze_dict(dict(REQUEST))
+        resp = service.handle(dict(REQUEST))
         assert not resp["ok"]
         assert resp["error_kind"] == "shutting-down"
         counters = service.admission.describe()["counters"]
@@ -247,7 +249,7 @@ class TestAnswerTier:
         try:
             assert held.entered.wait(timeout=PATIENCE_S)
             # the same request, uncached, while its twin is computing
-            aside = service.analyze_dict(dict(REQUEST, use_cache=False))
+            aside = service.handle(dict(REQUEST, use_cache=False))
             assert aside["ok"]
             assert aside["cache_hits"] == 0 and aside["cache_misses"] == 6
             assert _admitted(service) == 2
@@ -255,9 +257,9 @@ class TestAnswerTier:
             held.proceed.set()
             _finish(leader)
         assert _answer(led[0]) == _answer(aside)
-        assert service.metrics.counter("requests_joined") == 0
+        assert counter(service.metrics, "requests_joined") == 0
         # primed now, and still admitted every time it is asked
-        service.analyze_dict(dict(REQUEST, use_cache=False))
+        service.handle(dict(REQUEST, use_cache=False))
         assert _admitted(service) == 3
         assert _tiers(service) == ["compute"] * 3
 
@@ -301,7 +303,7 @@ class TestJoinTier:
             try:
                 assert held.entered.wait(timeout=PATIENCE_S)
                 start = time.perf_counter()
-                resp = service.analyze_dict(
+                resp = service.handle(
                     dict(REQUEST, request_id="behind")
                 )
                 seconds = time.perf_counter() - start
@@ -319,7 +321,7 @@ class TestJoinTier:
             )
             assert event["attrs"]["stopped_at"] == "join"
             assert event["attrs"]["tier"] == "join"
-            assert service.metrics.counter("requests_timeout") >= 1
+            assert counter(service.metrics, "requests_timeout") >= 1
             # it held no ticket, so its timeout is no congestion signal
             assert _admitted(service) == 1
 
@@ -341,10 +343,10 @@ class TestJoinTier:
         assert followed[0]["cache_hits"] == 0
         assert followed[0]["cache_misses"] == 7
         assert _admitted(service) == 2
-        assert service.metrics.counter("requests_joined") == 0
+        assert counter(service.metrics, "requests_joined") == 0
         assert not service._leaders
         # and what it stored serves the next one
-        assert service.analyze_dict(dict(REQUEST))["cache_hits"] == 1
+        assert service.handle(dict(REQUEST))["cache_hits"] == 1
 
     def test_a_degraded_leader_stores_nothing_for_its_follower(
         self, service, monkeypatch
@@ -366,7 +368,7 @@ class TestJoinTier:
         assert followed[0]["ok"] and not followed[0]["degraded"]
         assert followed[0]["cache_hits"] == 0
         assert _admitted(service) == 2
-        exact = service.analyze_dict(dict(request))
+        exact = service.handle(dict(request))
         assert exact["cache_hits"] == 1 and not exact["degraded"]
         assert _answer(exact) == _answer(followed[0])
 
@@ -394,7 +396,7 @@ class TestJoinTier:
 
 class TestDrainCoversTicketlessRequests:
     def test_drain_waits_for_a_hit_mid_reply(self, service):
-        assert service.analyze_dict(dict(REQUEST))["ok"]
+        assert service.handle(dict(REQUEST))["ok"]
         entered, proceed = threading.Event(), threading.Event()
         load = service.cache.load
 
@@ -446,12 +448,12 @@ class TestServiceOpenShapedMix:
                            pool=WorkerPool(kind="serial")) as service:
             primed = [dict(REQUEST, size=size) for size in (16, 20)]
             for payload in primed:
-                fresh.append(service.analyze_dict(dict(payload)))
+                fresh.append(service.handle(dict(payload)))
             for size in range(24, 48, 4):
                 for payload in primed + primed[:1]:
-                    replies.append(service.analyze_dict(dict(payload)))
+                    replies.append(service.handle(dict(payload)))
                 fresh.append(
-                    service.analyze_dict(dict(REQUEST, size=size))
+                    service.handle(dict(REQUEST, size=size))
                 )
             pair = [
                 _in_background(service, dict(REQUEST, size=48))
@@ -460,7 +462,7 @@ class TestServiceOpenShapedMix:
             _finish(*(thread for thread, _ in pair))
             replies += fresh + [r[0] for _, r in pair]
             admission = service.admission.describe()
-            joined = service.metrics.counter("requests_joined")
+            joined = counter(service.metrics, "requests_joined")
         assert all(r["ok"] for r in replies)
         assert not any(r["degraded"] for r in replies)
         # one ticket per distinct fresh request, none for the rest
@@ -483,7 +485,7 @@ def _spans(reply: dict, prefix: str) -> list:
 
 def _cold(service, program: str) -> dict:
     """One traced miss; small enough that all four programs take ~0.1 s."""
-    reply = service.analyze_dict({
+    reply = service.handle({
         "op": "analyze", "program": program, "size": 16, "maxiter": 2,
         "procs": 4, "trace": True,
     })
@@ -594,10 +596,10 @@ class TestWhereAMissIsComputed:
         )
         with LayoutService(use_cache=False) as service:
             # untimed first: the training database is built once a process
-            assert service.analyze_dict(dict(REQUEST))["ok"]
+            assert service.handle(dict(REQUEST))["ok"]
             service.request_timeout = 0.3
             naps.append(0.4)
-            reply = service.analyze_dict(dict(REQUEST, request_id="late"))
+            reply = service.handle(dict(REQUEST, request_id="late"))
             event = service.telemetry.events.tail(type="service.request")[-1]
         assert reply["error_kind"] == "timeout"
         assert event["attrs"]["request_id"] == "late"

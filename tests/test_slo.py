@@ -30,6 +30,8 @@ from repro.obs.window import (
 from repro.tool.cli import main
 from repro.tool.top import format_top
 
+from .helpers import serve_background
+
 
 class TestLogBucketSketch:
     def test_quantiles_carry_bounded_relative_error(self):
@@ -486,7 +488,7 @@ def live_endpoint(tmp_path_factory):
 
     service = LayoutService(pool=WorkerPool(kind="serial"))
     server = LayoutServer(("127.0.0.1", 0), service)
-    server.serve_background()
+    serve_background(server)
     for _ in range(5):
         send_request({"op": "ping"}, "127.0.0.1", server.port)
     yield "127.0.0.1", server.port

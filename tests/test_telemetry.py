@@ -16,7 +16,7 @@ import pytest
 
 from repro.obs import tracing
 from repro.obs.log import TraceContextFilter
-from repro.obs.prometheus import parse_prometheus_text, render_prometheus
+from repro.obs.prometheus import render_prometheus
 from repro.obs.telemetry import (
     CURRENT_SEGMENT,
     EVENT_SCHEMA,
@@ -29,11 +29,13 @@ from repro.obs.telemetry import (
     read_event_log,
     remove_sink,
     validate_event,
-    validate_event_log,
 )
 from repro.obs.window import LADDER, LogBucketSketch
 from repro.service.metrics import Metrics
 from repro.service.telemetry import ServiceTelemetry, TailSampler
+
+from .event_log_validator import validate_event_log
+from .prometheus_parser import parse_prometheus_text
 
 
 class TestEventSchema:
@@ -455,14 +457,6 @@ class TestTailSampler:
         assert stats["kept_total"] == 1
         assert stats["dropped_total"] == 1
         assert stats["kept_by_reason"] == {"sampled": 1}
-
-    def test_kept_ring_is_bounded(self):
-        sampler = TailSampler(kept_traces=2)
-        for i in range(5):
-            tracer = tracing.Tracer()
-            sampler.offer(tracer, 0.01, ok=False)
-        assert len(sampler.kept()) == 2
-        assert sampler.describe()["kept_total"] == 5
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):

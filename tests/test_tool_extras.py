@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.tool import memory
 from repro.tool.graphviz import export_dot, layout_graph_to_dot, pcfg_to_dot
 from repro.tool.memory import memory_footprint
 
@@ -78,10 +79,10 @@ class TestMemoryFootprint:
         # their local share is the full vector
         assert report.per_array["ax"] >= 16 * 8
 
-    def test_does_not_fit_detection(self, adi_assistant):
+    def test_does_not_fit_detection(self, adi_assistant, monkeypatch):
+        monkeypatch.setattr(memory, "NODE_BYTES", 1024)
         report = memory_footprint(
-            adi_assistant.symbols, adi_assistant.selected_layouts,
-            node_bytes=1024,
+            adi_assistant.symbols, adi_assistant.selected_layouts
         )
         assert not report.fits
         assert report.total_bytes > report.node_bytes
