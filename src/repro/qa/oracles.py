@@ -347,35 +347,15 @@ def selection_combination_count(graph: DataLayoutGraph) -> int:
     return count
 
 
-def best_selection(
-    graph: DataLayoutGraph,
-) -> Tuple[float, Dict[int, int]]:
-    """Exhaustive optimum of the selection problem."""
-    phases = sorted(graph.node_costs)
-    options = [range(len(graph.node_costs[p])) for p in phases]
-    best_cost = float("inf")
-    best_sel: Dict[int, int] = {}
-    for combo in itertools.product(*options):
-        selection = dict(zip(phases, combo))
-        cost = graph.evaluate(selection)
-        if cost < best_cost - _TOL:
-            best_cost = cost
-            best_sel = selection
-    return best_cost, best_sel
-
-
 def exact_best_selection(
     graph: DataLayoutGraph,
 ) -> Tuple[float, Dict[int, int]]:
     """Exhaustive optimum under the *canonical* tie-break.
 
-    Unlike :func:`best_selection` (which keeps the first selection
-    within ``_TOL`` of the running minimum), this variant compares costs
-    exactly, so first-wins enumeration order yields the
+    Costs compare exactly, so first-wins enumeration order yields the
     lexicographically smallest exact optimum — the same certificate the
-    presolved solve promises.  Used by the presolve
-    soundness checks, which reason about candidates that appear in
-    *every* exact optimum.
+    presolved solve promises, and the cost the selection ILP is checked
+    against.
     """
     phases = sorted(graph.node_costs)
     options = [range(len(graph.node_costs[p])) for p in phases]
@@ -411,7 +391,7 @@ def check_selection(
             ilp_objective=float("nan"),
             oracle_objective=0.0,
         )
-    oracle_cost, _ = best_selection(graph)
+    oracle_cost, _ = exact_best_selection(graph)
 
     # Certificate: decode the selection and re-evaluate with the shared
     # evaluator (independent of the — possibly corrupted — objective).

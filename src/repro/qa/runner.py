@@ -32,8 +32,8 @@ from ..frontend import ast
 from ..frontend.parser import parse_source
 from ..frontend.printer import format_program
 from ..obs.tracing import add_event as obs_event, span as obs_span
-from ..selection.ilp import select_layouts
-from ..selection.presolve import eliminate_component, presolve_selection
+from ..selection import minsum
+from ..selection.ilp import LIST_KERNEL_CELLS, select_layouts
 from ..tool.assistant import AssistantConfig, AssistantResult, run_assistant
 from . import metamorphic as mm
 from . import oracles
@@ -200,26 +200,33 @@ def _presolve_divergence(
     ):
         return (f"unpresolved objective {ref.objective!r} is outside the "
                 f"solver's gap above the optimum {oracle_cost!r}")
-    pre = presolve_selection(graph)
-    for phase_index, cand in sorted(pre.fixed.items()):
-        if oracle_sel.get(phase_index) != cand:
-            return (
-                f"presolve fixed phase {phase_index} to candidate "
-                f"{cand} but the oracle certificate selects "
-                f"{oracle_sel.get(phase_index)}"
-            )
-    # Replay under table caps the greedy order overflows, so its tie
-    # rule and cutsets face the certificate.
-    for cap in _SMALL_TABLE_CAPS:
-        for comp in pre.components:
-            solved = eliminate_component(pre, comp, table_cap=cap)
-            certificate = {p: oracle_sel[p] for p in comp}
-            if solved != certificate:
+    # Replay both kernels, the one select_layouts picks first, under
+    # table caps the greedy order overflows, so their tie rule and
+    # cutsets face the certificate.
+    from ..selection import presolve  # loads numpy
+
+    kernels = [minsum, presolve]
+    if sum(len(edge.costs) for edge in graph.edges) > LIST_KERNEL_CELLS:
+        kernels.reverse()
+    for kernel in kernels:
+        pre = kernel.presolve_selection(graph)
+        for phase_index, cand in sorted(pre.fixed.items()):
+            if oracle_sel.get(phase_index) != cand:
                 return (
-                    f"elimination under table_cap={cap} selects "
-                    f"{solved} but the oracle certificate has "
-                    f"{certificate}"
+                    f"{kernel.__name__}: presolve fixed phase "
+                    f"{phase_index} to candidate {cand} but the oracle "
+                    f"certificate selects {oracle_sel.get(phase_index)}"
                 )
+        for cap in _SMALL_TABLE_CAPS:
+            for comp in pre.components:
+                solved = minsum.eliminate_component(pre, comp, table_cap=cap)
+                certificate = {p: oracle_sel[p] for p in comp}
+                if solved != certificate:
+                    return (
+                        f"{kernel.__name__}: elimination under "
+                        f"table_cap={cap} selects {solved} but the oracle "
+                        f"certificate has {certificate}"
+                    )
     return None
 
 

@@ -40,7 +40,7 @@ from ..obs import telemetry
 from ..obs.telemetry import EventLog
 from ..perf.bench.suite import BENCH_SIZES
 from .atomic import atomic_write_json
-from .faults import FaultPlan, FaultSpec, armed
+from .faults import CORRUPTIBLE_SITES, FaultPlan, FaultSpec, armed
 
 #: the paper's four benchmark programs (Table 1)
 DEFAULT_PROGRAMS = ("adi", "erlebacher", "shallow", "tomcatv")
@@ -74,7 +74,7 @@ def build_plan(seed: int) -> FaultPlan:
     for _ in range(rng.randint(1, 3)):
         site = rng.choice(PLAN_SITES)
         roll = rng.random()
-        if site in ("cache.load", "cache.store") and roll < 0.35:
+        if site in CORRUPTIBLE_SITES and roll < 0.35:
             specs.append(FaultSpec(
                 site=site, mode="corrupt",
                 probability=rng.uniform(0.5, 1.0),

@@ -61,7 +61,9 @@ MODES = ("error", "delay", "corrupt", "flaky")
 class FaultSpec:
     """One site → fault rule.
 
-    ``site`` may be an ``fnmatch`` pattern (``cache.*``).  ``mode``:
+    ``site`` may be an ``fnmatch`` pattern (``cache.*``) and must match
+    one of :data:`KNOWN_SITES` (of :data:`CORRUPTIBLE_SITES` for
+    ``corrupt``).  ``mode``:
 
     - ``error``  — raise :class:`InjectedFault` (subject to
       ``probability`` and, when set, at most ``times`` firings);
@@ -89,6 +91,12 @@ class FaultSpec:
         if not 0.0 <= self.probability <= 1.0:
             raise ValueError(
                 f"probability must be in [0, 1], got {self.probability}"
+            )
+        sites = CORRUPTIBLE_SITES if self.mode == "corrupt" else KNOWN_SITES
+        if not fnmatch.filter(sites, self.site):
+            raise ValueError(
+                f"fault site {self.site!r} ({self.mode}) matches none of "
+                f"{sites}"
             )
 
     def to_dict(self) -> Dict[str, Any]:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..ilp import solve as ilp_solve
 from ..ilp.model import MINIMIZE, Solution, SolveStats, ZeroOneModel
@@ -211,17 +211,6 @@ def _greedy_degraded(
     )
 
 
-def _kernels(cells: int) -> Iterator:
-    """The exact kernels to try in turn: the list kernel for a graph of
-    at most ``LIST_KERNEL_CELLS`` remap-edge cells, then numpy's, which
-    takes what the list kernel's table cap turns away."""
-    if cells <= LIST_KERNEL_CELLS:
-        yield minsum
-    from . import presolve  # loads numpy
-
-    yield presolve
-
-
 def _select_presolved(
     graph: DataLayoutGraph,
     allowed: Optional[Dict[int, set]],
@@ -235,25 +224,25 @@ def _select_presolved(
     with tracing.span(
         "ilp.presolve", name="layout-selection", variables=nvars
     ) as psp:
-        for kernel in _kernels(cells):
-            pre = kernel.presolve_selection(graph, allowed=allowed)
-            psp.set_attr("fixed", len(pre.fixed))
-            psp.set_attr("pruned", pre.pruned)
-            psp.set_attr("checks", pre.checks)
-            psp.set_attr("components", len(pre.components))
-            selection: Dict[int, int] = dict(pre.fixed)
-            try:
-                for comp in pre.components:
-                    selection.update(kernel.eliminate_component(pre, comp))
-            except minsum.TableOverflow:
-                continue
-            except DeadlineExceeded:
-                return _greedy_degraded(
-                    graph, allowed, nvars, ncons,
-                    "deadline expired during elimination; "
-                    "greedy one-pass selection",
-                )
-            break
+        if cells <= LIST_KERNEL_CELLS:
+            kernel = minsum
+        else:
+            from . import presolve as kernel  # loads numpy
+        pre = kernel.presolve_selection(graph, allowed=allowed)
+        psp.set_attr("fixed", len(pre.fixed))
+        psp.set_attr("pruned", pre.pruned)
+        psp.set_attr("checks", pre.checks)
+        psp.set_attr("components", len(pre.components))
+        selection: Dict[int, int] = dict(pre.fixed)
+        try:
+            for comp in pre.components:
+                selection.update(minsum.eliminate_component(pre, comp))
+        except DeadlineExceeded:
+            return _greedy_degraded(
+                graph, allowed, nvars, ncons,
+                "deadline expired during elimination; "
+                "greedy one-pass selection",
+            )
         psp.set_attr("tied", pre.tied)
         psp.set_attr("conditioned", pre.conditioned)
         psp.set_attr("cutset", pre.cutset)
@@ -350,13 +339,13 @@ def select_layouts(
     conditioning) fixes most phases and the residual components are
     solved by exact variable elimination, conditioned on a cutset of
     phases when a component outgrows the elimination tables; ``backend``
-    is then unused.  A graph of at most ``LIST_KERNEL_CELLS`` remap-edge
-    cells is solved over plain lists (:mod:`repro.selection.minsum`), a
-    wider one, or one whose tables outgrow ``TABLE_CAP``, by the numpy
-    kernel (:mod:`repro.selection.presolve`): the same answer and span
-    counters either way.  The 0-1 model is
-    only built, and handed to ``backend``, when ``presolve=False``.  Both
-    paths return the same canonical optimum.
+    is then unused.  The algorithm is :mod:`repro.selection.minsum`'s;
+    a graph of at most ``LIST_KERNEL_CELLS`` remap-edge cells runs it
+    over plain lists, a wider one over numpy's arrays
+    (:mod:`repro.selection.presolve`): the same answer and span counters
+    either way.  The 0-1 model is only built, and handed to ``backend``,
+    when ``presolve=False``.  Both paths return the same canonical
+    optimum.
 
     If a request deadline cuts the solve short, the best incumbent (the
     solver's, or the best cutset assignment solved), or else the greedy

@@ -1,32 +1,61 @@
-"""Layout selection's exact kernel over plain Python lists, and what it
-shares with the numpy kernel of :mod:`repro.selection.presolve`.
+"""Layout selection's exact algorithm, written once, and its kernel
+over plain Python lists.
 
-Both kernels run the same algorithm (that module's docstring gives it):
-dead-end elimination and conditioning to a fixpoint, residual
-components, min-sum variable elimination in the greedy min-table order
-with the lexicographically smallest optimum's tie rule.  Every cost is
-the same IEEE sum in the same order, every min and first argmin the
-same comparison, so the two return the same presolve state, the same
-selection and the same ``ilp.presolve`` counters.
+The selection ILP (one candidate per phase, remap edges) carries a lot
+of slack a solver-agnostic pass can remove up front, in the spirit of
+the constraint-network propagation Chen & Kandemir apply to 0-1 layout
+programs.  Two optimum-preserving reductions run to a fixpoint on the
+data layout graph itself (:func:`reduce_to_fixpoint`):
 
-A small pairwise min-sum network needs no array library: on the paper's
-programs the widest table is 324 cells, and building numpy arrays of a
-few dozen elements costs more than the loops they replace.  The list
-kernel has no cutset conditioning: an order wider than ``TABLE_CAP``
-raises :class:`TableOverflow`, and ``select_layouts`` hands the graph to
-the numpy kernel (which tables that wide need anyway).
+* **dead-end elimination** (Goldstein's criterion): candidate ``i`` of
+  phase ``p`` is pruned when some ``i'`` satisfies ``node(i') - node(i)
+  + sum_e max_j [e(i', j) - e(i, j)] < 0`` — switching ``i -> i'``
+  strictly improves *every* completion, so ``i`` is in no optimum;
+* **conditioning**: a phase reduced to one candidate is fixed, and its
+  remap-edge costs fold into the neighbouring phases' node costs.
+
+What survives is a residual graph whose connected components are solved
+independently — by exact **min-sum variable elimination** (nonserial
+dynamic programming over elimination buckets), whose cost is exponential
+only in the induced width of the elimination order.  A component whose
+order passes ``TABLE_CAP`` is **conditioned on a cutset** of phases,
+each assignment eliminated on its own; no 0-1 model is built.
+
+Canonical tie-breaking: the answer is the lexicographically smallest
+selection vector among the optima — exactly the assignment the
+branch-bound backend's lexicographically-greatest 0-1 rule decodes to.
+Components eliminate phases in the greedy min-table order and backtrack
+in reverse, taking the *first* argmin at every step.  A tie-free
+backtrack proves the optimum unique, hence the smallest; a tie triggers
+ascending conditioning; cutset assignments are ranked by objective, then
+by selection in ascending phase order (see :func:`eliminate_component`).
+So the fast path and the ILP path agree bit for bit.
+
+Two kernels run this algorithm, each bringing only its arithmetic: its
+``presolve_selection`` and the :class:`Kernel` it records in the
+presolve state.  Every cost is the same IEEE sum in the same order,
+every min and first argmin the same comparison, so both return the
+same presolve state, selection and ``ilp.presolve`` counters.  This
+module's kernel works over lists: the paper's programs' widest table is
+324 cells, and numpy arrays of a few dozen elements cost more than the
+loops they replace.  numpy's (:mod:`repro.selection.presolve`) is
+elimination arithmetic for wide graphs, which ``select_layouts`` sends
+there by their remap-edge cells.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from operator import sub
 from typing import (
-    Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple,
+    Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence,
+    Set, Tuple,
 )
 
 from ..resilience.deadline import current_deadline
+from ..resilience.errors import DeadlineExceeded
 from .layout_graph import DataLayoutGraph
 
 #: largest elimination-bucket table in elements.
@@ -44,8 +73,19 @@ TABLE_CAP = 1 << 19
 Factors = List[Tuple[Tuple[int, ...], List[float]]]
 
 
-class TableOverflow(Exception):
-    """An elimination order of the list kernel is wider than its cap."""
+class Kernel(NamedTuple):
+    """A kernel's arithmetic over factors ``(ascending phase scope,
+    table)``, ``sizes`` giving each phase's axis length in them."""
+
+    #: a remap matrix of the presolve state as a factor table
+    table: Callable[[Any], Any]
+    #: ``(pre, factors, sizes, order) -> (local, tied)``: ``_eliminate``
+    eliminate: Callable[..., Tuple[Dict[int, int], Set[int]]]
+    #: ``(factors, sizes, fix) -> factors``: ``_restrict``
+    restrict: Callable[..., Any]
+    #: ``(factors, sizes, local) -> float``: the objective of a position
+    #: per phase, summed over ``factors`` in order
+    cost: Callable[..., float]
 
 
 @dataclass
@@ -70,6 +110,8 @@ class SelectionPresolve:
     linked: Set[Tuple[int, int]]
     #: residual connected components (phases ascending)
     components: List[List[int]]
+    #: the arithmetic :func:`eliminate_component` solves them with
+    kernel: Kernel
     #: number of (phase, candidate) pairs pruned by dead-end elimination
     pruned: int = 0
     #: number of phase dead-end checks the fixpoint ran
@@ -187,6 +229,7 @@ def presolve_selection(
         matrices=matrices,
         linked=linked,
         components=residual_components(active, sorted(linked)),
+        kernel=KERNEL,
         pruned=pruned,
         checks=checks,
     )
@@ -443,59 +486,143 @@ def _eliminate(
     return local, tied
 
 
+def _restrict(factors: Factors, sizes: Dict[int, int],
+              fix: Dict[int, int]) -> Factors:
+    """``factors`` with each phase of ``fix`` cut down to its one
+    position (a one-candidate axis)."""
+    out = []
+    for scope, table in factors:
+        shape = [sizes[p] for p in scope]
+        for axis, p in enumerate(scope):
+            if p in fix:
+                inner = math.prod(shape[axis + 1:])
+                span = inner * shape[axis]
+                start = inner * fix[p]
+                table = [x for outer in range(0, len(table), span)
+                         for x in table[outer + start:outer + start + inner]]
+                shape[axis] = 1
+        out.append((scope, table))
+    return out
+
+
+def _cost(factors: Factors, sizes: Dict[int, int],
+          local: Dict[int, int]) -> float:
+    # each factor's cell at ``local``: its row along its first phase
+    return sum(
+        _row(table, scope, sizes, scope[0], local)[local[scope[0]]]
+        for scope, table in factors
+    )
+
+
+#: the list kernel's arithmetic
+KERNEL = Kernel(lambda matrix: [x for row in matrix for x in row],
+                _eliminate, _restrict, _cost)
+
+
 def eliminate_component(
     pre: SelectionPresolve,
     comp: List[int],
     table_cap: int = TABLE_CAP,
 ) -> Dict[int, int]:
-    """Exactly solve one residual component by variable elimination:
-    the optimal candidate position per phase under the canonical
-    tie-break, as :func:`repro.selection.presolve.eliminate_component`
-    returns it.  Raises :class:`TableOverflow` where an order it needs is
-    wider than ``table_cap``, ``DeadlineExceeded`` between buckets once
-    the request's budget has passed, and ``RequestTimeout`` once its
-    hard limit has."""
+    """Exactly solve one residual component of either kernel's presolve
+    state by variable elimination, conditioned on a cutset where its
+    order does not fit ``table_cap`` (>= 1).
+
+    Returns the optimal candidate position per phase under the canonical
+    tie-break.  Between buckets, raises ``DeadlineExceeded`` once the
+    request's budget has passed (unless a cutset assignment is solved:
+    the best one is returned and ``pre.interrupted`` set) and
+    ``RequestTimeout`` once its hard limit has.
+    """
     if table_cap < 1:
         raise ValueError(f"table_cap must be at least 1, got {table_cap}")
-    factors: Factors = [((p,), list(pre.node[p])) for p in comp]
+    factors = [((p,), pre.node[p]) for p in comp]
     factors.extend(
-        ((p, q), [x for row in matrix for x in row])
+        ((p, q), pre.kernel.table(matrix))
         for p, q, matrix in pre.component_edges(comp)
     )
-    sizes = {p: len(pre.active[p]) for p in comp}
+    local = _lex_min(
+        pre, factors, {p: len(pre.active[p]) for p in comp}, table_cap
+    )
+    return {p: pre.active[p][local[p]] for p in comp}
+
+
+def _lex_min(pre: SelectionPresolve, factors: List,
+             sizes: Dict[int, int], table_cap: int) -> Dict[int, int]:
+    """The lexicographically smallest optimum of ``factors``, a position
+    per phase of ``sizes``."""
+    kernel = pre.kernel
     scopes = [scope for scope, _ in factors]
-    # The tie rule of the numpy kernel's ``_lex_min``: the greedy order,
-    # then ascending conditioning after a tie.
+
+    # Greedy order (``last=None``): canonical only when no argmin is
+    # tied, which proves the optimum unique.  After a tie, condition
+    # phases in ascending order: eliminated last, a phase's first argmin
+    # is its value in the smallest optimum; fix it (a one-candidate
+    # axis) and go on until the rest follows without ties.  What is left
+    # when an order overflows is conditioned on a cutset.
+    sizes = dict(sizes)
     fix: Dict[int, int] = {}
-    for last in [None, *comp]:
+    for last in [None, *sorted(sizes)]:
         order, widest, _ = _elimination_order(scopes, sizes, last=last)
         if widest > table_cap:
-            raise TableOverflow(f"{widest} cells > {table_cap}")
+            local = _condition(pre, factors, sizes, table_cap, last)
+            break
         pre.max_table = max(pre.max_table, widest)
-        local, tied = _eliminate(pre, factors, sizes, order)
+        local, tied = kernel.eliminate(pre, factors, sizes, order)
         if tied <= {last}:
             break
         if last is None:
             pre.tied += 1
         else:
             fix[last] = local[last]
-            factors = _restrict(factors, sizes, last, fix[last])
+            factors = kernel.restrict(factors, sizes, {last: fix[last]})
             sizes[last] = 1
     local.update(fix)
-    return {p: pre.active[p][local[p]] for p in comp}
+    return local
 
 
-def _restrict(factors: Factors, sizes: Dict[int, int], phase: int,
-              position: int) -> Factors:
-    """``factors`` with ``phase`` cut down to its one ``position`` (a
-    one-candidate axis)."""
-    out = []
-    for scope, table in factors:
-        if phase in scope:
-            inner = math.prod(sizes[p] for p in scope[scope.index(phase) + 1:])
-            span = inner * sizes[phase]
-            start = inner * position
-            table = [x for outer in range(0, len(table), span)
-                     for x in table[outer + start:outer + start + inner]]
-        out.append((scope, table))
-    return out
+def _condition(pre: SelectionPresolve, factors: List,
+               sizes: Dict[int, int], table_cap: int,
+               last: Optional[int]) -> Dict[int, int]:
+    """The lexicographically smallest optimum of ``factors`` when the
+    greedy order keeping ``last`` for the end overflows ``table_cap``.
+
+    Phases join a cutset until that order fits, each time the one with
+    the most candidates in the widest bucket (smallest index on ties).
+    Each assignment of the cutset, ascending, is a problem of its own,
+    solved by :func:`_lex_min` (a nested overflow conditions again), and
+    the best by ``(objective, selection in ascending phase order)`` is
+    kept: the smallest optimum has some cutset assignment, and under it
+    is that problem's own smallest optimum."""
+    kernel = pre.kernel
+    scopes = [scope for scope, _ in factors]
+    reduced = dict(sizes)
+    cutset: List[int] = []
+    while True:
+        _order, widest, wide = _elimination_order(scopes, reduced, last=last)
+        if widest <= table_cap:
+            break
+        cutset.append(max(wide, key=lambda q: (reduced[q], -q)))
+        reduced[cutset[-1]] = 1
+    cutset.sort()
+    pre.cutset = max(pre.cutset, len(cutset))
+
+    best: Tuple = ()
+    for values in itertools.product(*(range(sizes[p]) for p in cutset)):
+        fix = dict(zip(cutset, values))
+        try:
+            local = _lex_min(
+                pre, kernel.restrict(factors, sizes, fix), reduced, table_cap
+            )
+        except DeadlineExceeded:
+            if not best:
+                raise
+            pre.interrupted = True
+            break
+        pre.conditioned += 1
+        local.update(fix)
+        key = (kernel.cost(factors, sizes, local),
+               [local[p] for p in sorted(local)])
+        if not best or key < best[0]:
+            best = (key, local)
+    return best[1]

@@ -1,59 +1,24 @@
-"""Graph-level presolve + exact elimination for layout selection: the
-numpy kernel.
+"""Layout selection's numpy kernel: elimination arithmetic for wide
+graphs.
 
-``select_layouts`` runs this kernel on graphs wider than
-``LIST_KERNEL_CELLS`` remap-edge cells, and on any graph whose
-elimination order overflows ``TABLE_CAP`` (only this kernel conditions
-on a cutset); narrower graphs take the plain-Python kernel of
-:mod:`repro.selection.minsum`, which shares the presolve state, the
-elimination order and every floating-point sum with this one.  Importing
-this module imports numpy.
-
-The selection ILP (one candidate per phase, remap edges) carries a lot
-of slack a solver-agnostic pass can remove up front, in the spirit of
-the constraint-network propagation Chen & Kandemir apply to 0-1 layout
-programs.  Two optimum-preserving reductions run to a fixpoint on the
-data layout graph itself:
-
-* **dead-end elimination** (Goldstein's criterion): candidate ``i`` of
-  phase ``p`` is pruned when some ``i'`` satisfies ``node(i') - node(i)
-  + sum_e max_j [e(i', j) - e(i, j)] < 0`` — switching ``i -> i'``
-  strictly improves *every* completion, so ``i`` is in no optimum;
-* **conditioning**: a phase reduced to one candidate is fixed, and its
-  remap-edge costs fold into the neighbouring phases' node costs.
-
-What survives is a residual graph whose connected components are solved
-independently — by exact **min-sum variable elimination** (nonserial
-dynamic programming over elimination buckets), whose cost is exponential
-only in the induced width of the elimination order.  A component whose
-order passes ``TABLE_CAP`` is **conditioned on a cutset** of phases,
-each assignment eliminated on its own; no 0-1 model is built.
-
-Canonical tie-breaking: the answer is the lexicographically smallest
-selection vector among the optima — exactly the assignment the
-branch-bound backend's lexicographically-greatest 0-1 rule decodes to.
-Components eliminate phases in the greedy min-table order and backtrack
-in reverse, taking the *first* argmin at every step.  A tie-free
-backtrack proves the optimum unique, hence the smallest; a tie triggers
-ascending conditioning; cutset assignments are ranked by objective, then
-by selection in ascending phase order (see :func:`eliminate_component`).
-So the fast path and the ILP path agree bit for bit.
+``select_layouts`` runs it on graphs wider than ``LIST_KERNEL_CELLS``
+remap-edge cells.  The algorithm, and the list kernel narrower graphs
+take, are :mod:`repro.selection.minsum`'s; this module brings the
+presolve over arrays and its :class:`~repro.selection.minsum.Kernel`,
+every floating-point sum the list kernel's.  Importing it imports numpy.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
 from ..resilience.deadline import current_deadline
-from ..resilience.errors import DeadlineExceeded
 from .layout_graph import DataLayoutGraph
 from .minsum import (
-    TABLE_CAP,
+    Kernel,
     SelectionPresolve,
-    _elimination_order,
     initial_state,
     reduce_to_fixpoint,
     residual_components,
@@ -107,6 +72,7 @@ def presolve_selection(
         matrices=matrices,
         linked=linked,
         components=residual_components(active, sorted(linked)),
+        kernel=KERNEL,
         pruned=pruned,
         checks=checks,
     )
@@ -192,7 +158,8 @@ def _eliminate(
     return local, tied
 
 
-def _restrict(factors: Factors, fix: Dict[int, int]) -> Factors:
+def _restrict(factors: Factors, sizes: Dict[int, int],
+              fix: Dict[int, int]) -> Factors:
     """``factors`` with each phase of ``fix`` cut down to its one
     position (a one-candidate axis)."""
     out = []
@@ -204,110 +171,12 @@ def _restrict(factors: Factors, fix: Dict[int, int]) -> Factors:
     return out
 
 
-def eliminate_component(
-    pre: SelectionPresolve,
-    comp: List[int],
-    table_cap: int = TABLE_CAP,
-) -> Dict[int, int]:
-    """Exactly solve one residual component by variable elimination,
-    conditioned on a cutset where its order does not fit ``table_cap``
-    (>= 1).
-
-    Returns the optimal candidate position per phase under the canonical
-    tie-break.  Between buckets, raises ``DeadlineExceeded`` once the
-    request's budget has passed (unless a cutset assignment is solved:
-    the best one is returned and ``pre.interrupted`` set) and
-    ``RequestTimeout`` once its hard limit has.
-    """
-    if table_cap < 1:
-        raise ValueError(f"table_cap must be at least 1, got {table_cap}")
-    factors: Factors = [((p,), pre.node[p]) for p in comp]
-    factors.extend(
-        ((p, q), sub) for p, q, sub in pre.component_edges(comp)
+def _cost(factors: Factors, sizes: Dict[int, int],
+          local: Dict[int, int]) -> float:
+    return sum(
+        float(arr[tuple(local[p] for p in scope)]) for scope, arr in factors
     )
-    local = _lex_min(
-        pre, factors, {p: len(pre.active[p]) for p in comp}, table_cap
-    )
-    return {p: pre.active[p][local[p]] for p in comp}
 
 
-def _lex_min(pre: SelectionPresolve, factors: Factors,
-             sizes: Dict[int, int], table_cap: int) -> Dict[int, int]:
-    """The lexicographically smallest optimum of ``factors``, a position
-    per phase of ``sizes``."""
-    scopes = [scope for scope, _ in factors]
-
-    # Greedy order (``last=None``): canonical only when no argmin is
-    # tied, which proves the optimum unique.  After a tie, condition
-    # phases in ascending order: eliminated last, a phase's first argmin
-    # is its value in the smallest optimum; fix it (a one-candidate
-    # axis) and go on until the rest follows without ties.  What is left
-    # when an order overflows is conditioned on a cutset.
-    sizes = dict(sizes)
-    fix: Dict[int, int] = {}
-    for last in [None, *sorted(sizes)]:
-        order, widest, _ = _elimination_order(scopes, sizes, last=last)
-        if widest > table_cap:
-            local = _condition(pre, factors, sizes, table_cap, last)
-            break
-        pre.max_table = max(pre.max_table, widest)
-        local, tied = _eliminate(pre, factors, sizes, order)
-        if tied <= {last}:
-            break
-        if last is None:
-            pre.tied += 1
-        else:
-            fix[last] = local[last]
-            factors = _restrict(factors, {last: fix[last]})
-            sizes[last] = 1
-    local.update(fix)
-    return local
-
-
-def _condition(pre: SelectionPresolve, factors: Factors,
-               sizes: Dict[int, int], table_cap: int,
-               last: Optional[int]) -> Dict[int, int]:
-    """The lexicographically smallest optimum of ``factors`` when the
-    greedy order keeping ``last`` for the end overflows ``table_cap``.
-
-    Phases join a cutset until that order fits, each time the one with
-    the most candidates in the widest bucket (smallest index on ties).
-    Each assignment of the cutset, ascending, is a problem of its own,
-    solved by :func:`_lex_min` (a nested overflow conditions again), and
-    the best by ``(objective, selection in ascending phase order)`` is
-    kept: the smallest optimum has some cutset assignment, and under it
-    is that problem's own smallest optimum."""
-    scopes = [scope for scope, _ in factors]
-    reduced = dict(sizes)
-    cutset: List[int] = []
-    while True:
-        _order, widest, wide = _elimination_order(scopes, reduced, last=last)
-        if widest <= table_cap:
-            break
-        cutset.append(max(wide, key=lambda q: (reduced[q], -q)))
-        reduced[cutset[-1]] = 1
-    cutset.sort()
-    pre.cutset = max(pre.cutset, len(cutset))
-
-    best: Tuple = ()
-    for values in itertools.product(*(range(sizes[p]) for p in cutset)):
-        fix = dict(zip(cutset, values))
-        try:
-            local = _lex_min(
-                pre, _restrict(factors, fix), reduced, table_cap
-            )
-        except DeadlineExceeded:
-            if not best:
-                raise
-            pre.interrupted = True
-            break
-        pre.conditioned += 1
-        local.update(fix)
-        cost = sum(
-            float(arr[tuple(local[p] for p in scope)])
-            for scope, arr in factors
-        )
-        key = (cost, [local[p] for p in sorted(local)])
-        if not best or key < best[0]:
-            best = (key, local)
-    return best[1]
+#: numpy's arithmetic: a remap matrix is its own factor table
+KERNEL = Kernel(lambda matrix: matrix, _eliminate, _restrict, _cost)

@@ -7,7 +7,8 @@ numpy (about 14 MB and 0.15 s to import) is loaded only by a layout
 graph wide enough for the numpy selection kernel
 (``selection.ilp.LIST_KERNEL_CELLS``) and by the training fit of a
 machine with no committed table; the paper programs, a served miss, a
-tie solved by HiGHS and the CLI's start never load it.
+tie solved by HiGHS, a narrow graph conditioned on a cutset and the
+CLI's start never load it.
 
 ``repro.ilp`` imports its HiGHS backend only when a model first
 reaches it, and the backend loads scipy's HiGHS extension alone, found
@@ -135,6 +136,47 @@ def test_default_path_never_loads_the_solver():
     assert report["simulated"] == {"default": 0, "paragon": 0,
                                    "modified": 324}
     assert float.fromhex(report["objective"]) == 835.8838571428571
+
+
+NARROW_CONDITIONED = """
+import functools, json, sys
+from repro.obs import tracing
+from repro.obs.events import spans_by_name
+from repro.selection import minsum
+from repro.selection.ilp import select_layouts
+from repro.selection.layout_graph import DataLayoutGraph, LayoutEdge
+
+differ = {(i, j): 1.0 for i in range(2) for j in range(2) if i != j}
+graph = DataLayoutGraph(
+    phases=(), pcfg=None, estimates=None,
+    node_costs={p: [1.0, 0.0] for p in range(3)},
+    edges=[LayoutEdge(0, 1, differ), LayoutEdge(1, 2, differ)],
+    transitions={},
+)
+minsum.eliminate_component = functools.partial(
+    minsum.eliminate_component, table_cap=1)
+with tracing.activate(tracing.Tracer()) as tracer:
+    result = select_layouts(graph)
+(span,) = spans_by_name(tracer.to_dict(), "ilp.presolve")
+print(json.dumps({
+    "selection": sorted(result.selection.items()),
+    "cutset": span["attrs"]["cutset"],
+    "numpy": "numpy" in sys.modules,
+}))
+"""
+
+
+def test_a_narrow_graph_is_conditioned_without_numpy():
+    """A narrow graph whose order overflows the table cap is conditioned
+    on a cutset by the list kernel, and numpy never loads."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run(
+        [sys.executable, "-c", NARROW_CONDITIONED], env=env,
+        capture_output=True, text=True, check=True, timeout=120,
+    ).stdout
+    assert json.loads(out.splitlines()[-1]) == {
+        "selection": [[0, 1], [1, 1], [2, 1]], "cutset": 3, "numpy": False,
+    }
 
 
 #: what the pipeline never needs: the service and its overload and

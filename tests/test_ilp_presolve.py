@@ -21,6 +21,7 @@ import os
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from repro.distribution.search_space import DistributionOptions
@@ -43,11 +44,8 @@ from repro.selection import (
 )
 from repro.selection.ilp import select_layouts
 from repro.selection.layout_graph import DataLayoutGraph, LayoutEdge
-from repro.selection.presolve import (
-    TABLE_CAP,
-    eliminate_component,
-    presolve_selection,
-)
+from repro.selection.minsum import TABLE_CAP, eliminate_component
+from repro.selection.presolve import presolve_selection
 from repro.tool.assistant import AssistantConfig, run_assistant
 
 from .elimination_oracle import materialising_eliminate
@@ -248,17 +246,20 @@ def component_problems(population):
 
 
 class Eliminations:
-    """Counts ``_eliminate`` calls: the backtracks a solve took."""
+    """Counts the numpy kernel's ``_eliminate`` calls: the backtracks a
+    solve took."""
 
     def __init__(self, monkeypatch):
         self.calls = 0
-        eliminate = selection_presolve._eliminate
+        arithmetic = selection_presolve.KERNEL
 
         def spy(*args):
             self.calls += 1
-            return eliminate(*args)
+            return arithmetic.eliminate(*args)
 
-        monkeypatch.setattr(selection_presolve, "_eliminate", spy)
+        monkeypatch.setattr(
+            selection_presolve, "KERNEL", arithmetic._replace(eliminate=spy)
+        )
 
 
 class TestEliminationOrder:
@@ -270,7 +271,7 @@ class TestEliminationOrder:
     ):
         """The order, widest table and widest bucket match the
         reference with ``last=None`` and with every ``last=p``."""
-        plan = selection_presolve._elimination_order
+        plan = minsum._elimination_order
         components = 0
         for key, scopes, sizes in component_problems(population):
             components += 1
@@ -323,15 +324,15 @@ class TestWidthAwareElimination:
         the cap) all return the brute-force lexicographically smallest
         optimum, bitwise."""
         tie_rule = []
-        plan = selection_presolve._elimination_order
+        plan = minsum._elimination_order
 
         def spy(scopes, sizes, last=None):
             if last is not None:
                 tie_rule.append(last)
             return plan(scopes, sizes, last=last)
 
-        monkeypatch.setattr(selection_presolve, "_elimination_order", spy)
-        # end to end too: the caps below reach numpy's cutset conditioning
+        monkeypatch.setattr(minsum, "_elimination_order", spy)
+        # end to end too, on the numpy kernel that presolved ``pre``
         monkeypatch.setattr(selection_ilp, "LIST_KERNEL_CELLS", -1)
         rng = random.Random(1995)
         tied = conditioned = 0
@@ -354,7 +355,7 @@ class TestWidthAwareElimination:
             # end to end, with the smallest cap and the default one
             for cap in (1, TABLE_CAP):
                 monkeypatch.setattr(
-                    selection_presolve, "eliminate_component",
+                    minsum, "eliminate_component",
                     functools.partial(eliminate_component, table_cap=cap),
                 )
                 fast = select_layouts(graph, backend="branch-bound")
@@ -362,7 +363,7 @@ class TestWidthAwareElimination:
                 assert fast.objective == cost == slow.objective
                 assert fast.solution.stats.backend == "elimination"
             monkeypatch.setattr(
-                selection_presolve, "eliminate_component",
+                minsum, "eliminate_component",
                 functools.partial(eliminate_component, table_cap=0),
             )
             if pre.components:
@@ -373,52 +374,58 @@ class TestWidthAwareElimination:
         assert tie_rule
         assert conditioned > 0
 
-    def test_list_kernel_overflow_goes_to_numpy(self, monkeypatch):
-        """An order wider than the list kernel's cap is the numpy
-        kernel's to condition: ``select_layouts`` hands it the graph,
-        and the answer is still the lexicographic minimum."""
+    def test_list_kernel_conditions_its_own_overflow(self, monkeypatch):
+        """An order wider than the cap is conditioned by the kernel that
+        presolved the graph: the list kernel solves every narrow graph
+        alone, numpy's presolve never runs, and the answer is the
+        lexicographic minimum."""
         presolved = []
         monkeypatch.setattr(
             minsum, "eliminate_component",
-            functools.partial(minsum.eliminate_component, table_cap=1),
+            functools.partial(eliminate_component, table_cap=1),
         )
-        presolve = selection_presolve.presolve_selection
         monkeypatch.setattr(
             selection_presolve, "presolve_selection",
-            lambda *args, **kw: presolved.append(1) or presolve(*args, **kw),
+            lambda *args, **kw: presolved.append(1),
         )
+        conditioned = 0
         for seed in range(20):
             graph = random_layout_graph(random.Random(seed))
+            assert (sum(len(edge.costs) for edge in graph.edges)
+                    <= selection_ilp.LIST_KERNEL_CELLS), seed
             cost, oracle = exact_best_selection(graph)
             pre = minsum.presolve_selection(graph)
-            if pre.components:
-                with pytest.raises(minsum.TableOverflow):
-                    minsum.eliminate_component(pre, pre.components[0])
-            before = len(presolved)
+            for comp in pre.components:
+                solved = minsum.eliminate_component(pre, comp)
+                assert solved == {p: oracle[p] for p in comp}, seed
+            conditioned += pre.conditioned
             fast = select_layouts(graph)
             assert (fast.selection, fast.objective) == (oracle, cost), seed
-            assert len(presolved) - before == bool(pre.components), seed
+        assert conditioned > 0
+        assert presolved == []
 
     @pytest.mark.parametrize("seed,cap", [(36, 8), (74, 16), (493, 4)])
     def test_tie_rule_overflow_is_conditioned(self, seed, cap, monkeypatch):
         """A ``last=`` order of the tie rule that overflows the cap
         hands the phases it has not fixed to cutset conditioning."""
         overflowed = []
-        condition = selection_presolve._condition
+        condition = minsum._condition
 
         def spy(pre, factors, sizes, table_cap, last):
             overflowed.append(last)
             return condition(pre, factors, sizes, table_cap, last)
 
-        monkeypatch.setattr(selection_presolve, "_condition", spy)
+        monkeypatch.setattr(minsum, "_condition", spy)
         graph = random_layout_graph(random.Random(seed))
         _cost, oracle = exact_best_selection(graph)
-        pre = presolve_selection(graph)
-        for comp in pre.components:
-            solved = eliminate_component(pre, comp, table_cap=cap)
-            assert solved == {p: oracle[p] for p in comp}
-        assert any(last is not None for last in overflowed)
-        assert pre.conditioned > 0
+        for kernel in each_kernel(monkeypatch):
+            overflowed.clear()
+            pre = kernel.presolve_selection(graph)
+            for comp in pre.components:
+                solved = eliminate_component(pre, comp, table_cap=cap)
+                assert solved == {p: oracle[p] for p in comp}, kernel
+            assert any(last is not None for last in overflowed), kernel
+            assert pre.conditioned > 0, kernel
 
     @pytest.mark.parametrize("name", ["tomcatv", "shallow"])
     def test_extended_space_needs_no_solver(self, name):
@@ -465,25 +472,31 @@ class TestWidthAwareElimination:
     ):
         # cap 1 conditions on all three phases; the budget runs out at
         # the fourth bucket, after the first assignment's three
-        result, notes = conditioned_under_countdown(monkeypatch, 3)
-        assert [(n.stage, n.reason) for n in notes] == [
-            ("selection", "incumbent")
-        ]
-        assert not result.optimal
-        assert result.solution.status == "time_limit"
-        assert result.solution.stats.backend == "elimination"
-        assert result.selection == {0: 0, 1: 0, 2: 0}
-        assert result.objective == 3.0  # the optimum, all ones, costs 0
+        for kernel in each_kernel(monkeypatch):
+            result, notes = conditioned_under_countdown(
+                monkeypatch, kernel, 3
+            )
+            assert [(n.stage, n.reason) for n in notes] == [
+                ("selection", "incumbent")
+            ]
+            assert not result.optimal
+            assert result.solution.status == "time_limit"
+            assert result.solution.stats.backend == "elimination"
+            assert result.selection == {0: 0, 1: 0, 2: 0}
+            assert result.objective == 3.0  # the optimum, all ones, costs 0
 
     def test_deadline_before_any_assignment_degrades_to_greedy(
         self, monkeypatch
     ):
-        result, notes = conditioned_under_countdown(monkeypatch, 0)
-        assert [(n.stage, n.reason) for n in notes] == [
-            ("selection", "greedy-fallback")
-        ]
-        assert not result.optimal
-        assert result.selection == {0: 1, 1: 1, 2: 1}
+        for kernel in each_kernel(monkeypatch):
+            result, notes = conditioned_under_countdown(
+                monkeypatch, kernel, 0
+            )
+            assert [(n.stage, n.reason) for n in notes] == [
+                ("selection", "greedy-fallback")
+            ]
+            assert not result.optimal
+            assert result.selection == {0: 1, 1: 1, 2: 1}
 
 
 class Countdown:
@@ -499,11 +512,12 @@ class Countdown:
             raise DeadlineExceeded(f"budget spent at {label}")
 
 
-def conditioned_under_countdown(monkeypatch, checks):
+def conditioned_under_countdown(monkeypatch, kernel, checks):
     """Select over a three-phase chain that prefers candidate 1
     everywhere, every table capped at one element so that each
-    assignment of the cutset is a separate solve of the numpy kernel
-    (the one that conditions), under a :class:`Countdown` deadline."""
+    assignment of the cutset is a separate solve of ``kernel`` (the one
+    ``each_kernel`` sends the graph to), under a :class:`Countdown`
+    deadline."""
     graph = DataLayoutGraph(
         phases=(), pcfg=None, estimates=None,
         node_costs={p: [1.0, 0.0] for p in range(3)},
@@ -512,12 +526,9 @@ def conditioned_under_countdown(monkeypatch, checks):
         transitions={},
     )
     countdown = Countdown(checks)
+    monkeypatch.setattr(kernel, "current_deadline", lambda: countdown)
     monkeypatch.setattr(
-        selection_presolve, "current_deadline", lambda: countdown
-    )
-    monkeypatch.setattr(selection_ilp, "LIST_KERNEL_CELLS", -1)
-    monkeypatch.setattr(
-        selection_presolve, "eliminate_component",
+        minsum, "eliminate_component",
         functools.partial(eliminate_component, table_cap=1),
     )
     with collecting() as notes:
@@ -609,21 +620,27 @@ def population_components(population):
 
 
 class OracleEliminations:
-    """Checks every ``_eliminate`` call against the bucket-materialising
-    oracle: equal ``(local, tied)``."""
+    """Checks every ``_eliminate`` call of ``kernel`` against the
+    bucket-materialising oracle: equal ``(local, tied)``."""
 
-    def __init__(self, monkeypatch):
+    def __init__(self, monkeypatch, kernel=selection_presolve):
         self.calls = self.tied = 0
-        eliminate = selection_presolve._eliminate
+        arithmetic = kernel.KERNEL
 
         def spy(pre, factors, sizes, order):
-            got = eliminate(pre, factors, sizes, order)
-            assert got == materialising_eliminate(factors, sizes, order)
+            got = arithmetic.eliminate(pre, factors, sizes, order)
+            tensors = [
+                (scope, np.reshape(table, [sizes[p] for p in scope]))
+                for scope, table in factors
+            ]
+            assert got == materialising_eliminate(tensors, sizes, order)
             self.calls += 1
             self.tied += bool(got[1])
             return got
 
-        monkeypatch.setattr(selection_presolve, "_eliminate", spy)
+        monkeypatch.setattr(
+            kernel, "KERNEL", arithmetic._replace(eliminate=spy)
+        )
 
 
 class TestOneTableElimination:
@@ -641,16 +658,19 @@ class TestOneTableElimination:
 
     def test_tied_random_graphs_match_under_every_cap(self, monkeypatch):
         """Integer costs force ties, and the small caps force cutset
-        conditioning: every elimination those run matches too."""
-        oracle = OracleEliminations(monkeypatch)
-        conditioned = 0
-        for seed in range(60):
-            pre = presolve_selection(random_layout_graph(random.Random(seed)))
-            for cap in (*_SMALL_TABLE_CAPS, TABLE_CAP):
-                for comp in pre.components:
-                    eliminate_component(pre, comp, table_cap=cap)
-            conditioned += pre.conditioned
-        assert oracle.tied > 0 and conditioned > 0
+        conditioning: every elimination those run, on either kernel,
+        matches too."""
+        for kernel in each_kernel(monkeypatch):
+            oracle = OracleEliminations(monkeypatch, kernel)
+            conditioned = 0
+            for seed in range(60):
+                graph = random_layout_graph(random.Random(seed))
+                pre = kernel.presolve_selection(graph)
+                for cap in (*_SMALL_TABLE_CAPS, TABLE_CAP):
+                    for comp in pre.components:
+                        eliminate_component(pre, comp, table_cap=cap)
+                conditioned += pre.conditioned
+            assert oracle.tied > 0 and conditioned > 0, kernel
 
     @pytest.mark.parametrize("key", [
         f"ext/{variant}/{program}"

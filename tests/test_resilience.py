@@ -4,7 +4,9 @@ path end to end through the service."""
 
 from __future__ import annotations
 
+import ast
 import json
+import pathlib
 import pickle
 import socket
 import time
@@ -134,12 +136,45 @@ class TestFaultInjection:
         assert again == plan
 
     def test_invalid_specs_rejected(self):
-        with pytest.raises(ValueError):
-            FaultSpec(site="x", mode="explode")
-        with pytest.raises(ValueError):
-            FaultSpec(site="x", mode="flaky")  # times required
-        with pytest.raises(ValueError):
-            FaultSpec(site="x", probability=1.5)
+        with pytest.raises(ValueError, match="mode"):
+            FaultSpec(site="ilp.solve", mode="explode")
+        with pytest.raises(ValueError, match="times"):
+            FaultSpec(site="ilp.solve", mode="flaky")
+        with pytest.raises(ValueError, match="probability"):
+            FaultSpec(site="ilp.solve", probability=1.5)
+
+    def test_a_site_no_point_has_is_rejected(self):
+        with pytest.raises(ValueError, match="cache.laod"):
+            FaultSpec(site="cache.laod")
+        with pytest.raises(ValueError, match="ilp.solve"):
+            FaultSpec(site="ilp.solve", mode="corrupt")
+        FaultSpec(site="cache.*", mode="corrupt")
+        FaultSpec(site="*.reply")
+
+    def test_known_sites_are_the_instrumented_points(self):
+        """``KNOWN_SITES`` is the set of literal sites the code passes to
+        ``fault_point`` / ``corrupt_point``, under any import alias."""
+        points = {"fault_point", "corrupt_point"}
+        sites = set()
+        for path in pathlib.Path(faults.__file__).parents[1].rglob("*.py"):
+            tree = ast.parse(path.read_text())
+            names = set(points)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom):
+                    names.update(alias.asname for alias in node.names
+                                 if alias.name in points and alias.asname)
+            for node in ast.walk(tree):
+                if not (isinstance(node, ast.Call) and node.args
+                        and isinstance(node.args[0], ast.Constant)):
+                    continue
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(
+                    func, "attr", None
+                )
+                if name in names:
+                    sites.add(node.args[0].value)
+        assert sites == set(faults.KNOWN_SITES)
+        assert set(faults.CORRUPTIBLE_SITES) <= sites
 
 
 # -- deadlines ----------------------------------------------------------

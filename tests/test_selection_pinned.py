@@ -173,7 +173,7 @@ def kernel_outcome(kernel, graph, allowed, result):
             shape = (len(sub), len(sub[0]))
             cells = [x for row in sub for x in row]
             h.update(f"edge {p} {q} {shape} {_hex(cells)}\n".encode())
-        solved = kernel.eliminate_component(pre, comp)
+        solved = minsum.eliminate_component(pre, comp)
         h.update(f"solved {sorted((solved or {}).items())}\n".encode())
     h.update(f"selection {sorted(result.selection.items())} "
              f"{float(result.objective).hex()}\n".encode())
